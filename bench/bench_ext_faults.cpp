@@ -48,22 +48,12 @@
 
 namespace {
 
-struct Cell {
-  double completion_s = 0.0;
-  std::uint64_t frames_lost = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t escalations = 0;
-  bool deadlocked = false;
-  nscc::recovery::Stats recovery;
-  std::uint64_t degraded_reads = 0;
-  std::uint64_t integrity_dropped = 0;
-  std::uint64_t sanitize_violations = 0;
-  std::uint64_t partition_drops = 0;
-  std::uint64_t partition_stale_served = 0;
-  std::uint64_t heal_frames = 0;
-  std::uint64_t diverged_locations = 0;
-  std::uint64_t reconciled_locations = 0;
-};
+/// One sweep cell: the run's unified counters (the GA result's RunStats).
+using Cell = nscc::harness::RunStats;
+
+double completion_s(const Cell& cell) {
+  return nscc::sim::to_seconds(cell.completion_time);
+}
 
 Cell run(double loss, long age, int demes, int generations,
          std::uint64_t seed, std::uint64_t fault_seed,
@@ -104,23 +94,7 @@ Cell run(double loss, long age, int demes, int generations,
   machine.fault = plan;
   machine.transport.enabled = !plan.empty() || cfg.recovery.enabled();
 
-  const auto r = nscc::ga::run_island_ga(cfg, machine);
-  Cell cell;
-  cell.completion_s = nscc::sim::to_seconds(r.completion_time);
-  cell.frames_lost = r.frames_lost;
-  cell.retransmissions = r.retransmissions;
-  cell.escalations = r.read_escalations;
-  cell.deadlocked = r.deadlocked;
-  cell.recovery = r.recovery;
-  cell.degraded_reads = r.degraded_reads;
-  cell.integrity_dropped = r.integrity_dropped;
-  cell.sanitize_violations = r.sanitize_violations;
-  cell.partition_drops = r.partition_drops;
-  cell.partition_stale_served = r.partition_stale_served;
-  cell.heal_frames = r.heal_frames;
-  cell.diverged_locations = r.diverged_locations;
-  cell.reconciled_locations = r.reconciled_locations;
-  return cell;
+  return nscc::ga::run_island_ga(cfg, machine);
 }
 
 }  // namespace
@@ -171,11 +145,11 @@ int main(int argc, char** argv) {
       table.row()
           .cell(nscc::util::format_double(loss * 100.0, 1) + " %")
           .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-          .cell(cell.completion_s, 2)
-          .cell(cell.completion_s / base[i].completion_s, 3)
+          .cell(completion_s(cell), 2)
+          .cell(completion_s(cell) / completion_s(base[i]), 3)
           .cell(cell.frames_lost)
           .cell(cell.retransmissions)
-          .cell(cell.escalations);
+          .cell(cell.read_escalations);
       nscc::harness::SweepRecord rec;
       rec.workload = "ga.island";
       rec.variant = age == 0 ? "sync" : "partial";
@@ -185,12 +159,12 @@ int main(int argc, char** argv) {
       rec.params = {{"loss", loss},
                     {"demes", static_cast<double>(demes)},
                     {"generations", static_cast<double>(generations)}};
-      rec.stats = {{"completion_s", cell.completion_s},
-                   {"vs_fault_free", cell.completion_s / base[i].completion_s},
+      rec.stats = {{"completion_s", completion_s(cell)},
+                   {"vs_fault_free", completion_s(cell) / completion_s(base[i])},
                    {"frames_lost", static_cast<double>(cell.frames_lost)},
                    {"retransmissions",
                     static_cast<double>(cell.retransmissions)},
-                   {"read_escalations", static_cast<double>(cell.escalations)},
+                   {"read_escalations", static_cast<double>(cell.read_escalations)},
                    {"deadlocked", cell.deadlocked ? 1.0 : 0.0}};
       sweep.add(std::move(rec));
     }
@@ -202,7 +176,7 @@ int main(int argc, char** argv) {
   // policy.  The crash lands at 40% of the crash-free age-10 completion so
   // it scales with --demes/--generations.
   const double kCrashLoss = 0.01;
-  const double crash_at_s = 0.4 * base[1].completion_s;
+  const double crash_at_s = 0.4 * completion_s(base[1]);
   nscc::fault::Window crash;
   crash.start = static_cast<nscc::sim::Time>(
       crash_at_s * static_cast<double>(nscc::sim::kSecond));
@@ -227,15 +201,15 @@ int main(int argc, char** argv) {
       rtable.row()
           .cell(pname)
           .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-          .cell(cell.completion_s, 2)
-          .cell(cell.completion_s / base[i].completion_s, 3)
-          .cell(cell.recovery.crashes)
-          .cell(cell.recovery.checkpoints_taken)
-          .cell(cell.recovery.restores)
-          .cell(cell.recovery.rejoins)
+          .cell(completion_s(cell), 2)
+          .cell(completion_s(cell) / completion_s(base[i]), 3)
+          .cell(cell.crashes)
+          .cell(cell.checkpoints_taken)
+          .cell(cell.restores)
+          .cell(cell.rejoins)
           .cell(cell.degraded_reads)
           .cell(static_cast<std::uint64_t>(
-              std::max<std::int64_t>(0, cell.recovery.lost_iterations)));
+              std::max<std::int64_t>(0, cell.lost_iterations)));
       nscc::harness::SweepRecord rec;
       rec.workload = "ga.island";
       rec.variant = "partial";
@@ -248,21 +222,21 @@ int main(int argc, char** argv) {
                     {"crash_at_s", crash_at_s},
                     {"policy", static_cast<double>(policy)}};
       rec.stats = {
-          {"completion_s", cell.completion_s},
-          {"vs_crash_free", cell.completion_s / base[i].completion_s},
+          {"completion_s", completion_s(cell)},
+          {"vs_crash_free", completion_s(cell) / completion_s(base[i])},
           {"deadlocked", cell.deadlocked ? 1.0 : 0.0},
-          {"crashes", static_cast<double>(cell.recovery.crashes)},
+          {"crashes", static_cast<double>(cell.crashes)},
           {"checkpoints_taken",
-           static_cast<double>(cell.recovery.checkpoints_taken)},
-          {"restores", static_cast<double>(cell.recovery.restores)},
-          {"rejoins", static_cast<double>(cell.recovery.rejoins)},
+           static_cast<double>(cell.checkpoints_taken)},
+          {"restores", static_cast<double>(cell.restores)},
+          {"rejoins", static_cast<double>(cell.rejoins)},
           {"degraded_reads", static_cast<double>(cell.degraded_reads)},
           {"detection_latency_s",
-           nscc::sim::to_seconds(cell.recovery.detection_latency)},
+           nscc::sim::to_seconds(cell.detection_latency)},
           {"recovery_latency_s",
-           nscc::sim::to_seconds(cell.recovery.recovery_latency)},
+           nscc::sim::to_seconds(cell.recovery_latency)},
           {"lost_iterations",
-           static_cast<double>(cell.recovery.lost_iterations)}};
+           static_cast<double>(cell.lost_iterations)}};
       sweep.add(std::move(rec));
     }
   }
@@ -291,10 +265,10 @@ int main(int argc, char** argv) {
       ctable.row()
           .cell(nscc::util::format_double(corrupt * 100.0, 1) + " %")
           .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-          .cell(cell.completion_s, 2)
-          .cell(cell.completion_s / base[i].completion_s, 3)
+          .cell(completion_s(cell), 2)
+          .cell(completion_s(cell) / completion_s(base[i]), 3)
           .cell(cell.retransmissions)
-          .cell(cell.escalations)
+          .cell(cell.read_escalations)
           .cell(cell.integrity_dropped);
       nscc::harness::SweepRecord rec;
       rec.workload = "ga.island";
@@ -305,11 +279,11 @@ int main(int argc, char** argv) {
       rec.params = {{"corrupt", corrupt},
                     {"demes", static_cast<double>(demes)},
                     {"generations", static_cast<double>(generations)}};
-      rec.stats = {{"completion_s", cell.completion_s},
-                   {"vs_fault_free", cell.completion_s / base[i].completion_s},
+      rec.stats = {{"completion_s", completion_s(cell)},
+                   {"vs_fault_free", completion_s(cell) / completion_s(base[i])},
                    {"retransmissions",
                     static_cast<double>(cell.retransmissions)},
-                   {"read_escalations", static_cast<double>(cell.escalations)},
+                   {"read_escalations", static_cast<double>(cell.read_escalations)},
                    {"integrity_dropped",
                     static_cast<double>(cell.integrity_dropped)},
                    {"sanitize_violations",
@@ -328,9 +302,9 @@ int main(int argc, char** argv) {
   // divergence-bounded degraded reads instead of declaring each other dead;
   // at window end the writers republish and every diverged location
   // reconciles — `diverged` must equal `reconciled` in every cell.
-  const double part_start_s = 0.2 * base[1].completion_s;
-  const std::vector<double> part_durs_s = {0.1 * base[1].completion_s,
-                                           0.3 * base[1].completion_s};
+  const double part_start_s = 0.2 * completion_s(base[1]);
+  const std::vector<double> part_durs_s = {0.1 * completion_s(base[1]),
+                                           0.3 * completion_s(base[1])};
   const double kQuorum = 0.625;
   nscc::fault::PartitionWindow split;
   for (int node = 0; node < demes; ++node) {
@@ -360,8 +334,8 @@ int main(int argc, char** argv) {
       ptable.row()
           .cell(nscc::util::format_double(dur_s, 2))
           .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-          .cell(cell.completion_s, 2)
-          .cell(cell.completion_s / base[i].completion_s, 3)
+          .cell(completion_s(cell), 2)
+          .cell(completion_s(cell) / completion_s(base[i]), 3)
           .cell(cell.partition_drops)
           .cell(cell.partition_stale_served)
           .cell(cell.heal_frames)
@@ -380,8 +354,8 @@ int main(int argc, char** argv) {
                     {"demes", static_cast<double>(demes)},
                     {"generations", static_cast<double>(generations)}};
       rec.stats = {
-          {"completion_s", cell.completion_s},
-          {"vs_fault_free", cell.completion_s / base[i].completion_s},
+          {"completion_s", completion_s(cell)},
+          {"vs_fault_free", completion_s(cell) / completion_s(base[i])},
           {"partition_drops", static_cast<double>(cell.partition_drops)},
           {"partition_stale_served",
            static_cast<double>(cell.partition_stale_served)},
@@ -390,9 +364,8 @@ int main(int argc, char** argv) {
            static_cast<double>(cell.diverged_locations)},
           {"reconciled_locations",
            static_cast<double>(cell.reconciled_locations)},
-          {"quorum_parks", static_cast<double>(cell.recovery.quorum_parks)},
           {"split_brain_declarations",
-           static_cast<double>(cell.recovery.split_brain_declarations)},
+           static_cast<double>(cell.split_brain_declarations)},
           {"deadlocked", cell.deadlocked ? 1.0 : 0.0}};
       sweep.add(std::move(rec));
     }

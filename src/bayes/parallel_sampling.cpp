@@ -52,7 +52,6 @@ struct TaskOutcome {
   std::uint64_t rollbacks = 0;
   std::uint64_t rolled_back_iterations = 0;
   std::uint64_t nodes_resampled = 0;
-  dsm::DsmStats dsm;
 };
 
 }  // namespace
@@ -713,7 +712,6 @@ ParallelInferenceResult run_parallel_logic_sampling(
         est.ci = util::proportion_ci(hits[q], used_samples, config.confidence);
         out.estimates.push_back(est);
       }
-      out.dsm = space.stats();
     });
   }
 
@@ -729,13 +727,11 @@ ParallelInferenceResult run_parallel_logic_sampling(
   loader.stop();
 
   ParallelInferenceResult result;
+  static_cast<harness::RunStats&>(result) =
+      harness::RunStats::from_registry(vm.obs().registry());
   result.full_run_time = full_time;
   result.deadlocked = vm.deadlocked() || full_time >= horizon;
   result.iterations = config.iterations;
-  result.bus_utilization = vm.network_utilization();
-  if (vm.warp_meter().samples() > 0) {
-    result.mean_warp = vm.warp_meter().overall().mean();
-  }
   result.edge_cut = edge_cut(net, part);
 
   sim::Time completion = 0;
@@ -752,27 +748,9 @@ ParallelInferenceResult run_parallel_logic_sampling(
     result.rolled_back_iterations += out.rolled_back_iterations;
     result.nodes_resampled += out.nodes_resampled;
     result.validated_samples = std::min(result.validated_samples, out.validated);
-    result.global_read_blocks += out.dsm.global_read_blocks;
-    result.global_read_block_time += out.dsm.global_read_block_time;
-    result.read_escalations += out.dsm.read_escalations;
-    result.degraded_reads += out.dsm.degraded_reads;
-    result.integrity_dropped += out.dsm.integrity_dropped;
-    result.partition_stale_served += out.dsm.partition_stale_served;
-    result.heal_frames += out.dsm.heal_frames;
-    result.diverged_locations += out.dsm.diverged_marks;
-    result.reconciled_locations += out.dsm.reconciled_marks;
-    result.updates_parked += out.dsm.updates_parked;
-    result.updates_flushed += out.dsm.updates_flushed;
-    result.ooo_updates += out.dsm.ooo_updates;
-    result.messages_sent += vm.task(p).stats().messages_sent;
-    result.bytes_sent += vm.task(p).stats().bytes_sent;
     for (const QueryEstimate& est : out.estimates) {
       result.estimates.push_back(est);
     }
-  }
-  if (vm.fault_injector() != nullptr) {
-    result.partition_drops = vm.fault_injector()->stats().partition_drops +
-                             vm.fault_injector()->stats().blackhole_drops;
   }
   // Return estimates in the caller's query order, not partition order.
   std::vector<QueryEstimate> ordered;
@@ -786,10 +764,6 @@ ParallelInferenceResult run_parallel_logic_sampling(
   }
   result.estimates = std::move(ordered);
   result.completion_time = result.converged ? completion : full_time;
-  if (coord != nullptr) result.recovery = coord->stats();
-  if (vm.sanitizer() != nullptr) {
-    result.sanitize_violations = vm.sanitizer()->stats().total_violations();
-  }
   return result;
 }
 

@@ -35,7 +35,6 @@
 #include "bayes/partitioner.hpp"
 #include "dsm/shared_space.hpp"
 #include "harness/run_config.hpp"
-#include "recovery/recovery.hpp"
 #include "rt/vm.hpp"
 
 namespace nscc::bayes {
@@ -81,13 +80,13 @@ struct ParallelInferenceConfig : harness::RunConfig {
   PartitionConfig partition;
 };
 
-struct ParallelInferenceResult {
-  /// Virtual time when every task's queries met the CI target (full run
-  /// time when some never did — see `converged`).
-  sim::Time completion_time = 0;
+/// The run's mechanism counters live in the embedded harness::RunStats
+/// (filled from the machine's registry); completion_time is the virtual
+/// time when every task's queries met the CI target (full run time when
+/// some never did — see `converged`).  Fields here are sampler-specific.
+struct ParallelInferenceResult : harness::RunStats {
   sim::Time full_run_time = 0;
   bool converged = false;
-  bool deadlocked = false;
 
   std::vector<QueryEstimate> estimates;  ///< On validated samples.
   std::uint64_t iterations = 0;          ///< Per task (fixed).
@@ -95,35 +94,7 @@ struct ParallelInferenceResult {
   std::uint64_t rollbacks = 0;
   std::uint64_t rolled_back_iterations = 0;
   std::uint64_t nodes_resampled = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t global_read_blocks = 0;
-  sim::Time global_read_block_time = 0;
-  double bus_utilization = 0.0;
-  double mean_warp = 0.0;
   int edge_cut = 0;
-  std::uint64_t read_escalations = 0;
-  /// Crash-recovery diagnostics (zero unless config.recovery was enabled).
-  recovery::Stats recovery;
-  std::uint64_t degraded_reads = 0;
-  /// Damaged DSM frames quarantined (integrity checking enabled only).
-  std::uint64_t integrity_dropped = 0;
-  /// Consistency-model diagnostics (zero under the default nonstrict
-  /// model): updates parked until an acquire, parked updates published at
-  /// acquires, and release stamps that arrived out of order.
-  std::uint64_t updates_parked = 0;
-  std::uint64_t updates_flushed = 0;
-  std::uint64_t ooo_updates = 0;
-  /// Partition diagnostics (zero unless the fault plan scheduled
-  /// partition/blackhole windows).
-  std::uint64_t partition_drops = 0;        ///< Frames cut by the split.
-  std::uint64_t partition_stale_served = 0; ///< Minority-side stale serves.
-  std::uint64_t heal_frames = 0;            ///< Anti-entropy republishes.
-  std::uint64_t diverged_locations = 0;     ///< Reader locations diverged.
-  std::uint64_t reconciled_locations = 0;   ///< Diverged marks later healed.
-  /// Tolerance-contract violations flagged by the staleness sanitizer
-  /// (zero when the machine runs with --sanitize=off).
-  std::uint64_t sanitize_violations = 0;
 };
 
 ParallelInferenceResult run_parallel_logic_sampling(

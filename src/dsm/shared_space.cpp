@@ -102,8 +102,10 @@ SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
 
 SharedSpace::~SharedSpace() {
   task_.set_tag_handler(rt::kDsmRequestTag, {});
-  if (obs_ == nullptr) return;
-  obs::Registry& reg = obs_->registry();
+  // Published whether or not observers are on: the registry is the run's
+  // result (harness::RunStats::from_registry).  A killed incarnation's
+  // space unwinds here too, so its work is counted.
+  obs::Registry& reg = task_.vm().obs().registry();
   const int pid = task_.id();
   reg.counter("dsm.writes", pid).inc(stats_.writes);
   reg.counter("dsm.updates_sent", pid).inc(stats_.updates_sent);
@@ -564,7 +566,16 @@ void SharedSpace::poll() {
   drain_requests();
 }
 
-const SharedSpace::Value& SharedSpace::read(LocationId loc) {
+void SharedSpace::record_staleness(Iteration curr_iter, Iteration served) {
+  // A copy fresher than the one asked for is zero iterations stale.
+  const auto staleness =
+      static_cast<double>(std::max<Iteration>(0, curr_iter - served));
+  staleness_mine_->observe(staleness);
+  staleness_hist_->observe(staleness);
+}
+
+const SharedSpace::Value& SharedSpace::read(LocationId loc,
+                                            std::optional<Iteration> curr_iter) {
   // Every read entry is an acquire point under a parking model: the
   // release log publishes before the freshest copy is chosen.  poll() on
   // its own is NOT an acquire — it only drains the mailbox into the log.
@@ -576,6 +587,7 @@ const SharedSpace::Value& SharedSpace::read(LocationId loc) {
     throw std::logic_error("SharedSpace: read of an undeclared location");
   }
   Value& v = it->second;
+  if (curr_iter.has_value() && v.valid) record_staleness(*curr_iter, v.iteration);
   if (san_ != nullptr) {
     // Plain reads declare no age bound (-1): the audit checks the location's
     // tolerance contract (an age-0-intolerant location read this way is a
@@ -721,9 +733,7 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
     read_queued_->inc();
   }
   if (v.valid && v.iteration >= need) v.degraded = false;
-  const auto staleness = static_cast<double>(curr_iter - v.iteration);
-  staleness_mine_->observe(staleness);
-  staleness_hist_->observe(staleness);
+  record_staleness(curr_iter, v.iteration);
   if (v.flow != 0 && obs_ != nullptr) {
     // Terminate the causal arrow at the consuming read: bind-enclosing 'f'
     // on this task's track, carrying the read's observed age so the trace

@@ -175,8 +175,9 @@ struct DsmStats {
   std::uint64_t updates_parked = 0;   ///< Arrivals deferred to an acquire.
   std::uint64_t updates_flushed = 0;  ///< Parked updates applied at acquires.
   std::uint64_t ooo_updates = 0;      ///< Stamps that arrived out of order.
-  /// Staleness (curr_iter - value iteration) of every global_read, as this
-  /// task's "dsm.staleness" histogram in the machine's metrics registry.
+  /// Staleness max(0, curr_iter - value iteration) of every global_read
+  /// and of every plain read given an iteration, as this task's
+  /// "dsm.staleness" histogram in the machine's metrics registry.
   /// The registry is the single source of truth — the machine-wide
   /// "dsm.staleness" histogram receives the same observations, so the two
   /// views can never disagree.  Valid for the owning VirtualMachine's
@@ -190,7 +191,7 @@ class SharedSpace {
  public:
   explicit SharedSpace(rt::Task& task, PropagationPolicy policy = {});
   /// Flushes DsmStats into the machine's metrics registry (labelled with
-  /// this task's id) when observability is active.
+  /// this task's id), whether or not observability is active.
   ~SharedSpace();
 
   SharedSpace(const SharedSpace&) = delete;
@@ -230,8 +231,10 @@ class SharedSpace {
 
   /// Plain read: drain any pending updates, then return the freshest local
   /// copy, however stale (slow-memory semantics; the fully asynchronous
-  /// programs use this).
-  const Value& read(LocationId loc);
+  /// programs use this).  A reader that passes its current iteration has
+  /// the served copy's staleness recorded, as Global_Read does.
+  const Value& read(LocationId loc,
+                    std::optional<Iteration> curr_iter = std::nullopt);
 
   /// The Global_Read primitive.  Blocks until the consistency model admits
   /// the local copy of `loc`; under the default nonstrict model that means
@@ -280,6 +283,8 @@ class SharedSpace {
   };
 
   void apply_update(rt::Message& msg);
+  /// Observe max(0, curr_iter - served) in both staleness histograms.
+  void record_staleness(Iteration curr_iter, Iteration served);
   /// Release/acquire visibility: apply every parked update, ordered by
   /// (writer, release stamp).  Runs at acquire points with acquiring_ set
   /// so the re-entrant apply_update calls go through instead of re-parking.

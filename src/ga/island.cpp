@@ -72,7 +72,6 @@ struct DemeOutcome {
   std::uint64_t cache_hits = 0;
   dsm::Iteration final_age = 0;
   std::uint64_t age_adjustments = 0;
-  dsm::DsmStats dsm;
 };
 
 }  // namespace
@@ -219,7 +218,7 @@ IslandResult run_island_ga(const IslandConfig& config,
                            static_cast<double>(gen - 1 - v->iteration));
               break;
             case dsm::Mode::kAsynchronous:
-              v = &space.read(migrant_loc(r));
+              v = &space.read(migrant_loc(r), gen - 1);
               break;
           }
           if (!v->valid || v->iteration <= taken[r]) continue;
@@ -256,7 +255,6 @@ IslandResult run_island_ga(const IslandConfig& config,
 
       out.final_age = adaptive ? controller.age() : config.age;
       out.age_adjustments = controller.increases() + controller.decreases();
-      out.dsm = space.stats();
     });
   }
 
@@ -274,12 +272,10 @@ IslandResult run_island_ga(const IslandConfig& config,
   loader.stop();
 
   IslandResult result;
+  static_cast<harness::RunStats&>(result) =
+      harness::RunStats::from_registry(vm.obs().registry());
   result.completion_time = completion;
   result.deadlocked = vm.deadlocked() || completion >= horizon;
-  result.bus_utilization = vm.network_utilization();
-  if (vm.warp_meter().samples() > 0) {
-    result.mean_warp = vm.warp_meter().overall().mean();
-  }
 
   // Merge per-deme best-so-far points into a global prefix-min trajectory.
   std::vector<std::pair<sim::Time, double>> merged;
@@ -288,55 +284,10 @@ IslandResult run_island_ga(const IslandConfig& config,
     merged.insert(merged.end(), out.best_points.begin(), out.best_points.end());
     result.evaluations += out.evaluations;
     result.cache_hits += out.cache_hits;
-    result.global_read_blocks += out.dsm.global_read_blocks;
-    result.global_read_block_time += out.dsm.global_read_block_time;
-    result.messages_sent += vm.task(d).stats().messages_sent;
-    result.bytes_sent += vm.task(d).stats().bytes_sent;
     result.mean_final_age += static_cast<double>(out.final_age) /
                              static_cast<double>(config.ndemes);
     result.age_adjustments += out.age_adjustments;
   }
-  // The machine-wide staleness histogram already merges every deme's
-  // per-task histogram at the source (single registry), so its mean IS the
-  // run mean — no second accounting to reconcile.
-  result.mean_staleness =
-      vm.obs().registry().histogram("dsm.staleness").mean();
-  for (int d = 0; d < config.ndemes; ++d) {
-    result.read_escalations +=
-        outcomes[static_cast<std::size_t>(d)].dsm.read_escalations;
-    result.degraded_reads +=
-        outcomes[static_cast<std::size_t>(d)].dsm.degraded_reads;
-    result.integrity_dropped +=
-        outcomes[static_cast<std::size_t>(d)].dsm.integrity_dropped;
-    result.partition_stale_served +=
-        outcomes[static_cast<std::size_t>(d)].dsm.partition_stale_served;
-    result.heal_frames +=
-        outcomes[static_cast<std::size_t>(d)].dsm.heal_frames;
-    result.diverged_locations +=
-        outcomes[static_cast<std::size_t>(d)].dsm.diverged_marks;
-    result.reconciled_locations +=
-        outcomes[static_cast<std::size_t>(d)].dsm.reconciled_marks;
-    result.updates_parked +=
-        outcomes[static_cast<std::size_t>(d)].dsm.updates_parked;
-    result.updates_flushed +=
-        outcomes[static_cast<std::size_t>(d)].dsm.updates_flushed;
-    result.ooo_updates +=
-        outcomes[static_cast<std::size_t>(d)].dsm.ooo_updates;
-  }
-  if (vm.fault_injector() != nullptr) {
-    result.partition_drops = vm.fault_injector()->stats().partition_drops +
-                             vm.fault_injector()->stats().blackhole_drops;
-  }
-  if (vm.sanitizer() != nullptr) {
-    result.sanitize_violations = vm.sanitizer()->stats().total_violations();
-  }
-  if (coord != nullptr) result.recovery = coord->stats();
-  result.retransmissions = vm.transport_stats().retransmissions;
-  result.frames_lost =
-      vm.bus().stats().frames_lost +
-      (machine.network == rt::Network::kSp2Switch
-           ? vm.sp2_switch().stats().frames_lost
-           : 0);
   std::sort(merged.begin(), merged.end());
   double best = std::numeric_limits<double>::infinity();
   for (const auto& [t, f] : merged) {

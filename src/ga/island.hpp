@@ -21,7 +21,6 @@
 #include "dsm/shared_space.hpp"
 #include "ga/sequential.hpp"
 #include "harness/run_config.hpp"
-#include "recovery/recovery.hpp"
 #include "rt/vm.hpp"
 
 namespace nscc::ga {
@@ -50,8 +49,9 @@ struct IslandConfig : harness::RunConfig {
   return 100 + deme;
 }
 
-struct IslandResult {
-  sim::Time completion_time = 0;  ///< All demes finished their generations.
+/// The run's mechanism counters live in the embedded harness::RunStats
+/// (filled from the machine's registry); fields here are GA-specific.
+struct IslandResult : harness::RunStats {
   double best_fitness = 0.0;      ///< Global best at the end.
   GaTrajectory global_best;       ///< Merged best-so-far over virtual time.
   /// Mean population fitness across demes over virtual time (step-function
@@ -59,46 +59,11 @@ struct IslandResult {
   /// the synchronous version" criterion is evaluated on this curve.
   GaTrajectory global_average;
   double final_average = 0.0;
-  bool deadlocked = false;
-
-  // Aggregated diagnostics.
-  std::uint64_t messages_sent = 0;
-  std::uint64_t bytes_sent = 0;
   std::uint64_t evaluations = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t global_read_blocks = 0;
-  sim::Time global_read_block_time = 0;
-  double mean_staleness = 0.0;
-  double mean_warp = 0.0;
-  double bus_utilization = 0.0;
   /// Adaptive-age diagnostics (zero unless adaptive_age was on).
   double mean_final_age = 0.0;
   std::uint64_t age_adjustments = 0;
-  /// Robustness diagnostics (zero on a perfect network).
-  std::uint64_t frames_lost = 0;       ///< Fault-injected wire losses.
-  std::uint64_t retransmissions = 0;   ///< Reliable-transport resends.
-  std::uint64_t read_escalations = 0;  ///< Global_Read watchdog demands.
-  /// Crash-recovery diagnostics (zero unless config.recovery was enabled).
-  recovery::Stats recovery;
-  std::uint64_t degraded_reads = 0;  ///< Reads served stale past a dead peer.
-  /// Damaged DSM frames quarantined (integrity checking enabled only).
-  std::uint64_t integrity_dropped = 0;
-  /// Consistency-model diagnostics (zero under the default nonstrict
-  /// model): updates parked until an acquire, parked updates published at
-  /// acquires, and release stamps that arrived out of order.
-  std::uint64_t updates_parked = 0;
-  std::uint64_t updates_flushed = 0;
-  std::uint64_t ooo_updates = 0;
-  /// Partition diagnostics (zero unless the fault plan scheduled
-  /// partition/blackhole windows).
-  std::uint64_t partition_drops = 0;        ///< Frames cut by the split.
-  std::uint64_t partition_stale_served = 0; ///< Minority-side stale serves.
-  std::uint64_t heal_frames = 0;            ///< Anti-entropy republishes.
-  std::uint64_t diverged_locations = 0;     ///< Reader locations diverged.
-  std::uint64_t reconciled_locations = 0;   ///< Diverged marks later healed.
-  /// Tolerance-contract violations flagged by the staleness sanitizer
-  /// (zero when the machine runs with --sanitize=off).
-  std::uint64_t sanitize_violations = 0;
 };
 
 /// Run one island-GA experiment on a fresh simulated machine.  `machine`

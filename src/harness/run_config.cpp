@@ -2,7 +2,57 @@
 
 #include <stdexcept>
 
+#include "sanitize/sanitize.hpp"
+
 namespace nscc::harness {
+
+RunStats RunStats::from_registry(const obs::Registry& reg) {
+  auto total = [&reg](const std::string& name) {
+    return reg.counter_total(name);
+  };
+  auto nanos = [&total](const std::string& name) {
+    return static_cast<sim::Time>(total(name));
+  };
+  RunStats s;
+  s.messages_sent = total("rt.messages_sent");
+  s.bytes_sent = total("rt.bytes_sent");
+  s.global_read_blocks = total("dsm.global_read_blocks");
+  s.global_read_block_time = nanos("dsm.global_read_block_time_ns");
+  s.bus_utilization = reg.gauge_value("net.utilization");
+  if (const obs::Histogram* h = reg.find_histogram("dsm.staleness")) {
+    s.mean_staleness = h->mean();
+  }
+  s.mean_warp = reg.gauge_value("warp.mean");
+  s.frames_lost = total("net.frames_lost") + total("net.switch.frames_lost");
+  s.retransmissions = total("rt.retransmissions");
+  s.read_escalations = total("dsm.read_escalations");
+  s.integrity_dropped = total("dsm.integrity_dropped");
+  for (int k = 0; k < sanitize::kViolationKinds; ++k) {
+    s.sanitize_violations +=
+        total(std::string("sanitize.violations.") +
+              sanitize::violation_name(static_cast<sanitize::ViolationKind>(k)));
+  }
+  s.crashes = total("recovery.crashes");
+  s.checkpoints_taken = total("recovery.checkpoints_taken");
+  s.restores = total("recovery.restores") + total("recovery.cold_restarts");
+  s.rejoins = total("recovery.rejoins");
+  s.degraded_reads = total("dsm.degraded_reads");
+  s.detection_latency = nanos("recovery.detection_latency_ns");
+  s.recovery_latency = nanos("recovery.recovery_latency_ns");
+  s.lost_iterations =
+      static_cast<std::int64_t>(total("recovery.lost_iterations"));
+  s.partition_drops =
+      total("fault.partition_drops") + total("fault.blackhole_drops");
+  s.partition_stale_served = total("dsm.partition.stale_served");
+  s.heal_frames = total("dsm.partition.heal_frames");
+  s.diverged_locations = total("dsm.partition.diverged_locations");
+  s.reconciled_locations = total("dsm.partition.reconciled_locations");
+  s.split_brain_declarations = total("recovery.split_brain_declarations");
+  s.updates_parked = total("dsm.consistency.updates_parked");
+  s.updates_flushed = total("dsm.consistency.updates_flushed");
+  s.ooo_updates = total("dsm.consistency.ooo_updates");
+  return s;
+}
 
 std::vector<std::pair<std::string, double>> RunStats::to_fields() const {
   std::vector<std::pair<std::string, double>> fields = {

@@ -43,8 +43,11 @@ struct RunConfig {
 };
 
 /// The unified result every workload reports: the completion/mechanism
-/// numbers every driver used to pluck from its own result struct, one
-/// workload-defined quality metric, and a tail of named extras.
+/// numbers, one workload-defined quality metric, and a tail of named
+/// extras.  Workload result structs embed it (by inheritance, mirroring how
+/// the configs embed RunConfig); every mechanism field comes from the
+/// machine's metrics registry through from_registry(), so no layer keeps a
+/// second copy of a counter.
 struct RunStats {
   sim::Time completion_time = 0;
   bool deadlocked = false;
@@ -92,6 +95,14 @@ struct RunStats {
 
   /// Flat name -> value view (times in seconds) for JSON serialisation.
   [[nodiscard]] std::vector<std::pair<std::string, double>> to_fields() const;
+
+  /// Every mechanism field, read from a finished machine's registry (the
+  /// rt.*, dsm.*, net.*, fault.*, recovery.* and sanitize.* counters, the
+  /// net.utilization and warp.mean gauges, the dsm.staleness histogram).
+  /// Reads only what VirtualMachine::run() publishes on every run, so the
+  /// result never depends on observers.  completion_time, deadlocked,
+  /// quality and extra are the caller's.
+  [[nodiscard]] static RunStats from_registry(const obs::Registry& reg);
 };
 
 /// One (name, mode, age) point of the paper's three-way comparison.  The

@@ -13,52 +13,6 @@ namespace nscc::harness {
 
 namespace {
 
-/// The mechanism counters shared by every workload result struct.
-template <typename Result>
-void fill_common(RunStats& stats, const Result& r) {
-  stats.completion_time = r.completion_time;
-  stats.deadlocked = r.deadlocked;
-  stats.messages_sent = r.messages_sent;
-  stats.global_read_blocks = r.global_read_blocks;
-  stats.global_read_block_time = r.global_read_block_time;
-  stats.bus_utilization = r.bus_utilization;
-}
-
-/// Crash-recovery counters (every workload result embeds recovery::Stats).
-template <typename Result>
-void fill_recovery(RunStats& stats, const Result& r) {
-  stats.crashes = r.recovery.crashes;
-  stats.checkpoints_taken = r.recovery.checkpoints_taken;
-  stats.restores = r.recovery.restores + r.recovery.cold_restarts;
-  stats.rejoins = r.recovery.rejoins;
-  stats.degraded_reads = r.degraded_reads;
-  stats.detection_latency = r.recovery.detection_latency;
-  stats.recovery_latency = r.recovery.recovery_latency;
-  stats.lost_iterations = r.recovery.lost_iterations;
-}
-
-/// Integrity/sanitizer counters (every workload result carries both).
-template <typename Result>
-void fill_integrity(RunStats& stats, const Result& r) {
-  stats.integrity_dropped = r.integrity_dropped;
-  stats.sanitize_violations = r.sanitize_violations;
-}
-
-/// Partition counters (every workload result carries them; zero unless the
-/// fault plan scheduled partition/blackhole windows).
-template <typename Result>
-void fill_partition(RunStats& stats, const Result& r) {
-  stats.partition_drops = r.partition_drops;
-  stats.partition_stale_served = r.partition_stale_served;
-  stats.heal_frames = r.heal_frames;
-  stats.diverged_locations = r.diverged_locations;
-  stats.reconciled_locations = r.reconciled_locations;
-  stats.split_brain_declarations = r.recovery.split_brain_declarations;
-  stats.updates_parked = r.updates_parked;
-  stats.updates_flushed = r.updates_flushed;
-  stats.ooo_updates = r.ooo_updates;
-}
-
 /// The staleness bound each variant's read discipline promises: synchronous
 /// reads demand the producer's previous iteration exactly, Global_Read(age)
 /// reads promise the declared bound, fully asynchronous reads tolerate
@@ -107,17 +61,7 @@ ga::IslandConfig GaIslandWorkload::build(const RunConfig& run) const {
 RunStats GaIslandWorkload::run(const RunConfig& run,
                                const rt::MachineConfig& machine) {
   const auto r = ga::run_island_ga(build(run), machine, run.loader_offered_bps);
-  RunStats stats;
-  fill_common(stats, r);
-  stats.bytes_sent = r.bytes_sent;
-  stats.mean_staleness = r.mean_staleness;
-  stats.mean_warp = r.mean_warp;
-  stats.frames_lost = r.frames_lost;
-  stats.retransmissions = r.retransmissions;
-  stats.read_escalations = r.read_escalations;
-  fill_recovery(stats, r);
-  fill_integrity(stats, r);
-  fill_partition(stats, r);
+  RunStats stats = r;
   stats.quality_name = "best_fitness";
   stats.quality = r.best_fitness;
   stats.extra = {{"final_average", r.final_average},
@@ -206,14 +150,7 @@ RunStats BayesSamplingWorkload::run(const RunConfig& run,
   const auto r = bayes::run_parallel_logic_sampling(
       net, kFigure1Evidence, kFigure1Queries, build(run), machine,
       run.loader_offered_bps);
-  RunStats stats;
-  fill_common(stats, r);
-  stats.bytes_sent = r.bytes_sent;
-  stats.mean_warp = r.mean_warp;
-  stats.read_escalations = r.read_escalations;
-  fill_recovery(stats, r);
-  fill_integrity(stats, r);
-  fill_partition(stats, r);
+  RunStats stats = r;
   stats.quality_name = "P(coma|cancer)";
   stats.quality = r.estimates.empty() ? 0.0 : r.estimates[0].probability;
   stats.extra = {
@@ -290,13 +227,7 @@ RunStats JacobiWorkload::run(const RunConfig& run,
   const auto sys = solver::make_poisson_2d(grid, run.seed);
   const auto r = solver::run_parallel_jacobi(sys, build(run), machine,
                                              run.loader_offered_bps);
-  RunStats stats;
-  fill_common(stats, r);
-  stats.mean_staleness = r.mean_staleness;
-  stats.read_escalations = r.read_escalations;
-  fill_recovery(stats, r);
-  fill_integrity(stats, r);
-  fill_partition(stats, r);
+  RunStats stats = r;
   stats.quality_name = "residual";
   stats.quality = r.residual;
   stats.extra = {{"sweeps", static_cast<double>(r.sweeps)},
@@ -361,13 +292,7 @@ RunStats NnTrainWorkload::run(const RunConfig& run,
   const auto data = nn::make_two_spirals(60, 0.02, run.seed);
   const auto r =
       nn::train_parallel(data, build(run), machine, run.loader_offered_bps);
-  RunStats stats;
-  fill_common(stats, r);
-  stats.mean_staleness = r.mean_staleness;
-  stats.read_escalations = r.read_escalations;
-  fill_recovery(stats, r);
-  fill_integrity(stats, r);
-  fill_partition(stats, r);
+  RunStats stats = r;
   stats.quality_name = "final_loss";
   stats.quality = r.final_loss;
   stats.extra = {{"final_accuracy", r.final_accuracy}};

@@ -1,8 +1,6 @@
 #include "net/load_generator.hpp"
 
 #include <cmath>
-#include <functional>
-#include <memory>
 
 namespace nscc::net {
 
@@ -18,17 +16,17 @@ LoadGenerator::LoadGenerator(sim::Engine& engine, SharedBus& bus,
       config.offered_bps;
 
   // Self-rescheduling injection event; pure engine-context, no fiber needed.
-  auto inject = std::make_shared<std::function<void()>>();
-  *inject = [this, &engine, &bus, config, mean_period_s, inject] {
+  inject_ = [this, &engine, &bus, config, mean_period_s] {
     if (!running_) return;
     bus.transmit(config.frame_payload_bytes, [](sim::Time) {});
     ++frames_injected_;
     const double period_s = config.poisson
                                 ? rng_.exponential(1.0 / mean_period_s)
                                 : mean_period_s;
-    engine.schedule(engine.now() + sim::from_seconds(period_s), *inject);
+    engine.schedule(engine.now() + sim::from_seconds(period_s),
+                    [this] { inject_(); });
   };
-  engine.schedule(engine.now(), *inject);
+  engine.schedule(engine.now(), [this] { inject_(); });
 }
 
 }  // namespace nscc::net

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "net/shared_bus.hpp"
 #include "sim/engine.hpp"
@@ -33,6 +34,9 @@ class LoadGenerator {
   LoadGenerator(sim::Engine& engine, SharedBus& bus,
                 const LoadGeneratorConfig& config);
 
+  LoadGenerator(const LoadGenerator&) = delete;
+  LoadGenerator& operator=(const LoadGenerator&) = delete;
+
   void stop() noexcept { running_ = false; }
 
   [[nodiscard]] std::uint64_t frames_injected() const noexcept {
@@ -43,6 +47,9 @@ class LoadGenerator {
   bool running_ = true;
   std::uint64_t frames_injected_ = 0;
   util::Xoshiro256 rng_;
+  /// The self-rescheduling injection event.  Scheduled copies call it
+  /// through `this`, so the generator must outlive the engine's run.
+  std::function<void()> inject_;
 };
 
 }  // namespace nscc::net

@@ -159,9 +159,6 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
   }
 
   TrainResult result;
-  util::RunningStats staleness;
-  std::vector<dsm::DsmStats> worker_dsm(static_cast<std::size_t>(P));
-  dsm::DsmStats server_dsm;
 
   // ---- parameter server -------------------------------------------------------
   vm.add_task("server", [&](rt::Task& task) {
@@ -297,7 +294,6 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
     }
     result.final_loss = net.loss(data.inputs, data.targets);
     result.final_accuracy = net.accuracy(data.inputs, data.targets);
-    server_dsm = space.stats();
   });
 
   // ---- workers -----------------------------------------------------------------
@@ -333,13 +329,12 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
             v = &space.global_read(kParamsLoc, step - 1, config.age);
             break;
           case dsm::Mode::kAsynchronous:
-            v = &space.read(kParamsLoc);
+            v = &space.read(kParamsLoc, step - 1);
             break;
         }
         if (v->valid) {
           rt::Packet params = v->data;
           net.set_parameters(params.unpack_double_vec());
-          staleness.add(static_cast<double>(step - 1 - v->iteration));
         }
 
         net.gradient(data.inputs, data.targets, cursor,
@@ -361,7 +356,6 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
         step_done = step;
         if (rc != nullptr) rc->maybe_checkpoint(task, step, snapshot);
       }
-      worker_dsm[static_cast<std::size_t>(w - 1)] = space.stats();
     });
   }
 
@@ -373,37 +367,14 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
                                 .seed = config.seed ^ 0x70adULL,
                             });
   const sim::Time horizon = 24LL * 3600 * sim::kSecond;
-  result.completion_time = vm.run(horizon);
+  const sim::Time end = vm.run(horizon);
   loader.stop();
-  result.deadlocked = vm.deadlocked() || result.completion_time >= horizon;
-  result.bus_utilization = vm.network_utilization();
-  for (int t = 0; t <= P; ++t) {
-    result.messages_sent += vm.task(t).stats().messages_sent;
-  }
-  for (const auto& d : worker_dsm) {
-    result.global_read_blocks += d.global_read_blocks;
-    result.global_read_block_time += d.global_read_block_time;
-    result.read_escalations += d.read_escalations;
-    result.degraded_reads += d.degraded_reads;
-    result.integrity_dropped += d.integrity_dropped;
-    result.partition_stale_served += d.partition_stale_served;
-    result.heal_frames += d.heal_frames;
-    result.diverged_locations += d.diverged_marks;
-    result.reconciled_locations += d.reconciled_marks;
-    result.updates_parked += d.updates_parked;
-    result.updates_flushed += d.updates_flushed;
-    result.ooo_updates += d.ooo_updates;
-  }
-  result.heal_frames += server_dsm.heal_frames;
-  if (vm.fault_injector() != nullptr) {
-    result.partition_drops = vm.fault_injector()->stats().partition_drops +
-                             vm.fault_injector()->stats().blackhole_drops;
-  }
-  if (coord != nullptr) result.recovery = coord->stats();
-  result.mean_staleness = staleness.mean();
-  if (vm.sanitizer() != nullptr) {
-    result.sanitize_violations = vm.sanitizer()->stats().total_violations();
-  }
+  // The server task already wrote the model quality into `result`; the
+  // mechanism counters come from the registry.
+  static_cast<harness::RunStats&>(result) =
+      harness::RunStats::from_registry(vm.obs().registry());
+  result.completion_time = end;
+  result.deadlocked = vm.deadlocked() || end >= horizon;
   return result;
 }
 

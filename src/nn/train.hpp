@@ -27,7 +27,6 @@
 #include "dsm/shared_space.hpp"
 #include "harness/run_config.hpp"
 #include "nn/mlp.hpp"
-#include "recovery/recovery.hpp"
 #include "rt/vm.hpp"
 
 namespace nscc::nn {
@@ -55,40 +54,14 @@ struct TrainConfig : harness::RunConfig {
   double per_step_jitter = 0.10;
 };
 
-struct TrainResult {
+/// The run's mechanism counters live in the embedded harness::RunStats
+/// (filled from the machine's registry; the serial baseline sets only
+/// completion_time); fields here are training-specific.
+struct TrainResult : harness::RunStats {
   double final_loss = 0.0;
   double final_accuracy = 0.0;
   /// (virtual time, training loss) at each server evaluation.
   std::vector<std::pair<sim::Time, double>> loss_trajectory;
-  sim::Time completion_time = 0;  ///< All tasks finished.
-  bool deadlocked = false;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t global_read_blocks = 0;
-  sim::Time global_read_block_time = 0;
-  double mean_staleness = 0.0;
-  double bus_utilization = 0.0;
-  std::uint64_t read_escalations = 0;
-  /// Crash-recovery diagnostics (zero unless config.recovery was enabled).
-  recovery::Stats recovery;
-  std::uint64_t degraded_reads = 0;
-  /// Damaged DSM frames quarantined (integrity checking enabled only).
-  std::uint64_t integrity_dropped = 0;
-  /// Consistency-model diagnostics (zero under the default nonstrict
-  /// model): updates parked until an acquire, parked updates published at
-  /// acquires, and release stamps that arrived out of order.
-  std::uint64_t updates_parked = 0;
-  std::uint64_t updates_flushed = 0;
-  std::uint64_t ooo_updates = 0;
-  /// Partition diagnostics (zero unless the fault plan scheduled
-  /// partition/blackhole windows).
-  std::uint64_t partition_drops = 0;        ///< Frames cut by the split.
-  std::uint64_t partition_stale_served = 0; ///< Minority-side stale serves.
-  std::uint64_t heal_frames = 0;            ///< Anti-entropy republishes.
-  std::uint64_t diverged_locations = 0;     ///< Reader locations diverged.
-  std::uint64_t reconciled_locations = 0;   ///< Diverged marks later healed.
-  /// Tolerance-contract violations flagged by the staleness sanitizer
-  /// (zero when the machine runs with --sanitize=off).
-  std::uint64_t sanitize_violations = 0;
 
   /// First virtual time at which the training loss reached `target`;
   /// -1 when never.

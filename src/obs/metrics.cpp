@@ -84,6 +84,15 @@ const Histogram* Registry::find_histogram(const std::string& name,
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
+std::uint64_t Registry::counter_total(const std::string& name) const noexcept {
+  std::uint64_t total = 0;
+  for (auto it = counters_.lower_bound({name, std::numeric_limits<int>::min()});
+       it != counters_.end() && it->first.first == name; ++it) {
+    total += it->second.value();
+  }
+  return total;
+}
+
 std::vector<Registry::Sample> Registry::snapshot() const {
   std::vector<Sample> out;
   out.reserve(size());

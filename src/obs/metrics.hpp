@@ -95,6 +95,10 @@ class Registry {
                                    int pid = -1) const noexcept;
   [[nodiscard]] const Histogram* find_histogram(const std::string& name,
                                                 int pid = -1) const noexcept;
+  /// Sum of counter `name` over every pid label, machine-wide included
+  /// (0 when absent).
+  [[nodiscard]] std::uint64_t counter_total(
+      const std::string& name) const noexcept;
 
   /// One flattened row per metric (histograms export count/mean/max).
   struct Sample {

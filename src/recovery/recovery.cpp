@@ -466,6 +466,9 @@ void Coordinator::flush_obs() {
       .inc(static_cast<std::uint64_t>(stats_.recovery_latency));
   reg.counter("recovery.checkpoint_cost_ns")
       .inc(static_cast<std::uint64_t>(stats_.checkpoint_cost));
+  // Only ever grows (a restore adds the progress it rolled back).
+  reg.counter("recovery.lost_iterations")
+      .inc(static_cast<std::uint64_t>(stats_.lost_iterations));
 }
 
 }  // namespace nscc::recovery

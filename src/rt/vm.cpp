@@ -367,7 +367,9 @@ void VirtualMachine::deliver_frame(const std::shared_ptr<TxState>& st,
     // node that received the data.
     if (auto it = pending_tx_.find({st->dst, st->msg.src, seq});
         it != pending_tx_.end()) {
-      settle(it->second, true);
+      // Copy: settle() erases the map entry the iterator points into.
+      const std::shared_ptr<TxState> acked = it->second;
+      settle(acked, true);
     }
     settle(st, true);
     return;
@@ -425,7 +427,6 @@ void VirtualMachine::arm_retx_timer(const std::shared_ptr<TxState>& st) {
         if (st->settled) return;
         if (st->attempts >= config_.transport.max_attempts) {
           ++transport_stats_.retx_abandoned;
-          obs_.registry().counter("rt.retx.abandoned").inc();
           obs_.tracer().instant(st->msg.src, "rt.retx_abandon", engine_.now(),
                                 "dst", st->dst, "seq",
                                 static_cast<std::int64_t>(st->msg.seq));
@@ -571,6 +572,12 @@ VirtualMachine::VirtualMachine(MachineConfig config)
   }
 }
 
+VirtualMachine::~VirtualMachine() {
+  for (const auto& t : tasks_) {
+    if (t->process_ != nullptr) engine_.kill(*t->process_);
+  }
+}
+
 void VirtualMachine::flush_stats() {
   obs::Registry& reg = obs_.registry();
   for (const auto& t : tasks_) {
@@ -693,15 +700,13 @@ sim::Time VirtualMachine::run(sim::Time until) {
   if (obs::Profiler* prof = engine_.profiler(); prof != nullptr) {
     prof->finish_run(engine_.events_executed());
   }
+  // Counters are published on every run: the registry is where run
+  // results are read from (harness::RunStats::from_registry), observed or
+  // not.  Only the sampler row and the file outputs are observer work.
+  flush_stats();
   if (obs_.active()) {
-    flush_stats();
     obs_.sampler().sample_now(end);  // Final row at the completion time.
     obs_.finalize();
-  } else if (sanitizer_) {
-    // flush_stats() (above) already forwarded the sanitizer's counters when
-    // obs is active; with obs off the registry still exists, so the
-    // counters stay queryable either way.
-    sanitizer_->flush(obs_.registry());
   }
   // The violation report prints regardless of observability: certifying
   // race tolerance is the whole point of running with --sanitize on.

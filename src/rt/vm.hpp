@@ -210,6 +210,9 @@ class Task {
 class VirtualMachine {
  public:
   explicit VirtualMachine(MachineConfig config);
+  /// Unwinds any task a deadlocked or horizon-capped run left blocked,
+  /// while the Task objects its destructors reach still exist.
+  ~VirtualMachine();
 
   VirtualMachine(const VirtualMachine&) = delete;
   VirtualMachine& operator=(const VirtualMachine&) = delete;

@@ -53,6 +53,10 @@ class Fiber {
   std::unique_ptr<char[]> stack_;
   ucontext_t context_{};
   ucontext_t return_context_{};
+  /// The resuming (engine) stack, as AddressSanitizer reported it on the
+  /// last switch in; unused in builds without ASan.
+  const void* caller_stack_ = nullptr;
+  std::size_t caller_stack_size_ = 0;
   bool started_ = false;
   bool finished_ = false;
   bool killing_ = false;

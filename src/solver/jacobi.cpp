@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "harness/policy.hpp"
@@ -152,7 +153,6 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
     std::vector<double> block;
     int sweeps = 0;
     double residual = 0.0;
-    dsm::DsmStats dsm;
   };
   std::vector<Outcome> outcomes(static_cast<std::size_t>(P));
 
@@ -191,8 +191,9 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
         p.pack_double_vec(mine);
         space.write(block_loc(me), sweep, std::move(p));
       };
-      auto absorb = [&](int src) {
-        const auto& v = space.read(block_loc(src));
+      auto absorb = [&](int src,
+                        std::optional<dsm::Iteration> curr_iter = {}) {
+        const auto& v = space.read(block_loc(src), curr_iter);
         if (!v.valid) return;
         rt::Packet data = v.data;
         const auto block = data.unpack_double_vec();
@@ -326,7 +327,11 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
               space.poll();
               break;
           }
-          absorb(src);
+          // Global_Read already recorded the staleness of what it served;
+          // the asynchronous plain read records its own.
+          absorb(src, config.mode == dsm::Mode::kAsynchronous
+                          ? std::optional<dsm::Iteration>(sweep - 1)
+                          : std::nullopt);
         }
 
         for (int r = lo; r < hi; ++r) {
@@ -395,7 +400,6 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
       }
       out.sweeps = sweep;
       out.block = mine;
-      out.dsm = space.stats();
     });
   }
 
@@ -411,9 +415,10 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
   loader.stop();
 
   ParallelJacobiResult result;
+  static_cast<harness::RunStats&>(result) =
+      harness::RunStats::from_registry(vm.obs().registry());
   result.completion_time = end;
   result.deadlocked = vm.deadlocked() || end >= horizon;
-  result.bus_utilization = vm.network_utilization();
 
   // Assemble the final solution from the per-task blocks.
   result.x.assign(static_cast<std::size_t>(n), 0.0);
@@ -424,31 +429,6 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
           out.block[i];
     }
     result.sweeps = std::max(result.sweeps, out.sweeps);
-    result.global_read_blocks += out.dsm.global_read_blocks;
-    result.global_read_block_time += out.dsm.global_read_block_time;
-    result.messages_sent += vm.task(p).stats().messages_sent;
-    result.read_escalations += out.dsm.read_escalations;
-    result.degraded_reads += out.dsm.degraded_reads;
-    result.integrity_dropped += out.dsm.integrity_dropped;
-    result.partition_stale_served += out.dsm.partition_stale_served;
-    result.heal_frames += out.dsm.heal_frames;
-    result.diverged_locations += out.dsm.diverged_marks;
-    result.reconciled_locations += out.dsm.reconciled_marks;
-    result.updates_parked += out.dsm.updates_parked;
-    result.updates_flushed += out.dsm.updates_flushed;
-    result.ooo_updates += out.dsm.ooo_updates;
-  }
-  if (vm.fault_injector() != nullptr) {
-    result.partition_drops = vm.fault_injector()->stats().partition_drops +
-                             vm.fault_injector()->stats().blackhole_drops;
-  }
-  if (coord != nullptr) result.recovery = coord->stats();
-  // The machine-wide staleness histogram is every block's per-task histogram
-  // merged at the source (single registry), so its mean IS the run mean.
-  result.mean_staleness =
-      vm.obs().registry().histogram("dsm.staleness").mean();
-  if (vm.sanitizer() != nullptr) {
-    result.sanitize_violations = vm.sanitizer()->stats().total_violations();
   }
   result.residual = sys.a.residual_inf(result.x, sys.b);
   result.converged = result.residual <= config.tolerance;

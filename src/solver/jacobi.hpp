@@ -22,7 +22,6 @@
 
 #include "dsm/shared_space.hpp"
 #include "harness/run_config.hpp"
-#include "recovery/recovery.hpp"
 #include "rt/vm.hpp"
 #include "solver/linear_system.hpp"
 
@@ -45,13 +44,17 @@ struct JacobiConfig {
   std::uint64_t seed = 1;
 };
 
-struct JacobiResult {
+/// What a Jacobi run computed, sequential or parallel.
+struct JacobiSolution {
   bool converged = false;
   int sweeps = 0;
   double residual = 0.0;
   double error_inf = 0.0;  ///< ||x - x_true||_inf when x_true is known.
-  sim::Time completion_time = 0;
   std::vector<double> x;
+};
+
+struct JacobiResult : JacobiSolution {
+  sim::Time completion_time = 0;
 };
 
 /// Sequential Jacobi with virtual-time accounting.
@@ -70,36 +73,9 @@ struct ParallelJacobiConfig : JacobiConfig, harness::RunConfig {
   double per_sweep_jitter = 0.10;
 };
 
-struct ParallelJacobiResult : JacobiResult {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t global_read_blocks = 0;
-  sim::Time global_read_block_time = 0;
-  double mean_staleness = 0.0;
-  double bus_utilization = 0.0;
-  bool deadlocked = false;
-  std::uint64_t read_escalations = 0;
-  /// Crash-recovery diagnostics (zero unless config.recovery was enabled).
-  recovery::Stats recovery;
-  std::uint64_t degraded_reads = 0;
-  /// Damaged DSM frames quarantined (integrity checking enabled only).
-  std::uint64_t integrity_dropped = 0;
-  /// Consistency-model diagnostics (zero under the default nonstrict
-  /// model): updates parked until an acquire, parked updates published at
-  /// acquires, and release stamps that arrived out of order.
-  std::uint64_t updates_parked = 0;
-  std::uint64_t updates_flushed = 0;
-  std::uint64_t ooo_updates = 0;
-  /// Partition diagnostics (zero unless the fault plan scheduled
-  /// partition/blackhole windows).
-  std::uint64_t partition_drops = 0;        ///< Frames cut by the split.
-  std::uint64_t partition_stale_served = 0; ///< Minority-side stale serves.
-  std::uint64_t heal_frames = 0;            ///< Anti-entropy republishes.
-  std::uint64_t diverged_locations = 0;     ///< Reader locations diverged.
-  std::uint64_t reconciled_locations = 0;   ///< Diverged marks later healed.
-  /// Tolerance-contract violations flagged by the staleness sanitizer
-  /// (zero when the machine runs with --sanitize=off).
-  std::uint64_t sanitize_violations = 0;
-};
+/// The solution plus the run's mechanism counters, which live in the
+/// embedded harness::RunStats (filled from the machine's registry).
+struct ParallelJacobiResult : JacobiSolution, harness::RunStats {};
 
 /// Row-block parallel Jacobi on a fresh simulated machine.
 ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,

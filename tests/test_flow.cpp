@@ -230,7 +230,9 @@ TEST(FlowEndToEnd, LossyRunHasCompleteFlowsWithDsmConsistentAges) {
     int start_tid = -1;
   };
   std::map<std::uint64_t, Flow> flows;
-  for (const Tracer::Event& e : run.vm->obs().tracer().events()) {
+  // events() returns a copy; keep it alive while `ends` points into it.
+  const std::vector<Tracer::Event> events = run.vm->obs().tracer().events();
+  for (const Tracer::Event& e : events) {
     if (e.phase != 's' && e.phase != 't' && e.phase != 'f') continue;
     EXPECT_NE(e.flow, 0u);
     Flow& f = flows[e.flow];

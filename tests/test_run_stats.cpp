@@ -1,0 +1,197 @@
+// RunStats truth tests.  Every workload runs at its golden-table size (see
+// test_harness.cpp) under three faults: 2% frame loss with the reliable
+// transport, a stateful crash with rejoin, and a partition that heals.
+// RunStats is filled from the machine's metrics registry by one function,
+// so each counter must show what the machine did on every workload, and
+// attaching observers (a metrics series, the staleness sanitizer) must not
+// change a single field.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "fault/fault.hpp"
+#include "harness/run_config.hpp"
+#include "harness/workloads.hpp"
+#include "recovery/recovery.hpp"
+#include "rt/vm.hpp"
+#include "sanitize/sanitize.hpp"
+#include "sim/time.hpp"
+
+namespace {
+
+using namespace nscc;
+using harness::RunConfig;
+using harness::RunStats;
+
+sim::Time seconds(double s) {
+  return static_cast<sim::Time>(s * static_cast<double>(sim::kSecond));
+}
+
+/// One workload at its golden-table size, seed and partial age, plus the
+/// two halves a partition splits its nodes into.
+struct Case {
+  std::unique_ptr<harness::Workload> workload;
+  std::uint64_t seed;
+  dsm::Iteration age;
+  std::vector<std::vector<int>> halves;
+};
+
+std::vector<Case> golden_cases() {
+  std::vector<Case> cases;
+  auto ga = std::make_unique<harness::GaIslandWorkload>();
+  ga->function_id = 1;
+  ga->demes = 4;
+  ga->generations = 40;
+  cases.push_back({std::move(ga), 7, 10, {{0, 1}, {2, 3}}});
+  auto bayes = std::make_unique<harness::BayesSamplingWorkload>();
+  bayes->parts = 2;
+  bayes->iterations = 1500;
+  cases.push_back({std::move(bayes), 11, 10, {{0}, {1}}});
+  auto jacobi = std::make_unique<harness::JacobiWorkload>();
+  jacobi->grid = 12;
+  jacobi->processors = 4;
+  jacobi->tolerance = 1e-7;
+  cases.push_back({std::move(jacobi), 5, 10, {{0, 1}, {2, 3}}});
+  // The server (node 0) and four workers: the majority keeps the server.
+  auto nn = std::make_unique<harness::NnTrainWorkload>();
+  nn->workers = 4;
+  nn->steps = 80;
+  cases.push_back({std::move(nn), 7, 2, {{0, 1, 2}, {3, 4}}});
+  return cases;
+}
+
+enum class Fault { kLoss, kCrash, kPartition };
+
+/// The partial variant as the shared driver wires it, with the recovery
+/// policy each fault calls for.
+RunConfig run_for(const Case& c, Fault fault) {
+  RunConfig run;
+  run.seed = c.seed;
+  run.mode = dsm::Mode::kPartialAsync;
+  run.age = c.age;
+  run.propagation.coalesce = true;
+  run.propagation.read_timeout = 50 * sim::kMillisecond;
+  run.recovery.checkpoint_interval = seconds(0.1);
+  switch (fault) {
+    case Fault::kLoss:
+      break;
+    case Fault::kCrash:
+      run.recovery.policy = recovery::Policy::kRejoin;
+      break;
+    case Fault::kPartition:
+      // Age 4 as in the CI partition matrix: at age 10 a partitioned
+      // Jacobi run leaves two diverged locations unreconciled (ROADMAP).
+      run.age = std::min<dsm::Iteration>(c.age, 4);
+      run.recovery.policy = recovery::Policy::kDegraded;
+      run.recovery.quorum_fraction = 0.6;
+      run.propagation.partition_heal = true;
+      break;
+  }
+  return run;
+}
+
+rt::MachineConfig machine_for(const Case& c, Fault fault) {
+  rt::MachineConfig machine;
+  machine.transport.enabled = true;
+  switch (fault) {
+    case Fault::kLoss:
+      machine.fault.link.loss_prob = 0.02;
+      break;
+    case Fault::kCrash:
+      machine.fault.nodes[1].crashes.push_back({seconds(0.3), seconds(0.35)});
+      machine.fault.crash_semantics = fault::CrashSemantics::kStateful;
+      break;
+    case Fault::kPartition: {
+      fault::PartitionWindow split;
+      split.window = {seconds(0.05), seconds(0.6)};
+      split.groups = c.halves;
+      machine.fault.partitions.push_back(split);
+      break;
+    }
+  }
+  return machine;
+}
+
+/// Run `c` under `fault` three ways — observers off, the metrics sampler
+/// writing a series, the sanitizer tracking every read — and require
+/// identical RunStats fields.  Returns the unobserved run's stats.
+RunStats run_observed_three_ways(const Case& c, Fault fault) {
+  const RunConfig run = run_for(c, fault);
+  const rt::MachineConfig plain = machine_for(c, fault);
+  const RunStats stats = c.workload->run(run, plain);
+
+  rt::MachineConfig sampled = plain;
+  const std::string series = ::testing::TempDir() + "run_stats_series.csv";
+  sampled.obs.enable = true;
+  sampled.obs.metrics_path = series;
+  const RunStats with_sampler = c.workload->run(run, sampled);
+  std::remove(series.c_str());
+
+  rt::MachineConfig audited = plain;
+  audited.sanitize.level = sanitize::Level::kTrack;
+  audited.sanitize.spec = c.workload->tolerance_spec(run);
+  const RunStats with_sanitizer = c.workload->run(run, audited);
+
+  EXPECT_EQ(with_sampler.to_fields(), stats.to_fields())
+      << "the metrics sampler changed RunStats";
+  EXPECT_EQ(with_sanitizer.to_fields(), stats.to_fields())
+      << "the staleness sanitizer changed RunStats";
+  return stats;
+}
+
+TEST(RunStatsTruth, LossIsCountedOnEveryWorkload) {
+  for (const Case& c : golden_cases()) {
+    SCOPED_TRACE(c.workload->name());
+    const RunStats s = run_observed_three_ways(c, Fault::kLoss);
+    EXPECT_FALSE(s.deadlocked);
+    EXPECT_GT(s.frames_lost, 0u);
+    EXPECT_GT(s.messages_sent, 0u);
+    EXPECT_GT(s.bytes_sent, 0u);
+    EXPECT_GT(s.bus_utilization, 0.0);
+    EXPECT_GT(s.mean_warp, 0.0);
+    EXPECT_GE(s.mean_staleness, 0.0);
+  }
+}
+
+TEST(RunStatsTruth, StatefulCrashIsCountedOnce) {
+  for (const Case& c : golden_cases()) {
+    SCOPED_TRACE(c.workload->name());
+    const RunStats s = run_observed_three_ways(c, Fault::kCrash);
+    EXPECT_FALSE(s.deadlocked);
+    EXPECT_EQ(s.crashes, 1u);
+    EXPECT_EQ(s.rejoins, 1u);
+  }
+}
+
+TEST(RunStatsTruth, HealedPartitionReconcilesEveryDivergence) {
+  for (const Case& c : golden_cases()) {
+    SCOPED_TRACE(c.workload->name());
+    const RunStats s = run_observed_three_ways(c, Fault::kPartition);
+    EXPECT_FALSE(s.deadlocked);
+    EXPECT_GT(s.partition_drops, 0u);
+    EXPECT_GT(s.diverged_locations, 0u);
+    EXPECT_EQ(s.diverged_locations, s.reconciled_locations);
+    EXPECT_EQ(s.split_brain_declarations, 0u);
+  }
+}
+
+TEST(RunStatsTruth, PlainReadsRecordStalenessInAsyncRuns) {
+  // The asynchronous variants read with plain reads; passing the reader's
+  // iteration puts their staleness in the same histogram Global_Read uses.
+  for (const Case& c : golden_cases()) {
+    if (c.workload->name() == "bayes.sampling") continue;  // Polls only.
+    SCOPED_TRACE(c.workload->name());
+    RunConfig run;
+    run.seed = c.seed;
+    run.mode = dsm::Mode::kAsynchronous;
+    const RunStats s = c.workload->run(run, rt::MachineConfig{});
+    EXPECT_GT(s.mean_staleness, 0.0);
+  }
+}
+
+}  // namespace
