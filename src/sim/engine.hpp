@@ -3,7 +3,9 @@
 // The engine owns a virtual clock and an event queue.  Simulated processors
 // are Process objects, each backed by a Fiber; exactly one process runs at a
 // time and every event execution is ordered by (time, sequence number), so a
-// whole simulation is deterministic given its seeds.
+// whole simulation is deterministic given its seeds.  Blocking and resuming
+// a process is a register-only context switch on its guarded stack, with no
+// system call (see fiber.hpp).
 //
 // Processes interact with virtual time through three verbs:
 //   * delay(dt)   — charge dt of computation, then continue;

@@ -1,17 +1,21 @@
-// Cooperative fibers (ucontext-based) for process-oriented simulation.
+// Cooperative fibers for process-oriented simulation.
 //
 // Each simulated processor runs as a fiber so the event engine can suspend
 // it at blocking points (message receive, Global_Read, barrier) and resume
-// it at a later virtual time, with a context switch two orders of magnitude
-// cheaper than an OS thread handoff.  Exactly one fiber runs at a time,
-// which also makes every simulation single-threaded and deterministic.
+// it at a later virtual time.  Exactly one fiber runs at a time, which also
+// makes every simulation single-threaded and deterministic.
+//
+// The context switch is register-only: a few lines of x86-64 SysV assembly
+// in fiber.cpp (nscc_sim_fiber_switch, the one routine to port to another
+// ISA) push the callee-saved registers, the MXCSR and the x87 control word
+// on the old stack and pop them from the new one.  It makes no system call
+// and leaves the signal mask alone.  Each fiber runs on its own mmap'd
+// stack with a PROT_NONE guard page below it, so an overflow faults instead
+// of corrupting the heap.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 
 namespace nscc::sim {
 
@@ -46,13 +50,34 @@ class Fiber {
   void kill();
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
-  void run_body();
+  /// At least `bytes` of stack, rounded up to whole pages, mapped with an
+  /// inaccessible guard page just below its lowest address.
+  class GuardedStack {
+   public:
+    explicit GuardedStack(std::size_t bytes);
+    ~GuardedStack();
+
+    GuardedStack(const GuardedStack&) = delete;
+    GuardedStack& operator=(const GuardedStack&) = delete;
+
+    /// Lowest usable address; the stack grows down from bottom() + size().
+    [[nodiscard]] char* bottom() const noexcept { return mapping_ + guard_; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    std::size_t guard_;
+    std::size_t size_;
+    char* mapping_;
+  };
+
+  [[noreturn]] static void entry(Fiber* self) noexcept;
 
   std::function<void()> body_;
-  std::unique_ptr<char[]> stack_;
-  ucontext_t context_{};
-  ucontext_t return_context_{};
+  GuardedStack stack_;
+  /// Saved stack pointers: the fiber's while it is suspended, the
+  /// resumer's while the fiber runs.
+  void* sp_ = nullptr;
+  void* return_sp_ = nullptr;
   /// The resuming (engine) stack, as AddressSanitizer reported it on the
   /// last switch in; unused in builds without ASan.
   const void* caller_stack_ = nullptr;

@@ -1,14 +1,33 @@
 // Tests for the fiber layer and the discrete-event engine: scheduling order,
 // virtual-time semantics of delay/suspend/resume, determinism, deadlock
-// detection, and teardown of unfinished fibers.
+// detection, and teardown of unfinished fibers.  The fiber tests also pin
+// what the context switch must preserve: per-fiber FP control state,
+// exception handling across switches, and a guard page under every stack.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
+#include <xmmintrin.h>
 
+#include <cfenv>
+#include <csignal>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 #include "sim/time.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define NSCC_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define NSCC_TEST_ASAN 1
+#endif
+#endif
 
 namespace {
 
@@ -16,6 +35,79 @@ using nscc::sim::Engine;
 using nscc::sim::Fiber;
 using nscc::sim::Process;
 using nscc::sim::Time;
+
+/// The rounding mode as the x87 unit and as SSE see it, both as FE_*
+/// values; a context switch must carry both.
+std::pair<int, int> rounding_modes() {
+  return {std::fegetround(), static_cast<int>((_mm_getcsr() >> 3) & 0xc00)};
+}
+
+/// Suspends `depth` frames deep, each frame counting its own destruction.
+void descend_and_yield(Fiber& self, int depth, int& destroyed) {
+  struct Frame {
+    int* count;
+    ~Frame() { ++*count; }
+  } frame{&destroyed};
+  if (depth == 1) {
+    self.yield();
+  } else {
+    descend_and_yield(self, depth - 1, destroyed);
+  }
+}
+
+#ifndef NSCC_TEST_ASAN
+constexpr std::uintptr_t kOverflowStackBytes = 64 * 1024;
+volatile bool stop_recursing = false;
+/// Address of a local near the top of the overflowing fiber's stack.
+volatile std::uintptr_t overflow_stack_top = 0;
+std::uintptr_t page_bytes = 0;
+
+/// Recursion with no bound the compiler can see; every frame touches its
+/// locals, so the stack grows a small step at a time into the guard page.
+int recurse(int depth) {
+  volatile char locals[256];
+  locals[0] = static_cast<char>(depth);
+  if (stop_recursing) return locals[0];
+  return recurse(depth + 1) + locals[0];
+}
+
+/// SIGSEGV handler on an alternate stack.  A fault within a page of the
+/// fiber stack's lower end is the guard page: restore the default action
+/// so the faulting write repeats and kills the process by SIGSEGV.  A fault
+/// anywhere else means the overflow ran on into other memory: exit 1.
+void on_overflow_fault(int, siginfo_t* info, void*) {
+  const std::uintptr_t depth =
+      overflow_stack_top - reinterpret_cast<std::uintptr_t>(info->si_addr);
+  if (depth + page_bytes < kOverflowStackBytes ||
+      depth > kOverflowStackBytes + page_bytes) {
+    _exit(1);
+  }
+  signal(SIGSEGV, SIG_DFL);
+}
+
+void overflow_a_fiber_stack() {
+  const rlimit no_core_dump{0, 0};
+  setrlimit(RLIMIT_CORE, &no_core_dump);
+  page_bytes = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  static char alt_stack[64 * 1024];
+  stack_t ss{};
+  ss.ss_sp = alt_stack;
+  ss.ss_size = sizeof alt_stack;
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa {};
+  sa.sa_sigaction = on_overflow_fault;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  sigaction(SIGSEGV, &sa, nullptr);
+  Fiber f(
+      [] {
+        volatile char probe = 0;
+        overflow_stack_top = reinterpret_cast<std::uintptr_t>(&probe);
+        recurse(0);
+      },
+      kOverflowStackBytes);
+  f.resume();
+}
+#endif
 
 TEST(Fiber, RunsBodyToCompletion) {
   int steps = 0;
@@ -70,6 +162,108 @@ TEST(Fiber, KillUnwindsStack) {
 TEST(Fiber, KillNeverStartedIsSafe) {
   Fiber f([] { FAIL() << "body must not run"; });
   // Destructor only: the body never runs.
+}
+
+TEST(Fiber, FpControlStateIsPerFiber) {
+  const auto nearest = std::make_pair(FE_TONEAREST, FE_TONEAREST);
+  const auto downward = std::make_pair(FE_DOWNWARD, FE_DOWNWARD);
+  ASSERT_EQ(rounding_modes(), nearest);
+  Fiber* self = nullptr;
+  std::pair<int, int> seen_before_yield;
+  std::pair<int, int> seen_after_yield;
+  Fiber f([&] {
+    std::fesetround(FE_DOWNWARD);
+    seen_before_yield = rounding_modes();
+    self->yield();
+    seen_after_yield = rounding_modes();
+  });
+  self = &f;
+  f.resume();
+  EXPECT_EQ(seen_before_yield, downward);
+  EXPECT_EQ(rounding_modes(), nearest);
+  f.resume();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(seen_after_yield, downward);
+  EXPECT_EQ(rounding_modes(), nearest);
+}
+
+TEST(Fiber, ExceptionsThrownAndCaughtAcrossYields) {
+  Fiber* self = nullptr;
+  int caught = 0;
+  Fiber f([&] {
+    for (int round = 0; round < 3; ++round) {
+      const std::string what = "round " + std::to_string(round);
+      try {
+        self->yield();
+        throw std::runtime_error(what);
+      } catch (const std::runtime_error& e) {
+        self->yield();  // Suspended while handling the exception.
+        EXPECT_EQ(e.what(), what);
+        ++caught;
+      }
+    }
+  });
+  self = &f;
+  int resumes = 0;
+  while (!f.finished()) {
+    f.resume();
+    ++resumes;
+    // The resumer throws and catches on its own stack in between.
+    try {
+      throw std::logic_error("resumer");
+    } catch (const std::logic_error&) {
+    }
+  }
+  EXPECT_EQ(caught, 3);
+  EXPECT_EQ(resumes, 7);
+}
+
+TEST(Fiber, ThousandLiveFibersResumeRoundRobinInOrder) {
+  constexpr int kFibers = 1000;
+  constexpr int kRounds = 3;
+  std::vector<int> order;
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  for (int i = 0; i < kFibers; ++i) {
+    fibers.push_back(std::make_unique<Fiber>(
+        [&order, &fibers, i] {
+          for (int round = 0; round < kRounds; ++round) {
+            order.push_back(i);
+            fibers[i]->yield();
+          }
+        },
+        64 * 1024));
+  }
+  for (int round = 0; round <= kRounds; ++round) {
+    for (auto& f : fibers) f->resume();
+  }
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kFibers * kRounds));
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    ASSERT_EQ(order[k], static_cast<int>(k % kFibers)) << "at " << k;
+  }
+  for (const auto& f : fibers) EXPECT_TRUE(f->finished());
+}
+
+TEST(Fiber, KillUnwindsEveryFrameOfADeepStack) {
+  constexpr int kDepth = 100;
+  int destroyed = 0;
+  Fiber* self = nullptr;
+  Fiber f([&] { descend_and_yield(*self, kDepth, destroyed); });
+  self = &f;
+  f.resume();
+  EXPECT_EQ(destroyed, 0);
+  f.kill();
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(destroyed, kDepth);
+}
+
+TEST(FiberDeathTest, StackOverflowHitsTheGuardPage) {
+#ifdef NSCC_TEST_ASAN
+  GTEST_SKIP() << "ASan reports the overflow itself and exits; it does not "
+                  "die by SIGSEGV";
+#else
+  EXPECT_EXIT(overflow_a_fiber_stack(), ::testing::KilledBySignal(SIGSEGV),
+              "");
+#endif
 }
 
 TEST(Engine, EventsRunInTimeOrder) {
