@@ -364,6 +364,7 @@ int main(int argc, char** argv) {
            static_cast<double>(cell.diverged_locations)},
           {"reconciled_locations",
            static_cast<double>(cell.reconciled_locations)},
+          {"quorum_parks", static_cast<double>(cell.quorum_parks)},
           {"split_brain_declarations",
            static_cast<double>(cell.split_brain_declarations)},
           {"deadlocked", cell.deadlocked ? 1.0 : 0.0}};

@@ -384,12 +384,17 @@ ParallelInferenceResult run_parallel_logic_sampling(
         return blob;
       };
       auto flush_range = [&](int k, std::int64_t from, std::int64_t to) {
+        const auto& pub = published[static_cast<std::size_t>(k)];
+        std::size_t bytes = sizeof(std::int64_t) + sizeof(std::uint32_t);
+        for (std::int64_t t = from; t <= to; ++t) {
+          bytes += pub[static_cast<std::size_t>(t)].size();
+        }
         rt::Packet p;
+        p.reserve(bytes);
         p.pack_i64(from);
         p.pack_u32(static_cast<std::uint32_t>(to - from + 1));
         for (std::int64_t t = from; t <= to; ++t) {
-          for (std::int8_t v :
-               published[static_cast<std::size_t>(k)][static_cast<std::size_t>(t)]) {
+          for (std::int8_t v : pub[static_cast<std::size_t>(t)]) {
             p.pack_u8(static_cast<std::uint8_t>(v));
           }
         }

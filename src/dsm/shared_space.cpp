@@ -178,6 +178,10 @@ void SharedSpace::send_update(LocationId loc, int reader, Iteration iteration,
                               rt::Reliability reliability,
                               std::uint64_t flow) {
   rt::Packet payload;
+  payload.reserve(sizeof(std::int32_t) + sizeof(std::int64_t) +
+                  sizeof(std::uint64_t) + value.byte_size() +
+                  (policy_.integrity ? sizeof(std::uint32_t) : 0) +
+                  (stamp_updates_ ? sizeof(std::uint64_t) : 0));
   payload.pack_i32(loc);
   payload.pack_i64(iteration);
   payload.pack_packet(value);
@@ -195,7 +199,7 @@ void SharedSpace::send_update(LocationId loc, int reader, Iteration iteration,
     reliability = rt::Reliability::kReliable;
   }
 
-  std::function<void(bool)> on_settled;
+  rt::OnSettled on_settled;
   if (policy_.coalesce || obs_ != nullptr) {
     // The follow-up hop must not touch a SharedSpace that has already been
     // destroyed (its task body may finish while updates are on the wire);
@@ -205,8 +209,8 @@ void SharedSpace::send_update(LocationId loc, int reader, Iteration iteration,
     obs::Gauge* inflight = inflight_updates_;
     sim::Engine* eng = &task_.vm().engine();
     const bool coalesce = policy_.coalesce;
-    on_settled = [weak, hub, inflight, eng, coalesce, loc,
-                  reader](bool delivered) {
+    auto settled = [weak, hub, inflight, eng, coalesce, loc,
+                    reader](bool delivered) {
       if (hub != nullptr) {
         inflight->add(-1.0);
         hub->tracer().instant(reader,
@@ -220,6 +224,8 @@ void SharedSpace::send_update(LocationId loc, int reader, Iteration iteration,
         }
       }
     };
+    static_assert(rt::OnSettled::kStoredInline<decltype(settled)>);
+    on_settled = std::move(settled);
   }
   if (charge_cpu) {
     // Process context: full send path (CPU overhead + transport window).
@@ -334,14 +340,17 @@ void SharedSpace::apply_update(rt::Message& msg) {
   rt::Packet& payload = msg.payload;
   LocationId loc = 0;
   Iteration iteration = 0;
-  rt::Packet data;
+  // Unpack into the reused scratch buffer; an applied copy swaps it with
+  // the Value's old buffer, which becomes the next scratch.  Taken by move
+  // so a re-entrant apply (an observer hook) cannot clobber it.
+  rt::Packet data = std::move(scratch_);
   std::uint64_t stamp = 0;
   bool parsed = false;
   bool intact = true;
   try {
     loc = payload.unpack_i32();
     iteration = payload.unpack_i64();
-    data = payload.unpack_packet();
+    payload.unpack_packet(data);
     if (policy_.integrity) {
       intact = payload.unpack_u32() == data.crc32();
     }
@@ -356,6 +365,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
                              "loc", loc, "iter", iteration);
     }
     if (parsed && read_from_.count(loc) != 0) send_demand(loc, iteration);
+    scratch_ = std::move(data);
     return;
   }
 
@@ -381,7 +391,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
     v.iteration = iteration;
     v.valid = true;
     v.degraded = false;
-    v.data = std::move(data);
+    std::swap(v.data, data);
     // The applied copy carries its update's flow; a superseded copy's
     // unconsumed flow simply ends nowhere (the value was never read).
     v.flow = msg.flow;
@@ -421,6 +431,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
                              "loc", loc, "iter", iteration);
     }
   }
+  scratch_ = std::move(data);
 }
 
 std::uint64_t SharedSpace::peek_stamp(rt::Packet& payload) const {

@@ -342,6 +342,8 @@ class SharedSpace {
     rt::Message msg;
   };
   std::vector<ParkedUpdate> parked_;
+  /// Unpack buffer reused by apply_update (see there).
+  rt::Packet scratch_;
   UpdateObserver observer_;
   /// Observability handles, resolved once at construction; null when the
   /// machine's hub is inactive so every hot-path guard is one branch.

@@ -48,6 +48,7 @@ RunStats RunStats::from_registry(const obs::Registry& reg) {
   s.diverged_locations = total("dsm.partition.diverged_locations");
   s.reconciled_locations = total("dsm.partition.reconciled_locations");
   s.split_brain_declarations = total("recovery.split_brain_declarations");
+  s.quorum_parks = total("recovery.quorum_parks");
   s.updates_parked = total("dsm.consistency.updates_parked");
   s.updates_flushed = total("dsm.consistency.updates_flushed");
   s.ooo_updates = total("dsm.consistency.ooo_updates");
@@ -85,6 +86,7 @@ std::vector<std::pair<std::string, double>> RunStats::to_fields() const {
       {"reconciled_locations", static_cast<double>(reconciled_locations)},
       {"split_brain_declarations",
        static_cast<double>(split_brain_declarations)},
+      {"quorum_parks", static_cast<double>(quorum_parks)},
       {"updates_parked", static_cast<double>(updates_parked)},
       {"updates_flushed", static_cast<double>(updates_flushed)},
       {"ooo_updates", static_cast<double>(ooo_updates)},

@@ -82,6 +82,7 @@ struct RunStats {
   std::uint64_t diverged_locations = 0;     ///< Reader locations diverged.
   std::uint64_t reconciled_locations = 0;   ///< Diverged marks later healed.
   std::uint64_t split_brain_declarations = 0;  ///< Mutual dead declarations.
+  std::uint64_t quorum_parks = 0;  ///< Dead declarations a minority deferred.
   /// Consistency-model counters (zero under the default nonstrict model).
   std::uint64_t updates_parked = 0;   ///< Arrivals deferred to an acquire.
   std::uint64_t updates_flushed = 0;  ///< Parked updates applied at acquires.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 namespace nscc::net {
@@ -125,21 +126,25 @@ bool SharedBus::transmit(int src, int dst, std::uint32_t payload_bytes,
     return true;
   }
   if (dup_at > 0) {
-    // Two deliveries share one callback; copyable std::function allows it.
+    // Two deliveries share one callback through one heap node (the rare
+    // fault path; every other frame's outcome rides its event inline).
     // Only the original carries the damage: the duplicate models a
     // link-level retransmit whose second copy arrived intact.
+    auto cb = std::make_shared<Outcome>(std::move(outcome));
     engine_.schedule(delivered_at, obs::EventKind::kNetwork,
-                     [cb = outcome, delivered_at, corrupt_seed] {
-                       cb(delivered_at, true, corrupt_seed);
+                     [cb, delivered_at, corrupt_seed] {
+                       (*cb)(delivered_at, true, corrupt_seed);
                      });
     engine_.schedule(dup_at, obs::EventKind::kNetwork,
-                     [cb = std::move(outcome), dup_at] { cb(dup_at, true, 0); });
+                     [cb = std::move(cb), dup_at] { (*cb)(dup_at, true, 0); });
     return true;
   }
-  engine_.schedule(delivered_at, obs::EventKind::kNetwork,
-                   [cb = std::move(outcome), delivered_at, corrupt_seed] {
-                     cb(delivered_at, true, corrupt_seed);
-                   });
+  auto deliver = [cb = std::move(outcome), delivered_at, corrupt_seed] {
+    cb(delivered_at, true, corrupt_seed);
+  };
+  // The frame's outcome rides its delivery event without a heap node.
+  static_assert(sim::Engine::Callback::kStoredInline<decltype(deliver)>);
+  engine_.schedule(delivered_at, obs::EventKind::kNetwork, std::move(deliver));
   return true;
 }
 

@@ -24,6 +24,7 @@
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
 namespace nscc::net {
@@ -66,8 +67,12 @@ class SharedBus {
   /// `corrupt_seed` is nonzero when the frame arrived with a damaged
   /// payload (fault::corruption_effect(seed, bytes) describes the damage);
   /// a duplicated frame's second copy always arrives intact.
-  using Outcome = std::function<void(sim::Time at, bool delivered,
-                                     std::uint64_t corrupt_seed)>;
+  ///
+  /// Stored inline (no heap allocation) for captures up to 40 bytes; the
+  /// delivery event that carries it then still fits the engine's inline
+  /// callback.
+  using Outcome = sim::InlineFunction<
+      void(sim::Time at, bool delivered, std::uint64_t corrupt_seed), 40>;
   /// Observer for every frame the medium abandons (tail drop or fault
   /// loss); `reason` is a static string ("tail_drop", "fault").
   using DropHook =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -82,19 +83,23 @@ void SwitchFabric::transmit_observed(int src, int dst,
     return;
   }
   if (dup_at > 0) {
-    // As on the bus, only the original copy carries the damage.
+    // As on the bus: one shared heap node, and only the original copy
+    // carries the damage.
+    auto cb = std::make_shared<Outcome>(std::move(outcome));
     engine_.schedule(delivered_at, obs::EventKind::kNetwork,
-                     [cb = outcome, delivered_at, corrupt_seed] {
-                       cb(delivered_at, true, corrupt_seed);
+                     [cb, delivered_at, corrupt_seed] {
+                       (*cb)(delivered_at, true, corrupt_seed);
                      });
     engine_.schedule(dup_at, obs::EventKind::kNetwork,
-                     [cb = std::move(outcome), dup_at] { cb(dup_at, true, 0); });
+                     [cb = std::move(cb), dup_at] { (*cb)(dup_at, true, 0); });
     return;
   }
-  engine_.schedule(delivered_at, obs::EventKind::kNetwork,
-                   [cb = std::move(outcome), delivered_at, corrupt_seed] {
-                     cb(delivered_at, true, corrupt_seed);
-                   });
+  auto deliver = [cb = std::move(outcome), delivered_at, corrupt_seed] {
+    cb(delivered_at, true, corrupt_seed);
+  };
+  // The frame's outcome rides its delivery event without a heap node.
+  static_assert(sim::Engine::Callback::kStoredInline<decltype(deliver)>);
+  engine_.schedule(delivered_at, obs::EventKind::kNetwork, std::move(deliver));
 }
 
 void SwitchFabric::set_tracer(obs::Tracer* tracer) noexcept {

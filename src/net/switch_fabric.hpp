@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "net/shared_bus.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -49,8 +50,7 @@ class SwitchFabric {
  public:
   /// See SharedBus::Outcome — identical contract (including the
   /// corrupt_seed of a frame delivered with a damaged payload).
-  using Outcome = std::function<void(sim::Time at, bool delivered,
-                                     std::uint64_t corrupt_seed)>;
+  using Outcome = SharedBus::Outcome;
   using DropHook =
       std::function<void(int src, int dst, std::uint32_t payload_bytes,
                          const char* reason)>;

@@ -8,10 +8,6 @@
 
 namespace nscc::obs {
 
-Tracer::Tracer(std::size_t capacity) {
-  ring_.resize(capacity == 0 ? 1 : capacity);
-}
-
 void Tracer::set_track_name(int tid, std::string name) {
   auto it = track_names_.find(tid);
   if (it != track_names_.end()) {
@@ -53,9 +49,9 @@ std::vector<Tracer::Event> Tracer::events() const {
   std::vector<Event> out;
   out.reserve(count_);
   // Oldest event is at head_ when the ring wrapped, else at 0.
-  const std::size_t start = count_ < ring_.size() ? 0 : head_;
+  const std::size_t start = count_ < capacity_ ? 0 : head_;
   for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+    out.push_back(ring_[(start + i) % capacity_]);
   }
   return out;
 }

@@ -7,10 +7,10 @@
 // the engine, the shared bus, and switch ports).
 //
 // Hot-path discipline: record() does no allocation and no formatting — it
-// copies POD into a preallocated ring buffer and `name`/arg names must be
-// string literals (they are stored as const char* and formatted only at
-// export time).  When the tracer is disabled every record call is a single
-// predicted branch.
+// copies POD into a ring buffer (allocated when tracing is first enabled)
+// and `name`/arg names must be string literals (they are stored as const
+// char* and formatted only at export time).  When the tracer is disabled
+// every record call is a single predicted branch.
 //
 // Flow events ('s' start / 't' step / 'f' end) carry a machine-unique flow
 // id and render as arrows between tracks in Perfetto — the DSM stamps one
@@ -53,9 +53,15 @@ class Tracer {
                        ///< 's'/'t'/'f' flow start/step/end.
   };
 
-  explicit Tracer(std::size_t capacity = 1 << 18);
+  /// The ring of `capacity` events is allocated on the first enable(true),
+  /// so a tracer that is never switched on costs no memory.
+  explicit Tracer(std::size_t capacity = 1 << 18)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  void enable(bool on) noexcept { enabled_ = on; }
+  void enable(bool on) {
+    if (on && ring_.empty()) ring_.resize(capacity_);
+    enabled_ = on;
+  }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
   /// A span of virtual time [ts, ts+dur] on track `tid`.
@@ -130,7 +136,7 @@ class Tracer {
   int claim_tracks(int count, int preferred_base);
 
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Events overwritten because the ring filled (oldest are lost first).
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
@@ -146,8 +152,8 @@ class Tracer {
  private:
   void push(const Event& e) noexcept {
     ring_[head_] = e;
-    head_ = (head_ + 1) % ring_.size();
-    if (count_ < ring_.size()) {
+    head_ = (head_ + 1) % capacity_;
+    if (count_ < capacity_) {
       ++count_;
     } else {
       ++dropped_;
@@ -156,7 +162,8 @@ class Tracer {
 
   bool enabled_ = false;
   bool flows_ = false;
-  std::vector<Event> ring_;
+  std::size_t capacity_;
+  std::vector<Event> ring_;  ///< Empty until the first enable(true).
   std::size_t head_ = 0;   ///< Next write position.
   std::size_t count_ = 0;  ///< Valid events in the ring.
   std::uint64_t dropped_ = 0;

@@ -75,14 +75,26 @@ class Packet {
   std::vector<double> unpack_double_vec() { return take_vec<double>(); }
 
   Packet unpack_packet() {
-    const std::uint64_t n = unpack_u64();
-    check(n);
     Packet q;
-    q.buf_.assign(buf_.begin() + static_cast<std::ptrdiff_t>(rpos_),
-                  buf_.begin() + static_cast<std::ptrdiff_t>(rpos_ + n));
-    rpos_ += static_cast<std::size_t>(n);
+    unpack_packet(q);
     return q;
   }
+
+  /// Unpack an embedded packet into `into` (rewound), reusing its buffer's
+  /// capacity: a caller that keeps one scratch packet unpacks without
+  /// allocating once the scratch has grown to the payload size.
+  void unpack_packet(Packet& into) {
+    const std::uint64_t n = unpack_u64();
+    check(n);
+    into.buf_.assign(buf_.begin() + static_cast<std::ptrdiff_t>(rpos_),
+                     buf_.begin() + static_cast<std::ptrdiff_t>(rpos_ + n));
+    into.rpos_ = 0;
+    rpos_ += static_cast<std::size_t>(n);
+  }
+
+  /// Reserve room for `bytes` of packed data, so a sender that knows its
+  /// frame size packs it with one allocation.
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   // ---- inspection ----------------------------------------------------------
   /// Total serialized payload size in bytes (what the wire model charges).

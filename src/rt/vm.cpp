@@ -1,5 +1,6 @@
 #include "rt/vm.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <iostream>
 #include <optional>
@@ -7,6 +8,19 @@
 #include <utility>
 
 namespace nscc::rt {
+
+namespace {
+
+/// The entry for `seq` in a link's pending list (sorted by seq), or end().
+template <typename Ref>
+auto find_seq(const std::vector<Ref>& pending, std::uint64_t seq) {
+  const auto it = std::lower_bound(
+      pending.begin(), pending.end(), seq,
+      [](const Ref& r, std::uint64_t s) { return r->msg.seq < s; });
+  return it != pending.end() && (*it)->msg.seq == seq ? it : pending.end();
+}
+
+}  // namespace
 
 // ---- Task -------------------------------------------------------------------
 
@@ -28,7 +42,7 @@ void Task::send(int dst, int tag, Packet payload) {
 }
 
 void Task::send_observed(int dst, int tag, Packet payload,
-                         std::function<void(bool)> on_settled,
+                         OnSettled on_settled,
                          Reliability reliability, std::uint64_t flow) {
   compute(vm_.config_.send_sw_overhead);
   // Transport backpressure: block while the socket-buffer window is full
@@ -69,11 +83,7 @@ std::optional<std::size_t> Task::find_match(int tag) const noexcept {
   return std::nullopt;
 }
 
-Message Task::pop_at(std::size_t index) {
-  Message msg = std::move(mailbox_[index]);
-  mailbox_.erase(mailbox_.begin() + static_cast<std::ptrdiff_t>(index));
-  return msg;
-}
+Message Task::pop_at(std::size_t index) { return mailbox_.take(index); }
 
 Message Task::recv(int tag) {
   assert(vm_.engine_.current() == process_ &&
@@ -190,6 +200,25 @@ void Task::barrier() {
   }
 }
 
+// ---- Transmit-state pool -----------------------------------------------------
+
+VirtualMachine::TxRef VirtualMachine::TxPool::acquire() {
+  if (free_.empty()) {
+    owned_.push_back(std::make_unique<TxState>());
+    // recycle() must never allocate: keep room for every state to be free.
+    free_.reserve(owned_.size());
+    return TxRef(owned_.back().get(), this);
+  }
+  TxState* st = free_.back();
+  free_.pop_back();
+  return TxRef(st, this);
+}
+
+void VirtualMachine::TxPool::recycle(TxState* st) noexcept {
+  *st = TxState{};
+  free_.push_back(st);
+}
+
 // ---- VirtualMachine ----------------------------------------------------------
 
 bool VirtualMachine::reliable_for(int tag, Reliability reliability) const {
@@ -212,7 +241,7 @@ bool VirtualMachine::reliable_for(int tag, Reliability reliability) const {
 }
 
 bool VirtualMachine::post(int src, int dst, int tag, Packet payload,
-                          std::function<void(bool)> on_settled,
+                          OnSettled on_settled,
                           Reliability reliability, std::uint64_t flow) {
   assert(src >= 0 && src < size());
   assert(dst >= 0 && dst < size());
@@ -220,7 +249,7 @@ bool VirtualMachine::post(int src, int dst, int tag, Packet payload,
   Task* sender = tasks_.at(src).get();
   const bool is_ack = (tag == kAckTag);
 
-  auto st = std::make_shared<TxState>();
+  TxRef st = tx_pool_.acquire();
   st->msg.src = src;
   st->msg.tag = tag;
   st->msg.payload = std::move(payload);
@@ -251,7 +280,7 @@ bool VirtualMachine::post(int src, int dst, int tag, Packet payload,
     // Local delivery: no wire time (and no faults or transport), still
     // ordered via an event.
     engine_.schedule(engine_.now(), obs::EventKind::kTransport,
-                     [this, st, sender] {
+                     [this, st = std::move(st), sender] {
       st->msg.delivered_at = engine_.now();
       if (!st->window_released) {
         st->window_released = true;
@@ -269,9 +298,10 @@ bool VirtualMachine::post(int src, int dst, int tag, Packet payload,
 
   st->reliable = reliable_for(tag, reliability);
   if (st->reliable) {
-    st->msg.seq = ++tx_seq_[{src, dst}];
+    st->msg.seq = ++tx_seq_[link(src, dst)];
     st->rto = config_.transport.ack_timeout;
-    pending_tx_[{src, dst, st->msg.seq}] = st;
+    // Seqs per link only grow, so appending keeps the list sorted.
+    pending_tx_[link(src, dst)].push_back(st);
     arm_retx_timer(st);
   }
 
@@ -281,11 +311,15 @@ bool VirtualMachine::post(int src, int dst, int tag, Packet payload,
   return st->reliable || !st->settled;
 }
 
-void VirtualMachine::transmit_frame(const std::shared_ptr<TxState>& st) {
-  auto outcome = [this, st](sim::Time at, bool delivered,
-                            std::uint64_t corrupt_seed) {
-    on_wire_outcome(st, at, delivered, corrupt_seed);
+void VirtualMachine::transmit_frame(const TxRef& st) {
+  // A by-value handle from a non-const local: the closure member is then a
+  // plain TxRef, nothrow-movable, and the outcome stays inline.
+  TxRef ref = st;
+  auto outcome = [this, ref = std::move(ref)](sim::Time at, bool delivered,
+                                              std::uint64_t corrupt_seed) {
+    on_wire_outcome(ref, at, delivered, corrupt_seed);
   };
+  static_assert(net::SharedBus::Outcome::kStoredInline<decltype(outcome)>);
   if (switch_) {
     switch_->transmit_observed(st->msg.src, st->dst, st->payload_bytes,
                                std::move(outcome));
@@ -300,8 +334,8 @@ void VirtualMachine::transmit_frame(const std::shared_ptr<TxState>& st) {
   }
 }
 
-void VirtualMachine::on_wire_outcome(const std::shared_ptr<TxState>& st,
-                                     sim::Time at, bool delivered,
+void VirtualMachine::on_wire_outcome(const TxRef& st, sim::Time at,
+                                     bool delivered,
                                      std::uint64_t corrupt_seed) {
   if (!st->window_released) {
     st->window_released = true;
@@ -321,8 +355,7 @@ void VirtualMachine::on_wire_outcome(const std::shared_ptr<TxState>& st,
   }
 }
 
-void VirtualMachine::deliver_frame(const std::shared_ptr<TxState>& st,
-                                   sim::Time at,
+void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
                                    std::uint64_t corrupt_seed) {
   Task* receiver = tasks_.at(st->dst).get();
 
@@ -353,7 +386,8 @@ void VirtualMachine::deliver_frame(const std::shared_ptr<TxState>& st,
 
   if (st->msg.tag == kAckTag) {
     // Transport control frame: settle the acknowledged data frame and stop.
-    Packet p = damaged ? *damaged : st->msg.payload;
+    // An ACK is never resent, so its own payload can be read in place.
+    Packet& p = damaged ? *damaged : st->msg.payload;
     p.rewind();
     if (p.remaining() < sizeof(std::uint64_t)) {
       // A corrupted ACK cut below its sequence number carries nothing
@@ -365,10 +399,10 @@ void VirtualMachine::deliver_frame(const std::shared_ptr<TxState>& st,
     const std::uint64_t seq = p.unpack_u64();
     // The ACK's destination is the original data sender; its source is the
     // node that received the data.
-    if (auto it = pending_tx_.find({st->dst, st->msg.src, seq});
-        it != pending_tx_.end()) {
-      // Copy: settle() erases the map entry the iterator points into.
-      const std::shared_ptr<TxState> acked = it->second;
+    const std::vector<TxRef>& pending = pending_tx_[link(st->dst, st->msg.src)];
+    if (const auto it = find_seq(pending, seq); it != pending.end()) {
+      // Copy: settle() erases the entry the iterator points into.
+      const TxRef acked = *it;
       settle(acked, true);
     }
     settle(st, true);
@@ -386,15 +420,24 @@ void VirtualMachine::deliver_frame(const std::shared_ptr<TxState>& st,
     }
   }
 
-  Message m = st->msg;  // Copy: fault duplicates may deliver a second time.
+  // By-move delivery: a best-effort frame on a fault-free machine reaches
+  // the receiver exactly once, so its message moves out of the TxState.  A
+  // reliable frame keeps its payload for retransmission, and a fault
+  // injector may duplicate any frame; those deliver a copy.
+  Message m;
+  if (!st->reliable && injector_ == nullptr) {
+    m = std::move(st->msg);
+  } else {
+    m = st->msg;
+  }
   if (damaged) m.payload = std::move(*damaged);
   m.delivered_at = at;
   if (m.flow != 0) {
     // Transit hop of a traced DSM update: the arrow touches the receiver's
     // track at arrival time, between the producer's 's' and the consuming
     // read's 'f'.
-    obs_.tracer().flow_step(st->dst, "dsm.flow", at, m.flow, "src",
-                            st->msg.src, "attempt", st->attempts);
+    obs_.tracer().flow_step(st->dst, "dsm.flow", at, m.flow, "src", m.src,
+                            "attempt", st->attempts);
   }
   receiver->deliver(std::move(m));
   if (!st->reliable) settle(st, true);
@@ -402,8 +445,7 @@ void VirtualMachine::deliver_frame(const std::shared_ptr<TxState>& st,
   // exhausted), so on_settled reports end-to-end fate, not wire fate.
 }
 
-void VirtualMachine::settle(const std::shared_ptr<TxState>& st,
-                            bool delivered) {
+void VirtualMachine::settle(const TxRef& st, bool delivered) {
   if (st->settled) return;
   st->settled = true;
   if (st->retx_timer != 0) {
@@ -411,18 +453,22 @@ void VirtualMachine::settle(const std::shared_ptr<TxState>& st,
     st->retx_timer = 0;
   }
   if (st->msg.seq != 0) {
-    pending_tx_.erase({st->msg.src, st->dst, st->msg.seq});
+    std::vector<TxRef>& pending = pending_tx_[link(st->msg.src, st->dst)];
+    if (const auto it = find_seq(pending, st->msg.seq); it != pending.end()) {
+      pending.erase(it);
+    }
   }
   if (st->on_settled) {
-    auto cb = std::move(st->on_settled);
-    st->on_settled = nullptr;
+    // Moved out first, so the state holds no callback while it runs.
+    OnSettled cb = std::move(st->on_settled);
     cb(delivered);
   }
 }
 
-void VirtualMachine::arm_retx_timer(const std::shared_ptr<TxState>& st) {
-  st->retx_timer =
-      engine_.set_watchdog(engine_.now() + st->rto, [this, st] {
+void VirtualMachine::arm_retx_timer(const TxRef& st) {
+  TxRef ref = st;
+  st->retx_timer = engine_.set_watchdog(
+      engine_.now() + st->rto, [this, st = std::move(ref)] {
         st->retx_timer = 0;
         if (st->settled) return;
         if (st->attempts >= config_.transport.max_attempts) {
@@ -502,10 +548,17 @@ bool VirtualMachine::task_alive(int id) const {
 }
 
 VirtualMachine::VirtualMachine(MachineConfig config)
-    : config_(config), obs_(config.obs), bus_(engine_, config.bus) {
+    : config_(config),
+      obs_(config.obs),
+      bus_(engine_, config.bus),
+      warp_(config.ntasks) {
   if (config_.ntasks < 1) {
     throw std::invalid_argument("VirtualMachine needs at least one task");
   }
+  const auto links = static_cast<std::size_t>(config_.ntasks) *
+                     static_cast<std::size_t>(config_.ntasks);
+  tx_seq_.assign(links, 0);
+  pending_tx_.resize(links);
   if (config_.network == Network::kSp2Switch) {
     switch_ = std::make_unique<net::SwitchFabric>(engine_, config_.ntasks,
                                                   config_.sp2_switch);

@@ -10,24 +10,24 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "net/shared_bus.hpp"
 #include "net/switch_fabric.hpp"
 #include "obs/obs.hpp"
+#include "rt/mailbox.hpp"
 #include "rt/packet.hpp"
 #include "rt/transport.hpp"
 #include "sanitize/sanitize.hpp"
 #include "sim/engine.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 #include "util/rng.hpp"
 #include "warp/warp_meter.hpp"
@@ -68,6 +68,10 @@ struct Message {
   sim::Time sent_at = 0;       ///< When the sender handed it to the network.
   sim::Time delivered_at = 0;  ///< When it reached the receiver's mailbox.
 };
+
+/// Settlement callback of a sent message (see Task::send_observed).
+/// Captures up to 56 bytes are stored without a heap allocation.
+using OnSettled = sim::InlineFunction<void(bool delivered), 56>;
 
 /// Which interconnect carries inter-task traffic.
 enum class Network {
@@ -150,7 +154,7 @@ class Task {
   /// once.  The DSM uses it to track in-flight updates for coalescing and to
   /// resend the newest pending value after a loss.
   void send_observed(int dst, int tag, Packet payload,
-                     std::function<void(bool delivered)> on_settled,
+                     OnSettled on_settled,
                      Reliability reliability = Reliability::kAuto,
                      std::uint64_t flow = 0);
 
@@ -196,7 +200,7 @@ class Task {
   util::Xoshiro256 rng_;
   std::uint64_t epoch_ = 0;
   sim::Process* process_ = nullptr;
-  std::deque<Message> mailbox_;
+  Mailbox<Message> mailbox_;
   bool waiting_ = false;
   int waiting_tag_ = kAnyTag;
   bool timed_out_ = false;
@@ -232,7 +236,7 @@ class VirtualMachine {
   /// message and the transport will not retry it.  `flow` stamps the frame
   /// with a causal-flow id (see Message::flow); 0 = untraced.
   bool post(int src, int dst, int tag, Packet payload,
-            std::function<void(bool delivered)> on_settled = {},
+            OnSettled on_settled = {},
             Reliability reliability = Reliability::kAuto,
             std::uint64_t flow = 0);
 
@@ -323,22 +327,81 @@ class VirtualMachine {
     /// Payload CRC32 stamped at post() time (only when the fault plan can
     /// corrupt frames); the receive path recomputes it after fault damage.
     std::uint32_t crc = 0;
-    std::function<void(bool)> on_settled;
+    OnSettled on_settled;
+    /// Live TxRef handles; the pool recycles the state when it drops to 0.
+    std::uint32_t refs = 0;
+  };
+
+  class TxPool;
+
+  /// Shared handle to a pooled TxState.  The count is a plain integer: the
+  /// whole simulation runs on one host thread.
+  class TxRef {
+   public:
+    TxRef() noexcept = default;
+    TxRef(const TxRef& other) noexcept : st_(other.st_), pool_(other.pool_) {
+      if (st_ != nullptr) ++st_->refs;
+    }
+    TxRef(TxRef&& other) noexcept
+        : st_(std::exchange(other.st_, nullptr)), pool_(other.pool_) {}
+    TxRef& operator=(TxRef other) noexcept {
+      std::swap(st_, other.st_);
+      std::swap(pool_, other.pool_);
+      return *this;
+    }
+    ~TxRef();
+
+    TxState* operator->() const noexcept { return st_; }
+    TxState& operator*() const noexcept { return *st_; }
+
+   private:
+    friend class TxPool;
+    TxRef(TxState* st, TxPool* pool) noexcept : st_(st), pool_(pool) {
+      ++st_->refs;
+    }
+    TxState* st_ = nullptr;
+    TxPool* pool_ = nullptr;
+  };
+
+  /// Free-list pool of TxStates: after warm-up, posting a frame allocates
+  /// no transmit state.
+  class TxPool {
+   public:
+    TxPool() = default;
+    TxPool(const TxPool&) = delete;  // Handles point at their pool.
+    TxPool& operator=(const TxPool&) = delete;
+
+    TxRef acquire();
+    /// Reset `st` to a fresh state and put it back on the free list.
+    void recycle(TxState* st) noexcept;
+
+   private:
+    std::vector<std::unique_ptr<TxState>> owned_;
+    std::vector<TxState*> free_;
   };
 
   [[nodiscard]] bool reliable_for(int tag, Reliability reliability) const;
-  void transmit_frame(const std::shared_ptr<TxState>& st);
-  void on_wire_outcome(const std::shared_ptr<TxState>& st, sim::Time at,
-                       bool delivered, std::uint64_t corrupt_seed);
-  void deliver_frame(const std::shared_ptr<TxState>& st, sim::Time at,
+  void transmit_frame(const TxRef& st);
+  void on_wire_outcome(const TxRef& st, sim::Time at, bool delivered,
+                       std::uint64_t corrupt_seed);
+  void deliver_frame(const TxRef& st, sim::Time at,
                      std::uint64_t corrupt_seed);
-  void settle(const std::shared_ptr<TxState>& st, bool delivered);
-  void arm_retx_timer(const std::shared_ptr<TxState>& st);
+  void settle(const TxRef& st, bool delivered);
+  void arm_retx_timer(const TxRef& st);
+  /// Index of the directed (src, dst) link in the dense per-link tables.
+  [[nodiscard]] std::size_t link(int src, int dst) const noexcept {
+    return static_cast<std::size_t>(src) *
+               static_cast<std::size_t>(config_.ntasks) +
+           static_cast<std::size_t>(dst);
+  }
   void send_ack(int from, int to, std::uint64_t seq);
   void flush_stats();
 
   MachineConfig config_;
   obs::Hub obs_;
+  /// Declared before the engine: pending events hold TxRefs, and the pool
+  /// must outlive them.
+  TxPool tx_pool_;
   sim::Engine engine_;
   net::SharedBus bus_;
   std::unique_ptr<net::SwitchFabric> switch_;  ///< Set for kSp2Switch.
@@ -349,16 +412,20 @@ class VirtualMachine {
   bool may_corrupt_ = false;
   warp::WarpMeter warp_;
   TransportStats transport_stats_;
-  /// Next sequence number per (src,dst) reliable stream (starts at 1).
-  std::map<std::pair<int, int>, std::uint64_t> tx_seq_;
-  /// Unacked reliable frames, keyed (src, dst, seq).
-  std::map<std::tuple<int, int, std::uint64_t>, std::shared_ptr<TxState>>
-      pending_tx_;
+  /// Last sequence number per (src,dst) reliable stream, indexed by
+  /// link(src, dst); the first frame gets 1.
+  std::vector<std::uint64_t> tx_seq_;
+  /// Unacked reliable frames per link(src, dst), in increasing seq order.
+  std::vector<std::vector<TxRef>> pending_tx_;
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<std::pair<std::string, std::function<void(Task&)>>> bodies_;
   std::vector<std::function<void()>> start_hooks_;
   std::vector<std::function<void()>> flush_hooks_;
   std::function<void(int, int)> link_failure_hook_;
 };
+
+inline VirtualMachine::TxRef::~TxRef() {
+  if (st_ != nullptr && --st_->refs == 0) pool_->recycle(st_);
+}
 
 }  // namespace nscc::rt

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -77,26 +78,67 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
   return p;
 }
 
-void Engine::schedule(Time t, obs::EventKind kind, std::function<void()> fn) {
-  assert(t >= now_ && "cannot schedule an event in the virtual past");
-  queue_.push(Event{t, next_seq_++, std::move(fn), kind});
+namespace {
+
+/// Heap order: the earliest (time, seq) sits at the front.
+struct Later {
+  template <typename K>
+  bool operator()(const K& a, const K& b) const noexcept {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+};
+
+}  // namespace
+
+std::uint32_t Engine::acquire_slot(obs::EventKind kind) {
+  if (free_slot_ == kNoSlot) {
+    // Grow by one chunk and thread its slots onto the free list.  Existing
+    // chunks stay where they are, so a running callback is never moved.
+    const auto base = static_cast<std::uint32_t>(chunks_.size()) << kChunkBits;
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    Slot* chunk = chunks_.back().get();
+    for (std::uint32_t i = 0; i < kChunkSlots; ++i) {
+      chunk[i].next_free = i + 1 < kChunkSlots ? base + i + 1 : kNoSlot;
+    }
+    free_slot_ = base;
+  }
+  const std::uint32_t slot = free_slot_;
+  Slot& s = slot_at(slot);
+  free_slot_ = s.next_free;
+  s.kind = kind;
+  s.armed = true;
+  return slot;
+}
+
+void Engine::release_slot(std::uint32_t slot) noexcept {
+  Slot& s = slot_at(slot);
+  s.fn.reset();
+  s.armed = false;
+  s.gen = s.gen == ~0U ? 1 : s.gen + 1;
+  s.next_free = free_slot_;
+  free_slot_ = slot;
+}
+
+void Engine::push_key(Time t, std::uint32_t slot) {
+  heap_.push_back(Key{t, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   queue_drained_ = false;
   if (profiler_ != nullptr) {
-    profiler_->note_queue_depth(queue_.size());
+    profiler_->note_queue_depth(heap_.size());
   }
 }
 
-Engine::WatchdogId Engine::set_watchdog(Time t, std::function<void()> fn) {
-  const WatchdogId id = next_watchdog_++;
-  live_watchdogs_.insert(id);
-  schedule(t, obs::EventKind::kWatchdog, [this, id, f = std::move(fn)] {
-    if (live_watchdogs_.erase(id) != 0) f();
-  });
-  return id;
-}
-
 bool Engine::cancel_watchdog(WatchdogId id) noexcept {
-  return live_watchdogs_.erase(id) != 0;
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto gen = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= (chunks_.size() << kChunkBits)) return false;
+  Slot& s = slot_at(slot);
+  if (s.gen != gen || !s.armed) return false;
+  // The key stays in the heap until its time; only the callback goes now.
+  s.armed = false;
+  s.fn.reset();
+  return true;
 }
 
 std::string Engine::blocked_report() const {
@@ -152,41 +194,45 @@ Process& Engine::respawn(Process& dead, std::function<void(Process&)> body,
 }
 
 Time Engine::run(Time until, const std::function<bool()>& stop_when) {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
+  while (!heap_.empty()) {
+    const Key top = heap_.front();
     if (top.time > until) {
       now_ = until;
       return now_;
     }
-    // Move the callback out before popping so it survives execution.
-    Event ev{top.time, top.seq, std::move(const_cast<Event&>(top).fn),
-             top.kind};
-    queue_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
     if (sampler_ != nullptr) {
-      while (next_sample_at_ <= ev.time) {
+      while (next_sample_at_ <= top.time) {
         now_ = next_sample_at_;
         sampler_->sample_now(next_sample_at_);
         next_sample_at_ += sampler_interval_;
       }
     }
-    now_ = ev.time;
+    now_ = top.time;
     ++events_executed_;
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->complete(obs::kEngineTrack, "dispatch", now_, 0, "seq",
-                        static_cast<std::int64_t>(ev.seq));
+                        static_cast<std::int64_t>(top.seq));
     }
+    // The slot's chunk never moves, so the callback runs in place even if
+    // it grows the slab; the slot is recycled only after it returns.
+    Slot& s = slot_at(top.slot);
+    const bool armed = s.armed;
+    s.armed = false;
     if (profiler_ != nullptr) {
       const auto t0 = std::chrono::steady_clock::now();
-      ev.fn();
+      if (armed) s.fn();
       const auto t1 = std::chrono::steady_clock::now();
       profiler_->record(
-          ev.kind,
+          s.kind,
           static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                   .count()));
-    } else {
-      ev.fn();
+    } else if (armed) {
+      s.fn();
     }
+    release_slot(top.slot);
     if (stop_when && stop_when()) return now_;
   }
   queue_drained_ = true;

@@ -11,6 +11,13 @@
 //   * delay(dt)   — charge dt of computation, then continue;
 //   * suspend()   — block until some event calls resume();
 //   * finishing the body — the process is done.
+//
+// The queue allocates nothing per event in steady state.  A binary heap of
+// 24-byte (time, seq, slot) keys orders the events; each key names a slot
+// in a recycled slab that holds the event's callback inline (see
+// InlineFunction) plus its kind and a cancel flag.  Slab chunks never move,
+// so a callback runs in place even when it schedules enough new events to
+// grow the slab.
 #pragma once
 
 #include <cassert>
@@ -18,15 +25,15 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/profiler.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "sim/fiber.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
 namespace nscc::sim {
@@ -94,22 +101,36 @@ class Engine {
                  Time start = 0,
                  std::size_t stack_bytes = Fiber::kDefaultStackBytes);
 
+  /// An event callback: any `void()` callable whose captures fit in 64
+  /// bytes is stored without a heap allocation.
+  using Callback = InlineFunction<void(), 64>;
+
   /// Schedule a plain event callback at virtual time `t` (>= now).
-  void schedule(Time t, std::function<void()> fn) {
-    schedule(t, obs::EventKind::kGeneric, std::move(fn));
+  template <typename F>
+  void schedule(Time t, F&& fn) {
+    schedule(t, obs::EventKind::kGeneric, std::forward<F>(fn));
   }
   /// Kind-tagged form: the attached Profiler attributes the event's
   /// wall-clock dispatch cost to `kind` (network delivery, fiber resume,
   /// watchdog, ...).  Identical virtual-time semantics.
-  void schedule(Time t, obs::EventKind kind, std::function<void()> fn);
+  template <typename F>
+  void schedule(Time t, obs::EventKind kind, F&& fn) {
+    (void)enqueue(t, kind, std::forward<F>(fn));
+  }
 
   /// Watchdog-timer API: like schedule(), but cancelable.  A canceled
   /// watchdog's event still occupies the queue until `t` and then does
   /// nothing (so cancellation cannot unblock run()'s termination early, it
-  /// only suppresses the callback).  Used for receive timeouts and the DSM
-  /// starvation watchdog.
+  /// only suppresses the callback, which is destroyed at cancel time).
+  /// Used for receive timeouts, retransmit timers and the DSM starvation
+  /// watchdog.  Ids are never 0, so 0 can mean "no timer".
   using WatchdogId = std::uint64_t;
-  WatchdogId set_watchdog(Time t, std::function<void()> fn);
+  template <typename F>
+  WatchdogId set_watchdog(Time t, F&& fn) {
+    const std::uint32_t slot =
+        enqueue(t, obs::EventKind::kWatchdog, std::forward<F>(fn));
+    return (static_cast<WatchdogId>(slot_at(slot).gen) << 32) | slot;
+  }
   /// Returns true when the watchdog had not fired yet (and now never will).
   bool cancel_watchdog(WatchdogId id) noexcept;
 
@@ -182,27 +203,53 @@ class Engine {
  private:
   friend class Process;
 
-  struct Event {
+  /// Heap entry.  `seq` is unique, so (time, seq) is a total order and
+  /// equal-time events run in scheduling order.
+  struct Key {
     Time time;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint32_t slot;
+  };
+  /// Slab entry: one pending event's callback.
+  struct Slot {
+    Callback fn;
+    /// Bumped every time the slot is recycled (never 0), so a WatchdogId
+    /// naming an earlier occupant no longer matches.
+    std::uint32_t gen = 1;
+    std::uint32_t next_free = 0;
     obs::EventKind kind = obs::EventKind::kGeneric;
+    /// Cleared when the event dispatches or its watchdog is cancelled; a
+    /// key whose slot is not armed at dispatch skips the callback.
+    bool armed = false;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSlots = 1U << kChunkBits;
+  static constexpr std::uint32_t kNoSlot = ~0U;
+
+  Slot& slot_at(std::uint32_t slot) noexcept {
+    return chunks_[slot >> kChunkBits][slot & (kChunkSlots - 1)];
+  }
+  std::uint32_t acquire_slot(obs::EventKind kind);
+  void release_slot(std::uint32_t slot) noexcept;
+  void push_key(Time t, std::uint32_t slot);
+  /// Store `fn` in a fresh slot and queue its key; returns the slot.
+  template <typename F>
+  std::uint32_t enqueue(Time t, obs::EventKind kind, F&& fn) {
+    assert(t >= now_ && "cannot schedule an event in the virtual past");
+    const std::uint32_t slot = acquire_slot(kind);
+    slot_at(slot).fn = std::forward<F>(fn);
+    push_key(t, slot);
+    return slot;
+  }
 
   void run_process(Process& p);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
-  WatchdogId next_watchdog_ = 1;
-  std::unordered_set<WatchdogId> live_watchdogs_;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::vector<Key> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t free_slot_ = kNoSlot;
   std::vector<std::unique_ptr<Process>> processes_;
   Process* current_ = nullptr;
   bool queue_drained_ = false;

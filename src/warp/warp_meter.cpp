@@ -1,11 +1,31 @@
 #include "warp/warp_meter.hpp"
 
+#include <algorithm>
+#include <cassert>
+#include <utility>
+
 namespace nscc::warp {
+
+void WarpMeter::grow(int nodes) {
+  if (nodes <= nodes_) return;
+  std::vector<Pair> table(static_cast<std::size_t>(nodes) *
+                          static_cast<std::size_t>(nodes));
+  for (int r = 0; r < nodes_; ++r) {
+    for (int s = 0; s < nodes_; ++s) {
+      table[static_cast<std::size_t>(r) * static_cast<std::size_t>(nodes) +
+            static_cast<std::size_t>(s)] = std::move(table_[index(r, s)]);
+    }
+  }
+  table_ = std::move(table);
+  nodes_ = nodes;
+}
 
 void WarpMeter::record(int receiver, int sender, sim::Time send_time,
                        sim::Time arrival_time) {
-  const std::pair<int, int> key{receiver, sender};
-  Last& last = last_[key];
+  assert(receiver >= 0 && sender >= 0);
+  grow(std::max(receiver, sender) + 1);
+  Pair& p = table_[index(receiver, sender)];
+  Last& last = p.last;
   if (last.valid) {
     const sim::Time dsend = send_time - last.send_time;
     const sim::Time darrive = arrival_time - last.arrival_time;
@@ -13,7 +33,7 @@ void WarpMeter::record(int receiver, int sender, sim::Time send_time,
       const double w =
           static_cast<double>(darrive) / static_cast<double>(dsend);
       overall_.add(w);
-      per_pair_[key].add(w);
+      p.stats.add(w);
     }
   }
   last.send_time = send_time;
@@ -22,13 +42,14 @@ void WarpMeter::record(int receiver, int sender, sim::Time send_time,
 }
 
 util::RunningStats WarpMeter::pair(int receiver, int sender) const {
-  auto it = per_pair_.find({receiver, sender});
-  return it == per_pair_.end() ? util::RunningStats{} : it->second;
+  if (receiver < 0 || sender < 0 || receiver >= nodes_ || sender >= nodes_) {
+    return util::RunningStats{};
+  }
+  return table_[index(receiver, sender)].stats;
 }
 
 void WarpMeter::reset() {
-  last_.clear();
-  per_pair_.clear();
+  std::fill(table_.begin(), table_.end(), Pair{});
   overall_.reset();
 }
 

@@ -5,11 +5,14 @@
 // difference in their send times.  Warp ~= 1 on a stable network; values
 // much larger than 1 indicate rising load.  The runtime records a sample
 // for every delivered message, "above PVM", exactly as the paper measured.
+//
+// State lives in a dense receiver x sender table, so recording a delivery is
+// two index computations and no tree lookup or allocation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <vector>
 
 #include "sim/time.hpp"
 #include "util/stats.hpp"
@@ -18,6 +21,11 @@ namespace nscc::warp {
 
 class WarpMeter {
  public:
+  WarpMeter() = default;
+  /// Pre-size the table for node ids [0, nodes); record() grows it on
+  /// demand for larger ids.
+  explicit WarpMeter(int nodes) { grow(nodes); }
+
   /// Record a delivery at `receiver` of a message from `sender` that was
   /// handed to the network at `send_time` and arrived at `arrival_time`.
   void record(int receiver, int sender, sim::Time send_time,
@@ -44,8 +52,21 @@ class WarpMeter {
     bool valid = false;
   };
 
-  std::map<std::pair<int, int>, Last> last_;
-  std::map<std::pair<int, int>, util::RunningStats> per_pair_;
+  struct Pair {
+    Last last;
+    util::RunningStats stats;
+  };
+
+  /// Re-lay the table for node ids [0, nodes), keeping every pair's state.
+  void grow(int nodes);
+  [[nodiscard]] std::size_t index(int receiver, int sender) const noexcept {
+    return static_cast<std::size_t>(receiver) *
+               static_cast<std::size_t>(nodes_) +
+           static_cast<std::size_t>(sender);
+  }
+
+  int nodes_ = 0;
+  std::vector<Pair> table_;  ///< [receiver * nodes_ + sender].
   util::RunningStats overall_;
 };
 

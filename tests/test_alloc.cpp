@@ -1,0 +1,149 @@
+// Heap-allocation budgets of the per-message hot path, read from the
+// process-wide counters behind obs::alloc_counts().  Every budget is taken
+// after a warm-up that grows the reused buffers (key heap, callback slab,
+// transmit-state pool, mailboxes, unpack scratch) to their working size;
+// from then on an event, a message or an applied update must not touch the
+// heap beyond what the budget names.  A closure that silently outgrows its
+// inline buffer, or a copy where a move was meant, fails here.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+
+#include "dsm/shared_space.hpp"
+#include "obs/profiler.hpp"
+#include "rt/vm.hpp"
+#include "sim/engine.hpp"
+
+namespace {
+
+using nscc::obs::alloc_counts;
+using nscc::sim::Engine;
+using nscc::sim::kMillisecond;
+
+std::uint64_t allocs() { return alloc_counts().count; }
+
+/// A fresh payload of `bytes` bytes, packed with exactly one allocation.
+nscc::rt::Packet payload_of(std::uint32_t bytes) {
+  nscc::rt::Packet p;
+  p.reserve(bytes);
+  for (std::uint32_t i = 0; i < bytes; ++i) {
+    p.pack_u8(static_cast<std::uint8_t>(i));
+  }
+  return p;
+}
+
+TEST(AllocBudget, EngineEventsAndWatchdogsAllocateNothing) {
+  Engine eng;
+  std::uint64_t ran = 0;
+  std::uint64_t fired = 0;
+  auto round = [&](int events) {
+    for (int i = 0; i < events; ++i) {
+      const std::array<std::uint64_t, 4> pad{};
+      auto fn = [&ran, pad] { ran += 1 + pad[0]; };
+      static_assert(sizeof(fn) == 40, "a 40-byte capture");
+      eng.schedule(eng.now() + 1 + i % 7, std::move(fn));
+      const auto wd = eng.set_watchdog(eng.now() + 5, [&fired] { ++fired; });
+      EXPECT_TRUE(eng.cancel_watchdog(wd));
+    }
+    eng.run();
+  };
+  round(1000);  // Warm-up: grows the key heap and the slab.
+  const std::uint64_t before = allocs();
+  round(1000);
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_EQ(ran, 2000u);
+  EXPECT_EQ(fired, 0u);
+}
+
+/// Allocations per message, after warm-up, of two tasks trading bursts of
+/// `burst` fresh 35-byte payloads (one allocation each, made here) on a
+/// perfect Ethernet: no fault plan, no reliable transport.  Each side
+/// computes while the other's burst arrives, so the whole burst waits in
+/// its mailbox before the receives drain it.
+double ping_pong_allocs_per_message(int burst) {
+  nscc::rt::MachineConfig machine;
+  machine.ntasks = 2;
+  nscc::rt::VirtualMachine vm(machine);
+  constexpr int kWarm = 200;
+  constexpr int kRounds = 2000;
+  constexpr int kTag = 7;
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  vm.add_task("ping", [&](nscc::rt::Task& t) {
+    for (int i = 0; i < kWarm + kRounds; ++i) {
+      if (i == kWarm) before = allocs();
+      for (int b = 0; b < burst; ++b) t.send(1, kTag, payload_of(35));
+      t.compute(10 * kMillisecond);
+      for (int b = 0; b < burst; ++b) (void)t.recv(kTag);
+    }
+    after = allocs();
+  });
+  vm.add_task("pong", [&](nscc::rt::Task& t) {
+    for (int i = 0; i < kWarm + kRounds; ++i) {
+      t.compute(10 * kMillisecond);
+      for (int b = 0; b < burst; ++b) (void)t.recv(kTag);
+      for (int b = 0; b < burst; ++b) t.send(0, kTag, payload_of(35));
+    }
+  });
+  vm.run();
+  EXPECT_FALSE(vm.deadlocked());
+  return static_cast<double>(after - before) / (2.0 * kRounds * burst);
+}
+
+TEST(AllocBudget, PingPongAllocatesOnlyItsPayloads) {
+  // The runtime adds nothing to the payload: no transmit state, no
+  // delivery closure, no copy at delivery, and no mailbox block even when
+  // several messages wait in a mailbox at once.
+  for (const int burst : {1, 4}) {
+    SCOPED_TRACE(burst);
+    EXPECT_LE(ping_pong_allocs_per_message(burst), 1.0);
+  }
+}
+
+TEST(AllocBudget, ApplyUpdateAllocatesNothing) {
+  // The writer sends two bursts; the reader applies the first (warm-up:
+  // the unpack scratch and the location's buffer reach the value size),
+  // then counts allocations while it applies the second.
+  nscc::rt::MachineConfig machine;
+  machine.ntasks = 2;
+  nscc::rt::VirtualMachine vm(machine);
+  constexpr int kBurst = 200;
+  std::uint64_t applied = 0;
+  std::uint64_t spent = 0;
+  vm.add_task("writer", [&](nscc::rt::Task& t) {
+    nscc::dsm::SharedSpace space(t);
+    space.declare_written(1, {1});
+    for (int i = 0; i < 2 * kBurst; ++i) {
+      if (i == kBurst) t.compute(1000 * kMillisecond);
+      space.write(1, i, payload_of(24));
+    }
+  });
+  vm.add_task("reader", [&](nscc::rt::Task& t) {
+    nscc::dsm::SharedSpace space(t);
+    space.declare_read(1, 0);
+    t.compute(500 * kMillisecond);  // The first burst is queued by now.
+    space.poll();
+    t.compute(2000 * kMillisecond);  // And the second.
+    const std::uint64_t before = allocs();
+    space.poll();
+    spent = allocs() - before;
+    applied = space.stats().updates_applied;
+  });
+  vm.run();
+  ASSERT_FALSE(vm.deadlocked());
+  ASSERT_EQ(applied, 2u * kBurst);
+  EXPECT_EQ(spent, 0u) << spent << " allocations for " << kBurst
+                       << " applied updates";
+}
+
+TEST(AllocBudget, UntracedMachineAllocatesUnderOneMegabyte) {
+  // The trace ring (2^18 events by default) is allocated only when tracing
+  // is switched on; a machine built with default obs::Options stays small.
+  const std::uint64_t before = alloc_counts().bytes;
+  nscc::rt::VirtualMachine vm(nscc::rt::MachineConfig{});
+  EXPECT_LT(alloc_counts().bytes - before, 1u << 20);
+  EXPECT_FALSE(vm.obs().tracer().enabled());
+}
+
+}  // namespace

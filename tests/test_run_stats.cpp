@@ -177,6 +177,8 @@ TEST(RunStatsTruth, HealedPartitionReconcilesEveryDivergence) {
     EXPECT_GT(s.diverged_locations, 0u);
     EXPECT_EQ(s.diverged_locations, s.reconciled_locations);
     EXPECT_EQ(s.split_brain_declarations, 0u);
+    // Every split leaves a side without quorum, whose suspicions park.
+    EXPECT_GT(s.quorum_parks, 0u);
   }
 }
 

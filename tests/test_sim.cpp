@@ -8,6 +8,7 @@
 #include <unistd.h>
 #include <xmmintrin.h>
 
+#include <array>
 #include <cfenv>
 #include <csignal>
 #include <cstdint>
@@ -19,6 +20,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -394,6 +396,131 @@ TEST(Engine, TeardownWithLiveProcessesUnwinds) {
     EXPECT_TRUE(eng.deadlocked());
   }
   EXPECT_TRUE(destroyed);
+}
+
+// ---- The key-heap queue ------------------------------------------------------
+
+TEST(EngineQueue, EqualTimeEventsRunInScheduleOrderUnderChurn) {
+  // Keys at many other times keep the heap reshuffling while equal-time
+  // events are pushed, some of them from inside a running callback at the
+  // current time; each batch must still run in the order it was scheduled.
+  Engine eng;
+  std::vector<int> order;
+  for (int i = 0; i < 64; ++i) {
+    eng.schedule(1000 - 7 * (i % 13), [] {});
+    eng.schedule(500, [&order, i] { order.push_back(i); });
+  }
+  eng.schedule(500, [&] {
+    for (int i = 100; i < 140; ++i) {
+      eng.schedule(eng.now(), [&order, i] { order.push_back(i); });
+      eng.schedule(eng.now() + 1 + i % 3, [] {});
+    }
+  });
+  eng.run();
+  std::vector<int> expected;
+  for (int i = 0; i < 64; ++i) expected.push_back(i);
+  for (int i = 100; i < 140; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EngineQueue, CancelledWatchdogHoldsTheQueueUntilItsTime) {
+  Engine eng;
+  bool fired = false;
+  const auto id = eng.set_watchdog(1000, [&] { fired = true; });
+  eng.schedule(10, [&] { EXPECT_TRUE(eng.cancel_watchdog(id)); });
+  eng.run();
+  EXPECT_FALSE(fired);
+  // The cancelled key still dispatched at its time, as a no-op.
+  EXPECT_EQ(eng.now(), 1000);
+  EXPECT_EQ(eng.events_executed(), 2u);
+  EXPECT_FALSE(eng.cancel_watchdog(id));
+}
+
+TEST(EngineQueue, StaleWatchdogIdDoesNotCancelTheSlotsNextEvent) {
+  // A fired watchdog's slot is recycled for the next event; the old id
+  // must not reach the new occupant.
+  Engine eng;
+  int fired = 0;
+  const auto id = eng.set_watchdog(5, [&] { ++fired; });
+  eng.run();
+  eng.schedule(10, [&] { ++fired; });
+  EXPECT_FALSE(eng.cancel_watchdog(id));
+  eng.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EngineQueue, WatchdogCannotCancelItselfWhileFiring) {
+  Engine eng;
+  Engine::WatchdogId id = 0;
+  bool cancelled = true;
+  id = eng.set_watchdog(5, [&] { cancelled = eng.cancel_watchdog(id); });
+  eng.run();
+  EXPECT_FALSE(cancelled);
+}
+
+TEST(EngineQueue, CallbackGrowingTheSlabMidDispatchStaysIntact) {
+  // One callback schedules far more events than the slab holds, so the
+  // slab grows while that callback is running.  The callback reads its own
+  // captures afterwards: if its storage had moved, that read would be a
+  // use-after-free (the sanitizer job flags it).
+  Engine eng;
+  // A heap-backed, non-const capture in a mutable closure: the read after
+  // the loop must go back to the closure's storage.
+  std::string label(64, 'x');
+  std::uint64_t sum = 0;
+  int grown = 0;
+  eng.schedule(1, [&eng, &sum, &grown, label]() mutable {
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+      const std::array<std::uint64_t, 4> pad{i, i, i, i};
+      eng.schedule(2 + static_cast<Time>(i % 5),
+                   [&sum, pad] { sum += pad[0] + pad[3]; });
+    }
+    grown = label == std::string(64, 'x') ? 1 : -1;
+  });
+  eng.run();
+  EXPECT_EQ(grown, 1);
+  EXPECT_EQ(sum, 2 * (2999ULL * 3000ULL / 2));
+  EXPECT_EQ(eng.events_executed(), 3001u);
+}
+
+// ---- InlineFunction ------------------------------------------------------------
+
+TEST(InlineFunction, SmallCapturesStayInline) {
+  using Fn = nscc::sim::InlineFunction<int(int), 24>;
+  int base = 5;
+  auto add = [&base](int x) { return base + x; };
+  static_assert(Fn::kStoredInline<decltype(add)>);
+  Fn f = add;
+  EXPECT_EQ(f(2), 7);
+  Fn g = std::move(f);
+  EXPECT_FALSE(f);  // NOLINT: moved-from is empty by contract.
+  EXPECT_EQ(g(3), 8);
+}
+
+TEST(InlineFunction, OversizedCaptureFallsBackToTheHeap) {
+  using Fn = nscc::sim::InlineFunction<std::uint64_t(), 16>;
+  auto token = std::make_shared<int>(0);
+  const std::array<std::uint64_t, 4> big{1, 2, 3, 4};
+  auto sum = [big, token] { return big[0] + big[1] + big[2] + big[3]; };
+  static_assert(!Fn::kStoredInline<decltype(sum)>);
+  {
+    Fn f = sum;
+    Fn g = std::move(f);
+    EXPECT_EQ(g(), 10u);
+    EXPECT_EQ(token.use_count(), 3);  // token, `sum`, g's heap copy.
+  }
+  EXPECT_EQ(token.use_count(), 2);  // The heap copy was destroyed once.
+}
+
+TEST(InlineFunction, HoldsMoveOnlyCaptures) {
+  using Fn = nscc::sim::InlineFunction<int(), 16>;
+  auto owned = std::make_unique<int>(42);
+  Fn f = [p = std::move(owned)] { return *p; };
+  Fn g;
+  g = std::move(f);
+  EXPECT_EQ(g(), 42);
+  g.reset();
+  EXPECT_FALSE(g);
 }
 
 }  // namespace
