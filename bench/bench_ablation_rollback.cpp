@@ -6,7 +6,8 @@
 // to restrict the number of costly rollbacks).
 #include <iostream>
 
-#include "exp/bayes_experiments.hpp"
+#include "bayes/generators.hpp"
+#include "bayes/parallel_sampling.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -21,7 +22,7 @@ int main(int argc, char** argv) {
   table.columns({"network", "variant", "rollbacks", "nodes resampled",
                  "gr blocks", "block time s", "completion s"});
 
-  for (const auto& named : nscc::exp::table2_networks()) {
+  for (const auto& named : nscc::bayes::table2_networks()) {
     if (named.name != "A" && named.name != "Hailfinder") continue;
     const auto queries = nscc::bayes::default_queries(named.net, 3, 11);
     auto run_one = [&](const std::string& label, nscc::dsm::Mode mode,

@@ -9,7 +9,8 @@
 // the communication load (processor count).
 #include <iostream>
 
-#include "exp/ga_experiments.hpp"
+#include "harness/cell.hpp"
+#include "harness/workloads.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -26,30 +27,31 @@ int main(int argc, char** argv) {
   table.columns({"network", "P", "sync", "async", "age10", "age30",
                  "best partial/sync", "net util (sync)"});
 
+  nscc::harness::GaIslandWorkload ga;
+  ga.function_id = static_cast<int>(flags.get_int("function"));
+  ga.generations = static_cast<int>(flags.get_int("generations"));
+  nscc::harness::CellConfig cfg;
+  cfg.variants = nscc::harness::CellConfig::paper_variants({10, 30});
+  cfg.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   for (auto [label, network] :
        {std::pair{"10Mb Ethernet", nscc::rt::Network::kEthernet},
         {"SP2 switch", nscc::rt::Network::kSp2Switch}}) {
+    cfg.machine.network = network;
     for (int P : {4, 16}) {
-      nscc::exp::GaCellConfig cfg;
-      cfg.function_id = static_cast<int>(flags.get_int("function"));
-      cfg.processors = P;
-      cfg.generations = static_cast<int>(flags.get_int("generations"));
-      cfg.reps = 1;
-      cfg.ages = {10, 30};
-      cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-      cfg.machine.network = network;
-      const auto cell = nscc::exp::run_ga_cell(cfg);
-      const double best_partial = std::max(cell.variant("age10").speedup,
-                                           cell.variant("age30").speedup);
+      ga.demes = P;
+      const auto cell = nscc::harness::run_cell(ga, cfg);
+      const auto& sync = cell.variant("sync");
+      const double best_partial = std::max(cell.variant("partial", 10).speedup,
+                                           cell.variant("partial", 30).speedup);
       table.row()
           .cell(label)
           .cell(static_cast<std::int64_t>(P))
-          .cell(cell.variant("sync").speedup, 2)
+          .cell(sync.speedup, 2)
           .cell(cell.variant("async").speedup, 2)
-          .cell(cell.variant("age10").speedup, 2)
-          .cell(cell.variant("age30").speedup, 2)
-          .cell(best_partial / cell.variant("sync").speedup, 2)
-          .cell(cell.variant("sync").bus_utilization, 2);
+          .cell(cell.variant("partial", 10).speedup, 2)
+          .cell(cell.variant("partial", 30).speedup, 2)
+          .cell(best_partial / sync.speedup, 2)
+          .cell(sync.field("bus_utilization"), 2);
     }
   }
   table.print(std::cout);

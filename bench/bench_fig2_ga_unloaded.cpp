@@ -12,29 +12,21 @@
 #include <utility>
 #include <vector>
 
-#include "exp/ga_experiments.hpp"
+#include "harness/cell.hpp"
 #include "harness/sweep.hpp"
-#include "sim/time.hpp"
+#include "harness/workloads.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-/// Map an exp:: variant name onto the harness (variant, age) pair:
-/// "age10" -> ("partial", 10); "serial"/"sync"/"async" keep their names.
-std::pair<std::string, long> split_variant(const std::string& name) {
-  if (name.rfind("age", 0) == 0) return {"partial", std::stol(name.substr(3))};
-  return {name, 0};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("generations", 200, "sync/serial generation budget (paper: 1000)")
       .add_int("reps", 2, "repetitions (paper: 25)")
+      .range("reps", 1)
       .add_int("functions", 8, "use test functions 1..N")
-      .add_string("procs", "2,4,8,16", "comma-separated processor counts")
+      .range("functions", 1, 8)
+      .add_int_list("procs", "2,4,8,16", "comma-separated processor counts")
+      .range("procs", 1)
       .add_int("seed", 1, "base seed")
       .add_bool("paper-scale", false, "paper protocol: 1000 gens, 25 reps")
       .add_bool("csv", false, "also emit CSV");
@@ -43,113 +35,65 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   sweep.configure(flags);
 
-  int generations = static_cast<int>(flags.get_int("generations"));
-  int reps = static_cast<int>(flags.get_int("reps"));
+  nscc::harness::GaIslandWorkload ga;
+  ga.generations = static_cast<int>(flags.get_int("generations"));
+  nscc::harness::CellConfig cfg;
+  cfg.reps = static_cast<int>(flags.get_int("reps"));
   if (flags.get_bool("paper-scale")) {
-    generations = 1000;
-    reps = 25;
+    ga.generations = 1000;
+    cfg.reps = 25;
   }
+  cfg.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   const int nfuncs = static_cast<int>(flags.get_int("functions"));
 
-  std::vector<int> procs;
-  {
-    const std::string& s = flags.get_string("procs");
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      const auto comma = s.find(',', pos);
-      procs.push_back(std::stoi(s.substr(pos, comma - pos)));
-      pos = comma == std::string::npos ? s.size() : comma + 1;
-    }
-  }
-
-  const std::vector<std::string> variant_names = {
-      "sync", "async", "age0", "age5", "age10", "age20", "age30"};
-
-  for (int P : procs) {
-    std::vector<nscc::exp::GaCellResult> cells;
+  for (const std::int64_t P : flags.get_int_list("procs")) {
+    ga.demes = static_cast<int>(P);
+    std::vector<nscc::harness::CellResult> cells;
     for (int f = 1; f <= nfuncs; ++f) {
-      nscc::exp::GaCellConfig cfg;
-      cfg.function_id = f;
-      cfg.processors = P;
-      cfg.generations = generations;
-      cfg.reps = reps;
-      cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-      cells.push_back(nscc::exp::run_ga_cell(cfg));
+      ga.function_id = f;
+      cells.push_back(nscc::harness::run_cell(ga, cfg));
       // Each variant's aggregated cell (means over reps -> repeat = -1).
       for (const auto& v : cells.back().variants) {
-        const auto [variant, age] = split_variant(v.name);
         nscc::harness::SweepRecord rec;
         rec.workload = "ga.island";
-        rec.variant = variant;
-        rec.age = age;
-        rec.seed = cfg.seed;
+        rec.variant = v.spec.name;
+        rec.age = v.spec.age;
+        rec.seed = cfg.base.seed;
         rec.repeat = -1;
         rec.params = {{"processors", static_cast<double>(P)},
                       {"function", static_cast<double>(f)},
-                      {"generations", static_cast<double>(generations)},
-                      {"reps", static_cast<double>(reps)}};
+                      {"generations", static_cast<double>(ga.generations)},
+                      {"reps", static_cast<double>(cfg.reps)}};
         rec.stats = {{"speedup", v.speedup},
-                     {"mean_time_s", v.mean_time_s},
-                     {"final_best", v.final_best},
-                     {"mean_generations", v.mean_generations},
-                     {"quality_ok_fraction", v.quality_ok_fraction},
-                     {"bus_utilization", v.bus_utilization},
-                     {"mean_warp", v.mean_warp}};
+                     {"mean_time_s", v.field("completion_s")},
+                     {"final_best", v.field("best_fitness")},
+                     {"mean_generations", v.field("generations")},
+                     {"quality_ok_fraction", v.field("quality_ok", 1.0)},
+                     {"bus_utilization", v.field("bus_utilization")},
+                     {"mean_warp", v.field("mean_warp")}};
         sweep.add(std::move(rec));
       }
     }
-    const auto avg = nscc::exp::average_cells(cells);
+    const auto avg = nscc::harness::average_cells(cells);
 
     nscc::util::Table table("Figure 2 - GA speedups, unloaded network, P=" +
                             std::to_string(P));
-    std::vector<std::string> cols = {"series"};
-    for (const auto& n : variant_names) cols.push_back(n);
-    cols.push_back("best/bestcomp");
-    table.columns(cols);
-
-    auto emit = [&](const std::string& label,
-                    const std::vector<nscc::exp::GaVariantResult>& variants,
-                    double white_bar) {
-      table.row().cell(label);
-      for (const auto& name : variant_names) {
-        for (const auto& v : variants) {
-          if (v.name == name) {
-            table.cell(v.speedup, 2);
-            break;
-          }
-        }
-      }
-      table.cell(white_bar, 2);
-    };
-    emit("f1 (best case)", cells.front().variants,
-         cells.front().best_partial_over_best_competitor());
-    // The paper's white bar for the average panel: best partial vs best
-    // competitor computed on the averaged speedups.
-    double best_partial = 0.0;
-    double best_other = 0.0;
-    for (const auto& v : avg) {
-      if (v.name.rfind("age", 0) == 0) {
-        best_partial = std::max(best_partial, v.speedup);
-      } else if (v.name != "serial") {
-        best_other = std::max(best_other, v.speedup);
-      }
-    }
-    // Serial itself is a competitor with speedup 1 by definition.
-    best_other = std::max(best_other, 1.0);
-    emit("average (8 fns)", avg, best_partial / best_other);
+    table.columns(nscc::harness::figure_columns({"series"}, cfg.variants));
+    add_speedups(table.row().cell("f1 (best case)"), cells.front());
+    add_speedups(table.row().cell("average (8 fns)"), avg);
     table.print(std::cout);
 
     nscc::util::Table diag("diagnostics (f1): generations to match sync "
                            "quality, bus utilization, warp");
     diag.columns({"variant", "gens", "quality ok", "bus util", "warp"});
     for (const auto& v : cells.front().variants) {
-      if (v.name == "serial") continue;
+      if (v.spec.name == "serial") continue;
       diag.row()
-          .cell(v.name)
-          .cell(v.mean_generations, 0)
-          .cell(v.quality_ok_fraction, 2)
-          .cell(v.bus_utilization, 2)
-          .cell(v.mean_warp, 2);
+          .cell(v.spec.tag())
+          .cell(v.field("generations"), 0)
+          .cell(v.field("quality_ok"), 2)
+          .cell(v.field("bus_utilization"), 2)
+          .cell(v.field("mean_warp"), 2);
     }
     diag.print(std::cout);
     std::cout << '\n';

@@ -7,23 +7,17 @@
 #include <string>
 #include <utility>
 
-#include "exp/bayes_experiments.hpp"
+#include "bayes/generators.hpp"
+#include "harness/cell.hpp"
 #include "harness/sweep.hpp"
+#include "harness/workloads.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-std::pair<std::string, long> split_variant(const std::string& name) {
-  if (name.rfind("age", 0) == 0) return {"partial", std::stol(name.substr(3))};
-  return {name, 0};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("reps", 3, "repetitions (paper: 10)")
+      .range("reps", 1)
       .add_int("queries", 3, "query nodes per network")
       .add_int("seed", 21, "base seed")
       .add_bool("paper-scale", false, "paper protocol: 10 reps")
@@ -33,86 +27,76 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   sweep.configure(flags);
 
-  nscc::exp::BayesCellConfig cfg;
+  nscc::harness::CellConfig cfg;
   cfg.reps = flags.get_bool("paper-scale")
                  ? 10
                  : static_cast<int>(flags.get_int("reps"));
-  cfg.queries_per_net = static_cast<int>(flags.get_int("queries"));
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  cfg.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  const int queries = static_cast<int>(flags.get_int("queries"));
 
-  std::vector<nscc::exp::BayesCellResult> cells;
-  for (const auto& net : nscc::exp::table2_networks()) {
-    cells.push_back(nscc::exp::run_bayes_cell(net, cfg));
+  // Two processors, as in the paper: the small networks do not exhibit
+  // enough parallelism for more.
+  nscc::harness::BayesSamplingWorkload bayes;
+  bayes.evidence.clear();
+  bayes.query_names.clear();
+  std::vector<std::string> names;
+  std::vector<nscc::harness::CellResult> cells;
+  for (auto& [name, net] : nscc::bayes::table2_networks()) {
+    // One query set per network, drawn from the base seed.
+    bayes.queries = nscc::bayes::default_queries(net, queries, cfg.base.seed);
+    bayes.network = std::move(net);
+    cells.push_back(nscc::harness::run_cell(bayes, cfg));
+    names.push_back(name);
     // Aggregated per-variant records (means over reps -> repeat = -1); the
     // belief-network instance rides on the workload name after ':'.
     const std::size_t net_index = cells.size() - 1;
     for (const auto& v : cells.back().variants) {
-      const auto [variant, age] = split_variant(v.name);
       nscc::harness::SweepRecord rec;
-      rec.workload = "bayes.sampling:" + cells.back().network;
-      rec.variant = variant;
-      rec.age = age;
-      rec.seed = cfg.seed;
+      rec.workload = "bayes.sampling:" + name;
+      rec.variant = v.spec.name;
+      rec.age = v.spec.age;
+      rec.seed = cfg.base.seed;
       rec.repeat = -1;
-      rec.params = {{"processors", static_cast<double>(cfg.processors)},
+      rec.params = {{"processors", static_cast<double>(bayes.parts)},
                     {"network_index", static_cast<double>(net_index)},
-                    {"queries", static_cast<double>(cfg.queries_per_net)},
+                    {"queries", static_cast<double>(queries)},
                     {"reps", static_cast<double>(cfg.reps)}};
       rec.stats = {{"speedup", v.speedup},
-                   {"mean_time_s", v.mean_time_s},
-                   {"converged_fraction", v.converged_fraction},
-                   {"rollbacks", v.rollbacks},
-                   {"nodes_resampled", v.nodes_resampled},
-                   {"mean_warp", v.mean_warp}};
+                   {"mean_time_s", v.field("completion_s")},
+                   {"converged_fraction", v.field("converged")},
+                   {"rollbacks", v.field("rollbacks")},
+                   {"nodes_resampled", v.field("nodes_resampled")},
+                   {"mean_warp", v.field("mean_warp")}};
       sweep.add(std::move(rec));
     }
   }
-  const auto avg = nscc::exp::average_bayes_cells(cells);
+  const auto avg = nscc::harness::average_cells(cells);
 
   nscc::util::Table table(
       "Figure 3 - Bayesian network speedups, 2 processors, unloaded network");
-  std::vector<std::string> cols = {"network"};
-  for (const auto& v : cells.front().variants) {
-    if (v.name != "serial") cols.push_back(v.name);
+  table.columns(nscc::harness::figure_columns({"network"}, cfg.variants));
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    add_speedups(table.row().cell(names[i]), cells[i]);
   }
-  cols.push_back("best/bestcomp");
-  table.columns(cols);
-
-  for (const auto& cell : cells) {
-    table.row().cell(cell.network);
-    for (const auto& v : cell.variants) {
-      if (v.name != "serial") table.cell(v.speedup, 2);
-    }
-    table.cell(cell.best_partial_over_best_competitor(), 2);
-  }
-  table.row().cell("average");
-  double best_partial = 0.0;
-  double best_other = 1.0;  // Serial is always a competitor at 1.0.
-  for (const auto& v : avg) {
-    if (v.name == "serial") continue;
-    table.cell(v.speedup, 2);
-    if (v.name.rfind("age", 0) == 0) {
-      best_partial = std::max(best_partial, v.speedup);
-    } else {
-      best_other = std::max(best_other, v.speedup);
-    }
-  }
-  table.cell(best_partial / best_other, 2);
+  add_speedups(table.row().cell("average"), avg);
   table.print(std::cout);
 
   nscc::util::Table diag("Rollback diagnostics (mean per run)");
   diag.columns({"network", "async rollbacks", "async resampled",
                 "age5 rollbacks", "age5 resampled", "age30 rollbacks",
                 "age30 resampled"});
-  for (const auto& cell : cells) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& async = cells[i].variant("async");
+    const auto& age5 = cells[i].variant("partial", 5);
+    const auto& age30 = cells[i].variant("partial", 30);
     diag.row()
-        .cell(cell.network)
-        .cell(cell.variant("async").rollbacks, 0)
-        .cell(cell.variant("async").nodes_resampled, 0)
-        .cell(cell.variant("age5").rollbacks, 0)
-        .cell(cell.variant("age5").nodes_resampled, 0)
-        .cell(cell.variant("age30").rollbacks, 0)
-        .cell(cell.variant("age30").nodes_resampled, 0);
+        .cell(names[i])
+        .cell(async.field("rollbacks"), 0)
+        .cell(async.field("nodes_resampled"), 0)
+        .cell(age5.field("rollbacks"), 0)
+        .cell(age5.field("nodes_resampled"), 0)
+        .cell(age30.field("rollbacks"), 0)
+        .cell(age30.field("nodes_resampled"), 0);
   }
   std::cout << '\n';
   diag.print(std::cout);

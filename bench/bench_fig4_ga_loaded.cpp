@@ -7,7 +7,8 @@
 #include <iostream>
 #include <vector>
 
-#include "exp/ga_experiments.hpp"
+#include "harness/cell.hpp"
+#include "harness/workloads.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -15,72 +16,43 @@ int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("generations", 200, "sync/serial generation budget (paper: 1000)")
       .add_int("reps", 2, "repetitions (paper: 25)")
+      .range("reps", 1)
       .add_int("functions", 8, "use test functions 1..N")
+      .range("functions", 1, 8)
       .add_int("processors", 4, "GA processors (paper: 4 + 2 loader nodes)")
+      .range("processors", 1)
       .add_int("seed", 1, "base seed")
       .add_bool("paper-scale", false, "paper protocol: 1000 gens, 25 reps")
       .add_bool("csv", false, "also emit CSV");
   if (!flags.parse(argc, argv)) return 1;
 
-  int generations = static_cast<int>(flags.get_int("generations"));
-  int reps = static_cast<int>(flags.get_int("reps"));
+  nscc::harness::GaIslandWorkload ga;
+  ga.generations = static_cast<int>(flags.get_int("generations"));
+  ga.demes = static_cast<int>(flags.get_int("processors"));
+  nscc::harness::CellConfig cfg;
+  cfg.reps = static_cast<int>(flags.get_int("reps"));
   if (flags.get_bool("paper-scale")) {
-    generations = 1000;
-    reps = 25;
+    ga.generations = 1000;
+    cfg.reps = 25;
   }
+  cfg.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   const int nfuncs = static_cast<int>(flags.get_int("functions"));
 
-  const std::vector<double> loads_mbps = {0.0, 0.5, 1.0, 2.0};
-  const std::vector<std::string> variant_names = {
-      "sync", "async", "age0", "age5", "age10", "age20", "age30"};
-
   nscc::util::Table table("Figure 4 - GA speedups on the loaded network (P=" +
-                          std::to_string(flags.get_int("processors")) + ")");
-  std::vector<std::string> cols = {"load", "series"};
-  for (const auto& n : variant_names) cols.push_back(n);
-  cols.push_back("best/bestcomp");
-  table.columns(cols);
+                          std::to_string(ga.demes) + ")");
+  table.columns(nscc::harness::figure_columns({"load", "series"}, cfg.variants));
 
-  for (double load : loads_mbps) {
-    std::vector<nscc::exp::GaCellResult> cells;
+  for (double load : {0.0, 0.5, 1.0, 2.0}) {
+    cfg.base.loader_offered_bps = load * 1e6;
+    std::vector<nscc::harness::CellResult> cells;
     for (int f = 1; f <= nfuncs; ++f) {
-      nscc::exp::GaCellConfig cfg;
-      cfg.function_id = f;
-      cfg.processors = static_cast<int>(flags.get_int("processors"));
-      cfg.generations = generations;
-      cfg.reps = reps;
-      cfg.loader_mbps = load;
-      cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-      cells.push_back(nscc::exp::run_ga_cell(cfg));
+      ga.function_id = f;
+      cells.push_back(nscc::harness::run_cell(ga, cfg));
     }
-    const auto avg = nscc::exp::average_cells(cells);
-
-    auto emit = [&](const std::string& label,
-                    const std::vector<nscc::exp::GaVariantResult>& variants,
-                    double white_bar) {
-      table.row().cell(nscc::util::format_double(load, 1) + " Mbps").cell(label);
-      for (const auto& name : variant_names) {
-        for (const auto& v : variants) {
-          if (v.name == name) {
-            table.cell(v.speedup, 2);
-            break;
-          }
-        }
-      }
-      table.cell(white_bar, 2);
-    };
-    emit("f1", cells.front().variants,
-         cells.front().best_partial_over_best_competitor());
-    double best_partial = 0.0;
-    double best_other = 1.0;
-    for (const auto& v : avg) {
-      if (v.name.rfind("age", 0) == 0) {
-        best_partial = std::max(best_partial, v.speedup);
-      } else if (v.name != "serial") {
-        best_other = std::max(best_other, v.speedup);
-      }
-    }
-    emit("average", avg, best_partial / best_other);
+    const std::string label = nscc::util::format_double(load, 1) + " Mbps";
+    add_speedups(table.row().cell(label).cell("f1"), cells.front());
+    add_speedups(table.row().cell(label).cell("average"),
+                 nscc::harness::average_cells(cells));
   }
   table.print(std::cout);
   if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();

@@ -6,7 +6,9 @@
 #include <map>
 #include <string>
 
-#include "exp/bayes_experiments.hpp"
+#include "bayes/generators.hpp"
+#include "bayes/partitioner.hpp"
+#include "harness/workloads.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -31,28 +33,38 @@ int main(int argc, char** argv) {
       {"Hailfinder", {1.2, 4, 4, 3.15}},
   };
 
-  const auto rows = nscc::exp::measure_table2(
-      static_cast<int>(flags.get_int("queries")),
-      static_cast<std::uint64_t>(flags.get_int("seed")));
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  nscc::harness::BayesSamplingWorkload bayes;
+  bayes.evidence.clear();
+  bayes.query_names.clear();
+  nscc::harness::RunConfig run;
+  run.seed = seed;
 
   nscc::util::Table table("Table 2 - four Bayesian belief networks");
   table.columns({"network", "nodes", "edges/node (paper)", "values/node (paper)",
                  "edge-cut 2p (paper)", "uniproc time s (paper)", "samples"});
-  for (const auto& row : rows) {
-    const auto& p = paper.at(row.name);
+  for (auto& [name, net] : nscc::bayes::table2_networks()) {
+    const auto& p = paper.at(name);
     auto fmt = [](double ours, double theirs, int prec) {
       return nscc::util::format_double(ours, prec) + " (" +
              nscc::util::format_double(theirs, prec) + ")";
     };
+    nscc::bayes::PartitionConfig pc;
+    pc.parts = 2;
+    const int cut =
+        nscc::bayes::edge_cut(net, nscc::bayes::partition_network(net, pc));
+    bayes.queries = nscc::bayes::default_queries(
+        net, static_cast<int>(flags.get_int("queries")), seed);
+    bayes.network = std::move(net);
+    const nscc::harness::RunStats serial = bayes.reference(run);
     table.row()
-        .cell(row.name)
-        .cell(static_cast<std::int64_t>(row.nodes))
-        .cell(fmt(row.edges_per_node, p.edges_per_node, 1))
-        .cell(fmt(row.values_per_node, p.values, 0))
-        .cell(std::to_string(row.edge_cut_2way) + " (" + std::to_string(p.cut) +
-              ")")
-        .cell(fmt(row.uniprocessor_time_s, p.time_s, 2))
-        .cell(row.samples);
+        .cell(name)
+        .cell(static_cast<std::int64_t>(bayes.network.size()))
+        .cell(fmt(bayes.network.edges_per_node(), p.edges_per_node, 1))
+        .cell(fmt(bayes.network.average_cardinality(), p.values, 0))
+        .cell(std::to_string(cut) + " (" + std::to_string(p.cut) + ")")
+        .cell(fmt(nscc::sim::to_seconds(serial.completion_time), p.time_s, 2))
+        .cell(static_cast<std::uint64_t>(serial.extra_value("samples_drawn")));
   }
   table.print(std::cout);
   if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();

@@ -8,8 +8,9 @@
 #include <iostream>
 #include <memory>
 
-#include "exp/ga_experiments.hpp"
 #include "fault/fault.hpp"
+#include "harness/cell.hpp"
+#include "harness/workloads.hpp"
 #include "net/load_generator.hpp"
 #include "obs/obs.hpp"
 #include "rt/vm.hpp"
@@ -98,21 +99,21 @@ int main(int argc, char** argv) {
 
   nscc::util::Table ga("Warp observed by the island GA (P=16)");
   ga.columns({"load", "sync warp", "async warp", "age10 warp"});
+  nscc::harness::GaIslandWorkload island;
+  island.function_id = 1;
+  island.demes = 16;
+  island.generations = static_cast<int>(flags.get_int("generations"));
+  nscc::harness::CellConfig cfg;
+  cfg.variants = nscc::harness::CellConfig::paper_variants({10});
+  cfg.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   for (double load : {0.0, 1.0, 2.0}) {
-    nscc::exp::GaCellConfig cfg;
-    cfg.function_id = 1;
-    cfg.processors = 16;
-    cfg.generations = static_cast<int>(flags.get_int("generations"));
-    cfg.reps = 1;
-    cfg.ages = {10};
-    cfg.loader_mbps = load;
-    cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    const auto cell = nscc::exp::run_ga_cell(cfg);
+    cfg.base.loader_offered_bps = load * 1e6;
+    const auto cell = nscc::harness::run_cell(island, cfg);
     ga.row()
         .cell(nscc::util::format_double(load, 1) + " Mbps")
-        .cell(cell.variant("sync").mean_warp, 3)
-        .cell(cell.variant("async").mean_warp, 3)
-        .cell(cell.variant("age10").mean_warp, 3);
+        .cell(cell.variant("sync").field("mean_warp"), 3)
+        .cell(cell.variant("async").field("mean_warp"), 3)
+        .cell(cell.variant("partial", 10).field("mean_warp"), 3);
   }
   std::cout << '\n';
   ga.print(std::cout);

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "bayes/network.hpp"
 
@@ -39,5 +41,12 @@ BeliefNetwork make_network_c();
 
 /// Hailfinder-like synthetic diagnostic network (see header comment).
 BeliefNetwork make_hailfinder_like();
+
+/// The paper's four-network test set, in Table 2 order.
+struct NamedNetwork {
+  std::string name;
+  BeliefNetwork net;
+};
+std::vector<NamedNetwork> table2_networks();
 
 }  // namespace nscc::bayes

@@ -17,6 +17,41 @@
 
 namespace nscc::harness {
 
+namespace {
+
+/// Small figures of merit (residuals, near-optimal fitness) need scientific
+/// notation; everything else reads best fixed.
+std::string format_quality(double v) {
+  char buf[32];
+  if (v != 0.0 && std::fabs(v) < 1e-3) {
+    std::snprintf(buf, sizeof buf, "%.3e", v);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.4f", v);
+  }
+  return buf;
+}
+
+/// The preamble line: the serial baseline every variant is compared with.
+/// Whole-number extras (counts, flags) print without decimals.
+void print_reference(const RunStats& serial) {
+  char seconds[32];
+  std::snprintf(seconds, sizeof seconds, "%.2f",
+                sim::to_seconds(serial.completion_time));
+  std::cout << "serial reference: " << seconds << "s virtual, "
+            << serial.quality_name << '=' << format_quality(serial.quality);
+  for (const auto& [name, value] : serial.extra) {
+    std::cout << ", " << name << '=';
+    if (value == std::trunc(value) && std::fabs(value) < 1e15) {
+      std::cout << static_cast<long long>(value);
+    } else {
+      std::cout << format_quality(value);
+    }
+  }
+  std::cout << '\n';
+}
+
+}  // namespace
+
 int drive(int argc, char** argv, const DriveOptions& options) {
   Workload* workload = Registry::global().find(options.workload);
   if (workload == nullptr) {
@@ -143,7 +178,7 @@ int drive(int argc, char** argv, const DriveOptions& options) {
       static_cast<sim::Time>(heartbeat_ms) * sim::kMillisecond;
   base.recovery.suspect_timeout =
       static_cast<sim::Time>(suspect_ms) * sim::kMillisecond;
-  workload->print_reference(std::cout, base);
+  print_reference(workload->reference(base));
 
   struct Row {
     std::string scenario;
@@ -160,12 +195,7 @@ int drive(int argc, char** argv, const DriveOptions& options) {
     if (!plan.empty()) any_fault = true;
     if (plan.partitionable()) any_partition = true;
     for (const auto& v : variants) {
-      RunConfig run = base;
-      run.mode = v.mode;
-      run.age = v.age;
-      // Staleness tolerance is what licenses update coalescing (paper
-      // Sections 1-2); sync and uncontrolled async send directly.
-      run.propagation.coalesce = v.mode == dsm::Mode::kPartialAsync;
+      RunConfig run = for_variant(base, v);
       // Anti-entropy heal only arms when the plan can actually split the
       // cluster, so partition-free runs stay byte-identical.
       run.propagation.partition_heal = heal && plan.partitionable();
@@ -226,17 +256,9 @@ int drive(int argc, char** argv, const DriveOptions& options) {
     if (scenario_column) table.cell(row.scenario);
     if (model_column) table.cell(consistency);
     const RunStats& s = row.stats;
-    // Small figures of merit (residuals, near-optimal fitness) need
-    // scientific notation; everything else reads best fixed.
-    char quality[32];
-    if (s.quality != 0.0 && std::fabs(s.quality) < 1e-3) {
-      std::snprintf(quality, sizeof quality, "%.3e", s.quality);
-    } else {
-      std::snprintf(quality, sizeof quality, "%.4f", s.quality);
-    }
     table.cell(row.variant + (s.deadlocked ? " (DEADLOCK)" : ""))
         .cell(sim::to_seconds(s.completion_time), 2)
-        .cell(quality)
+        .cell(format_quality(s.quality))
         .cell(s.messages_sent)
         .cell(s.global_read_blocks)
         .cell(sim::to_seconds(s.global_read_block_time), 2)

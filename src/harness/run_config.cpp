@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "sanitize/sanitize.hpp"
+#include "util/flags.hpp"
 
 namespace nscc::harness {
 
@@ -96,11 +97,22 @@ std::vector<std::pair<std::string, double>> RunStats::to_fields() const {
   return fields;
 }
 
+double RunStats::extra_value(const std::string& name) const {
+  for (const auto& [key, value] : extra) {
+    if (key == name) return value;
+  }
+  throw std::out_of_range("RunStats: no extra field " + name);
+}
+
 std::string VariantSpec::label() const {
   if (name == "sync") return "synchronous";
   if (name == "async") return "asynchronous";
   if (name == "partial") return "Global_Read(" + std::to_string(age) + ")";
   return name;
+}
+
+std::string VariantSpec::tag() const {
+  return name == "partial" ? "age" + std::to_string(age) : name;
 }
 
 const std::vector<std::string>& variant_names() {
@@ -120,14 +132,18 @@ VariantSpec make_variant(const std::string& name, dsm::Iteration partial_age) {
 std::vector<VariantSpec> parse_variants(const std::string& csv,
                                         dsm::Iteration partial_age) {
   std::vector<VariantSpec> specs;
-  std::size_t pos = 0;
-  for (;;) {
-    const auto comma = csv.find(',', pos);
-    specs.push_back(make_variant(csv.substr(pos, comma - pos), partial_age));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (const auto& name : util::split_csv(csv)) {
+    specs.push_back(make_variant(name, partial_age));
   }
   return specs;
+}
+
+RunConfig for_variant(const RunConfig& base, const VariantSpec& variant) {
+  RunConfig run = base;
+  run.mode = variant.mode;
+  run.age = variant.age;
+  run.propagation.coalesce = variant.mode == dsm::Mode::kPartialAsync;
+  return run;
 }
 
 }  // namespace nscc::harness

@@ -92,10 +92,13 @@ struct RunStats {
   std::string quality_name = "quality";
   double quality = 0.0;
   /// Workload-specific diagnostics appended to JSON output.
-  std::vector<std::pair<std::string, double>> extra;
+  std::vector<std::pair<std::string, double>> extra = {};
 
   /// Flat name -> value view (times in seconds) for JSON serialisation.
   [[nodiscard]] std::vector<std::pair<std::string, double>> to_fields() const;
+
+  /// The named entry of `extra`; throws std::out_of_range when absent.
+  [[nodiscard]] double extra_value(const std::string& name) const;
 
   /// Every mechanism field, read from a finished machine's registry (the
   /// rt.*, dsm.*, net.*, fault.*, recovery.* and sanitize.* counters, the
@@ -117,6 +120,8 @@ struct VariantSpec {
   /// Human label for tables ("synchronous" / "asynchronous" /
   /// "Global_Read(age)").
   [[nodiscard]] std::string label() const;
+  /// Column tag for the figure tables: the name, or "age<N>" for partial.
+  [[nodiscard]] std::string tag() const;
 };
 
 /// The canonical variant names, in paper order.
@@ -130,5 +135,12 @@ struct VariantSpec {
 /// Parse a validated --variants value ("sync,partial") into specs.
 [[nodiscard]] std::vector<VariantSpec> parse_variants(
     const std::string& csv, dsm::Iteration partial_age);
+
+/// `base` specialised to one variant: its mode and age, and coalescing on
+/// exactly for the partial variant (staleness tolerance is what licenses
+/// update coalescing, paper Sections 1-2; sync and uncontrolled async send
+/// directly).
+[[nodiscard]] RunConfig for_variant(const RunConfig& base,
+                                    const VariantSpec& variant);
 
 }  // namespace nscc::harness

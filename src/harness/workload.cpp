@@ -1,12 +1,14 @@
 #include "harness/workload.hpp"
 
-#include <ostream>
-
 #include "harness/workloads.hpp"
 
 namespace nscc::harness {
 
-void Workload::print_reference(std::ostream&, const RunConfig&) {}
+RunStats Workload::run_matched(const RunConfig& run,
+                               const rt::MachineConfig& machine,
+                               const RunStats&, const RunStats*) {
+  return this->run(run, machine);
+}
 
 sanitize::ToleranceSpec Workload::tolerance_spec(const RunConfig&) const {
   return {};

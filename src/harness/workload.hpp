@@ -11,7 +11,6 @@
 // static-library link order cannot drop them.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,9 +55,20 @@ class Workload {
   [[nodiscard]] virtual sanitize::ToleranceSpec tolerance_spec(
       const RunConfig& run) const;
 
-  /// Optional sequential-reference preamble (serial baseline line) printed
-  /// once by the shared driver before the variant loop.  Default: nothing.
-  virtual void print_reference(std::ostream& os, const RunConfig& base);
+  /// The sequential program this workload parallelises, run once on the
+  /// problem instance `run.seed` selects: the serial baseline that speedups
+  /// divide by (paper Section 5.1.1).  The driver prints it as a preamble
+  /// line; the cell runner uses it as each rep's serial variant.
+  [[nodiscard]] virtual RunStats reference(const RunConfig& run) const = 0;
+
+  /// The paper's quality-matching rule (Section 5.1.1), as the cell runner
+  /// applies it.  `serial` is this rep's reference(); `sync` is null while
+  /// the synchronous variant runs (its result sets the quality bar) and
+  /// that result for every other variant.  A workload that grows a budget
+  /// to meet the bar reports it in its extras.  Default: run() unchanged.
+  virtual RunStats run_matched(const RunConfig& run,
+                               const rt::MachineConfig& machine,
+                               const RunStats& serial, const RunStats* sync);
 };
 
 class Registry {

@@ -1,11 +1,10 @@
 #include "harness/workloads.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <ostream>
+#include <cmath>
 
-#include "bayes/logic_sampling.hpp"
 #include "ga/functions.hpp"
+#include "ga/sequential.hpp"
 #include "rt/vm.hpp"
 #include "util/flags.hpp"
 
@@ -58,15 +57,69 @@ ga::IslandConfig GaIslandWorkload::build(const RunConfig& run) const {
   return cfg;
 }
 
-RunStats GaIslandWorkload::run(const RunConfig& run,
-                               const rt::MachineConfig& machine) {
-  const auto r = ga::run_island_ga(build(run), machine, run.loader_offered_bps);
-  RunStats stats = r;
+namespace {
+
+/// The GA's figure of merit and extras (serial or island result) over the
+/// mechanism fields already in `stats`.
+template <class Result>
+RunStats ga_stats(RunStats stats, const Result& r) {
   stats.quality_name = "best_fitness";
   stats.quality = r.best_fitness;
   stats.extra = {{"final_average", r.final_average},
                  {"evaluations", static_cast<double>(r.evaluations)},
                  {"cache_hits", static_cast<double>(r.cache_hits)}};
+  return stats;
+}
+
+RunStats evolve(const ga::IslandConfig& cfg, const rt::MachineConfig& machine) {
+  const auto r = ga::run_island_ga(cfg, machine, cfg.loader_offered_bps);
+  return ga_stats(r, r);
+}
+
+}  // namespace
+
+RunStats GaIslandWorkload::run(const RunConfig& run,
+                               const rt::MachineConfig& machine) {
+  return evolve(build(run), machine);
+}
+
+RunStats GaIslandWorkload::reference(const RunConfig& run) const {
+  const ga::IslandConfig island = build(run);
+  const auto r = ga::run_sequential_ga({.function_id = function_id,
+                                        .pop_size = island.params.pop_size * demes,
+                                        .generations = generations,
+                                        .seed = run.seed,
+                                        .params = island.params,
+                                        .compute = island.compute});
+  RunStats stats = ga_stats({.completion_time = r.completion_time}, r);
+  stats.extra.insert(stats.extra.end(),
+                     {{"initial_average", r.average.points.front().second},
+                      {"generations", static_cast<double>(generations)}});
+  return stats;
+}
+
+RunStats GaIslandWorkload::run_matched(const RunConfig& run,
+                                       const rt::MachineConfig& machine,
+                                       const RunStats& serial,
+                                       const RunStats* sync) {
+  ga::IslandConfig cfg = build(run);
+  RunStats stats = evolve(cfg, machine);
+  bool ok = true;
+  if (sync != nullptr) {
+    constexpr double kQualitySlack = 0.02;
+    const double target = sync->extra_value("final_average");
+    const double slack =
+        kQualitySlack * std::fabs(serial.extra_value("initial_average") - target);
+    const int cap = 3 * generations;
+    for (;;) {
+      ok = stats.extra_value("final_average") <= target + slack;
+      if (ok || cfg.generations >= cap) break;
+      cfg.generations = std::min(cap, cfg.generations * 3 / 2);
+      stats = evolve(cfg, machine);
+    }
+  }
+  stats.extra.emplace_back("generations", cfg.generations);
+  stats.extra.emplace_back("quality_ok", ok ? 1.0 : 0.0);
   return stats;
 }
 
@@ -113,12 +166,6 @@ bayes::BeliefNetwork BayesSamplingWorkload::figure1() {
   return net;
 }
 
-namespace {
-// Query: P(coma = true | metastatic-cancer = true), P(headache = true | ...).
-const std::vector<bayes::Evidence> kFigure1Evidence = {{0, 1}};
-const std::vector<bayes::Query> kFigure1Queries = {{3, 1}, {4, 1}};
-}  // namespace
-
 std::string BayesSamplingWorkload::description() const {
   return "speculative logic sampling on the Figure 1 belief network";
 }
@@ -144,22 +191,62 @@ bayes::ParallelInferenceConfig BayesSamplingWorkload::build(
   return cfg;
 }
 
+RunStats BayesSamplingWorkload::with_estimates(
+    RunStats stats, const std::vector<bayes::QueryEstimate>& estimates) const {
+  auto name = [this](std::size_t i) {
+    return i < query_names.size() ? query_names[i]
+                                  : "P(query " + std::to_string(i) + ")";
+  };
+  stats.quality_name = name(0);
+  stats.quality = estimates.empty() ? 0.0 : estimates[0].probability;
+  for (std::size_t i = 1; i < queries.size(); ++i) {
+    stats.extra.emplace_back(
+        name(i), i < estimates.size() ? estimates[i].probability : 0.0);
+  }
+  return stats;
+}
+
+RunStats BayesSamplingWorkload::sample(
+    const bayes::ParallelInferenceConfig& cfg,
+    const rt::MachineConfig& machine) const {
+  const auto r = bayes::run_parallel_logic_sampling(
+      network, evidence, queries, cfg, machine, cfg.loader_offered_bps);
+  RunStats stats = with_estimates(r, r.estimates);
+  stats.extra.insert(
+      stats.extra.end(),
+      {{"rollbacks", static_cast<double>(r.rollbacks)},
+       {"nodes_resampled", static_cast<double>(r.nodes_resampled)},
+       {"validated_samples", static_cast<double>(r.validated_samples)},
+       {"converged", r.converged ? 1.0 : 0.0}});
+  return stats;
+}
+
 RunStats BayesSamplingWorkload::run(const RunConfig& run,
                                     const rt::MachineConfig& machine) {
-  const auto net = figure1();
-  const auto r = bayes::run_parallel_logic_sampling(
-      net, kFigure1Evidence, kFigure1Queries, build(run), machine,
-      run.loader_offered_bps);
-  RunStats stats = r;
-  stats.quality_name = "P(coma|cancer)";
-  stats.quality = r.estimates.empty() ? 0.0 : r.estimates[0].probability;
-  stats.extra = {
-      {"P(headache|cancer)",
-       r.estimates.size() > 1 ? r.estimates[1].probability : 0.0},
-      {"rollbacks", static_cast<double>(r.rollbacks)},
-      {"nodes_resampled", static_cast<double>(r.nodes_resampled)},
-      {"validated_samples", static_cast<double>(r.validated_samples)}};
+  return sample(build(run), machine);
+}
+
+RunStats BayesSamplingWorkload::reference(const RunConfig& run) const {
+  const auto r = bayes::run_logic_sampling(network, evidence, queries,
+                                           {.seed = run.seed});
+  RunStats stats =
+      with_estimates({.completion_time = r.completion_time}, r.estimates);
+  stats.extra.insert(
+      stats.extra.end(),
+      {{"samples_drawn", static_cast<double>(r.samples_drawn)},
+       {"samples_used", static_cast<double>(r.samples_used)},
+       {"converged", r.converged ? 1.0 : 0.0}});
   return stats;
+}
+
+RunStats BayesSamplingWorkload::run_matched(const RunConfig& run,
+                                            const rt::MachineConfig& machine,
+                                            const RunStats& serial,
+                                            const RunStats*) {
+  bayes::ParallelInferenceConfig cfg = build(run);
+  cfg.iterations =
+      static_cast<std::uint64_t>(serial.extra_value("samples_drawn")) * 13 / 10;
+  return sample(cfg, machine);
 }
 
 sanitize::ToleranceSpec BayesSamplingWorkload::tolerance_spec(
@@ -175,24 +262,6 @@ sanitize::ToleranceSpec BayesSamplingWorkload::tolerance_spec(
   spec.declare_range(bayes::block_loc(0, 0), bayes::block_loc(parts, 0),
                      rule);
   return spec;
-}
-
-void BayesSamplingWorkload::print_reference(std::ostream& os,
-                                            const RunConfig& base) {
-  bayes::InferenceConfig serial_cfg;
-  serial_cfg.seed = base.seed;
-  const auto serial = bayes::run_logic_sampling(figure1(), kFigure1Evidence,
-                                                kFigure1Queries, serial_cfg);
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "sequential logic sampling: %llu runs (%llu "
-                "evidence-consistent), P(coma|cancer)=%.3f, %.2fs virtual\n",
-                static_cast<unsigned long long>(serial.samples_drawn),
-                static_cast<unsigned long long>(serial.samples_used),
-                serial.estimates.empty() ? 0.0
-                                         : serial.estimates[0].probability,
-                sim::to_seconds(serial.completion_time));
-  os << line;
 }
 
 // ---- solver.jacobi ---------------------------------------------------------
@@ -222,18 +291,27 @@ solver::ParallelJacobiConfig JacobiWorkload::build(const RunConfig& run) const {
   return cfg;
 }
 
-RunStats JacobiWorkload::run(const RunConfig& run,
-                             const rt::MachineConfig& machine) {
-  const auto sys = solver::make_poisson_2d(grid, run.seed);
-  const auto r = solver::run_parallel_jacobi(sys, build(run), machine,
-                                             run.loader_offered_bps);
-  RunStats stats = r;
+namespace {
+
+/// The solver's figure of merit and extras (sequential or parallel
+/// solution) over the mechanism fields already in `stats`.
+RunStats jacobi_stats(RunStats stats, const solver::JacobiSolution& r) {
   stats.quality_name = "residual";
   stats.quality = r.residual;
   stats.extra = {{"sweeps", static_cast<double>(r.sweeps)},
                  {"error_inf", r.error_inf},
                  {"converged", r.converged ? 1.0 : 0.0}};
   return stats;
+}
+
+}  // namespace
+
+RunStats JacobiWorkload::run(const RunConfig& run,
+                             const rt::MachineConfig& machine) {
+  const auto sys = solver::make_poisson_2d(grid, run.seed);
+  const auto r = solver::run_parallel_jacobi(sys, build(run), machine,
+                                             run.loader_offered_bps);
+  return jacobi_stats(r, r);
 }
 
 sanitize::ToleranceSpec JacobiWorkload::tolerance_spec(const RunConfig& run) const {
@@ -249,18 +327,10 @@ sanitize::ToleranceSpec JacobiWorkload::tolerance_spec(const RunConfig& run) con
   return spec;
 }
 
-void JacobiWorkload::print_reference(std::ostream& os, const RunConfig& base) {
-  const auto sys = solver::make_poisson_2d(grid, base.seed);
-  solver::JacobiConfig seq_cfg;
-  seq_cfg.tolerance = tolerance;
-  const auto serial = solver::run_sequential_jacobi(sys, seq_cfg);
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "system: %d unknowns, %zu nonzeros; sequential: %d sweeps, "
-                "%.2fs virtual, residual %.2e\n",
-                sys.size(), sys.a.nonzeros(), serial.sweeps,
-                sim::to_seconds(serial.completion_time), serial.residual);
-  os << line;
+RunStats JacobiWorkload::reference(const RunConfig& run) const {
+  const auto r = solver::run_sequential_jacobi(
+      solver::make_poisson_2d(grid, run.seed), {.tolerance = tolerance});
+  return jacobi_stats({.completion_time = r.completion_time}, r);
 }
 
 // ---- nn.train --------------------------------------------------------------
@@ -287,16 +357,23 @@ nn::TrainConfig NnTrainWorkload::build(const RunConfig& run) const {
   return cfg;
 }
 
-RunStats NnTrainWorkload::run(const RunConfig& run,
-                              const rt::MachineConfig& machine) {
-  const auto data = nn::make_two_spirals(60, 0.02, run.seed);
-  const auto r =
-      nn::train_parallel(data, build(run), machine, run.loader_offered_bps);
+namespace {
+
+RunStats nn_stats(const nn::TrainResult& r) {
   RunStats stats = r;
   stats.quality_name = "final_loss";
   stats.quality = r.final_loss;
   stats.extra = {{"final_accuracy", r.final_accuracy}};
   return stats;
+}
+
+}  // namespace
+
+RunStats NnTrainWorkload::run(const RunConfig& run,
+                              const rt::MachineConfig& machine) {
+  const auto data = nn::make_two_spirals(60, 0.02, run.seed);
+  return nn_stats(
+      nn::train_parallel(data, build(run), machine, run.loader_offered_bps));
 }
 
 sanitize::ToleranceSpec NnTrainWorkload::tolerance_spec(const RunConfig& run) const {
@@ -312,15 +389,9 @@ sanitize::ToleranceSpec NnTrainWorkload::tolerance_spec(const RunConfig& run) co
   return spec;
 }
 
-void NnTrainWorkload::print_reference(std::ostream& os, const RunConfig& base) {
-  const auto data = nn::make_two_spirals(60, 0.02, base.seed);
-  const auto serial = nn::train_sequential(data, build(base));
-  char line[192];
-  std::snprintf(line, sizeof line,
-                "serial: loss %.4f, accuracy %.2f, %.2fs virtual\n",
-                serial.final_loss, serial.final_accuracy,
-                sim::to_seconds(serial.completion_time));
-  os << line;
+RunStats NnTrainWorkload::reference(const RunConfig& run) const {
+  return nn_stats(nn::train_sequential(nn::make_two_spirals(60, 0.02, run.seed),
+                                       build(run)));
 }
 
 }  // namespace nscc::harness

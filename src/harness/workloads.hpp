@@ -5,9 +5,10 @@
 // tests can inspect it, and converts the legacy result to RunStats.
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <vector>
 
+#include "bayes/logic_sampling.hpp"
 #include "bayes/network.hpp"
 #include "bayes/parallel_sampling.hpp"
 #include "ga/island.hpp"
@@ -34,10 +35,19 @@ class GaIslandWorkload final : public Workload {
                const rt::MachineConfig& machine) override;
   [[nodiscard]] sanitize::ToleranceSpec tolerance_spec(
       const RunConfig& run) const override;
+  /// The cached serial GA on the pooled population (demes x deme size).
+  [[nodiscard]] RunStats reference(const RunConfig& run) const override;
+  /// Async and Global_Read demes run "enough generations so that the
+  /// subpopulation converged further than the synchronous version": the
+  /// budget grows 1.5x, up to 3x, until the final average population
+  /// fitness is within 2% of the serial program's improvement of the sync
+  /// final average.  Reports the extras "generations" and "quality_ok".
+  RunStats run_matched(const RunConfig& run, const rt::MachineConfig& machine,
+                       const RunStats& serial, const RunStats* sync) override;
 };
 
-/// Speculative parallel logic sampling with rollback (paper Section 3.2) on
-/// the paper's Figure 1 medical-diagnosis belief network.
+/// Speculative parallel logic sampling with rollback (paper Section 3.2),
+/// by default on the paper's Figure 1 medical-diagnosis belief network.
 class BayesSamplingWorkload final : public Workload {
  public:
   int parts = 2;
@@ -45,6 +55,16 @@ class BayesSamplingWorkload final : public Workload {
 
   /// The paper's Figure 1 network: A -> {B, C}; {B, C} -> D; C -> E.
   [[nodiscard]] static bayes::BeliefNetwork figure1();
+
+  /// The inference problem (Figure 1 by default): P(coma = true |
+  /// metastatic-cancer = true) and P(headache = true | ...).
+  bayes::BeliefNetwork network = figure1();
+  std::vector<bayes::Evidence> evidence = {{0, 1}};
+  std::vector<bayes::Query> queries = {{3, 1}, {4, 1}};
+  /// Names of the query estimates in tables and JSON; the first is the
+  /// quality metric.  Queries past the end are named "P(query <i>)".
+  std::vector<std::string> query_names = {"P(coma|cancer)",
+                                          "P(headache|cancer)"};
 
   [[nodiscard]] std::string name() const override { return "bayes.sampling"; }
   [[nodiscard]] std::string description() const override;
@@ -56,7 +76,21 @@ class BayesSamplingWorkload final : public Workload {
                const rt::MachineConfig& machine) override;
   [[nodiscard]] sanitize::ToleranceSpec tolerance_spec(
       const RunConfig& run) const override;
-  void print_reference(std::ostream& os, const RunConfig& base) override;
+  /// Sequential logic sampling until the confidence interval is met.
+  [[nodiscard]] RunStats reference(const RunConfig& run) const override;
+  /// Every parallel variant samples 1.3x the serial program's samples
+  /// drawn, enough for the interval to be met with margin even under the
+  /// speculative modes' validation lag.
+  RunStats run_matched(const RunConfig& run, const rt::MachineConfig& machine,
+                       const RunStats& serial, const RunStats* sync) override;
+
+ private:
+  RunStats sample(const bayes::ParallelInferenceConfig& cfg,
+                  const rt::MachineConfig& machine) const;
+  /// `stats` with the named query estimates as quality and extras.
+  [[nodiscard]] RunStats with_estimates(
+      RunStats stats,
+      const std::vector<bayes::QueryEstimate>& estimates) const;
 };
 
 /// Row-block parallel Jacobi on a 2-D Poisson system (paper Section 1's
@@ -76,7 +110,8 @@ class JacobiWorkload final : public Workload {
                const rt::MachineConfig& machine) override;
   [[nodiscard]] sanitize::ToleranceSpec tolerance_spec(
       const RunConfig& run) const override;
-  void print_reference(std::ostream& os, const RunConfig& base) override;
+  /// Sequential Jacobi on the same system.
+  [[nodiscard]] RunStats reference(const RunConfig& run) const override;
 };
 
 /// Bounded-staleness SGD on the two-spirals task (paper Section 6's named
@@ -95,7 +130,8 @@ class NnTrainWorkload final : public Workload {
                const rt::MachineConfig& machine) override;
   [[nodiscard]] sanitize::ToleranceSpec tolerance_spec(
       const RunConfig& run) const override;
-  void print_reference(std::ostream& os, const RunConfig& base) override;
+  /// Single-node SGD over the same mini-batch schedule.
+  [[nodiscard]] RunStats reference(const RunConfig& run) const override;
 };
 
 }  // namespace nscc::harness

@@ -79,18 +79,52 @@ Flags& Flags::add_enum_list(const std::string& name, const std::string& def,
   return add(name, Kind::kString, def, help, std::move(allowed), true);
 }
 
+Flags& Flags::add_int_list(const std::string& name, const std::string& def,
+                           const std::string& help) {
+  return add(name, Kind::kIntList, def, help);
+}
+
+Flags& Flags::range(const std::string& name, std::int64_t lo,
+                    std::int64_t hi) {
+  Entry& e = entries_.at(name);
+  e.lo = lo;
+  e.hi = hi;
+  return *this;
+}
+
+namespace {
+
+/// Empty return = `token` is an integer in [lo, hi]; otherwise the reason.
+std::string check_int(const std::string& name, const std::string& token,
+                      std::int64_t lo, std::int64_t hi) {
+  std::int64_t v = 0;
+  try {
+    std::size_t used = 0;
+    v = std::stoll(token, &used);
+    if (used != token.size()) throw std::invalid_argument(token);
+  } catch (const std::exception&) {
+    return "--" + name + " expects an integer, got '" + token + "'";
+  }
+  if (v >= lo && v <= hi) return {};
+  return "--" + name + " must be >= " + std::to_string(lo) +
+         (hi == INT64_MAX ? "" : " and <= " + std::to_string(hi)) +
+         ", got " + token;
+}
+
+}  // namespace
+
 std::string Flags::set(const std::string& name, const std::string& value) {
   auto it = entries_.find(name);
   if (it == entries_.end()) return "unknown flag --" + name;
   const Entry& e = it->second;
   switch (e.kind) {
     case Kind::kInt:
-      try {
-        std::size_t used = 0;
-        (void)std::stoll(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        return "--" + name + " expects an integer, got '" + value + "'";
+    case Kind::kIntList:
+      for (const auto& token : e.kind == Kind::kInt ? std::vector{value}
+                                                     : split_csv(value)) {
+        if (auto err = check_int(name, token, e.lo, e.hi); !err.empty()) {
+          return err;
+        }
       }
       break;
     case Kind::kDouble:
@@ -228,6 +262,12 @@ const std::string& Flags::get_string(const std::string& name) const {
 
 std::vector<std::string> Flags::get_list(const std::string& name) const {
   return split_csv(entries_.at(name).value);
+}
+
+std::vector<std::int64_t> Flags::get_int_list(const std::string& name) const {
+  std::vector<std::int64_t> out;
+  for (const auto& token : get_list(name)) out.push_back(std::stoll(token));
+  return out;
 }
 
 void Flags::print_usage(const std::string& program) const {

@@ -35,6 +35,13 @@ class Flags {
   Flags& add_enum_list(const std::string& name, const std::string& def,
                        std::vector<std::string> allowed,
                        const std::string& help);
+  /// Comma-separated, non-empty list of integers (e.g. --procs=2,4,8).
+  Flags& add_int_list(const std::string& name, const std::string& def,
+                      const std::string& help);
+  /// Restrict an int or int-list flag to [lo, hi]; values outside it are
+  /// rejected like ill-formed ones.  Applies to values set after the call.
+  Flags& range(const std::string& name, std::int64_t lo,
+               std::int64_t hi = INT64_MAX);
 
   /// Parse argv; returns false (after printing usage) on --help or on an
   /// unknown flag or ill-formed value.  Callers must exit nonzero on false.
@@ -52,17 +59,21 @@ class Flags {
   /// An enum-list flag's value split on commas.
   [[nodiscard]] std::vector<std::string> get_list(
       const std::string& name) const;
+  [[nodiscard]] std::vector<std::int64_t> get_int_list(
+      const std::string& name) const;
 
   void print_usage(const std::string& program) const;
 
  private:
-  enum class Kind { kInt, kDouble, kBool, kString };
+  enum class Kind { kInt, kIntList, kDouble, kBool, kString };
   struct Entry {
     Kind kind;
     std::string value;
     std::string help;
     std::vector<std::string> allowed;  ///< Non-empty = validated enum.
     bool is_list = false;              ///< Comma-separated enum subset.
+    std::int64_t lo = INT64_MIN;       ///< Int range (kInt, kIntList).
+    std::int64_t hi = INT64_MAX;
   };
 
   Flags& add(const std::string& name, Kind kind, std::string def,

@@ -233,14 +233,12 @@ TEST(Golden, HarnessReproducesPreRefactorMetricsExactly) {
     auto* workload = setup.registry.find(row.workload);
     ASSERT_NE(workload, nullptr);
 
-    // Mirror harness::drive()'s variant wiring exactly.
-    const auto variant = harness::make_variant(
-        row.variant, setup.partial_age(row.workload));
-    RunConfig run;
-    run.seed = setup.seed(row.workload);
-    run.mode = variant.mode;
-    run.age = variant.age;
-    run.propagation.coalesce = variant.mode == dsm::Mode::kPartialAsync;
+    // The variant wiring harness::drive() and the cell runner share.
+    RunConfig base;
+    base.seed = setup.seed(row.workload);
+    const RunConfig run = harness::for_variant(
+        base,
+        harness::make_variant(row.variant, setup.partial_age(row.workload)));
 
     rt::MachineConfig machine;
     machine.network = std::string(row.network) == "sp2"
@@ -258,6 +256,31 @@ TEST(Golden, HarnessReproducesPreRefactorMetricsExactly) {
 }
 
 // ---- Variant parsing -------------------------------------------------------
+
+TEST(Variants, ForVariantCoalescesOnlyThePartialVariant) {
+  RunConfig base;
+  base.seed = 9;
+  for (const char* name : {"sync", "async", "partial"}) {
+    const auto variant = harness::make_variant(name, 4);
+    const RunConfig run = harness::for_variant(base, variant);
+    EXPECT_EQ(run.mode, variant.mode) << name;
+    EXPECT_EQ(run.age, variant.age) << name;
+    EXPECT_EQ(run.propagation.coalesce, std::string(name) == "partial");
+    EXPECT_EQ(run.seed, 9u) << name;
+  }
+  EXPECT_EQ(harness::make_variant("partial", 4).tag(), "age4");
+}
+
+TEST(Reference, EveryBuiltinWorkloadHasASerialBaseline) {
+  GoldenSetup setup;
+  for (const auto& name : setup.registry.names()) {
+    RunConfig run;
+    run.seed = setup.seed(name);
+    const RunStats serial = setup.registry.find(name)->reference(run);
+    EXPECT_GT(serial.completion_time, 0) << name;
+    EXPECT_FALSE(serial.quality_name.empty()) << name;
+  }
+}
 
 TEST(Variants, ParseAndLabel) {
   const auto variants = harness::parse_variants("sync,partial", 10);

@@ -6,8 +6,9 @@
 #include "bayes/generators.hpp"
 #include "bayes/parallel_sampling.hpp"
 #include "dsm/shared_space.hpp"
-#include "exp/ga_experiments.hpp"
 #include "ga/island.hpp"
+#include "harness/cell.hpp"
+#include "harness/workloads.hpp"
 #include "nn/train.hpp"
 #include "rt/vm.hpp"
 #include "solver/jacobi.hpp"
@@ -76,17 +77,18 @@ TEST(Runtime, UnlimitedWindowNeverBlocks) {
 }
 
 TEST(Integration, GaCellOnTheSwitchRunsEndToEnd) {
-  nscc::exp::GaCellConfig cfg;
-  cfg.function_id = 2;
-  cfg.processors = 4;
-  cfg.generations = 30;
-  cfg.reps = 1;
-  cfg.ages = {5};
-  cfg.seed = 3;
+  nscc::harness::GaIslandWorkload ga;
+  ga.function_id = 2;
+  ga.demes = 4;
+  ga.generations = 30;
+  nscc::harness::CellConfig cfg;
+  cfg.variants = nscc::harness::CellConfig::paper_variants({5});
+  cfg.base.seed = 3;
   cfg.machine.network = nscc::rt::Network::kSp2Switch;
-  const auto cell = nscc::exp::run_ga_cell(cfg);
+  const auto cell = nscc::harness::run_cell(ga, cfg);
+  ASSERT_EQ(cell.variants.size(), 4u);
   for (const auto& v : cell.variants) {
-    EXPECT_GT(v.speedup, 0.0) << v.name;
+    EXPECT_GT(v.speedup, 0.0) << v.spec.tag();
   }
 }
 

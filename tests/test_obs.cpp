@@ -346,8 +346,13 @@ class ObsEndToEnd : public ::testing::Test {
   static constexpr nscc::dsm::Iteration kAge = 3;
 
   void SetUp() override {
-    trace_path_ = ::testing::TempDir() + "nscc_obs_trace.json";
-    metrics_path_ = ::testing::TempDir() + "nscc_obs_metrics.csv";
+    // ctest runs each case as its own process, in parallel under -j: name
+    // the files after the case so no two cases share them.
+    const std::string prefix =
+        ::testing::TempDir() + "nscc_obs_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    trace_path_ = prefix + "_trace.json";
+    metrics_path_ = prefix + "_metrics.csv";
 
     nscc::rt::MachineConfig machine;
     machine.ntasks = 2;

@@ -453,6 +453,10 @@ class ViolatingWorkload final : public nscc::harness::Workload {
   }
   void register_params(nscc::util::Flags&) const override {}
   void configure(const nscc::util::Flags&) override {}
+  [[nodiscard]] nscc::harness::RunStats reference(
+      const nscc::harness::RunConfig&) const override {
+    return {};
+  }
   [[nodiscard]] nscc::sanitize::ToleranceSpec tolerance_spec(
       const nscc::harness::RunConfig&) const override {
     nscc::sanitize::ToleranceSpec spec;

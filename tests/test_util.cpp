@@ -326,6 +326,27 @@ TEST(Flags, RejectsIllFormedNumbers) {
   EXPECT_FALSE(g.parse(2, const_cast<char**>(bad_double)));
 }
 
+TEST(Flags, RangeAndIntListRejectBadTokens) {
+  auto make = [] {
+    Flags f;
+    f.add_int("functions", 8, "fns").range("functions", 1, 8);
+    f.add_int_list("procs", "2,4", "procs").range("procs", 1);
+    return f;
+  };
+  Flags f = make();
+  const char* ok[] = {"prog", "--functions=3", "--procs=8,16,1"};
+  ASSERT_TRUE(f.parse(3, const_cast<char**>(ok)));
+  EXPECT_EQ(f.get_int("functions"), 3);
+  EXPECT_EQ(f.get_int_list("procs"), (std::vector<std::int64_t>{8, 16, 1}));
+  EXPECT_EQ(make().get_int_list("procs"), (std::vector<std::int64_t>{2, 4}));
+  for (const char* bad : {"--functions=0", "--functions=9", "--procs=4,x",
+                          "--procs=0", "--procs=", "--procs=4,"}) {
+    Flags g = make();
+    const char* argv[] = {"prog", bad};
+    EXPECT_FALSE(g.parse(2, const_cast<char**>(argv))) << bad;
+  }
+}
+
 TEST(Flags, EnumAcceptsAllowedValueOnly) {
   Flags f;
   f.add_enum("network", "ethernet", {"ethernet", "sp2"}, "net");
