@@ -6,81 +6,67 @@
 // uniprocessor, and (b) the Global_Read variants extending their lead as
 // the per-iteration computation grows relative to communication.
 #include <iostream>
+#include <tuple>
 
 #include "bayes/generators.hpp"
-#include "bayes/logic_sampling.hpp"
-#include "bayes/parallel_sampling.hpp"
 #include "bayes/partitioner.hpp"
+#include "harness/cell.hpp"
+#include "harness/sweep.hpp"
+#include "harness/workloads.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  nscc::util::Flags flags;
+  using namespace nscc;
+  util::Flags flags;
   flags.add_int("seed", 21, "random seed")
       .add_int("queries", 3, "query nodes per network")
       .add_bool("csv", false, "also emit CSV");
+  harness::Sweep sweep("ext_bayes_scaling");
+  harness::Sweep::add_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  sweep.configure(flags);
 
-  nscc::util::Table table(
-      "Extension - larger belief networks (paper future work)");
-  table.columns({"network", "nodes", "P", "edge-cut", "serial s", "sync",
-                 "async", "age10", "age30", "best partial/best comp"});
+  harness::CellConfig cfg;
+  cfg.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  cfg.variants = harness::CellConfig::paper_variants({10, 30});
 
+  util::Table table("Extension - larger belief networks (paper future work)");
+  table.columns(harness::figure_columns(
+      {"network", "nodes", "P", "edge-cut", "serial s"}, cfg.variants));
+
+  harness::BayesSamplingWorkload bayes;
+  bayes.evidence.clear();
+  bayes.query_names.clear();
   for (auto [label, nodes, epn] :
        {std::tuple{"L200", 200, 2.0}, {"L400", 400, 1.8}}) {
-    nscc::bayes::RandomNetworkConfig nc;
+    bayes::RandomNetworkConfig nc;
     nc.nodes = nodes;
     nc.edges = static_cast<int>(nodes * epn);
     nc.skew = 0.55;
-    nc.seed = seed ^ static_cast<std::uint64_t>(nodes);
-    const auto net = nscc::bayes::make_random_network(nc);
-    const auto queries = nscc::bayes::default_queries(
-        net, static_cast<int>(flags.get_int("queries")), seed);
-
-    nscc::bayes::InferenceConfig serial_cfg;
-    serial_cfg.seed = seed;
-    const auto serial =
-        nscc::bayes::run_logic_sampling(net, {}, queries, serial_cfg);
-
+    nc.seed = cfg.base.seed ^ static_cast<std::uint64_t>(nodes);
+    bayes.network = bayes::make_random_network(nc);
+    bayes.queries = bayes::default_queries(
+        bayes.network, static_cast<int>(flags.get_int("queries")),
+        cfg.base.seed);
     for (int P : {2, 4}) {
-      nscc::bayes::ParallelInferenceConfig pc;
-      pc.parts = P;
-      pc.seed = seed;
-      pc.iterations = serial.samples_drawn * 13 / 10;
-
-      double speedups[4] = {0, 0, 0, 0};
-      int cut = 0;
-      int i = 0;
-      for (auto [mode, age] :
-           {std::pair{nscc::dsm::Mode::kSynchronous, 0L},
-            {nscc::dsm::Mode::kAsynchronous, 0L},
-            {nscc::dsm::Mode::kPartialAsync, 10L},
-            {nscc::dsm::Mode::kPartialAsync, 30L}}) {
-        pc.mode = mode;
-        pc.age = age;
-        const auto r = nscc::bayes::run_parallel_logic_sampling(net, {},
-                                                                queries, pc, {});
-        speedups[i++] = static_cast<double>(serial.completion_time) /
-                        static_cast<double>(r.completion_time);
-        cut = r.edge_cut;
-      }
-      const double best_partial = std::max(speedups[2], speedups[3]);
-      const double best_comp = std::max({1.0, speedups[0], speedups[1]});
-      table.row()
-          .cell(label)
-          .cell(static_cast<std::int64_t>(nodes))
-          .cell(static_cast<std::int64_t>(P))
-          .cell(static_cast<std::int64_t>(cut))
-          .cell(nscc::sim::to_seconds(serial.completion_time), 1)
-          .cell(speedups[0], 2)
-          .cell(speedups[1], 2)
-          .cell(speedups[2], 2)
-          .cell(speedups[3], 2)
-          .cell(best_partial / best_comp, 2);
+      bayes.parts = P;
+      const harness::CellResult cell = harness::run_cell(bayes, cfg);
+      harness::record_cell(sweep, bayes.name() + ":" + label, cfg, cell,
+                           {{"nodes", static_cast<double>(nodes)},
+                            {"processors", static_cast<double>(P)}});
+      const int cut = bayes::edge_cut(
+          bayes.network, bayes::partition_network(bayes.network, {.parts = P}));
+      add_speedups(table.row()
+                       .cell(label)
+                       .cell(nodes)
+                       .cell(P)
+                       .cell(cut)
+                       .cell(cell.variant("serial").field("completion_s"), 1),
+                   cell);
     }
   }
   table.print(std::cout);
   if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
-  return 0;
+  return sweep.write() ? 0 : 1;
 }

@@ -27,157 +27,22 @@
 //     convergence, the failure mode the paper's bounded modes avoid.
 //
 // Each cell lands in the nscc-bench-v5 JSON (--json-out) tagged with its
-// model, so nscc-bench-compare gates the default-model cells against the
-// checked-in baselines while the non-default rows grow their own history.
-#include <cstdint>
-#include <cstdio>
-#include <iostream>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "dsm/consistency.hpp"
-#include "harness/sweep.hpp"
-#include "solver/jacobi.hpp"
-#include "util/flags.hpp"
-#include "util/table.hpp"
-
-namespace {
-
-struct Cell {
-  double completion_s = 0.0;
-  double residual = 0.0;
-  std::int64_t sweeps = 0;
-  bool converged = false;
-  std::uint64_t messages = 0;
-  std::uint64_t gr_blocks = 0;
-  double block_time_s = 0.0;
-  std::uint64_t updates_parked = 0;
-  std::uint64_t updates_flushed = 0;
-  std::uint64_t ooo_updates = 0;
-  bool deadlocked = false;
-};
-
-Cell run(const nscc::solver::LinearSystem& sys, const std::string& model,
-         long age, nscc::rt::Network network, int processors,
-         double tolerance, std::uint64_t seed) {
-  nscc::solver::ParallelJacobiConfig cfg;
-  cfg.mode = age == 0 ? nscc::dsm::Mode::kSynchronous
-                      : nscc::dsm::Mode::kPartialAsync;
-  cfg.age = age;
-  cfg.processors = processors;
-  cfg.tolerance = tolerance;
-  cfg.check_interval = 25;
-  cfg.seed = seed;
-  // The harness's mode-derived wiring; a model's shape() may override.
-  cfg.propagation.coalesce = cfg.mode == nscc::dsm::Mode::kPartialAsync;
-  cfg.propagation.consistency = model;
-
-  nscc::rt::MachineConfig machine;
-  machine.network = network;
-
-  const auto r = nscc::solver::run_parallel_jacobi(sys, cfg, machine);
-  Cell cell;
-  cell.completion_s = nscc::sim::to_seconds(r.completion_time);
-  cell.residual = r.residual;
-  cell.sweeps = r.sweeps;
-  cell.converged = r.converged;
-  cell.messages = r.messages_sent;
-  cell.gr_blocks = r.global_read_blocks;
-  cell.block_time_s = nscc::sim::to_seconds(r.global_read_block_time);
-  cell.updates_parked = r.updates_parked;
-  cell.updates_flushed = r.updates_flushed;
-  cell.ooo_updates = r.ooo_updates;
-  cell.deadlocked = r.deadlocked;
-  return cell;
-}
-
-}  // namespace
+// model, with the model-layer counters (updates_parked, updates_flushed,
+// ooo_updates) and the solver's sweeps and convergence among its stats.
+#include "harness/driver.hpp"
 
 int main(int argc, char** argv) {
-  nscc::util::Flags flags;
-  flags.add_int("grid", 16, "Poisson grid side")
-      .add_int("processors", 8, "simulated nodes")
-      .add_double("tolerance", 1e-7, "residual tolerance")
-      .add_int("seed", 5, "random seed")
-      .add_bool("csv", false, "also emit CSV");
-  nscc::harness::Sweep sweep("ext_consistency");
-  nscc::harness::Sweep::add_flags(flags);
-  if (!flags.parse(argc, argv)) return 1;
-  sweep.configure(flags);
-  const int processors = static_cast<int>(flags.get_int("processors"));
-  const double tolerance = flags.get_double("tolerance");
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-
-  const auto sys = nscc::solver::make_poisson_2d(
-      static_cast<int>(flags.get_int("grid")), seed);
-
-  const auto models = nscc::dsm::ConsistencyRegistry::instance().names();
-  const std::vector<long> ages = {0, 5, 20};
-  const std::vector<std::pair<std::string, nscc::rt::Network>> networks = {
-      {"ethernet", nscc::rt::Network::kEthernet},
-      {"sp2", nscc::rt::Network::kSp2Switch}};
-
-  nscc::util::Table table(
-      "Extension - consistency-model matrix (Jacobi, model x age x network, "
-      "P=" + std::to_string(processors) + ")");
-  table.columns({"network", "model", "variant", "completion s", "residual",
-                 "sweeps", "converged", "messages", "gr blocks",
-                 "block time s", "parked", "flushed", "ooo"});
-  for (const auto& [net_name, network] : networks) {
-    for (const auto& model : models) {
-      for (long age : ages) {
-        const Cell cell =
-            run(sys, model, age, network, processors, tolerance, seed);
-        const std::string label =
-            age == 0 ? "sync" : "age" + std::to_string(age);
-        char residual[32];
-        std::snprintf(residual, sizeof residual, "%.3e", cell.residual);
-        table.row()
-            .cell(net_name)
-            .cell(model)
-            .cell(label + (cell.deadlocked ? " (DEADLOCK)" : ""))
-            .cell(cell.completion_s, 2)
-            .cell(residual)
-            .cell(cell.sweeps)
-            .cell(cell.converged ? "yes" : "NO")
-            .cell(cell.messages)
-            .cell(cell.gr_blocks)
-            .cell(cell.block_time_s, 2)
-            .cell(cell.updates_parked)
-            .cell(cell.updates_flushed)
-            .cell(cell.ooo_updates);
-        nscc::harness::SweepRecord rec;
-        rec.workload = "solver.jacobi";
-        rec.variant = age == 0 ? "sync" : "partial";
-        rec.consistency = model;
-        rec.age = age;
-        rec.seed = seed;
-        rec.repeat = 0;
-        rec.params = {{"grid",
-                       static_cast<double>(flags.get_int("grid"))},
-                      {"processors", static_cast<double>(processors)},
-                      {"sp2", network == nscc::rt::Network::kSp2Switch
-                                  ? 1.0
-                                  : 0.0}};
-        rec.stats = {
-            {"completion_s", cell.completion_s},
-            {"residual", cell.residual},
-            {"sweeps", static_cast<double>(cell.sweeps)},
-            {"converged", cell.converged ? 1.0 : 0.0},
-            {"messages", static_cast<double>(cell.messages)},
-            {"gr_blocks", static_cast<double>(cell.gr_blocks)},
-            {"block_time_s", cell.block_time_s},
-            {"updates_parked", static_cast<double>(cell.updates_parked)},
-            {"updates_flushed", static_cast<double>(cell.updates_flushed)},
-            {"ooo_updates", static_cast<double>(cell.ooo_updates)},
-            {"deadlocked", cell.deadlocked ? 1.0 : 0.0}};
-        sweep.add(std::move(rec));
-      }
-    }
-  }
-  table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
-  if (!sweep.write()) return 1;
-  return 0;
+  using namespace nscc;
+  harness::DriveOptions options;
+  options.workload = "solver.jacobi";
+  options.title =
+      "Extension - consistency-model matrix (Jacobi, model x age x network)";
+  options.flag_defaults = {
+      {"variants", "sync,partial"},
+      {"age", "5,20"},
+      {"network", "ethernet,sp2"},
+      {"consistency", "nonstrict,regional,release-acquire,eventual"},
+      {"processors", "8"},
+      {"seed", "5"}};
+  return harness::drive(argc, argv, options);
 }

@@ -4,80 +4,82 @@
 // mini-batch gradients.  Run on the SP2 switch (the app's communication-to-
 // computation ratio is exactly the "higher communication requirements" case
 // Section 4.1 sends to the faster interconnect), with the Ethernet shown
-// for contrast.  Compares time-to-quality and final quality per mode: the
-// age sweep exposes a much sharper quality cliff than the GA's — SGD
-// tolerates only small staleness.
+// for contrast.  Compares time-to-quality (the time_to_quality_s stat of
+// --json-out: first reach of 1.15x the serial final loss) and final quality
+// per mode: the age sweep exposes a much sharper quality cliff than the
+// GA's — SGD tolerates only small staleness.
+#include <cmath>
 #include <iostream>
 
-#include "nn/train.hpp"
+#include "harness/cell.hpp"
+#include "harness/sweep.hpp"
+#include "harness/workloads.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  nscc::util::Flags flags;
-  flags.add_int("steps", 600, "mini-batch steps per worker")
-      .add_int("workers", 4, "worker nodes (plus one parameter server)")
-      .add_int("per-class", 60, "spiral points per class")
-      .add_int("seed", 7, "random seed")
+  using namespace nscc;
+  harness::NnTrainWorkload nn;
+  util::Flags flags;
+  nn.register_params(flags);
+  flags.add_int("seed", 7, "random seed")
       .add_bool("csv", false, "also emit CSV");
-  if (!flags.parse(argc, argv)) return 1;
+  harness::Sweep sweep("ext_neural");
+  harness::Sweep::add_flags(flags);
+  if (!flags.set_default("steps", "600") || !flags.parse(argc, argv)) return 1;
+  nn.configure(flags);
+  sweep.configure(flags);
 
-  const auto data = nscc::nn::make_two_spirals(
-      static_cast<int>(flags.get_int("per-class")), 0.02,
-      static_cast<std::uint64_t>(flags.get_int("seed")));
+  harness::CellConfig cfg;
+  cfg.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  cfg.variants.clear();
+  for (const dsm::Iteration age : {1, 2, 4, 8, 16}) {
+    cfg.variants.push_back(harness::make_variant("partial", age));
+  }
+  cfg.variants.push_back(harness::make_variant("async", 0));
 
-  nscc::nn::TrainConfig cfg;
-  cfg.steps = static_cast<int>(flags.get_int("steps"));
-  cfg.workers = static_cast<int>(flags.get_int("workers"));
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-
-  const auto serial = nscc::nn::train_sequential(data, cfg);
-  const double target = serial.final_loss * 1.15;
-  std::cout << "serial baseline: loss "
-            << nscc::util::format_double(serial.final_loss, 4) << ", accuracy "
-            << nscc::util::format_double(serial.final_accuracy, 2) << ", "
-            << nscc::util::format_double(
-                   nscc::sim::to_seconds(serial.completion_time), 2)
-            << " s virtual\n\n";
-
+  bool first = true;
   for (auto [net_label, network] :
-       {std::pair{"SP2 switch", nscc::rt::Network::kSp2Switch},
-        {"10Mb Ethernet", nscc::rt::Network::kEthernet}}) {
-    nscc::util::Table table(std::string("Bounded-staleness SGD on the ") +
-                            net_label);
+       {std::pair{"SP2 switch", rt::Network::kSp2Switch},
+        {"10Mb Ethernet", rt::Network::kEthernet}}) {
+    cfg.machine.network = network;
+    const harness::CellResult cell = harness::run_cell(nn, cfg);
+    harness::record_cell(
+        sweep, nn.name(), cfg, cell,
+        {{"sp2", network == rt::Network::kSp2Switch ? 1.0 : 0.0},
+         {"workers", static_cast<double>(nn.workers)},
+         {"steps", static_cast<double>(nn.steps)}});
+    const harness::CellVariant& serial = cell.variant("serial");
+    const double serial_s = serial.field("completion_s");
+    if (first) {
+      std::cout << "serial baseline: loss "
+                << util::format_double(serial.field("final_loss"), 4)
+                << ", accuracy "
+                << util::format_double(serial.field("final_accuracy"), 2)
+                << ", " << util::format_double(serial_s, 2)
+                << " s virtual\n\n";
+      first = false;
+    }
+    util::Table table(std::string("Bounded-staleness SGD on the ") +
+                      net_label);
     table.columns({"variant", "final loss", "accuracy", "time s",
                    "time-to-quality s", "speedup", "staleness", "net util"});
-    auto run = [&](const std::string& label, nscc::dsm::Mode mode, long age) {
-      cfg.mode = mode;
-      cfg.age = age;
-      nscc::rt::MachineConfig machine;
-      machine.network = network;
-      const auto r = nscc::nn::train_parallel(data, cfg, machine);
-      const auto ttq = r.time_to_loss(target);
+    for (const auto& v : cell.variants) {
+      if (v.spec.name == "serial") continue;
+      const double ttq = v.field("time_to_quality_s");
       table.row()
-          .cell(label)
-          .cell(r.final_loss, 4)
-          .cell(r.final_accuracy, 2)
-          .cell(nscc::sim::to_seconds(r.completion_time), 2)
-          .cell(ttq >= 0 ? nscc::util::format_double(
-                               nscc::sim::to_seconds(ttq), 2)
-                         : "never")
-          .cell(ttq > 0 ? nscc::util::format_double(
-                              static_cast<double>(serial.completion_time) /
-                                  static_cast<double>(ttq),
-                              2)
-                        : "-")
-          .cell(r.mean_staleness, 1)
-          .cell(r.bus_utilization, 2);
-    };
-    run("sync", nscc::dsm::Mode::kSynchronous, 0);
-    for (long age : {1L, 2L, 4L, 8L, 16L}) {
-      run("age" + std::to_string(age), nscc::dsm::Mode::kPartialAsync, age);
+          .cell(v.spec.tag())
+          .cell(v.field("final_loss"), 4)
+          .cell(v.field("final_accuracy"), 2)
+          .cell(v.field("completion_s"), 2)
+          .cell(std::isnan(ttq) ? "never" : util::format_double(ttq, 2))
+          .cell(ttq > 0 ? util::format_double(serial_s / ttq, 2) : "-")
+          .cell(v.field("mean_staleness"), 1)
+          .cell(v.field("bus_utilization"), 2);
     }
-    run("async", nscc::dsm::Mode::kAsynchronous, 0);
     table.print(std::cout);
     std::cout << '\n';
     if (flags.get_bool("csv")) std::cout << table.to_csv() << '\n';
   }
-  return 0;
+  return sweep.write() ? 0 : 1;
 }

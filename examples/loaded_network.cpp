@@ -7,29 +7,23 @@
 //
 //   $ ./examples/loaded_network [--generations=120] [--variants=sync,partial]
 #include "harness/driver.hpp"
-#include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace nscc;
   harness::DriveOptions options;
   options.workload = "ga.island";
   options.title = "Island GA (f1) vs background Ethernet load";
-  options.default_age = 20;
-  options.flag_defaults = {{"function", "1"},
+  options.flag_defaults = {{"age", "20"},
+                           {"function", "1"},
                            {"demes", "4"},
                            {"generations", "120"},
                            {"seed", "3"}};
-  options.scenario_column = "load Mbps";
-  options.scenarios = [](const util::Flags&) {
-    std::vector<harness::Scenario> scenarios;
-    for (double load_mbps : {0.0, 2.0, 4.0, 6.0}) {
-      harness::Scenario s;
-      s.label = util::format_double(load_mbps, 1);
-      s.loader_offered_bps = load_mbps * 1e6;
-      scenarios.push_back(s);
-    }
-    return scenarios;
+  harness::Section loads;
+  loads.scenario_column = "load Mbps";
+  loads.scenarios = [](const util::Flags&, const std::vector<harness::Row>&) {
+    return harness::load_scenarios({0.0, 2.0, 4.0, 6.0});
   };
+  options.sections = {loads};
   options.epilogue =
       "The receiver-driven flow control of Global_Read prevents the\n"
       "initial onset of congestion instead of reacting to it (the paper's\n"

@@ -29,29 +29,23 @@ int main(int argc, char** argv) {
   harness::DriveOptions options;
   options.workload = "ga.island";
   options.title = "Island GA (f1) vs frame loss";
-  options.default_variants = "sync,partial";
-  options.flag_defaults = {{"function", "1"},
+  options.flag_defaults = {{"variants", "sync,partial"},
+                           {"function", "1"},
                            {"demes", "4"},
                            {"generations", "120"},
                            {"seed", "3"},
                            {"read-timeout-ms", "50"}};
-  options.scenario_column = "loss";
-  options.scenarios = [](const util::Flags& flags) {
+  harness::Section ladder;
+  ladder.scenario_column = "loss";
+  ladder.scenarios = [](const util::Flags& flags,
+                        const std::vector<harness::Row>&) {
     std::vector<double> losses = {0.0, 0.001, 0.01, 0.05};
     if (flags.get_double("loss-rate") > 0.0) {
       losses = {0.0, flags.get_double("loss-rate")};
     }
-    std::vector<harness::Scenario> scenarios;
-    for (double loss : losses) {
-      harness::Scenario s;
-      s.label = util::format_double(loss * 100.0, 1) + " %";
-      s.has_fault = true;
-      s.fault.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed"));
-      s.fault.link.loss_prob = loss;
-      scenarios.push_back(s);
-    }
-    return scenarios;
+    return harness::loss_scenarios(flags, losses);
   };
+  options.sections = {ladder};
   options.epilogue =
       "Lost frames cost the synchronous variant a retransmission\n"
       "round-trip on the critical path; the Global_Read variant absorbs\n"

@@ -10,9 +10,7 @@
 int main(int argc, char** argv) {
   nscc::harness::DriveOptions options;
   options.workload = "nn.train";
-  options.default_age = 2;
-  options.default_network = nscc::rt::Network::kSp2Switch;
-  options.flag_defaults = {{"seed", "7"}};
+  options.flag_defaults = {{"age", "2"}, {"network", "sp2"}, {"seed", "7"}};
   options.epilogue =
       "Stale-gradient SGD tolerates *bounded* staleness; the uncontrolled\n"
       "run's parameters drift hundreds of rounds stale on a skewed cluster\n"

@@ -142,6 +142,19 @@ int compare_bench_json(const std::string& baseline_text,
 
   const std::vector<Cell> base_cells = collect_cells(base_doc);
   const std::vector<Cell> cand_cells = collect_cells(cand_doc);
+  // Two records under one key would make the match ambiguous: the second
+  // one would never be compared.
+  for (const auto* cells : {&base_cells, &cand_cells}) {
+    std::set<std::string> keys;
+    for (const Cell& cell : *cells) {
+      if (!keys.insert(cell.key).second) {
+        out << "bench-compare: "
+            << (cells == &base_cells ? "baseline" : "candidate")
+            << ": two records share the cell key " << cell.key << "\n";
+        return kCompareError;
+      }
+    }
+  }
 
   int regressions = 0;
   int within = 0;  // Differences absorbed by a tolerance.

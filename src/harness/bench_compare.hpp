@@ -36,8 +36,9 @@ inline constexpr int kCompareError = 2;  ///< Schema/parse/usage problem.
 /// a final summary) to `out`.  Returns kComparePass when every baseline
 /// cell is present and within tolerance, kCompareRegression when any metric
 /// regressed or a baseline cell/metric disappeared, kCompareError when
-/// either document fails to parse, is not nscc-bench-v* JSON, or the two
-/// documents disagree on schema version or producing bench.
+/// either document fails to parse, is not nscc-bench-v* JSON, holds two
+/// records with the same cell key, or the two documents disagree on schema
+/// version or producing bench.
 int compare_bench_json(const std::string& baseline_text,
                        const std::string& candidate_text,
                        const CompareOptions& options, std::ostream& out);

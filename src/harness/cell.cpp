@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "harness/sweep.hpp"
 #include "harness/workload.hpp"
 #include "util/table.hpp"
 
@@ -127,6 +128,23 @@ CellResult average_cells(const std::vector<CellResult>& cells) {
     avg.variants.push_back(std::move(v));
   }
   return avg;
+}
+
+void record_cell(Sweep& sweep, const std::string& workload,
+                 const CellConfig& config, const CellResult& cell,
+                 std::vector<std::pair<std::string, double>> params) {
+  params.emplace_back("reps", config.reps);
+  for (const auto& v : cell.variants) {
+    Fields stats = {{"speedup", v.speedup}};
+    stats.insert(stats.end(), v.fields.begin(), v.fields.end());
+    sweep.add({.workload = workload,
+               .variant = v.spec.name,
+               .age = v.spec.age,
+               .seed = config.base.seed,
+               .repeat = -1,
+               .params = params,
+               .stats = std::move(stats)});
+  }
 }
 
 std::vector<std::string> figure_columns(

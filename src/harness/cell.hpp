@@ -26,6 +26,7 @@ class Table;
 
 namespace nscc::harness {
 
+class Sweep;
 class Workload;
 
 struct CellConfig {
@@ -76,6 +77,13 @@ CellResult run_cell(Workload& workload, const CellConfig& config);
 
 /// Cross-cell average (all cells must share one variant list).
 CellResult average_cells(const std::vector<CellResult>& cells);
+
+/// Add one --json-out record per variant of `cell` (repeat = -1: means over
+/// config.reps) to `sweep`: `params` plus "reps" as coordinates, "speedup"
+/// and every averaged RunStats field as stats.
+void record_cell(Sweep& sweep, const std::string& workload,
+                 const CellConfig& config, const CellResult& cell,
+                 std::vector<std::pair<std::string, double>> params);
 
 /// Figure-table header: `leading` columns, then sync and `variants` by tag,
 /// then the best-partial bar.

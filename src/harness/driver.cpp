@@ -1,13 +1,15 @@
 #include "harness/driver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <set>
 #include <stdexcept>
 
 #include "dsm/consistency.hpp"
 #include "harness/report.hpp"
-#include "harness/run_config.hpp"
+#include "harness/sweep.hpp"
 #include "harness/workload.hpp"
 #include "obs/obs.hpp"
 #include "recovery/recovery.hpp"
@@ -50,7 +52,223 @@ void print_reference(const RunStats& serial) {
   std::cout << '\n';
 }
 
+const char* network_name(rt::Network network) {
+  return network == rt::Network::kSp2Switch ? "sp2" : "ethernet";
+}
+
+/// The flag front-end's product: everything every row shares.
+struct Setup {
+  Workload* workload = nullptr;
+  RunConfig base;
+  rt::MachineConfig machine;  ///< Flag fault plan and sanitizer level.
+  obs::Options obs;
+  std::vector<VariantSpec> variants;
+  std::vector<rt::Network> networks;
+  std::vector<std::string> models;
+  bool heal = true;
+  bool csv = false;
+};
+
+/// The row runner: one section's variant x network x model x scenario
+/// rows, printed as one table.  `observe` attaches the observability
+/// outputs to the section's last Global_Read row, so --trace-out /
+/// --metrics-out capture exactly one run (the one the paper's mechanism is
+/// about).
+std::vector<Row> run_section(const Setup& setup, const Section& section,
+                             const std::string& title,
+                             const std::vector<Scenario>& scenarios,
+                             bool observe) {
+  struct Job {
+    const Scenario* scenario;
+    rt::Network network;
+    const std::string* model;
+    const VariantSpec* variant;
+  };
+  std::vector<Job> jobs;
+  for (const Scenario& scenario : scenarios) {
+    for (const rt::Network network : setup.networks) {
+      for (const std::string& model : setup.models) {
+        for (const VariantSpec& v : setup.variants) {
+          if (section.variants.empty() ||
+              std::find(section.variants.begin(), section.variants.end(),
+                        v.name) != section.variants.end()) {
+            jobs.push_back({&scenario, network, &model, &v});
+          }
+        }
+      }
+    }
+  }
+  std::size_t observed = jobs.size();
+  for (std::size_t i = 0; observe && i < jobs.size(); ++i) {
+    if (jobs[i].variant->mode == dsm::Mode::kPartialAsync) observed = i;
+  }
+
+  std::vector<Row> rows;
+  bool any_fault = false;
+  bool any_partition = false;
+  bool any_recovery = false;
+  bool any_integrity = false;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
+    RunConfig run = for_variant(setup.base, *job.variant);
+    run.propagation.consistency = *job.model;
+    rt::MachineConfig machine = setup.machine;
+    machine.network = job.network;
+    if (job.scenario->configure) job.scenario->configure(run, machine);
+    const fault::FaultPlan& plan = machine.fault;
+    // Anti-entropy heal only arms when the plan can actually split the
+    // cluster, so partition-free runs stay byte-identical.
+    run.propagation.partition_heal = setup.heal && plan.partitionable();
+    machine.transport.enabled = !plan.empty() || run.recovery.enabled();
+    machine.sanitize.spec = setup.workload->tolerance_spec(run);
+    if (i == observed) machine.obs = setup.obs;
+    any_fault = any_fault || !plan.empty();
+    any_partition = any_partition || plan.partitionable();
+    any_recovery = any_recovery || run.recovery.enabled();
+    any_integrity = any_integrity || run.propagation.integrity;
+    rows.push_back({job.scenario->label, job.scenario->params, *job.variant,
+                    *job.model, job.network, job.scenario->may_deadlock,
+                    plan.partitionable(),
+                    setup.workload->run(run, machine)});
+  }
+
+  util::Table table(title);
+  std::vector<std::string> cols;
+  const bool scenario_column = !scenarios.empty() && !scenarios[0].label.empty();
+  if (scenario_column) cols.push_back(section.scenario_column);
+  const bool network_column = setup.networks.size() > 1;
+  if (network_column) cols.push_back("network");
+  // A non-default consistency model earns its own column; the default keeps
+  // the legacy table byte-identical.
+  const bool model_column =
+      setup.models.size() > 1 || setup.models[0] != "nonstrict";
+  if (model_column) cols.push_back("model");
+  cols.insert(cols.end(), {"variant", "completion s",
+                           rows.empty() ? std::string("quality")
+                                        : rows[0].stats.quality_name,
+                           "messages", "gr blocks", "block time s",
+                           "bus util"});
+  if (any_fault) {
+    cols.insert(cols.end(), {"frames lost", "retx", "escalations"});
+  }
+  if (any_partition) {
+    cols.insert(cols.end(), {"part drops", "stale served", "heal frames",
+                             "diverged", "reconciled", "split brains"});
+  }
+  if (any_recovery) {
+    cols.insert(cols.end(),
+                {"crashes", "restores", "rejoins", "degraded reads"});
+  }
+  if (any_integrity) {
+    cols.insert(cols.end(), {"quarantined", "violations"});
+  }
+  table.columns(cols);
+  for (const auto& row : rows) {
+    table.row();
+    if (scenario_column) table.cell(row.scenario);
+    if (network_column) table.cell(network_name(row.network));
+    if (model_column) table.cell(row.consistency);
+    const RunStats& s = row.stats;
+    table.cell(row.variant.label() + (s.deadlocked ? " (DEADLOCK)" : ""))
+        .cell(sim::to_seconds(s.completion_time), 2)
+        .cell(format_quality(s.quality))
+        .cell(s.messages_sent)
+        .cell(s.global_read_blocks)
+        .cell(sim::to_seconds(s.global_read_block_time), 2)
+        .cell(s.bus_utilization, 2);
+    if (any_fault) {
+      table.cell(s.frames_lost).cell(s.retransmissions).cell(
+          s.read_escalations);
+    }
+    if (any_partition) {
+      table.cell(s.partition_drops)
+          .cell(s.partition_stale_served)
+          .cell(s.heal_frames)
+          .cell(s.diverged_locations)
+          .cell(s.reconciled_locations)
+          .cell(s.split_brain_declarations);
+    }
+    if (any_recovery) {
+      table.cell(s.crashes).cell(s.restores).cell(s.rejoins).cell(
+          s.degraded_reads);
+    }
+    if (any_integrity) {
+      table.cell(s.integrity_dropped).cell(s.sanitize_violations);
+    }
+  }
+  table.print(std::cout);
+  if (setup.csv) std::cout << '\n' << table.to_csv();
+  return rows;
+}
+
+/// The --json-out document: the serial reference, then one record per row,
+/// each keyed by its variant, age, model, network and scenario params.
+Sweep sweep_of(const std::string& bench, const std::string& workload,
+               std::uint64_t seed, const RunStats& reference,
+               const std::vector<Row>& rows) {
+  Sweep sweep(bench);
+  sweep.add({.workload = workload,
+             .variant = "serial",
+             .seed = seed,
+             .params = {},
+             .stats = reference.to_fields()});
+  for (const Row& row : rows) {
+    SweepRecord rec{.workload = workload,
+                    .variant = row.variant.name,
+                    .consistency = row.consistency,
+                    .age = row.variant.age,
+                    .seed = seed,
+                    .params = row.params,
+                    .stats = row.stats.to_fields()};
+    rec.params.emplace_back(
+        "sp2", row.network == rt::Network::kSp2Switch ? 1.0 : 0.0);
+    sweep.add(std::move(rec));
+  }
+  return sweep;
+}
+
+/// The producing binary for the JSON "bench" field: argv[0]'s basename
+/// without the "bench_" prefix.
+std::string bench_name(const char* argv0) {
+  std::string name = argv0 == nullptr ? "" : argv0;
+  if (const auto slash = name.rfind('/'); slash != std::string::npos) {
+    name.erase(0, slash + 1);
+  }
+  if (name.rfind("bench_", 0) == 0) name.erase(0, 6);
+  return name;
+}
+
 }  // namespace
+
+std::vector<Scenario> load_scenarios(const std::vector<double>& loads_mbps) {
+  std::vector<Scenario> scenarios;
+  for (const double load_mbps : loads_mbps) {
+    scenarios.push_back(
+        {.label = util::format_double(load_mbps, 1),
+         .params = {{"load_mbps", load_mbps}},
+         .configure = [load_mbps](RunConfig& run, rt::MachineConfig&) {
+           run.loader_offered_bps = load_mbps * 1e6;
+         }});
+  }
+  return scenarios;
+}
+
+std::vector<Scenario> loss_scenarios(const util::Flags& flags,
+                                     const std::vector<double>& losses) {
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("fault-seed"));
+  std::vector<Scenario> scenarios;
+  for (const double loss : losses) {
+    scenarios.push_back(
+        {.label = util::format_double(loss * 100.0, 1) + " %",
+         .params = {{"loss", loss}},
+         .configure = [seed, loss](RunConfig&, rt::MachineConfig& machine) {
+           machine.fault = {};
+           machine.fault.seed = seed;
+           machine.fault.link.loss_prob = loss;
+         }});
+  }
+  return scenarios;
+}
 
 int drive(int argc, char** argv, const DriveOptions& options) {
   Workload* workload = Registry::global().find(options.workload);
@@ -65,27 +283,27 @@ int drive(int argc, char** argv, const DriveOptions& options) {
 
   util::Flags flags;
   flags
-      .add_enum_list("variants", options.default_variants, variant_names(),
+      .add_enum_list("variants", "sync,async,partial", variant_names(),
                      "consistency variants to run")
-      .add_int("age", options.default_age,
-               "staleness bound for the partial (Global_Read) variant")
+      .add_int_list("age", "10",
+                    "staleness bounds for the partial (Global_Read) "
+                    "variant; one row per age")
+      .range("age", 0)
       .add_int("seed", 1, "random seed (also seeds the problem instance)")
-      .add_enum("network",
-                options.default_network == rt::Network::kSp2Switch
-                    ? "sp2"
-                    : "ethernet",
-                {"ethernet", "sp2"},
-                "interconnect: shared 10 Mbps Ethernet or SP2 switch")
+      .add_enum_list("network", "ethernet", {"ethernet", "sp2"},
+                     "interconnects, one row per network: shared 10 Mbps "
+                     "Ethernet and/or SP2 switch")
       .add_enum("recovery", "none", {"none", "degraded", "rejoin"},
                 "crash-recovery policy for stateful (--crash-at) windows")
       .add_double("checkpoint-interval", 0.5,
                   "virtual seconds between node checkpoints (0 disables)")
-      .add_enum("consistency", "nonstrict",
-                dsm::ConsistencyRegistry::instance().names(),
-                "consistency model applied by every DSM instance: nonstrict "
-                "(paper default), regional (region-scoped fences), "
-                "release-acquire (updates visible only at acquires), or "
-                "eventual (never block on staleness)")
+      .add_enum_list("consistency", "nonstrict",
+                     dsm::ConsistencyRegistry::instance().names(),
+                     "consistency models applied by every DSM instance, one "
+                     "row per model: nonstrict (paper default), regional "
+                     "(region-scoped fences), release-acquire (updates "
+                     "visible only at acquires), or eventual (never block "
+                     "on staleness)")
       .add_enum("sanitize", "off", {"off", "track", "strict"},
                 "staleness sanitizer: audit every DSM read against the "
                 "workload's tolerance contract (strict exits nonzero on any "
@@ -106,7 +324,9 @@ int drive(int argc, char** argv, const DriveOptions& options) {
       .add_int("suspect-timeout-ms", 0,
                "silence before suspecting a peer, in virtual ms (0 derives "
                "the phi-threshold default; otherwise must exceed the "
-               "heartbeat interval)");
+               "heartbeat interval)")
+      .add_bool("csv", false, "also emit each table as CSV");
+  Sweep::add_flags(flags);
   obs::add_flags(flags);
   fault::add_flags(flags);
   workload->register_params(flags);
@@ -116,10 +336,10 @@ int drive(int argc, char** argv, const DriveOptions& options) {
   if (!flags.parse(argc, argv)) return 1;
 
   workload->configure(flags);
-  const obs::Options obs_options = obs::options_from_flags(flags);
-  fault::FaultPlan flag_plan;
+  Setup setup;
+  setup.workload = workload;
   try {
-    flag_plan = fault::plan_from_flags(flags);
+    setup.machine.fault = fault::plan_from_flags(flags);
   } catch (const std::invalid_argument& e) {
     std::cerr << "harness: " << e.what() << '\n';
     return 1;
@@ -147,27 +367,35 @@ int drive(int argc, char** argv, const DriveOptions& options) {
               << ") or the detector suspects peers between heartbeats\n";
     return 1;
   }
-  const bool heal = flags.get_bool("heal");
-  const sim::Time read_timeout = fault::read_timeout_from_flags(flags);
-  const rt::Network network =
-      flags.get_string("network") == "sp2" ? rt::Network::kSp2Switch
-                                           : rt::Network::kEthernet;
-  const auto variants =
-      parse_variants(flags.get_string("variants"), flags.get_int("age"));
+  setup.heal = flags.get_bool("heal");
+  setup.csv = flags.get_bool("csv");
+  setup.obs = obs::options_from_flags(flags);
+  for (const auto& name : flags.get_list("network")) {
+    setup.networks.push_back(name == "sp2" ? rt::Network::kSp2Switch
+                                           : rt::Network::kEthernet);
+  }
+  setup.models = flags.get_list("consistency");
+  const std::vector<std::int64_t> ages = flags.get_int_list("age");
+  // Each row must keep its own JSON cell key.
+  if (std::set<std::int64_t>(ages.begin(), ages.end()).size() != ages.size()) {
+    std::cerr << "harness: --age lists an age twice\n";
+    return 1;
+  }
+  setup.variants = parse_variants(
+      flags.get_string("variants"),
+      std::vector<dsm::Iteration>(ages.begin(), ages.end()));
   const sanitize::Level sanitize_level =
       *sanitize::level_from_name(flags.get_string("sanitize"));
+  setup.machine.sanitize.level = sanitize_level;
 
-  std::vector<Scenario> scenarios =
-      options.scenarios ? options.scenarios(flags)
-                        : std::vector<Scenario>{Scenario{}};
-  const bool scenario_column = !scenarios.empty() && !scenarios[0].label.empty();
-
-  const std::string consistency = flags.get_string("consistency");
-
-  RunConfig base;
+  RunConfig& base = setup.base;
   base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  base.propagation.read_timeout = read_timeout;
-  base.propagation.consistency = consistency;
+  // One watchdog rule for every variant: --read-timeout-ms arms the
+  // Global_Read starvation watchdog on sync, async and partial alike.
+  base.propagation.read_timeout = fault::read_timeout_from_flags(flags);
+  // Sanitizing turns on the end-to-end integrity layer too: audited runs
+  // should also checksum what the wire delivered.
+  base.propagation.integrity = sanitize_level != sanitize::Level::kOff;
   base.recovery.policy =
       *recovery::policy_from_name(flags.get_string("recovery"));
   base.recovery.checkpoint_interval = static_cast<sim::Time>(
@@ -178,112 +406,28 @@ int drive(int argc, char** argv, const DriveOptions& options) {
       static_cast<sim::Time>(heartbeat_ms) * sim::kMillisecond;
   base.recovery.suspect_timeout =
       static_cast<sim::Time>(suspect_ms) * sim::kMillisecond;
-  print_reference(workload->reference(base));
+  const RunStats reference = workload->reference(base);
+  print_reference(reference);
 
-  struct Row {
-    std::string scenario;
-    std::string variant;
-    RunStats stats;
-  };
+  const std::vector<Section> sections =
+      options.sections.empty() ? std::vector<Section>{Section{}}
+                               : options.sections;
   std::vector<Row> rows;
-  bool any_fault = !flag_plan.empty();
-  bool any_partition = false;
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    const Scenario& scenario = scenarios[si];
-    const fault::FaultPlan& plan =
-        scenario.has_fault ? scenario.fault : flag_plan;
-    if (!plan.empty()) any_fault = true;
-    if (plan.partitionable()) any_partition = true;
-    for (const auto& v : variants) {
-      RunConfig run = for_variant(base, v);
-      // Anti-entropy heal only arms when the plan can actually split the
-      // cluster, so partition-free runs stay byte-identical.
-      run.propagation.partition_heal = heal && plan.partitionable();
-      run.loader_offered_bps = scenario.loader_offered_bps;
-      // Sanitizing turns on the end-to-end integrity layer too: audited
-      // runs should also checksum what the wire delivered.
-      run.propagation.integrity = sanitize_level != sanitize::Level::kOff;
-
-      rt::MachineConfig machine;
-      machine.network = network;
-      machine.fault = plan;
-      machine.transport.enabled = !plan.empty() || run.recovery.enabled();
-      machine.sanitize.level = sanitize_level;
-      machine.sanitize.spec = workload->tolerance_spec(run);
-      // Observe only the Global_Read variant of the last scenario so
-      // --trace-out / --metrics-out capture exactly one run (the one the
-      // paper's mechanism is about).
-      if (v.mode == dsm::Mode::kPartialAsync && si + 1 == scenarios.size()) {
-        machine.obs = obs_options;
-      }
-      rows.push_back(
-          {scenario.label, v.label(), workload->run(run, machine)});
-    }
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const Section& section = sections[i];
+    const std::string& title =
+        !section.title.empty()   ? section.title
+        : !options.title.empty() ? options.title
+                                 : workload->description();
+    const std::vector<Scenario> scenarios =
+        section.scenarios ? section.scenarios(flags, rows)
+                          : std::vector<Scenario>{Scenario{}};
+    if (i > 0) std::cout << '\n';
+    auto section_rows = run_section(setup, section, title, scenarios,
+                                    i + 1 == sections.size());
+    rows.insert(rows.end(), std::make_move_iterator(section_rows.begin()),
+                std::make_move_iterator(section_rows.end()));
   }
-
-  util::Table table(options.title.empty() ? workload->description()
-                                          : options.title);
-  std::vector<std::string> cols;
-  if (scenario_column) cols.push_back(options.scenario_column);
-  // A non-default consistency model earns its own column; the default keeps
-  // the legacy table byte-identical.
-  const bool model_column = consistency != "nonstrict";
-  if (model_column) cols.push_back("model");
-  cols.insert(cols.end(), {"variant", "completion s",
-                           rows.empty() ? std::string("quality")
-                                        : rows[0].stats.quality_name,
-                           "messages", "gr blocks", "block time s",
-                           "bus util"});
-  if (any_fault) {
-    cols.insert(cols.end(), {"frames lost", "retx", "escalations"});
-  }
-  if (any_partition) {
-    cols.insert(cols.end(), {"part drops", "stale served", "heal frames",
-                             "diverged", "reconciled", "split brains"});
-  }
-  const bool any_recovery = base.recovery.enabled();
-  if (any_recovery) {
-    cols.insert(cols.end(),
-                {"crashes", "restores", "rejoins", "degraded reads"});
-  }
-  const bool any_sanitize = sanitize_level != sanitize::Level::kOff;
-  if (any_sanitize) {
-    cols.insert(cols.end(), {"quarantined", "violations"});
-  }
-  table.columns(cols);
-  for (const auto& row : rows) {
-    table.row();
-    if (scenario_column) table.cell(row.scenario);
-    if (model_column) table.cell(consistency);
-    const RunStats& s = row.stats;
-    table.cell(row.variant + (s.deadlocked ? " (DEADLOCK)" : ""))
-        .cell(sim::to_seconds(s.completion_time), 2)
-        .cell(format_quality(s.quality))
-        .cell(s.messages_sent)
-        .cell(s.global_read_blocks)
-        .cell(sim::to_seconds(s.global_read_block_time), 2)
-        .cell(s.bus_utilization, 2);
-    if (any_fault) {
-      table.cell(s.frames_lost).cell(s.retransmissions).cell(
-          s.read_escalations);
-    }
-    if (any_partition) {
-      table.cell(s.partition_drops)
-          .cell(s.partition_stale_served)
-          .cell(s.heal_frames)
-          .cell(s.diverged_locations)
-          .cell(s.reconciled_locations)
-          .cell(s.split_brain_declarations);
-    }
-    if (any_recovery) {
-      table.cell(s.crashes).cell(s.restores).cell(s.rejoins).cell(
-          s.degraded_reads);
-    }
-    if (any_sanitize) {
-      table.cell(s.integrity_dropped).cell(s.sanitize_violations);
-    }
-  }
-  table.print(std::cout);
   if (!options.epilogue.empty()) std::cout << '\n' << options.epilogue << '\n';
 
   // Written before the deadlock/sanitize exit checks below on purpose: a
@@ -293,18 +437,24 @@ int drive(int argc, char** argv, const DriveOptions& options) {
     std::vector<ReportRow> report_rows;
     report_rows.reserve(rows.size());
     for (const auto& row : rows) {
-      report_rows.push_back({row.scenario, row.variant, row.stats});
+      report_rows.push_back({row.scenario, row.variant.label(),
+                             network_name(row.network), row.consistency,
+                             row.stats});
     }
     if (!write_run_report(report_path, options.workload, report_rows)) {
       return 2;
     }
   }
+  Sweep sweep = sweep_of(bench_name(argc > 0 ? argv[0] : nullptr),
+                         options.workload, base.seed, reference, rows);
+  sweep.configure(flags);
+  if (!sweep.write()) return 2;
 
   // A deadlocked run is a wedged experiment, not a data point: fail loudly
   // so scripts and CI cannot mistake the table for a healthy result.
   for (const auto& row : rows) {
-    if (row.stats.deadlocked) {
-      std::cerr << "harness: deadlock — variant '" << row.variant
+    if (row.stats.deadlocked && !row.may_deadlock) {
+      std::cerr << "harness: deadlock — variant '" << row.variant.label()
                 << "' never completed (blocked processes reported above by "
                    "the simulator); rerun with --recovery=degraded or "
                    "--recovery=rejoin to survive crash faults\n";
@@ -329,23 +479,22 @@ int drive(int argc, char** argv, const DriveOptions& options) {
   // diverged locations were never reconciled (anti-entropy heal's job).
   // This is the demonstrable failure mode of --quorum=0 --heal=false; the
   // quorum-gated + healed configuration must never reach it.
-  if (any_partition) {
-    std::uint64_t diverged = 0;
-    std::uint64_t reconciled = 0;
-    std::uint64_t split_brains = 0;
-    for (const auto& row : rows) {
-      diverged += row.stats.diverged_locations;
-      reconciled += row.stats.reconciled_locations;
-      split_brains += row.stats.split_brain_declarations;
-    }
-    if (split_brains > 0 || diverged > reconciled) {
-      std::cerr << "harness: split-brain — " << split_brains
-                << " mutual dead declaration(s), " << (diverged - reconciled)
-                << " diverged location(s) never reconciled; rerun with a "
-                   "majority --quorum to gate dead declarations and --heal "
-                   "to merge divergent histories\n";
-      return 5;
-    }
+  std::uint64_t diverged = 0;
+  std::uint64_t reconciled = 0;
+  std::uint64_t split_brains = 0;
+  for (const auto& row : rows) {
+    if (!row.partitioned) continue;
+    diverged += row.stats.diverged_locations;
+    reconciled += row.stats.reconciled_locations;
+    split_brains += row.stats.split_brain_declarations;
+  }
+  if (split_brains > 0 || diverged > reconciled) {
+    std::cerr << "harness: split-brain — " << split_brains
+              << " mutual dead declaration(s), " << (diverged - reconciled)
+              << " diverged location(s) never reconciled; rerun with a "
+                 "majority --quorum to gate dead declarations and --heal "
+                 "to merge divergent histories\n";
+    return 5;
   }
   return 0;
 }

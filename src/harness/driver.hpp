@@ -1,19 +1,25 @@
 // The one example/driver layer: harness::drive() owns the flag set
-// (--variants/--age/--seed/--network plus obs, fault, and workload params),
-// the variant loop, the obs/fault/transport wiring, and the result table,
-// so an example binary is nothing but a DriveOptions registration.
+// (--variants/--age/--network/--consistency lists, --seed, plus obs, fault,
+// and workload params), and hands the parsed set-up to the row runner,
+// which runs every variant x age x network x model x scenario row, prints
+// the unified table, and writes --report-out and --json-out.  An example
+// or extension bench is nothing but a DriveOptions registration.
 //
 // A driver may also sweep a scenario axis (background load levels, frame
-// loss ladders): each Scenario adds a labelled table column and its own
-// loader rate / fault plan, while everything else stays shared.
+// loss ladders, crash policies): each Scenario adds a labelled table column,
+// numeric JSON coordinates, and any RunConfig/MachineConfig override, while
+// everything else stays shared.  A driver with several scenario axes runs
+// one Section per axis; later sections may derive their scenarios from the
+// rows of earlier ones.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "fault/fault.hpp"
+#include "harness/run_config.hpp"
 #include "rt/vm.hpp"
 
 namespace nscc::util {
@@ -23,12 +29,51 @@ class Flags;
 namespace nscc::harness {
 
 /// One point on a driver's scenario axis.  The default Scenario runs the
-/// workload once, unloaded, with the fault plan from the --loss-rate flags.
+/// workload once with the flag-derived configuration.
 struct Scenario {
-  std::string label;                 ///< Table cell; empty = no column.
-  double loader_offered_bps = 0.0;   ///< Background-load payload bits/s.
-  bool has_fault = false;            ///< true = `fault` replaces the flag plan.
-  fault::FaultPlan fault;
+  std::string label;  ///< Table cell; empty = no column.
+  /// The scenario's coordinates in the --json-out records' params (loss
+  /// rate, load, crash time, ...), so every record keeps its own key.
+  std::vector<std::pair<std::string, double>> params = {};
+  /// Overrides over the flag-derived run (fault plan, loader rate, recovery
+  /// policy, quorum, integrity, ...).  Applied before the driver derives
+  /// the transport and heal wiring from the final fault plan and recovery
+  /// policy.  Null = no overrides.
+  std::function<void(RunConfig&, rt::MachineConfig&)> configure = {};
+  /// A deadlock is this scenario's expected result (a crash with no
+  /// recovery policy): the row is reported as DEADLOCK but does not turn
+  /// the exit code into 3.
+  bool may_deadlock = false;
+};
+
+/// One finished run of the row runner.
+struct Row {
+  std::string scenario;
+  std::vector<std::pair<std::string, double>> params;
+  VariantSpec variant;
+  std::string consistency;  ///< The row's consistency model.
+  rt::Network network = rt::Network::kEthernet;
+  bool may_deadlock = false;
+  bool partitioned = false;  ///< The row's fault plan could split the cluster.
+  RunStats stats;
+};
+
+/// One table of a driver run: a scenario axis crossed with every selected
+/// variant, age, network and consistency model.
+struct Section {
+  /// Table title; empty = DriveOptions::title, then the workload's
+  /// description.
+  std::string title;
+  /// Header of the scenario column (shown when scenarios are labelled).
+  std::string scenario_column = "scenario";
+  /// Variant names this section runs, filtered from --variants; empty =
+  /// every selected variant.
+  std::vector<std::string> variants;
+  /// Scenario axis built from the parsed flags and the rows of the earlier
+  /// sections; null = one default Scenario.
+  std::function<std::vector<Scenario>(const util::Flags&,
+                                      const std::vector<Row>&)>
+      scenarios;
 };
 
 struct DriveOptions {
@@ -36,27 +81,32 @@ struct DriveOptions {
   std::string workload;
   /// Table title; empty = the workload's description.
   std::string title;
-  /// Explanatory text printed after the table.
+  /// Explanatory text printed after the last table.
   std::string epilogue;
-  /// Default for --variants (any comma-separated subset of
-  /// sync,async,partial); the flag always accepts overrides.
-  std::string default_variants = "sync,async,partial";
-  /// Default for --age (staleness bound of the partial variant).
-  long default_age = 10;
-  /// Default for --network.
-  rt::Network default_network = rt::Network::kEthernet;
-  /// Per-driver defaults for any registered flag (workload params, --seed,
-  /// --read-timeout-ms, ...), applied before parsing.
+  /// Per-driver defaults for any registered flag (--variants, --age,
+  /// --network, workload params, --seed, --read-timeout-ms, ...), applied
+  /// before parsing.
   std::map<std::string, std::string> flag_defaults;
-  /// Header of the scenario column (required when `scenarios` is set).
-  std::string scenario_column = "scenario";
-  /// Scenario axis built from the parsed flags; null = one default Scenario.
-  std::function<std::vector<Scenario>(const util::Flags&)> scenarios;
+  /// The tables to run, in order; empty = one default Section.
+  std::vector<Section> sections;
 };
 
+/// One scenario per background load level, labelled "2.0" (Mbps) with
+/// JSON param "load_mbps".
+[[nodiscard]] std::vector<Scenario> load_scenarios(
+    const std::vector<double>& loads_mbps);
+
+/// One scenario per frame-loss rate, labelled "1.0 %" with JSON param
+/// "loss": each replaces the flag fault plan with a loss-only plan seeded
+/// by --fault-seed.
+[[nodiscard]] std::vector<Scenario> loss_scenarios(
+    const util::Flags& flags, const std::vector<double>& losses);
+
 /// Run a registered workload under the configured variants and scenarios,
-/// print the unified table, and return the process exit code (0 = success,
-/// nonzero on flag errors or an unknown workload).
+/// print the unified table(s), and return the process exit code: 0 on
+/// success, 1 on flag errors, 2 on an unknown workload or an unwritable
+/// output file, 3 on an unexpected deadlock, 4 on sanitize=strict
+/// violations, 5 on detectable split-brain.
 int drive(int argc, char** argv, const DriveOptions& options);
 
 }  // namespace nscc::harness

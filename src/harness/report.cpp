@@ -23,6 +23,10 @@ std::string run_report_json(const std::string& workload,
     append_escaped(out, row.scenario);
     out += ", \"variant\": ";
     append_escaped(out, row.variant);
+    out += ", \"network\": ";
+    append_escaped(out, row.network);
+    out += ", \"consistency\": ";
+    append_escaped(out, row.consistency);
     out += ", \"stats\": ";
     append_object(out, row.stats.to_fields());
     out += '}';

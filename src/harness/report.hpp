@@ -17,6 +17,8 @@ namespace nscc::harness {
 struct ReportRow {
   std::string scenario;  ///< Empty when the driver ran without scenarios.
   std::string variant;
+  std::string network;
+  std::string consistency;  ///< The row's consistency model.
   RunStats stats;
 };
 

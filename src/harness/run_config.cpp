@@ -129,11 +129,17 @@ VariantSpec make_variant(const std::string& name, dsm::Iteration partial_age) {
   throw std::invalid_argument("unknown variant: " + name);
 }
 
-std::vector<VariantSpec> parse_variants(const std::string& csv,
-                                        dsm::Iteration partial_age) {
+std::vector<VariantSpec> parse_variants(
+    const std::string& csv, const std::vector<dsm::Iteration>& partial_ages) {
   std::vector<VariantSpec> specs;
   for (const auto& name : util::split_csv(csv)) {
-    specs.push_back(make_variant(name, partial_age));
+    if (name != "partial") {
+      specs.push_back(make_variant(name, 0));
+      continue;
+    }
+    for (const dsm::Iteration age : partial_ages) {
+      specs.push_back(make_variant(name, age));
+    }
   }
   return specs;
 }

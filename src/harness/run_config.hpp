@@ -132,9 +132,10 @@ struct VariantSpec {
 [[nodiscard]] VariantSpec make_variant(const std::string& name,
                                        dsm::Iteration partial_age);
 
-/// Parse a validated --variants value ("sync,partial") into specs.
+/// Parse a validated --variants value ("sync,partial") into specs, in
+/// order; "partial" expands in place to one spec per age in `partial_ages`.
 [[nodiscard]] std::vector<VariantSpec> parse_variants(
-    const std::string& csv, dsm::Iteration partial_age);
+    const std::string& csv, const std::vector<dsm::Iteration>& partial_ages);
 
 /// `base` specialised to one variant: its mode and age, and coalescing on
 /// exactly for the partial variant (staleness tolerance is what licenses

@@ -36,7 +36,9 @@ class Workload {
   /// One-line description for tables and --help.
   [[nodiscard]] virtual std::string description() const = 0;
 
-  /// Register the workload's problem-size flags (--demes, --grid, ...).
+  /// Register the workload's problem-size flags (--demes, --grid, ...),
+  /// with the ranges the application can run (Flags::range), so a size it
+  /// cannot run is rejected at parse time.
   virtual void register_params(util::Flags& flags) const = 0;
   /// Read the registered flags back into the workload's parameters.
   virtual void configure(const util::Flags& flags) = 0;

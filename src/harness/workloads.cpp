@@ -38,8 +38,11 @@ std::string GaIslandWorkload::description() const {
 
 void GaIslandWorkload::register_params(util::Flags& flags) const {
   flags.add_int("demes", demes, "number of islands (simulated nodes)")
+      .range("demes", 1)
       .add_int("generations", generations, "generations per deme")
-      .add_int("function", function_id, "test function 1..8 (6 = Rastrigin)");
+      .range("generations", 1)
+      .add_int("function", function_id, "test function 1..8 (6 = Rastrigin)")
+      .range("function", 1, 8);
 }
 
 void GaIslandWorkload::configure(const util::Flags& flags) {
@@ -174,7 +177,9 @@ void BayesSamplingWorkload::register_params(util::Flags& flags) const {
   flags
       .add_int("iterations", static_cast<std::int64_t>(iterations),
                "sampling iterations per task")
-      .add_int("parts", parts, "network partitions (simulated nodes)");
+      .range("iterations", 1)
+      .add_int("parts", parts, "network partitions (simulated nodes)")
+      .range("parts", 1);
 }
 
 void BayesSamplingWorkload::configure(const util::Flags& flags) {
@@ -272,7 +277,9 @@ std::string JacobiWorkload::description() const {
 
 void JacobiWorkload::register_params(util::Flags& flags) const {
   flags.add_int("grid", grid, "Poisson grid side (n x n unknowns)")
+      .range("grid", 1)
       .add_int("processors", processors, "simulated nodes")
+      .range("processors", 1)
       .add_double("tolerance", tolerance, "residual tolerance");
 }
 
@@ -341,7 +348,9 @@ std::string NnTrainWorkload::description() const {
 
 void NnTrainWorkload::register_params(util::Flags& flags) const {
   flags.add_int("steps", steps, "mini-batch steps per worker")
-      .add_int("workers", workers, "worker nodes (plus a parameter server)");
+      .range("steps", 1)
+      .add_int("workers", workers, "worker nodes (plus a parameter server)")
+      .range("workers", 1);
 }
 
 void NnTrainWorkload::configure(const util::Flags& flags) {
@@ -369,11 +378,27 @@ RunStats nn_stats(const nn::TrainResult& r) {
 
 }  // namespace
 
+nn::TrainResult NnTrainWorkload::train(const RunConfig& run,
+                                       const rt::MachineConfig& machine) const {
+  const auto data = nn::make_two_spirals(60, 0.02, run.seed);
+  return nn::train_parallel(data, build(run), machine, run.loader_offered_bps);
+}
+
 RunStats NnTrainWorkload::run(const RunConfig& run,
                               const rt::MachineConfig& machine) {
-  const auto data = nn::make_two_spirals(60, 0.02, run.seed);
-  return nn_stats(
-      nn::train_parallel(data, build(run), machine, run.loader_offered_bps));
+  return nn_stats(train(run, machine));
+}
+
+RunStats NnTrainWorkload::run_matched(const RunConfig& run,
+                                      const rt::MachineConfig& machine,
+                                      const RunStats& serial,
+                                      const RunStats*) {
+  const nn::TrainResult r = train(run, machine);
+  const sim::Time ttq = r.time_to_loss(1.15 * serial.quality);
+  RunStats stats = nn_stats(r);
+  stats.extra.emplace_back("time_to_quality_s",
+                           ttq < 0 ? std::nan("") : sim::to_seconds(ttq));
+  return stats;
 }
 
 sanitize::ToleranceSpec NnTrainWorkload::tolerance_spec(const RunConfig& run) const {

@@ -132,6 +132,15 @@ class NnTrainWorkload final : public Workload {
       const RunConfig& run) const override;
   /// Single-node SGD over the same mini-batch schedule.
   [[nodiscard]] RunStats reference(const RunConfig& run) const override;
+  /// run() plus the extra "time_to_quality_s": the virtual time at which
+  /// the training loss first reached 1.15x the serial program's final loss
+  /// (NaN, serialised as null, when it never did).
+  RunStats run_matched(const RunConfig& run, const rt::MachineConfig& machine,
+                       const RunStats& serial, const RunStats* sync) override;
+
+ private:
+  [[nodiscard]] nn::TrainResult train(const RunConfig& run,
+                                      const rt::MachineConfig& machine) const;
 };
 
 }  // namespace nscc::harness

@@ -190,4 +190,17 @@ TEST(BenchCompare, ParamsDistinguishCells) {
             kCompareRegression);
 }
 
+TEST(BenchCompare, DuplicateCellKeysAreAnError) {
+  // A second record under the same key would silently go uncompared.
+  std::string twice = doc(1000, 2.5);
+  const auto record = twice.find("{\"workload\"");
+  const auto end = twice.rfind("]}");
+  ASSERT_NE(record, std::string::npos);
+  twice.insert(end, ", " + twice.substr(record, end - record));
+  std::ostringstream out;
+  EXPECT_EQ(compare_bench_json(doc(1000, 2.5), twice, {}, out),
+            kCompareError);
+  EXPECT_NE(out.str().find("share the cell key"), std::string::npos);
+}
+
 }  // namespace

@@ -1,5 +1,6 @@
 // Harness-layer tests: registry behaviour, the RunConfig -> legacy-config
-// mapping of every workload adapter, and the golden parity table.
+// mapping of every workload adapter, the golden parity table, and the
+// shared driver's list axes, scenario overrides and flag validation.
 //
 // The golden table pins the exact metrics the four pre-refactor example
 // drivers printed for fixed small configs, on both interconnects.  The
@@ -8,13 +9,20 @@
 // behaviour, not just its packaging.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "harness/bench_compare.hpp"
+#include "harness/driver.hpp"
 #include "harness/run_config.hpp"
 #include "harness/workload.hpp"
 #include "harness/workloads.hpp"
 #include "rt/vm.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -282,14 +290,210 @@ TEST(Reference, EveryBuiltinWorkloadHasASerialBaseline) {
   }
 }
 
+TEST(Variants, PartialExpandsInPlaceToOneSpecPerAge) {
+  const auto variants = harness::parse_variants("sync,partial,async", {5, 20});
+  ASSERT_EQ(variants.size(), 4u);
+  EXPECT_EQ(variants[0].tag(), "sync");
+  EXPECT_EQ(variants[1].tag(), "age5");
+  EXPECT_EQ(variants[2].tag(), "age20");
+  EXPECT_EQ(variants[3].tag(), "async");
+}
+
 TEST(Variants, ParseAndLabel) {
-  const auto variants = harness::parse_variants("sync,partial", 10);
+  const auto variants = harness::parse_variants("sync,partial", {10});
   ASSERT_EQ(variants.size(), 2u);
   EXPECT_EQ(variants[0].mode, dsm::Mode::kSynchronous);
   EXPECT_EQ(variants[0].label(), "synchronous");
   EXPECT_EQ(variants[1].mode, dsm::Mode::kPartialAsync);
   EXPECT_EQ(variants[1].age, 10);
   EXPECT_EQ(variants[1].label(), "Global_Read(10)");
+}
+
+// ---- The shared driver -----------------------------------------------------
+
+using Stats = std::vector<std::pair<std::string, double>>;
+
+int drive(const std::string& workload, std::vector<std::string> args,
+          const harness::DriveOptions* given = nullptr) {
+  harness::DriveOptions options;
+  if (given != nullptr) options = *given;
+  options.workload = workload;
+  args.insert(args.begin(), "test");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return harness::drive(static_cast<int>(argv.size()), argv.data(), options);
+}
+
+/// Run the driver with --json-out and return its records (the serial
+/// reference left out), keyed by variant, age, model and params.  Also
+/// checks that the document gives every record its own bench-compare key.
+std::map<std::string, Stats> drive_records(const std::string& workload,
+                                           std::vector<std::string> args) {
+  // ctest runs each test in its own process, concurrently: name the file
+  // after the test so two processes never share one.
+  static int calls = 0;
+  const std::string path =
+      testing::TempDir() +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(calls++) + ".json";
+  args.push_back("--json-out=" + path);
+  EXPECT_EQ(drive(workload, args), 0);
+  std::ifstream file(path);
+  std::stringstream text;
+  text << file.rdbuf();
+  std::ostringstream compare_log;
+  EXPECT_EQ(harness::compare_bench_json(text.str(), text.str(), {},
+                                        compare_log),
+            harness::kComparePass)
+      << compare_log.str();
+  std::map<std::string, Stats> records;
+  const auto doc = util::json::parse(text.str());
+  if (!doc) {
+    ADD_FAILURE() << "unparsable driver JSON " << path;
+    return records;
+  }
+  for (const auto& rec : doc->find("results")->array) {
+    if (rec.string_or("variant", "") == "serial") continue;
+    std::string key = rec.string_or("variant", "") + " age=" +
+                      std::to_string(rec.number_or("age", -1)) + " model=" +
+                      rec.string_or("consistency", "nonstrict");
+    for (const auto& [name, v] : rec.find("params")->object) {
+      key += " " + name + "=" + std::to_string(v.number);
+    }
+    Stats stats;
+    for (const auto& [name, v] : rec.find("stats")->object) {
+      stats.emplace_back(name, v.number);
+    }
+    records[key] = stats;
+  }
+  return records;
+}
+
+/// The list run of `flag` has one row per value, each with the same numbers
+/// as the matching single-valued run.
+void expect_list_matches_single_runs(const std::string& flag,
+                                     const std::vector<std::string>& values) {
+  const std::vector<std::string> small = {"--grid=8", "--variants=partial"};
+  std::string list;
+  for (const auto& v : values) list += (list.empty() ? "" : ",") + v;
+  auto args = small;
+  args.push_back("--" + flag + "=" + list);
+  const auto combined = drive_records("solver.jacobi", args);
+  EXPECT_EQ(combined.size(), values.size()) << flag;
+  std::size_t matched = 0;
+  for (const auto& v : values) {
+    auto single_args = small;
+    single_args.push_back("--" + flag + "=" + v);
+    const auto single = drive_records("solver.jacobi", single_args);
+    for (const auto& [key, stats] : single) {
+      const auto it = combined.find(key);
+      ASSERT_NE(it, combined.end()) << key;
+      EXPECT_EQ(it->second, stats) << key;
+      ++matched;
+    }
+  }
+  EXPECT_EQ(matched, combined.size()) << flag;
+}
+
+TEST(DriverAxes, AgeListRunsOneRowPerAge) {
+  expect_list_matches_single_runs("age", {"5", "20"});
+}
+
+TEST(DriverAxes, NetworkListRunsOneRowPerNetwork) {
+  expect_list_matches_single_runs("network", {"ethernet", "sp2"});
+}
+
+TEST(DriverAxes, ConsistencyListRunsOneRowPerModel) {
+  expect_list_matches_single_runs("consistency", {"nonstrict", "regional"});
+}
+
+TEST(DriverAxes, IllFormedListsExitOne) {
+  EXPECT_EQ(drive("solver.jacobi", {"--grid=8", "--age=5,x"}), 1);
+  EXPECT_EQ(drive("solver.jacobi", {"--grid=8", "--age=5,5"}), 1);
+  EXPECT_EQ(drive("solver.jacobi", {"--grid=8", "--network=ethernet,foo"}),
+            1);
+}
+
+/// A stand-in workload that records the configuration of every run.
+class RecordingWorkload final : public harness::Workload {
+ public:
+  static RecordingWorkload& instance() {
+    static RecordingWorkload* w = [] {
+      auto owned = std::make_unique<RecordingWorkload>();
+      RecordingWorkload* raw = owned.get();
+      Registry::global().add(std::move(owned));
+      return raw;
+    }();
+    return *w;
+  }
+
+  std::vector<RunConfig> runs;
+  std::vector<bool> transport;
+
+  [[nodiscard]] std::string name() const override { return "test.recording"; }
+  [[nodiscard]] std::string description() const override { return name(); }
+  void register_params(util::Flags&) const override {}
+  void configure(const util::Flags&) override {}
+  RunStats run(const RunConfig& run,
+               const rt::MachineConfig& machine) override {
+    runs.push_back(run);
+    transport.push_back(machine.transport.enabled);
+    return {.completion_time = sim::kSecond};
+  }
+  [[nodiscard]] RunStats reference(const RunConfig&) const override {
+    return {.completion_time = sim::kSecond};
+  }
+};
+
+TEST(DriverScenario, OverridesReachTheWorkloadsRunConfig) {
+  RecordingWorkload& w = RecordingWorkload::instance();
+  w.runs.clear();
+  w.transport.clear();
+  harness::Section section;
+  section.scenarios = [](const util::Flags&, const std::vector<harness::Row>&) {
+    return std::vector<harness::Scenario>{
+        {.label = "plain"},
+        {.label = "overridden",
+         .configure = [](RunConfig& run, rt::MachineConfig&) {
+           run.recovery.policy = recovery::Policy::kRejoin;
+           run.recovery.quorum_fraction = 0.6;
+           run.propagation.integrity = true;
+         }}};
+  };
+  harness::DriveOptions options;
+  options.sections = {section};
+  ASSERT_EQ(drive(w.name(), {"--variants=partial"}, &options), 0);
+  ASSERT_EQ(w.runs.size(), 2u);
+  EXPECT_EQ(w.runs[0].recovery.policy, recovery::Policy::kNone);
+  EXPECT_EQ(w.runs[0].recovery.quorum_fraction, 0.0);
+  EXPECT_FALSE(w.runs[0].propagation.integrity);
+  EXPECT_FALSE(w.transport[0]);
+  EXPECT_EQ(w.runs[1].recovery.policy, recovery::Policy::kRejoin);
+  EXPECT_EQ(w.runs[1].recovery.quorum_fraction, 0.6);
+  EXPECT_TRUE(w.runs[1].propagation.integrity);
+  // The transport wiring is derived after the override: recovery needs it.
+  EXPECT_TRUE(w.transport[1]);
+}
+
+// ---- Problem sizes each workload cannot run exit 1 at parse time ----------
+
+TEST(DriverValidation, GaIslandRejectsUnrunnableSizes) {
+  EXPECT_EQ(drive("ga.island", {"--demes=0"}), 1);
+  EXPECT_EQ(drive("ga.island", {"--function=9"}), 1);
+  EXPECT_EQ(drive("ga.island", {"--age=-3"}), 1);
+}
+
+TEST(DriverValidation, BayesSamplingRejectsUnrunnableSizes) {
+  EXPECT_EQ(drive("bayes.sampling", {"--parts=0"}), 1);
+}
+
+TEST(DriverValidation, JacobiRejectsUnrunnableSizes) {
+  EXPECT_EQ(drive("solver.jacobi", {"--processors=0"}), 1);
+  EXPECT_EQ(drive("solver.jacobi", {"--grid=0"}), 1);
+}
+
+TEST(DriverValidation, NnTrainRejectsUnrunnableSizes) {
+  EXPECT_EQ(drive("nn.train", {"--workers=0"}), 1);
 }
 
 }  // namespace

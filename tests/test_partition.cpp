@@ -209,7 +209,7 @@ TEST(Partition, SameSeedSamePlanByteIdenticalSp2) {
 int drive_ga(const std::vector<std::string>& extra) {
   nscc::harness::DriveOptions options;
   options.workload = "ga.island";
-  options.default_variants = "partial";
+  options.flag_defaults = {{"variants", "partial"}};
   std::vector<std::string> args = {"test", "--demes=4", "--generations=40",
                                    "--function=1", "--age=4", "--seed=7",
                                    "--recovery=degraded"};

@@ -500,7 +500,7 @@ int drive_violating(const char* sanitize_flag) {
   (void)registered;
   nscc::harness::DriveOptions options;
   options.workload = "test.violating";
-  options.default_variants = "partial";
+  options.flag_defaults = {{"variants", "partial"}};
   std::string flag = sanitize_flag;
   const char* argv[] = {"test", flag.c_str()};
   return nscc::harness::drive(2, const_cast<char**>(argv), options);
