@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
       cfg.generations = static_cast<int>(flags.get_int("generations"));
       cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
       cfg.propagation.coalesce = true;
-      const auto r = nscc::ga::run_island_ga(cfg, {}, load_mbps * 1e6);
+      cfg.loader_offered_bps = load_mbps * 1e6;
+      const auto r = nscc::ga::run_island_ga(cfg, {});
       table.row()
           .cell(nscc::util::format_double(load_mbps, 0) + " Mbps")
           .cell(label)

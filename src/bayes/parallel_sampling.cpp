@@ -6,8 +6,8 @@
 #include <map>
 #include <vector>
 
+#include "harness/cluster.hpp"
 #include "harness/policy.hpp"
-#include "net/load_generator.hpp"
 #include "obs/obs.hpp"
 #include "recovery/recovery.hpp"
 #include "util/rng.hpp"
@@ -59,10 +59,8 @@ struct TaskOutcome {
 ParallelInferenceResult run_parallel_logic_sampling(
     const BeliefNetwork& net, const std::vector<Evidence>& evidence,
     const std::vector<Query>& queries, const ParallelInferenceConfig& config,
-    rt::MachineConfig machine, double loader_offered_bps) {
+    const rt::MachineConfig& machine) {
   const int P = config.parts;
-  machine.ntasks = P;
-  machine.seed = config.seed;
 
   PartitionConfig pc = config.partition;
   pc.parts = P;
@@ -101,19 +99,9 @@ ParallelInferenceResult run_parallel_logic_sampling(
   // the per-iteration completion marker, so it is always published.
   const int marker_phase = max_phase;
 
-  rt::VirtualMachine vm(machine);
-
-  std::unique_ptr<recovery::Coordinator> coord;
-  if (config.recovery.enabled()) {
-    coord = std::make_unique<recovery::Coordinator>(vm, config.recovery);
-  }
-  recovery::Coordinator* rc = coord.get();
-
-  util::Xoshiro256 skew_rng(config.seed ^ 0x5ca1eULL);
-  std::vector<double> speed(static_cast<std::size_t>(P));
-  for (double& s : speed) {
-    s = 1.0 + config.node_speed_spread * skew_rng.uniform01();
-  }
+  harness::Cluster cluster(machine, config, P, config.node_speed_spread);
+  rt::VirtualMachine& vm = cluster.vm();
+  recovery::Coordinator* rc = cluster.recovery();
 
   std::vector<TaskOutcome> outcomes(static_cast<std::size_t>(P));
   const auto iterations = static_cast<std::int64_t>(config.iterations);
@@ -122,7 +110,7 @@ ParallelInferenceResult run_parallel_logic_sampling(
     vm.add_task("part" + std::to_string(me), [&, me](rt::Task& task) {
       TaskOutcome& out = outcomes[static_cast<std::size_t>(me)];
       util::Xoshiro256 jitter_rng = task.rng().split(0xba5e);
-      const double my_speed = speed[static_cast<std::size_t>(me)];
+      const double my_speed = cluster.speed(me);
       const int N = net.size();
 
       // ---- static layout ---------------------------------------------------
@@ -535,7 +523,7 @@ ParallelInferenceResult run_parallel_logic_sampling(
           }
         }
       };
-      recovery::FnCheckpoint app(
+      const recovery::FnCheckpoint app(
           [&] {
             rt::Packet pk;
             pk.pack_i64(last_computed);
@@ -720,22 +708,9 @@ ParallelInferenceResult run_parallel_logic_sampling(
     });
   }
 
-  net::LoadGenerator loader(vm.engine(), vm.bus(),
-                            net::LoadGeneratorConfig{
-                                .offered_bps = loader_offered_bps,
-                                .frame_payload_bytes = 1024,
-                                .poisson = true,
-                                .seed = config.seed ^ 0x70adULL,
-                            });
-  const sim::Time horizon = 24LL * 3600 * sim::kSecond;
-  const sim::Time full_time = vm.run(horizon);
-  loader.stop();
-
   ParallelInferenceResult result;
-  static_cast<harness::RunStats&>(result) =
-      harness::RunStats::from_registry(vm.obs().registry());
-  result.full_run_time = full_time;
-  result.deadlocked = vm.deadlocked() || full_time >= horizon;
+  static_cast<harness::RunStats&>(result) = cluster.run();
+  result.full_run_time = result.completion_time;
   result.iterations = config.iterations;
   result.edge_cut = edge_cut(net, part);
 
@@ -768,7 +743,8 @@ ParallelInferenceResult run_parallel_logic_sampling(
     }
   }
   result.estimates = std::move(ordered);
-  result.completion_time = result.converged ? completion : full_time;
+  result.completion_time =
+      result.converged ? completion : result.full_run_time;
   return result;
 }
 

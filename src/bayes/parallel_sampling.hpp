@@ -48,9 +48,10 @@ inline constexpr int kMaxPhases = 16;
 }
 
 /// Mode, age, seed, and the propagation policy live in the embedded
-/// harness::RunConfig.  The sampler honours only the policy's read_timeout
-/// (the Global_Read starvation watchdog); interface blocks are never
-/// coalesced — rollback detection needs every superseding publication.
+/// harness::RunConfig.  The sampler lifts the policy's read_timeout,
+/// partition_heal, integrity and consistency fields; interface blocks are
+/// never coalesced — rollback detection needs every superseding
+/// publication.
 struct ParallelInferenceConfig : harness::RunConfig {
   int parts = 2;
   /// Iterations every task runs (fixed, so termination needs no global
@@ -100,6 +101,6 @@ struct ParallelInferenceResult : harness::RunStats {
 ParallelInferenceResult run_parallel_logic_sampling(
     const BeliefNetwork& net, const std::vector<Evidence>& evidence,
     const std::vector<Query>& queries, const ParallelInferenceConfig& config,
-    rt::MachineConfig machine, double loader_offered_bps = 0.0);
+    const rt::MachineConfig& machine);
 
 }  // namespace nscc::bayes

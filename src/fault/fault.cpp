@@ -347,10 +347,18 @@ BlackholeWindow parse_blackhole_spec(const std::string& spec) {
 }
 
 FaultPlan plan_from_flags(const util::Flags& flags) {
+  auto probability = [&flags](const std::string& name) {
+    const double p = flags.get_double(name);
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw std::invalid_argument("--" + name + " must be in [0, 1], got " +
+                                  flags.get_string(name));
+    }
+    return p;
+  };
   FaultPlan plan;
   plan.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed"));
-  plan.link.loss_prob = flags.get_double("loss-rate");
-  plan.link.corrupt_prob = flags.get_double("corrupt-rate");
+  plan.link.loss_prob = probability("loss-rate");
+  plan.link.corrupt_prob = probability("corrupt-rate");
   const double crash_at = flags.get_double("crash-at");
   if (crash_at > 0.0) {
     const auto start = static_cast<sim::Time>(crash_at * sim::kSecond);

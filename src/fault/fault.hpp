@@ -235,8 +235,10 @@ void add_flags(util::Flags& flags);
 
 /// Build a plan from flags registered by add_flags(): a uniform per-frame
 /// loss probability on every link, deterministically seeded.  Throws
-/// std::invalid_argument on a malformed --partition-at / --blackhole-at
-/// spec (drivers turn that into their flag-error exit).
+/// std::invalid_argument on a --loss-rate / --corrupt-rate outside [0, 1]
+/// or a malformed --partition-at / --blackhole-at spec (drivers turn that
+/// into their flag-error exit).  Node ids are checked against the machine
+/// size later, by harness::Cluster.
 [[nodiscard]] FaultPlan plan_from_flags(const util::Flags& flags);
 
 /// Parse one `start:end:group-spec` partition window, where group-spec is

@@ -3,67 +3,17 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "ga/chromosome.hpp"
+#include "harness/cluster.hpp"
 #include "harness/policy.hpp"
-#include "net/load_generator.hpp"
 #include "recovery/recovery.hpp"
 
 namespace nscc::ga {
 
 namespace {
-
-/// Everything a deme needs to continue from generation `gen` after a
-/// crash-restart: its evolved population, the best-so-far tracker, and the
-/// per-source frontier of migrants already incorporated.
-class DemeSnapshot : public recovery::Checkpointable {
- public:
-  DemeSnapshot(Deme& deme, double& best_so_far,
-               std::map<int, dsm::Iteration>& taken, const TestFunction& fn)
-      : deme_(deme), best_so_far_(best_so_far), taken_(taken), fn_(fn) {}
-
-  rt::Packet checkpoint_state() override {
-    rt::Packet p;
-    p.pack_i32(deme_.generation());
-    p.pack_double(best_so_far_);
-    p.pack_u32(static_cast<std::uint32_t>(taken_.size()));
-    for (const auto& [src, iter] : taken_) {
-      p.pack_i32(src);
-      p.pack_i64(iter);
-    }
-    const auto& pop = deme_.population();
-    p.pack_u32(static_cast<std::uint32_t>(pop.size()));
-    for (const Individual& ind : pop) pack_individual(p, ind, fn_);
-    return p;
-  }
-
-  void restore_state(rt::Packet& p) override {
-    const int gen = p.unpack_i32();
-    best_so_far_ = p.unpack_double();
-    taken_.clear();
-    const std::uint32_t ntaken = p.unpack_u32();
-    for (std::uint32_t i = 0; i < ntaken; ++i) {
-      const int src = p.unpack_i32();
-      taken_[src] = p.unpack_i64();
-    }
-    const std::uint32_t n = p.unpack_u32();
-    std::vector<Individual> pop;
-    pop.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      pop.push_back(unpack_individual(p, fn_));
-    }
-    deme_.restore(std::move(pop), gen);
-  }
-
- private:
-  Deme& deme_;
-  double& best_so_far_;
-  std::map<int, dsm::Iteration>& taken_;
-  const TestFunction& fn_;
-};
 
 struct DemeOutcome {
   std::vector<std::pair<sim::Time, double>> best_points;
@@ -77,38 +27,23 @@ struct DemeOutcome {
 }  // namespace
 
 IslandResult run_island_ga(const IslandConfig& config,
-                           rt::MachineConfig machine,
-                           double loader_offered_bps) {
+                           const rt::MachineConfig& machine) {
   const TestFunction& fn = test_function(config.function_id);
-  machine.ntasks = config.ndemes;
-  machine.seed = config.seed;
-
-  rt::VirtualMachine vm(machine);
-
-  std::unique_ptr<recovery::Coordinator> coord;
-  if (config.recovery.enabled()) {
-    coord = std::make_unique<recovery::Coordinator>(vm, config.recovery);
-  }
-
-  // Persistent node speed factors (load skew across the cluster).
-  util::Xoshiro256 skew_rng(config.seed ^ 0x5ca1eULL);
-  std::vector<double> speed(static_cast<std::size_t>(config.ndemes));
-  for (double& s : speed) {
-    s = 1.0 + config.compute.node_speed_spread * skew_rng.uniform01();
-  }
-
+  harness::Cluster cluster(machine, config, config.ndemes,
+                           config.compute.node_speed_spread);
+  rt::VirtualMachine& vm = cluster.vm();
   std::vector<DemeOutcome> outcomes(static_cast<std::size_t>(config.ndemes));
 
   for (int d = 0; d < config.ndemes; ++d) {
     vm.add_task("deme" + std::to_string(d), [&, d](rt::Task& task) {
       DemeOutcome& out = outcomes[static_cast<std::size_t>(d)];
-      const double my_speed = speed[static_cast<std::size_t>(d)];
+      const double my_speed = cluster.speed(d);
       util::Xoshiro256 jitter_rng = task.rng().split(0xba5e);
 
       // The deme honours the run's full policy (jitter, merge hooks) and
       // adds the sync reliable-updates rule plus the recovery wiring —
       // all via the shared harness mapping.
-      recovery::Coordinator* rc = coord.get();
+      recovery::Coordinator* rc = cluster.recovery();
       dsm::PropagationPolicy prop = harness::make_policy(
           config, {.full = true,
                    .sync_reliable_updates = true,
@@ -169,10 +104,42 @@ IslandResult run_island_ga(const IslandConfig& config,
       std::map<int, dsm::Iteration> taken;
 
       // Crash-restart: a respawned incarnation restores the last snapshot
-      // and continues from its generation; the adaptive-age controller and
-      // scaling-window history restart fresh (part of the quality delta a
-      // crash costs).
-      DemeSnapshot snapshot(deme, best_so_far, taken, fn);
+      // (its evolved population, the best-so-far tracker and the migrant
+      // frontier) and continues from its generation; the adaptive-age
+      // controller and scaling-window history restart fresh (part of the
+      // quality delta a crash costs).
+      const recovery::FnCheckpoint snapshot(
+          [&] {
+            rt::Packet p;
+            p.pack_i32(deme.generation());
+            p.pack_double(best_so_far);
+            p.pack_u32(static_cast<std::uint32_t>(taken.size()));
+            for (const auto& [src, iter] : taken) {
+              p.pack_i32(src);
+              p.pack_i64(iter);
+            }
+            const auto& pop = deme.population();
+            p.pack_u32(static_cast<std::uint32_t>(pop.size()));
+            for (const Individual& ind : pop) pack_individual(p, ind, fn);
+            return p;
+          },
+          [&](rt::Packet& p) {
+            const int gen = p.unpack_i32();
+            best_so_far = p.unpack_double();
+            taken.clear();
+            const std::uint32_t ntaken = p.unpack_u32();
+            for (std::uint32_t i = 0; i < ntaken; ++i) {
+              const int src = p.unpack_i32();
+              taken[src] = p.unpack_i64();
+            }
+            const std::uint32_t n = p.unpack_u32();
+            std::vector<Individual> pop;
+            pop.reserve(n);
+            for (std::uint32_t i = 0; i < n; ++i) {
+              pop.push_back(unpack_individual(p, fn));
+            }
+            deme.restore(std::move(pop), gen);
+          });
       const std::int64_t restored =
           rc != nullptr ? rc->restore(task, snapshot) : -1;
       if (restored < 0) {
@@ -258,24 +225,8 @@ IslandResult run_island_ga(const IslandConfig& config,
     });
   }
 
-  net::LoadGenerator loader(vm.engine(), vm.bus(),
-                            net::LoadGeneratorConfig{
-                                .offered_bps = loader_offered_bps,
-                                .frame_payload_bytes = 1024,
-                                .poisson = true,
-                                .seed = config.seed ^ 0x70adULL,
-                            });
-
-  // Generous horizon so a logic error cannot spin the loader forever.
-  const sim::Time horizon = 24LL * 3600 * sim::kSecond;
-  const sim::Time completion = vm.run(horizon);
-  loader.stop();
-
   IslandResult result;
-  static_cast<harness::RunStats&>(result) =
-      harness::RunStats::from_registry(vm.obs().registry());
-  result.completion_time = completion;
-  result.deadlocked = vm.deadlocked() || completion >= horizon;
+  static_cast<harness::RunStats&>(result) = cluster.run();
 
   // Merge per-deme best-so-far points into a global prefix-min trajectory.
   std::vector<std::pair<sim::Time, double>> merged;

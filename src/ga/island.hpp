@@ -66,12 +66,10 @@ struct IslandResult : harness::RunStats {
   std::uint64_t age_adjustments = 0;
 };
 
-/// Run one island-GA experiment on a fresh simulated machine.  `machine`
+/// Run one island-GA experiment on a fresh harness::Cluster.  `machine`
 /// supplies the network/runtime cost parameters (ntasks is overridden by
-/// config.ndemes).  A background load of `loader_offered_bps` payload bits
-/// per second is injected for loaded-network experiments (0 = unloaded).
+/// config.ndemes); config.loader_offered_bps sets the background load.
 IslandResult run_island_ga(const IslandConfig& config,
-                           rt::MachineConfig machine,
-                           double loader_offered_bps = 0.0);
+                           const rt::MachineConfig& machine);
 
 }  // namespace nscc::ga

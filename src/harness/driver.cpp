@@ -423,8 +423,16 @@ int drive(int argc, char** argv, const DriveOptions& options) {
         section.scenarios ? section.scenarios(flags, rows)
                           : std::vector<Scenario>{Scenario{}};
     if (i > 0) std::cout << '\n';
-    auto section_rows = run_section(setup, section, title, scenarios,
-                                    i + 1 == sections.size());
+    std::vector<Row> section_rows;
+    try {
+      section_rows = run_section(setup, section, title, scenarios,
+                                 i + 1 == sections.size());
+    } catch (const std::invalid_argument& e) {
+      // harness::Cluster rejects a fault plan naming a node the machine
+      // lacks; only the workload's machine size can tell.
+      std::cerr << "harness: " << e.what() << '\n';
+      return 1;
+    }
     rows.insert(rows.end(), std::make_move_iterator(section_rows.begin()),
                 std::make_move_iterator(section_rows.end()));
   }

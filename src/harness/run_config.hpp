@@ -29,10 +29,10 @@ struct RunConfig {
   dsm::Mode mode = dsm::Mode::kSynchronous;
   dsm::Iteration age = 0;  ///< Staleness bound for kPartialAsync.
   std::uint64_t seed = 1;
-  /// Update-propagation policy (coalescing, Global_Read watchdog).  Each
-  /// workload honours the subset it historically honoured: the GA applies
-  /// the whole policy, the solver coalescing + watchdog, the sampler and
-  /// the trainer only the watchdog.
+  /// Update-propagation policy.  harness::make_policy decides what each
+  /// workload lifts: every workload takes read_timeout, partition_heal,
+  /// integrity and consistency; the solver adds coalesce; the GA takes the
+  /// whole policy.
   dsm::PropagationPolicy propagation;
   /// Background-load payload bits per second on the interconnect (0 = none).
   double loader_offered_bps = 0.0;

@@ -75,7 +75,7 @@ RunStats ga_stats(RunStats stats, const Result& r) {
 }
 
 RunStats evolve(const ga::IslandConfig& cfg, const rt::MachineConfig& machine) {
-  const auto r = ga::run_island_ga(cfg, machine, cfg.loader_offered_bps);
+  const auto r = ga::run_island_ga(cfg, machine);
   return ga_stats(r, r);
 }
 
@@ -214,8 +214,8 @@ RunStats BayesSamplingWorkload::with_estimates(
 RunStats BayesSamplingWorkload::sample(
     const bayes::ParallelInferenceConfig& cfg,
     const rt::MachineConfig& machine) const {
-  const auto r = bayes::run_parallel_logic_sampling(
-      network, evidence, queries, cfg, machine, cfg.loader_offered_bps);
+  const auto r = bayes::run_parallel_logic_sampling(network, evidence,
+                                                    queries, cfg, machine);
   RunStats stats = with_estimates(r, r.estimates);
   stats.extra.insert(
       stats.extra.end(),
@@ -316,8 +316,7 @@ RunStats jacobi_stats(RunStats stats, const solver::JacobiSolution& r) {
 RunStats JacobiWorkload::run(const RunConfig& run,
                              const rt::MachineConfig& machine) {
   const auto sys = solver::make_poisson_2d(grid, run.seed);
-  const auto r = solver::run_parallel_jacobi(sys, build(run), machine,
-                                             run.loader_offered_bps);
+  const auto r = solver::run_parallel_jacobi(sys, build(run), machine);
   return jacobi_stats(r, r);
 }
 
@@ -381,7 +380,7 @@ RunStats nn_stats(const nn::TrainResult& r) {
 nn::TrainResult NnTrainWorkload::train(const RunConfig& run,
                                        const rt::MachineConfig& machine) const {
   const auto data = nn::make_two_spirals(60, 0.02, run.seed);
-  return nn::train_parallel(data, build(run), machine, run.loader_offered_bps);
+  return nn::train_parallel(data, build(run), machine);
 }
 
 RunStats NnTrainWorkload::run(const RunConfig& run,

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <utility>
 
+#include "harness/cluster.hpp"
 #include "harness/policy.hpp"
-#include "net/load_generator.hpp"
 #include "recovery/recovery.hpp"
 
 namespace nscc::nn {
@@ -25,72 +24,6 @@ sim::Time eval_cost(const Mlp& net, std::size_t examples, sim::Time per_mac) {
   return static_cast<sim::Time>(net.parameter_count()) *
          static_cast<sim::Time>(examples) * 2 * per_mac;
 }
-
-/// Server checkpoint: the model plus the per-worker applied frontier.  The
-/// gradient stream has no collective framing (each message is step-stamped),
-/// so a snapshot is safe at any message boundary.
-class ServerSnapshot : public recovery::Checkpointable {
- public:
-  ServerSnapshot(Mlp& net, std::vector<int>& applied,
-                 dsm::Iteration& published_round, int& applications)
-      : net_(net),
-        applied_(applied),
-        published_round_(published_round),
-        applications_(applications) {}
-
-  rt::Packet checkpoint_state() override {
-    rt::Packet p;
-    p.pack_double_vec(net_.parameters());
-    p.pack_u32(static_cast<std::uint32_t>(applied_.size()));
-    for (int a : applied_) p.pack_i32(a);
-    p.pack_i64(published_round_);
-    p.pack_i32(applications_);
-    return p;
-  }
-
-  void restore_state(rt::Packet& p) override {
-    net_.set_parameters(p.unpack_double_vec());
-    const std::uint32_t n = p.unpack_u32();
-    applied_.assign(n, 0);
-    for (std::uint32_t i = 0; i < n; ++i) applied_[i] = p.unpack_i32();
-    published_round_ = p.unpack_i64();
-    applications_ = p.unpack_i32();
-  }
-
- private:
-  Mlp& net_;
-  std::vector<int>& applied_;
-  dsm::Iteration& published_round_;
-  int& applications_;
-};
-
-/// Worker checkpoint: loop position plus the last-seen parameters (the next
-/// step refreshes them from the shared space anyway; carrying them keeps a
-/// cold cache from training on initialisation weights).
-class WorkerSnapshot : public recovery::Checkpointable {
- public:
-  WorkerSnapshot(int& step_done, std::size_t& cursor, Mlp& net)
-      : step_done_(step_done), cursor_(cursor), net_(net) {}
-
-  rt::Packet checkpoint_state() override {
-    rt::Packet p;
-    p.pack_i32(step_done_);
-    p.pack_u64(cursor_);
-    p.pack_double_vec(net_.parameters());
-    return p;
-  }
-
-  void restore_state(rt::Packet& p) override {
-    step_done_ = p.unpack_i32();
-    cursor_ = static_cast<std::size_t>(p.unpack_u64());
-    net_.set_parameters(p.unpack_double_vec());
-  }
-
- private:
-  int& step_done_;
-  std::size_t& cursor_;
-  Mlp& net_;
-};
 
 }  // namespace
 
@@ -139,24 +72,12 @@ TrainResult train_sequential(const Dataset& data, const TrainConfig& config) {
 }
 
 TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
-                           rt::MachineConfig machine,
-                           double loader_offered_bps) {
+                           const rt::MachineConfig& machine) {
   const int P = config.workers;
-  machine.ntasks = P + 1;  // Task 0 is the parameter server.
-  machine.seed = config.seed;
-  rt::VirtualMachine vm(machine);
-
-  std::unique_ptr<recovery::Coordinator> coord;
-  if (config.recovery.enabled()) {
-    coord = std::make_unique<recovery::Coordinator>(vm, config.recovery);
-  }
-  recovery::Coordinator* rc = coord.get();
-
-  util::Xoshiro256 skew_rng(config.seed ^ 0x5ca1eULL);
-  std::vector<double> speed(static_cast<std::size_t>(P + 1));
-  for (double& s : speed) {
-    s = 1.0 + config.node_speed_spread * skew_rng.uniform01();
-  }
+  // Task 0 is the parameter server.
+  harness::Cluster cluster(machine, config, P + 1, config.node_speed_spread);
+  rt::VirtualMachine& vm = cluster.vm();
+  recovery::Coordinator* rc = cluster.recovery();
 
   TrainResult result;
 
@@ -182,7 +103,27 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
     dsm::Iteration published_round = 0;
     int applications = 0;
 
-    ServerSnapshot snapshot(net, applied, published_round, applications);
+    // Server checkpoint: the model plus the per-worker applied frontier.
+    // The gradient stream has no collective framing (each message is
+    // step-stamped), so a snapshot is safe at any message boundary.
+    const recovery::FnCheckpoint snapshot(
+        [&] {
+          rt::Packet p;
+          p.pack_double_vec(net.parameters());
+          p.pack_u32(static_cast<std::uint32_t>(applied.size()));
+          for (int a : applied) p.pack_i32(a);
+          p.pack_i64(published_round);
+          p.pack_i32(applications);
+          return p;
+        },
+        [&](rt::Packet& p) {
+          net.set_parameters(p.unpack_double_vec());
+          const std::uint32_t n = p.unpack_u32();
+          applied.assign(n, 0);
+          for (std::uint32_t i = 0; i < n; ++i) applied[i] = p.unpack_i32();
+          published_round = p.unpack_i64();
+          applications = p.unpack_i32();
+        });
     const std::int64_t restored =
         rc != nullptr ? rc->restore(task, snapshot) : -1;
     if (restored < 0) {
@@ -198,7 +139,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
       if (applications % config.eval_every != 0) return;
       task.compute(static_cast<sim::Time>(
           static_cast<double>(eval_cost(net, data.size(), config.cost_per_mac)) *
-          speed[0]));
+          cluster.speed(0)));
       result.loss_trajectory.emplace_back(task.now(),
                                           net.loss(data.inputs, data.targets));
     };
@@ -264,7 +205,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
               static_cast<double>(
                   static_cast<sim::Time>(net.parameter_count()) * 2 *
                   static_cast<sim::Time>(P) * config.cost_per_mac) *
-              speed[0]));
+              cluster.speed(0)));
           published_round = step;
           publish(published_round);
           maybe_eval();
@@ -276,7 +217,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
         task.compute(static_cast<sim::Time>(
             static_cast<double>(static_cast<sim::Time>(net.parameter_count()) *
                                 2 * config.cost_per_mac) *
-            speed[0]));
+            cluster.speed(0)));
         // Retransmits can leapfrog: a lost step-k gradient may be redelivered
         // after step k+1 already arrived.  The frontier is the max seen.
         applied[static_cast<std::size_t>(msg.src)] =
@@ -304,7 +245,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
           task, harness::make_policy(config, {.recovery = rc, .self = w}));
       space.declare_read(kParamsLoc, 0);
       util::Xoshiro256 jitter_rng = task.rng().split(0xba5e);
-      const double my_speed = speed[static_cast<std::size_t>(w)];
+      const double my_speed = cluster.speed(w);
 
       // Each worker strides through its own shard of mini-batches.
       std::size_t cursor = static_cast<std::size_t>(w - 1) *
@@ -312,7 +253,22 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
       std::vector<double> grad;
       int step_done = 0;
 
-      WorkerSnapshot snapshot(step_done, cursor, net);
+      // Worker checkpoint: loop position plus the last-seen parameters (the
+      // next step refreshes them from the shared space anyway; carrying them
+      // keeps a cold cache from training on initialisation weights).
+      const recovery::FnCheckpoint snapshot(
+          [&] {
+            rt::Packet p;
+            p.pack_i32(step_done);
+            p.pack_u64(cursor);
+            p.pack_double_vec(net.parameters());
+            return p;
+          },
+          [&](rt::Packet& p) {
+            step_done = p.unpack_i32();
+            cursor = static_cast<std::size_t>(p.unpack_u64());
+            net.set_parameters(p.unpack_double_vec());
+          });
       const std::int64_t restored =
           rc != nullptr ? rc->restore(task, snapshot) : -1;
       if (restored < 0 && rc != nullptr) {
@@ -359,22 +315,9 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
     });
   }
 
-  net::LoadGenerator loader(vm.engine(), vm.bus(),
-                            net::LoadGeneratorConfig{
-                                .offered_bps = loader_offered_bps,
-                                .frame_payload_bytes = 1024,
-                                .poisson = true,
-                                .seed = config.seed ^ 0x70adULL,
-                            });
-  const sim::Time horizon = 24LL * 3600 * sim::kSecond;
-  const sim::Time end = vm.run(horizon);
-  loader.stop();
   // The server task already wrote the model quality into `result`; the
   // mechanism counters come from the registry.
-  static_cast<harness::RunStats&>(result) =
-      harness::RunStats::from_registry(vm.obs().registry());
-  result.completion_time = end;
-  result.deadlocked = vm.deadlocked() || end >= horizon;
+  static_cast<harness::RunStats&>(result) = cluster.run();
   return result;
 }
 

@@ -36,9 +36,10 @@ namespace nscc::nn {
 inline constexpr dsm::LocationId kParamsLoc = 900;
 
 /// Mode, age, seed, and the propagation policy live in the embedded
-/// harness::RunConfig.  The trainer honours only the policy's read_timeout
-/// (the Global_Read starvation watchdog); parameter/gradient publications
-/// are never coalesced — the server needs every worker gradient.
+/// harness::RunConfig.  The trainer lifts the policy's read_timeout,
+/// partition_heal, integrity and consistency fields; parameter/gradient
+/// publications are never coalesced — the server needs every worker
+/// gradient.
 struct TrainConfig : harness::RunConfig {
   int workers = 4;
   int steps = 300;          ///< Mini-batch steps per worker.
@@ -69,8 +70,7 @@ struct TrainResult : harness::RunStats {
 };
 
 TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
-                           rt::MachineConfig machine,
-                           double loader_offered_bps = 0.0);
+                           const rt::MachineConfig& machine);
 
 /// Single-node baseline with the same cost model (full-batch passes over
 /// the same shard schedule).

@@ -346,7 +346,7 @@ sim::Time Coordinator::crash_start_before(int node, sim::Time now) const {
   return latest;
 }
 
-std::int64_t Coordinator::restore(rt::Task& task, Checkpointable& app) {
+std::int64_t Coordinator::restore(rt::Task& task, const FnCheckpoint& app) {
   if (task.epoch() == 0) return -1;  // Original incarnation: nothing to do.
   const auto it = checkpoints_.find(task.id());
   if (it == checkpoints_.end()) {
@@ -378,7 +378,7 @@ void Coordinator::note_progress(rt::Task& task, std::int64_t iteration) {
 }
 
 void Coordinator::maybe_checkpoint(rt::Task& task, std::int64_t iteration,
-                                   Checkpointable& app) {
+                                   const FnCheckpoint& app) {
   note_progress(task, iteration);
   if (cfg_.checkpoint_interval <= 0) return;
   sim::Time& next = next_checkpoint_at_[task.id()];

@@ -8,7 +8,7 @@
 // relaxed-coherence regions are the natural unit of cheap state capture):
 //
 //   * Checkpointing — each node periodically snapshots its app-registered
-//     state (a Checkpointable: the DSM-visible segment plus fiber-local
+//     state (an FnCheckpoint: the DSM-visible segment plus fiber-local
 //     loop state) into a Packet held by the Coordinator; the serialization
 //     cost is charged in virtual time (fixed setup + per-byte write).
 //   * Failure detection — every live node emits heartbeats over the rt
@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "rt/packet.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
 namespace nscc::rt {
@@ -94,30 +94,25 @@ struct Config {
   [[nodiscard]] bool enabled() const noexcept { return policy != Policy::kNone; }
 };
 
-/// App-registered state capture.  Implementations pack *everything* a fresh
-/// incarnation of the task body needs to continue from `iteration`: the
-/// node's DSM-visible segment values and all fiber-local loop state.  The
-/// pack/unpack field order is the implementation's contract with itself.
-class Checkpointable {
+/// App-registered state capture over a pair of closures: `save` packs
+/// *everything* a fresh incarnation of the task body needs to continue from
+/// the checkpointed iteration (the node's DSM-visible segment values and
+/// all fiber-local loop state); `load` unpacks the same fields in the same
+/// order, the app's contract with itself.  The closures are held inline:
+/// capturing a handful of task-body references costs no allocation.
+class FnCheckpoint {
  public:
-  virtual ~Checkpointable() = default;
-  virtual rt::Packet checkpoint_state() = 0;
-  virtual void restore_state(rt::Packet& state) = 0;
-};
+  template <typename Sig>
+  using Closure = sim::InlineFunction<Sig, 64>;
 
-/// Checkpointable over a pair of closures — for task bodies whose state is
-/// a web of fiber-local variables rather than one object.
-class FnCheckpoint : public Checkpointable {
- public:
-  FnCheckpoint(std::function<rt::Packet()> save,
-               std::function<void(rt::Packet&)> load)
+  FnCheckpoint(Closure<rt::Packet()> save, Closure<void(rt::Packet&)> load)
       : save_(std::move(save)), load_(std::move(load)) {}
-  rt::Packet checkpoint_state() override { return save_(); }
-  void restore_state(rt::Packet& state) override { load_(state); }
+  [[nodiscard]] rt::Packet checkpoint_state() const { return save_(); }
+  void restore_state(rt::Packet& state) const { load_(state); }
 
  private:
-  std::function<rt::Packet()> save_;
-  std::function<void(rt::Packet&)> load_;
+  Closure<rt::Packet()> save_;
+  Closure<void(rt::Packet&)> load_;
 };
 
 struct Checkpoint {
@@ -163,7 +158,7 @@ class Coordinator {
   /// After a crash-restart: restores the last checkpoint into `app`
   /// (charging the restore cost) and returns its iteration, or -1 when no
   /// checkpoint was ever taken (cold restart).
-  std::int64_t restore(rt::Task& task, Checkpointable& app);
+  std::int64_t restore(rt::Task& task, const FnCheckpoint& app);
 
   /// Task context, once per iteration: records the node's progress frontier
   /// (used for lost-work accounting) without touching the checkpoint.
@@ -174,7 +169,7 @@ class Coordinator {
   /// collective round is in flight).  Takes a snapshot when the checkpoint
   /// interval has elapsed, charging its virtual cost.
   void maybe_checkpoint(rt::Task& task, std::int64_t iteration,
-                        Checkpointable& app);
+                        const FnCheckpoint& app);
 
   /// Heartbeat-driven membership view.  True until the detector declares
   /// the node dead; flips back on rejoin.  In per-node mode this is the

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <set>
 
+#include "harness/cluster.hpp"
 #include "harness/policy.hpp"
-#include "net/load_generator.hpp"
 #include "recovery/recovery.hpp"
 
 namespace nscc::solver {
@@ -28,35 +27,6 @@ std::vector<int> block_starts(int size, int parts) {
   }
   return starts;
 }
-
-/// Everything a block task needs to continue from a reduce-round boundary:
-/// the sweep counter, its own block, and its view of the full vector.
-/// Checkpoints are taken only at reduce boundaries so a restart never
-/// replays half a residual collective (the rounds are anonymous counts).
-class BlockSnapshot : public recovery::Checkpointable {
- public:
-  BlockSnapshot(int& sweep, std::vector<double>& x, std::vector<double>& mine)
-      : sweep_(sweep), x_(x), mine_(mine) {}
-
-  rt::Packet checkpoint_state() override {
-    rt::Packet p;
-    p.pack_i32(sweep_);
-    p.pack_double_vec(x_);
-    p.pack_double_vec(mine_);
-    return p;
-  }
-
-  void restore_state(rt::Packet& p) override {
-    sweep_ = p.unpack_i32();
-    x_ = p.unpack_double_vec();
-    mine_ = p.unpack_double_vec();
-  }
-
- private:
-  int& sweep_;
-  std::vector<double>& x_;
-  std::vector<double>& mine_;
-};
 
 }  // namespace
 
@@ -104,12 +74,9 @@ JacobiResult run_sequential_jacobi(const LinearSystem& sys,
 
 ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
                                          const ParallelJacobiConfig& config,
-                                         rt::MachineConfig machine,
-                                         double loader_offered_bps) {
+                                         const rt::MachineConfig& machine) {
   const int n = sys.size();
   const int P = config.processors;
-  machine.ntasks = P;
-  machine.seed = config.seed;
   const auto starts = block_starts(n, P);
   auto owner_of = [&](int row) {
     const auto it = std::upper_bound(starts.begin(), starts.end(), row);
@@ -136,18 +103,8 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
     }
   }
 
-  rt::VirtualMachine vm(machine);
-
-  std::unique_ptr<recovery::Coordinator> coord;
-  if (config.recovery.enabled()) {
-    coord = std::make_unique<recovery::Coordinator>(vm, config.recovery);
-  }
-
-  util::Xoshiro256 skew_rng(config.seed ^ 0x5ca1eULL);
-  std::vector<double> speed(static_cast<std::size_t>(P));
-  for (double& s : speed) {
-    s = 1.0 + config.node_speed_spread * skew_rng.uniform01();
-  }
+  harness::Cluster cluster(machine, config, P, config.node_speed_spread);
+  rt::VirtualMachine& vm = cluster.vm();
 
   struct Outcome {
     std::vector<double> block;
@@ -160,11 +117,11 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
     vm.add_task("block" + std::to_string(me), [&, me](rt::Task& task) {
       Outcome& out = outcomes[static_cast<std::size_t>(me)];
       util::Xoshiro256 jitter_rng = task.rng().split(0xba5e);
-      const double my_speed = speed[static_cast<std::size_t>(me)];
+      const double my_speed = cluster.speed(me);
       const int lo = starts[static_cast<std::size_t>(me)];
       const int hi = starts[static_cast<std::size_t>(me) + 1];
 
-      recovery::Coordinator* rc = coord.get();
+      recovery::Coordinator* rc = cluster.recovery();
       dsm::SharedSpace space(
           task, harness::make_policy(
                     config, {.coalesce = true, .recovery = rc, .self = me}));
@@ -300,7 +257,24 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
         }
       };
 
-      BlockSnapshot snapshot(sweep, x, mine);
+      // Everything a block task needs to continue from a reduce-round
+      // boundary: the sweep counter, its own block, and its view of the
+      // full vector.  Checkpoints are taken only at reduce boundaries so a
+      // restart never replays half a residual collective (the rounds are
+      // anonymous counts).
+      const recovery::FnCheckpoint snapshot(
+          [&] {
+            rt::Packet p;
+            p.pack_i32(sweep);
+            p.pack_double_vec(x);
+            p.pack_double_vec(mine);
+            return p;
+          },
+          [&](rt::Packet& p) {
+            sweep = p.unpack_i32();
+            x = p.unpack_double_vec();
+            mine = p.unpack_double_vec();
+          });
       const std::int64_t restored =
           rc != nullptr ? rc->restore(task, snapshot) : -1;
       if (restored < 0) {
@@ -403,22 +377,8 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
     });
   }
 
-  net::LoadGenerator loader(vm.engine(), vm.bus(),
-                            net::LoadGeneratorConfig{
-                                .offered_bps = loader_offered_bps,
-                                .frame_payload_bytes = 1024,
-                                .poisson = true,
-                                .seed = config.seed ^ 0x70adULL,
-                            });
-  const sim::Time horizon = 24LL * 3600 * sim::kSecond;
-  const sim::Time end = vm.run(horizon);
-  loader.stop();
-
   ParallelJacobiResult result;
-  static_cast<harness::RunStats&>(result) =
-      harness::RunStats::from_registry(vm.obs().registry());
-  result.completion_time = end;
-  result.deadlocked = vm.deadlocked() || end >= horizon;
+  static_cast<harness::RunStats&>(result) = cluster.run();
 
   // Assemble the final solution from the per-task blocks.
   result.x.assign(static_cast<std::size_t>(n), 0.0);

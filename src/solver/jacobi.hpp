@@ -62,9 +62,10 @@ JacobiResult run_sequential_jacobi(const LinearSystem& sys,
                                    const JacobiConfig& config);
 
 /// Mode, age, seed, and the propagation policy live in the embedded
-/// harness::RunConfig (the solver honours the policy's coalesce and
-/// read_timeout fields); JacobiConfig::seed is shadowed by the RunConfig one
-/// so there is a single seed.
+/// harness::RunConfig (the solver lifts the policy's read_timeout,
+/// partition_heal, integrity, consistency and coalesce fields);
+/// JacobiConfig::seed is shadowed by the RunConfig one so there is a single
+/// seed.
 struct ParallelJacobiConfig : JacobiConfig, harness::RunConfig {
   using harness::RunConfig::seed;
   int processors = 4;
@@ -80,7 +81,6 @@ struct ParallelJacobiResult : JacobiSolution, harness::RunStats {};
 /// Row-block parallel Jacobi on a fresh simulated machine.
 ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
                                          const ParallelJacobiConfig& config,
-                                         rt::MachineConfig machine,
-                                         double loader_offered_bps = 0.0);
+                                         const rt::MachineConfig& machine);
 
 }  // namespace nscc::solver

@@ -676,11 +676,16 @@ TEST(FaultFlags, PartitionAndBlackholeRoundTripThroughPlan) {
 }
 
 TEST(FaultFlags, MalformedPartitionSpecThrowsFromPlan) {
-  nscc::util::Flags flags;
-  nscc::fault::add_flags(flags);
-  const char* argv[] = {"prog", "--partition-at=0.2:0.6:junk"};
-  ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
-  EXPECT_THROW(nscc::fault::plan_from_flags(flags), std::invalid_argument);
+  // Rates outside [0, 1] are rejected at the same seam.
+  for (const char* bad : {"--partition-at=0.2:0.6:junk", "--loss-rate=2",
+                          "--corrupt-rate=-0.5"}) {
+    nscc::util::Flags flags;
+    nscc::fault::add_flags(flags);
+    const char* argv[] = {"prog", bad};
+    ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
+    EXPECT_THROW(nscc::fault::plan_from_flags(flags), std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(FaultFlags, EnvironmentOverrides) {

@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "harness/bench_compare.hpp"
+#include "harness/cluster.hpp"
 #include "harness/driver.hpp"
 #include "harness/run_config.hpp"
 #include "harness/workload.hpp"
@@ -481,6 +483,18 @@ TEST(DriverValidation, GaIslandRejectsUnrunnableSizes) {
   EXPECT_EQ(drive("ga.island", {"--demes=0"}), 1);
   EXPECT_EQ(drive("ga.island", {"--function=9"}), 1);
   EXPECT_EQ(drive("ga.island", {"--age=-3"}), 1);
+  // Fault rates outside [0, 1], and fault plans naming a node a 4-deme
+  // machine lacks (caught once harness::Cluster sizes the machine).
+  for (const std::string fault :
+       {"--loss-rate=2", "--corrupt-rate=-0.5", "--crash-node=9",
+        "--partition-at=0.05:0.3:0,1|2,9", "--blackhole-at=0.1:0.2:0:9"}) {
+    std::vector<std::string> args = {"--demes=4", "--generations=5",
+                                     "--variants=partial", fault};
+    if (fault == "--crash-node=9") {
+      args.insert(args.end(), {"--crash-at=0.1", "--recovery=degraded"});
+    }
+    EXPECT_EQ(drive("ga.island", args), 1) << fault;
+  }
 }
 
 TEST(DriverValidation, BayesSamplingRejectsUnrunnableSizes) {
@@ -494,6 +508,39 @@ TEST(DriverValidation, JacobiRejectsUnrunnableSizes) {
 
 TEST(DriverValidation, NnTrainRejectsUnrunnableSizes) {
   EXPECT_EQ(drive("nn.train", {"--workers=0"}), 1);
+}
+
+// ---- Fault plans must fit the machine they run on --------------------------
+
+TEST(Cluster, RejectsFaultPlansNamingMissingNodes) {
+  const RunConfig run;
+  auto build = [&](const fault::FaultPlan& plan) {
+    rt::MachineConfig machine;
+    machine.fault = plan;
+    harness::Cluster cluster(machine, run, 4, 0.15);
+  };
+  fault::FaultPlan crash;
+  crash.nodes[9].crashes.push_back({100, 200});
+  fault::FaultPlan partition;
+  partition.partitions.push_back({{0, 100}, {{0, 1}, {2, 9}}});
+  fault::FaultPlan blackhole;
+  blackhole.blackholes.push_back({.src = 0, .dst = 9, .window = {0, 100}});
+  for (const auto& [plan, flag] : {std::pair{crash, "--crash-node"},
+                                   std::pair{partition, "--partition-at"},
+                                   std::pair{blackhole, "--blackhole-at"}}) {
+    try {
+      build(plan);
+      ADD_FAILURE() << flag << " naming node 9 was accepted on 4 nodes";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("4 nodes"), std::string::npos);
+    }
+  }
+  fault::FaultPlan fits;
+  fits.nodes[3].crashes.push_back({100, 200});
+  fits.partitions.push_back({{0, 100}, {{0, 1}, {2, 3}}});
+  fits.blackholes.push_back({.src = 3, .dst = 0, .window = {0, 100}});
+  EXPECT_NO_THROW(build(fits));
 }
 
 }  // namespace

@@ -169,4 +169,19 @@ TEST(ParallelTrain, DeterministicForSeed) {
   EXPECT_EQ(a.messages_sent, b.messages_sent);
 }
 
+TEST(TrainParallel, BackgroundLoadSlowsTraining) {
+  const auto data = make_two_spirals(30, 0.02, 41);
+  TrainConfig cfg;
+  cfg.steps = 100;
+  cfg.workers = 3;
+  cfg.seed = 41;
+  cfg.mode = Mode::kSynchronous;
+  const auto unloaded = nscc::nn::train_parallel(data, cfg, {});
+  cfg.loader_offered_bps = 5e6;  // 5 Mbps of the 10 Mbps Ethernet.
+  const auto loaded = nscc::nn::train_parallel(data, cfg, {});
+  EXPECT_FALSE(loaded.deadlocked);
+  EXPECT_GT(loaded.completion_time, unloaded.completion_time);
+  EXPECT_GT(loaded.bus_utilization, unloaded.bus_utilization);
+}
+
 }  // namespace

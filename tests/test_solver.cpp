@@ -172,14 +172,18 @@ TEST(ParallelJacobi, BackgroundLoadHurtsSyncMoreThanPartial) {
   cfg.tolerance = 1e-7;
   cfg.check_interval = 25;
 
+  auto run = [&](double loader_offered_bps) {
+    cfg.loader_offered_bps = loader_offered_bps;
+    return nscc::solver::run_parallel_jacobi(sys, cfg, {});
+  };
   cfg.mode = Mode::kSynchronous;
-  const auto sync0 = nscc::solver::run_parallel_jacobi(sys, cfg, {}, 0.0);
-  const auto sync6 = nscc::solver::run_parallel_jacobi(sys, cfg, {}, 6e6);
+  const auto sync0 = run(0.0);
+  const auto sync6 = run(6e6);
   cfg.mode = Mode::kPartialAsync;
   cfg.age = 10;
   cfg.propagation.coalesce = true;
-  const auto part0 = nscc::solver::run_parallel_jacobi(sys, cfg, {}, 0.0);
-  const auto part6 = nscc::solver::run_parallel_jacobi(sys, cfg, {}, 6e6);
+  const auto part0 = run(0.0);
+  const auto part6 = run(6e6);
 
   // Load hurts everyone; the bounded-staleness program stays ahead of the
   // synchronous one at every load level (it trades extra sweeps for never
