@@ -283,7 +283,10 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
   Value& mine = local_.at(loc);
   mine.iteration = iteration;
   mine.valid = true;
-  mine.data = value;
+  // The fan-out below sends and stashes from the local copy.  It is in
+  // place before any send can block, so a demand served mid-send already
+  // sees this value.
+  mine.data = std::move(value);
   mine.epoch = task_.epoch();
   if (san_ != nullptr) {
     san_->record_write(task_.id(), loc, iteration, mine.data.crc32(),
@@ -307,12 +310,12 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
       }
       pr.has_pending = true;
       pr.pending_iteration = iteration;
-      pr.pending_value = value;
+      pr.pending_value = mine.data;
       pr.pending_flow = flow;
       continue;
     }
     if (policy_.coalesce) pr.in_flight = true;
-    send_update(loc, reader, iteration, value, /*charge_cpu=*/true,
+    send_update(loc, reader, iteration, mine.data, /*charge_cpu=*/true,
                 rt::Reliability::kAuto, flow);
   }
 }

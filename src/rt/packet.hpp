@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -73,6 +74,27 @@ class Packet {
 
   std::vector<std::uint64_t> unpack_u64_vec() { return take_vec<std::uint64_t>(); }
   std::vector<double> unpack_double_vec() { return take_vec<double>(); }
+
+  /// Copy the double vector packed at the read cursor into the front of
+  /// `out` and return its length, leaving the cursor where it was: a
+  /// reader of a stored value fills its own buffer with one memcpy, with
+  /// no packet copy and no temporary vector.  Throws std::out_of_range,
+  /// writing nothing, when the length prefix exceeds `out` or the buffer.
+  std::size_t unpack_double_vec_into(std::span<double> out) const {
+    check(sizeof(std::uint64_t));
+    std::uint64_t n = 0;
+    std::memcpy(&n, buf_.data() + rpos_, sizeof n);
+    const std::size_t body = rpos_ + sizeof n;
+    // Divide instead of multiplying, as in take_vec.
+    if (n > out.size() || n > (buf_.size() - body) / sizeof(double)) {
+      throw std::out_of_range("Packet: unpack past end of buffer");
+    }
+    if (n > 0) {
+      std::memcpy(out.data(), buf_.data() + body,
+                  static_cast<std::size_t>(n) * sizeof(double));
+    }
+    return static_cast<std::size_t>(n);
+  }
 
   Packet unpack_packet() {
     Packet q;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "harness/cluster.hpp"
 #include "harness/policy.hpp"
@@ -42,12 +43,7 @@ JacobiResult run_sequential_jacobi(const LinearSystem& sys,
                           config.sweep_overhead;
 
   for (int sweep = 1; sweep <= config.max_sweeps; ++sweep) {
-    for (int r = 0; r < n; ++r) {
-      next[static_cast<std::size_t>(r)] =
-          (sys.b[static_cast<std::size_t>(r)] -
-           sys.a.row_dot_excluding_diagonal(r, x)) /
-          sys.a.diagonal(r);
-    }
+    sys.a.jacobi_rows(0, n, sys.b, x, next);
     x.swap(next);
     now += sweep_cost;
     result.sweeps = sweep;
@@ -152,12 +148,10 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
                         std::optional<dsm::Iteration> curr_iter = {}) {
         const auto& v = space.read(block_loc(src), curr_iter);
         if (!v.valid) return;
-        rt::Packet data = v.data;
-        const auto block = data.unpack_double_vec();
         const int slo = starts[static_cast<std::size_t>(src)];
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          x[static_cast<std::size_t>(slo) + i] = block[i];
-        }
+        const int shi = starts[static_cast<std::size_t>(src) + 1];
+        v.data.unpack_double_vec_into(std::span<double>(x).subspan(
+            static_cast<std::size_t>(slo), static_cast<std::size_t>(shi - slo)));
       };
 
       bool done = false;
@@ -308,12 +302,7 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
                           : std::nullopt);
         }
 
-        for (int r = lo; r < hi; ++r) {
-          mine[static_cast<std::size_t>(r - lo)] =
-              (sys.b[static_cast<std::size_t>(r)] -
-               sys.a.row_dot_excluding_diagonal(r, x)) /
-              sys.a.diagonal(r);
-        }
+        sys.a.jacobi_rows(lo, hi, sys.b, x, mine);
         for (int r = lo; r < hi; ++r) {
           x[static_cast<std::size_t>(r)] = mine[static_cast<std::size_t>(r - lo)];
         }
@@ -332,17 +321,7 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
         // equal the final assembled state and the stop decision is exact.
         if (sweep % config.check_interval == 0) {
           auto local_residual = [&] {
-            double local = 0.0;
-            for (int r = lo; r < hi; ++r) {
-              double sum = 0.0;
-              int count = 0;
-              const auto [cols, vals] = sys.a.row(r, count);
-              for (int i = 0; i < count; ++i) {
-                sum += vals[i] * x[static_cast<std::size_t>(cols[i])];
-              }
-              local = std::max(
-                  local, std::fabs(sys.b[static_cast<std::size_t>(r)] - sum));
-            }
+            const double local = sys.a.residual_inf(x, sys.b, lo, hi);
             task.compute(static_cast<sim::Time>(
                 static_cast<double>(static_cast<sim::Time>(my_nnz) *
                                     config.cost_per_nonzero) *

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -19,28 +20,39 @@ namespace nscc::solver {
 class CsrMatrix {
  public:
   CsrMatrix() = default;
-  CsrMatrix(int rows, int cols) : rows_(rows), cols_(cols), row_ptr_(static_cast<std::size_t>(rows) + 1, 0) {}
+  CsrMatrix(int rows, int cols)
+      : rows_(rows),
+        cols_(cols),
+        row_ptr_(static_cast<std::size_t>(rows) + 1, 0),
+        diag_(static_cast<std::size_t>(rows), kNoDiagonal) {}
 
   [[nodiscard]] int rows() const noexcept { return rows_; }
   [[nodiscard]] int cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t nonzeros() const noexcept { return values_.size(); }
 
   /// Build from per-row (column, value) lists; columns need not be sorted.
+  /// A row may lack a diagonal entry (jacobi_rows then throws on it) but
+  /// may not hold two: that throws std::invalid_argument naming the row.
   static CsrMatrix from_rows(
       int cols, const std::vector<std::vector<std::pair<int, double>>>& rows);
 
   /// y = A x.
   void multiply(const std::vector<double>& x, std::vector<double>& y) const;
 
-  /// Row dot product with x, skipping the diagonal entry.
-  [[nodiscard]] double row_dot_excluding_diagonal(
-      int row, const std::vector<double>& x) const;
-
-  [[nodiscard]] double diagonal(int row) const;
+  /// The Jacobi update of rows [lo, hi): out[r - lo] =
+  /// (b[r] - sum_{j != r} a_rj x_j) / a_rr, summed in CSR order.  Throws
+  /// std::logic_error at the first row with no diagonal entry.
+  void jacobi_rows(int lo, int hi, std::span<const double> b,
+                   std::span<const double> x, std::span<double> out) const;
 
   /// ||b - A x||_inf.
   [[nodiscard]] double residual_inf(const std::vector<double>& x,
                                     const std::vector<double>& b) const;
+
+  /// max |b_r - (A x)_r| over rows [lo, hi).
+  [[nodiscard]] double residual_inf(std::span<const double> x,
+                                    std::span<const double> b, int lo,
+                                    int hi) const;
 
   /// True when strictly diagonally dominant (sufficient for asynchronous
   /// Jacobi convergence under arbitrary bounded staleness [2]).
@@ -51,9 +63,12 @@ class CsrMatrix {
                                                          int& count) const;
 
  private:
+  static constexpr std::size_t kNoDiagonal = static_cast<std::size_t>(-1);
+
   int rows_ = 0;
   int cols_ = 0;
   std::vector<std::size_t> row_ptr_;
+  std::vector<std::size_t> diag_;  ///< Index of a_rr in col_/values_, or kNoDiagonal.
   std::vector<int> col_;
   std::vector<double> values_;
 };

@@ -3,6 +3,8 @@
 // instrumentation, broadcast, and per-task statistics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +76,52 @@ TEST(Packet, ByteSizeCountsPayload) {
   p.pack_double(1.0);
   p.pack_i32(2);
   EXPECT_EQ(p.byte_size(), 12u);
+}
+
+TEST(Packet, UnpackDoubleVecIntoCopiesAndLeavesCursor) {
+  Packet p;
+  p.pack_i32(7).pack_double_vec({1.5, -2.0, 3.25}).pack_u8(9);
+  ASSERT_EQ(p.unpack_i32(), 7);
+  const std::size_t before = p.remaining();
+  std::vector<double> out(5, 0.0);
+  EXPECT_EQ(p.unpack_double_vec_into(out), 3u);
+  EXPECT_EQ(out, (std::vector<double>{1.5, -2.0, 3.25, 0.0, 0.0}));
+  EXPECT_EQ(p.remaining(), before);
+  // A const packet reads the same way, into a span of exactly its size.
+  const Packet& stored = p;
+  std::vector<double> exact(3, 0.0);
+  EXPECT_EQ(stored.unpack_double_vec_into(exact), 3u);
+  EXPECT_EQ(exact, (std::vector<double>{1.5, -2.0, 3.25}));
+  // The cursor still sits on the vector, so ordinary unpacking goes on.
+  EXPECT_EQ(p.unpack_double_vec(), (std::vector<double>{1.5, -2.0, 3.25}));
+  EXPECT_EQ(p.unpack_u8(), 9);
+  EXPECT_TRUE(p.fully_consumed());
+}
+
+TEST(Packet, UnpackDoubleVecIntoRejectsBadPrefixWithoutWriting) {
+  // The target span is the middle of a guarded buffer; nothing may change.
+  const std::vector<double> guarded = {-7.0, 0.0, 0.0, 0.0, -7.0};
+  auto expect_rejected = [&](const Packet& p) {
+    std::vector<double> buf = guarded;
+    EXPECT_THROW((void)p.unpack_double_vec_into(
+                     std::span<double>(buf).subspan(1, 3)),
+                 std::out_of_range);
+    EXPECT_EQ(buf, guarded);
+  };
+  Packet longer;  // Prefix longer than the span.
+  longer.pack_double_vec({1.0, 2.0, 3.0, 4.0});
+  expect_rejected(longer);
+  Packet cut;  // Prefix fits the span but not the buffer.
+  cut.pack_u64(3).pack_double(1.0);
+  expect_rejected(cut);
+  // Hostile prefixes whose byte count wraps: 2^61 * 8 == 0 and
+  // (2^61 + 1) * 8 == 8 modulo 2^64.
+  for (const std::uint64_t n : {1ULL << 61, (1ULL << 61) + 1, ~0ULL}) {
+    Packet hostile;
+    hostile.pack_u64(n).pack_double(1.0);
+    expect_rejected(hostile);
+  }
+  expect_rejected(Packet{});  // No prefix at all.
 }
 
 TEST(Vm, PingPongDeliversPayload) {

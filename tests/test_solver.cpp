@@ -4,10 +4,15 @@
 // Tsitsiklis bounded-staleness result the paper builds on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "solver/jacobi.hpp"
 #include "solver/linear_system.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -32,8 +37,13 @@ TEST(CsrMatrixTest, MultiplyAndResidual) {
 TEST(CsrMatrixTest, DiagonalAccessAndDominance) {
   const auto dom = CsrMatrix::from_rows(
       2, {{{0, 3.0}, {1, 1.0}}, {{0, -1.0}, {1, 2.5}}});
-  EXPECT_DOUBLE_EQ(dom.diagonal(0), 3.0);
-  EXPECT_DOUBLE_EQ(dom.diagonal(1), 2.5);
+  // With x = 0 the Jacobi update is b_r / a_rr.
+  const std::vector<double> b = {6.0, 5.0};
+  const std::vector<double> zero = {0.0, 0.0};
+  std::vector<double> out(2);
+  dom.jacobi_rows(0, 2, b, zero, out);
+  EXPECT_DOUBLE_EQ(out[0], 2.0);
+  EXPECT_DOUBLE_EQ(out[1], 2.0);
   EXPECT_TRUE(dom.strictly_diagonally_dominant());
   const auto weak = CsrMatrix::from_rows(
       2, {{{0, 1.0}, {1, 1.0}}, {{1, 2.0}}});
@@ -43,8 +53,117 @@ TEST(CsrMatrixTest, DiagonalAccessAndDominance) {
 TEST(CsrMatrixTest, RowDotExcludesDiagonal) {
   const auto m = CsrMatrix::from_rows(
       2, {{{0, 5.0}, {1, 2.0}}, {{0, 1.0}, {1, 4.0}}});
-  EXPECT_DOUBLE_EQ(m.row_dot_excluding_diagonal(0, {10.0, 3.0}), 6.0);
-  EXPECT_DOUBLE_EQ(m.row_dot_excluding_diagonal(1, {10.0, 3.0}), 10.0);
+  // Off-diagonal dots with x = (10, 3) are 6 and 10.
+  const std::vector<double> b = {16.0, 30.0};
+  const std::vector<double> x = {10.0, 3.0};
+  std::vector<double> out(2);
+  m.jacobi_rows(0, 2, b, x, out);
+  EXPECT_DOUBLE_EQ(out[0], (16.0 - 6.0) / 5.0);
+  EXPECT_DOUBLE_EQ(out[1], (30.0 - 10.0) / 4.0);
+  // A sub-range writes from the front of out.
+  std::vector<double> one(1);
+  m.jacobi_rows(1, 2, b, x, one);
+  EXPECT_DOUBLE_EQ(one[0], out[1]);
+}
+
+/// The update as computed before the one-kernel form: a row dot that skips
+/// every diagonal entry, then a second scan for the first a_rr.
+double two_call_update(const LinearSystem& sys, const std::vector<double>& x,
+                       int r) {
+  int count = 0;
+  const auto [cols, vals] = sys.a.row(r, count);
+  double dot = 0.0;
+  for (int i = 0; i < count; ++i) {
+    if (cols[i] != r) dot += vals[i] * x[static_cast<std::size_t>(cols[i])];
+  }
+  double diag = 0.0;
+  for (int i = 0; i < count; ++i) {
+    if (cols[i] == r) {
+      diag = vals[i];
+      break;
+    }
+  }
+  return (sys.b[static_cast<std::size_t>(r)] - dot) / diag;
+}
+
+void expect_kernel_matches_two_calls(const LinearSystem& sys) {
+  const int n = sys.size();
+  nscc::util::Xoshiro256 rng(29);
+  std::vector<double> x(static_cast<std::size_t>(n));
+  for (double& v : x) v = rng.uniform(-3.0, 3.0);
+  std::vector<double> out(static_cast<std::size_t>(n));
+  sys.a.jacobi_rows(0, n, sys.b, x, out);
+  for (int r = 0; r < n; ++r) {
+    EXPECT_EQ(out[static_cast<std::size_t>(r)], two_call_update(sys, x, r))
+        << "row " << r;
+  }
+  // An interior block, as one parallel task sweeps it.
+  const int lo = n / 3;
+  const int hi = 2 * n / 3;
+  std::vector<double> block(static_cast<std::size_t>(hi - lo));
+  sys.a.jacobi_rows(lo, hi, sys.b, x, block);
+  for (int r = lo; r < hi; ++r) {
+    EXPECT_EQ(block[static_cast<std::size_t>(r - lo)],
+              two_call_update(sys, x, r))
+        << "row " << r;
+  }
+}
+
+TEST(CsrMatrixTest, JacobiRowsMatchTwoCallFormulaBitForBit) {
+  // Poisson puts the diagonal first in each row; the random generator puts
+  // it last, after the off-diagonals.
+  expect_kernel_matches_two_calls(nscc::solver::make_poisson_2d(12, 3));
+  expect_kernel_matches_two_calls(
+      nscc::solver::make_dominant_random(300, 5, 1.4, 9));
+  // A band with the diagonal mid-row, so both runs carry entries and their
+  // order shows in the rounding.
+  const int n = 200;
+  nscc::util::Xoshiro256 rng(41);
+  std::vector<std::vector<std::pair<int, double>>> rows(n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = std::max(0, r - 3); c <= std::min(n - 1, r + 3); ++c) {
+      rows[static_cast<std::size_t>(r)].emplace_back(
+          c, c == r ? 10.0 + rng.uniform01() : rng.uniform(-1.0, 1.0));
+    }
+  }
+  LinearSystem band;
+  band.a = CsrMatrix::from_rows(n, rows);
+  band.b.resize(n);
+  for (double& v : band.b) v = rng.uniform(-5.0, 5.0);
+  expect_kernel_matches_two_calls(band);
+}
+
+TEST(CsrMatrixTest, MissingDiagonalThrowsAtItsRow) {
+  const auto m = CsrMatrix::from_rows(
+      2, {{{0, 2.0}, {1, 1.0}}, {{0, 1.0}}});
+  const std::vector<double> b = {4.0, 1.0};
+  const std::vector<double> zero = {0.0, 0.0};
+  std::vector<double> out(2, -1.0);
+  EXPECT_THROW(m.jacobi_rows(0, 2, b, zero, out), std::logic_error);
+  EXPECT_DOUBLE_EQ(out[0], 2.0);  // Rows before the bad one are done.
+  EXPECT_DOUBLE_EQ(out[1], -1.0);
+  EXPECT_NO_THROW(m.jacobi_rows(0, 1, b, zero, out));  // Row 0 alone.
+}
+
+TEST(CsrMatrixTest, TwoDiagonalEntriesInOneRowAreRejected) {
+  try {
+    (void)CsrMatrix::from_rows(
+        2, {{{0, 2.0}}, {{1, 2.0}, {0, 1.0}, {1, 3.0}}});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("row 1"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CsrMatrixTest, RangeResidualCoversItsRowsOnly) {
+  const auto sys = nscc::solver::make_dominant_random(60, 4, 1.5, 5);
+  std::vector<double> x(60, 0.25);
+  const double full = sys.a.residual_inf(x, sys.b);
+  const double low = sys.a.residual_inf(x, sys.b, 0, 25);
+  const double high = sys.a.residual_inf(x, sys.b, 25, 60);
+  EXPECT_EQ(std::max(low, high), full);
+  EXPECT_EQ(sys.a.residual_inf(x, sys.b, 10, 10), 0.0);
 }
 
 TEST(Generators, Poisson2dIsDominantWithConsistentRhs) {

@@ -1,5 +1,6 @@
 // Tests for the util substrate: RNG statistical sanity and determinism,
-// streaming statistics, confidence intervals, bit vectors, tables, flags.
+// streaming statistics, confidence intervals, bit vectors, tables, flags,
+// and CRC32 checksums.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "util/bitvec.hpp"
+#include "util/crc32.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -407,6 +409,51 @@ TEST(SplitCsv, SplitsAndPreservesEmptyTokens) {
   EXPECT_EQ(split_csv("a,b,c"), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(split_csv(""), (std::vector<std::string>{""}));
   EXPECT_EQ(split_csv("a,,b"), (std::vector<std::string>{"a", "", "b"}));
+}
+
+/// The plain bytewise CRC32 (reflected IEEE polynomial, one bit at a time):
+/// the reference the table-driven util::crc32 must agree with.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1U) != 0 ? 0xEDB88320U ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32, StandardCheckValue) {
+  EXPECT_EQ(nscc::util::crc32("123456789", 9), 0xCBF43926U);
+  EXPECT_EQ(nscc::util::crc32("", 0), 0U);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // 12,828 bytes is one packed 1,600-double Jacobi block plus its headers.
+  constexpr std::size_t kBlock = 12828;
+  Xoshiro256 rng(31);
+  std::vector<unsigned char> buf(kBlock + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.below(256));
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 17; ++len) lengths.push_back(len);
+  lengths.push_back(kBlock);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t len : lengths) {
+      const unsigned char* p = buf.data() + offset;
+      EXPECT_EQ(nscc::util::crc32(p, len), bitwise_crc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Chunked updates at odd boundaries agree with the one-shot form.
+  std::uint32_t crc = nscc::util::crc32_init();
+  std::size_t done = 0;
+  for (const std::size_t chunk : {3U, 13U, 8U, 1U, 5000U}) {
+    crc = nscc::util::crc32_update(crc, buf.data() + done, chunk);
+    done += chunk;
+  }
+  crc = nscc::util::crc32_update(crc, buf.data() + done, kBlock - done);
+  EXPECT_EQ(nscc::util::crc32_final(crc), bitwise_crc32(buf.data(), kBlock));
 }
 
 }  // namespace
