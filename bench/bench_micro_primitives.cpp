@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate primitives: event
 // engine throughput, fiber context switches, packet serialisation, shared
-// bus arbitration, DSM write/global_read fast paths, GA generation step,
-// and belief-network sampling.  These quantify the *host* cost of the
+// bus arbitration, DSM write/global_read fast paths, GA crossover, migrant
+// codec and generation step, and belief-network sampling.  These quantify the *host* cost of the
 // simulator (virtual time is free), i.e. how fast experiments run.
 #include <benchmark/benchmark.h>
 
@@ -109,15 +109,44 @@ void BM_BitVecCrossoverMutate(benchmark::State& state) {
   nscc::util::BitVec b(240);
   a.randomize(rng);
   b.randomize(rng);
-  nscc::util::BitVec ca;
-  nscc::util::BitVec cb;
   for (auto _ : state) {
-    nscc::util::BitVec::crossover(a, b, 1 + rng.below(239), ca, cb);
-    ca.flip(rng.below(240));
-    benchmark::DoNotOptimize(ca.hash());
+    nscc::util::BitVec::crossover(a, b, 1 + rng.below(239));
+    a.flip(rng.below(240));
+    benchmark::DoNotOptimize(a.hash());
   }
 }
 BENCHMARK(BM_BitVecCrossoverMutate);
+
+// One island-GA migrant buffer through the codec: 25 f6 (200-bit) migrants
+// packed as a deme publishes them, then decoded into a reused pool as the
+// read loop does.
+void BM_MigrantCodec(benchmark::State& state) {
+  const auto& fn = nscc::ga::test_function(6);
+  nscc::util::Xoshiro256 rng(7);
+  std::vector<nscc::ga::Individual> migrants(25);
+  for (auto& m : migrants) {
+    m.genome = nscc::util::BitVec(static_cast<std::size_t>(fn.genome_bits()));
+    m.genome.randomize(rng);
+    m.fitness = rng.uniform01();
+    m.evaluated = true;
+  }
+  std::vector<nscc::ga::Individual> pool(migrants.size());
+  for (auto _ : state) {
+    nscc::rt::Packet p;
+    p.reserve(sizeof(std::uint32_t) +
+              migrants.size() * nscc::ga::migrant_bytes(fn));
+    p.pack_u32(static_cast<std::uint32_t>(migrants.size()));
+    for (const auto& m : migrants) nscc::ga::pack_individual(p, m, fn);
+    const std::uint32_t count = p.unpack_u32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      nscc::ga::unpack_individual(p, fn, pool[i]);
+    }
+    benchmark::DoNotOptimize(pool.back().fitness);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(migrants.size()));
+}
+BENCHMARK(BM_MigrantCodec);
 
 void BM_GaGenerationStep(benchmark::State& state) {
   const auto& fn = nscc::ga::test_function(static_cast<int>(state.range(0)));

@@ -2,10 +2,12 @@
 //
 // Each variable occupies bits_per_var bits; decoding maps the unsigned
 // integer linearly onto [lo, hi] as in DeJong's experiments.  Migrant
-// serialisation is compact (raw genome bytes + float32 fitness) to match
-// the small PVM messages of the paper's user-level implementation.
+// serialisation is compact (raw genome bytes + the fitness as a double) to
+// match the small PVM messages of the paper's user-level implementation.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,35 +47,31 @@ struct Individual {
                                     sizeof(double));
 }
 
-/// Append an individual's wire form to `p`.
+/// Append an individual's wire form to `p`: the genome LSB-first, eight
+/// bits to a byte (the last byte holds the remainder), then the fitness.
 inline void pack_individual(rt::Packet& p, const Individual& ind,
                             const TestFunction& fn) {
-  const int nbytes = (fn.genome_bits() + 7) / 8;
-  for (int b = 0; b < nbytes; ++b) {
+  const auto nbits = static_cast<std::size_t>(fn.genome_bits());
+  for (std::size_t offset = 0; offset < nbits; offset += 8) {
     p.pack_u8(static_cast<std::uint8_t>(
-        ind.genome.extract(static_cast<std::size_t>(b) * 8,
-                           static_cast<std::size_t>(
-                               std::min(8, fn.genome_bits() - b * 8)))));
+        ind.genome.extract(offset, std::min<std::size_t>(8, nbits - offset))));
   }
   p.pack_double(ind.fitness);
 }
 
-/// Inverse of pack_individual.
-[[nodiscard]] inline Individual unpack_individual(rt::Packet& p,
-                                                  const TestFunction& fn) {
-  Individual ind;
-  ind.genome = util::BitVec(static_cast<std::size_t>(fn.genome_bits()));
-  const int nbytes = (fn.genome_bits() + 7) / 8;
-  for (int b = 0; b < nbytes; ++b) {
-    const std::uint8_t byte = p.unpack_u8();
-    const int nbits = std::min(8, fn.genome_bits() - b * 8);
-    for (int k = 0; k < nbits; ++k) {
-      ind.genome.set(static_cast<std::size_t>(b * 8 + k), (byte >> k) & 1);
-    }
+/// Inverse of pack_individual, into `ind`: a genome of the right size is
+/// overwritten in place, so a caller that reuses its Individuals decodes
+/// without allocating.
+inline void unpack_individual(rt::Packet& p, const TestFunction& fn,
+                              Individual& ind) {
+  const auto nbits = static_cast<std::size_t>(fn.genome_bits());
+  if (ind.genome.size() != nbits) ind.genome = util::BitVec(nbits);
+  for (std::size_t offset = 0; offset < nbits; offset += 8) {
+    ind.genome.deposit(offset, std::min<std::size_t>(8, nbits - offset),
+                       p.unpack_u8());
   }
   ind.fitness = p.unpack_double();
   ind.evaluated = true;
-  return ind;
 }
 
 }  // namespace nscc::ga

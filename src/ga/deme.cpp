@@ -77,18 +77,16 @@ double Deme::average_fitness() const {
   return sum / static_cast<double>(population_.size());
 }
 
-std::vector<Individual> Deme::best_k(int k) const {
+void Deme::best_k(int k, std::vector<Individual>& out) const {
   const auto idx = ranked();
-  std::vector<Individual> out;
-  const int n = std::min<int>(k, static_cast<int>(idx.size()));
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    out.push_back(population_[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])]);
+  out.resize(static_cast<std::size_t>(
+      std::clamp(k, 0, static_cast<int>(idx.size()))));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = population_[static_cast<std::size_t>(idx[i])];
   }
-  return out;
 }
 
-void Deme::incorporate(const std::vector<Individual>& migrants,
+void Deme::incorporate(std::span<const Individual> migrants,
                        int replace_count) {
   if (migrants.empty() || replace_count <= 0) return;
   // Best `replace_count` of the incoming pool...
@@ -125,11 +123,11 @@ EvalCount Deme::step() {
   // Window scaling: fitness' = (worst over last W generations) - fitness.
   const double window_worst =
       *std::max_element(worst_window_.begin(), worst_window_.end());
-  std::vector<double> wheel(population_.size());
+  wheel_.resize(population_.size());
   double total = 0.0;
   for (std::size_t i = 0; i < population_.size(); ++i) {
-    wheel[i] = std::max(0.0, window_worst - population_[i].fitness);
-    total += wheel[i];
+    wheel_[i] = std::max(0.0, window_worst - population_[i].fitness);
+    total += wheel_[i];
   }
 
   auto select = [&]() -> const Individual& {
@@ -138,28 +136,32 @@ EvalCount Deme::step() {
       return population_[rng_.below(population_.size())];
     }
     double ball = rng_.uniform01() * total;
-    for (std::size_t i = 0; i < wheel.size(); ++i) {
-      ball -= wheel[i];
+    for (std::size_t i = 0; i < wheel_.size(); ++i) {
+      ball -= wheel_[i];
       if (ball <= 0.0) return population_[i];
     }
     return population_.back();
   };
 
-  const Individual elite = best();
+  // population_ stays untouched until the swap below, so the elite and
+  // the selected parents are read in place.
+  const Individual& elite = best();
 
-  std::vector<Individual> children;
-  children.reserve(population_.size());
+  // Children are copy-assigned into next_, reusing its genomes' storage,
+  // and crossed over in place.  With an odd population the last pair's
+  // second child goes to spare_ and is dropped after its mutation draws,
+  // which keep the RNG stream of the generation.
+  const std::size_t n = population_.size();
+  next_.resize(n);
   const std::size_t nbits = static_cast<std::size_t>(fn_.genome_bits());
-  while (children.size() < population_.size()) {
-    Individual a = select();
-    Individual b = select();
+  for (std::size_t i = 0; i < n; i += 2) {
+    Individual& a = next_[i];
+    Individual& b = i + 1 < n ? next_[i + 1] : spare_;
+    a = select();
+    b = select();
     if (rng_.bernoulli(params_.crossover_rate)) {
       const std::size_t point = 1 + rng_.below(nbits - 1);
-      util::BitVec ca;
-      util::BitVec cb;
-      util::BitVec::crossover(a.genome, b.genome, point, ca, cb);
-      a.genome = std::move(ca);
-      b.genome = std::move(cb);
+      util::BitVec::crossover(a.genome, b.genome, point);
       a.evaluated = false;
       b.evaluated = false;
     }
@@ -170,24 +172,21 @@ EvalCount Deme::step() {
           child->evaluated = false;
         }
       }
-      if (children.size() < population_.size()) {
-        children.push_back(std::move(*child));
-      }
     }
   }
 
-  for (Individual& child : children) count += evaluate(child);
+  for (Individual& child : next_) count += evaluate(child);
 
   if (params_.elitist) {
     // The best of the previous generation survives, replacing the worst child.
-    auto worst_it = std::max_element(children.begin(), children.end(),
+    auto worst_it = std::max_element(next_.begin(), next_.end(),
                                      [](const Individual& a, const Individual& b) {
                                        return a.fitness < b.fitness;
                                      });
     if (worst_it->fitness > elite.fitness) *worst_it = elite;
   }
 
-  population_ = std::move(children);
+  population_.swap(next_);
   ++generation_;
 
   worst_window_.push_back(worst_fitness());

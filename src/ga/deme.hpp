@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "ga/chromosome.hpp"
@@ -56,13 +57,15 @@ class Deme {
   [[nodiscard]] double worst_fitness() const;
   [[nodiscard]] double average_fitness() const;
 
-  /// The k best individuals (copies), ascending fitness (best first).
-  [[nodiscard]] std::vector<Individual> best_k(int k) const;
+  /// Copy the k best individuals into `out` (resized to k, or to the
+  /// population size if smaller), ascending fitness (best first).  Copies
+  /// are assigned, so a reused `out` keeps its genomes' storage.
+  void best_k(int k, std::vector<Individual>& out) const;
 
   /// Replace the worst individuals with the best `replace_count` of the
   /// incoming pool (the paper's "replace the worst ... with these
   /// migrants", bounded so a deme is never wiped out by P-1 senders).
-  void incorporate(const std::vector<Individual>& migrants, int replace_count);
+  void incorporate(std::span<const Individual> migrants, int replace_count);
 
   /// Checkpoint restore: adopt an already-evaluated population as the state
   /// at `generation`.  The scaling window restarts from the population's
@@ -85,6 +88,10 @@ class Deme {
   util::Xoshiro256 rng_;
   FitnessCache* cache_;
   std::vector<Individual> population_;
+  // Per-step scratch, kept across generations so a step reuses its storage.
+  std::vector<Individual> next_;  ///< Children; swapped with population_.
+  Individual spare_;              ///< Odd pop_size: the last pair's 2nd child.
+  std::vector<double> wheel_;     ///< Roulette-wheel slot widths.
   std::deque<double> worst_window_;  ///< Worst raw fitness per generation (W deep).
   int generation_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -92,9 +93,11 @@ IslandResult run_island_ga(const IslandConfig& config,
         out.best_points.emplace_back(task.now(), best_so_far);
         out.avg_points.emplace_back(task.now(), deme.average_fitness());
       };
+      std::vector<Individual> migrants;  // Reused by every publish.
       auto publish = [&](dsm::Iteration gen) {
         rt::Packet p;
-        const auto migrants = deme.best_k(config.migrants);
+        deme.best_k(config.migrants, migrants);
+        p.reserve(sizeof(std::uint32_t) + migrants.size() * migrant_bytes(fn));
         p.pack_u32(static_cast<std::uint32_t>(migrants.size()));
         for (const Individual& m : migrants) pack_individual(p, m, fn);
         space.write(migrant_loc(d), gen, std::move(p));
@@ -133,11 +136,8 @@ IslandResult run_island_ga(const IslandConfig& config,
               taken[src] = p.unpack_i64();
             }
             const std::uint32_t n = p.unpack_u32();
-            std::vector<Individual> pop;
-            pop.reserve(n);
-            for (std::uint32_t i = 0; i < n; ++i) {
-              pop.push_back(unpack_individual(p, fn));
-            }
+            std::vector<Individual> pop(n);
+            for (Individual& ind : pop) unpack_individual(p, fn, ind);
             deme.restore(std::move(pop), gen);
           });
       const std::int64_t restored =
@@ -162,6 +162,12 @@ IslandResult run_island_ga(const IslandConfig& config,
       sim::Time last_gen_start = task.now();
       sim::Time last_block_time = 0;
 
+      // Reused across generations: the copy of a source's migrant buffer
+      // (unpacking consumes it) and the decoded pool, whose first `pooled`
+      // entries are this generation's migrants.
+      rt::Packet data;
+      std::vector<Individual> pool;
+
       // Generation 0 is covered by either the initialize+publish above or
       // the restored checkpoint, so the loop resumes after it.
       for (int gen = static_cast<int>(restored < 0 ? 0 : restored) + 1;
@@ -170,7 +176,7 @@ IslandResult run_island_ga(const IslandConfig& config,
         const dsm::Iteration age = adaptive ? controller.age() : config.age;
         double gen_max_staleness = 0.0;
 
-        std::vector<Individual> pool;
+        std::size_t pooled = 0;
         for (int r = 0; r < config.ndemes; ++r) {
           if (r == d) continue;
           const dsm::SharedSpace::Value* v = nullptr;
@@ -190,16 +196,17 @@ IslandResult run_island_ga(const IslandConfig& config,
           }
           if (!v->valid || v->iteration <= taken[r]) continue;
           taken[r] = v->iteration;
-          rt::Packet data = v->data;  // Copy: unpacking consumes the buffer.
+          data = v->data;
           const std::uint32_t count = data.unpack_u32();
-          for (std::uint32_t i = 0; i < count; ++i) {
-            pool.push_back(unpack_individual(data, fn));
+          for (std::uint32_t i = 0; i < count; ++i, ++pooled) {
+            if (pooled == pool.size()) pool.emplace_back();
+            unpack_individual(data, fn, pool[pooled]);
           }
         }
-        if (!pool.empty()) {
-          deme.incorporate(pool, config.migrants);
+        if (pooled > 0) {
+          deme.incorporate(std::span(pool).first(pooled), config.migrants);
           charge(EvalCount{},
-                 static_cast<sim::Time>(pool.size()) *
+                 static_cast<sim::Time>(pooled) *
                      config.compute.migration_cost_per_individual);
         }
 

@@ -2,7 +2,10 @@
 //
 // Supports the operations the GA needs: random fill, point mutation,
 // one-point crossover splicing, hashing (for the sequential GA's software
-// fitness cache [19]), and sliced decoding to integers.
+// fitness cache [19]), and sliced decoding to and from integers.  Bits are
+// stored LSB-first in 64-bit words; crossover, extract and deposit work on
+// whole words.  Bits beyond size() are always zero, because == and hash()
+// compare whole words.
 #pragma once
 
 #include <cstddef>
@@ -49,25 +52,45 @@ class BitVec {
   }
 
   /// Extract `count` bits starting at `offset` as an unsigned integer
-  /// (bit `offset` is the least significant). count <= 64.
+  /// (bit `offset` is the least significant).  count <= 64 and
+  /// offset + count <= size().
   [[nodiscard]] std::uint64_t extract(std::size_t offset,
                                       std::size_t count) const noexcept {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      v |= static_cast<std::uint64_t>(get(offset + i)) << i;
-    }
-    return v;
+    if (count == 0) return 0;
+    const std::size_t w = offset >> 6;
+    const std::size_t shift = offset & 63;
+    std::uint64_t v = words_[w] >> shift;
+    // Spilling into the next word needs shift >= 1, so 64 - shift < 64.
+    if (shift + count > 64) v |= words_[w + 1] << (64 - shift);
+    return v & low_bits(count);
   }
 
-  /// One-point crossover: children get [0,point) from one parent and
-  /// [point,n) from the other.
-  static void crossover(const BitVec& a, const BitVec& b, std::size_t point,
-                        BitVec& child_a, BitVec& child_b) {
-    child_a = a;
-    child_b = b;
-    for (std::size_t i = point; i < a.size(); ++i) {
-      child_a.set(i, b.get(i));
-      child_b.set(i, a.get(i));
+  /// Inverse of extract: overwrite bits [offset, offset + count) with the
+  /// low `count` bits of `bits` (higher bits of `bits` are ignored).
+  /// count <= 64 and offset + count <= size(), so the tail stays zero.
+  void deposit(std::size_t offset, std::size_t count,
+               std::uint64_t bits) noexcept {
+    if (count == 0) return;
+    const std::uint64_t mask = low_bits(count);
+    bits &= mask;
+    const std::size_t w = offset >> 6;
+    const std::size_t shift = offset & 63;
+    words_[w] = (words_[w] & ~(mask << shift)) | (bits << shift);
+    if (shift + count > 64) {
+      const std::size_t done = 64 - shift;  // 1..63 bits went to word w.
+      words_[w + 1] = (words_[w + 1] & ~(mask >> done)) | (bits >> done);
+    }
+  }
+
+  /// One-point crossover in place: `a` and `b` (of equal size) swap their
+  /// bits [point, size()), keeping [0, point).
+  static void crossover(BitVec& a, BitVec& b, std::size_t point) noexcept {
+    const std::size_t first = point >> 6;
+    for (std::size_t w = first; w < a.words_.size(); ++w) {
+      const std::uint64_t swapped = w == first ? ~0ULL << (point & 63) : ~0ULL;
+      const std::uint64_t diff = (a.words_[w] ^ b.words_[w]) & swapped;
+      a.words_[w] ^= diff;
+      b.words_[w] ^= diff;
     }
   }
 
@@ -91,12 +114,7 @@ class BitVec {
     return words_;
   }
 
-  /// Serialized size in bytes (whole words, plus the bit count).
-  [[nodiscard]] std::size_t byte_size() const noexcept {
-    return words_.size() * sizeof(std::uint64_t) + sizeof(std::uint64_t);
-  }
-
-  /// Rebuild from raw words (used by message deserialization).
+  /// Rebuild from raw words; bits beyond `nbits` are cleared.
   static BitVec from_words(std::size_t nbits, std::vector<std::uint64_t> words) {
     BitVec v;
     v.nbits_ = nbits;
@@ -107,6 +125,11 @@ class BitVec {
   }
 
  private:
+  /// The low `count` bits set, for 1 <= count <= 64.
+  static std::uint64_t low_bits(std::size_t count) noexcept {
+    return ~0ULL >> (64 - count);
+  }
+
   void mask_tail() noexcept {
     const std::size_t rem = nbits_ & 63;
     if (rem != 0 && !words_.empty()) {

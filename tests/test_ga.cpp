@@ -3,7 +3,9 @@
 // the sequential baseline, and island-GA behaviour in all three modes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "ga/chromosome.hpp"
@@ -126,16 +128,61 @@ TEST(Chromosome, MigrantPackUnpackRoundTrip) {
   Individual ind;
   ind.genome = BitVec(static_cast<std::size_t>(fn.genome_bits()));
   ind.genome.randomize(rng);
-  ind.fitness = 123.5;
+  ind.fitness = 123.5 + 1e-9;  // Not a float: the wire carries a double.
   ind.evaluated = true;
 
   nscc::rt::Packet p;
   nscc::ga::pack_individual(p, ind, fn);
   EXPECT_EQ(p.byte_size(), nscc::ga::migrant_bytes(fn));
-  Individual back = nscc::ga::unpack_individual(p, fn);
+  Individual back;
+  nscc::ga::unpack_individual(p, fn, back);
+  EXPECT_TRUE(p.fully_consumed());
   EXPECT_EQ(back.genome, ind.genome);
-  EXPECT_FLOAT_EQ(static_cast<float>(back.fitness),
-                  static_cast<float>(ind.fitness));
+  EXPECT_EQ(back.fitness, ind.fitness);
+  EXPECT_TRUE(back.evaluated);
+
+  // Decoding into a reused Individual overwrites every genome bit.
+  Individual reused;
+  reused.genome = BitVec(static_cast<std::size_t>(fn.genome_bits()));
+  for (std::size_t i = 0; i < reused.genome.size(); ++i) {
+    reused.genome.set(i, true);
+  }
+  p.rewind();
+  nscc::ga::unpack_individual(p, fn, reused);
+  EXPECT_EQ(reused.genome, ind.genome);
+  EXPECT_EQ(reused.fitness, ind.fitness);
+  EXPECT_TRUE(reused.evaluated);
+}
+
+// A deme on a multi-word genome (f7: 100 bits) with an odd population,
+// so every generation's last pair has a second child that is mutated and
+// then dropped; ten times DeJong's mutation rate so mutants are common.
+// The hash covers every genome, fitness and evaluated flag.
+// Captured before the genome path went word-level: any change is a change
+// of behaviour, not of speed.
+TEST(DemeTest, OddPopulationOnMultiWordGenomeIsPinned) {
+  GaParams params;
+  params.pop_size = 7;
+  params.mutation_rate = 0.01;
+  FitnessCache cache;
+  Deme deme(test_function(7), params, Xoshiro256(29), &cache);
+  nscc::ga::EvalCount total = deme.initialize();
+  for (int g = 0; g < 30; ++g) total += deme.step();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  for (const Individual& ind : deme.population()) {
+    mix(ind.genome.hash());
+    mix(std::bit_cast<std::uint64_t>(ind.fitness));
+    mix(ind.evaluated ? 1 : 0);
+  }
+  EXPECT_EQ(deme.population().size(), 7u);
+  EXPECT_EQ(h, 4402985649796482848ULL);
+  EXPECT_EQ(total.evaluations, 158);
+  EXPECT_EQ(total.cache_hits, 33);
+  EXPECT_EQ(deme.best().fitness, -3291.9536408544745);
 }
 
 TEST(FitnessCacheTest, ExactLookupNoFalseHits) {
@@ -201,7 +248,8 @@ TEST(DemeTest, ElitismNeverLosesTheBest) {
 TEST(DemeTest, BestKIsSortedAscending) {
   Deme deme(test_function(1), GaParams{}, Xoshiro256(17));
   deme.initialize();
-  const auto top = deme.best_k(10);
+  std::vector<Individual> top;
+  deme.best_k(10, top);
   ASSERT_EQ(top.size(), 10u);
   for (std::size_t i = 1; i < top.size(); ++i) {
     EXPECT_LE(top[i - 1].fitness, top[i].fitness);
@@ -408,6 +456,37 @@ TEST(IslandGa, ScalesTotalPopulationWithDemes) {
   // 4x demes, same per-deme size: ~4x total evaluations (cache effects aside).
   EXPECT_GT(eight.evaluations + eight.cache_hits,
             3 * (two.evaluations + two.cache_hits));
+}
+
+// Multi-word genomes through the whole island GA: f6 (200 bits, four
+// words) and f7 (100 bits, whose migrants end in a 4-bit wire byte) cross
+// every word boundary in crossover, decode and the migrant codec, which
+// the f1/f2 golden runs never do.  Values captured before the genome path
+// went word-level.
+TEST(IslandGa, MultiWordGenomeRunsArePinned) {
+  struct Pin {
+    int function_id;
+    nscc::sim::Time completion_time;
+    std::uint64_t evaluations;
+    std::uint64_t cache_hits;
+    double best_fitness;
+  };
+  const Pin pins[] = {
+      {6, 3314561680, 3860, 1814, 36.776779951558687},
+      {7, 2267908774, 2410, 2900, -3807.5186369892249},
+  };
+  for (const Pin& pin : pins) {
+    auto cfg = small_island(Mode::kPartialAsync);
+    cfg.function_id = pin.function_id;
+    cfg.age = 10;
+    const auto r = run_island_ga(cfg, {});
+    SCOPED_TRACE(::testing::Message() << "f" << pin.function_id);
+    EXPECT_FALSE(r.deadlocked);
+    EXPECT_EQ(r.completion_time, pin.completion_time);
+    EXPECT_EQ(r.evaluations, pin.evaluations);
+    EXPECT_EQ(r.cache_hits, pin.cache_hits);
+    EXPECT_EQ(r.best_fitness, pin.best_fitness);
+  }
 }
 
 }  // namespace

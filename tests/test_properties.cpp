@@ -63,7 +63,8 @@ TEST_P(EveryFunction, MigrantSerializationRoundTrips) {
     nscc::rt::Packet p;
     nscc::ga::pack_individual(p, ind, fn);
     EXPECT_EQ(p.byte_size(), nscc::ga::migrant_bytes(fn));
-    const auto back = nscc::ga::unpack_individual(p, fn);
+    nscc::ga::Individual back;
+    nscc::ga::unpack_individual(p, fn, back);
     EXPECT_EQ(back.genome, ind.genome);
     EXPECT_DOUBLE_EQ(back.fitness, ind.fitness);
   }

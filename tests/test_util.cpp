@@ -3,6 +3,7 @@
 // and CRC32 checksums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -218,12 +219,104 @@ TEST(BitVec, CrossoverSplitsAtPoint) {
   BitVec a(10);
   BitVec b(10);
   for (std::size_t i = 0; i < 10; ++i) b.set(i, true);
-  BitVec ca;
-  BitVec cb;
-  BitVec::crossover(a, b, 4, ca, cb);
+  BitVec::crossover(a, b, 4);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(ca.get(i), i >= 4);
-    EXPECT_EQ(cb.get(i), i < 4);
+    EXPECT_EQ(a.get(i), i >= 4);
+    EXPECT_EQ(b.get(i), i < 4);
+  }
+}
+
+// Bit-by-bit reference versions of the word-level operations.
+std::uint64_t ref_extract(const BitVec& v, std::size_t offset,
+                          std::size_t count) {
+  std::uint64_t x = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    x |= static_cast<std::uint64_t>(v.get(offset + i)) << i;
+  }
+  return x;
+}
+
+void ref_deposit(BitVec& v, std::size_t offset, std::size_t count,
+                 std::uint64_t bits) {
+  for (std::size_t i = 0; i < count; ++i) {
+    v.set(offset + i, ((bits >> i) & 1) != 0);
+  }
+}
+
+void ref_crossover(BitVec& a, BitVec& b, std::size_t point) {
+  for (std::size_t i = point; i < a.size(); ++i) {
+    const bool bit = a.get(i);
+    a.set(i, b.get(i));
+    b.set(i, bit);
+  }
+}
+
+// == and hash() compare whole words, so bits beyond size() must stay 0.
+bool tail_is_zero(const BitVec& v) {
+  const std::size_t rem = v.size() & 63;
+  return rem == 0 || (v.words().back() >> rem) == 0;
+}
+
+// Sizes on both sides of each word boundary, up to four words.
+constexpr std::size_t kBoundarySizes[] = {1, 63, 64, 65, 100, 128, 200, 240};
+
+TEST(BitVec, ExtractMatchesBitwiseReferenceAtEveryOffsetAndCount) {
+  nscc::util::Xoshiro256 rng(53);
+  for (std::size_t n : kBoundarySizes) {
+    BitVec v(n);
+    v.randomize(rng);
+    for (std::size_t offset = 0; offset <= n; ++offset) {
+      const std::size_t max_count = std::min<std::size_t>(64, n - offset);
+      for (std::size_t count = 0; count <= max_count; ++count) {
+        ASSERT_EQ(v.extract(offset, count), ref_extract(v, offset, count))
+            << "size " << n << " offset " << offset << " count " << count;
+      }
+    }
+  }
+}
+
+TEST(BitVec, DepositMatchesBitwiseReferenceAndKeepsTailZero) {
+  nscc::util::Xoshiro256 rng(59);
+  for (std::size_t n : kBoundarySizes) {
+    BitVec v(n);
+    v.randomize(rng);
+    for (std::size_t offset = 0; offset <= n; ++offset) {
+      const std::size_t max_count = std::min<std::size_t>(64, n - offset);
+      for (std::size_t count = 0; count <= max_count; ++count) {
+        // All 64 bits random: those above `count` must be ignored.
+        const std::uint64_t bits = rng();
+        BitVec got = v;
+        BitVec want = v;
+        got.deposit(offset, count, bits);
+        ref_deposit(want, offset, count, bits);
+        ASSERT_EQ(got, want)
+            << "size " << n << " offset " << offset << " count " << count;
+        ASSERT_TRUE(tail_is_zero(got));
+        ASSERT_EQ(got.extract(offset, count), ref_extract(want, offset, count));
+      }
+    }
+  }
+}
+
+TEST(BitVec, CrossoverMatchesBitwiseReferenceAtEveryPoint) {
+  nscc::util::Xoshiro256 rng(61);
+  for (std::size_t n : kBoundarySizes) {
+    BitVec a(n);
+    BitVec b(n);
+    a.randomize(rng);
+    b.randomize(rng);
+    for (std::size_t point = 0; point <= n; ++point) {
+      BitVec got_a = a;
+      BitVec got_b = b;
+      BitVec want_a = a;
+      BitVec want_b = b;
+      BitVec::crossover(got_a, got_b, point);
+      ref_crossover(want_a, want_b, point);
+      ASSERT_EQ(got_a, want_a) << "size " << n << " point " << point;
+      ASSERT_EQ(got_b, want_b) << "size " << n << " point " << point;
+      ASSERT_TRUE(tail_is_zero(got_a));
+      ASSERT_TRUE(tail_is_zero(got_b));
+    }
   }
 }
 
