@@ -26,7 +26,8 @@
 // A third sweep replaces clean losses with payload corruption
 // (corruption-rate x age): frame CRCs must turn every damaged frame into
 // an ordinary loss, so each row should match the loss table's shape and
-// the DSM quarantine counter should stay at zero.
+// the DSM quarantine counter (`integrity_dropped` in --json-out) should
+// stay at zero.
 //
 // A fourth sweep makes the partition-tolerance argument: the cluster is
 // split into two halves for a scheduled window (partition-duration x age)
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
     return scenarios;
   };
 
-  // Damaged payloads instead of clean losses, with the integrity layer on.
+  // Damaged payloads instead of clean losses.
   harness::Section corrupt;
   corrupt.title = "Extension E3 - completion time vs payload corruption";
   corrupt.scenario_column = "corrupt";
@@ -131,9 +132,8 @@ int main(int argc, char** argv) {
       scenarios.push_back(
           {.label = util::format_double(rate * 100.0, 1) + " %",
            .params = {{"corrupt", rate}},
-           .configure = [seed, rate](harness::RunConfig& run,
+           .configure = [seed, rate](harness::RunConfig&,
                                      rt::MachineConfig& machine) {
-             run.propagation.integrity = true;
              machine.fault = {};
              machine.fault.seed = seed;
              machine.fault.link.corrupt_prob = rate;

@@ -49,7 +49,7 @@ inline constexpr int kMaxPhases = 16;
 
 /// Mode, age, seed, and the propagation policy live in the embedded
 /// harness::RunConfig.  The sampler lifts the policy's read_timeout,
-/// partition_heal, integrity and consistency fields; interface blocks are
+/// partition_heal and consistency fields; interface blocks are
 /// never coalesced — rollback detection needs every superseding
 /// publication.
 struct ParallelInferenceConfig : harness::RunConfig {

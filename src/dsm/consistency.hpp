@@ -103,8 +103,8 @@ class ConsistencyModel {
     return true;
   }
 
-  /// Bookkeeping hook: the reader's copy of `loc` changed (update applied
-  /// or merged).  Lets stateful models track non-read locations' freshness
+  /// Bookkeeping hook: the reader's copy of `loc` changed (an update was
+  /// applied).  Lets stateful models track non-read locations' freshness
   /// without owning the cache.
   virtual void note_copy(LocationId loc, const CopyMeta& copy) {
     (void)loc;

@@ -26,6 +26,12 @@ class AcquireScope {
   bool prev_;
 };
 
+/// The watchdog's next escalation budget: double the last one.
+sim::Time next_backoff(sim::Time budget) {
+  return std::max<sim::Time>(
+      1, static_cast<sim::Time>(static_cast<double>(budget) * 2.0));
+}
+
 }  // namespace
 
 const char* mode_name(Mode m) noexcept {
@@ -48,11 +54,6 @@ SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
   model_->shape(policy_);
   park_updates_ = !model_->visible_on_arrival();
   stamp_updates_ = model_->stamps_updates();
-  if (policy_.read_timeout_jitter > 0.0) {
-    jitter_rng_.emplace(policy_.jitter_seed ^
-                        (0x9E3779B97F4A7C15ULL *
-                         static_cast<std::uint64_t>(task.id() + 1)));
-  }
   obs::Hub& hub = task.vm().obs();
   // The registry exists whether or not the hub is actively tracing; the
   // staleness histograms are the canonical accounting (DsmStats reads the
@@ -138,9 +139,6 @@ SharedSpace::~SharedSpace() {
     reg.counter("dsm.partition.reconciled_locations", pid)
         .inc(stats_.reconciled_marks);
   }
-  if (stats_.merges > 0) {
-    reg.counter("dsm.partition.merges", pid).inc(stats_.merges);
-  }
   // Consistency-model counters only when the model actually engaged them,
   // so nonstrict runs keep an unchanged metrics footprint.
   if (stats_.updates_parked > 0) {
@@ -155,22 +153,16 @@ SharedSpace::~SharedSpace() {
 }
 
 void SharedSpace::declare_written(LocationId loc, std::vector<int> readers) {
-  if (written_.count(loc) != 0 || read_from_.count(loc) != 0) {
-    throw std::logic_error("SharedSpace: location declared twice");
-  }
-  WriterState ws;
-  ws.readers = std::move(readers);
-  for (int r : ws.readers) ws.per_reader.emplace(r, WriterState::PerReader{});
-  written_.emplace(loc, std::move(ws));
-  local_.emplace(loc, Value{});
+  const auto [it, inserted] = locations_.try_emplace(loc);
+  if (!inserted) throw std::logic_error("SharedSpace: location declared twice");
+  it->second.readers.reserve(readers.size());
+  for (const int r : readers) it->second.readers.emplace_back().id = r;
 }
 
 void SharedSpace::declare_read(LocationId loc, int writer) {
-  if (written_.count(loc) != 0 || read_from_.count(loc) != 0) {
-    throw std::logic_error("SharedSpace: location declared twice");
-  }
-  read_from_.emplace(loc, writer);
-  local_.emplace(loc, Value{});
+  const auto [it, inserted] = locations_.try_emplace(loc);
+  if (!inserted) throw std::logic_error("SharedSpace: location declared twice");
+  it->second.writer = writer;
 }
 
 void SharedSpace::send_update(LocationId loc, int reader, Iteration iteration,
@@ -180,12 +172,10 @@ void SharedSpace::send_update(LocationId loc, int reader, Iteration iteration,
   rt::Packet payload;
   payload.reserve(sizeof(std::int32_t) + sizeof(std::int64_t) +
                   sizeof(std::uint64_t) + value.byte_size() +
-                  (policy_.integrity ? sizeof(std::uint32_t) : 0) +
                   (stamp_updates_ ? sizeof(std::uint64_t) : 0));
   payload.pack_i32(loc);
   payload.pack_i64(iteration);
   payload.pack_packet(value);
-  if (policy_.integrity) payload.pack_u32(value.crc32());
   // Ordering metadata last: a release-stamping model sequences every send
   // (organic writes, demand replies, heal republishes alike).
   if (stamp_updates_) payload.pack_u64(model_->next_stamp());
@@ -247,7 +237,9 @@ void SharedSpace::on_update_settled(LocationId loc, int reader,
   // loss this is what makes coalescing self-healing: the *next* write (or
   // the stashed pending one) re-propagates the location.
   (void)delivered;
-  auto& pr = written_.at(loc).per_reader.at(reader);
+  std::vector<Reader>& readers = locations_.at(loc).readers;
+  Reader& pr = *std::find_if(readers.begin(), readers.end(),
+                             [&](const Reader& r) { return r.id == reader; });
   pr.in_flight = false;
   if (pr.has_pending) {
     pr.has_pending = false;
@@ -267,8 +259,8 @@ std::uint64_t SharedSpace::begin_flow(LocationId loc, Iteration iteration) {
 }
 
 void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
-  auto it = written_.find(loc);
-  if (it == written_.end()) {
+  auto it = locations_.find(loc);
+  if (it == locations_.end() || it->second.writer >= 0) {
     throw std::logic_error("SharedSpace: write to a location not declared_written");
   }
   ++stats_.writes;
@@ -280,7 +272,7 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
   // share the process with the "daemon").
   drain_requests();
 
-  Value& mine = local_.at(loc);
+  Value& mine = it->second.value;
   mine.iteration = iteration;
   mine.valid = true;
   // The fan-out below sends and stashes from the local copy.  It is in
@@ -293,9 +285,9 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
                        mine.data.byte_size(), task_.now());
   }
 
-  for (int reader : it->second.readers) {
+  for (Reader& pr : it->second.readers) {
+    const int reader = pr.id;
     if (reader == task_.id()) continue;  // The local store is the update.
-    auto& pr = it->second.per_reader.at(reader);
     // One causal flow per (write, reader): begun here on the producer's
     // track so the arrow starts at the write even when coalescing defers
     // (or replaces) the actual send.
@@ -334,12 +326,11 @@ void SharedSpace::apply_update(rt::Message& msg) {
     parked_.push_back({peek_stamp(msg.payload), std::move(msg)});
     return;
   }
-  // Parse defensively: with the transport's frame check disabled (or
-  // corruption the CRC missed), the bytes on the mailbox can be garbage.
-  // A frame that cannot be decoded, or whose payload checksum disagrees
-  // with the writer's stamp, is quarantined — never applied, never shown
-  // to the observer — and, when we actually read the location, a reliable
-  // demand re-fetches a clean copy from the writer.
+  // Parse defensively: corruption the transport's frame CRC missed can
+  // leave garbage on the mailbox.  A frame that cannot be decoded is
+  // quarantined — never applied, never shown to the observer — and, when
+  // its header still names a location we read, a reliable demand
+  // re-fetches a clean copy from the writer.
   rt::Packet& payload = msg.payload;
   LocationId loc = 0;
   Iteration iteration = 0;
@@ -348,32 +339,27 @@ void SharedSpace::apply_update(rt::Message& msg) {
   // so a re-entrant apply (an observer hook) cannot clobber it.
   rt::Packet data = std::move(scratch_);
   std::uint64_t stamp = 0;
-  bool parsed = false;
-  bool intact = true;
+  bool located = false;
   try {
     loc = payload.unpack_i32();
     iteration = payload.unpack_i64();
+    located = true;
     payload.unpack_packet(data);
-    if (policy_.integrity) {
-      intact = payload.unpack_u32() == data.crc32();
-    }
     if (stamp_updates_) stamp = payload.unpack_u64();
-    parsed = true;
   } catch (const std::out_of_range&) {
-  }
-  if (!parsed || !intact) {
     ++stats_.integrity_dropped;
     if (obs_ != nullptr) {
       obs_->tracer().instant(task_.id(), "dsm.update.quarantine", task_.now(),
                              "loc", loc, "iter", iteration);
     }
-    if (parsed && read_from_.count(loc) != 0) send_demand(loc, iteration);
+    const auto it = located ? locations_.find(loc) : locations_.end();
+    if (it != locations_.end()) send_demand(loc, it->second.writer, iteration);
     scratch_ = std::move(data);
     return;
   }
 
-  auto it = local_.find(loc);
-  if (it == local_.end() || read_from_.count(loc) == 0) {
+  auto it = locations_.find(loc);
+  if (it == locations_.end() || it->second.writer < 0) {
     throw std::logic_error(
         "SharedSpace: update received for a location not declared_read");
   }
@@ -389,7 +375,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
     data.rewind();
   }
 
-  Value& v = it->second;
+  Value& v = it->second.value;
   if (iteration > v.iteration) {
     v.iteration = iteration;
     v.valid = true;
@@ -410,22 +396,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
                                  msg.flow, "loc", loc, "iter", iteration);
       }
     }
-    maybe_reconcile(loc, iteration);
-    model_->note_copy(loc, meta_of(v));
-  } else if (policy_.merge && v.valid && iteration == v.iteration) {
-    // Concurrent copies of the same iteration (both sides of a split wrote
-    // it independently): the workload's commutative merge composes them
-    // instead of newest-wins dropping one side's contribution.
-    data.rewind();
-    v.data.rewind();
-    v.data = policy_.merge(loc, v.data, data);
-    v.epoch = std::max(v.epoch, msg.epoch);
-    ++stats_.merges;
-    if (obs_ != nullptr) {
-      obs_->tracer().instant(task_.id(), "dsm.update.merge", task_.now(),
-                             "loc", loc, "iter", iteration);
-    }
-    maybe_reconcile(loc, iteration);
+    maybe_reconcile(loc, it->second, iteration);
     model_->note_copy(loc, meta_of(v));
   } else {
     ++stats_.updates_stale_dropped;
@@ -444,7 +415,6 @@ std::uint64_t SharedSpace::peek_stamp(rt::Packet& payload) const {
     (void)payload.unpack_i32();
     (void)payload.unpack_i64();
     (void)payload.unpack_packet();
-    if (policy_.integrity) (void)payload.unpack_u32();
     stamp = payload.unpack_u64();
   } catch (const std::out_of_range&) {
     // A garbled frame sorts first (stamp 0) and is quarantined when the
@@ -472,19 +442,19 @@ void SharedSpace::flush_parked() {
   for (ParkedUpdate& p : batch) apply_update(p.msg);
 }
 
-void SharedSpace::mark_diverged(LocationId loc, Iteration need) {
-  const auto [it, inserted] = diverged_.emplace(loc, need);
-  if (inserted) {
-    ++stats_.diverged_marks;
+void SharedSpace::mark_diverged(Location& l, Iteration need) {
+  if (l.owed.has_value()) {
+    l.owed = std::max(*l.owed, need);
   } else {
-    it->second = std::max(it->second, need);
+    l.owed = need;
+    ++stats_.diverged_marks;
   }
 }
 
-void SharedSpace::maybe_reconcile(LocationId loc, Iteration iteration) {
-  const auto it = diverged_.find(loc);
-  if (it == diverged_.end() || iteration < it->second) return;
-  diverged_.erase(it);
+void SharedSpace::maybe_reconcile(LocationId loc, Location& l,
+                                  Iteration iteration) {
+  if (!l.owed.has_value() || iteration < *l.owed) return;
+  l.owed.reset();
   ++stats_.reconciled_marks;
   if (obs_ != nullptr) {
     obs_->tracer().instant(task_.id(), "dsm.partition.reconcile", task_.now(),
@@ -495,23 +465,25 @@ void SharedSpace::maybe_reconcile(LocationId loc, Iteration iteration) {
 void SharedSpace::heal_republish() {
   // Engine context, at a partition-window end: push every valid written
   // location to all its readers over the reliable channel.  Readers apply
-  // with the normal newest-wins rule (or the merge hook), so copies that
-  // diverged behind the cut catch up without waiting for the writer's next
-  // organic write.  Daemon-style posts: no CPU charge, no flow arrows.
-  for (auto& [loc, ws] : written_) {
-    const Value& mine = local_.at(loc);
+  // with the normal newest-wins rule, so copies that diverged behind the
+  // cut catch up without waiting for the writer's next organic write.
+  // Daemon-style posts: no CPU charge, no flow arrows.
+  std::int64_t written = 0;
+  for (const auto& [loc, l] : locations_) {
+    if (l.writer >= 0) continue;
+    ++written;
+    const Value& mine = l.value;
     if (!mine.valid) continue;
-    for (const int reader : ws.readers) {
-      if (reader == task_.id()) continue;
-      send_update(loc, reader, mine.iteration, mine.data,
+    for (const Reader& r : l.readers) {
+      if (r.id == task_.id()) continue;
+      send_update(loc, r.id, mine.iteration, mine.data,
                   /*charge_cpu=*/false, rt::Reliability::kReliable);
       ++stats_.heal_frames;
     }
   }
   if (obs_ != nullptr) {
     obs_->tracer().instant(task_.id(), "dsm.partition.heal", task_.now(),
-                           "locations",
-                           static_cast<std::int64_t>(written_.size()));
+                           "locations", written);
   }
 }
 
@@ -532,9 +504,10 @@ void SharedSpace::serve_request(rt::Packet& payload, int from) {
     obs_->tracer().instant(task_.id(), "dsm.request.serve", task_.now(),
                            "loc", loc, "from", from);
   }
-  auto it = written_.find(loc);
-  if (it == written_.end()) return;  // Stale request for a location we lost.
-  const Value& mine = local_.at(loc);
+  const auto it = locations_.find(loc);
+  // Stale request for a location we do not write.
+  if (it == locations_.end() || it->second.writer >= 0) return;
+  const Value& mine = it->second.value;
   if (mine.valid && mine.iteration >= need) {
     // Demand-driven resend of the current copy (the normal write path will
     // cover the demand otherwise, since writes propagate to every reader).
@@ -551,10 +524,11 @@ void SharedSpace::serve_request(rt::Packet& payload, int from) {
   }
 }
 
-void SharedSpace::send_demand(LocationId loc, Iteration need) {
+void SharedSpace::send_demand(LocationId loc, int writer, Iteration need) {
   // Actively demand a fresh-enough copy from the writer (also a hint that
   // this reader is running behind the producer).  Demands are control
   // traffic and ride the reliable channel when the machine has one.
+  if (writer < 0) return;  // Our own location: nobody else can serve it.
   rt::Packet req;
   req.pack_i32(loc);
   req.pack_i64(need);
@@ -562,7 +536,7 @@ void SharedSpace::send_demand(LocationId loc, Iteration need) {
     obs_->tracer().instant(task_.id(), "dsm.request", task_.now(), "loc", loc,
                            "need", need);
   }
-  task_.send_observed(read_from_.at(loc), rt::kDsmRequestTag, std::move(req),
+  task_.send_observed(writer, rt::kDsmRequestTag, std::move(req),
                       {}, rt::Reliability::kReliable);
   ++stats_.requests_sent;
 }
@@ -596,11 +570,11 @@ const SharedSpace::Value& SharedSpace::read(LocationId loc,
   AcquireScope acquire(park_updates_, acquiring_);
   if (park_updates_) flush_parked();
   poll();
-  auto it = local_.find(loc);
-  if (it == local_.end()) {
+  auto it = locations_.find(loc);
+  if (it == locations_.end()) {
     throw std::logic_error("SharedSpace: read of an undeclared location");
   }
-  Value& v = it->second;
+  Value& v = it->second.value;
   if (curr_iter.has_value() && v.valid) record_staleness(*curr_iter, v.iteration);
   if (san_ != nullptr) {
     // Plain reads declare no age bound (-1): the audit checks the location's
@@ -617,13 +591,14 @@ const SharedSpace::Value& SharedSpace::read(LocationId loc,
 const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
                                                    Iteration curr_iter,
                                                    Iteration age) {
-  auto it = local_.find(loc);
-  if (it == local_.end()) {
+  auto it = locations_.find(loc);
+  if (it == locations_.end()) {
     throw std::logic_error("SharedSpace: global_read of an undeclared location");
   }
   ++stats_.global_reads;
   const Iteration need = curr_iter - age;
-  Value& v = it->second;
+  Location& l = it->second;
+  Value& v = l.value;
   const bool was_fresh = v.valid && v.iteration >= need;
   // Global_Read is THE acquire point: a parking model's release log
   // publishes here (and a blocked wait below keeps applying arrivals
@@ -638,7 +613,7 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
     bool escalated = false;
     bool degraded_here = false;
     if (policy_.read_impl == GlobalReadImpl::kRequest) {
-      send_demand(loc, need);
+      send_demand(loc, l.writer, need);
     }
     const sim::Time blocked_from = task_.now();
     if (obs_ != nullptr) blocked_readers_->add(1.0);
@@ -650,7 +625,7 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
     // Starvation watchdog: with a read_timeout budget, a wait that outlives
     // it (e.g. the satisfying update was dropped by a lossy network)
     // escalates to an explicit demand — the kRequest impl on demand — then
-    // waits again with an exponentially larger (capped, jittered) budget.
+    // waits again with a doubled budget.
     // As long as the writer keeps iterating (or can serve the demand), the
     // read terminates with probability 1 at any loss rate < 1.
     //
@@ -659,20 +634,15 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
     // unblocks the reader with the freshest local copy, flagged degraded.
     const bool degradable = static_cast<bool>(policy_.writer_alive);
     const bool quorum_gated = static_cast<bool>(policy_.in_quorum);
-    const sim::Time degrade_after = policy_.partition_degrade_after > 0
-                                        ? policy_.partition_degrade_after
-                                        : policy_.liveness_poll;
     sim::Time no_quorum_since = 0;  // 0 = currently in quorum.
-    const auto writer_it = read_from_.find(loc);
-    const int writer = writer_it != read_from_.end() ? writer_it->second : -1;
     sim::Time budget = policy_.read_timeout;
     sim::Time remaining = budget;
     while (!model_->admit(loc, curr_iter, age, meta_of(v))) {
-      if (degradable && writer >= 0 && !policy_.writer_alive(writer)) {
+      if (degradable && l.writer >= 0 && !policy_.writer_alive(l.writer)) {
         v.degraded = true;
         degraded_here = true;
         ++stats_.degraded_reads;
-        if (tracks_divergence() && v.valid) mark_diverged(loc, need);
+        if (tracks_divergence() && v.valid) mark_diverged(l, need);
         if (obs_ != nullptr) {
           obs_->tracer().instant(task_.id(), "dsm.read.degraded", task_.now(),
                                  "loc", loc, "need", need);
@@ -681,18 +651,18 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
       }
       // Minority-side divergence bound: out of quorum the writer is only
       // *suspected* (never declared dead), so the probe above stays true
-      // and the read would otherwise block to the horizon.  After
-      // degrade_after of continuous quorum loss, serve the freshest valid
+      // and the read would otherwise block to the horizon.  After one
+      // liveness_poll of continuous quorum loss, serve the freshest valid
       // copy stale instead — bounded divergence rather than stalling the
       // whole minority island.
       if (quorum_gated && v.valid && !policy_.in_quorum()) {
         if (no_quorum_since == 0) {
           no_quorum_since = task_.now();
-        } else if (task_.now() - no_quorum_since >= degrade_after) {
+        } else if (task_.now() - no_quorum_since >= policy_.liveness_poll) {
           v.degraded = true;
           degraded_here = true;
           ++stats_.partition_stale_served;
-          mark_diverged(loc, need);
+          mark_diverged(l, need);
           if (obs_ != nullptr) {
             obs_->tracer().instant(task_.id(), "dsm.read.stale_served",
                                    task_.now(), "loc", loc, "need", need);
@@ -726,7 +696,7 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
         obs_->tracer().instant(task_.id(), "dsm.read.escalate", task_.now(),
                                "loc", loc, "need", need);
       }
-      send_demand(loc, need);
+      send_demand(loc, l.writer, need);
       budget = next_backoff(budget);
       remaining = budget;
     }
@@ -767,25 +737,9 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
   return v;
 }
 
-sim::Time SharedSpace::next_backoff(sim::Time budget) {
-  auto next = std::max<sim::Time>(
-      1, static_cast<sim::Time>(static_cast<double>(budget) *
-                                policy_.read_timeout_backoff));
-  if (policy_.read_timeout_cap > 0) {
-    next = std::min(next, policy_.read_timeout_cap);
-  }
-  if (jitter_rng_.has_value()) {
-    const double j = policy_.read_timeout_jitter;
-    const double scale = jitter_rng_->uniform(1.0 - j, 1.0 + j);
-    next = std::max<sim::Time>(
-        1, static_cast<sim::Time>(static_cast<double>(next) * scale));
-  }
-  return next;
-}
-
 Iteration SharedSpace::local_iteration(LocationId loc) const {
-  auto it = local_.find(loc);
-  return it == local_.end() ? -1 : it->second.iteration;
+  const auto it = locations_.find(loc);
+  return it == locations_.end() ? -1 : it->second.value.iteration;
 }
 
 }  // namespace nscc::dsm

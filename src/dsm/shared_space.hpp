@@ -42,7 +42,6 @@
 #include "rt/vm.hpp"
 #include "sanitize/sanitize.hpp"
 #include "sim/time.hpp"
-#include "util/rng.hpp"
 
 namespace nscc::dsm {
 
@@ -71,26 +70,12 @@ struct PropagationPolicy {
   /// Starvation watchdog for blocked Global_Reads: after this much virtual
   /// time without a satisfying update, the reader escalates from passively
   /// waiting to an explicit (reliable) kRequest demand to the writer, then
-  /// backs off exponentially and demands again.  0 disables the watchdog —
-  /// the default, because an *unsatisfiable* read (writer never reaches the
+  /// doubles the budget and demands again.  0 disables the watchdog — the
+  /// default, because an *unsatisfiable* read (writer never reaches the
   /// needed iteration) must still be allowed to block forever and surface
   /// as a detectable deadlock.  Under a lossy network a finite budget makes
   /// Global_Read loss-proof as long as the writer keeps iterating.
   sim::Time read_timeout = 0;
-  /// Multiplier applied to the budget after each escalation.
-  double read_timeout_backoff = 2.0;
-  /// Upper bound on the escalation budget (0 = uncapped).  Without a cap
-  /// the exponential backoff can grow past the writer's whole lifetime and
-  /// a single unlucky loss starves the reader for the rest of the run.
-  sim::Time read_timeout_cap = 0;
-  /// Deterministic jitter applied to each post-escalation budget: the next
-  /// budget is scaled by a factor uniform in [1-j, 1+j] drawn from a stream
-  /// seeded by (jitter_seed ^ task id), so simultaneously starved readers
-  /// stop demanding in lockstep bursts.  0 disables (byte-identical to the
-  /// unjittered watchdog).
-  double read_timeout_jitter = 0.0;
-  /// Seed for the jitter stream (conventionally the machine's fault seed).
-  std::uint64_t jitter_seed = 0;
   /// Send DSM updates over the reliable transport channel (when the machine
   /// has one enabled).  Synchronous-mode drivers set this: age-0 reads make
   /// every update semantically load-bearing.  Asynchronous modes leave it
@@ -109,7 +94,7 @@ struct PropagationPolicy {
   /// Quorum probe from the recovery subsystem for THIS node's membership
   /// view.  When set and returning false, the node sits on the minority
   /// side of a partition: a blocked Global_Read that stays out of quorum
-  /// for partition_degrade_after serves the freshest *valid* local copy
+  /// for one liveness_poll serves the freshest *valid* local copy
   /// with Value::degraded set (counted as partition_stale_served) instead
   /// of blocking to the horizon — the paper's age knob acting as a
   /// divergence bound during the split.  Null = always in quorum.
@@ -117,9 +102,6 @@ struct PropagationPolicy {
   /// every degraded serve marks its location diverged until an update
   /// reaching the needed iteration reconciles it.
   std::function<bool()> in_quorum;
-  /// Patience before a quorum-less blocked read serves stale (0 = one
-  /// liveness_poll).
-  sim::Time partition_degrade_after = 0;
   /// Anti-entropy heal: at the end of every scheduled partition/blackhole
   /// window in the machine's fault plan, re-publish each valid written
   /// location to all its readers over the reliable channel (engine
@@ -127,22 +109,6 @@ struct PropagationPolicy {
   /// apply rule, so healed copies reconcile diverged readers; frames sent
   /// are counted in DsmStats::heal_frames.
   bool partition_heal = false;
-  /// Commutative-merge hook for workloads whose divergent copies compose:
-  /// invoked when an incoming update carries the SAME iteration as the
-  /// valid local copy (which newest-wins would otherwise stale-drop);
-  /// returns the merged payload to install.  Null = drop-as-stale.
-  std::function<rt::Packet(LocationId, const rt::Packet& local,
-                           const rt::Packet& incoming)>
-      merge;
-  /// End-to-end data integrity: stamp every propagated update with a CRC32
-  /// of its payload and verify it at apply time.  A mismatch (damage the
-  /// transport's frame check missed, or a frame check disabled for testing)
-  /// quarantines the update — it is dropped unapplied, counted in
-  /// DsmStats::integrity_dropped, and if this task reads the location a
-  /// reliable demand re-fetches a clean copy from the writer.  Off by
-  /// default: the checksum changes the update wire format (4 bytes), so
-  /// corruption-free baselines stay byte-identical.
-  bool integrity = false;
   /// Which ConsistencyModel (dsm/consistency.hpp) governs this space: the
   /// read-admission rule, the update-visibility rule, and any ordering
   /// metadata on the wire.  Resolved against the ConsistencyRegistry at
@@ -166,12 +132,11 @@ struct DsmStats {
   std::uint64_t request_replies = 0;    ///< Writer side: demand-driven resends.
   std::uint64_t read_escalations = 0;   ///< Watchdog-triggered demands.
   std::uint64_t degraded_reads = 0;     ///< Reads unblocked by a dead writer.
-  std::uint64_t integrity_dropped = 0;  ///< Damaged/garbled frames quarantined.
+  std::uint64_t integrity_dropped = 0;  ///< Undecodable frames quarantined.
   std::uint64_t partition_stale_served = 0;  ///< Quorum-less stale serves.
   std::uint64_t heal_frames = 0;        ///< Anti-entropy republish frames.
   std::uint64_t diverged_marks = 0;     ///< Locations that served diverged.
   std::uint64_t reconciled_marks = 0;   ///< Diverged marks later healed.
-  std::uint64_t merges = 0;             ///< Commutative-merge applications.
   std::uint64_t updates_parked = 0;   ///< Arrivals deferred to an acquire.
   std::uint64_t updates_flushed = 0;  ///< Parked updates applied at acquires.
   std::uint64_t ooo_updates = 0;      ///< Stamps that arrived out of order.
@@ -266,20 +231,32 @@ class SharedSpace {
   [[nodiscard]] Iteration local_iteration(LocationId loc) const;
 
  private:
-  struct WriterState {
-    std::vector<int> readers;
-    // Per reader: is an update in flight, and the newest stashed value to
-    // forward once it lands (coalescing policy only).
-    struct PerReader {
-      bool in_flight = false;
-      bool has_pending = false;
-      Iteration pending_iteration = -1;
-      rt::Packet pending_value;
-      /// Flow id of the stashed pending value (coalescing): the arrow begun
-      /// at the write travels with whichever value is eventually forwarded.
-      std::uint64_t pending_flow = 0;
-    };
-    std::map<int, PerReader> per_reader;
+  /// Coalescing state of one reader of a location this task writes: is an
+  /// update in flight, and the newest stashed value to forward once it
+  /// lands (coalescing policy only).
+  struct Reader {
+    int id = -1;
+    bool in_flight = false;
+    bool has_pending = false;
+    Iteration pending_iteration = -1;
+    rt::Packet pending_value;
+    /// Flow id of the stashed pending value (coalescing): the arrow begun
+    /// at the write travels with whichever value is eventually forwarded.
+    std::uint64_t pending_flow = 0;
+  };
+
+  /// Everything this task knows about one declared location.
+  struct Location {
+    Value value;
+    /// Writer of a location this task reads; -1 for one this task writes.
+    int writer = -1;
+    /// Readers of a location this task writes, in declaration order.
+    std::vector<Reader> readers;
+    /// Set while this reader owes the location a diverged mark (it served
+    /// a copy older than a read's need): the highest iteration still owed.
+    /// An applied update reaching it reconciles the mark; a mark still set
+    /// at destruction is unreconciled divergence.
+    std::optional<Iteration> owed;
   };
 
   void apply_update(rt::Message& msg);
@@ -303,18 +280,17 @@ class SharedSpace {
                    rt::Reliability reliability = rt::Reliability::kAuto,
                    std::uint64_t flow = 0);
   void on_update_settled(LocationId loc, int reader, bool delivered);
-  void send_demand(LocationId loc, Iteration need);
+  void send_demand(LocationId loc, int writer, Iteration need);
   /// Divergence bookkeeping: active when the policy carries a quorum probe
   /// or partition healing (i.e. the run can actually split).
   [[nodiscard]] bool tracks_divergence() const noexcept {
     return policy_.partition_heal || static_cast<bool>(policy_.in_quorum);
   }
-  void mark_diverged(LocationId loc, Iteration need);
-  void maybe_reconcile(LocationId loc, Iteration iteration);
+  void mark_diverged(Location& l, Iteration need);
+  void maybe_reconcile(LocationId loc, Location& l, Iteration iteration);
   /// Engine-context anti-entropy pass at a partition-window end: republish
   /// every valid written location to all its readers, reliably.
   void heal_republish();
-  [[nodiscard]] sim::Time next_backoff(sim::Time budget);
   /// True when causal-flow tracing is on for this machine (--flow-trace):
   /// gates flow-id allocation so untraced runs never touch the id counter.
   [[nodiscard]] bool flows_on() const noexcept {
@@ -372,17 +348,8 @@ class SharedSpace {
   /// returned while updates were still on the wire).
   std::shared_ptr<SharedSpace*> alive_ =
       std::make_shared<SharedSpace*>(this);
-  std::map<LocationId, Value> local_;          // Locations we read or wrote.
-  std::map<LocationId, WriterState> written_;  // Locations we write.
-  std::map<LocationId, int> read_from_;        // Location -> writer task.
-  /// Locations this reader served diverged (value older than the read's
-  /// need), keyed to the highest iteration still owed.  An applied or
-  /// merged update reaching the owed iteration reconciles the mark; marks
-  /// still present at destruction are unreconciled divergence.
-  std::map<LocationId, Iteration> diverged_;
-  /// Jitter stream for the watchdog backoff; engaged only when the policy
-  /// asks for jitter, so default runs draw nothing and stay byte-identical.
-  std::optional<util::Xoshiro256> jitter_rng_;
+  /// Every declared location, ordered by id (heal republishes in order).
+  std::map<LocationId, Location> locations_;
   DsmStats stats_;
 };
 

@@ -41,9 +41,9 @@ IslandResult run_island_ga(const IslandConfig& config,
       const double my_speed = cluster.speed(d);
       util::Xoshiro256 jitter_rng = task.rng().split(0xba5e);
 
-      // The deme honours the run's full policy (jitter, merge hooks) and
-      // adds the sync reliable-updates rule plus the recovery wiring —
-      // all via the shared harness mapping.
+      // The deme honours the run's full policy and adds the sync
+      // reliable-updates rule plus the recovery wiring — all via the
+      // shared harness mapping.
       recovery::Coordinator* rc = cluster.recovery();
       dsm::PropagationPolicy prop = harness::make_policy(
           config, {.full = true,

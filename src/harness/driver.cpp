@@ -107,7 +107,6 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
   bool any_fault = false;
   bool any_partition = false;
   bool any_recovery = false;
-  bool any_integrity = false;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
     RunConfig run = for_variant(setup.base, *job.variant);
@@ -125,10 +124,9 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
     any_fault = any_fault || !plan.empty();
     any_partition = any_partition || plan.partitionable();
     any_recovery = any_recovery || run.recovery.enabled();
-    any_integrity = any_integrity || run.propagation.integrity;
     rows.push_back({job.scenario->label, job.scenario->params, *job.variant,
                     *job.model, job.network, job.scenario->may_deadlock,
-                    plan.partitionable(),
+                    plan.partitionable(), run.recovery.policy,
                     setup.workload->run(run, machine)});
   }
 
@@ -159,7 +157,10 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
     cols.insert(cols.end(),
                 {"crashes", "restores", "rejoins", "degraded reads"});
   }
-  if (any_integrity) {
+  // Audited runs report the sanitizer's verdicts beside the DSM's decode
+  // quarantine.
+  const bool audited = setup.machine.sanitize.level != sanitize::Level::kOff;
+  if (audited) {
     cols.insert(cols.end(), {"quarantined", "violations"});
   }
   table.columns(cols);
@@ -192,7 +193,7 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
       table.cell(s.crashes).cell(s.restores).cell(s.rejoins).cell(
           s.degraded_reads);
     }
-    if (any_integrity) {
+    if (audited) {
       table.cell(s.integrity_dropped).cell(s.sanitize_violations);
     }
   }
@@ -393,9 +394,6 @@ int drive(int argc, char** argv, const DriveOptions& options) {
   // One watchdog rule for every variant: --read-timeout-ms arms the
   // Global_Read starvation watchdog on sync, async and partial alike.
   base.propagation.read_timeout = fault::read_timeout_from_flags(flags);
-  // Sanitizing turns on the end-to-end integrity layer too: audited runs
-  // should also checksum what the wire delivered.
-  base.propagation.integrity = sanitize_level != sanitize::Level::kOff;
   base.recovery.policy =
       *recovery::policy_from_name(flags.get_string("recovery"));
   base.recovery.checkpoint_interval = static_cast<sim::Time>(
@@ -464,8 +462,15 @@ int drive(int argc, char** argv, const DriveOptions& options) {
     if (row.stats.deadlocked && !row.may_deadlock) {
       std::cerr << "harness: deadlock — variant '" << row.variant.label()
                 << "' never completed (blocked processes reported above by "
-                   "the simulator); rerun with --recovery=degraded or "
-                   "--recovery=rejoin to survive crash faults\n";
+                   "the simulator); ";
+      if (row.recovery == recovery::Policy::kNone) {
+        std::cerr << "rerun with --recovery=degraded or --recovery=rejoin to "
+                     "survive crash faults\n";
+      } else {
+        std::cerr << "a barrier-based variant cannot survive the crash, "
+                     "even under --recovery="
+                  << recovery::policy_name(row.recovery) << '\n';
+      }
       return 3;
     }
   }

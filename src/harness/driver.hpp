@@ -36,7 +36,7 @@ struct Scenario {
   /// rate, load, crash time, ...), so every record keeps its own key.
   std::vector<std::pair<std::string, double>> params = {};
   /// Overrides over the flag-derived run (fault plan, loader rate, recovery
-  /// policy, quorum, integrity, ...).  Applied before the driver derives
+  /// policy, quorum, ...).  Applied before the driver derives
   /// the transport and heal wiring from the final fault plan and recovery
   /// policy.  Null = no overrides.
   std::function<void(RunConfig&, rt::MachineConfig&)> configure = {};
@@ -55,6 +55,7 @@ struct Row {
   rt::Network network = rt::Network::kEthernet;
   bool may_deadlock = false;
   bool partitioned = false;  ///< The row's fault plan could split the cluster.
+  recovery::Policy recovery = recovery::Policy::kNone;  ///< The row's policy.
   RunStats stats;
 };
 

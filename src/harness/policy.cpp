@@ -13,7 +13,6 @@ dsm::PropagationPolicy make_policy(const RunConfig& run,
   } else {
     prop.read_timeout = run.propagation.read_timeout;
     prop.partition_heal = run.propagation.partition_heal;
-    prop.integrity = run.propagation.integrity;
     if (opt.coalesce) prop.coalesce = run.propagation.coalesce;
   }
   // The consistency model always threads through: it is the semantics of

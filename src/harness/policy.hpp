@@ -17,9 +17,8 @@ namespace nscc::harness {
 
 struct PolicyOptions {
   /// Start from the run's full PropagationPolicy (the GA honours every
-  /// knob — jitter, merge hooks, read_impl) instead of the curated subset
-  /// the other workloads lift (read_timeout / partition_heal / integrity /
-  /// consistency).
+  /// knob, read_impl included) instead of the curated subset the other
+  /// workloads lift (read_timeout / partition_heal / consistency).
   bool full = false;
   /// Subset mode only: also lift the coalescing decision (the solver;
   /// the nn/bayes tasks never coalesce regardless of mode).

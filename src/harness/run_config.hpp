@@ -30,9 +30,9 @@ struct RunConfig {
   dsm::Iteration age = 0;  ///< Staleness bound for kPartialAsync.
   std::uint64_t seed = 1;
   /// Update-propagation policy.  harness::make_policy decides what each
-  /// workload lifts: every workload takes read_timeout, partition_heal,
-  /// integrity and consistency; the solver adds coalesce; the GA takes the
-  /// whole policy.
+  /// workload lifts: every workload takes read_timeout, partition_heal
+  /// and consistency; the solver adds coalesce; the GA takes the whole
+  /// policy.
   dsm::PropagationPolicy propagation;
   /// Background-load payload bits per second on the interconnect (0 = none).
   double loader_offered_bps = 0.0;
@@ -62,8 +62,9 @@ struct RunStats {
   std::uint64_t frames_lost = 0;
   std::uint64_t retransmissions = 0;
   std::uint64_t read_escalations = 0;
-  /// Data-integrity counters (zero unless corruption/sanitizing is on).
-  std::uint64_t integrity_dropped = 0;    ///< Damaged DSM frames quarantined.
+  /// Data-integrity counters (zero unless corruption/sanitizing is on;
+  /// integrity_dropped stays zero unless a damaged frame fools the CRC).
+  std::uint64_t integrity_dropped = 0;    ///< Undecodable DSM frames dropped.
   std::uint64_t sanitize_violations = 0;  ///< Tolerance-contract violations.
   /// Crash-recovery counters (zero unless a recovery policy was active).
   std::uint64_t crashes = 0;

@@ -37,7 +37,7 @@ inline constexpr dsm::LocationId kParamsLoc = 900;
 
 /// Mode, age, seed, and the propagation policy live in the embedded
 /// harness::RunConfig.  The trainer lifts the policy's read_timeout,
-/// partition_heal, integrity and consistency fields; parameter/gradient
+/// partition_heal and consistency fields; parameter/gradient
 /// publications are never coalesced — the server needs every worker
 /// gradient.
 struct TrainConfig : harness::RunConfig {

@@ -44,14 +44,6 @@ struct ReliabilityConfig {
   int max_attempts = 10;
   /// Modelled wire size of an ACK frame (sequence number + header slack).
   std::uint32_t ack_bytes = 8;
-  /// CRC-check every frame whose payload the fault plan may have damaged
-  /// and drop mismatches as loss (the retransmit/watchdog machinery then
-  /// recovers).  The checksum is protocol metadata — it adds no modeled
-  /// wire bytes — and is only ever computed when the plan can corrupt, so
-  /// this default costs nothing on corruption-free runs.  Turning it off
-  /// lets damaged payloads reach the stack (for sanitizer end-to-end
-  /// integrity tests).
-  bool crc_frames = true;
 };
 
 /// Receiver-side duplicate filter for one (src -> me) stream.  Tracks the

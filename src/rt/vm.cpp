@@ -370,7 +370,7 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
     if (effect.truncate_to != static_cast<std::size_t>(-1)) {
       damaged->truncate_to(effect.truncate_to);
     }
-    if (config_.transport.crc_frames && damaged->crc32() != st->crc) {
+    if (damaged->crc32() != st->crc) {
       // The receiver's NIC catches the damage: discard the frame exactly
       // as if the wire had lost it.  A best-effort frame settles as
       // undelivered; a reliable one is recovered by the retransmit timer.
@@ -380,8 +380,8 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
       if (!st->reliable) settle(st, false);
       return;
     }
-    // CRC framing off (or an undetected collision): the damaged payload
-    // reaches the stack — the DSM integrity layer / sanitizer's business.
+    // An undetected collision: the damaged payload reaches the stack — the
+    // DSM decode guard's and the sanitizer's business.
   }
 
   if (st->msg.tag == kAckTag) {

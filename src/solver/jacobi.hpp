@@ -63,7 +63,7 @@ JacobiResult run_sequential_jacobi(const LinearSystem& sys,
 
 /// Mode, age, seed, and the propagation policy live in the embedded
 /// harness::RunConfig (the solver lifts the policy's read_timeout,
-/// partition_heal, integrity, consistency and coalesce fields);
+/// partition_heal, consistency and coalesce fields);
 /// JacobiConfig::seed is shadowed by the RunConfig one so there is a single
 /// seed.
 struct ParallelJacobiConfig : JacobiConfig, harness::RunConfig {

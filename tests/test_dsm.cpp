@@ -243,6 +243,10 @@ TEST(SharedSpace, UndeclaredAccessThrows) {
     EXPECT_THROW((void)dsm.global_read(3, 0, 0), std::logic_error);
     EXPECT_THROW(dsm.declare_written(1, {0}), std::logic_error);
     EXPECT_THROW(dsm.declare_read(1, 0), std::logic_error);
+    // A read location keeps its role: no writes, no second declaration.
+    dsm.declare_read(5, 0);
+    EXPECT_THROW(dsm.write(5, 0, Packet{}), std::logic_error);
+    EXPECT_THROW(dsm.declare_written(5, {0}), std::logic_error);
   });
   vm.run();
 }

@@ -293,6 +293,43 @@ TEST(Dsm, WatchdogRecoversSingleDroppedUpdate) {
   EXPECT_GE(vm.fault_injector()->stats().outage_drops, 1u);
 }
 
+// The escalation schedule, pinned: a 10 ms budget that doubles after each
+// demand escalates at 10, 30, 70 and 150 ms of waiting.  The writer has no
+// copy to serve until its first write at 200 ms, so the read ends on that
+// write's ordinary propagation, before the fifth deadline at 310 ms.
+TEST(Dsm, WatchdogBackoffDoublesTheBudget) {
+  VirtualMachine vm(fast_config(2));
+
+  std::uint64_t escalations = 0;
+  std::uint64_t requests = 0;
+  Time finished = 0;
+
+  vm.add_task("writer", [](Task& t) {
+    SharedSpace space(t);
+    space.declare_written(1, {1});
+    t.compute(200 * kMillisecond);
+    Packet p;
+    p.pack_double(1.5);
+    space.write(1, 0, std::move(p));
+  });
+  vm.add_task("reader", [&](Task& t) {
+    PropagationPolicy policy;
+    policy.read_timeout = 10 * kMillisecond;
+    SharedSpace space(t, policy);
+    space.declare_read(1, 0);
+    (void)space.global_read(1, 0, 0);
+    finished = t.now();
+    escalations = space.stats().read_escalations;
+    requests = space.stats().requests_sent;
+  });
+  vm.run();
+
+  ASSERT_FALSE(vm.deadlocked());
+  EXPECT_EQ(escalations, 4u);
+  EXPECT_EQ(requests, 4u);
+  EXPECT_EQ(finished, 200022400);
+}
+
 // Escalation backs off but keeps demanding: even when the demand replies
 // themselves ride a very lossy wire, the reliable request channel plus
 // repeated escalation terminate the read.

@@ -409,6 +409,49 @@ TEST(DriverAxes, ConsistencyListRunsOneRowPerModel) {
   expect_list_matches_single_runs("consistency", {"nonstrict", "regional"});
 }
 
+// The staleness sanitizer only observes: auditing every read must leave
+// every reported number of every variant unchanged, wire bytes included.
+TEST(DriverObservers, SanitizeTrackLeavesEveryRunStatUnchanged) {
+  const std::vector<std::pair<std::string, std::string>> small = {
+      {"ga.island", "--generations=20"},
+      {"bayes.sampling", "--iterations=500"},
+      {"solver.jacobi", "--grid=8"},
+      {"nn.train", "--steps=30"}};
+  for (const auto& [workload, size] : small) {
+    const auto off = drive_records(workload, {size, "--sanitize=off"});
+    const auto track = drive_records(workload, {size, "--sanitize=track"});
+    EXPECT_EQ(off.size(), 3u) << workload;
+    EXPECT_EQ(off, track) << workload;
+  }
+}
+
+// A stateful crash wedges the barrier-based variant whatever the recovery
+// policy, so only a run without one is told to rerun with one.
+TEST(DriverExit, DeadlockHintMatchesTheRecoveryPolicy) {
+  const std::vector<std::string> crash = {"--variants=sync", "--demes=4",
+                                          "--generations=20",
+                                          "--crash-at=0.3"};
+  const auto hint = [&](const std::string& policy) {
+    auto args = crash;
+    args.push_back("--recovery=" + policy);
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(drive("ga.island", args), 3) << policy;
+    (void)testing::internal::GetCapturedStdout();
+    return testing::internal::GetCapturedStderr();
+  };
+  const std::string rerun = "rerun with --recovery=degraded or --recovery=rejoin";
+  EXPECT_NE(hint("none").find(rerun), std::string::npos);
+  for (const std::string policy : {"degraded", "rejoin"}) {
+    const std::string err = hint(policy);
+    EXPECT_EQ(err.find(rerun), std::string::npos) << policy;
+    EXPECT_NE(err.find("a barrier-based variant cannot survive the crash, "
+                       "even under --recovery=" + policy),
+              std::string::npos)
+        << err;
+  }
+}
+
 TEST(DriverAxes, IllFormedListsExitOne) {
   EXPECT_EQ(drive("solver.jacobi", {"--grid=8", "--age=5,x"}), 1);
   EXPECT_EQ(drive("solver.jacobi", {"--grid=8", "--age=5,5"}), 1);
@@ -459,7 +502,6 @@ TEST(DriverScenario, OverridesReachTheWorkloadsRunConfig) {
          .configure = [](RunConfig& run, rt::MachineConfig&) {
            run.recovery.policy = recovery::Policy::kRejoin;
            run.recovery.quorum_fraction = 0.6;
-           run.propagation.integrity = true;
          }}};
   };
   harness::DriveOptions options;
@@ -468,11 +510,9 @@ TEST(DriverScenario, OverridesReachTheWorkloadsRunConfig) {
   ASSERT_EQ(w.runs.size(), 2u);
   EXPECT_EQ(w.runs[0].recovery.policy, recovery::Policy::kNone);
   EXPECT_EQ(w.runs[0].recovery.quorum_fraction, 0.0);
-  EXPECT_FALSE(w.runs[0].propagation.integrity);
   EXPECT_FALSE(w.transport[0]);
   EXPECT_EQ(w.runs[1].recovery.policy, recovery::Policy::kRejoin);
   EXPECT_EQ(w.runs[1].recovery.quorum_fraction, 0.6);
-  EXPECT_TRUE(w.runs[1].propagation.integrity);
   // The transport wiring is derived after the override: recovery needs it.
   EXPECT_TRUE(w.transport[1]);
 }

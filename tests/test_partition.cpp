@@ -103,9 +103,6 @@ nscc::harness::JacobiWorkload small_jacobi() {
 void expect_quorum_heal_converges(nscc::harness::Workload& w,
                                   Network network) {
   RunConfig run = partition_run(0.6, true);
-  if (run.mode == nscc::dsm::Mode::kPartialAsync) {
-    run.propagation.integrity = true;  // Mirror drive()'s strict wiring.
-  }
   const RunStats stats =
       w.run(run, machine_for(half_split_plan(), network, true, &w, &run));
   EXPECT_FALSE(stats.deadlocked);
