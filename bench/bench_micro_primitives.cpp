@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the substrate primitives: event
 // engine throughput, fiber context switches, packet serialisation, shared
 // bus arbitration, DSM write/global_read fast paths, GA crossover, migrant
-// codec and generation step, and belief-network sampling.  These quantify the *host* cost of the
+// codec and generation step, belief-network sampling, and the MLP gradient
+// and loss kernels.  These quantify the *host* cost of the
 // simulator (virtual time is free), i.e. how fast experiments run.
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "dsm/shared_space.hpp"
 #include "ga/deme.hpp"
 #include "net/shared_bus.hpp"
+#include "nn/mlp.hpp"
 #include "rt/packet.hpp"
 #include "rt/vm.hpp"
 #include "sim/engine.hpp"
@@ -174,6 +176,38 @@ void BM_BeliefNetworkSample(benchmark::State& state) {
                           static_cast<std::int64_t>(net.size()));
 }
 BENCHMARK(BM_BeliefNetworkSample);
+
+// The nn-partial kernels: a batch-16 gradient on the 2-16-16-1 net,
+// striding through the 120 spirals examples as a worker does, and one
+// loss pass over all 120.
+void BM_MlpGradient(benchmark::State& state) {
+  const nscc::nn::Mlp net({2, 16, 16, 1}, 7);
+  const auto data = nscc::nn::make_two_spirals(60, 0.02, 7);
+  constexpr std::size_t kBatch = 16;
+  std::vector<double> grad;
+  std::size_t cursor = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net.gradient(data.inputs, data.targets, cursor, kBatch, grad));
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
+    cursor = (cursor + kBatch) % data.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_MlpGradient);
+
+void BM_MlpLoss(benchmark::State& state) {
+  const nscc::nn::Mlp net({2, 16, 16, 1}, 7);
+  const auto data = nscc::nn::make_two_spirals(60, 0.02, 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.loss(data.inputs, data.targets));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_MlpLoss);
 
 }  // namespace
 

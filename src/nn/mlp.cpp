@@ -1,6 +1,6 @@
 #include "nn/mlp.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -11,6 +11,8 @@ namespace {
 
 double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
+std::size_t width(int units) { return static_cast<std::size_t>(units); }
+
 }  // namespace
 
 Mlp::Mlp(std::vector<int> layers, std::uint64_t seed)
@@ -19,16 +21,23 @@ Mlp::Mlp(std::vector<int> layers, std::uint64_t seed)
     throw std::invalid_argument("Mlp needs at least input and output layers");
   }
   std::size_t total = 0;
+  std::size_t units = 0;
+  std::size_t widest = 0;
   for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
     Slice s;
     s.weights = total;
-    total += static_cast<std::size_t>(layers_[l]) *
-             static_cast<std::size_t>(layers_[l + 1]);
+    total += width(layers_[l]) * width(layers_[l + 1]);
     s.biases = total;
-    total += static_cast<std::size_t>(layers_[l + 1]);
+    total += width(layers_[l + 1]);
+    s.outputs = units;
+    units += width(layers_[l + 1]);
+    widest = std::max(widest, width(layers_[l]));
     slices_.push_back(s);
   }
   params_.resize(total);
+  acts_.resize(units);
+  deltas_.resize(units);
+  slopes_.resize(widest);
   util::Xoshiro256 rng(seed);
   for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
     // Xavier-style initialisation.
@@ -50,35 +59,46 @@ void Mlp::set_parameters(const std::vector<double>& p) {
   params_ = p;
 }
 
-std::vector<double> Mlp::forward(const std::vector<double>& input) const {
-  std::vector<double> act = input;
-  for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
+// Every accumulator below takes its additions in a fixed order and every
+// product a fixed operand grouping (DESIGN.md §12.6); tests pin the exact
+// bits, so a change may reorder only independent accumulators.
+const double* Mlp::forward_pass(const std::vector<double>& input) const {
+  const double* act = input.data();
+  for (std::size_t l = 0; l < slices_.size(); ++l) {
     const Slice& s = slices_[l];
-    const int in = layers_[l];
-    const int out = layers_[l + 1];
-    std::vector<double> next(static_cast<std::size_t>(out));
-    for (int j = 0; j < out; ++j) {
-      double z = params_[s.biases + static_cast<std::size_t>(j)];
-      for (int i = 0; i < in; ++i) {
-        z += params_[s.weights + static_cast<std::size_t>(i) *
-                                     static_cast<std::size_t>(out) +
-                     static_cast<std::size_t>(j)] *
-             act[static_cast<std::size_t>(i)];
-      }
-      const bool last = l + 2 == layers_.size();
-      next[static_cast<std::size_t>(j)] = last ? sigmoid(z) : std::tanh(z);
+    const std::size_t in = width(layers_[l]);
+    const std::size_t out = width(layers_[l + 1]);
+    const double* w = params_.data() + s.weights;
+    double* z = acts_.data() + s.outputs;
+    // z[j] starts at its bias and adds W[i,j] * act[i] for i = 0..in-1.
+    std::copy_n(params_.data() + s.biases, out, z);
+    for (std::size_t i = 0; i < in; ++i) {
+      const double a = act[i];
+      const double* row = w + i * out;
+      for (std::size_t j = 0; j < out; ++j) z[j] += row[j] * a;
     }
-    act = std::move(next);
+    if (l + 1 == slices_.size()) {
+      for (std::size_t j = 0; j < out; ++j) z[j] = sigmoid(z[j]);
+    } else {
+      for (std::size_t j = 0; j < out; ++j) z[j] = std::tanh(z[j]);
+    }
+    act = z;
   }
   return act;
 }
 
+std::vector<double> Mlp::forward(const std::vector<double>& input) const {
+  const double* out = forward_pass(input);
+  return {out, out + layers_.back()};
+}
+
 double Mlp::loss(const std::vector<std::vector<double>>& inputs,
                  const std::vector<std::vector<double>>& targets) const {
+  const std::size_t outs = width(layers_.back());
   double sum = 0.0;
   for (std::size_t n = 0; n < inputs.size(); ++n) {
-    const auto out = forward(inputs[n]);
-    for (std::size_t j = 0; j < out.size(); ++j) {
+    const double* out = forward_pass(inputs[n]);
+    for (std::size_t j = 0; j < outs; ++j) {
       const double d = out[j] - targets[n][j];
       sum += d * d;
     }
@@ -89,11 +109,12 @@ double Mlp::loss(const std::vector<std::vector<double>>& inputs,
 double Mlp::accuracy(const std::vector<std::vector<double>>& inputs,
                      const std::vector<std::vector<double>>& targets) const {
   if (inputs.empty()) return 0.0;
+  const std::size_t outs = width(layers_.back());
   std::size_t correct = 0;
   for (std::size_t n = 0; n < inputs.size(); ++n) {
-    const auto out = forward(inputs[n]);
+    const double* out = forward_pass(inputs[n]);
     bool all = true;
-    for (std::size_t j = 0; j < out.size(); ++j) {
+    for (std::size_t j = 0; j < outs; ++j) {
       all = all && ((out[j] >= 0.5) == (targets[n][j] >= 0.5));
     }
     correct += all ? 1 : 0;
@@ -107,61 +128,44 @@ double Mlp::gradient(const std::vector<std::vector<double>>& inputs,
                      std::vector<double>& grad) const {
   grad.assign(params_.size(), 0.0);
   double batch_loss = 0.0;
-  const std::size_t layer_count = layers_.size();
-
-  // Per-example forward with cached activations, then backprop.
-  std::vector<std::vector<double>> acts(layer_count);
-  std::vector<std::vector<double>> deltas(layer_count);
+  const std::size_t outs = width(layers_.back());
   for (std::size_t n = begin; n < begin + count && n < inputs.size(); ++n) {
-    acts[0] = inputs[n];
-    for (std::size_t l = 0; l + 1 < layer_count; ++l) {
-      const Slice& s = slices_[l];
-      const int in = layers_[l];
-      const int out = layers_[l + 1];
-      acts[l + 1].assign(static_cast<std::size_t>(out), 0.0);
-      for (int j = 0; j < out; ++j) {
-        double z = params_[s.biases + static_cast<std::size_t>(j)];
-        for (int i = 0; i < in; ++i) {
-          z += params_[s.weights + static_cast<std::size_t>(i) *
-                                       static_cast<std::size_t>(out) +
-                       static_cast<std::size_t>(j)] *
-               acts[l][static_cast<std::size_t>(i)];
-        }
-        const bool last = l + 2 == layer_count;
-        acts[l + 1][static_cast<std::size_t>(j)] =
-            last ? sigmoid(z) : std::tanh(z);
-      }
-    }
-
-    const auto& out_act = acts[layer_count - 1];
-    deltas[layer_count - 1].assign(out_act.size(), 0.0);
-    for (std::size_t j = 0; j < out_act.size(); ++j) {
-      const double err = out_act[j] - targets[n][j];
+    const double* y = forward_pass(inputs[n]);
+    double* dy = deltas_.data() + slices_.back().outputs;
+    for (std::size_t j = 0; j < outs; ++j) {
+      const double err = y[j] - targets[n][j];
       batch_loss += err * err;
       // d/dz sigmoid = y(1-y); loss derivative 2*err.
-      deltas[layer_count - 1][j] = 2.0 * err * out_act[j] * (1.0 - out_act[j]);
+      dy[j] = 2.0 * err * y[j] * (1.0 - y[j]);
     }
 
-    for (std::size_t l = layer_count - 1; l-- > 0;) {
+    for (std::size_t l = slices_.size(); l-- > 0;) {
       const Slice& s = slices_[l];
-      const int in = layers_[l];
-      const int out = layers_[l + 1];
-      if (l > 0) {
-        deltas[l].assign(static_cast<std::size_t>(in), 0.0);
+      const std::size_t in = width(layers_[l]);
+      const std::size_t out = width(layers_[l + 1]);
+      const double* d = deltas_.data() + s.outputs;
+      const double* a =
+          l == 0 ? inputs[n].data() : acts_.data() + slices_[l - 1].outputs;
+      double* gb = grad.data() + s.biases;
+      for (std::size_t j = 0; j < out; ++j) gb[j] += d[j];
+      for (std::size_t i = 0; i < in; ++i) {
+        const double ai = a[i];
+        double* row = grad.data() + s.weights + i * out;
+        for (std::size_t j = 0; j < out; ++j) row[j] += d[j] * ai;
       }
-      for (int j = 0; j < out; ++j) {
-        const double d = deltas[l + 1][static_cast<std::size_t>(j)];
-        grad[s.biases + static_cast<std::size_t>(j)] += d;
-        for (int i = 0; i < in; ++i) {
-          const std::size_t w = s.weights + static_cast<std::size_t>(i) *
-                                                static_cast<std::size_t>(out) +
-                                static_cast<std::size_t>(j);
-          grad[w] += d * acts[l][static_cast<std::size_t>(i)];
-          if (l > 0) {
-            const double a = acts[l][static_cast<std::size_t>(i)];
-            deltas[l][static_cast<std::size_t>(i)] +=
-                d * params_[w] * (1.0 - a * a);  // d/dz tanh = 1 - y^2.
-          }
+      if (l == 0) break;
+      // deltas[i] starts at 0 and adds (d[j] * W[i,j]) * (1 - a_i^2) for
+      // j = 0..out-1; j outer lets the `in` sums run side by side.
+      const double* w = params_.data() + s.weights;
+      double* prev = deltas_.data() + slices_[l - 1].outputs;
+      for (std::size_t i = 0; i < in; ++i) {
+        slopes_[i] = 1.0 - a[i] * a[i];  // d/dz tanh = 1 - y^2.
+        prev[i] = 0.0;
+      }
+      for (std::size_t j = 0; j < out; ++j) {
+        const double dj = d[j];
+        for (std::size_t i = 0; i < in; ++i) {
+          prev[i] += dj * w[i * out + j] * slopes_[i];
         }
       }
     }
@@ -175,7 +179,9 @@ double Mlp::gradient(const std::vector<std::vector<double>>& inputs,
 }
 
 void Mlp::apply_gradient(const std::vector<double>& grad, double lr) {
-  assert(grad.size() == params_.size());
+  if (grad.size() != params_.size()) {
+    throw std::invalid_argument("Mlp::apply_gradient: size mismatch");
+  }
   for (std::size_t i = 0; i < params_.size(); ++i) {
     params_[i] -= lr * grad[i];
   }

@@ -18,6 +18,11 @@ namespace nscc::nn {
 /// Fully connected network with tanh hidden activations and a sigmoid
 /// output, trained with squared loss.  Parameters are stored flat so they
 /// can travel through the DSM as one vector.
+///
+/// forward, loss, accuracy and gradient run one shared forward pass into
+/// scratch the net owns, sized by the constructor, so none of them
+/// allocates beyond its return value.  The scratch is mutable: the const
+/// kernels write it, so a const Mlp must not be shared across threads.
 class Mlp {
  public:
   /// layers = {inputs, hidden..., outputs}.
@@ -29,6 +34,7 @@ class Mlp {
   [[nodiscard]] const std::vector<double>& parameters() const noexcept {
     return params_;
   }
+  /// Throws std::invalid_argument unless p has parameter_count() entries.
   void set_parameters(const std::vector<double>& p);
 
   /// Forward pass for a single example.
@@ -52,7 +58,8 @@ class Mlp {
                   std::size_t begin, std::size_t count,
                   std::vector<double>& grad) const;
 
-  /// params -= lr * grad.
+  /// params -= lr * grad.  Throws std::invalid_argument unless grad has
+  /// parameter_count() entries.
   void apply_gradient(const std::vector<double>& grad, double lr);
 
   [[nodiscard]] const std::vector<int>& layers() const noexcept {
@@ -61,13 +68,23 @@ class Mlp {
 
  private:
   struct Slice {
-    std::size_t weights = 0;  ///< Offset of the weight matrix.
+    std::size_t weights = 0;  ///< Offset of the weight matrix, row i = input i.
     std::size_t biases = 0;   ///< Offset of the bias vector.
+    std::size_t outputs = 0;  ///< Offset of its outputs in acts_ and deltas_.
   };
+
+  /// Run `input` through the net into acts_; returns the output layer's
+  /// activations (inside acts_).
+  const double* forward_pass(const std::vector<double>& input) const;
 
   std::vector<int> layers_;
   std::vector<Slice> slices_;  ///< Per connection (layers-1 of them).
   std::vector<double> params_;
+  // Per-call scratch: the activations and deltas of layers 1..L-1, laid
+  // out alike, and the tanh slopes of the widest layer.
+  mutable std::vector<double> acts_;
+  mutable std::vector<double> deltas_;
+  mutable std::vector<double> slopes_;
 };
 
 /// Synthetic binary-classification task: two interleaved spirals, the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "harness/cluster.hpp"
@@ -25,7 +26,20 @@ sim::Time eval_cost(const Mlp& net, std::size_t examples, sim::Time per_mac) {
          static_cast<sim::Time>(examples) * 2 * per_mac;
 }
 
+/// Bytes of a packed double vector of `count` entries.
+std::size_t packed_bytes(std::size_t count) {
+  return sizeof(std::uint64_t) + count * sizeof(double);
+}
+
 }  // namespace
+
+void unpack_vector(const rt::Packet& p, std::size_t count,
+                   std::vector<double>& out) {
+  out.resize(count);
+  if (p.unpack_double_vec_into(out) != count) {
+    throw std::out_of_range("nn: packed vector length differs from the net");
+  }
+}
 
 sim::Time TrainResult::time_to_loss(double target) const {
   for (const auto& [t, loss] : loss_trajectory) {
@@ -91,8 +105,10 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
     for (int w = 1; w <= P; ++w) readers.push_back(w);
     space.declare_written(kParamsLoc, readers);
 
+    const std::size_t params_count = net.parameter_count();
     auto publish = [&](dsm::Iteration round) {
       rt::Packet p;
+      p.reserve(packed_bytes(params_count));
       p.pack_double_vec(net.parameters());
       space.write(kParamsLoc, round, std::move(p));
     };
@@ -100,6 +116,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
     std::vector<int> applied(static_cast<std::size_t>(P + 1), 0);
     std::vector<std::vector<double>> pending_sync(
         static_cast<std::size_t>(P + 1));
+    std::vector<double> grad;
     dsm::Iteration published_round = 0;
     int applications = 0;
 
@@ -181,12 +198,12 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
       }
       rt::Message msg = std::move(*maybe);
       const int step = msg.payload.unpack_i32();
-      auto grad = msg.payload.unpack_double_vec();
 
       if (config.mode == dsm::Mode::kSynchronous) {
         // Collect all P gradients of the round, then apply them one after
         // another (same per-gradient learning rate as the serial baseline).
-        pending_sync[static_cast<std::size_t>(msg.src)] = std::move(grad);
+        unpack_vector(msg.payload, params_count,
+                      pending_sync[static_cast<std::size_t>(msg.src)]);
         applied[static_cast<std::size_t>(msg.src)] = step;
         bool round_full = true;
         for (int w = 1; w <= P; ++w) {
@@ -212,6 +229,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
         }
       } else {
         // Stale-gradient SGD: apply on arrival at the full learning rate.
+        unpack_vector(msg.payload, params_count, grad);
         net.apply_gradient(grad, config.learning_rate);
         ++applications;
         task.compute(static_cast<sim::Time>(
@@ -251,6 +269,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
       std::size_t cursor = static_cast<std::size_t>(w - 1) *
                            static_cast<std::size_t>(config.batch_size);
       std::vector<double> grad;
+      std::vector<double> params;
       int step_done = 0;
 
       // Worker checkpoint: loop position plus the last-seen parameters (the
@@ -289,8 +308,8 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
             break;
         }
         if (v->valid) {
-          rt::Packet params = v->data;
-          net.set_parameters(params.unpack_double_vec());
+          unpack_vector(v->data, net.parameter_count(), params);
+          net.set_parameters(params);
         }
 
         net.gradient(data.inputs, data.targets, cursor,
@@ -306,6 +325,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
             my_speed * jitter));
 
         rt::Packet g;
+        g.reserve(sizeof(std::int32_t) + packed_bytes(grad.size()));
         g.pack_i32(step);
         g.pack_double_vec(grad);
         task.send(0, kGradientTag, std::move(g));

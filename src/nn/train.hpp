@@ -69,6 +69,14 @@ struct TrainResult : harness::RunStats {
   [[nodiscard]] sim::Time time_to_loss(double target) const;
 };
 
+/// Copy the vector of `count` doubles packed at `p`'s read cursor into
+/// `out` (resized to `count`, so a reused buffer does not allocate),
+/// leaving the cursor where it was: the trainer's copy-free path for
+/// parameters and gradients.  Throws std::out_of_range unless exactly
+/// `count` doubles are packed there.
+void unpack_vector(const rt::Packet& p, std::size_t count,
+                   std::vector<double>& out);
+
 TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
                            const rt::MachineConfig& machine);
 

@@ -1,5 +1,5 @@
-// Heap-allocation budgets of the per-message hot path, read from the
-// process-wide counters behind obs::alloc_counts().  Every budget is taken
+// Heap-allocation budgets of the per-message hot path and of the MLP
+// kernels, read from the process-wide counters behind obs::alloc_counts().  Every budget is taken
 // after a warm-up that grows the reused buffers (key heap, callback slab,
 // transmit-state pool, mailboxes, unpack scratch) to their working size;
 // from then on an event, a message or an applied update must not touch the
@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "dsm/shared_space.hpp"
+#include "nn/mlp.hpp"
 #include "obs/profiler.hpp"
 #include "rt/vm.hpp"
 #include "sim/engine.hpp"
@@ -135,6 +138,25 @@ TEST(AllocBudget, ApplyUpdateAllocatesNothing) {
   ASSERT_EQ(applied, 2u * kBurst);
   EXPECT_EQ(spent, 0u) << spent << " allocations for " << kBurst
                        << " applied updates";
+}
+
+TEST(AllocBudget, MlpKernelsAllocateNothing) {
+  // The nn-partial net and data set.  The first round sizes `grad`; the
+  // kernels' own scratch was sized when the net was built.
+  const nscc::nn::Mlp net({2, 16, 16, 1}, 7);
+  const auto data = nscc::nn::make_two_spirals(60, 0.02, 7);
+  std::vector<double> grad;
+  double sink = 0.0;
+  auto round = [&] {
+    sink += net.gradient(data.inputs, data.targets, 16, 16, grad);
+    sink += net.loss(data.inputs, data.targets);
+    sink += net.accuracy(data.inputs, data.targets);
+  };
+  round();
+  const std::uint64_t before = allocs();
+  round();
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_TRUE(std::isfinite(sink));
 }
 
 TEST(AllocBudget, UntracedMachineAllocatesUnderOneMegabyte) {
