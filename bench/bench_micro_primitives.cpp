@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the substrate primitives: event
 // engine throughput, fiber context switches, packet serialisation, shared
 // bus arbitration, DSM write/global_read fast paths, GA crossover, migrant
-// codec and generation step, belief-network sampling, and the MLP gradient
-// and loss kernels.  These quantify the *host* cost of the
+// codec and generation step, belief-network sampling, the MLP gradient
+// and loss kernels, and one Jacobi sweep over a row block.  These quantify the *host* cost of the
 // simulator (virtual time is free), i.e. how fast experiments run.
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,7 @@
 #include "rt/packet.hpp"
 #include "rt/vm.hpp"
 #include "sim/engine.hpp"
+#include "solver/linear_system.hpp"
 #include "util/bitvec.hpp"
 
 namespace {
@@ -208,6 +209,23 @@ void BM_MlpLoss(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_MlpLoss);
+
+// The jacobi-lossy-sp2 kernel: one sweep of one block task, 1,600 rows
+// (a sixteenth) of the 160x160 Poisson system, from the middle of it.
+void BM_JacobiRows(benchmark::State& state) {
+  const auto sys = nscc::solver::make_poisson_2d(160, 7);
+  constexpr int kLo = 8 * 1600;
+  constexpr int kHi = kLo + 1600;
+  std::vector<double> x(sys.x_true.size(), 0.5);
+  std::vector<double> out(kHi - kLo);
+  for (auto _ : state) {
+    sys.a.jacobi_rows(kLo, kHi, sys.b, x, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * (kHi - kLo));
+}
+BENCHMARK(BM_JacobiRows);
 
 }  // namespace
 

@@ -420,12 +420,14 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
     }
   }
 
-  // By-move delivery: a best-effort frame on a fault-free machine reaches
-  // the receiver exactly once, so its message moves out of the TxState.  A
-  // reliable frame keeps its payload for retransmission, and a fault
-  // injector may duplicate any frame; those deliver a copy.
+  // By-move delivery: the message moves out of the TxState unless a later
+  // delivery of this frame can read its payload.  A best-effort frame is
+  // read again only as a fault duplicate.  A reliable frame's later copies
+  // (retransmits, duplicates) fail the fresh() check above unread, but a
+  // retransmit is re-damaged from the stored bytes when the plan can
+  // corrupt frames.  Those cases deliver a copy.
   Message m;
-  if (!st->reliable && injector_ == nullptr) {
+  if (st->reliable ? !may_corrupt_ : !may_duplicate_) {
     m = std::move(st->msg);
   } else {
     m = st->msg;
@@ -569,8 +571,10 @@ VirtualMachine::VirtualMachine(MachineConfig config)
     if (switch_) switch_->set_fault_injector(injector_.get());
     may_corrupt_ = config_.fault.link.corrupt_prob > 0.0 ||
                    !config_.fault.corrupt_windows.empty();
+    may_duplicate_ = config_.fault.link.dup_prob > 0.0;
     for (const auto& entry : config_.fault.per_link) {
       may_corrupt_ = may_corrupt_ || entry.second.corrupt_prob > 0.0;
+      may_duplicate_ = may_duplicate_ || entry.second.dup_prob > 0.0;
     }
   }
   if (config_.sanitize.enabled()) {

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "rt/transport.hpp"
 #include "sanitize/sanitize.hpp"
 #include "sim/engine.hpp"
+#include "sim/host_pool.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 #include "util/rng.hpp"
@@ -140,6 +142,20 @@ class Task {
 
   /// Charge `dt` of virtual CPU time.
   void compute(sim::Time dt);
+
+  /// Charge `dt` of virtual CPU time while `work`, the host-side kernel of
+  /// this compute phase, runs on a sim::HostPool worker: the engine runs
+  /// other tasks' events meanwhile, and on resume the call joins `work` and
+  /// rethrows what it threw.  `work` must keep the offload contract in
+  /// sim/host_pool.hpp: task-private buffers and immutable data only, and
+  /// `dt` fixed before it runs.  A killed task's unwinding waits for it.
+  template <typename Work>
+  void compute(sim::Time dt, Work&& work) {
+    sim::HostPool::Scope<std::remove_reference_t<Work>> kernel(
+        sim::HostPool::shared(), work);
+    compute(dt);
+    kernel.join();
+  }
 
   /// Send `payload` to task `dst` with application or runtime tag `tag`.
   /// Charges the sender software overhead, blocks while the transport
@@ -335,7 +351,8 @@ class VirtualMachine {
   class TxPool;
 
   /// Shared handle to a pooled TxState.  The count is a plain integer: the
-  /// whole simulation runs on one host thread.
+  /// whole simulation runs on one host thread (offloaded kernels never
+  /// touch transport state).
   class TxRef {
    public:
     TxRef() noexcept = default;
@@ -410,6 +427,9 @@ class VirtualMachine {
   /// True when the fault plan can corrupt frames: gates the per-frame CRC
   /// stamping so corruption-free runs do not pay the checksum cost.
   bool may_corrupt_ = false;
+  /// True when the fault plan can duplicate frames: a best-effort frame's
+  /// duplicate reads the payload again, so delivery must leave it in place.
+  bool may_duplicate_ = false;
   warp::WarpMeter warp_;
   TransportStats transport_stats_;
   /// Last sequence number per (src,dst) reliable stream, indexed by

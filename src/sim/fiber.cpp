@@ -24,6 +24,20 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+// ThreadSanitizer must know which fiber runs, or it takes one thread's
+// stack switching under it for a data race between its own frames.  Each
+// Fiber gets a TSan fiber context and every switch names its target.
+#if defined(__SANITIZE_THREAD__)
+#define NSCC_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define NSCC_TSAN_FIBERS 1
+#endif
+#endif
+#ifdef NSCC_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #if !defined(__x86_64__)
 #error "sim::Fiber has an x86-64 context switch only: port nscc_sim_fiber_switch and the initial frame Fiber::Fiber builds for it"
 #endif
@@ -117,6 +131,41 @@ void finish_switch(void* fake_stack, const void** from_bottom,
 #endif
 }
 
+/// A new TSan fiber context (nullptr in builds without TSan).
+void* tsan_create() {
+#ifdef NSCC_TSAN_FIBERS
+  return __tsan_create_fiber(0);
+#else
+  return nullptr;
+#endif
+}
+
+void tsan_destroy(void* fiber) {
+#ifdef NSCC_TSAN_FIBERS
+  __tsan_destroy_fiber(fiber);
+#else
+  (void)fiber;
+#endif
+}
+
+/// The running TSan fiber context (nullptr in builds without TSan).
+void* tsan_current() {
+#ifdef NSCC_TSAN_FIBERS
+  return __tsan_get_current_fiber();
+#else
+  return nullptr;
+#endif
+}
+
+/// Tell TSan that `fiber` runs from the next instruction on.
+void tsan_switch_to(void* fiber) {
+#ifdef NSCC_TSAN_FIBERS
+  __tsan_switch_to_fiber(fiber, 0);
+#else
+  (void)fiber;
+#endif
+}
+
 char* map_guarded(std::size_t guard, std::size_t size) {
   void* mapping = mmap(nullptr, guard + size, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
@@ -145,7 +194,7 @@ Fiber::GuardedStack::~GuardedStack() {
 }
 
 Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
-    : body_(std::move(body)), stack_(stack_bytes) {
+    : body_(std::move(body)), stack_(stack_bytes), tsan_fiber_(tsan_create()) {
   // The frame nscc_sim_fiber_switch pops on the first resume: the
   // creator's FP control words, r13 = &entry, r12 = this, the other
   // registers zero (rbp = 0 ends frame-pointer walks), and the entry
@@ -168,7 +217,10 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
   sp_ = frame;
 }
 
-Fiber::~Fiber() { kill(); }
+Fiber::~Fiber() {
+  kill();
+  tsan_destroy(tsan_fiber_);
+}
 
 void Fiber::entry(Fiber* self) noexcept {
   finish_switch(nullptr, &self->caller_stack_, &self->caller_stack_size_);
@@ -179,6 +231,7 @@ void Fiber::entry(Fiber* self) noexcept {
   }
   self->finished_ = true;
   // This stack is finished for good; control never comes back here.
+  tsan_switch_to(self->tsan_caller_);
   start_switch(nullptr, self->caller_stack_, self->caller_stack_size_);
   nscc_sim_fiber_switch(&self->sp_, self->return_sp_);
   __builtin_unreachable();
@@ -187,6 +240,8 @@ void Fiber::entry(Fiber* self) noexcept {
 void Fiber::resume() {
   assert(!finished_ && "resuming a finished fiber");
   started_ = true;
+  tsan_caller_ = tsan_current();
+  tsan_switch_to(tsan_fiber_);
   void* fake_stack = nullptr;
   start_switch(&fake_stack, stack_.bottom(), stack_.size());
   nscc_sim_fiber_switch(&return_sp_, sp_);
@@ -194,6 +249,7 @@ void Fiber::resume() {
 }
 
 void Fiber::yield() {
+  tsan_switch_to(tsan_caller_);
   void* fake_stack = nullptr;
   start_switch(&fake_stack, caller_stack_, caller_stack_size_);
   nscc_sim_fiber_switch(&sp_, return_sp_);

@@ -3,7 +3,8 @@
 // Each simulated processor runs as a fiber so the event engine can suspend
 // it at blocking points (message receive, Global_Read, barrier) and resume
 // it at a later virtual time.  Exactly one fiber runs at a time, which also
-// makes every simulation single-threaded and deterministic.
+// makes every simulation deterministic; only pure compute kernels leave the
+// engine thread (see host_pool.hpp).
 //
 // The context switch is register-only: a few lines of x86-64 SysV assembly
 // in fiber.cpp (nscc_sim_fiber_switch, the one routine to port to another
@@ -82,6 +83,10 @@ class Fiber {
   /// last switch in; unused in builds without ASan.
   const void* caller_stack_ = nullptr;
   std::size_t caller_stack_size_ = 0;
+  /// ThreadSanitizer contexts of this fiber and of its resumer; unused in
+  /// builds without TSan.
+  void* tsan_fiber_ = nullptr;
+  void* tsan_caller_ = nullptr;
   bool started_ = false;
   bool finished_ = false;
   bool killing_ = false;

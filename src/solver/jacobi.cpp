@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <set>
@@ -141,6 +143,7 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
 
       auto publish = [&](dsm::Iteration sweep) {
         rt::Packet p;
+        p.reserve(sizeof(std::uint64_t) + mine.size() * sizeof(double));
         p.pack_double_vec(mine);
         space.write(block_loc(me), sweep, std::move(p));
       };
@@ -302,15 +305,19 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
                           : std::nullopt);
         }
 
-        sys.a.jacobi_rows(lo, hi, sys.b, x, mine);
-        for (int r = lo; r < hi; ++r) {
-          x[static_cast<std::size_t>(r)] = mine[static_cast<std::size_t>(r - lo)];
-        }
-
+        // The sweep kernel runs on a host worker while its virtual cost
+        // elapses: it reads and writes only this task's x and mine and the
+        // immutable system, and its cost is drawn before it runs.
         const double jitter =
             1.0 + config.per_sweep_jitter * jitter_rng.uniform(-1.0, 1.0);
-        task.compute(static_cast<sim::Time>(
-            static_cast<double>(sweep_cost) * my_speed * jitter));
+        task.compute(
+            static_cast<sim::Time>(static_cast<double>(sweep_cost) *
+                                   my_speed * jitter),
+            [&] {
+              sys.a.jacobi_rows(lo, hi, sys.b, x, mine);
+              std::copy(mine.begin(), mine.end(),
+                        x.begin() + static_cast<std::ptrdiff_t>(lo));
+            });
         publish(sweep);
         if (rc != nullptr) rc->note_progress(task, sweep);
 
@@ -321,11 +328,13 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
         // equal the final assembled state and the stop decision is exact.
         if (sweep % config.check_interval == 0) {
           auto local_residual = [&] {
-            const double local = sys.a.residual_inf(x, sys.b, lo, hi);
-            task.compute(static_cast<sim::Time>(
-                static_cast<double>(static_cast<sim::Time>(my_nnz) *
-                                    config.cost_per_nonzero) *
-                my_speed / 4.0));
+            double local = 0.0;
+            task.compute(
+                static_cast<sim::Time>(
+                    static_cast<double>(static_cast<sim::Time>(my_nnz) *
+                                        config.cost_per_nonzero) *
+                    my_speed / 4.0),
+                [&] { local = sys.a.residual_inf(x, sys.b, lo, hi); });
             return local;
           };
           if (reduce(local_residual(), sweep)) {

@@ -11,6 +11,10 @@ namespace nscc::solver {
 CsrMatrix CsrMatrix::from_rows(
     int cols, const std::vector<std::vector<std::pair<int, double>>>& rows) {
   CsrMatrix m(static_cast<int>(rows.size()), cols);
+  std::size_t nonzeros = 0;
+  for (const auto& row : rows) nonzeros += row.size();
+  m.col_.reserve(nonzeros);
+  m.values_.reserve(nonzeros);
   for (std::size_t r = 0; r < rows.size(); ++r) {
     m.row_ptr_[r] = m.values_.size();
     for (const auto& [c, v] : rows[r]) {
@@ -127,6 +131,7 @@ LinearSystem make_poisson_2d(int n, std::uint64_t seed) {
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       auto& row = rows[static_cast<std::size_t>(id(i, j))];
+      row.reserve(5);
       // 4.0 + epsilon makes the system strictly dominant so the fully
       // asynchronous iteration is provably convergent [2].
       row.emplace_back(id(i, j), 4.04);

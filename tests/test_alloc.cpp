@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dsm/shared_space.hpp"
+#include "harness/workloads.hpp"
 #include "nn/mlp.hpp"
 #include "obs/profiler.hpp"
 #include "rt/vm.hpp"
@@ -157,6 +158,33 @@ TEST(AllocBudget, MlpKernelsAllocateNothing) {
   round();
   EXPECT_EQ(allocs() - before, 0u);
   EXPECT_TRUE(std::isfinite(sink));
+}
+
+TEST(AllocBudget, LossySwitchJacobiRunStaysUnderItsBudget) {
+  // One whole jacobi-lossy-sp2 benchmark run (seed 7): 16 blocks of a
+  // 160x160 Poisson system, synchronous, over a 2%-lossy SP2 switch.  It
+  // allocated 276,987 times while the lossy path delivered every frame as
+  // a copy and the system was assembled row by row from empty vectors;
+  // by-move delivery, a reserved publish packet and reserved rows cut
+  // that to 136,553.  The budget leaves a little room above that.
+  nscc::harness::JacobiWorkload jacobi;
+  jacobi.grid = 160;
+  jacobi.processors = 16;
+  jacobi.tolerance = 1e-9;
+  nscc::harness::RunConfig run;
+  run.seed = 7;
+  run.propagation.read_timeout = 50 * kMillisecond;
+  nscc::rt::MachineConfig machine;
+  machine.network = nscc::rt::Network::kSp2Switch;
+  machine.fault.link.loss_prob = 0.02;
+  machine.fault.seed = run.seed ^ 0xFA17ULL;
+  machine.transport.enabled = true;
+  (void)jacobi.run(run, machine);  // Warm-up: process-wide pools.
+  const std::uint64_t before = allocs();
+  const auto stats = jacobi.run(run, machine);
+  const std::uint64_t spent = allocs() - before;
+  EXPECT_FALSE(stats.deadlocked);
+  EXPECT_LE(spent, 140000U);
 }
 
 TEST(AllocBudget, UntracedMachineAllocatesUnderOneMegabyte) {

@@ -5,6 +5,8 @@
 // --read-timeout-ms driver flags.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -213,6 +215,46 @@ TEST(Transport, DuplicatedFramesAreDeduplicated) {
   EXPECT_EQ(received, kMessages);
   EXPECT_GE(vm.transport_stats().dup_frames_dropped,
             static_cast<std::uint64_t>(kMessages) / 2);
+}
+
+TEST(Transport, DuplicatedBestEffortFramesArriveIntact) {
+  // A best-effort frame has no sequence number, so its fault duplicate
+  // reaches the mailbox too: both deliveries must carry the whole payload
+  // (the first may not move it out from under the second).
+  MachineConfig cfg = fast_config(2);
+  cfg.fault.seed = 5;
+  cfg.fault.link.dup_prob = 1.0;
+  cfg.fault.link.delay_max = kMillisecond;
+  cfg.transport.enabled = true;
+  VirtualMachine vm(cfg);
+
+  constexpr int kMessages = 8;
+  std::vector<int> seen;
+  vm.add_task("sender", [](Task& t) {
+    for (int i = 0; i < kMessages; ++i) {
+      Packet p;
+      p.pack_i32(i).pack_double(0.5 * i);
+      t.send_observed(1, 7, std::move(p), {},
+                      nscc::rt::Reliability::kBestEffort);
+      t.compute(5 * kMillisecond);
+    }
+  });
+  vm.add_task("receiver", [&](Task& t) {
+    for (int i = 0; i < 2 * kMessages; ++i) {
+      Packet p = t.recv(7).payload;
+      ASSERT_EQ(p.byte_size(), sizeof(std::int32_t) + sizeof(double));
+      const int v = p.unpack_i32();
+      EXPECT_EQ(p.unpack_double(), 0.5 * v);
+      seen.push_back(v);
+    }
+  });
+  vm.run();
+
+  ASSERT_FALSE(vm.deadlocked());
+  ASSERT_EQ(seen.size(), 2U * kMessages);
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), i), 2) << "message " << i;
+  }
 }
 
 TEST(Transport, BarriersSurviveLoss) {

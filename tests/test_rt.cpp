@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -163,6 +164,36 @@ TEST(Vm, RecvBlocksUntilMessageArrives) {
   // Blocked for the sender's compute plus the (zero-overhead) wire time.
   EXPECT_GE(recv_time, 10 * kMillisecond);
   EXPECT_EQ(vm.task(0).stats().blocked_time, recv_time);
+}
+
+TEST(Vm, OffloadedComputeChargesItsDelayAndJoinsItsKernel) {
+  auto cfg = fast_config(2);
+  std::vector<double> sums(2, 0.0);
+  std::vector<Time> resumed(2, -1);
+  bool rethrown = false;
+  VirtualMachine vm(cfg);
+  for (int id = 0; id < 2; ++id) {
+    vm.add_task("worker" + std::to_string(id), [&, id](Task& t) {
+      double& sum = sums[static_cast<std::size_t>(id)];
+      t.compute(5 * kMillisecond, [&sum, id] {
+        for (int i = 1; i <= 1000; ++i) sum += id + 1.0 / i;
+      });
+      resumed[static_cast<std::size_t>(id)] = t.now();
+      try {
+        t.compute(kMillisecond, [] { throw std::runtime_error("bad row"); });
+      } catch (const std::runtime_error&) {
+        rethrown = true;
+      }
+    });
+  }
+  vm.run();
+  // Both kernels ran (and were joined) before their tasks resumed.
+  EXPECT_GT(sums[0], 7.0);
+  EXPECT_GT(sums[1], sums[0]);
+  EXPECT_EQ(resumed[0], 5 * kMillisecond);
+  EXPECT_EQ(resumed[1], 5 * kMillisecond);
+  EXPECT_TRUE(rethrown) << "a kernel's exception reaches its task";
+  EXPECT_EQ(vm.task(0).stats().compute_time, 6 * kMillisecond);
 }
 
 TEST(Vm, TagMatchingIsSelective) {

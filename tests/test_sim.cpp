@@ -1,6 +1,7 @@
 // Tests for the fiber layer and the discrete-event engine: scheduling order,
 // virtual-time semantics of delay/suspend/resume, determinism, deadlock
-// detection, and teardown of unfinished fibers.  The fiber tests also pin
+// detection, and teardown of unfinished fibers; and for the host worker
+// pool that runs compute kernels while their virtual delay elapses.  The fiber tests also pin
 // what the context switch must preserve: per-fiber FP control state,
 // exception handling across switches, and a guard page under every stack.
 #include <gtest/gtest.h>
@@ -9,17 +10,23 @@
 #include <xmmintrin.h>
 
 #include <array>
+#include <atomic>
 #include <cfenv>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <thread>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
+#include "sim/host_pool.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/time.hpp"
 
@@ -35,6 +42,7 @@ namespace {
 
 using nscc::sim::Engine;
 using nscc::sim::Fiber;
+using nscc::sim::HostPool;
 using nscc::sim::Process;
 using nscc::sim::Time;
 
@@ -521,6 +529,153 @@ TEST(InlineFunction, HoldsMoveOnlyCaptures) {
   EXPECT_EQ(g(), 42);
   g.reset();
   EXPECT_FALSE(g);
+}
+
+// ---- Host worker pool ---------------------------------------------------------
+
+/// A pool-agnostic job over a callable that lives beside it.
+template <typename F>
+struct OwnedJob {
+  explicit OwnedJob(F f) : fn(std::move(f)), job(&call, &fn) {}
+  static void call(void* f) { (*static_cast<F*>(f))(); }
+  F fn;
+  HostPool::Job job;
+};
+
+/// The HostPool tests use no fiber, so a ThreadSanitizer build can run
+/// them (the fiber switch carries no TSan annotations).
+class HostPoolTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(HostPoolTest, EveryJobRunsExactlyOnce) {
+  HostPool pool(GetParam());
+  EXPECT_EQ(pool.workers(), GetParam());
+  // More jobs than ring slots, so some rounds also take the inline path.
+  constexpr int kJobs = 3 * static_cast<int>(HostPool::kRingSlots) / 2;
+  std::vector<int> runs(kJobs, 0);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::unique_ptr<OwnedJob<std::function<void()>>>> jobs;
+    for (int i = 0; i < kJobs; ++i) {
+      jobs.push_back(std::make_unique<OwnedJob<std::function<void()>>>(
+          [&runs, i] { ++runs[static_cast<std::size_t>(i)]; }));
+    }
+    for (auto& j : jobs) pool.submit(j->job);
+    // Join in reverse, so joiners help with jobs that are not theirs.
+    for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
+      pool.join((*it)->job);
+      EXPECT_TRUE((*it)->job.done());
+    }
+  }
+  for (int i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)], 4) << "job " << i;
+  }
+}
+
+TEST_P(HostPoolTest, JobExceptionReachesTheJoiner) {
+  HostPool pool(GetParam());
+  auto thrower = [] { throw std::runtime_error("kernel failed"); };
+  OwnedJob<decltype(thrower)> bad(thrower);
+  int ran = 0;
+  auto fine = [&ran] { ++ran; };
+  OwnedJob<decltype(fine)> good(fine);
+  pool.submit(bad.job);
+  pool.submit(good.job);
+  try {
+    pool.join(bad.job);
+    FAIL() << "expected the job's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "kernel failed");
+  }
+  // The failure is the job's alone: the pool keeps working.
+  pool.join(good.job);
+  EXPECT_EQ(ran, 1);
+}
+
+TEST_P(HostPoolTest, FullRingRunsInline) {
+  const int workers = GetParam();
+  HostPool pool(workers);
+  // Park every worker on a job that waits for a release.
+  std::atomic<int> parked{0};
+  std::atomic<bool> release{false};
+  auto park = [&] {
+    parked.fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+  };
+  std::vector<std::unique_ptr<OwnedJob<decltype(park)>>> blockers;
+  for (int i = 0; i < workers; ++i) {
+    blockers.push_back(std::make_unique<OwnedJob<decltype(park)>>(park));
+    pool.submit(blockers.back()->job);
+  }
+  while (parked.load() < workers) std::this_thread::yield();
+  // Fill the ring; nobody drains it while the workers are parked.
+  std::atomic<int> ran{0};
+  auto count = [&ran] { ran.fetch_add(1); };
+  std::vector<std::unique_ptr<OwnedJob<decltype(count)>>> queued;
+  for (std::size_t i = 0; i < HostPool::kRingSlots; ++i) {
+    queued.push_back(std::make_unique<OwnedJob<decltype(count)>>(count));
+    pool.submit(queued.back()->job);
+  }
+  // With workers, the ring holds them all; without, each ran at submit.
+  EXPECT_EQ(ran.load(), workers == 0 ? static_cast<int>(HostPool::kRingSlots)
+                                     : 0);
+  OwnedJob<decltype(count)> overflow(count);
+  pool.submit(overflow.job);
+  EXPECT_TRUE(overflow.job.done()) << "a submit to a full ring runs inline";
+  release.store(true);
+  for (auto& j : queued) pool.join(j->job);
+  for (auto& j : blockers) pool.join(j->job);
+  EXPECT_EQ(ran.load(), static_cast<int>(HostPool::kRingSlots) + 1);
+}
+
+TEST_P(HostPoolTest, SubmitAndJoinAllocateNothing) {
+  HostPool pool(GetParam());
+  double sink = 0.0;
+  auto kernel = [&sink] {
+    for (int i = 1; i <= 1000; ++i) sink += 1.0 / i;
+  };
+  auto round = [&] {
+    for (int i = 0; i < 100; ++i) {
+      HostPool::Scope<decltype(kernel)> scope(pool, kernel);
+      scope.join();
+    }
+  };
+  round();  // Warm-up.
+  const std::uint64_t before = nscc::obs::alloc_counts().count;
+  round();
+  EXPECT_EQ(nscc::obs::alloc_counts().count - before, 0U);
+  EXPECT_GT(sink, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, HostPoolTest, ::testing::Values(0, 1, 3));
+
+TEST(HostPoolFiber, KillJoinsOffloadedWorkBeforeUnwindingFinishes) {
+  for (const int workers : {0, 1, 3}) {
+    HostPool pool(workers);
+    std::atomic<bool> kernel_done{false};
+    bool done_when_frame_died = false;
+    struct FrameEnd {
+      std::atomic<bool>* kernel_done;
+      bool* seen;
+      ~FrameEnd() { *seen = kernel_done->load(); }
+    };
+    Engine eng;
+    Process& p = eng.spawn("offloader", [&](Process& self) {
+      // Outer to the scope: destroyed after the scope's destructor ran.
+      const FrameEnd end{&kernel_done, &done_when_frame_died};
+      auto kernel = [&kernel_done] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        kernel_done.store(true);
+      };
+      HostPool::Scope<decltype(kernel)> scope(pool, kernel);
+      self.delay(100);
+      scope.join();
+      ADD_FAILURE() << "the process was killed mid-delay";
+    });
+    eng.schedule(50, [&] { eng.kill(p); });
+    eng.run();
+    EXPECT_TRUE(p.finished()) << workers << " workers";
+    EXPECT_TRUE(kernel_done.load()) << workers << " workers";
+    EXPECT_TRUE(done_when_frame_died) << workers << " workers";
+  }
 }
 
 }  // namespace

@@ -6,10 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "solver/jacobi.hpp"
 #include "solver/linear_system.hpp"
 #include "util/rng.hpp"
@@ -17,6 +20,7 @@
 namespace {
 
 using nscc::dsm::Mode;
+using nscc::solver::ParallelJacobiResult;
 using nscc::solver::CsrMatrix;
 using nscc::solver::JacobiConfig;
 using nscc::solver::LinearSystem;
@@ -311,6 +315,131 @@ TEST(ParallelJacobi, BackgroundLoadHurtsSyncMoreThanPartial) {
   EXPECT_GT(part6.completion_time, part0.completion_time);
   EXPECT_LT(part0.completion_time, sync0.completion_time);
   EXPECT_LT(part6.completion_time, sync6.completion_time);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned numerics.  Each case's final x and every RunStats field were
+// captured before the sweep kernels moved onto host worker threads; the
+// offload must leave them bit-identical (it only changes which host thread
+// runs a pure kernel, never what it computes or when, in virtual time).
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t hash_x(const ParallelJacobiResult& r) {
+  return fnv1a(kFnvBasis, r.x.data(), r.x.size() * sizeof(double));
+}
+
+/// Every RunStats field (names and value bits, times in seconds) plus the
+/// solver's own sweep count and residual.
+std::uint64_t hash_stats(const ParallelJacobiResult& r) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& [name, value] : r.to_fields()) {
+    h = fnv1a(h, name.data(), name.size());
+    h = fnv1a(h, &value, sizeof value);
+  }
+  h = fnv1a(h, &r.sweeps, sizeof r.sweeps);
+  return fnv1a(h, &r.residual, sizeof r.residual);
+}
+
+struct Pinned {
+  std::int64_t completion_time;
+  int sweeps;
+  std::uint64_t x_hash;
+  std::uint64_t stats_hash;
+};
+
+void expect_pinned(const ParallelJacobiResult& r, const Pinned& want) {
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_EQ(r.completion_time, want.completion_time);
+  EXPECT_EQ(r.sweeps, want.sweeps);
+  EXPECT_EQ(hash_x(r), want.x_hash) << std::hex << hash_x(r);
+  EXPECT_EQ(hash_stats(r), want.stats_hash) << std::hex << hash_stats(r);
+}
+
+ParallelJacobiConfig pinned_config(Mode mode) {
+  ParallelJacobiConfig cfg;
+  cfg.mode = mode;
+  cfg.processors = 4;
+  cfg.tolerance = 1e-7;
+  cfg.check_interval = 25;
+  cfg.node_speed_spread = 0.3;
+  cfg.seed = 43;
+  if (mode == Mode::kPartialAsync) {
+    cfg.age = 4;
+    cfg.propagation.coalesce = true;
+  }
+  return cfg;
+}
+
+TEST(ParallelJacobiPinned, SyncMatchesCapturedRun) {
+  const auto sys = nscc::solver::make_poisson_2d(12, 17);
+  expect_pinned(nscc::solver::run_parallel_jacobi(
+                    sys, pinned_config(Mode::kSynchronous), {}),
+                {2262630599, 375, 0xcd8d1c9508dbd3d1ULL,
+                 0xda9fcbeec8caf45dULL});
+}
+
+TEST(ParallelJacobiPinned, PartialAge4MatchesCapturedRun) {
+  const auto sys = nscc::solver::make_poisson_2d(12, 17);
+  expect_pinned(nscc::solver::run_parallel_jacobi(
+                    sys, pinned_config(Mode::kPartialAsync), {}),
+                {772945551, 300, 0x972338c1b905676cULL,
+                 0x5434bbb9b605bcebULL});
+}
+
+TEST(ParallelJacobiPinned, AsyncMatchesCapturedRun) {
+  const auto sys = nscc::solver::make_poisson_2d(12, 17);
+  expect_pinned(nscc::solver::run_parallel_jacobi(
+                    sys, pinned_config(Mode::kAsynchronous), {}),
+                {843300922, 325, 0x5ab71a850b97b6daULL,
+                 0xb94a6d3b7c65262aULL});
+}
+
+TEST(ParallelJacobiPinned, LossySp2SyncMatchesCapturedRun) {
+  // The benchmark's lossy-switch shape at a small size: reliable transport
+  // over a 2%-lossy SP2 switch with a Global_Read watchdog.
+  const auto sys = nscc::solver::make_poisson_2d(16, 19);
+  ParallelJacobiConfig cfg = pinned_config(Mode::kSynchronous);
+  cfg.propagation.read_timeout = 50 * nscc::sim::kMillisecond;
+  nscc::rt::MachineConfig machine;
+  machine.network = nscc::rt::Network::kSp2Switch;
+  machine.fault.link.loss_prob = 0.02;
+  machine.fault.seed = 43 ^ 0xFA17ULL;
+  machine.transport.enabled = true;
+  expect_pinned(nscc::solver::run_parallel_jacobi(sys, cfg, machine),
+                {7507787047, 450, 0xf9d05b86b06f4d1bULL,
+                 0xf0dd53f7ec16e893ULL});
+}
+
+TEST(ParallelJacobiPinned, StatefulCrashRejoinMatchesCapturedRun) {
+  // Node 1's process is killed mid-run (its fiber unwinds, whatever it was
+  // computing is abandoned), restored from a checkpoint and rejoins.
+  const auto sys = nscc::solver::make_poisson_2d(24, 5);
+  ParallelJacobiConfig cfg = pinned_config(Mode::kPartialAsync);
+  cfg.age = 10;
+  cfg.recovery.policy = nscc::recovery::Policy::kRejoin;
+  cfg.recovery.checkpoint_interval = nscc::sim::kSecond / 10;
+  nscc::rt::MachineConfig machine;
+  machine.fault.link.loss_prob = 0.01;
+  machine.fault.nodes[1].crashes.push_back(
+      nscc::fault::Window{nscc::sim::kSecond, nscc::sim::kSecond * 11 / 10});
+  machine.fault.crash_semantics = nscc::fault::CrashSemantics::kStateful;
+  machine.transport.enabled = true;
+  const auto r = nscc::solver::run_parallel_jacobi(sys, cfg, machine);
+  EXPECT_EQ(r.crashes, 1U);
+  EXPECT_EQ(r.rejoins, 1U);
+  expect_pinned(r, {3443745964, 850, 0x9426a1748be0c7daULL,
+                 0x5e26c32998f12a31ULL});
 }
 
 }  // namespace
