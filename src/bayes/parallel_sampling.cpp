@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/cluster.hpp"
@@ -44,6 +46,70 @@ std::vector<int> node_phases(const BeliefNetwork& net, const Partition& part) {
   }
   return phase;
 }
+
+void pack_i8s(rt::Packet& pk, std::span<const std::int8_t> v) {
+  for (std::int8_t b : v) pk.pack_u8(static_cast<std::uint8_t>(b));
+}
+
+void unpack_i8s(rt::Packet& pk, std::span<std::int8_t> v) {
+  for (auto& b : v) b = static_cast<std::int8_t>(pk.unpack_u8());
+}
+
+/// One phase's publication history: the payload last published for each
+/// iteration, as one flat buffer with iteration t's `width` bytes at
+/// t * width (the phase's exported values, plus the evidence bit on the
+/// marker phase; 0 bytes on a phase that is not live), and a flag per
+/// iteration saying whether it was published at all.
+class PhaseHistory {
+ public:
+  PhaseHistory(std::size_t width, std::int64_t iterations)
+      : width_(width),
+        bytes_(static_cast<std::size_t>(iterations) * width, 0),
+        sent_(static_cast<std::size_t>(iterations), 0) {}
+
+  [[nodiscard]] std::size_t width() const noexcept { return width_; }
+  [[nodiscard]] std::int8_t* slot(std::int64_t t) noexcept {
+    return bytes_.data() + static_cast<std::size_t>(t) * width_;
+  }
+  [[nodiscard]] const std::int8_t* slot(std::int64_t t) const noexcept {
+    return bytes_.data() + static_cast<std::size_t>(t) * width_;
+  }
+  [[nodiscard]] bool sent(std::int64_t t) const noexcept {
+    return sent_[static_cast<std::size_t>(t)] != 0;
+  }
+  void mark_sent(std::int64_t t) noexcept {
+    sent_[static_cast<std::size_t>(t)] = 1;
+  }
+
+  /// Checkpoint form: per iteration a u32 size (the width when published,
+  /// 0 when not), then the payload.  The recovery layer charges a
+  /// checkpoint per byte of virtual time, so this layout is part of every
+  /// recovering run's timing.
+  void pack(rt::Packet& pk) const {
+    for (std::size_t t = 0; t < sent_.size(); ++t) {
+      const std::size_t n = sent_[t] != 0 ? width_ : 0;
+      pk.pack_u32(static_cast<std::uint32_t>(n));
+      pack_i8s(pk, {bytes_.data() + t * width_, n});
+    }
+  }
+  void unpack(rt::Packet& pk) {
+    for (std::size_t t = 0; t < sent_.size(); ++t) {
+      const std::uint32_t n = pk.unpack_u32();
+      if (n != 0 && n != width_) {
+        throw std::logic_error(
+            "parallel sampling: checkpoint payload size differs from the "
+            "phase width");
+      }
+      sent_[t] = n != 0 ? 1 : 0;
+      unpack_i8s(pk, {bytes_.data() + t * width_, n});
+    }
+  }
+
+ private:
+  std::size_t width_;
+  std::vector<std::int8_t> bytes_;
+  std::vector<std::uint8_t> sent_;
+};
 
 struct TaskOutcome {
   std::vector<QueryEstimate> estimates;
@@ -202,11 +268,17 @@ ParallelInferenceResult run_parallel_logic_sampling(
         have_marker[static_cast<std::size_t>(p)].assign(
             static_cast<std::size_t>(iterations), false);
       }
-      // Last published payload per (phase, iteration) for change detection.
-      std::vector<std::vector<std::vector<std::int8_t>>> published(
-          static_cast<std::size_t>(max_phase + 1),
-          std::vector<std::vector<std::int8_t>>(
-              static_cast<std::size_t>(iterations)));
+      // Last published payload per (phase, iteration), for change detection
+      // and for flushing.
+      std::vector<PhaseHistory> published;
+      published.reserve(static_cast<std::size_t>(max_phase + 1));
+      for (int k = 0; k <= max_phase; ++k) {
+        published.emplace_back(
+            exports[static_cast<std::size_t>(me)][static_cast<std::size_t>(k)]
+                    .size() +
+                (k == marker_phase ? 1 : 0),
+            iterations);
+      }
 
       std::int64_t last_computed = -1;
 
@@ -217,7 +289,7 @@ ParallelInferenceResult run_parallel_logic_sampling(
 
       // Per remote interface node: my nodes reachable through my-partition
       // paths (the dependent set to recompute), in topological order.
-      std::map<NodeId, std::vector<NodeId>> my_affected;
+      std::vector<std::vector<NodeId>> my_affected(static_cast<std::size_t>(N));
       {
         const auto kids = net.children();
         for (int p : all_others) {
@@ -242,11 +314,27 @@ ParallelInferenceResult run_parallel_logic_sampling(
               for (NodeId u : my_nodes) {
                 if (reach[static_cast<std::size_t>(u)]) affected.push_back(u);
               }
-              my_affected.emplace(v, std::move(affected));
+              my_affected[static_cast<std::size_t>(v)] = std::move(affected);
             }
           }
         }
       }
+
+      // ---- validated tally ---------------------------------------------------
+      // Running totals over iterations [0, tallied], with each iteration's
+      // contribution kept so that a rewritten iteration can be taken back
+      // out: counted[t] (its evidence held on every part) and
+      // hit_bits[t * |queries| + q].  Every write to an iteration's samples or
+      // evidence bits lowers stale_from to it, and the next checkpoint
+      // re-tallies from there.
+      const std::size_t nq = my_queries.size();
+      std::vector<std::uint64_t> hits(nq, 0);
+      std::uint64_t used_samples = 0;
+      const auto iters = static_cast<std::size_t>(iterations);
+      std::vector<std::uint8_t> counted(iters, 0);
+      std::vector<std::uint8_t> hit_bits(iters * nq, 0);
+      std::int64_t tallied = -1;
+      std::int64_t stale_from = std::numeric_limits<std::int64_t>::max();
 
       // ---- observer: every arriving block, including corrections -------------
       // Payload: [start_iter i64][count u32] then per iteration the phase's
@@ -278,6 +366,7 @@ ParallelInferenceResult run_parallel_logic_sampling(
           if (k == marker_phase) {
             evidence_ok_remote[static_cast<std::size_t>(src)][t] =
                 static_cast<std::int8_t>(data.unpack_u8());
+            stale_from = std::min(stale_from, iter);
             have_marker[static_cast<std::size_t>(src)][t] = true;
             auto& c = contig[static_cast<std::size_t>(src)];
             while (c + 1 < iterations &&
@@ -298,8 +387,11 @@ ParallelInferenceResult run_parallel_logic_sampling(
         return latest >= 0 ? latest : defaults[static_cast<std::size_t>(p_node)];
       };
 
+      // Every local write to iteration t (its samples, then this bit) ends
+      // here, so this is where the tally learns of it.
       auto refresh_evidence_bit = [&](std::int64_t t) {
         const auto ti = static_cast<std::size_t>(t);
+        stale_from = std::min(stale_from, t);
         std::int8_t ok = 1;
         for (const Evidence& e : my_evidence) {
           if (samples[static_cast<std::size_t>(e.node)][ti] != e.value) {
@@ -361,30 +453,37 @@ ParallelInferenceResult run_parallel_logic_sampling(
       }
       if (config.mode == dsm::Mode::kSynchronous) batch = 1;
 
+      // Writes iteration t's phase-k payload into its history slot and
+      // marks it published; returns whether the slot changed (a first
+      // publication always does).
       auto snapshot = [&](int k, std::int64_t t) {
         const auto ti = static_cast<std::size_t>(t);
-        std::vector<std::int8_t> blob;
+        PhaseHistory& h = published[static_cast<std::size_t>(k)];
+        std::int8_t* slot = h.slot(t);
+        bool changed = !h.sent(t);
+        h.mark_sent(t);
+        auto put = [&](std::int8_t value) {
+          changed = changed || *slot != value;
+          *slot++ = value;
+        };
         for (NodeId v :
              exports[static_cast<std::size_t>(me)][static_cast<std::size_t>(k)]) {
-          blob.push_back(samples[static_cast<std::size_t>(v)][ti]);
+          put(samples[static_cast<std::size_t>(v)][ti]);
         }
-        if (k == marker_phase) blob.push_back(evidence_ok_local[ti]);
-        return blob;
+        if (k == marker_phase) put(evidence_ok_local[ti]);
+        return changed;
       };
       auto flush_range = [&](int k, std::int64_t from, std::int64_t to) {
-        const auto& pub = published[static_cast<std::size_t>(k)];
-        std::size_t bytes = sizeof(std::int64_t) + sizeof(std::uint32_t);
-        for (std::int64_t t = from; t <= to; ++t) {
-          bytes += pub[static_cast<std::size_t>(t)].size();
-        }
+        const PhaseHistory& h = published[static_cast<std::size_t>(k)];
+        const auto count = static_cast<std::size_t>(to - from + 1);
         rt::Packet p;
-        p.reserve(bytes);
+        p.reserve(sizeof(std::int64_t) + sizeof(std::uint32_t) +
+                  count * h.width());
         p.pack_i64(from);
-        p.pack_u32(static_cast<std::uint32_t>(to - from + 1));
-        for (std::int64_t t = from; t <= to; ++t) {
-          for (std::int8_t v : pub[static_cast<std::size_t>(t)]) {
-            p.pack_u8(static_cast<std::uint8_t>(v));
-          }
+        p.pack_u32(static_cast<std::uint32_t>(count));
+        const std::int8_t* bytes = h.slot(from);
+        for (std::size_t i = 0; i < count * h.width(); ++i) {
+          p.pack_u8(static_cast<std::uint8_t>(bytes[i]));
         }
         space.write(block_loc(me, k), to, std::move(p));
       };
@@ -393,18 +492,13 @@ ParallelInferenceResult run_parallel_logic_sampling(
           static_cast<std::size_t>(max_phase + 1), 0);
       auto publish = [&](int k, std::int64_t t) {
         if (!live(me, k)) return;
-        const auto blob = snapshot(k, t);
-        const auto ti = static_cast<std::size_t>(t);
-        auto& pub = published[static_cast<std::size_t>(k)];
+        const bool changed = snapshot(k, t);
         auto& pf = pending_from[static_cast<std::size_t>(k)];
         if (t < pf) {
           // Correction of an already-flushed iteration (anti-message role).
-          if (pub[ti] == blob) return;
-          pub[ti] = blob;
-          flush_range(k, t, t);
+          if (changed) flush_range(k, t, t);
           return;
         }
-        pub[ti] = blob;
         if (t - pf + 1 >= batch) {
           flush_range(k, pf, t);
           pf = t + 1;
@@ -424,20 +518,25 @@ ParallelInferenceResult run_parallel_logic_sampling(
               ? &hub->registry().counter("bayes.nodes_resampled", me)
               : nullptr;
 
+      std::vector<std::uint8_t> in_set(static_cast<std::size_t>(N), 0);
+      std::vector<NodeId> affected;
+      affected.reserve(my_nodes.size());
       auto handle_rollbacks = [&] {
         while (!dirty.empty()) {
           auto it = dirty.begin();
           const std::int64_t t = it->first;
-          std::vector<bool> in_set(static_cast<std::size_t>(N), false);
           for (NodeId v : it->second) {
-            for (NodeId u : my_affected.at(v)) {
-              in_set[static_cast<std::size_t>(u)] = true;
+            for (NodeId u : my_affected[static_cast<std::size_t>(v)]) {
+              in_set[static_cast<std::size_t>(u)] = 1;
             }
           }
           dirty.erase(it);
-          std::vector<NodeId> affected;
+          affected.clear();
           for (NodeId u : my_nodes) {
-            if (in_set[static_cast<std::size_t>(u)]) affected.push_back(u);
+            if (in_set[static_cast<std::size_t>(u)] != 0) {
+              affected.push_back(u);
+              in_set[static_cast<std::size_t>(u)] = 0;
+            }
           }
           ++out.rollbacks;
           ++out.rolled_back_iterations;
@@ -465,7 +564,6 @@ ParallelInferenceResult run_parallel_logic_sampling(
       };
 
       // ---- checkpoints -------------------------------------------------------
-      std::vector<std::uint64_t> hits(my_queries.size(), 0);
       auto checkpoint = [&] {
         handle_rollbacks();
         // Validated frontier: marker blocks for every iteration <= v from
@@ -474,32 +572,45 @@ ParallelInferenceResult run_parallel_logic_sampling(
         for (int p : all_others) {
           validated = std::min(validated, contig[static_cast<std::size_t>(p)]);
         }
-        std::fill(hits.begin(), hits.end(), 0);
-        std::uint64_t used_samples = 0;
-        for (std::int64_t t = 0; t <= validated; ++t) {
+        // Take back what rewritten iterations contributed, then tally them
+        // and the newly validated ones.  The counts are integers, so the
+        // totals equal a rescan from iteration 0.
+        const std::int64_t from = std::min(stale_from, tallied + 1);
+        for (std::int64_t t = from; t <= tallied; ++t) {
+          const auto ti = static_cast<std::size_t>(t);
+          if (counted[ti] == 0) continue;
+          --used_samples;
+          for (std::size_t q = 0; q < nq; ++q) hits[q] -= hit_bits[ti * nq + q];
+        }
+        for (std::int64_t t = from; t <= validated; ++t) {
           const auto ti = static_cast<std::size_t>(t);
           bool ok = evidence_ok_local[ti] == 1;
           for (int p : all_others) {
             ok = ok && evidence_ok_remote[static_cast<std::size_t>(p)][ti] == 1;
           }
+          counted[ti] = ok ? 1 : 0;
           if (!ok) continue;
           ++used_samples;
-          for (std::size_t q = 0; q < my_queries.size(); ++q) {
-            if (samples[static_cast<std::size_t>(my_queries[q].node)][ti] ==
-                my_queries[q].value) {
-              ++hits[q];
-            }
+          for (std::size_t q = 0; q < nq; ++q) {
+            const std::uint8_t hit =
+                samples[static_cast<std::size_t>(my_queries[q].node)][ti] ==
+                        my_queries[q].value
+                    ? 1
+                    : 0;
+            hit_bits[ti * nq + q] = hit;
+            hits[q] += hit;
           }
         }
+        tallied = validated;
+        stale_from = std::numeric_limits<std::int64_t>::max();
         out.validated = used_samples;
         bool met = used_samples > 0;
-        for (std::size_t q = 0; q < my_queries.size(); ++q) {
+        for (std::size_t q = 0; q < nq; ++q) {
           const auto ci =
               util::proportion_ci(hits[q], used_samples, config.confidence);
           if (ci.half_width() > config.precision) met = false;
         }
         if (met && out.first_met_time < 0) out.first_met_time = task.now();
-        return used_samples;
       };
 
       // ---- crash-restart -----------------------------------------------------
@@ -507,12 +618,6 @@ ParallelInferenceResult run_parallel_logic_sampling(
       // structure the anti-message machinery runs on.  Restarting from it
       // is protocol-native — corrections for anything the dead incarnation
       // published but lost locally flow through the ordinary rollback path.
-      auto pack_i8s = [](rt::Packet& pk, const std::vector<std::int8_t>& v) {
-        for (std::int8_t b : v) pk.pack_u8(static_cast<std::uint8_t>(b));
-      };
-      auto unpack_i8s = [](rt::Packet& pk, std::vector<std::int8_t>& v) {
-        for (auto& b : v) b = static_cast<std::int8_t>(pk.unpack_u8());
-      };
       auto each_remote_iface = [&](auto&& fn) {
         for (int p : all_others) {
           for (int k = 0; k <= max_phase; ++k) {
@@ -545,13 +650,8 @@ ParallelInferenceResult run_parallel_logic_sampling(
               pk.pack_i64(contig[pi]);
             }
             for (int k = 0; k <= max_phase; ++k) {
-              const auto ki = static_cast<std::size_t>(k);
-              for (std::int64_t t = 0; t < iterations; ++t) {
-                const auto& blob = published[ki][static_cast<std::size_t>(t)];
-                pk.pack_u32(static_cast<std::uint32_t>(blob.size()));
-                pack_i8s(pk, blob);
-              }
-              pk.pack_i64(pending_from[ki]);
+              published[static_cast<std::size_t>(k)].pack(pk);
+              pk.pack_i64(pending_from[static_cast<std::size_t>(k)]);
             }
             return pk;
           },
@@ -578,13 +678,8 @@ ParallelInferenceResult run_parallel_logic_sampling(
               contig[pi] = pk.unpack_i64();
             }
             for (int k = 0; k <= max_phase; ++k) {
-              const auto ki = static_cast<std::size_t>(k);
-              for (std::int64_t t = 0; t < iterations; ++t) {
-                auto& blob = published[ki][static_cast<std::size_t>(t)];
-                blob.assign(pk.unpack_u32(), 0);
-                unpack_i8s(pk, blob);
-              }
-              pending_from[ki] = pk.unpack_i64();
+              published[static_cast<std::size_t>(k)].unpack(pk);
+              pending_from[static_cast<std::size_t>(k)] = pk.unpack_i64();
             }
           });
       const std::int64_t restored = rc != nullptr ? rc->restore(task, app) : -1;
@@ -601,7 +696,9 @@ ParallelInferenceResult run_parallel_logic_sampling(
       }
 
       // ---- main loop -----------------------------------------------------------
-      for (std::int64_t t = restored + 1; t < iterations; ++t) {
+      // A restored incarnation resumes after the last iteration its state
+      // holds: none for the snapshot taken before iteration 0.
+      for (std::int64_t t = last_computed + 1; t < iterations; ++t) {
         if (config.mode == dsm::Mode::kSynchronous && t > 0) task.barrier();
 
         for (int k = 0; k <= max_phase; ++k) {
@@ -648,7 +745,7 @@ ParallelInferenceResult run_parallel_logic_sampling(
         }
 
         if ((t + 1) % config.check_interval == 0 && out.first_met_time < 0) {
-          (void)checkpoint();
+          checkpoint();
         }
         if (rc != nullptr) rc->maybe_checkpoint(task, t, app);
       }
@@ -693,7 +790,7 @@ ParallelInferenceResult run_parallel_logic_sampling(
         if (global_had == 0) break;
       }
 
-      const std::uint64_t used_samples = checkpoint();
+      checkpoint();
       // Final estimates on validated samples.
       for (std::size_t q = 0; q < my_queries.size(); ++q) {
         QueryEstimate est;

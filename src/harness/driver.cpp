@@ -56,6 +56,31 @@ const char* network_name(rt::Network network) {
   return network == rt::Network::kSp2Switch ? "sp2" : "ethernet";
 }
 
+/// One stderr note per crash window of `plan` that starts at or after the
+/// row's completion time, so that a run meant to exercise crash recovery
+/// cannot pass unnoticed while the crash never touched what it reports.
+void note_unreached_crashes(const Row& row, const fault::FaultPlan& plan) {
+  const sim::Time done = row.stats.completion_time;
+  const auto seconds = [](sim::Time t) {
+    return util::format_double(sim::to_seconds(t), 3);
+  };
+  for (const auto& [node, faults] : plan.nodes) {
+    for (const fault::Window& w : faults.crashes) {
+      if (w.start < done) continue;
+      std::cerr << "note: row '";
+      if (!row.scenario.empty()) std::cerr << row.scenario << ' ';
+      std::cerr << network_name(row.network) << ' ' << row.consistency << ' '
+                << row.variant.label() << "': node " << node
+                << " crash window [" << seconds(w.start) << " s, "
+                << seconds(w.end)
+                << " s) starts at or after the row's completion time "
+                << seconds(done)
+                << " s virtual: the crash plays no part in the reported "
+                   "completion\n";
+    }
+  }
+}
+
 /// The flag front-end's product: everything every row shares.
 struct Setup {
   Workload* workload = nullptr;
@@ -128,6 +153,7 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
                     *job.model, job.network, job.scenario->may_deadlock,
                     plan.partitionable(), run.recovery.policy,
                     setup.workload->run(run, machine)});
+    note_unreached_crashes(rows.back(), plan);
   }
 
   util::Table table(title);

@@ -187,6 +187,26 @@ TEST(AllocBudget, LossySwitchJacobiRunStaysUnderItsBudget) {
   EXPECT_LE(spent, 140000U);
 }
 
+TEST(AllocBudget, BayesSyncRunStaysUnderItsBudget) {
+  // One whole bayes-sync benchmark run (seed 7): the Figure 1 network in
+  // two parts, 20,000 synchronous iterations over Ethernet.  It allocated
+  // 340,472 times while every publication built a fresh payload vector and
+  // kept a second copy of it; one flat history buffer per phase cut that
+  // to 160,481, about two per interface update (the writer's packet and
+  // the DSM frame).  The budget leaves a little room above that.
+  nscc::harness::BayesSamplingWorkload bayes;
+  bayes.parts = 2;
+  bayes.iterations = 20000;
+  nscc::harness::RunConfig run;
+  run.seed = 7;
+  (void)bayes.run(run, {});  // Warm-up: process-wide pools.
+  const std::uint64_t before = allocs();
+  const auto stats = bayes.run(run, {});
+  const std::uint64_t spent = allocs() - before;
+  EXPECT_FALSE(stats.deadlocked);
+  EXPECT_LE(spent, 165000U);
+}
+
 TEST(AllocBudget, UntracedMachineAllocatesUnderOneMegabyte) {
   // The trace ring (2^18 events by default) is allocated only when tracing
   // is switched on; a machine built with default obs::Options stays small.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "bayes/generators.hpp"
 #include "bayes/logic_sampling.hpp"
@@ -397,6 +398,171 @@ TEST(ParallelSampling, BackgroundLoadSlowsCompletion) {
   const auto loaded =
       nscc::bayes::run_parallel_logic_sampling(net, {}, queries, cfg, {});
   EXPECT_GT(loaded.full_run_time, unloaded.full_run_time);
+}
+
+TEST(ParallelSampling, CrashBeforeTheFirstPeriodicCheckpointResumesAtZero) {
+  // The only snapshot is the one taken before iteration 0, so the restored
+  // incarnation must compute iteration 0 too: skipping it once left an
+  // unpublished iteration inside a flushed range, and the peer's decoder
+  // threw on the short block.
+  const auto net = figure1_network();
+  auto cfg = small_parallel(Mode::kPartialAsync, 10);
+  cfg.iterations = 1500;
+  cfg.recovery.policy = nscc::recovery::Policy::kRejoin;
+  nscc::rt::MachineConfig machine;
+  machine.fault.nodes[1].crashes.push_back(nscc::fault::Window{
+      nscc::sim::kSecond / 10, nscc::sim::kSecond * 15 / 100});
+  machine.fault.crash_semantics = nscc::fault::CrashSemantics::kStateful;
+  machine.transport.enabled = true;
+  const auto r = nscc::bayes::run_parallel_logic_sampling(
+      net, {{0, 1}}, {{1, 1}}, cfg, machine);
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_EQ(r.restores, 1U);
+  EXPECT_EQ(r.rejoins, 1U);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned runs.  Every RunStats field, the estimate bits and the sampler's
+// own counters were captured before the sampling task's publication
+// history became one flat buffer per phase and its validated tally became
+// incremental.  Both changes only restructure host-side bookkeeping, so
+// every run must stay bit-identical: sync, partial at age 10, async under
+// frame loss (whose corrections rewrite already-tallied iterations) and a
+// stateful crash whose restore unpacks the publication history.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// Every RunStats field: names and value bits (times in seconds).
+std::uint64_t hash_stats(const nscc::bayes::ParallelInferenceResult& r) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& [name, value] : r.to_fields()) {
+    h = fnv1a(h, name.data(), name.size());
+    h = fnv1a(h, &value, sizeof value);
+  }
+  return h;
+}
+
+/// Every estimate's query, probability and interval bits, in order.
+std::uint64_t hash_estimates(const nscc::bayes::ParallelInferenceResult& r) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& est : r.estimates) {
+    h = fnv1a(h, &est.query.node, sizeof est.query.node);
+    h = fnv1a(h, &est.query.value, sizeof est.query.value);
+    h = fnv1a(h, &est.probability, sizeof est.probability);
+    h = fnv1a(h, &est.ci.lo, sizeof est.ci.lo);
+    h = fnv1a(h, &est.ci.hi, sizeof est.ci.hi);
+  }
+  return h;
+}
+
+struct SamplingPin {
+  std::int64_t completion_time;
+  std::int64_t full_run_time;
+  std::uint64_t validated_samples;
+  std::uint64_t rollbacks;
+  std::uint64_t nodes_resampled;
+  std::uint64_t estimates_hash;
+  std::uint64_t stats_hash;
+};
+
+void expect_pinned(const nscc::bayes::ParallelInferenceResult& r,
+                   const SamplingPin& want) {
+  EXPECT_FALSE(r.deadlocked);
+  EXPECT_EQ(r.completion_time, want.completion_time);
+  EXPECT_EQ(r.full_run_time, want.full_run_time);
+  EXPECT_EQ(r.validated_samples, want.validated_samples);
+  EXPECT_EQ(r.rollbacks, want.rollbacks);
+  EXPECT_EQ(r.nodes_resampled, want.nodes_resampled);
+  EXPECT_EQ(hash_estimates(r), want.estimates_hash)
+      << std::hex << hash_estimates(r);
+  EXPECT_EQ(hash_stats(r), want.stats_hash) << std::hex << hash_stats(r);
+}
+
+TEST(ParallelSamplingPinned, SyncMatchesCapturedRun) {
+  const auto net = nscc::bayes::make_network_a();
+  const auto queries = nscc::bayes::default_queries(net, 3, 11);
+  const auto evidence = nscc::bayes::default_evidence(net, 1, 7);
+  auto cfg = small_parallel(Mode::kSynchronous, 0);
+  cfg.iterations = 1500;
+  expect_pinned(nscc::bayes::run_parallel_logic_sampling(net, evidence,
+                                                         queries, cfg, {}),
+                {10454264799, 10454264799, 1093, 0, 0, 0x5e7b970411fa8888ULL,
+                 0x9645903a96db5d60ULL});
+}
+
+TEST(ParallelSamplingPinned, PartialAge10MatchesCapturedRun) {
+  const auto net = nscc::bayes::make_network_a();
+  const auto queries = nscc::bayes::default_queries(net, 3, 11);
+  const auto evidence = nscc::bayes::default_evidence(net, 1, 7);
+  auto cfg = small_parallel(Mode::kPartialAsync, 10);
+  cfg.iterations = 1500;
+  expect_pinned(nscc::bayes::run_parallel_logic_sampling(net, evidence,
+                                                         queries, cfg, {}),
+                {4097722050, 4097722050, 1093, 6851, 48792,
+                 0x5e7b970411fa8888ULL, 0xdf2d76e5344a5382ULL});
+}
+
+TEST(ParallelSamplingPinned, AsyncMatchesCapturedRun) {
+  // The evidence node D has a parent on each part, so a peer's correction
+  // can rewrite the evidence bit of an iteration a CI checkpoint already
+  // tallied; the tally must take that iteration back out.
+  const auto net = figure1_network();
+  auto cfg = small_parallel(Mode::kAsynchronous, 0);
+  cfg.iterations = 1500;
+  expect_pinned(nscc::bayes::run_parallel_logic_sampling(
+                    net, {{3, 1}}, {{0, 1}, {1, 1}, {2, 1}, {4, 1}}, cfg, {}),
+                {3309670383, 3309670383, 480, 1558, 2082, 0xde253d7448f988aaULL,
+                 0x9d5f1bbd197a86bbULL});
+}
+
+TEST(ParallelSamplingPinned, AsyncUnderLossMatchesCapturedRun) {
+  // Interface blocks are best-effort, so a lost marker block stops the
+  // validated frontier for good; late and lost blocks still roll back.
+  const auto net = figure1_network();
+  auto cfg = small_parallel(Mode::kAsynchronous, 0);
+  cfg.iterations = 1500;
+  nscc::rt::MachineConfig machine;
+  machine.fault.link.loss_prob = 0.02;
+  machine.fault.seed = 31 ^ 0xFA17ULL;
+  machine.transport.enabled = true;
+  const auto r = nscc::bayes::run_parallel_logic_sampling(
+      net, {{0, 1}}, {{1, 1}, {3, 1}, {4, 1}}, cfg, machine);
+  EXPECT_GT(r.frames_lost, 0U);
+  EXPECT_GT(r.rollbacks, 0U);
+  expect_pinned(r, {620699457, 3159045039, 1, 1436, 1814, 0xd539cadaf49570e7ULL,
+                    0xe25f97b75fc907a6ULL});
+}
+
+TEST(ParallelSamplingPinned, StatefulCrashRejoinMatchesCapturedRun) {
+  // Part 1's process is killed mid-run, restored from a checkpoint that
+  // carries its publication history, and rejoins.
+  const auto net = figure1_network();
+  auto cfg = small_parallel(Mode::kPartialAsync, 10);
+  cfg.iterations = 1500;
+  cfg.recovery.policy = nscc::recovery::Policy::kRejoin;
+  cfg.recovery.checkpoint_interval = nscc::sim::kSecond / 20;
+  nscc::rt::MachineConfig machine;
+  machine.fault.nodes[1].crashes.push_back(nscc::fault::Window{
+      nscc::sim::kSecond / 10, nscc::sim::kSecond * 15 / 100});
+  machine.fault.crash_semantics = nscc::fault::CrashSemantics::kStateful;
+  machine.transport.enabled = true;
+  const auto r = nscc::bayes::run_parallel_logic_sampling(
+      net, {{0, 1}}, {{1, 1}, {3, 1}, {4, 1}}, cfg, machine);
+  EXPECT_EQ(r.crashes, 1U);
+  EXPECT_EQ(r.restores, 1U);
+  EXPECT_EQ(r.rejoins, 1U);
+  expect_pinned(r, {1386645667, 1386645667, 8, 1885, 2339,
+                    0x3b4e712ffb23e5baULL, 0xe38ebdc30808bd3cULL});
 }
 
 }  // namespace

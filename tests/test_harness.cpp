@@ -452,6 +452,38 @@ TEST(DriverExit, DeadlockHintMatchesTheRecoveryPolicy) {
   }
 }
 
+/// Stderr of a partial Jacobi run (it completes at about 0.94 s virtual)
+/// with node 1 crashing at `crash_at` for 0.2 s under rejoin; also checks
+/// that the exit code is 0 and that stdout carries no note.
+std::string crash_run_stderr(const std::string& crash_at) {
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(drive("solver.jacobi",
+                  {"--grid=16", "--variants=partial",
+                   "--crash-at=" + crash_at, "--crash-for=0.2",
+                   "--recovery=rejoin"}),
+            0);
+  EXPECT_EQ(testing::internal::GetCapturedStdout().find("note:"),
+            std::string::npos);
+  return testing::internal::GetCapturedStderr();
+}
+
+// A crash window the run never reaches used to pass silently, with
+// "crashes 0" in the table and exit 0.
+TEST(DriverNotes, CrashWindowAfterCompletionIsNamed) {
+  const std::string err = crash_run_stderr("1.0");
+  EXPECT_NE(err.find("note: row 'ethernet nonstrict Global_Read(10)': node 1 "
+                     "crash window [1.000 s, 1.200 s) starts at or after the "
+                     "row's completion time"),
+            std::string::npos)
+      << err;
+}
+
+TEST(DriverNotes, ReachedCrashWindowPrintsNoNote) {
+  const std::string err = crash_run_stderr("0.3");
+  EXPECT_EQ(err.find("note:"), std::string::npos) << err;
+}
+
 TEST(DriverAxes, IllFormedListsExitOne) {
   EXPECT_EQ(drive("solver.jacobi", {"--grid=8", "--age=5,x"}), 1);
   EXPECT_EQ(drive("solver.jacobi", {"--grid=8", "--age=5,5"}), 1);
