@@ -673,7 +673,9 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
         no_quorum_since = 0;
       }
       sim::Time quantum = remaining;
-      if (degradable || quorum_gated) {
+      if (!quorum_gated && policy_.detecting && !policy_.detecting()) {
+        quantum = 0;  // Wedged: wait with no timer so the queue can drain.
+      } else if (degradable || quorum_gated) {
         quantum = quantum > 0 ? std::min(quantum, policy_.liveness_poll)
                               : policy_.liveness_poll;
       }

@@ -91,6 +91,15 @@ struct PropagationPolicy {
   std::function<bool(int)> writer_alive;
   /// How often a blocked read re-checks writer_alive.
   sim::Time liveness_poll = 10 * sim::kMillisecond;
+  /// Whether the failure detector behind writer_alive can still change
+  /// anything.  Once it returns false (recovery::Coordinator::detecting:
+  /// the run is wedged for good), a blocked read that is not quorum-gated
+  /// arms no timer at all, neither liveness poll nor watchdog: it waits
+  /// for an update like an untimed read, so the event queue can drain and
+  /// the engine reports the blocked processes instead of polling to the
+  /// horizon.  Quorum-gated reads keep polling, since their minority
+  /// stale-serve runs on the poll's clock.  Null = always true.
+  std::function<bool()> detecting;
   /// Quorum probe from the recovery subsystem for THIS node's membership
   /// view.  When set and returning false, the node sits on the minority
   /// side of a partition: a blocked Global_Read that stays out of quorum

@@ -71,6 +71,27 @@ sim::Time FaultPlan::partition_release_after(sim::Time t) const noexcept {
   return release;
 }
 
+sim::Time FaultPlan::last_window_end() const noexcept {
+  sim::Time last = 0;
+  const auto latest = [&last](const std::vector<Window>& windows) {
+    for (const Window& w : windows) last = std::max(last, w.end);
+  };
+  latest(outages);
+  latest(corrupt_windows);
+  for (const PartitionWindow& p : partitions) {
+    last = std::max(last, p.window.end);
+  }
+  for (const BlackholeWindow& h : blackholes) {
+    last = std::max(last, h.window.end);
+  }
+  for (const auto& [node, faults] : nodes) {
+    latest(faults.crashes);
+    latest(faults.pauses);
+    latest(faults.slow);
+  }
+  return last;
+}
+
 const LinkFaults& FaultInjector::link_for(int src, int dst) const {
   const auto it = plan_.per_link.find({src, dst});
   return it != plan_.per_link.end() ? it->second : plan_.link;

@@ -161,6 +161,10 @@ struct FaultPlan {
   /// Latest end of any partition/blackhole window containing `t`
   /// (0 when none does).
   [[nodiscard]] sim::Time partition_release_after(sim::Time t) const noexcept;
+
+  /// End of the last scheduled window of any kind (0 when none is
+  /// scheduled): from then on the schedule changes nothing.
+  [[nodiscard]] sim::Time last_window_end() const noexcept;
 };
 
 struct FaultStats {

@@ -20,7 +20,8 @@ EvalCount Deme::evaluate(Individual& ind) {
   if (cache_ != nullptr && cache_->lookup(ind.genome, fitness)) {
     ++count.cache_hits;
   } else {
-    fitness = fn_.eval(decode(ind.genome, fn_), rng_);
+    decode(ind.genome, fn_, x_);
+    fitness = fn_.eval(x_, rng_);
     ++count.evaluations;
     if (cache_ != nullptr) cache_->insert(ind.genome, fitness);
   }
@@ -154,6 +155,8 @@ EvalCount Deme::step() {
   const std::size_t n = population_.size();
   next_.resize(n);
   const std::size_t nbits = static_cast<std::size_t>(fn_.genome_bits());
+  const std::uint64_t mutation =
+      util::bernoulli_threshold(params_.mutation_rate);
   for (std::size_t i = 0; i < n; i += 2) {
     Individual& a = next_[i];
     Individual& b = i + 1 < n ? next_[i + 1] : spare_;
@@ -166,12 +169,17 @@ EvalCount Deme::step() {
       b.evaluated = false;
     }
     for (Individual* child : {&a, &b}) {
+      // One draw per bit on a local copy of the stream: the genome words
+      // the loop flips are uint64_t like rng_'s state, so drawing on rng_
+      // itself would reload and store its state around every flip.
+      util::Xoshiro256 rng = rng_;
       for (std::size_t bit = 0; bit < nbits; ++bit) {
-        if (rng_.bernoulli(params_.mutation_rate)) {
+        if (rng.bernoulli_below(mutation)) {
           child->genome.flip(bit);
           child->evaluated = false;
         }
       }
+      rng_ = rng;
     }
   }
 

@@ -92,6 +92,7 @@ class Deme {
   std::vector<Individual> next_;  ///< Children; swapped with population_.
   Individual spare_;              ///< Odd pop_size: the last pair's 2nd child.
   std::vector<double> wheel_;     ///< Roulette-wheel slot widths.
+  std::vector<double> x_;         ///< Decoded variables of the evaluee.
   std::deque<double> worst_window_;  ///< Worst raw fitness per generation (W deep).
   int generation_ = 0;
 };

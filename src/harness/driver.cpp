@@ -56,6 +56,15 @@ const char* network_name(rt::Network network) {
   return network == rt::Network::kSp2Switch ? "sp2" : "ethernet";
 }
 
+}  // namespace
+
+std::string Row::label() const {
+  return (scenario.empty() ? "" : scenario + ' ') + network_name(network) +
+         ' ' + consistency + ' ' + variant.label();
+}
+
+namespace {
+
 /// One stderr note per crash window of `plan` that starts at or after the
 /// row's completion time, so that a run meant to exercise crash recovery
 /// cannot pass unnoticed while the crash never touched what it reports.
@@ -67,10 +76,7 @@ void note_unreached_crashes(const Row& row, const fault::FaultPlan& plan) {
   for (const auto& [node, faults] : plan.nodes) {
     for (const fault::Window& w : faults.crashes) {
       if (w.start < done) continue;
-      std::cerr << "note: row '";
-      if (!row.scenario.empty()) std::cerr << row.scenario << ' ';
-      std::cerr << network_name(row.network) << ' ' << row.consistency << ' '
-                << row.variant.label() << "': node " << node
+      std::cerr << "note: row '" << row.label() << "': node " << node
                 << " crash window [" << seconds(w.start) << " s, "
                 << seconds(w.end)
                 << " s) starts at or after the row's completion time "
@@ -149,9 +155,12 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
     any_fault = any_fault || !plan.empty();
     any_partition = any_partition || plan.partitionable();
     any_recovery = any_recovery || run.recovery.enabled();
+    const bool crash_planned = std::any_of(
+        plan.nodes.begin(), plan.nodes.end(),
+        [](const auto& node) { return !node.second.crashes.empty(); });
     rows.push_back({job.scenario->label, job.scenario->params, *job.variant,
                     *job.model, job.network, job.scenario->may_deadlock,
-                    plan.partitionable(), run.recovery.policy,
+                    plan.partitionable(), crash_planned, run.recovery.policy,
                     setup.workload->run(run, machine)});
     note_unreached_crashes(rows.back(), plan);
   }
@@ -460,7 +469,11 @@ int drive(int argc, char** argv, const DriveOptions& options) {
     rows.insert(rows.end(), std::make_move_iterator(section_rows.begin()),
                 std::make_move_iterator(section_rows.end()));
   }
-  if (!options.epilogue.empty()) std::cout << '\n' << options.epilogue << '\n';
+  if (!options.epilogue.empty()) {
+    const std::string failed =
+        options.epilogue_check ? options.epilogue_check(rows) : "";
+    std::cout << '\n' << (failed.empty() ? options.epilogue : failed) << '\n';
+  }
 
   // Written before the deadlock/sanitize exit checks below on purpose: a
   // failing run's report is exactly the artifact CI wants to upload.
@@ -489,7 +502,20 @@ int drive(int argc, char** argv, const DriveOptions& options) {
       std::cerr << "harness: deadlock — variant '" << row.variant.label()
                 << "' never completed (blocked processes reported above by "
                    "the simulator); ";
-      if (row.recovery == recovery::Policy::kNone) {
+      if (!row.crash_planned && row.stats.frames_lost > 0) {
+        // No crash to survive: a lost update that no reader re-demanded
+        // wedged the run.  A recovery policy arms the watchdog too
+        // (harness::make_policy).
+        if (base.propagation.read_timeout > 0 ||
+            row.recovery != recovery::Policy::kNone) {
+          std::cerr << "frames were lost even with the Global_Read "
+                       "watchdog on (--read-timeout-ms)\n";
+        } else {
+          std::cerr << "frames were lost and no Global_Read watchdog was "
+                       "armed; rerun with --read-timeout-ms to re-demand "
+                       "lost updates\n";
+        }
+      } else if (row.recovery == recovery::Policy::kNone) {
         std::cerr << "rerun with --recovery=degraded or --recovery=rejoin to "
                      "survive crash faults\n";
       } else {

@@ -55,8 +55,13 @@ struct Row {
   rt::Network network = rt::Network::kEthernet;
   bool may_deadlock = false;
   bool partitioned = false;  ///< The row's fault plan could split the cluster.
+  bool crash_planned = false;  ///< The row's fault plan crashes a node.
   recovery::Policy recovery = recovery::Policy::kNone;  ///< The row's policy.
   RunStats stats;
+
+  /// "[scenario ]network consistency variant", as notes and epilogues
+  /// name the row.
+  [[nodiscard]] std::string label() const;
 };
 
 /// One table of a driver run: a scenario axis crossed with every selected
@@ -84,6 +89,10 @@ struct DriveOptions {
   std::string title;
   /// Explanatory text printed after the last table.
   std::string epilogue;
+  /// When set, checks the epilogue's claim against the finished rows: it
+  /// returns an empty string when the claim holds, or the text printed
+  /// instead of the epilogue when it does not.
+  std::function<std::string(const std::vector<Row>&)> epilogue_check;
   /// Per-driver defaults for any registered flag (--variants, --age,
   /// --network, workload params, --seed, --read-timeout-ms, ...), applied
   /// before parsing.

@@ -35,6 +35,7 @@ dsm::PropagationPolicy make_policy(const RunConfig& run,
     } else {
       prop.writer_alive = [rc](int node) { return rc->alive(node); };
     }
+    prop.detecting = [rc] { return rc->detecting(); };
     // Rejoin liveness needs the starvation watchdog: a restarted node's
     // empty cache is only refilled promptly by explicit demands (peers
     // blocked on *it* cannot be publishing meanwhile).

@@ -174,7 +174,10 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
 
     while (min_applied() < config.steps) {
       std::optional<rt::Message> maybe;
-      if (rc != nullptr) {
+      // Poll membership while the failure detector runs; once it has
+      // stopped on a wedged run, nothing can change, so wait untimed and
+      // let the queue drain into the engine's deadlock report.
+      if (rc != nullptr && rc->detecting()) {
         maybe = task.recv_timeout(kGradientTag,
                                   rc->config().heartbeat_interval);
         if (!maybe) {

@@ -125,6 +125,23 @@ void Coordinator::schedule_respawn(int node, sim::Time crash_start) {
   }
 }
 
+std::uint64_t Coordinator::compute_fingerprint() const {
+  std::uint64_t fp = 0;
+  for (int i = 0; i < vm_.size(); ++i) {
+    fp += static_cast<std::uint64_t>(vm_.task(i).stats().compute_time);
+  }
+  return fp;
+}
+
+bool Coordinator::detecting() const {
+  // After the detector gave up, the run can still move if a scheduled
+  // fault window has yet to end (a crashed node's respawn, a healed
+  // partition) or if some task has computed since.
+  return !gave_up_ ||
+         vm_.engine().now() < vm_.config().fault.last_window_end() ||
+         compute_fingerprint() != last_fingerprint_;
+}
+
 void Coordinator::tick() {
   tick_scheduled_ = false;
   const int n = vm_.size();
@@ -135,15 +152,15 @@ void Coordinator::tick() {
   // means every fiber is blocked; after stall_ticks_limit of those the
   // detector stops rescheduling itself, the event queue can drain, and the
   // engine diagnoses the deadlock instead of heartbeating to the horizon.
-  std::uint64_t fp = 0;
   bool any_alive = false;
-  for (int i = 0; i < n; ++i) {
-    fp += static_cast<std::uint64_t>(vm_.task(i).stats().compute_time);
-    if (vm_.task_alive(i)) any_alive = true;
-  }
+  for (int i = 0; i < n; ++i) any_alive = any_alive || vm_.task_alive(i);
   if (!any_alive) return;
+  const std::uint64_t fp = compute_fingerprint();
   if (fp == last_fingerprint_) {
-    if (++stall_ticks_ >= cfg_.stall_ticks_limit) return;
+    if (++stall_ticks_ >= cfg_.stall_ticks_limit) {
+      gave_up_ = true;
+      return;
+    }
   } else {
     stall_ticks_ = 0;
     last_fingerprint_ = fp;

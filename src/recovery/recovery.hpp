@@ -187,6 +187,13 @@ class Coordinator {
   /// included)?  Always true when the quorum gate is off.
   [[nodiscard]] bool in_quorum(int observer) const;
 
+  /// False once the run is wedged for good: the detector has stopped
+  /// (stall_ticks_limit ticks without compute progress), every scheduled
+  /// fault window has ended and no task has computed since.  No heartbeat
+  /// is sent and no scheduled fault is left to change membership, so a
+  /// blocked wait has nothing left to poll for.
+  [[nodiscard]] bool detecting() const;
+
   /// True when the coordinator runs per-node membership views (quorum
   /// gate on, or the fault plan schedules partitions/blackholes).
   [[nodiscard]] bool partitioned() const noexcept { return per_node_; }
@@ -225,6 +232,8 @@ class Coordinator {
   [[nodiscard]] sim::Time crash_start_before(int node, sim::Time now) const;
   [[nodiscard]] sim::Time suspect_limit() const;
   [[nodiscard]] int quorum_size() const;
+  /// Total virtual compute across all tasks: the progress fingerprint.
+  [[nodiscard]] std::uint64_t compute_fingerprint() const;
   void flush_obs();
 
   rt::VirtualMachine& vm_;
@@ -240,6 +249,7 @@ class Coordinator {
   std::map<int, sim::Time> next_checkpoint_at_;
   std::uint64_t last_fingerprint_ = 0;
   int stall_ticks_ = 0;
+  bool gave_up_ = false;
   bool tick_scheduled_ = false;
 };
 

@@ -182,8 +182,13 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
                 }
               }
               if (!need) break;
-              auto msg = task.recv_timeout(kResidualTag,
-                                           rc->config().heartbeat_interval);
+              // Poll membership while the failure detector runs; once it
+              // has stopped on a wedged run, wait untimed so the queue can
+              // drain into the engine's deadlock report.
+              auto msg = rc->detecting()
+                             ? task.recv_timeout(kResidualTag,
+                                                 rc->config().heartbeat_interval)
+                             : std::optional(task.recv(kResidualTag));
               if (!msg) continue;  // Re-evaluate membership.
               rt::Packet pl = msg->payload;
               const int sender = pl.unpack_i32();

@@ -30,6 +30,20 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+/// Integer form of Xoshiro256::bernoulli(p): `(rng() >> 11) < T` with
+/// T = bernoulli_threshold(p) draws the same outcome from the same word as
+/// `uniform01() < p`.  uniform01() is k·2^-53 for the integer k = x >> 11,
+/// and scaling p by 2^53 is exact, so k·2^-53 < p iff k < p·2^53 iff
+/// k < ceil(p·2^53).  p <= 0 and NaN never hit (T = 0); p >= 1 always
+/// does (T = 2^53).  Compute T once per rate; the per-draw test is one
+/// shift and one compare, with no int-to-double conversion.
+[[nodiscard]] inline std::uint64_t bernoulli_threshold(double p) noexcept {
+  constexpr double kScale = 0x1.0p53;
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return static_cast<std::uint64_t>(kScale);
+  return static_cast<std::uint64_t>(std::ceil(p * kScale));
+}
+
 /// Xoshiro256**: fast, high-quality 64-bit PRNG.  Satisfies
 /// UniformRandomBitGenerator so it can also feed <random> distributions.
 class Xoshiro256 {
@@ -99,6 +113,12 @@ class Xoshiro256 {
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept { return uniform01() < p; }
+
+  /// bernoulli(p) for a precomputed threshold = bernoulli_threshold(p):
+  /// the same outcome from the same draw.
+  bool bernoulli_below(std::uint64_t threshold) noexcept {
+    return ((*this)() >> 11) < threshold;
+  }
 
   /// Standard normal via Marsaglia's polar method (caches the spare value).
   double normal() noexcept {

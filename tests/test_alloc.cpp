@@ -1,10 +1,11 @@
-// Heap-allocation budgets of the per-message hot path and of the MLP
-// kernels, read from the process-wide counters behind obs::alloc_counts().  Every budget is taken
-// after a warm-up that grows the reused buffers (key heap, callback slab,
-// transmit-state pool, mailboxes, unpack scratch) to their working size;
-// from then on an event, a message or an applied update must not touch the
-// heap beyond what the budget names.  A closure that silently outgrows its
-// inline buffer, or a copy where a move was meant, fails here.
+// Heap-allocation budgets of the per-message hot path, of the MLP kernels
+// and of whole benchmark runs, read from the process-wide counters behind
+// obs::alloc_counts().  Every budget is taken after a warm-up that grows
+// the reused buffers (key heap, callback slab, transmit-state pool,
+// mailboxes, unpack scratch) to their working size; from then on an event,
+// a message or an applied update must not touch the heap beyond what the
+// budget names.  A closure that silently outgrows its inline buffer, or a
+// copy where a move was meant, fails here.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -205,6 +206,30 @@ TEST(AllocBudget, BayesSyncRunStaysUnderItsBudget) {
   const std::uint64_t spent = allocs() - before;
   EXPECT_FALSE(stats.deadlocked);
   EXPECT_LE(spent, 165000U);
+}
+
+TEST(AllocBudget, GaPartialRunStaysUnderItsBudget) {
+  // One whole ga-partial benchmark run (seed 7): 8 demes on Rastrigin
+  // (f6), 400 generations, Global_Read(10) over Ethernet.  It allocated
+  // 95,765 times while the fitness cache kept a map node, a bucket vector
+  // and a genome copy per entry and every evaluation decoded into a fresh
+  // vector; the flat cache and the deme's decode scratch cut that to
+  // 34,711.  The budget leaves a little room above that.
+  nscc::harness::GaIslandWorkload ga;
+  ga.demes = 8;
+  ga.function_id = 6;
+  ga.generations = 400;
+  nscc::harness::RunConfig run;
+  run.seed = 7;
+  run.mode = nscc::dsm::Mode::kPartialAsync;
+  run.age = 10;
+  run.propagation.coalesce = true;
+  (void)ga.run(run, {});  // Warm-up: process-wide pools.
+  const std::uint64_t before = allocs();
+  const auto stats = ga.run(run, {});
+  const std::uint64_t spent = allocs() - before;
+  EXPECT_FALSE(stats.deadlocked);
+  EXPECT_LE(spent, 36000U);
 }
 
 TEST(AllocBudget, UntracedMachineAllocatesUnderOneMegabyte) {

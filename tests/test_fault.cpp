@@ -696,6 +696,29 @@ TEST(FaultPlanReachability, FollowsScheduledCuts) {
   EXPECT_EQ(plan.partition_release_after(250), 0);
 }
 
+TEST(FaultPlanReachability, LastWindowEndCoversEveryScheduledKind) {
+  FaultPlan plan;
+  EXPECT_EQ(plan.last_window_end(), 0);
+  plan.link.loss_prob = 0.5;  // Stochastic faults schedule no window.
+  EXPECT_EQ(plan.last_window_end(), 0);
+  plan.outages.push_back(Window{10, 20});
+  EXPECT_EQ(plan.last_window_end(), 20);
+  plan.corrupt_windows.push_back(Window{10, 30});
+  EXPECT_EQ(plan.last_window_end(), 30);
+  plan.blackholes.push_back(nscc::fault::BlackholeWindow{0, 1, {10, 40}});
+  EXPECT_EQ(plan.last_window_end(), 40);
+  PartitionWindow split;
+  split.window = Window{10, 50};
+  plan.partitions.push_back(split);
+  EXPECT_EQ(plan.last_window_end(), 50);
+  plan.nodes[2].slow.push_back(Window{10, 60});
+  EXPECT_EQ(plan.last_window_end(), 60);
+  plan.nodes[3].pauses.push_back(Window{10, 70});
+  EXPECT_EQ(plan.last_window_end(), 70);
+  plan.nodes[1].crashes.push_back(Window{10, 80});
+  EXPECT_EQ(plan.last_window_end(), 80);
+}
+
 // ---------------------------------------------------------------------------
 // Partition / blackhole spec parsing
 // ---------------------------------------------------------------------------

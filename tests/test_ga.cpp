@@ -3,10 +3,14 @@
 // the sequential baseline, and island-GA behaviour in all three modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <unordered_map>
+#include <vector>
 
 #include "ga/chromosome.hpp"
 #include "ga/deme.hpp"
@@ -154,6 +158,94 @@ TEST(Chromosome, MigrantPackUnpackRoundTrip) {
   EXPECT_TRUE(reused.evaluated);
 }
 
+/// The migrant wire format written one byte at a time: the genome
+/// LSB-first, eight bits to a byte, then the fitness's bytes.
+std::vector<std::uint8_t> bytewise_frame(const Individual& ind,
+                                         const TestFunction& fn) {
+  const auto nbits = static_cast<std::size_t>(fn.genome_bits());
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t offset = 0; offset < nbits; offset += 8) {
+    bytes.push_back(static_cast<std::uint8_t>(
+        ind.genome.extract(offset, std::min<std::size_t>(8, nbits - offset))));
+  }
+  const auto fitness = std::bit_cast<std::uint64_t>(ind.fitness);
+  for (int b = 0; b < 8; ++b) {
+    bytes.push_back(static_cast<std::uint8_t>(fitness >> (8 * b)));
+  }
+  return bytes;
+}
+
+Individual random_individual(const TestFunction& fn, Xoshiro256& rng) {
+  Individual ind;
+  ind.genome = BitVec(static_cast<std::size_t>(fn.genome_bits()));
+  ind.genome.randomize(rng);
+  ind.fitness = rng.normal();
+  ind.evaluated = true;
+  return ind;
+}
+
+// Whole-word packing must put the same bytes on the wire as the byte-wise
+// form, for every genome size of the test bed (24 to 240 bits, whole and
+// partial last words, whole and partial last bytes).
+TEST(Chromosome, WordPackingMatchesBytewiseReferenceForEveryFunction) {
+  Xoshiro256 rng(53);
+  for (const TestFunction& fn : dejong_testbed()) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const Individual ind = random_individual(fn, rng);
+      nscc::rt::Packet p;
+      nscc::ga::pack_individual(p, ind, fn);
+      const std::vector<std::uint8_t> expected = bytewise_frame(ind, fn);
+      ASSERT_EQ(p.byte_size(), expected.size()) << fn.name;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(p.unpack_u8(), expected[i]) << fn.name << " byte " << i;
+      }
+      p.rewind();
+      Individual back;
+      nscc::ga::unpack_individual(p, fn, back);
+      EXPECT_TRUE(p.fully_consumed());
+      EXPECT_EQ(back.genome, ind.genome) << fn.name;
+      EXPECT_EQ(back.fitness, ind.fitness) << fn.name;
+    }
+  }
+}
+
+// Wire bits past the genome's size (a peer's stray bits, or damage the CRC
+// missed) must not reach the genome: == and hash() compare whole words.
+TEST(Chromosome, DirtyTailBitsDecodeToAZeroTail) {
+  Xoshiro256 rng(59);
+  for (const int id : {1, 3, 5, 7}) {  // 30, 50, 34, 100 bits.
+    const TestFunction& fn = test_function(id);
+    const auto nbits = static_cast<std::size_t>(fn.genome_bits());
+    ASSERT_NE(nbits % 8, 0u) << fn.name;
+    const Individual ind = random_individual(fn, rng);
+    std::vector<std::uint8_t> bytes = bytewise_frame(ind, fn);
+    bytes[(nbits - 1) / 8] |=
+        static_cast<std::uint8_t>(0xFF << (nbits % 8));  // Past nbits.
+    nscc::rt::Packet p;
+    for (const std::uint8_t b : bytes) p.pack_u8(b);
+    Individual back;
+    nscc::ga::unpack_individual(p, fn, back);
+    EXPECT_EQ(back.genome, ind.genome) << fn.name;
+    EXPECT_EQ(back.genome.hash(), ind.genome.hash()) << fn.name;
+  }
+}
+
+TEST(Chromosome, TruncatedMigrantFrameThrows) {
+  Xoshiro256 rng(61);
+  for (const int id : {2, 6, 7}) {  // A whole last byte, word, and neither.
+    const TestFunction& fn = test_function(id);
+    nscc::rt::Packet p;
+    nscc::ga::pack_individual(p, random_individual(fn, rng), fn);
+    for (std::size_t n = 0; n < p.byte_size(); ++n) {
+      nscc::rt::Packet cut = p.truncated(n);
+      Individual back;
+      EXPECT_THROW(nscc::ga::unpack_individual(cut, fn, back),
+                   std::out_of_range)
+          << fn.name << " cut to " << n << " bytes";
+    }
+  }
+}
+
 // A deme on a multi-word genome (f7: 100 bits) with an odd population,
 // so every generation's last pair has a second child that is mutated and
 // then dropped; ten times DeJong's mutation rate so mutants are common.
@@ -210,6 +302,89 @@ TEST(FitnessCacheTest, BoundedCapacity) {
     cache.insert(v, static_cast<double>(i));
   }
   EXPECT_LE(cache.size(), 4u);
+}
+
+struct BitVecHash {
+  std::size_t operator()(const BitVec& v) const noexcept {
+    return static_cast<std::size_t>(v.hash());
+  }
+};
+
+// The flat table against a node-based reference over a random trace of
+// lookups and inserts on a small genome pool (so hits and re-inserts are
+// common), through several table doublings and up to the entry bound.
+TEST(FitnessCacheTest, MatchesUnorderedMapReferenceThroughRehashAndBound) {
+  constexpr std::size_t kMaxEntries = 3000;
+  FitnessCache cache(kMaxEntries);
+  std::unordered_map<BitVec, double, BitVecHash> reference;
+  Xoshiro256 rng(67);
+  std::vector<BitVec> pool;
+  for (int i = 0; i < 6000; ++i) {
+    // Mixed sizes: an equal word prefix must not match across sizes.
+    BitVec v(i % 3 == 0 ? 64 : i % 3 == 1 ? 100 : 200);
+    v.randomize(rng);
+    pool.push_back(v);
+  }
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (int op = 0; op < 40000; ++op) {
+    const BitVec& genome = pool[rng.below(pool.size())];
+    double fitness = -1.0;
+    const auto it = reference.find(genome);
+    const bool hit = cache.lookup(genome, fitness);
+    ASSERT_EQ(hit, it != reference.end()) << "op " << op;
+    if (hit) {
+      ASSERT_EQ(fitness, it->second) << "op " << op;
+      ++hits;
+    } else {
+      ++misses;
+      const double value = static_cast<double>(op);
+      cache.insert(genome, value);
+      if (reference.size() < kMaxEntries) reference.emplace(genome, value);
+    }
+    ASSERT_EQ(cache.size(), reference.size()) << "op " << op;
+  }
+  EXPECT_EQ(cache.size(), kMaxEntries);
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_GT(hits, 10000u);
+
+  // A re-insert of a cached genome keeps its first fitness.
+  const BitVec& cached = reference.begin()->first;
+  cache.clear();
+  cache.insert(cached, 1.0);
+  cache.insert(cached, 2.0);
+  double f = 0.0;
+  EXPECT_TRUE(cache.lookup(cached, f));
+  EXPECT_EQ(f, 1.0);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+// Two genomes with one FNV-1a hash: the second word is chosen to cancel
+// the first word's difference.  Each must find only its own entry.
+TEST(FitnessCacheTest, HashCollisionsStayExact) {
+  const auto fnv_step = [](std::uint64_t h, std::uint64_t w) {
+    return (h ^ w) * 0x100000001b3ULL;
+  };
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+  const std::uint64_t a0 = 0x1234;
+  const std::uint64_t b0 = 0x9876;
+  const std::uint64_t a1 = 0x55;
+  const std::uint64_t b1 = a1 ^ fnv_step(kBasis, a0) ^ fnv_step(kBasis, b0);
+  const BitVec a = BitVec::from_words(128, {a0, a1});
+  const BitVec b = BitVec::from_words(128, {b0, b1});
+  ASSERT_EQ(a.hash(), b.hash());
+  ASSERT_FALSE(a == b);
+  FitnessCache cache;
+  cache.insert(a, 1.0);
+  double f = 0.0;
+  EXPECT_FALSE(cache.lookup(b, f));
+  cache.insert(b, 2.0);
+  EXPECT_TRUE(cache.lookup(a, f));
+  EXPECT_EQ(f, 1.0);
+  EXPECT_TRUE(cache.lookup(b, f));
+  EXPECT_EQ(f, 2.0);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(DemeTest, InitializeEvaluatesWholePopulation) {

@@ -449,7 +449,72 @@ TEST(DriverExit, DeadlockHintMatchesTheRecoveryPolicy) {
                        "even under --recovery=" + policy),
               std::string::npos)
         << err;
+    // Once the failure detector stops, blocked reads stop polling, so the
+    // queue drains and the engine names the blocked processes (the run
+    // used to poll to the 24-hour horizon and report none).
+    EXPECT_NE(err.find("sim: DEADLOCK"), std::string::npos) << err;
   }
+
+  // Frame loss with no crash window: the recovery hint would be false; the
+  // missing watchdog is what let one lost update wedge the barrier.
+  for (const std::string workload : {"bayes.sampling", "nn.train"}) {
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int rc =
+        drive(workload, {"--variants=sync", "--loss-rate=0.05", "--seed=11"});
+    (void)testing::internal::GetCapturedStdout();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 3) << workload;
+    EXPECT_EQ(err.find("--recovery"), std::string::npos) << err;
+    EXPECT_NE(err.find("rerun with --read-timeout-ms to re-demand lost "
+                       "updates"),
+              std::string::npos)
+        << err;
+  }
+}
+
+// The failure detector gives up after ten seconds without compute, here
+// while node 1 is still down.  Blocked reads must keep their watchdog
+// until the crash window ends: the rejoined node refills its cache only
+// through demands.
+TEST(DriverExit, CrashLongerThanTheStallLimitStillRejoins) {
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = drive("bayes.sampling",
+                       {"--variants=partial", "--seed=11", "--crash-at=1.0",
+                        "--crash-for=30", "--recovery=rejoin",
+                        "--loss-rate=0.01"});
+  (void)testing::internal::GetCapturedStdout();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 0) << err;
+  EXPECT_EQ(err.find("DEADLOCK"), std::string::npos) << err;
+}
+
+// The driver prints the epilogue only when its check passes, and the
+// check's text in its place otherwise.
+TEST(DriverEpilogue, CheckedEpilogueYieldsToTheFailureText) {
+  harness::DriveOptions options;
+  options.epilogue = "every row converged";
+  const auto stdout_of = [&](const std::string& verdict) {
+    options.epilogue_check = [verdict](const std::vector<harness::Row>& rows) {
+      EXPECT_EQ(rows.size(), 1u);
+      return verdict.empty() || rows.empty() ? std::string{}
+                                             : verdict + rows[0].label();
+    };
+    testing::internal::CaptureStdout();
+    const int rc = drive("solver.jacobi", {"--grid=8", "--variants=sync"},
+                         &options);
+    std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0);
+    return out;
+  };
+  const std::string held = stdout_of("");
+  EXPECT_NE(held.find("every row converged"), std::string::npos) << held;
+  const std::string failed = stdout_of("did not converge: ");
+  EXPECT_EQ(failed.find("every row converged"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("did not converge: ethernet nonstrict synchronous"),
+            std::string::npos)
+      << failed;
 }
 
 /// Stderr of a partial Jacobi run (it completes at about 0.94 s virtual)

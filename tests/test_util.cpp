@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -100,6 +101,38 @@ TEST(Rng, SplitProducesIndependentStream) {
   (void)parent2.split(1);
   (void)parent2.split(2);
   EXPECT_EQ(parent(), parent2());
+}
+
+// The integer threshold test must be bernoulli(p) draw for draw, including
+// rates outside [0, 1] and NaN (which never hits).
+TEST(Rng, BernoulliThresholdMatchesBernoulliDrawForDraw) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double p : {0.0, 1e-300, 1e-3, 0.01, 0.5, std::nextafter(1.0, 0.0),
+                         1.0, -0.25, -inf, 1.5, inf, nan}) {
+    const std::uint64_t threshold = nscc::util::bernoulli_threshold(p);
+    Xoshiro256 a(41);
+    Xoshiro256 b(41);
+    std::uint64_t hits = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      const bool expected = a.bernoulli(p);
+      ASSERT_EQ(b.bernoulli_below(threshold), expected) << p << " draw " << i;
+      hits += expected ? 1 : 0;
+    }
+    if (!(p > 0.0)) EXPECT_EQ(hits, 0u) << p;
+    if (p >= 1.0) EXPECT_EQ(hits, 1'000'000u) << p;
+    // Random draws seldom land on the cut, so check it directly: the
+    // largest hitting k = x >> 11 is threshold - 1, and threshold misses.
+    const auto as_draw = [](std::uint64_t k) {
+      return static_cast<double>(k) * 0x1.0p-53;
+    };
+    if (threshold > 0) EXPECT_LT(as_draw(threshold - 1), p) << p;
+    if (threshold < (std::uint64_t{1} << 53)) {
+      EXPECT_FALSE(as_draw(threshold) < p) << p;
+    }
+  }
+  EXPECT_EQ(nscc::util::bernoulli_threshold(0.5), std::uint64_t{1} << 52);
+  EXPECT_EQ(nscc::util::bernoulli_threshold(1e-300), 1u);
 }
 
 TEST(Stats, RunningStatsBasics) {
