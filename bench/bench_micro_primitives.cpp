@@ -67,7 +67,7 @@ void BM_SharedBusTransmit(benchmark::State& state) {
     nscc::sim::Engine eng;
     nscc::net::SharedBus bus(eng, {});
     for (int i = 0; i < 256; ++i) {
-      bus.transmit(512, [](nscc::sim::Time) {});
+      bus.transmit(-1, -1, 512, [](nscc::sim::Time, bool, std::uint64_t) {});
     }
     eng.run();
     benchmark::DoNotOptimize(bus.stats().frames_sent);

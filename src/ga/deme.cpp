@@ -45,14 +45,14 @@ EvalCount Deme::initialize() {
   return count;
 }
 
-std::vector<int> Deme::ranked() const {
-  std::vector<int> idx(population_.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::sort(idx.begin(), idx.end(), [this](int a, int b) {
+const std::vector<int>& Deme::ranked() const {
+  rank_.resize(population_.size());
+  std::iota(rank_.begin(), rank_.end(), 0);
+  std::sort(rank_.begin(), rank_.end(), [this](int a, int b) {
     return population_[static_cast<std::size_t>(a)].fitness <
            population_[static_cast<std::size_t>(b)].fitness;
   });
-  return idx;
+  return rank_;
 }
 
 const Individual& Deme::best() const {
@@ -79,7 +79,7 @@ double Deme::average_fitness() const {
 }
 
 void Deme::best_k(int k, std::vector<Individual>& out) const {
-  const auto idx = ranked();
+  const std::vector<int>& idx = ranked();
   out.resize(static_cast<std::size_t>(
       std::clamp(k, 0, static_cast<int>(idx.size()))));
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -91,22 +91,22 @@ void Deme::incorporate(std::span<const Individual> migrants,
                        int replace_count) {
   if (migrants.empty() || replace_count <= 0) return;
   // Best `replace_count` of the incoming pool...
-  std::vector<const Individual*> pool;
-  pool.reserve(migrants.size());
-  for (const Individual& m : migrants) pool.push_back(&m);
-  std::sort(pool.begin(), pool.end(),
+  pool_.clear();
+  for (const Individual& m : migrants) pool_.push_back(&m);
+  std::sort(pool_.begin(), pool_.end(),
             [](const Individual* a, const Individual* b) {
               return a->fitness < b->fitness;
             });
   const int k = std::min<int>(
-      {replace_count, static_cast<int>(pool.size()),
+      {replace_count, static_cast<int>(pool_.size()),
        static_cast<int>(population_.size())});
   // ...replace the worst k of the population.
-  auto idx = ranked();
+  const std::vector<int>& idx = ranked();
   for (int i = 0; i < k; ++i) {
     const int victim =
         idx[static_cast<std::size_t>(static_cast<int>(idx.size()) - 1 - i)];
-    population_[static_cast<std::size_t>(victim)] = *pool[static_cast<std::size_t>(i)];
+    population_[static_cast<std::size_t>(victim)] =
+        *pool_[static_cast<std::size_t>(i)];
   }
 }
 

@@ -80,8 +80,8 @@ class Deme {
 
  private:
   EvalCount evaluate(Individual& ind);
-  /// Indices into population_ sorted by ascending fitness.
-  [[nodiscard]] std::vector<int> ranked() const;
+  /// Indices into population_ sorted by ascending fitness, in rank_.
+  const std::vector<int>& ranked() const;
 
   const TestFunction& fn_;
   GaParams params_;
@@ -93,6 +93,8 @@ class Deme {
   Individual spare_;              ///< Odd pop_size: the last pair's 2nd child.
   std::vector<double> wheel_;     ///< Roulette-wheel slot widths.
   std::vector<double> x_;         ///< Decoded variables of the evaluee.
+  mutable std::vector<int> rank_;  ///< ranked()'s result.
+  std::vector<const Individual*> pool_;  ///< incorporate()'s migrant order.
   std::deque<double> worst_window_;  ///< Worst raw fitness per generation (W deep).
   int generation_ = 0;
 };

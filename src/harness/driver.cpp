@@ -104,32 +104,52 @@ struct Setup {
 /// rows, printed as one table.  `observe` attaches the observability
 /// outputs to the section's last Global_Read row, so --trace-out /
 /// --metrics-out capture exactly one run (the one the paper's mechanism is
-/// about).
+/// about), or to its last row when the section has no Global_Read row.
+/// Throws std::invalid_argument, before any row runs, when a row would
+/// put background load on the SP2 switch.
 std::vector<Row> run_section(const Setup& setup, const Section& section,
                              const std::string& title,
                              const std::vector<Scenario>& scenarios,
                              bool observe) {
   struct Job {
     const Scenario* scenario;
-    rt::Network network;
     const std::string* model;
     const VariantSpec* variant;
+    RunConfig run;
+    rt::MachineConfig machine;
   };
   std::vector<Job> jobs;
   for (const Scenario& scenario : scenarios) {
     for (const rt::Network network : setup.networks) {
       for (const std::string& model : setup.models) {
         for (const VariantSpec& v : setup.variants) {
-          if (section.variants.empty() ||
+          if (!section.variants.empty() &&
               std::find(section.variants.begin(), section.variants.end(),
-                        v.name) != section.variants.end()) {
-            jobs.push_back({&scenario, network, &model, &v});
+                        v.name) == section.variants.end()) {
+            continue;
           }
+          Job job{&scenario, &model, &v, for_variant(setup.base, v),
+                  setup.machine};
+          job.run.propagation.consistency = model;
+          job.machine.network = network;
+          if (scenario.configure) scenario.configure(job.run, job.machine);
+          if (network == rt::Network::kSp2Switch &&
+              job.run.loader_offered_bps > 0.0) {
+            // The loader drives the shared bus (harness::Cluster), so on
+            // the switch every loaded row would print the unloaded one.
+            throw std::invalid_argument(
+                "background load (" +
+                util::format_double(job.run.loader_offered_bps / 1e6, 1) +
+                " Mbps) needs --network=ethernet: the load generator "
+                "drives the shared Ethernet bus, which SP2 switch traffic "
+                "never crosses");
+          }
+          jobs.push_back(std::move(job));
         }
       }
     }
   }
-  std::size_t observed = jobs.size();
+  std::size_t observed = observe ? jobs.size() - 1 : jobs.size();
   for (std::size_t i = 0; observe && i < jobs.size(); ++i) {
     if (jobs[i].variant->mode == dsm::Mode::kPartialAsync) observed = i;
   }
@@ -139,12 +159,9 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
   bool any_partition = false;
   bool any_recovery = false;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    RunConfig run = for_variant(setup.base, *job.variant);
-    run.propagation.consistency = *job.model;
-    rt::MachineConfig machine = setup.machine;
-    machine.network = job.network;
-    if (job.scenario->configure) job.scenario->configure(run, machine);
+    Job& job = jobs[i];
+    RunConfig& run = job.run;
+    rt::MachineConfig& machine = job.machine;
     const fault::FaultPlan& plan = machine.fault;
     // Anti-entropy heal only arms when the plan can actually split the
     // cluster, so partition-free runs stay byte-identical.
@@ -159,7 +176,7 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
         plan.nodes.begin(), plan.nodes.end(),
         [](const auto& node) { return !node.second.crashes.empty(); });
     rows.push_back({job.scenario->label, job.scenario->params, *job.variant,
-                    *job.model, job.network, job.scenario->may_deadlock,
+                    *job.model, machine.network, job.scenario->may_deadlock,
                     plan.partitionable(), crash_planned, run.recovery.policy,
                     setup.workload->run(run, machine)});
     note_unreached_crashes(rows.back(), plan);

@@ -24,7 +24,7 @@ RunStats RunStats::from_registry(const obs::Registry& reg) {
     s.mean_staleness = h->mean();
   }
   s.mean_warp = reg.gauge_value("warp.mean");
-  s.frames_lost = total("net.frames_lost") + total("net.switch.frames_lost");
+  s.frames_lost = total("fault.frames_lost");
   s.retransmissions = total("rt.retransmissions");
   s.read_escalations = total("dsm.read_escalations");
   s.integrity_dropped = total("dsm.integrity_dropped");

@@ -18,7 +18,8 @@ LoadGenerator::LoadGenerator(sim::Engine& engine, SharedBus& bus,
   // Self-rescheduling injection event; pure engine-context, no fiber needed.
   inject_ = [this, &engine, &bus, config, mean_period_s] {
     if (!running_) return;
-    bus.transmit(config.frame_payload_bytes, [](sim::Time) {});
+    bus.transmit(-1, -1, config.frame_payload_bytes,
+                 [](sim::Time, bool, std::uint64_t) {});
     ++frames_injected_;
     const double period_s = config.poisson
                                 ? rng_.exponential(1.0 / mean_period_s)

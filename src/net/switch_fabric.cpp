@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -13,16 +12,6 @@ sim::Time SwitchFabric::link_time(std::uint32_t payload_bytes) const {
       static_cast<double>(payload_bytes + config_.packet_overhead_bytes) * 8.0;
   return static_cast<sim::Time>(std::ceil(
       bits / config_.link_bandwidth_bps * static_cast<double>(sim::kSecond)));
-}
-
-void SwitchFabric::transmit(
-    int src, int dst, std::uint32_t payload_bytes,
-    std::function<void(sim::Time delivered_at)> on_delivered) {
-  transmit_observed(src, dst, payload_bytes,
-                    [cb = std::move(on_delivered)](sim::Time at, bool delivered,
-                                                   std::uint64_t /*corrupt*/) {
-                      if (delivered && cb) cb(at);
-                    });
 }
 
 void SwitchFabric::transmit_observed(int src, int dst,
@@ -38,7 +27,7 @@ void SwitchFabric::transmit_observed(int src, int dst,
 
   auto& rx = rx_busy_[static_cast<std::size_t>(dst)];
   const sim::Time rx_start = std::max(tx_end + config_.fabric_latency, rx);
-  sim::Time delivered_at = rx_start + wire;
+  const sim::Time delivered_at = rx_start + wire;
   rx = delivered_at;
 
   ++stats_.messages;
@@ -50,56 +39,8 @@ void SwitchFabric::transmit_observed(int src, int dst,
                       "dst", dst, "bytes", payload_bytes);
   }
 
-  bool lost = false;
-  sim::Time dup_at = 0;
-  std::uint64_t corrupt_seed = 0;
-  if (injector_ != nullptr) {
-    const auto verdict = injector_->judge(src, dst, now, delivered_at);
-    stats_.frames_lost += verdict.drop ? 1 : 0;
-    stats_.frames_duplicated += verdict.duplicate ? 1 : 0;
-    stats_.frames_delayed += verdict.extra_delay > 0 ? 1 : 0;
-    stats_.frames_corrupted += verdict.corrupt_seed != 0 ? 1 : 0;
-    lost = verdict.drop;
-    corrupt_seed = verdict.corrupt_seed;
-    delivered_at += verdict.extra_delay;
-    if (verdict.duplicate) dup_at = delivered_at + verdict.duplicate_delay;
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      if (verdict.drop) {
-        tracer_->instant(track_base_ + src, "fault.loss", now, "dst",
-                         dst);
-      } else if (verdict.corrupt_seed != 0) {
-        tracer_->instant(track_base_ + src, "fault.corrupt", now,
-                         "dst", dst);
-      }
-    }
-    if (lost && drop_hook_) drop_hook_(src, dst, payload_bytes, "fault");
-  }
-
-  if (lost) {
-    engine_.schedule(delivered_at, obs::EventKind::kNetwork,
-                     [cb = std::move(outcome), delivered_at] {
-                       cb(delivered_at, false, 0);
-                     });
-    return;
-  }
-  if (dup_at > 0) {
-    // As on the bus: one shared heap node, and only the original copy
-    // carries the damage.
-    auto cb = std::make_shared<Outcome>(std::move(outcome));
-    engine_.schedule(delivered_at, obs::EventKind::kNetwork,
-                     [cb, delivered_at, corrupt_seed] {
-                       (*cb)(delivered_at, true, corrupt_seed);
-                     });
-    engine_.schedule(dup_at, obs::EventKind::kNetwork,
-                     [cb = std::move(cb), dup_at] { (*cb)(dup_at, true, 0); });
-    return;
-  }
-  auto deliver = [cb = std::move(outcome), delivered_at, corrupt_seed] {
-    cb(delivered_at, true, corrupt_seed);
-  };
-  // The frame's outcome rides its delivery event without a heap node.
-  static_assert(sim::Engine::Callback::kStoredInline<decltype(deliver)>);
-  engine_.schedule(delivered_at, obs::EventKind::kNetwork, std::move(deliver));
+  deliver_frame(engine_, injector_, tracer_, track_base_ + src, src, dst,
+                delivered_at, std::move(outcome));
 }
 
 void SwitchFabric::set_tracer(obs::Tracer* tracer) noexcept {

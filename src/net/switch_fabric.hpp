@@ -10,17 +10,14 @@
 // latency, then serialises on the destination's RX link.  Unlike the shared
 // bus there is no global medium contention — only per-port queueing.
 // An attached fault::FaultInjector subjects every message to the machine's
-// FaultPlan exactly as on the shared bus: losses report delivered=false,
-// duplicates deliver twice, delays push the arrival out.
+// FaultPlan through the same net::deliver_frame step as the shared bus.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "net/shared_bus.hpp"
+#include "net/frame.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -38,23 +35,12 @@ struct SwitchConfig {
 
 struct SwitchStats {
   std::uint64_t messages = 0;
-  std::uint64_t frames_lost = 0;        ///< Fault-injected losses.
-  std::uint64_t frames_duplicated = 0;  ///< Fault-injected duplicates.
-  std::uint64_t frames_delayed = 0;     ///< Fault-injected extra delay.
-  std::uint64_t frames_corrupted = 0;   ///< Fault-injected payload damage.
   std::uint64_t payload_bytes = 0;
   sim::Time tx_busy_time = 0;  ///< Summed over ports.
 };
 
 class SwitchFabric {
  public:
-  /// See SharedBus::Outcome — identical contract (including the
-  /// corrupt_seed of a frame delivered with a damaged payload).
-  using Outcome = SharedBus::Outcome;
-  using DropHook =
-      std::function<void(int src, int dst, std::uint32_t payload_bytes,
-                         const char* reason)>;
-
   SwitchFabric(sim::Engine& engine, int ports, SwitchConfig config)
       : engine_(engine),
         config_(config),
@@ -64,15 +50,9 @@ class SwitchFabric {
   SwitchFabric(const SwitchFabric&) = delete;
   SwitchFabric& operator=(const SwitchFabric&) = delete;
 
-  /// Carry `payload_bytes` from port `src` to port `dst`; `on_delivered`
-  /// runs in engine context at arrival.  Always accepted (link-level flow
-  /// control is modelled by the runtime's sender window).  Fault losses are
-  /// silent in this form.
-  void transmit(int src, int dst, std::uint32_t payload_bytes,
-                std::function<void(sim::Time delivered_at)> on_delivered);
-
-  /// Outcome form: fault losses report delivered=false, duplicates deliver
-  /// twice (see SharedBus::Outcome).
+  /// Carry `payload_bytes` from port `src` to port `dst`.  Always accepted
+  /// (link-level flow control is modelled by the runtime's sender window);
+  /// `outcome` runs as on the bus (see net::Outcome).
   void transmit_observed(int src, int dst, std::uint32_t payload_bytes,
                          Outcome outcome);
 
@@ -84,17 +64,14 @@ class SwitchFabric {
 
   [[nodiscard]] const SwitchStats& stats() const noexcept { return stats_; }
 
-  /// Attach an event tracer: TX-link occupancy becomes spans on a per-port
-  /// switch track.
+  /// Attach an event tracer: TX-link occupancy becomes spans, and fault
+  /// verdicts instants, on the sender's per-port switch track.
   void set_tracer(obs::Tracer* tracer) noexcept;
 
   /// Attach a fault injector (nullptr detaches; not owned).
   void set_fault_injector(fault::FaultInjector* injector) noexcept {
     injector_ = injector;
   }
-
-  /// Attach a drop observer (fault losses; the switch never tail-drops).
-  void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
 
  private:
   sim::Engine& engine_;
@@ -105,7 +82,6 @@ class SwitchFabric {
   /// never collide with kSwitchTrackBase.
   int track_base_ = obs::kSwitchTrackBase;
   fault::FaultInjector* injector_ = nullptr;
-  DropHook drop_hook_;
   std::vector<sim::Time> tx_busy_;
   std::vector<sim::Time> rx_busy_;
   SwitchStats stats_;

@@ -149,21 +149,24 @@ void Coordinator::tick() {
 
   // Progress fingerprint: total virtual compute across all tasks.  The
   // heartbeat machinery itself charges no compute, so a frozen fingerprint
-  // means every fiber is blocked; after stall_ticks_limit of those the
+  // means every fiber is blocked; after kStallTicksLimit of those the
   // detector stops rescheduling itself, the event queue can drain, and the
   // engine diagnoses the deadlock instead of heartbeating to the horizon.
+  // Ticks before the last scheduled fault window ends do not count: a
+  // crash window can outlast the limit with every survivor blocked on the
+  // victim, and the detector must still be running when a later crash
+  // comes.
   bool any_alive = false;
   for (int i = 0; i < n; ++i) any_alive = any_alive || vm_.task_alive(i);
   if (!any_alive) return;
   const std::uint64_t fp = compute_fingerprint();
-  if (fp == last_fingerprint_) {
-    if (++stall_ticks_ >= cfg_.stall_ticks_limit) {
-      gave_up_ = true;
-      return;
-    }
-  } else {
+  if (fp != last_fingerprint_ ||
+      now < vm_.config().fault.last_window_end()) {
     stall_ticks_ = 0;
     last_fingerprint_ = fp;
+  } else if (++stall_ticks_ >= kStallTicksLimit) {
+    gave_up_ = true;
+    return;
   }
 
   for (int i = 0; i < n; ++i) {
@@ -343,7 +346,7 @@ sim::Time Coordinator::suspect_limit() const {
   return cfg_.suspect_timeout > 0
              ? cfg_.suspect_timeout
              : static_cast<sim::Time>(
-                   cfg_.phi_threshold *
+                   kPhiThreshold *
                    static_cast<double>(cfg_.heartbeat_interval));
 }
 
@@ -373,8 +376,8 @@ std::int64_t Coordinator::restore(rt::Task& task, const FnCheckpoint& app) {
   }
   const Checkpoint& ck = it->second;
   const auto cost = static_cast<sim::Time>(
-      static_cast<double>(cfg_.checkpoint_fixed_cost) +
-      cfg_.checkpoint_cost_per_byte *
+      static_cast<double>(kCheckpointFixedCost) +
+      kCheckpointCostPerByte *
           static_cast<double>(ck.state.byte_size()));
   task.compute(cost);
   rt::Packet state = ck.state;  // The stored snapshot stays pristine.
@@ -407,8 +410,8 @@ void Coordinator::maybe_checkpoint(rt::Task& task, std::int64_t iteration,
   ck.state = app.checkpoint_state();
   const auto bytes = static_cast<std::uint64_t>(ck.state.byte_size());
   const auto cost = static_cast<sim::Time>(
-      static_cast<double>(cfg_.checkpoint_fixed_cost) +
-      cfg_.checkpoint_cost_per_byte * static_cast<double>(bytes));
+      static_cast<double>(kCheckpointFixedCost) +
+      kCheckpointCostPerByte * static_cast<double>(bytes));
   ++stats_.checkpoints_taken;
   stats_.checkpoint_bytes += bytes;
   stats_.checkpoint_cost += cost;

@@ -64,11 +64,8 @@ struct Config {
   sim::Time checkpoint_interval = 500 * sim::kMillisecond;
   /// Heartbeat emission period; also the detector's expected inter-arrival.
   sim::Time heartbeat_interval = 50 * sim::kMillisecond;
-  /// Intervals of silence before a node is declared dead (simplified
-  /// phi-accrual: fixed expected arrival, threshold in units of it).
-  double phi_threshold = 4.0;
   /// Explicit silence-before-suspect budget; 0 derives the legacy
-  /// phi_threshold × heartbeat_interval limit.
+  /// kPhiThreshold × heartbeat_interval limit.
   sim::Time suspect_timeout = 0;
   /// Fraction of the cluster (self included) an observer must have heard
   /// recently before it may *declare* a suspected peer dead — the
@@ -79,20 +76,25 @@ struct Config {
   /// the coordinator from its single global membership view to per-node
   /// views (each node judges peers from the heartbeats *it* received).
   double quorum_fraction = 0.0;
-  /// Fixed virtual cost of taking or restoring one snapshot (quiesce +
-  /// buffer setup).
-  sim::Time checkpoint_fixed_cost = 200 * sim::kMicrosecond;
-  /// Additional virtual ns per serialized byte (a local-disk-class 50 MB/s
-  /// stream is ~20 ns/byte).
-  double checkpoint_cost_per_byte = 20.0;
-  /// Consecutive detector ticks with zero global compute progress before
-  /// the detector stops rescheduling itself.  This lets a truly wedged
-  /// run's event queue drain so sim::Engine can diagnose the deadlock
-  /// instead of heartbeating forever.
-  int stall_ticks_limit = 200;
 
   [[nodiscard]] bool enabled() const noexcept { return policy != Policy::kNone; }
 };
+
+/// Intervals of silence before a node is declared dead (simplified
+/// phi-accrual: fixed expected arrival, threshold in units of it).
+inline constexpr double kPhiThreshold = 4.0;
+/// Fixed virtual cost of taking or restoring one snapshot (quiesce +
+/// buffer setup).
+inline constexpr sim::Time kCheckpointFixedCost = 200 * sim::kMicrosecond;
+/// Additional virtual ns per serialized byte (a local-disk-class 50 MB/s
+/// stream is ~20 ns/byte).
+inline constexpr double kCheckpointCostPerByte = 20.0;
+/// Consecutive detector ticks with zero global compute progress, counted
+/// once every scheduled fault window has ended, before the detector stops
+/// rescheduling itself.  This lets a truly wedged run's event queue drain
+/// so sim::Engine can diagnose the deadlock instead of heartbeating
+/// forever.
+inline constexpr int kStallTicksLimit = 200;
 
 /// App-registered state capture over a pair of closures: `save` packs
 /// *everything* a fresh incarnation of the task body needs to continue from
@@ -188,7 +190,7 @@ class Coordinator {
   [[nodiscard]] bool in_quorum(int observer) const;
 
   /// False once the run is wedged for good: the detector has stopped
-  /// (stall_ticks_limit ticks without compute progress), every scheduled
+  /// (kStallTicksLimit ticks without compute progress), every scheduled
   /// fault window has ended and no task has computed since.  No heartbeat
   /// is sent and no scheduled fault is left to change membership, so a
   /// blocked wait has nothing left to poll for.

@@ -36,15 +36,16 @@ struct ReliabilityConfig {
   /// Initial retransmission timeout.  PVM-over-UDP on a 10 Mbps Ethernet
   /// saw multi-millisecond RTTs; 100 ms is the classic conservative floor.
   sim::Time ack_timeout = 100 * sim::kMillisecond;
-  /// RTO multiplier per failed attempt.
-  double backoff = 2.0;
-  /// Attempts (first send + retransmits) before the frame is abandoned and
-  /// its on_settled callback reports failure.  At 5% loss the chance of ten
-  /// straight losses is ~1e-13.
-  int max_attempts = 10;
-  /// Modelled wire size of an ACK frame (sequence number + header slack).
-  std::uint32_t ack_bytes = 8;
 };
+
+/// RTO multiplier per failed attempt.
+inline constexpr double kRetxBackoff = 2.0;
+/// Attempts (first send + retransmits) before a frame is abandoned and its
+/// on_settled callback reports failure.  At 5% loss the chance of ten
+/// straight losses is ~1e-13.
+inline constexpr int kMaxTxAttempts = 10;
+/// Modelled wire size of an ACK frame (sequence number + header slack).
+inline constexpr std::uint32_t kAckBytes = 8;
 
 /// Receiver-side duplicate filter for one (src -> me) stream.  Tracks the
 /// contiguous prefix of seen sequence numbers plus a sparse set of
@@ -53,7 +54,7 @@ struct ReliabilityConfig {
 /// Memory is bounded: the sparse set holds at most kMaxAhead entries.  When
 /// it would overflow, the cumulative floor advances to the smallest buffered
 /// seq, forgetting any gaps below it.  A gap only persists when the sender
-/// abandoned that frame (max_attempts exhausted), so nothing that will ever
+/// abandoned that frame (kMaxTxAttempts exhausted), so nothing that will ever
 /// arrive is misclassified; a pathological replay of a forgotten gap seq
 /// would be re-delivered, which the age-bounded application layer tolerates
 /// by construction.
@@ -103,7 +104,7 @@ class SeqTracker {
 /// Machine-wide transport counters (flushed to the obs registry as rt.*).
 struct TransportStats {
   std::uint64_t retransmissions = 0;
-  std::uint64_t retx_abandoned = 0;  ///< Frames given up after max_attempts.
+  std::uint64_t retx_abandoned = 0;  ///< Frames given up after kMaxTxAttempts.
   std::uint64_t acks_sent = 0;
   std::uint64_t dup_frames_dropped = 0;  ///< Receiver-side dedup hits.
   std::uint64_t crc_drops = 0;  ///< Damaged frames dropped at the NIC.

@@ -62,10 +62,8 @@ void Task::send_observed(int dst, int tag, Packet payload,
                                now() - blocked_from, "bytes",
                                static_cast<std::int64_t>(bytes));
   }
-  if (!vm_.post(id_, dst, tag, std::move(payload), std::move(on_settled),
-                reliability, flow)) {
-    ++stats_.messages_dropped;
-  }
+  vm_.post(id_, dst, tag, std::move(payload), std::move(on_settled),
+           reliability, flow);
 }
 
 void Task::broadcast(int tag, const Packet& payload) {
@@ -240,7 +238,7 @@ bool VirtualMachine::reliable_for(int tag, Reliability reliability) const {
          tag == kDsmRequestTag || tag == kHeartbeatTag;
 }
 
-bool VirtualMachine::post(int src, int dst, int tag, Packet payload,
+void VirtualMachine::post(int src, int dst, int tag, Packet payload,
                           OnSettled on_settled,
                           Reliability reliability, std::uint64_t flow) {
   assert(src >= 0 && src < size());
@@ -259,8 +257,7 @@ bool VirtualMachine::post(int src, int dst, int tag, Packet payload,
   st->dst = dst;
   // ACKs have a fixed modelled wire size and are exempt from the sender
   // window and per-task traffic stats (hardware/daemon-level frames).
-  st->payload_bytes =
-      is_ack ? config_.transport.ack_bytes : st->msg.payload.byte_size();
+  st->payload_bytes = is_ack ? kAckBytes : st->msg.payload.byte_size();
   // Stamp the payload checksum only when the plan can actually damage
   // frames: corruption-free runs never pay for the CRC pass.
   if (may_corrupt_) st->crc = st->msg.payload.crc32();
@@ -293,7 +290,7 @@ bool VirtualMachine::post(int src, int dst, int tag, Packet payload,
       sender->deliver(std::move(st->msg));
       settle(st, true);
     });
-    return true;
+    return;
   }
 
   st->reliable = reliable_for(tag, reliability);
@@ -306,9 +303,6 @@ bool VirtualMachine::post(int src, int dst, int tag, Packet payload,
   }
 
   transmit_frame(st);
-  // Only a best-effort tail drop settles synchronously (reliable frames are
-  // retried by the timer and always count as accepted).
-  return st->reliable || !st->settled;
 }
 
 void VirtualMachine::transmit_frame(const TxRef& st) {
@@ -319,18 +313,12 @@ void VirtualMachine::transmit_frame(const TxRef& st) {
                                               std::uint64_t corrupt_seed) {
     on_wire_outcome(ref, at, delivered, corrupt_seed);
   };
-  static_assert(net::SharedBus::Outcome::kStoredInline<decltype(outcome)>);
+  static_assert(net::Outcome::kStoredInline<decltype(outcome)>);
   if (switch_) {
     switch_->transmit_observed(st->msg.src, st->dst, st->payload_bytes,
                                std::move(outcome));
-    return;
-  }
-  if (!bus_.transmit(st->msg.src, st->dst, st->payload_bytes,
-                     std::move(outcome))) {
-    // Tail drop: nothing went on the wire, so the outcome callback will
-    // never run.  Release the window now; a reliable frame stays pending
-    // for the retransmit timer, a best-effort frame settles as lost.
-    on_wire_outcome(st, engine_.now(), false, 0);
+  } else {
+    bus_.transmit(st->msg.src, st->dst, st->payload_bytes, std::move(outcome));
   }
 }
 
@@ -473,7 +461,7 @@ void VirtualMachine::arm_retx_timer(const TxRef& st) {
       engine_.now() + st->rto, [this, st = std::move(ref)] {
         st->retx_timer = 0;
         if (st->settled) return;
-        if (st->attempts >= config_.transport.max_attempts) {
+        if (st->attempts >= kMaxTxAttempts) {
           ++transport_stats_.retx_abandoned;
           obs_.tracer().instant(st->msg.src, "rt.retx_abandon", engine_.now(),
                                 "dst", st->dst, "seq",
@@ -495,7 +483,7 @@ void VirtualMachine::arm_retx_timer(const TxRef& st) {
                                   st->msg.flow, "attempt", st->attempts);
         }
         st->rto = static_cast<sim::Time>(static_cast<double>(st->rto) *
-                                         config_.transport.backoff);
+                                         kRetxBackoff);
         transmit_frame(st);
         arm_retx_timer(st);
       });
@@ -580,19 +568,6 @@ VirtualMachine::VirtualMachine(MachineConfig config)
   if (config_.sanitize.enabled()) {
     sanitizer_ = std::make_unique<sanitize::Sanitizer>(config_.sanitize, obs_);
   }
-  if (obs_.active()) {
-    // Route every frame death (tail drop or injected fault) into a named
-    // registry counter so lossy runs can be audited from the metrics dump.
-    auto drop_hook = [this](int src, int dst, std::uint32_t bytes,
-                            const char* reason) {
-      (void)src;
-      (void)dst;
-      (void)bytes;
-      obs_.registry().counter(std::string("net.drops.") + reason).inc();
-    };
-    bus_.set_drop_hook(drop_hook);
-    if (switch_) switch_->set_drop_hook(drop_hook);
-  }
   if (config_.obs.profile) {
     // Self-profiling: wall-clock per dispatched event, attributed by kind.
     // Never touches virtual time, so profiled runs stay byte-identical.
@@ -643,7 +618,6 @@ void VirtualMachine::flush_stats() {
     reg.counter("rt.messages_sent", pid).inc(s.messages_sent);
     reg.counter("rt.bytes_sent", pid).inc(s.bytes_sent);
     reg.counter("rt.messages_received", pid).inc(s.messages_received);
-    reg.counter("rt.messages_dropped", pid).inc(s.messages_dropped);
     reg.counter("rt.backpressure_events", pid).inc(s.send_backpressure_events);
     reg.counter("rt.compute_time_ns", pid)
         .inc(static_cast<std::uint64_t>(s.compute_time));
@@ -654,21 +628,12 @@ void VirtualMachine::flush_stats() {
   }
   const net::BusStats& bs = bus_.stats();
   reg.counter("net.frames_sent").inc(bs.frames_sent);
-  reg.counter("net.frames_dropped").inc(bs.frames_dropped);
-  reg.counter("net.frames_lost").inc(bs.frames_lost);
-  reg.counter("net.frames_duplicated").inc(bs.frames_duplicated);
-  reg.counter("net.frames_delayed").inc(bs.frames_delayed);
-  reg.counter("net.frames_corrupted").inc(bs.frames_corrupted);
   reg.counter("net.payload_bytes").inc(bs.payload_bytes);
   reg.counter("net.wire_bytes").inc(bs.wire_bytes);
   reg.counter("net.busy_time_ns").inc(static_cast<std::uint64_t>(bs.busy_time));
   if (switch_) {
     const net::SwitchStats& ss = switch_->stats();
     reg.counter("net.switch.messages").inc(ss.messages);
-    reg.counter("net.switch.frames_lost").inc(ss.frames_lost);
-    reg.counter("net.switch.frames_duplicated").inc(ss.frames_duplicated);
-    reg.counter("net.switch.frames_delayed").inc(ss.frames_delayed);
-    reg.counter("net.switch.frames_corrupted").inc(ss.frames_corrupted);
     reg.counter("net.switch.payload_bytes").inc(ss.payload_bytes);
     reg.counter("net.switch.tx_busy_time_ns")
         .inc(static_cast<std::uint64_t>(ss.tx_busy_time));

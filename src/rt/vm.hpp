@@ -117,7 +117,6 @@ struct TaskStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t messages_received = 0;
-  std::uint64_t messages_dropped = 0;  ///< Tail-dropped by the bus.
   std::uint64_t send_backpressure_events = 0;
   sim::Time compute_time = 0;
   sim::Time blocked_time = 0;
@@ -166,7 +165,7 @@ class Task {
   /// Like send(), with a settlement callback run (engine context) once the
   /// message's fate is known: `on_settled(true)` after first delivery (or
   /// transport ACK when the frame is reliable), `on_settled(false)` when it
-  /// was lost / tail-dropped / abandoned after retransmission.  Runs exactly
+  /// was lost or abandoned after retransmission.  Runs exactly
   /// once.  The DSM uses it to track in-flight updates for coalescing and to
   /// resend the newest pending value after a loss.
   void send_observed(int dst, int tag, Packet payload,
@@ -248,10 +247,9 @@ class VirtualMachine {
   /// `dst` without charging sender CPU (usable from engine context; the DSM
   /// "daemon" uses it for deferred coalesced updates).  `on_settled` runs in
   /// engine context exactly once when the message's fate is decided — see
-  /// Task::send_observed.  Returns false when the bus tail-dropped the
-  /// message and the transport will not retry it.  `flow` stamps the frame
-  /// with a causal-flow id (see Message::flow); 0 = untraced.
-  bool post(int src, int dst, int tag, Packet payload,
+  /// Task::send_observed.  `flow` stamps the frame with a causal-flow id
+  /// (see Message::flow); 0 = untraced.
+  void post(int src, int dst, int tag, Packet payload,
             OnSettled on_settled = {},
             Reliability reliability = Reliability::kAuto,
             std::uint64_t flow = 0);

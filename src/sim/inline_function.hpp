@@ -6,7 +6,7 @@
 // touches the heap.  Larger or throwing-move callables fall back to one heap
 // node.  It replaces std::function on the simulator's per-message paths:
 // the engine's event callbacks (sim::Engine::Callback), the network's frame
-// outcomes (net::SharedBus::Outcome) and the runtime's settle callbacks
+// outcomes (net::Outcome) and the runtime's settle callbacks
 // (rt::OnSettled), where std::function's 16-byte small buffer sent nearly
 // every closure to malloc.
 //

@@ -235,8 +235,8 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
         // patience window and sweeping on breaks that cycle; the abandoned
         // round's residual is answered inline at the coordinator's next
         // reduce and discarded here as stale.
-        const int patience = 2 * std::max(1, static_cast<int>(
-            rc->config().phi_threshold));
+        const int patience =
+            2 * std::max(1, static_cast<int>(recovery::kPhiThreshold));
         for (int waits = 0;;) {
           auto msg =
               task.recv_timeout(kDecisionTag, rc->config().heartbeat_interval);

@@ -17,6 +17,7 @@
 
 #include "dsm/shared_space.hpp"
 #include "fault/fault.hpp"
+#include "harness/run_config.hpp"
 #include "obs/obs.hpp"
 #include "rt/packet.hpp"
 #include "rt/transport.hpp"
@@ -555,6 +556,147 @@ TEST(Determinism, LossyRunMetricsAreByteIdenticalSp2) {
       run_lossy_workload(nscc::rt::Network::kSp2Switch, dir + "fault_sp2_b.json");
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Frame path pins.  A writer/reader DSM run over each interconnect with
+// every stochastic link fault on (loss, duplication, delay, corruption)
+// and the reliable transport.  Every RunStats field and every value the
+// reader got were captured before the bus and the switch were folded onto
+// one fault-and-delivery step; the fault RNG stream, the delivery times and
+// the counters must all come out the same.
+// ---------------------------------------------------------------------------
+
+struct FramePathRun {
+  nscc::harness::RunStats stats;
+  std::uint64_t injector_frames_lost = 0;
+  /// (iteration, value) of every Global_Read the reader made.
+  std::vector<std::pair<std::int64_t, double>> reads;
+  /// Payloads of the reliable messages the reader received, in order.
+  std::vector<std::int32_t> received;
+};
+
+FramePathRun run_frame_path(nscc::rt::Network network) {
+  MachineConfig cfg = fast_config(2);
+  cfg.network = network;
+  cfg.fault.seed = 0xF4A3;
+  cfg.fault.link.loss_prob = 0.05;
+  cfg.fault.link.dup_prob = 0.02;
+  cfg.fault.link.delay_prob = 0.1;
+  cfg.fault.link.delay_max = kMillisecond;
+  cfg.fault.link.corrupt_prob = 0.03;
+  cfg.transport.enabled = true;
+  cfg.transport.ack_timeout = 5 * kMillisecond;
+  VirtualMachine vm(cfg);
+
+  // Best-effort DSM updates every iteration, a reliable application
+  // message every 20; the reader runs ahead of the writer, so its reads
+  // block on (and its completion depends on) when frames arrive.
+  FramePathRun run;
+  vm.add_task("writer", [](Task& t) {
+    SharedSpace space(t);
+    space.declare_written(1, {1});
+    for (int i = 0; i < 200; ++i) {
+      Packet p;
+      p.pack_double(0.5 * i + 1.0);
+      space.write(1, i, std::move(p));
+      if (i % 20 == 19) {
+        Packet m;
+        m.pack_i32(i);
+        t.send(1, 7, std::move(m));
+      }
+      t.compute(kMillisecond);
+    }
+  });
+  vm.add_task("reader", [&run](Task& t) {
+    PropagationPolicy policy;
+    policy.read_timeout = 15 * kMillisecond;
+    SharedSpace space(t, policy);
+    space.declare_read(1, 0);
+    for (int i = 0; i < 200; i += 2) {
+      const SharedSpace::Value& v = space.global_read(1, i, 1);
+      Packet data = v.data;
+      run.reads.emplace_back(v.iteration, data.unpack_double());
+      if (i % 20 == 18) run.received.push_back(t.recv(7).payload.unpack_i32());
+      t.compute(3 * kMillisecond / 2);
+    }
+  });
+  const Time end = vm.run();
+  EXPECT_FALSE(vm.deadlocked());
+  run.stats = nscc::harness::RunStats::from_registry(vm.obs().registry());
+  run.stats.completion_time = end;
+  run.injector_frames_lost = vm.fault_injector()->stats().frames_lost;
+  return run;
+}
+
+struct FramePathPin {
+  Time completion_time;
+  std::uint64_t messages_sent;
+  std::uint64_t frames_lost;
+  std::uint64_t retransmissions;
+  std::uint64_t read_escalations;
+  std::uint64_t stats_hash;  ///< Every RunStats field: names and bits.
+  std::uint64_t reads_hash;  ///< Every read's iteration and value bits.
+};
+
+class Fnv1a {
+ public:
+  void mix(const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t hash_run_stats(const nscc::harness::RunStats& s) {
+  Fnv1a h;
+  for (const auto& [name, value] : s.to_fields()) {
+    h.mix(name.data(), name.size());
+    h.mix(&value, sizeof value);
+  }
+  return h.value();
+}
+
+std::uint64_t hash_reads(const FramePathRun& run) {
+  Fnv1a h;
+  for (const auto& [iteration, value] : run.reads) {
+    h.mix(&iteration, sizeof iteration);
+    h.mix(&value, sizeof value);
+  }
+  return h.value();
+}
+
+void expect_frame_path(const FramePathRun& run, const FramePathPin& want) {
+  EXPECT_EQ(run.stats.completion_time, want.completion_time);
+  EXPECT_EQ(run.stats.messages_sent, want.messages_sent);
+  EXPECT_EQ(run.stats.frames_lost, want.frames_lost);
+  EXPECT_EQ(run.stats.frames_lost, run.injector_frames_lost);
+  EXPECT_EQ(run.stats.retransmissions, want.retransmissions);
+  EXPECT_EQ(run.stats.read_escalations, want.read_escalations);
+  EXPECT_EQ(hash_run_stats(run.stats), want.stats_hash)
+      << std::hex << hash_run_stats(run.stats);
+  ASSERT_EQ(run.reads.size(), 100U);
+  EXPECT_EQ(hash_reads(run), want.reads_hash) << std::hex << hash_reads(run);
+  EXPECT_EQ(run.received, (std::vector<std::int32_t>{19, 39, 59, 79, 99, 119,
+                                                     139, 159, 179, 199}));
+}
+
+TEST(FramePathPinned, Ethernet) {
+  const FramePathRun run = run_frame_path(nscc::rt::Network::kEthernet);
+  expect_frame_path(run, {200525600, 210, 11, 1, 0, 0xe6b6ad9a61375e74ULL,
+                          0x60a47014a21e5eb3ULL});
+}
+
+TEST(FramePathPinned, Sp2) {
+  const FramePathRun run = run_frame_path(nscc::rt::Network::kSp2Switch);
+  expect_frame_path(run, {200543900, 210, 11, 1, 0, 0x7f3f38854a9252cfULL,
+                          0x60a47014a21e5eb3ULL});
 }
 
 // ---------------------------------------------------------------------------

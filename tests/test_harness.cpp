@@ -9,6 +9,7 @@
 // behaviour, not just its packaging.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -425,6 +426,27 @@ TEST(DriverObservers, SanitizeTrackLeavesEveryRunStatUnchanged) {
   }
 }
 
+// A section without a Global_Read row still gets the observers: its last
+// row is traced.  Observing never changes what the driver prints.
+TEST(DriverObservers, SectionWithoutGlobalReadRowIsObserved) {
+  const std::string path = testing::TempDir() + "sync_only_trace.json";
+  std::remove(path.c_str());
+  const auto stdout_of = [](std::vector<std::string> args) {
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(drive("solver.jacobi", std::move(args)), 0);
+    return testing::internal::GetCapturedStdout();
+  };
+  const std::string plain = stdout_of({"--grid=8", "--variants=sync,async"});
+  const std::string traced = stdout_of(
+      {"--grid=8", "--variants=sync,async", "--trace-out=" + path});
+  EXPECT_EQ(plain, traced);
+  std::ifstream file(path);
+  ASSERT_TRUE(file.good()) << "no trace written to " << path;
+  std::stringstream text;
+  text << file.rdbuf();
+  EXPECT_TRUE(util::json::parse(text.str()).has_value()) << path;
+}
+
 // A stateful crash wedges the barrier-based variant whatever the recovery
 // policy, so only a run without one is told to rerun with one.
 TEST(DriverExit, DeadlockHintMatchesTheRecoveryPolicy) {
@@ -615,6 +637,36 @@ TEST(DriverScenario, OverridesReachTheWorkloadsRunConfig) {
 }
 
 // ---- Problem sizes each workload cannot run exit 1 at parse time ----------
+
+// The background loader drives the shared bus, which SP2 traffic never
+// crosses: a loaded row on the switch is refused before any row runs
+// instead of printing the unloaded numbers under a load label.
+TEST(DriverValidation, BackgroundLoadOnTheSwitchExitsBeforeAnyRow) {
+  RecordingWorkload& w = RecordingWorkload::instance();
+  harness::Section section;
+  section.scenarios = [](const util::Flags&, const std::vector<harness::Row>&) {
+    return harness::load_scenarios({0.0, 2.0});
+  };
+  harness::DriveOptions options;
+  options.sections = {section};
+  for (const std::string network : {"sp2", "ethernet,sp2"}) {
+    w.runs.clear();
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(drive(w.name(), {"--variants=partial", "--network=" + network},
+                    &options),
+              1)
+        << network;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(w.runs.empty()) << network;
+    EXPECT_NE(err.find("background load (2.0 Mbps) needs --network=ethernet"),
+              std::string::npos)
+        << err;
+  }
+  w.runs.clear();
+  ASSERT_EQ(drive(w.name(), {"--variants=partial"}, &options), 0);
+  ASSERT_EQ(w.runs.size(), 2u);
+  EXPECT_EQ(w.runs[1].loader_offered_bps, 2e6);
+}
 
 TEST(DriverValidation, GaIslandRejectsUnrunnableSizes) {
   EXPECT_EQ(drive("ga.island", {"--demes=0"}), 1);

@@ -259,6 +259,36 @@ TEST(Recovery, CheckpointCostIsChargedInVirtualTime) {
   EXPECT_EQ(total, loop_work + coord.stats().checkpoint_cost);
 }
 
+// A crash window far longer than the stall limit (200 heartbeat ticks,
+// 10 s) with the survivor blocked on the victim throughout: the detector
+// must still be running after the rejoin, so a second crash is detected
+// as well.
+TEST(Recovery, SecondCrashAfterALongWindowIsDetected) {
+  MachineConfig config;
+  config.ntasks = 2;
+  config.transport.enabled = true;
+  config.fault.crash_semantics = CrashSemantics::kStateful;
+  config.fault.nodes[1].crashes = {Window{seconds(1.0), seconds(31.0)},
+                                   Window{seconds(32.0), seconds(33.0)}};
+  VirtualMachine vm(config);
+  nscc::recovery::Config cfg;
+  cfg.policy = Policy::kRejoin;
+  cfg.checkpoint_interval = 0;
+  nscc::recovery::Coordinator coord(vm, cfg);
+  vm.add_task("waiter", [](Task& task) { (void)task.recv(8); });
+  vm.add_task("worker", [](Task& task) {
+    for (int i = 0; i < 20; ++i) task.compute(100 * kMillisecond);
+    task.send(0, 8, Packet{});
+  });
+  const Time end = vm.run();
+  EXPECT_FALSE(vm.deadlocked());
+  EXPECT_GE(end, seconds(35.0));
+  EXPECT_EQ(coord.stats().crashes, 2u);
+  EXPECT_EQ(coord.stats().rejoins, 2u);
+  EXPECT_EQ(coord.stats().suspected, 2u)
+      << "the crash after the rejoin went undetected";
+}
+
 TEST(Recovery, CrashRecoveryRunsAreDeterministic) {
   const RunConfig run = recovery_run(Policy::kRejoin, 10, 5, 0.1);
   const FaultPlan plan = crash_plan(1.0, 0.1, 1);
