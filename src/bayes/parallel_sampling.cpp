@@ -220,8 +220,7 @@ ParallelInferenceResult run_parallel_logic_sampling(
         return -1;
       };
 
-      dsm::SharedSpace space(
-          task, harness::make_policy(config, {.recovery = rc, .self = me}));
+      dsm::SharedSpace space(task, harness::make_policy(config, {}));
       for (int k = 0; k <= max_phase; ++k) {
         if (live(me, k)) space.declare_written(block_loc(me, k), all_others);
       }

@@ -54,6 +54,7 @@ SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
   model_->shape(policy_);
   park_updates_ = !model_->visible_on_arrival();
   stamp_updates_ = model_->stamps_updates();
+  membership_ = task.vm().membership();
   obs::Hub& hub = task.vm().obs();
   // The registry exists whether or not the hub is actively tracing; the
   // staleness histograms are the canonical accounting (DsmStats reads the
@@ -629,16 +630,17 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
     // As long as the writer keeps iterating (or can serve the demand), the
     // read terminates with probability 1 at any loss rate < 1.
     //
-    // Membership-aware wait: with a writer_alive probe installed, the wait
-    // is subdivided into liveness_poll quanta so a writer declared dead
+    // Membership-aware wait: on a machine with a membership view, the wait
+    // is subdivided into kLivenessPoll quanta so a writer declared dead
     // unblocks the reader with the freshest local copy, flagged degraded.
-    const bool degradable = static_cast<bool>(policy_.writer_alive);
-    const bool quorum_gated = static_cast<bool>(policy_.in_quorum);
+    const bool quorum_gated =
+        membership_ != nullptr && membership_->partitioned();
     sim::Time no_quorum_since = 0;  // 0 = currently in quorum.
     sim::Time budget = policy_.read_timeout;
     sim::Time remaining = budget;
     while (!model_->admit(loc, curr_iter, age, meta_of(v))) {
-      if (degradable && l.writer >= 0 && !policy_.writer_alive(l.writer)) {
+      if (membership_ != nullptr && l.writer >= 0 &&
+          !membership_->alive(task_.id(), l.writer)) {
         v.degraded = true;
         degraded_here = true;
         ++stats_.degraded_reads;
@@ -650,15 +652,15 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
         break;
       }
       // Minority-side divergence bound: out of quorum the writer is only
-      // *suspected* (never declared dead), so the probe above stays true
-      // and the read would otherwise block to the horizon.  After one
-      // liveness_poll of continuous quorum loss, serve the freshest valid
+      // *suspected* (never declared dead), so the check above passes and
+      // the read would otherwise block to the horizon.  After one
+      // kLivenessPoll of continuous quorum loss, serve the freshest valid
       // copy stale instead — bounded divergence rather than stalling the
       // whole minority island.
-      if (quorum_gated && v.valid && !policy_.in_quorum()) {
+      if (quorum_gated && v.valid && !membership_->in_quorum(task_.id())) {
         if (no_quorum_since == 0) {
           no_quorum_since = task_.now();
-        } else if (task_.now() - no_quorum_since >= policy_.liveness_poll) {
+        } else if (task_.now() - no_quorum_since >= kLivenessPoll) {
           v.degraded = true;
           degraded_here = true;
           ++stats_.partition_stale_served;
@@ -673,11 +675,12 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
         no_quorum_since = 0;
       }
       sim::Time quantum = remaining;
-      if (!quorum_gated && policy_.detecting && !policy_.detecting()) {
+      if (membership_ != nullptr && !quorum_gated &&
+          !membership_->detecting()) {
         quantum = 0;  // Wedged: wait with no timer so the queue can drain.
-      } else if (degradable || quorum_gated) {
-        quantum = quantum > 0 ? std::min(quantum, policy_.liveness_poll)
-                              : policy_.liveness_poll;
+      } else if (membership_ != nullptr) {
+        quantum = quantum > 0 ? std::min(quantum, kLivenessPoll)
+                              : kLivenessPoll;
       }
       if (quantum <= 0) {
         rt::Message msg = task_.recv(rt::kDsmUpdateTag);

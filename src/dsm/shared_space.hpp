@@ -26,6 +26,10 @@
 // PropagationPolicy::consistency selects among the registered models
 // (regional fences, release/acquire visibility, eventual) with "nonstrict"
 // — the paper's rule — as the byte-identical default.
+//
+// A blocked Global_Read asks the machine's rt::Membership, when it has one,
+// whether the writer is still there: a dead writer is an infinitely stale
+// one, and a reader out of quorum serves stale copies as tracked divergence.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +66,10 @@ enum class Mode { kSynchronous, kAsynchronous, kPartialAsync };
 /// shows) that waiting generates fewer messages.
 enum class GlobalReadImpl { kWait, kRequest };
 
+/// How often a blocked Global_Read re-checks the machine's membership
+/// (rt::Membership): a dead writer, or quorum loss on a partitioned run.
+inline constexpr sim::Time kLivenessPoll = 10 * sim::kMillisecond;
+
 struct PropagationPolicy {
   /// When true, at most one update per (location, reader) is in flight;
   /// writes that arrive meanwhile replace the pending value (newest wins).
@@ -81,36 +89,6 @@ struct PropagationPolicy {
   /// every update semantically load-bearing.  Asynchronous modes leave it
   /// off and lean on staleness tolerance instead.
   bool reliable_updates = false;
-  /// Membership probe from the recovery subsystem's failure detector.  When
-  /// set, a blocked Global_Read polls it (every liveness_poll of wait) and,
-  /// if the location's writer has been declared dead, gives up waiting and
-  /// returns the freshest local copy with Value::degraded set — the paper's
-  /// kWait escalated to "last known value + staleness flag" so survivors
-  /// run in degraded mode instead of blocking on a corpse.  Null (default)
-  /// = everyone is presumed alive, byte-identical to the pre-recovery wait.
-  std::function<bool(int)> writer_alive;
-  /// How often a blocked read re-checks writer_alive.
-  sim::Time liveness_poll = 10 * sim::kMillisecond;
-  /// Whether the failure detector behind writer_alive can still change
-  /// anything.  Once it returns false (recovery::Coordinator::detecting:
-  /// the run is wedged for good), a blocked read that is not quorum-gated
-  /// arms no timer at all, neither liveness poll nor watchdog: it waits
-  /// for an update like an untimed read, so the event queue can drain and
-  /// the engine reports the blocked processes instead of polling to the
-  /// horizon.  Quorum-gated reads keep polling, since their minority
-  /// stale-serve runs on the poll's clock.  Null = always true.
-  std::function<bool()> detecting;
-  /// Quorum probe from the recovery subsystem for THIS node's membership
-  /// view.  When set and returning false, the node sits on the minority
-  /// side of a partition: a blocked Global_Read that stays out of quorum
-  /// for one liveness_poll serves the freshest *valid* local copy
-  /// with Value::degraded set (counted as partition_stale_served) instead
-  /// of blocking to the horizon — the paper's age knob acting as a
-  /// divergence bound during the split.  Null = always in quorum.
-  /// Setting this (or partition_heal) also turns on divergence tracking:
-  /// every degraded serve marks its location diverged until an update
-  /// reaching the needed iteration reconciles it.
-  std::function<bool()> in_quorum;
   /// Anti-entropy heal: at the end of every scheduled partition/blackhole
   /// window in the machine's fault plan, re-publish each valid written
   /// location to all its readers over the reliable channel (engine
@@ -290,10 +268,11 @@ class SharedSpace {
                    std::uint64_t flow = 0);
   void on_update_settled(LocationId loc, int reader, bool delivered);
   void send_demand(LocationId loc, int writer, Iteration need);
-  /// Divergence bookkeeping: active when the policy carries a quorum probe
-  /// or partition healing (i.e. the run can actually split).
+  /// Divergence bookkeeping: active with partition healing or per-node
+  /// membership views (i.e. the run can actually split).
   [[nodiscard]] bool tracks_divergence() const noexcept {
-    return policy_.partition_heal || static_cast<bool>(policy_.in_quorum);
+    return policy_.partition_heal ||
+           (membership_ != nullptr && membership_->partitioned());
   }
   void mark_diverged(Location& l, Iteration need);
   void maybe_reconcile(LocationId loc, Location& l, Iteration iteration);
@@ -310,6 +289,9 @@ class SharedSpace {
 
   rt::Task& task_;
   PropagationPolicy policy_;
+  /// The machine's membership view, read once at construction; null = every
+  /// writer is presumed alive and blocked reads wait like the paper's.
+  const rt::Membership* membership_ = nullptr;
   /// The consistency model governing this space (never null): admission,
   /// visibility, and ordering are delegated here; policy_.consistency
   /// names it and the registry built it.

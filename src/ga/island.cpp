@@ -42,15 +42,12 @@ IslandResult run_island_ga(const IslandConfig& config,
       util::Xoshiro256 jitter_rng = task.rng().split(0xba5e);
 
       // The deme honours the run's full policy and adds the sync
-      // reliable-updates rule plus the recovery wiring — all via the
-      // shared harness mapping.
+      // reliable-updates rule, via the shared harness mapping.
       recovery::Coordinator* rc = cluster.recovery();
       dsm::PropagationPolicy prop = harness::make_policy(
           config, {.full = true,
                    .sync_reliable_updates = true,
-                   .transport_enabled = task.vm().config().transport.enabled,
-                   .recovery = rc,
-                   .self = d});
+                   .transport_enabled = task.vm().config().transport.enabled});
       dsm::SharedSpace space(task, prop);
       std::vector<int> readers;
       for (int r = 0; r < config.ndemes; ++r) {

@@ -177,7 +177,7 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
         [](const auto& node) { return !node.second.crashes.empty(); });
     rows.push_back({job.scenario->label, job.scenario->params, *job.variant,
                     *job.model, machine.network, job.scenario->may_deadlock,
-                    plan.partitionable(), crash_planned, run.recovery.policy,
+                    plan.partitionable(), crash_planned, run.recovery,
                     setup.workload->run(run, machine)});
     note_unreached_crashes(rows.back(), plan);
   }
@@ -524,7 +524,7 @@ int drive(int argc, char** argv, const DriveOptions& options) {
         // wedged the run.  A recovery policy arms the watchdog too
         // (harness::make_policy).
         if (base.propagation.read_timeout > 0 ||
-            row.recovery != recovery::Policy::kNone) {
+            row.recovery.enabled()) {
           std::cerr << "frames were lost even with the Global_Read "
                        "watchdog on (--read-timeout-ms)\n";
         } else {
@@ -532,13 +532,13 @@ int drive(int argc, char** argv, const DriveOptions& options) {
                        "armed; rerun with --read-timeout-ms to re-demand "
                        "lost updates\n";
         }
-      } else if (row.recovery == recovery::Policy::kNone) {
+      } else if (!row.recovery.enabled()) {
         std::cerr << "rerun with --recovery=degraded or --recovery=rejoin to "
                      "survive crash faults\n";
       } else {
         std::cerr << "a barrier-based variant cannot survive the crash, "
                      "even under --recovery="
-                  << recovery::policy_name(row.recovery) << '\n';
+                  << recovery::policy_name(row.recovery.policy) << '\n';
       }
       return 3;
     }
@@ -559,23 +559,40 @@ int drive(int argc, char** argv, const DriveOptions& options) {
   // A partitioned run split-brains when both sides declared each other dead
   // (mutual dead declarations — the quorum gate's job to prevent) or when
   // diverged locations were never reconciled (anti-entropy heal's job).
-  // This is the demonstrable failure mode of --quorum=0 --heal=false; the
-  // quorum-gated + healed configuration must never reach it.
+  // This is the demonstrable failure mode of --quorum=0 --heal=false.  The
+  // advice names what the first such row lacked; a row that had both a
+  // majority quorum and the heal is named as a failure of them.
   std::uint64_t diverged = 0;
   std::uint64_t reconciled = 0;
   std::uint64_t split_brains = 0;
+  const Row* split = nullptr;
   for (const auto& row : rows) {
     if (!row.partitioned) continue;
     diverged += row.stats.diverged_locations;
     reconciled += row.stats.reconciled_locations;
     split_brains += row.stats.split_brain_declarations;
+    if (split == nullptr && (row.stats.split_brain_declarations > 0 ||
+                             row.stats.diverged_locations >
+                                 row.stats.reconciled_locations)) {
+      split = &row;
+    }
   }
-  if (split_brains > 0 || diverged > reconciled) {
+  if (split != nullptr) {
     std::cerr << "harness: split-brain — " << split_brains
               << " mutual dead declaration(s), " << (diverged - reconciled)
-              << " diverged location(s) never reconciled; rerun with a "
-                 "majority --quorum to gate dead declarations and --heal "
-                 "to merge divergent histories\n";
+              << " diverged location(s) never reconciled; ";
+    const bool majority = split->recovery.quorum_fraction > 0.5;
+    if (majority && setup.heal) {
+      std::cerr << "the quorum-gated, healed row '" << split->label()
+                << "' still diverged\n";
+    } else {
+      std::cerr << "rerun with "
+                << (majority ? "" : "a majority --quorum to gate dead "
+                                    "declarations")
+                << (majority || setup.heal ? "" : " and ")
+                << (setup.heal ? "" : "--heal to merge divergent histories")
+                << '\n';
+    }
     return 5;
   }
   return 0;

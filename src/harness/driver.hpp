@@ -56,7 +56,7 @@ struct Row {
   bool may_deadlock = false;
   bool partitioned = false;  ///< The row's fault plan could split the cluster.
   bool crash_planned = false;  ///< The row's fault plan crashes a node.
-  recovery::Policy recovery = recovery::Policy::kNone;  ///< The row's policy.
+  recovery::Config recovery;  ///< The row's recovery policy and quorum.
   RunStats stats;
 
   /// "[scenario ]network consistency variant", as notes and epilogues

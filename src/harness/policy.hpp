@@ -1,17 +1,14 @@
 // The one Mode → PropagationPolicy mapping every workload used to
 // hand-roll: which RunConfig::propagation fields a task's SharedSpace
-// lifts, the synchronous-mode reliable-updates rule, and the recovery
-// wiring (membership probes + the rejoin watchdog floor).  Deduplicated
-// here so the consistency-model choice — and any future policy knob —
-// threads through all four applications from a single place.
+// lifts, the synchronous-mode reliable-updates rule, and the watchdog
+// floor a recovery policy needs.  Deduplicated here so the
+// consistency-model choice — and any future policy knob — threads through
+// all four applications from a single place.  Membership is not a policy
+// knob: a SharedSpace reads it from its machine (rt::Membership).
 #pragma once
 
 #include "dsm/shared_space.hpp"
 #include "harness/run_config.hpp"
-
-namespace nscc::recovery {
-class Coordinator;
-}  // namespace nscc::recovery
 
 namespace nscc::harness {
 
@@ -29,10 +26,6 @@ struct PolicyOptions {
   /// transport availability in `transport_enabled`.
   bool sync_reliable_updates = false;
   bool transport_enabled = false;
-  /// Recovery coordinator (null = no failure-detector wiring) and the node
-  /// id whose membership view the policy's probes should use.
-  recovery::Coordinator* recovery = nullptr;
-  int self = -1;
 };
 
 /// Build the task-level propagation policy for one node of a workload.

@@ -32,7 +32,8 @@ struct RunConfig {
   /// Update-propagation policy.  harness::make_policy decides what each
   /// workload lifts: every workload takes read_timeout, partition_heal
   /// and consistency; the solver adds coalesce; the GA takes the whole
-  /// policy.
+  /// policy.  Membership is the machine's (rt::Membership), not a policy
+  /// field.
   dsm::PropagationPolicy propagation;
   /// Background-load payload bits per second on the interconnect (0 = none).
   double loader_offered_bps = 0.0;

@@ -98,8 +98,8 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
   // ---- parameter server -------------------------------------------------------
   vm.add_task("server", [&](rt::Task& task) {
     Mlp net(config.layers, config.seed);
-    // The server publishes to everyone and blocks on no one, so it skips
-    // the recovery wiring (and its watchdog floor) entirely.
+    // The server publishes to everyone and never reads its space, so the
+    // machine's membership and the watchdog floor leave it unchanged.
     dsm::SharedSpace space(task, harness::make_policy(config, {}));
     std::vector<int> readers;
     for (int w = 1; w <= P; ++w) readers.push_back(w);
@@ -173,31 +173,24 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
     };
 
     while (min_applied() < config.steps) {
-      std::optional<rt::Message> maybe;
-      // Poll membership while the failure detector runs; once it has
-      // stopped on a wedged run, nothing can change, so wait untimed and
-      // let the queue drain into the engine's deadlock report.
-      if (rc != nullptr && rc->detecting()) {
-        maybe = task.recv_timeout(kGradientTag,
-                                  rc->config().heartbeat_interval);
-        if (!maybe) {
-          // No gradient this interval — membership may have changed.  The
-          // published round is the min over *alive* workers, so a death can
-          // advance it even with no new gradient; republishing here is what
-          // unblocks survivors whose Global_Read was waiting on the dead
-          // worker's frontier.
-          if (config.mode != dsm::Mode::kSynchronous) {
-            const int m = min_applied();
-            if (m != std::numeric_limits<int>::max() &&
-                static_cast<dsm::Iteration>(m) > published_round) {
-              published_round = static_cast<dsm::Iteration>(m);
-              publish(published_round);
-            }
+      std::optional<rt::Message> maybe =
+          rc != nullptr ? rc->receive(task, kGradientTag)
+                        : task.recv(kGradientTag);
+      if (!maybe) {
+        // No gradient this interval — membership may have changed.  The
+        // published round is the min over *alive* workers, so a death can
+        // advance it even with no new gradient; republishing here is what
+        // unblocks survivors whose Global_Read was waiting on the dead
+        // worker's frontier.
+        if (config.mode != dsm::Mode::kSynchronous) {
+          const int m = min_applied();
+          if (m != std::numeric_limits<int>::max() &&
+              static_cast<dsm::Iteration>(m) > published_round) {
+            published_round = static_cast<dsm::Iteration>(m);
+            publish(published_round);
           }
-          continue;
         }
-      } else {
-        maybe = task.recv(kGradientTag);
+        continue;
       }
       rt::Message msg = std::move(*maybe);
       const int step = msg.payload.unpack_i32();
@@ -262,8 +255,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
   for (int w = 1; w <= P; ++w) {
     vm.add_task("worker" + std::to_string(w), [&, w](rt::Task& task) {
       Mlp net(config.layers, config.seed);
-      dsm::SharedSpace space(
-          task, harness::make_policy(config, {.recovery = rc, .self = w}));
+      dsm::SharedSpace space(task, harness::make_policy(config, {}));
       space.declare_read(kParamsLoc, 0);
       util::Xoshiro256 jitter_rng = task.rng().split(0xba5e);
       const double my_speed = cluster.speed(w);

@@ -33,8 +33,7 @@ Coordinator::Coordinator(rt::VirtualMachine& vm, Config cfg)
   per_node_ = cfg_.quorum_fraction > 0.0 || vm_.config().fault.partitionable();
   vm_.add_start_hook([this] { on_start(); });
   vm_.add_flush_hook([this] { flush_obs(); });
-  vm_.set_link_failure_hook(
-      [this](int src, int dst) { on_link_failure(src, dst); });
+  vm_.set_membership(this);
 }
 
 void Coordinator::on_start() {
@@ -140,6 +139,12 @@ bool Coordinator::detecting() const {
   return !gave_up_ ||
          vm_.engine().now() < vm_.config().fault.last_window_end() ||
          compute_fingerprint() != last_fingerprint_;
+}
+
+std::optional<rt::Message> Coordinator::receive(rt::Task& task,
+                                                int tag) const {
+  if (!detecting()) return task.recv(tag);
+  return task.recv_timeout(tag, cfg_.heartbeat_interval);
 }
 
 void Coordinator::tick() {

@@ -14,8 +14,10 @@
 //   * Failure detection — every live node emits heartbeats over the rt
 //     reliable channel; a simplified phi-accrual detector (fixed expected
 //     inter-arrival, threshold measured in intervals of silence) drives an
-//     epoch-stamped membership view shared with the DSM so readers stop
-//     blocking Global_Read on dead producers and run degraded instead.
+//     epoch-stamped membership view.  The Coordinator is the machine's one
+//     rt::Membership: the DSM asks it so readers stop blocking Global_Read
+//     on dead producers and run degraded instead, the transport reports
+//     abandoned links to it, and app-level waits poll it via receive().
 //   * Rejoin — with Policy::kRejoin a killed task is respawned at the end
 //     of its crash window; its body restores the last checkpoint (restore
 //     cost charged), re-announces with a bumped epoch, and catches up
@@ -36,14 +38,9 @@
 #include <vector>
 
 #include "rt/packet.hpp"
+#include "rt/vm.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/time.hpp"
-
-namespace nscc::rt {
-class Task;
-class VirtualMachine;
-struct Message;
-}  // namespace nscc::rt
 
 namespace nscc::recovery {
 
@@ -148,10 +145,12 @@ struct Stats {
 
 /// Machine-level recovery coordinator: failure detector, checkpoint store,
 /// and rejoin scheduler.  Construct after the VM (before run()); it hooks
-/// the VM start to install heartbeat handlers and its detector tick.
-class Coordinator {
+/// the VM start to install heartbeat handlers and its detector tick, and
+/// is the VM's rt::Membership until it is destroyed.
+class Coordinator final : public rt::Membership {
  public:
   Coordinator(rt::VirtualMachine& vm, Config cfg);
+  ~Coordinator() { vm_.set_membership(nullptr); }
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -183,27 +182,32 @@ class Coordinator {
   /// suspected-but-not-declared peer is still alive here — minority-side
   /// observers park in that state, so they degrade instead of declaring.
   /// Falls back to the global view outside per-node mode.
-  [[nodiscard]] bool alive(int observer, int node) const;
+  [[nodiscard]] bool alive(int observer, int node) const override;
 
   /// Does `observer` currently hear a quorum of the cluster (self
   /// included)?  Always true when the quorum gate is off.
-  [[nodiscard]] bool in_quorum(int observer) const;
+  [[nodiscard]] bool in_quorum(int observer) const override;
 
   /// False once the run is wedged for good: the detector has stopped
   /// (kStallTicksLimit ticks without compute progress), every scheduled
   /// fault window has ended and no task has computed since.  No heartbeat
   /// is sent and no scheduled fault is left to change membership, so a
   /// blocked wait has nothing left to poll for.
-  [[nodiscard]] bool detecting() const;
+  [[nodiscard]] bool detecting() const override;
 
   /// True when the coordinator runs per-node membership views (quorum
   /// gate on, or the fault plan schedules partitions/blackholes).
-  [[nodiscard]] bool partitioned() const noexcept { return per_node_; }
+  [[nodiscard]] bool partitioned() const noexcept override { return per_node_; }
 
   /// Transport-level link failure (reliable retransmit exhausted): the
-  /// sender stops trusting the link and suspects the peer.  Registered as
-  /// the VM's link-failure hook.
-  void on_link_failure(int src, int dst);
+  /// sender stops trusting the link and suspects the peer.
+  void on_link_failure(int src, int dst) override;
+
+  /// Task context: the next message tagged `tag`, for a wait that re-checks
+  /// membership on nullopt.  Waits at most one heartbeat interval while
+  /// detecting(), untimed once the run is wedged, so the event queue can
+  /// drain into the engine's deadlock report.
+  std::optional<rt::Message> receive(rt::Task& task, int tag) const;
 
   /// Latest epoch heard from the node (0 before any restart).
   [[nodiscard]] std::uint64_t epoch(int node) const;

@@ -466,7 +466,9 @@ void VirtualMachine::arm_retx_timer(const TxRef& st) {
           obs_.tracer().instant(st->msg.src, "rt.retx_abandon", engine_.now(),
                                 "dst", st->dst, "seq",
                                 static_cast<std::int64_t>(st->msg.seq));
-          if (link_failure_hook_) link_failure_hook_(st->msg.src, st->dst);
+          if (membership_ != nullptr) {
+            membership_->on_link_failure(st->msg.src, st->dst);
+          }
           settle(st, false);
           return;
         }

@@ -125,6 +125,29 @@ struct TaskStats {
 
 class VirtualMachine;
 
+/// The machine's membership view: the one seam through which the DSM and
+/// the transport ask whether a peer is still there.  recovery::Coordinator
+/// implements it; a machine without one presumes every task alive.
+class Membership {
+ public:
+  /// Does `observer` consider `node` not dead?
+  [[nodiscard]] virtual bool alive(int observer, int node) const = 0;
+  /// Does `observer` hear a quorum of the cluster (self included)?
+  [[nodiscard]] virtual bool in_quorum(int observer) const = 0;
+  /// True when each node keeps its own view, so a partition can split the
+  /// membership: blocked reads are then quorum-gated.
+  [[nodiscard]] virtual bool partitioned() const = 0;
+  /// False once nothing left can change the membership (a wedged run):
+  /// blocked waits stop polling so the event queue can drain.
+  [[nodiscard]] virtual bool detecting() const = 0;
+  /// Engine context: the reliable transport exhausted its retransmit
+  /// budget on one message from `src` to `dst`.
+  virtual void on_link_failure(int src, int dst) = 0;
+
+ protected:
+  ~Membership() = default;  // A machine never owns its membership.
+};
+
 /// Handle passed to a task body; all members must be called from within the
 /// task's own process unless noted.
 class Task {
@@ -282,13 +305,13 @@ class VirtualMachine {
     flush_hooks_.push_back(std::move(hook));
   }
 
-  /// Called in engine context when the reliable transport exhausts its
-  /// retransmit budget on one message — (src, dst) of the abandoned link.
-  /// The recovery coordinator registers itself here so a give-up is a
-  /// membership signal instead of a silent counter bump.
-  void set_link_failure_hook(std::function<void(int, int)> hook) {
-    link_failure_hook_ = std::move(hook);
+  /// The machine's membership view; null (the default) presumes every task
+  /// alive.  The recovery coordinator installs itself here, so an abandoned
+  /// retransmission is a membership signal, not a silent counter bump.
+  void set_membership(Membership* membership) noexcept {
+    membership_ = membership;
   }
+  [[nodiscard]] Membership* membership() const noexcept { return membership_; }
 
   [[nodiscard]] int size() const noexcept { return config_.ntasks; }
   [[nodiscard]] Task& task(int id) { return *tasks_.at(id); }
@@ -439,7 +462,7 @@ class VirtualMachine {
   std::vector<std::pair<std::string, std::function<void(Task&)>>> bodies_;
   std::vector<std::function<void()>> start_hooks_;
   std::vector<std::function<void()>> flush_hooks_;
-  std::function<void(int, int)> link_failure_hook_;
+  Membership* membership_ = nullptr;
 };
 
 inline VirtualMachine::TxRef::~TxRef() {

@@ -120,9 +120,8 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
       const int hi = starts[static_cast<std::size_t>(me) + 1];
 
       recovery::Coordinator* rc = cluster.recovery();
-      dsm::SharedSpace space(
-          task, harness::make_policy(
-                    config, {.coalesce = true, .recovery = rc, .self = me}));
+      dsm::SharedSpace space(task,
+                             harness::make_policy(config, {.coalesce = true}));
       space.declare_written(block_loc(me), readers[static_cast<std::size_t>(me)]);
       for (int src : imports[static_cast<std::size_t>(me)]) {
         space.declare_read(block_loc(src), src);
@@ -182,13 +181,7 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
                 }
               }
               if (!need) break;
-              // Poll membership while the failure detector runs; once it
-              // has stopped on a wedged run, wait untimed so the queue can
-              // drain into the engine's deadlock report.
-              auto msg = rc->detecting()
-                             ? task.recv_timeout(kResidualTag,
-                                                 rc->config().heartbeat_interval)
-                             : std::optional(task.recv(kResidualTag));
+              auto msg = rc->receive(task, kResidualTag);
               if (!msg) continue;  // Re-evaluate membership.
               rt::Packet pl = msg->payload;
               const int sender = pl.unpack_i32();

@@ -495,6 +495,42 @@ TEST(DriverExit, DeadlockHintMatchesTheRecoveryPolicy) {
   }
 }
 
+// The split-brain exit names only what the split row lacked: a run without
+// a quorum gate or heal is told to add them, and a quorum-gated, healed run
+// that still diverged is named as such.
+TEST(DriverExit, SplitBrainHintNamesWhatWasMissing) {
+  const auto split_brain_stderr = [](const std::string& workload,
+                                     std::vector<std::string> args) {
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(drive(workload, std::move(args)), 5) << workload;
+    (void)testing::internal::GetCapturedStdout();
+    return testing::internal::GetCapturedStderr();
+  };
+  const std::string rerun =
+      "rerun with a majority --quorum to gate dead declarations and --heal "
+      "to merge divergent histories";
+
+  const std::string healed = split_brain_stderr(
+      "solver.jacobi",
+      {"--variants=partial", "--age=10", "--grid=24", "--seed=5",
+       "--partition-at=0.05:0.6:0,1|2,3", "--quorum=0.6",
+       "--recovery=degraded", "--checkpoint-interval=0.1"});
+  EXPECT_EQ(healed.find("rerun with"), std::string::npos) << healed;
+  EXPECT_NE(healed.find("the quorum-gated, healed row 'ethernet nonstrict "
+                        "Global_Read(10)' still diverged"),
+            std::string::npos)
+      << healed;
+
+  const std::string ungated = split_brain_stderr(
+      "ga.island",
+      {"--variants=partial", "--age=4", "--function=1", "--demes=4",
+       "--generations=40", "--seed=7", "--partition-at=0.05:0.6:0,1|2,3",
+       "--quorum=0", "--heal=false", "--recovery=degraded",
+       "--checkpoint-interval=0.1"});
+  EXPECT_NE(ungated.find(rerun), std::string::npos) << ungated;
+}
+
 // The failure detector gives up after ten seconds without compute, here
 // while node 1 is still down.  Blocked reads must keep their watchdog
 // until the crash window ends: the rejoined node refills its cache only

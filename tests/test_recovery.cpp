@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "harness/driver.hpp"
 #include "harness/run_config.hpp"
 #include "harness/workloads.hpp"
 #include "recovery/recovery.hpp"
@@ -443,6 +446,223 @@ TEST(SeqTracker, OutOfOrderWindowDeduplicatesExactly) {
   for (const auto seq : window) EXPECT_FALSE(tracker.fresh(seq));
   EXPECT_EQ(tracker.floor(), 8u);
   EXPECT_EQ(tracker.pending(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Membership pins: the CI crash-recovery and partition cells, driven through
+// the same flags and defaults as the example binaries, captured before the
+// membership seam moved from per-space probes to the machine.  Every number
+// a blocked read's membership checks can move is pinned, plus a hash of the
+// whole RunStats row.
+// ---------------------------------------------------------------------------
+
+struct MembershipPin {
+  int exit_code;
+  Time completion_time;
+  std::uint64_t messages_sent;
+  std::uint64_t frames_lost;
+  std::uint64_t retransmissions;
+  std::uint64_t degraded_reads;
+  std::uint64_t partition_stale_served;
+  std::uint64_t diverged_locations;
+  std::uint64_t reconciled_locations;
+  std::uint64_t split_brain_declarations;
+  std::uint64_t stats_hash;  ///< FNV-1a over RunStats::to_fields().
+};
+
+std::uint64_t hash_fields(const RunStats& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& [name, value] : s.to_fields()) {
+    mix(name.data(), name.size());
+    mix(&value, sizeof value);
+  }
+  return h;
+}
+
+/// Drive `workload` with the example binary's seed (and network) default
+/// and `args`, silently, and check its one row and exit code against `want`.
+void expect_membership_pin(const std::string& workload,
+                           std::map<std::string, std::string> defaults,
+                           std::vector<std::string> args,
+                           const MembershipPin& want) {
+  std::vector<nscc::harness::Row> rows;
+  nscc::harness::DriveOptions options;
+  options.workload = workload;
+  options.flag_defaults = std::move(defaults);
+  options.epilogue = "-";
+  options.epilogue_check = [&rows](const std::vector<nscc::harness::Row>& r) {
+    rows = r;
+    return std::string{};
+  };
+  args.insert(args.begin(), "test");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = nscc::harness::drive(static_cast<int>(argv.size()),
+                                      argv.data(), options);
+  (void)testing::internal::GetCapturedStdout();
+  (void)testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, want.exit_code);
+  ASSERT_EQ(rows.size(), 1u);
+  const RunStats& s = rows[0].stats;
+  EXPECT_EQ(s.completion_time, want.completion_time);
+  EXPECT_EQ(s.messages_sent, want.messages_sent);
+  EXPECT_EQ(s.frames_lost, want.frames_lost);
+  EXPECT_EQ(s.retransmissions, want.retransmissions);
+  EXPECT_EQ(s.degraded_reads, want.degraded_reads);
+  EXPECT_EQ(s.partition_stale_served, want.partition_stale_served);
+  EXPECT_EQ(s.diverged_locations, want.diverged_locations);
+  EXPECT_EQ(s.reconciled_locations, want.reconciled_locations);
+  EXPECT_EQ(s.split_brain_declarations, want.split_brain_declarations);
+  EXPECT_EQ(hash_fields(s), want.stats_hash) << std::hex << hash_fields(s);
+}
+
+const std::vector<std::string> kGaCell = {
+    "--variants=partial", "--function=1", "--demes=4", "--generations=40"};
+const std::vector<std::string> kJacobiCell = {"--variants=partial",
+                                              "--grid=24"};
+const std::vector<std::string> kNnCell = {"--variants=partial", "--age=2"};
+const std::vector<std::string> kBayesCell = {"--variants=partial",
+                                             "--age=10"};
+
+std::vector<std::string> with(std::vector<std::string> base,
+                              const std::vector<std::string>& more) {
+  base.insert(base.end(), more.begin(), more.end());
+  return base;
+}
+
+void expect_ga_pin(const std::vector<std::string>& extra,
+                   const MembershipPin& want) {
+  expect_membership_pin("ga.island", {{"seed", "7"}}, with(kGaCell, extra),
+                        want);
+}
+
+void expect_jacobi_pin(const std::vector<std::string>& extra,
+                       const MembershipPin& want) {
+  expect_membership_pin("solver.jacobi", {{"seed", "5"}},
+                        with(kJacobiCell, extra), want);
+}
+
+void expect_nn_pin(const std::vector<std::string>& extra,
+                   const MembershipPin& want) {
+  expect_membership_pin("nn.train", {{"network", "sp2"}, {"seed", "7"}},
+                        with(kNnCell, extra), want);
+}
+
+void expect_bayes_pin(const std::vector<std::string>& extra,
+                      const MembershipPin& want) {
+  expect_membership_pin("bayes.sampling", {{"seed", "11"}},
+                        with(kBayesCell, extra), want);
+}
+
+std::vector<std::string> ga_crash(const std::string& policy) {
+  return {"--age=10", "--loss-rate=0.01", "--crash-at=0.4",
+          "--crash-for=0.08", "--crash-node=1", "--recovery=" + policy,
+          "--checkpoint-interval=0.1"};
+}
+
+std::vector<std::string> jacobi_crash(const std::string& policy) {
+  return {"--age=10", "--loss-rate=0.01", "--crash-at=1.0",
+          "--crash-for=0.1", "--crash-node=1", "--recovery=" + policy,
+          "--checkpoint-interval=0.1"};
+}
+
+std::vector<std::string> nn_crash(const std::string& policy) {
+  return {"--loss-rate=0.01", "--crash-at=0.8", "--crash-for=0.1",
+          "--crash-node=2", "--recovery=" + policy,
+          "--checkpoint-interval=0.2"};
+}
+
+const std::vector<std::string> kHalfSplit = {
+    "--partition-at=0.05:0.6:0,1|2,3", "--recovery=degraded",
+    "--checkpoint-interval=0.1"};
+
+TEST(MembershipPinned, GaCrashDegraded) {
+  expect_ga_pin(ga_crash("degraded"),
+                {0, 1074988464, 606, 22, 10, 60, 0, 0, 0, 0,
+                 0x0b945cdc71573525ULL});
+}
+
+TEST(MembershipPinned, GaCrashRejoin) {
+  expect_ga_pin(ga_crash("rejoin"),
+                {0, 1289906669, 773, 25, 10, 0, 0, 0, 0, 0,
+                 0xa858ab0cc68f6f7eULL});
+}
+
+TEST(MembershipPinned, JacobiCrashDegraded) {
+  expect_jacobi_pin(jacobi_crash("degraded"),
+                    {0, 1772640592, 1962, 41, 14, 511, 0, 0, 0, 0,
+                     0x702efb4c70e42f03ULL});
+}
+
+TEST(MembershipPinned, JacobiCrashRejoin) {
+  expect_jacobi_pin(jacobi_crash("rejoin"),
+                    {0, 2362269257, 2757, 57, 28, 0, 0, 0, 0, 0,
+                     0x17da45478404f99fULL});
+}
+
+TEST(MembershipPinned, NnCrashDegraded) {
+  expect_nn_pin(nn_crash("degraded"),
+                {0, 2114732948, 4403, 85, 61, 0, 0, 0, 0, 0,
+                 0xc4f945612ca33c6fULL});
+}
+
+TEST(MembershipPinned, NnCrashRejoin) {
+  expect_nn_pin(nn_crash("rejoin"),
+                {0, 2270786715, 4924, 93, 71, 0, 0, 0, 0, 0,
+                 0xebb175e37414d46eULL});
+}
+
+TEST(MembershipPinned, BayesCrashRejoin) {
+  expect_bayes_pin({"--loss-rate=0.01", "--crash-at=2.0", "--crash-for=0.2",
+                    "--crash-node=1", "--recovery=rejoin",
+                    "--checkpoint-interval=0.2"},
+                   {0, 5828502227, 5780, 79, 12, 0, 0, 0, 0, 0,
+                    0x73e785159a0866e2ULL});
+}
+
+TEST(MembershipPinned, GaPartitionQuorumHeal) {
+  expect_ga_pin(with({"--age=4", "--quorum=0.6"}, kHalfSplit),
+                {0, 1322070981, 807, 300, 200, 3, 65, 8, 8, 0,
+                 0x6ed8bc29347511d6ULL});
+}
+
+TEST(MembershipPinned, JacobiPartitionQuorumHeal) {
+  expect_jacobi_pin(with({"--age=4", "--quorum=0.6"}, kHalfSplit),
+                    {0, 3331262952, 3317, 224, 212, 0, 17, 3, 3, 0,
+                     0xe0a1ca5d48f71f31ULL});
+}
+
+// nn is 5 nodes (server + 4 workers): the majority keeps the server.
+TEST(MembershipPinned, NnPartitionQuorumHeal) {
+  expect_nn_pin({"--steps=60", "--partition-at=0.05:0.6:0,1,2|3,4",
+                 "--quorum=0.6", "--recovery=degraded",
+                 "--checkpoint-interval=0.2"},
+                {0, 778381443, 790, 453, 376, 0, 68, 2, 2, 0,
+                 0xddbb7988e11d95edULL});
+}
+
+TEST(MembershipPinned, BayesPartitionQuorumHeal) {
+  expect_bayes_pin({"--iterations=1000", "--partition-at=0.2:1.5:0|1",
+                    "--quorum=0.6", "--recovery=degraded",
+                    "--checkpoint-interval=0.2"},
+                   {0, 2098166025, 1000, 249, 168, 0, 216, 2, 2, 0,
+                    0x7ed6b3e591633a5dULL});
+}
+
+// No quorum gate and no heal: both halves declare each other dead.
+TEST(MembershipPinned, GaSplitBrain) {
+  expect_ga_pin(with({"--age=4", "--quorum=0", "--heal=false"}, kHalfSplit),
+                {5, 1266996905, 788, 342, 212, 96, 0, 8, 8, 4,
+                 0x6df378f1fbeaeba0ULL});
 }
 
 }  // namespace

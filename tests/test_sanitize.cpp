@@ -58,6 +58,23 @@ Packet value_of(double x) {
   return p;
 }
 
+/// A perfect failure detector over the machine's own task liveness: a
+/// writer is dead exactly when its body has returned.
+class TaskAliveMembership final : public nscc::rt::Membership {
+ public:
+  explicit TaskAliveMembership(const VirtualMachine& vm) : vm_(vm) {}
+  [[nodiscard]] bool alive(int, int node) const override {
+    return vm_.task_alive(node);
+  }
+  [[nodiscard]] bool in_quorum(int) const override { return true; }
+  [[nodiscard]] bool partitioned() const override { return false; }
+  [[nodiscard]] bool detecting() const override { return true; }
+  void on_link_failure(int, int) override {}
+
+ private:
+  const VirtualMachine& vm_;
+};
+
 std::uint64_t kind_count(const Sanitizer& san, ViolationKind kind) {
   return san.stats().violations[static_cast<int>(kind)];
 }
@@ -246,6 +263,8 @@ TEST(Sanitize, DegradedReadIntoIntolerantLocationIsFlagged) {
     cfg.sanitize.level = Level::kStrict;
     cfg.sanitize.spec.declare(1, ToleranceRule{0, false, true, false});
     VirtualMachine vm(cfg);
+    TaskAliveMembership membership(vm);
+    vm.set_membership(&membership);
 
     vm.add_task("writer", [](Task& t) {
       SharedSpace space(t);
@@ -254,10 +273,7 @@ TEST(Sanitize, DegradedReadIntoIntolerantLocationIsFlagged) {
       t.compute(kMillisecond);  // Publish iteration 0, then die.
     });
     vm.add_task("reader", [&](Task& t) {
-      PropagationPolicy policy;
-      policy.writer_alive = [&](int id) { return vm.task_alive(id); };
-      policy.liveness_poll = kMillisecond;
-      SharedSpace space(t, policy);
+      SharedSpace space(t);
       space.declare_read(1, 0);
       t.compute(5 * kMillisecond);
       // Demands iteration 10 with age 0; the writer is long dead, so the
@@ -287,6 +303,8 @@ TEST(Sanitize, DegradedAndInvalidReadIsFlaggedAsInvalid) {
   cfg.sanitize.level = Level::kTrack;
   cfg.sanitize.spec.declare(4, ToleranceRule{-1, true, false, false});
   VirtualMachine vm(cfg);
+  TaskAliveMembership membership(vm);
+  vm.set_membership(&membership);
 
   bool saw_degraded_invalid = false;
   vm.add_task("writer", [](Task& t) {
@@ -295,10 +313,7 @@ TEST(Sanitize, DegradedAndInvalidReadIsFlaggedAsInvalid) {
     t.compute(kMillisecond);  // Dies without ever writing location 4.
   });
   vm.add_task("reader", [&](Task& t) {
-    PropagationPolicy policy;
-    policy.writer_alive = [&](int id) { return vm.task_alive(id); };
-    policy.liveness_poll = kMillisecond;
-    SharedSpace space(t, policy);
+    SharedSpace space(t);
     space.declare_read(4, 0);
     t.compute(5 * kMillisecond);
     const auto& v = space.global_read(4, 3, 0);
@@ -468,6 +483,8 @@ class ViolatingWorkload final : public nscc::harness::Workload {
     MachineConfig cfg = machine;
     cfg.ntasks = 2;
     VirtualMachine vm(cfg);
+    TaskAliveMembership membership(vm);
+    vm.set_membership(&membership);
     vm.add_task("writer", [](Task& t) {
       SharedSpace space(t);
       space.declare_written(1, {1});
@@ -475,10 +492,7 @@ class ViolatingWorkload final : public nscc::harness::Workload {
       t.compute(kMillisecond);
     });
     vm.add_task("reader", [&](Task& t) {
-      PropagationPolicy policy;
-      policy.writer_alive = [&](int id) { return vm.task_alive(id); };
-      policy.liveness_poll = kMillisecond;
-      SharedSpace space(t, policy);
+      SharedSpace space(t);
       space.declare_read(1, 0);
       t.compute(5 * kMillisecond);
       (void)space.global_read(1, 10, 0);
