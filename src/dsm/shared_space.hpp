@@ -268,8 +268,8 @@ class SharedSpace {
                    std::uint64_t flow = 0);
   void on_update_settled(LocationId loc, int reader, bool delivered);
   void send_demand(LocationId loc, int writer, Iteration need);
-  /// Divergence bookkeeping: active with partition healing or per-node
-  /// membership views (i.e. the run can actually split).
+  /// Divergence bookkeeping: active with partition healing or a
+  /// membership that can split (rt::Membership::partitioned()).
   [[nodiscard]] bool tracks_divergence() const noexcept {
     return policy_.partition_heal ||
            (membership_ != nullptr && membership_->partitioned());

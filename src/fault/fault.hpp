@@ -147,7 +147,8 @@ struct FaultPlan {
   }
 
   /// True while any partition or blackhole window is scheduled — the
-  /// signal for per-node membership views and anti-entropy healing.
+  /// signal for quorum-gated reads, divergence tracking and anti-entropy
+  /// healing.
   [[nodiscard]] bool partitionable() const noexcept {
     return !partitions.empty() || !blackholes.empty();
   }

@@ -73,7 +73,9 @@ struct RunStats {
   std::uint64_t restores = 0;
   std::uint64_t rejoins = 0;
   std::uint64_t degraded_reads = 0;
-  sim::Time detection_latency = 0;  ///< Summed crash->declared-dead.
+  sim::Time detection_latency = 0;  ///< Summed crash->declared-dead, once
+                                    ///< per dead node, at its first
+                                    ///< declaration.
   sim::Time recovery_latency = 0;   ///< Summed crash->respawn.
   std::int64_t lost_iterations = 0; ///< Progress rolled back by restores.
   /// Partition counters (zero unless the fault plan scheduled

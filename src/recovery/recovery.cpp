@@ -28,9 +28,6 @@ std::optional<Policy> policy_from_name(const std::string& name) {
 
 Coordinator::Coordinator(rt::VirtualMachine& vm, Config cfg)
     : vm_(vm), cfg_(cfg) {
-  // Per-node membership views whenever split-brain is possible: the quorum
-  // gate is on, or the fault plan can actually partition the cluster.
-  per_node_ = cfg_.quorum_fraction > 0.0 || vm_.config().fault.partitionable();
   vm_.add_start_hook([this] { on_start(); });
   vm_.add_flush_hook([this] { flush_obs(); });
   vm_.set_membership(this);
@@ -39,24 +36,15 @@ Coordinator::Coordinator(rt::VirtualMachine& vm, Config cfg)
 void Coordinator::on_start() {
   const int n = vm_.size();
   const sim::Time now = vm_.engine().now();
-  last_seen_.assign(static_cast<std::size_t>(n), now);
-  alive_.assign(static_cast<std::size_t>(n), true);
   epochs_.assign(static_cast<std::size_t>(n), 0);
-  if (per_node_) {
-    views_.assign(static_cast<std::size_t>(n),
-                  std::vector<PeerView>(static_cast<std::size_t>(n),
-                                        PeerView{now, PeerState::kAlive,
-                                                 false}));
-    for (int i = 0; i < n; ++i) {
-      vm_.task(i).set_tag_handler(
-          rt::kHeartbeatTag,
-          [this, i](rt::Message m) { on_heartbeat_view(i, m); });
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
-      vm_.task(i).set_tag_handler(
-          rt::kHeartbeatTag, [this](rt::Message m) { on_heartbeat(m); });
-    }
+  counted_crash_.assign(static_cast<std::size_t>(n), 0);
+  views_.assign(static_cast<std::size_t>(n),
+                std::vector<PeerView>(static_cast<std::size_t>(n),
+                                      PeerView{now, PeerState::kAlive,
+                                               false}));
+  for (int i = 0; i < n; ++i) {
+    vm_.task(i).set_tag_handler(
+        rt::kHeartbeatTag, [this, i](rt::Message m) { on_heartbeat(i, m); });
   }
   // Crash accounting and (under kRejoin) respawn scheduling mirror the VM's
   // own stateful-kill schedule.
@@ -90,7 +78,7 @@ void Coordinator::schedule_respawn(int node, sim::Time crash_start) {
   // stale checkpoint and double-write against the majority's epoch.  Wait
   // (re-checking every heartbeat interval) until the scheduled topology
   // lets it reach a quorum of its peers again.
-  if (per_node_ && cfg_.quorum_fraction > 0.0) {
+  if (cfg_.quorum_fraction > 0.0) {
     int reachable = 1;  // Self.
     for (int j = 0; j < n; ++j) {
       if (j != node && vm_.config().fault.reachable(node, j, now)) {
@@ -111,16 +99,12 @@ void Coordinator::schedule_respawn(int node, sim::Time crash_start) {
   stats_.recovery_latency += now - crash_start;
   // Grace period: the detector must not re-suspect the node before its
   // first post-rejoin heartbeat lands.
-  last_seen_[static_cast<std::size_t>(node)] = now;
-  alive_[static_cast<std::size_t>(node)] = true;
-  if (per_node_) {
-    for (int i = 0; i < vm_.size(); ++i) {
-      PeerView& v = views_[static_cast<std::size_t>(i)]
-                          [static_cast<std::size_t>(node)];
-      v.last_seen = now;
-      v.state = PeerState::kAlive;
-      v.parked = false;
-    }
+  for (int i = 0; i < n; ++i) {
+    PeerView& v = views_[static_cast<std::size_t>(i)]
+                        [static_cast<std::size_t>(node)];
+    v.last_seen = now;
+    v.state = PeerState::kAlive;
+    v.parked = false;
   }
 }
 
@@ -185,36 +169,13 @@ void Coordinator::tick() {
     }
   }
 
-  if (per_node_) {
-    tick_views(now);
-  } else {
-    tick_global(now);
-  }
+  judge_peers(now);
 
   tick_scheduled_ = true;
   vm_.engine().schedule(now + cfg_.heartbeat_interval, [this] { tick(); });
 }
 
-void Coordinator::tick_global(sim::Time now) {
-  const int n = vm_.size();
-  const sim::Time silence_limit = suspect_limit();
-  for (int i = 0; i < n; ++i) {
-    if (!alive_[static_cast<std::size_t>(i)]) continue;
-    if (now - last_seen_[static_cast<std::size_t>(i)] <= silence_limit) {
-      continue;
-    }
-    // A live fiber is never silent (heartbeats are engine-context posts),
-    // so silence means the process ended.  Without a crash window on
-    // record that is normal completion, not a failure.
-    if (crash_start_before(i, now) > 0) {
-      suspect(i, now);
-    } else {
-      alive_[static_cast<std::size_t>(i)] = false;
-    }
-  }
-}
-
-void Coordinator::tick_views(sim::Time now) {
+void Coordinator::judge_peers(sim::Time now) {
   const int n = vm_.size();
   const sim::Time silence_limit = suspect_limit();
   for (int i = 0; i < n; ++i) {
@@ -226,26 +187,28 @@ void Coordinator::tick_views(sim::Time now) {
                           [static_cast<std::size_t>(j)];
       if (v.state == PeerState::kDead) continue;
       if (now - v.last_seen <= silence_limit) continue;
-      // Unlike the global detector, silence here does not prove the
-      // process ended: a partition or blackhole silences live fibers
-      // too.  The evidence gate accepts either a crash window on record
-      // or a scheduled cut between observer and peer; bare silence with
-      // neither is normal completion and goes dead without stats.
+      // Silence alone does not prove the process ended: a partition or
+      // blackhole silences live fibers too.  The evidence gate accepts
+      // either a crash window on record or a scheduled cut between
+      // observer and peer; bare silence with neither is normal completion
+      // and goes dead without stats.
       const sim::Time crashed = crash_start_before(j, now);
       const bool cut = !vm_.config().fault.reachable(i, j, now);
       if (crashed == 0 && !cut) {
         v.state = PeerState::kDead;
         continue;
       }
-      if (v.state == PeerState::kAlive) {
+      // Without a quorum gate the evidence is enough: declare at once.
+      // Under the gate a silent peer is first suspected, and kSuspect →
+      // kDead only while the observer holds a quorum; a minority-side
+      // observer parks here and keeps degrading instead of declaring (and
+      // possibly double-writing against) the other side.
+      if (v.state == PeerState::kAlive && cfg_.quorum_fraction > 0.0) {
         v.state = PeerState::kSuspect;
         vm_.obs().tracer().instant(i, "recovery.suspect_peer", now, "peer",
                                    static_cast<std::int64_t>(j));
         continue;
       }
-      // kSuspect → kDead only while the observer holds a quorum; a
-      // minority-side observer parks here and keeps degrading instead of
-      // declaring (and possibly double-writing against) the other side.
       if (quorum) {
         declare_dead(i, j, now);
       } else if (!v.parked) {
@@ -275,28 +238,21 @@ void Coordinator::declare_dead(int observer, int node, sim::Time now) {
     vm_.obs().tracer().instant(observer, "recovery.split_brain", now, "peer",
                                static_cast<std::int64_t>(node));
   }
+  // Detection latency is a property of the dead node, not of who noticed:
+  // count each crash window once, at its first declaration.
   const sim::Time crashed = crash_start_before(node, now);
-  if (crashed > 0) stats_.detection_latency += now - crashed;
+  sim::Time& counted = counted_crash_[static_cast<std::size_t>(node)];
+  if (crashed > 0 && counted != crashed) {
+    counted = crashed;
+    stats_.detection_latency += now - crashed;
+  }
   vm_.obs().tracer().instant(observer, "recovery.declare_dead", now, "peer",
                              static_cast<std::int64_t>(node));
 }
 
-void Coordinator::on_heartbeat(const rt::Message& msg) {
-  const auto src = static_cast<std::size_t>(msg.src);
-  last_seen_[src] = std::max(last_seen_[src], vm_.engine().now());
-  epochs_[src] = std::max(epochs_[src], msg.epoch);
-  if (!alive_[src]) {
-    alive_[src] = true;
-    vm_.obs().tracer().instant(msg.src, "recovery.rejoin_seen",
-                               vm_.engine().now(), "epoch",
-                               static_cast<std::int64_t>(msg.epoch));
-  }
-}
-
-void Coordinator::on_heartbeat_view(int observer, const rt::Message& msg) {
+void Coordinator::on_heartbeat(int observer, const rt::Message& msg) {
   const auto src = static_cast<std::size_t>(msg.src);
   const sim::Time now = vm_.engine().now();
-  last_seen_[src] = std::max(last_seen_[src], now);
   epochs_[src] = std::max(epochs_[src], msg.epoch);
   PeerView& v = views_[static_cast<std::size_t>(observer)][src];
   v.last_seen = std::max(v.last_seen, now);
@@ -314,37 +270,18 @@ void Coordinator::on_heartbeat_view(int observer, const rt::Message& msg) {
 void Coordinator::on_link_failure(int src, int dst) {
   const int n = vm_.size();
   if (src < 0 || dst < 0 || src >= n || dst >= n || src == dst) return;
-  const sim::Time now = vm_.engine().now();
-  if (per_node_) {
-    if (views_.empty()) return;
-    // The sender exhausted its retransmit budget on this peer: treat that
-    // as a missed-heartbeat-class signal and suspect, never declare —
-    // declaring stays quorum-gated in the detector tick.
-    PeerView& v = views_[static_cast<std::size_t>(src)]
-                        [static_cast<std::size_t>(dst)];
-    if (v.state == PeerState::kAlive) {
-      v.state = PeerState::kSuspect;
-      vm_.obs().tracer().instant(src, "recovery.suspect_peer", now, "peer",
-                                 static_cast<std::int64_t>(dst));
-    }
-    return;
+  if (views_.empty()) return;
+  // The sender exhausted its retransmit budget on this peer: treat that as
+  // a missed-heartbeat-class signal and suspect, never declare — declaring
+  // stays with the detector tick (and its quorum gate).
+  PeerView& v = views_[static_cast<std::size_t>(src)]
+                      [static_cast<std::size_t>(dst)];
+  if (v.state == PeerState::kAlive) {
+    v.state = PeerState::kSuspect;
+    vm_.obs().tracer().instant(src, "recovery.suspect_peer",
+                               vm_.engine().now(), "peer",
+                               static_cast<std::int64_t>(dst));
   }
-  if (alive_.empty() || !alive_[static_cast<std::size_t>(dst)]) return;
-  // Global view: an abandoned link to a peer with a crash window on record
-  // is failure evidence; without one it is normal completion noise (the
-  // peer drained its mailbox and exited) and stays un-counted.
-  if (crash_start_before(dst, now) > 0) suspect(dst, now);
-}
-
-void Coordinator::suspect(int node, sim::Time now) {
-  alive_[static_cast<std::size_t>(node)] = false;
-  ++stats_.suspected;
-  const sim::Time crashed = crash_start_before(node, now);
-  if (crashed > 0) stats_.detection_latency += now - crashed;
-  vm_.obs().tracer().instant(node, "recovery.suspect", now, "silence_ns",
-                             static_cast<std::int64_t>(
-                                 now - last_seen_[static_cast<std::size_t>(
-                                           node)]));
 }
 
 sim::Time Coordinator::suspect_limit() const {
@@ -428,29 +365,29 @@ void Coordinator::maybe_checkpoint(rt::Task& task, std::int64_t iteration,
 }
 
 bool Coordinator::alive(int node) const {
-  if (per_node_ && !views_.empty()) {
-    // Union view: alive while any observer has not declared the node dead.
-    for (const auto& view : views_) {
-      if (view[static_cast<std::size_t>(node)].state != PeerState::kDead) {
-        return true;
-      }
+  if (views_.empty()) return true;
+  // Union view over the observers whose rows still change: the node's own
+  // row never judges itself, and a dead or finished observer's row is
+  // frozen where it stopped.
+  for (int i = 0; i < vm_.size(); ++i) {
+    if (i == node || !vm_.task_alive(i)) continue;
+    if (views_[static_cast<std::size_t>(i)][static_cast<std::size_t>(node)]
+            .state != PeerState::kDead) {
+      return true;
     }
-    return false;
   }
-  return alive_.empty() || alive_[static_cast<std::size_t>(node)];
+  return false;
 }
 
 bool Coordinator::alive(int observer, int node) const {
-  if (!per_node_ || views_.empty()) return alive(node);
-  if (observer == node) return true;
+  if (views_.empty() || observer == node) return true;
   return views_[static_cast<std::size_t>(observer)]
                [static_cast<std::size_t>(node)]
                    .state != PeerState::kDead;
 }
 
 bool Coordinator::in_quorum(int observer) const {
-  if (cfg_.quorum_fraction <= 0.0) return true;
-  if (!per_node_ || views_.empty()) return true;
+  if (cfg_.quorum_fraction <= 0.0 || views_.empty()) return true;
   const sim::Time now = vm_.engine().now();
   const sim::Time limit = suspect_limit();
   int heard = 1;  // Self.

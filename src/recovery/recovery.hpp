@@ -13,8 +13,9 @@
 //     cost is charged in virtual time (fixed setup + per-byte write).
 //   * Failure detection — every live node emits heartbeats over the rt
 //     reliable channel; a simplified phi-accrual detector (fixed expected
-//     inter-arrival, threshold measured in intervals of silence) drives an
-//     epoch-stamped membership view.  The Coordinator is the machine's one
+//     inter-arrival, threshold measured in intervals of silence) drives
+//     one epoch-stamped membership view per node, built from the
+//     heartbeats that node received.  The Coordinator is the machine's one
 //     rt::Membership: the DSM asks it so readers stop blocking Global_Read
 //     on dead producers and run degraded instead, the transport reports
 //     abandoned links to it, and app-level waits poll it via receive().
@@ -24,10 +25,10 @@
 //     through ordinary age-bounded reads.  Peers block on it again only
 //     once it is seen alive — rejoin is literally "become less stale".
 //
-// The Coordinator is deliberately a machine-level observer (one per VM,
-// like the WarpMeter): its membership view is the union of what individual
-// peers have heard, a modelling simplification that keeps the detector
-// deterministic without per-peer view divergence.
+// The Coordinator is a machine-level object (one per VM, like the
+// WarpMeter) that holds every node's view.  Apps that collect from their
+// peers outside the DSM ask the union view, alive(node): a node is gone
+// once every other live node has declared it dead.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +67,12 @@ struct Config {
   sim::Time suspect_timeout = 0;
   /// Fraction of the cluster (self included) an observer must have heard
   /// recently before it may *declare* a suspected peer dead — the
-  /// split-brain gate.  0 disables the gate (a suspect escalates to dead
-  /// immediately, which is exactly the both-sides-declare-each-other-dead
-  /// failure mode the acceptance matrix demonstrates).  Any positive
-  /// quorum, or a fault plan with partition/blackhole windows, switches
-  /// the coordinator from its single global membership view to per-node
-  /// views (each node judges peers from the heartbeats *it* received).
+  /// split-brain gate.  0 disables the gate (a silent peer with failure
+  /// evidence is declared dead at once, which is exactly the
+  /// both-sides-declare-each-other-dead failure mode the acceptance
+  /// matrix demonstrates).  With the gate on, a silent peer is suspected
+  /// first and declared one tick later only by an observer that holds the
+  /// quorum; a minority-side observer parks it as suspected.
   double quorum_fraction = 0.0;
 
   [[nodiscard]] bool enabled() const noexcept { return policy != Policy::kNone; }
@@ -127,7 +128,8 @@ struct Stats {
   std::uint64_t restores = 0;          ///< Restarts that found a checkpoint.
   std::uint64_t cold_restarts = 0;     ///< Restarts that did not.
   std::uint64_t rejoins = 0;           ///< Respawns scheduled at window end.
-  std::uint64_t suspected = 0;         ///< Detector declared-dead events.
+  std::uint64_t suspected = 0;         ///< Dead declarations (one per
+                                       ///< observer and peer).
   std::uint64_t quorum_parks = 0;      ///< Dead declarations deferred for
                                        ///< lack of quorum (minority side).
   std::uint64_t split_brain_declarations = 0;  ///< Mutual dead declarations:
@@ -137,7 +139,8 @@ struct Stats {
                                        ///< the membership split-brained.
   std::uint64_t deferred_rejoins = 0;  ///< Respawns postponed until the
                                        ///< victim could reach a quorum.
-  sim::Time detection_latency = 0;     ///< Sum over suspicions, crash->declared.
+  sim::Time detection_latency = 0;     ///< Crash->declared, once per dead
+                                       ///< node, at its first declaration.
   sim::Time recovery_latency = 0;      ///< Sum over rejoins, crash->respawn.
   sim::Time checkpoint_cost = 0;       ///< Virtual time charged for snapshots.
   std::int64_t lost_iterations = 0;    ///< Progress rolled back by restores.
@@ -145,8 +148,8 @@ struct Stats {
 
 /// Machine-level recovery coordinator: failure detector, checkpoint store,
 /// and rejoin scheduler.  Construct after the VM (before run()); it hooks
-/// the VM start to install heartbeat handlers and its detector tick, and
-/// is the VM's rt::Membership until it is destroyed.
+/// the VM start to install the heartbeat handler and its detector tick,
+/// and is the VM's rt::Membership until it is destroyed.
 class Coordinator final : public rt::Membership {
  public:
   Coordinator(rt::VirtualMachine& vm, Config cfg);
@@ -172,16 +175,15 @@ class Coordinator final : public rt::Membership {
   void maybe_checkpoint(rt::Task& task, std::int64_t iteration,
                         const FnCheckpoint& app);
 
-  /// Heartbeat-driven membership view.  True until the detector declares
-  /// the node dead; flips back on rejoin.  In per-node mode this is the
-  /// union view: alive while *any* observer still considers the node not
-  /// dead.
+  /// Union membership view: true while some *other* live node has not
+  /// declared `node` dead, so false once every live peer has.  The node's
+  /// own row and the frozen rows of dead or finished nodes do not count.
+  /// Flips back when a peer hears the node again (rejoin).
   [[nodiscard]] bool alive(int node) const;
 
   /// Per-node membership: does `observer` consider `node` not dead?  A
   /// suspected-but-not-declared peer is still alive here — minority-side
   /// observers park in that state, so they degrade instead of declaring.
-  /// Falls back to the global view outside per-node mode.
   [[nodiscard]] bool alive(int observer, int node) const override;
 
   /// Does `observer` currently hear a quorum of the cluster (self
@@ -195,9 +197,12 @@ class Coordinator final : public rt::Membership {
   /// blocked wait has nothing left to poll for.
   [[nodiscard]] bool detecting() const override;
 
-  /// True when the coordinator runs per-node membership views (quorum
-  /// gate on, or the fault plan schedules partitions/blackholes).
-  [[nodiscard]] bool partitioned() const noexcept override { return per_node_; }
+  /// True when the run can split: the quorum gate is on, or the fault
+  /// plan schedules partition/blackhole windows.  The DSM tracks
+  /// divergence and bounds minority-side waits only then.
+  [[nodiscard]] bool partitioned() const noexcept override {
+    return cfg_.quorum_fraction > 0.0 || vm_.config().fault.partitionable();
+  }
 
   /// Transport-level link failure (reliable retransmit exhausted): the
   /// sender stops trusting the link and suspects the peer.
@@ -216,9 +221,9 @@ class Coordinator final : public rt::Membership {
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
  private:
-  /// Two-level per-observer peer state: a silent peer is first suspected
-  /// (reads keep blocking / park on the watchdog), and only a
-  /// quorum-holding observer escalates suspicion to a dead declaration.
+  /// Per-observer peer state.  kSuspect is a silent peer that the quorum
+  /// gate has not let the observer declare yet (or a peer behind an
+  /// abandoned link): reads keep blocking or park on the watchdog.
   enum class PeerState { kAlive, kSuspect, kDead };
   struct PeerView {
     sim::Time last_seen = 0;
@@ -228,11 +233,8 @@ class Coordinator final : public rt::Membership {
 
   void on_start();
   void tick();
-  void tick_global(sim::Time now);
-  void tick_views(sim::Time now);
-  void on_heartbeat(const rt::Message& msg);
-  void on_heartbeat_view(int observer, const rt::Message& msg);
-  void suspect(int node, sim::Time now);
+  void judge_peers(sim::Time now);
+  void on_heartbeat(int observer, const rt::Message& msg);
   void declare_dead(int observer, int node, sim::Time now);
   void schedule_respawn(int node, sim::Time crash_start);
   [[nodiscard]] sim::Time crash_start_before(int node, sim::Time now) const;
@@ -245,11 +247,11 @@ class Coordinator final : public rt::Membership {
   rt::VirtualMachine& vm_;
   Config cfg_;
   Stats stats_;
-  bool per_node_ = false;
-  std::vector<sim::Time> last_seen_;
-  std::vector<bool> alive_;
   std::vector<std::vector<PeerView>> views_;  ///< views_[observer][peer].
   std::vector<std::uint64_t> epochs_;
+  /// Per node: start of the crash window whose detection latency has been
+  /// counted (0 = none yet).
+  std::vector<sim::Time> counted_crash_;
   std::map<int, Checkpoint> checkpoints_;
   std::map<int, std::int64_t> last_progress_;
   std::map<int, sim::Time> next_checkpoint_at_;

@@ -134,8 +134,8 @@ class Membership {
   [[nodiscard]] virtual bool alive(int observer, int node) const = 0;
   /// Does `observer` hear a quorum of the cluster (self included)?
   [[nodiscard]] virtual bool in_quorum(int observer) const = 0;
-  /// True when each node keeps its own view, so a partition can split the
-  /// membership: blocked reads are then quorum-gated.
+  /// True when the membership can split (a quorum gate is on, or the fault
+  /// plan schedules partitions): blocked reads are then quorum-gated.
   [[nodiscard]] virtual bool partitioned() const = 0;
   /// False once nothing left can change the membership (a wedged run):
   /// blocked waits stop polling so the event queue can drain.

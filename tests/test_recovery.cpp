@@ -292,6 +292,60 @@ TEST(Recovery, SecondCrashAfterALongWindowIsDetected) {
       << "the crash after the rejoin went undetected";
 }
 
+// The union view asks only the live peers: the victim's own row (which
+// nobody judges) and the frozen row of a node that finished do not keep a
+// crashed node alive.  Under the quorum gate the survivors suspect the
+// victim at the first tick past the silence limit and declare it at the
+// next; a node that finished normally goes quiet without being declared.
+TEST(Recovery, UnionViewDeclaresACrashUnderTheQuorumGate) {
+  const Time crash_at = seconds(1.0);
+  MachineConfig config;
+  config.ntasks = 4;
+  config.transport.enabled = true;
+  config.fault.crash_semantics = CrashSemantics::kStateful;
+  config.fault.nodes[1].crashes = {Window{crash_at, seconds(5.0)}};
+  VirtualMachine vm(config);
+  nscc::recovery::Config cfg;
+  cfg.policy = Policy::kDegraded;
+  cfg.checkpoint_interval = 0;
+  cfg.quorum_fraction = 0.5;  // 2 of 4: the two survivors hold it.
+  nscc::recovery::Coordinator coord(vm, cfg);
+  Time victim_gone_at = 0;
+  bool survivor_always_alive = true;
+  vm.add_task("prober", [&](Task& task) {
+    while (task.now() < seconds(1.9)) {
+      task.compute(5 * kMillisecond);
+      if (victim_gone_at == 0 && !coord.alive(1)) victim_gone_at = task.now();
+      survivor_always_alive = survivor_always_alive && coord.alive(3);
+    }
+  });
+  vm.add_task("victim", [](Task& task) {
+    while (task.now() < seconds(3.0)) task.compute(10 * kMillisecond);
+  });
+  vm.add_task("early", [](Task& task) { task.compute(200 * kMillisecond); });
+  vm.add_task("survivor", [](Task& task) {
+    while (task.now() < seconds(2.0)) task.compute(10 * kMillisecond);
+  });
+  vm.run();
+  EXPECT_FALSE(vm.deadlocked());
+  const Time limit =
+      static_cast<Time>(nscc::recovery::kPhiThreshold *
+                        static_cast<double>(cfg.heartbeat_interval));
+  ASSERT_GT(victim_gone_at, 0) << "the union view never let the victim go";
+  EXPECT_GT(victim_gone_at, crash_at + limit);
+  EXPECT_LE(victim_gone_at, crash_at + limit + 2 * cfg.heartbeat_interval);
+  EXPECT_TRUE(survivor_always_alive);
+  EXPECT_FALSE(coord.alive(2)) << "a finished node must be judged gone";
+  EXPECT_EQ(coord.stats().crashes, 1u);
+  // Both survivors declared the victim; the early finisher is not counted.
+  EXPECT_EQ(coord.stats().suspected, 2u);
+  EXPECT_EQ(coord.stats().quorum_parks, 0u);
+  // Latency counts once for the one dead node, not once per observer.
+  EXPECT_GT(coord.stats().detection_latency, limit);
+  EXPECT_LE(coord.stats().detection_latency,
+            limit + 2 * cfg.heartbeat_interval);
+}
+
 TEST(Recovery, CrashRecoveryRunsAreDeterministic) {
   const RunConfig run = recovery_run(Policy::kRejoin, 10, 5, 0.1);
   const FaultPlan plan = crash_plan(1.0, 0.1, 1);
@@ -661,8 +715,25 @@ TEST(MembershipPinned, BayesPartitionQuorumHeal) {
 // No quorum gate and no heal: both halves declare each other dead.
 TEST(MembershipPinned, GaSplitBrain) {
   expect_ga_pin(with({"--age=4", "--quorum=0", "--heal=false"}, kHalfSplit),
-                {5, 1266996905, 788, 342, 212, 96, 0, 8, 8, 4,
-                 0x6df378f1fbeaeba0ULL});
+                {5, 1188426494, 767, 358, 212, 114, 0, 8, 8, 4,
+                 0xe4197881d5dd5a5dULL});
+}
+
+// A crash under a majority quorum: the survivors' union view must let the
+// victim go, or the Jacobi residual reduce and the NN server's min_applied
+// wait on it forever.
+TEST(MembershipPinned, JacobiCrashQuorum) {
+  expect_jacobi_pin(with(jacobi_crash("degraded"), {"--quorum=0.6"}),
+                    {0, 1819611094, 1968, 41, 16, 511, 0, 2, 0, 0,
+                     0xda3af1cb642f7740ULL});
+}
+
+// --steps is spelled out: a workload flag keeps the value an earlier
+// in-process drive() gave it (NnPartitionQuorumHeal runs 60 steps).
+TEST(MembershipPinned, NnCrashQuorum) {
+  expect_nn_pin(with(nn_crash("degraded"), {"--quorum=0.6", "--steps=500"}),
+                {0, 2160138256, 4399, 85, 60, 0, 0, 0, 0, 0,
+                 0x4abd65258051cce9ULL});
 }
 
 }  // namespace
