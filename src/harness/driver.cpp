@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "dsm/consistency.hpp"
-#include "harness/report.hpp"
 #include "harness/sweep.hpp"
 #include "harness/workload.hpp"
 #include "obs/obs.hpp"
@@ -255,24 +254,29 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
 }
 
 /// The --json-out document: the serial reference, then one record per row,
-/// each keyed by its variant, age, model, network and scenario params.
-Sweep sweep_of(const std::string& bench, const std::string& workload,
+/// labelled as notes name the row and keyed by its variant, age, model,
+/// network, scenario params and the workload's declared parameters (the
+/// problem instance).
+Sweep sweep_of(const std::string& bench, const Workload& workload,
                std::uint64_t seed, const RunStats& reference,
                const std::vector<Row>& rows) {
+  const auto instance = workload.param_values();
   Sweep sweep(bench);
-  sweep.add({.workload = workload,
+  sweep.add({.workload = workload.name(),
              .variant = "serial",
              .seed = seed,
-             .params = {},
+             .params = instance,
              .stats = reference.to_fields()});
   for (const Row& row : rows) {
-    SweepRecord rec{.workload = workload,
+    SweepRecord rec{.workload = workload.name(),
                     .variant = row.variant.name,
+                    .label = row.label(),
                     .consistency = row.consistency,
                     .age = row.variant.age,
                     .seed = seed,
-                    .params = row.params,
+                    .params = instance,
                     .stats = row.stats.to_fields()};
+    rec.params.insert(rec.params.end(), row.params.begin(), row.params.end());
     rec.params.emplace_back(
         "sp2", row.network == rt::Network::kSp2Switch ? 1.0 : 0.0);
     sweep.add(std::move(rec));
@@ -361,10 +365,6 @@ int drive(int argc, char** argv, const DriveOptions& options) {
                 "staleness sanitizer: audit every DSM read against the "
                 "workload's tolerance contract (strict exits nonzero on any "
                 "violation)")
-      .add_string("report-out", "",
-                  "write an end-of-run JSON report (nscc-run-report-v1: "
-                  "every row's completion/staleness/sanitizer/recovery "
-                  "counters) here; empty disables")
       .add_double("quorum", 0.0,
                   "fraction of the cluster (self included) an observer must "
                   "hear before declaring a suspected peer dead; 0 disables "
@@ -492,23 +492,10 @@ int drive(int argc, char** argv, const DriveOptions& options) {
     std::cout << '\n' << (failed.empty() ? options.epilogue : failed) << '\n';
   }
 
-  // Written before the deadlock/sanitize exit checks below on purpose: a
-  // failing run's report is exactly the artifact CI wants to upload.
-  if (const std::string report_path = flags.get_string("report-out");
-      !report_path.empty()) {
-    std::vector<ReportRow> report_rows;
-    report_rows.reserve(rows.size());
-    for (const auto& row : rows) {
-      report_rows.push_back({row.scenario, row.variant.label(),
-                             network_name(row.network), row.consistency,
-                             row.stats});
-    }
-    if (!write_run_report(report_path, options.workload, report_rows)) {
-      return 2;
-    }
-  }
-  Sweep sweep = sweep_of(bench_name(argc > 0 ? argv[0] : nullptr),
-                         options.workload, base.seed, reference, rows);
+  // Written before the deadlock/sanitize/split-brain exit checks below on
+  // purpose: a failing run's document is exactly the artifact CI uploads.
+  Sweep sweep = sweep_of(bench_name(argc > 0 ? argv[0] : nullptr), *workload,
+                         base.seed, reference, rows);
   sweep.configure(flags);
   if (!sweep.write()) return 2;
 

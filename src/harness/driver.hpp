@@ -1,9 +1,10 @@
 // The one example/driver layer: harness::drive() owns the flag set
 // (--variants/--age/--network/--consistency lists, --seed, plus obs, fault,
-// and workload params), and hands the parsed set-up to the row runner,
-// which runs every variant x age x network x model x scenario row, prints
-// the unified table, and writes --report-out and --json-out.  An example
-// or extension bench is nothing but a DriveOptions registration.
+// and the workload's declared params), and hands the parsed set-up to the
+// row runner, which runs every variant x age x network x model x scenario
+// row, prints the unified table, and writes the --json-out run document.
+// An example or extension bench is nothing but a DriveOptions
+// registration.
 //
 // A driver may also sweep a scenario axis (background load levels, frame
 // loss ladders, crash policies): each Scenario adds a labelled table column,

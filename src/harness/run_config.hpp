@@ -23,8 +23,8 @@
 namespace nscc::harness {
 
 /// Per-run knobs common to every workload.  Workload configs inherit this;
-/// anything not listed here is workload-specific and registered through
-/// Workload::register_params instead.
+/// anything not listed here is workload-specific and declared as a
+/// Workload parameter instead.
 struct RunConfig {
   dsm::Mode mode = dsm::Mode::kSynchronous;
   dsm::Iteration age = 0;  ///< Staleness bound for kPartialAsync.

@@ -35,6 +35,10 @@ std::string Sweep::to_json() const {
     append_escaped(out, r.workload);
     out += ", \"variant\": ";
     append_escaped(out, r.variant);
+    if (!r.label.empty()) {
+      out += ", \"label\": ";
+      append_escaped(out, r.label);
+    }
     if (r.consistency != "nonstrict") {
       out += ", \"consistency\": ";
       append_escaped(out, r.consistency);

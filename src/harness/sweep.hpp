@@ -24,6 +24,10 @@ namespace nscc::harness {
 struct SweepRecord {
   std::string workload;
   std::string variant;
+  /// The row as a driver names it ("ethernet nonstrict Global_Read(10)");
+  /// serialised only when non-empty, so cell-runner documents stay
+  /// byte-identical.
+  std::string label = {};
   /// Consistency model the cell ran under; serialised only when it differs
   /// from the paper default so legacy baselines stay byte-identical.
   std::string consistency = "nonstrict";

@@ -1,8 +1,50 @@
 #include "harness/workload.hpp"
 
 #include "harness/workloads.hpp"
+#include "util/flags.hpp"
 
 namespace nscc::harness {
+
+void Workload::register_params(util::Flags& flags) const {
+  for (const Param& p : params_) {
+    if (const auto* above = std::get_if<Above>(&p.range)) {
+      flags.add_double(p.name, p.def, p.help).above(p.name, above->lo);
+    } else {
+      const auto& ints = std::get<IntRange>(p.range);
+      flags.add_int(p.name, static_cast<std::int64_t>(p.def), p.help)
+          .range(p.name, ints.lo, ints.hi);
+    }
+  }
+}
+
+void Workload::configure(const util::Flags& flags) {
+  for (const Param& p : params_) {
+    std::visit(
+        [&](auto member) {
+          auto& value = this->*member;
+          using T = std::remove_reference_t<decltype(value)>;
+          if constexpr (std::is_floating_point_v<T>) {
+            value = flags.get_double(p.name);
+          } else {
+            value = static_cast<T>(flags.get_int(p.name));
+          }
+        },
+        p.member);
+  }
+}
+
+std::vector<std::pair<std::string, double>> Workload::param_values() const {
+  std::vector<std::pair<std::string, double>> values;
+  values.reserve(params_.size());
+  for (const Param& p : params_) {
+    values.emplace_back(
+        p.name,
+        std::visit(
+            [this](auto member) { return static_cast<double>(this->*member); },
+            p.member));
+  }
+  return values;
+}
 
 RunStats Workload::run_matched(const RunConfig& run,
                                const rt::MachineConfig& machine,

@@ -2,17 +2,25 @@
 // bench sweeps, and tests can run "some workload under some consistency
 // variant on some machine" without knowing which application it is.
 //
-// A Workload owns its problem-specific parameters (registered as flags,
-// configured from a parsed flag set or set directly by tests) and maps the
-// unified RunConfig onto its legacy config type; its run() returns the
-// unified RunStats.  The Registry maps names ("ga.island", ...) to workload
-// instances; the four paper workloads are registered by
-// register_builtin_workloads(), which Registry::global() applies lazily so
-// static-library link order cannot drop them.
+// A Workload declares its problem parameters once, in its constructor:
+// each declaration binds a member, names its flag, and gives the range the
+// application can run and the help text, and the member's initializer is
+// the default.  register_params() and configure() are driven by those
+// declarations alone, so every flag parse starts from the declared
+// defaults and a reused instance carries nothing from one run to the next.
+// A Workload maps the unified RunConfig onto its legacy config type; its
+// run() returns the unified RunStats.  The Registry maps names
+// ("ga.island", ...) to workload instances; the four paper workloads are
+// registered by register_builtin_workloads(), which Registry::global()
+// applies lazily so static-library link order cannot drop them.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "harness/run_config.hpp"
@@ -36,12 +44,16 @@ class Workload {
   /// One-line description for tables and --help.
   [[nodiscard]] virtual std::string description() const = 0;
 
-  /// Register the workload's problem-size flags (--demes, --grid, ...),
-  /// with the ranges the application can run (Flags::range), so a size it
+  /// Register the declared parameters as flags (--demes, --grid, ...),
+  /// each with its declared default and range, so a size the application
   /// cannot run is rejected at parse time.
-  virtual void register_params(util::Flags& flags) const = 0;
-  /// Read the registered flags back into the workload's parameters.
-  virtual void configure(const util::Flags& flags) = 0;
+  void register_params(util::Flags& flags) const;
+  /// Set every declared parameter from the registered flags.
+  void configure(const util::Flags& flags);
+  /// The declared parameters' current values, in declaration order: the
+  /// problem instance every run of this workload is keyed by.
+  [[nodiscard]] std::vector<std::pair<std::string, double>> param_values()
+      const;
 
   /// Run once on a fresh simulated machine.  `run.seed` also seeds the
   /// workload's problem instance so a (config, machine) pair is a pure
@@ -71,6 +83,43 @@ class Workload {
   virtual RunStats run_matched(const RunConfig& run,
                                const rt::MachineConfig& machine,
                                const RunStats& serial, const RunStats* sync);
+
+ protected:
+  /// An integer parameter's runnable values, [lo, hi].
+  struct IntRange {
+    std::int64_t lo;
+    std::int64_t hi = INT64_MAX;
+  };
+  /// A real parameter's runnable values: finite and > lo.
+  struct Above {
+    double lo;
+  };
+
+  /// Declare a problem parameter: its flag name, the member of `W` it
+  /// binds (an int, std::uint64_t or double), the values the application
+  /// can run, and its help text.  Called from W's constructor, so the
+  /// member's initializer becomes the flag default.
+  template <class W, class T>
+  void declare(std::string name, T W::*member,
+               std::conditional_t<std::is_floating_point_v<T>, Above, IntRange>
+                   range,
+               std::string help) {
+    const auto bound = static_cast<T Workload::*>(member);
+    params_.push_back({std::move(name), std::move(help), bound, range,
+                       static_cast<double>(this->*bound)});
+  }
+
+ private:
+  struct Param {
+    std::string name;
+    std::string help;
+    std::variant<int Workload::*, std::uint64_t Workload::*,
+                 double Workload::*>
+        member;
+    std::variant<IntRange, Above> range;
+    double def;  ///< The member's value when declared.
+  };
+  std::vector<Param> params_;
 };
 
 class Registry {

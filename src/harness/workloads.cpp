@@ -6,7 +6,6 @@
 #include "ga/functions.hpp"
 #include "ga/sequential.hpp"
 #include "rt/vm.hpp"
-#include "util/flags.hpp"
 
 namespace nscc::harness {
 
@@ -36,19 +35,13 @@ std::string GaIslandWorkload::description() const {
   return "island GA on " + ga::test_function(function_id).name;
 }
 
-void GaIslandWorkload::register_params(util::Flags& flags) const {
-  flags.add_int("demes", demes, "number of islands (simulated nodes)")
-      .range("demes", 1)
-      .add_int("generations", generations, "generations per deme")
-      .range("generations", 1)
-      .add_int("function", function_id, "test function 1..8 (6 = Rastrigin)")
-      .range("function", 1, 8);
-}
-
-void GaIslandWorkload::configure(const util::Flags& flags) {
-  demes = static_cast<int>(flags.get_int("demes"));
-  generations = static_cast<int>(flags.get_int("generations"));
-  function_id = static_cast<int>(flags.get_int("function"));
+GaIslandWorkload::GaIslandWorkload() {
+  declare("demes", &GaIslandWorkload::demes, {1},
+          "number of islands (simulated nodes)");
+  declare("generations", &GaIslandWorkload::generations, {1},
+          "generations per deme");
+  declare("function", &GaIslandWorkload::function_id, {1, 8},
+          "test function 1..8 (6 = Rastrigin)");
 }
 
 ga::IslandConfig GaIslandWorkload::build(const RunConfig& run) const {
@@ -173,18 +166,11 @@ std::string BayesSamplingWorkload::description() const {
   return "speculative logic sampling on the Figure 1 belief network";
 }
 
-void BayesSamplingWorkload::register_params(util::Flags& flags) const {
-  flags
-      .add_int("iterations", static_cast<std::int64_t>(iterations),
-               "sampling iterations per task")
-      .range("iterations", 1)
-      .add_int("parts", parts, "network partitions (simulated nodes)")
-      .range("parts", 1);
-}
-
-void BayesSamplingWorkload::configure(const util::Flags& flags) {
-  iterations = static_cast<std::uint64_t>(flags.get_int("iterations"));
-  parts = static_cast<int>(flags.get_int("parts"));
+BayesSamplingWorkload::BayesSamplingWorkload() {
+  declare("iterations", &BayesSamplingWorkload::iterations, {1},
+          "sampling iterations per task");
+  declare("parts", &BayesSamplingWorkload::parts, {1},
+          "network partitions (simulated nodes)");
 }
 
 bayes::ParallelInferenceConfig BayesSamplingWorkload::build(
@@ -275,18 +261,12 @@ std::string JacobiWorkload::description() const {
   return "row-block parallel Jacobi on a 2-D Poisson system";
 }
 
-void JacobiWorkload::register_params(util::Flags& flags) const {
-  flags.add_int("grid", grid, "Poisson grid side (n x n unknowns)")
-      .range("grid", 1)
-      .add_int("processors", processors, "simulated nodes")
-      .range("processors", 1)
-      .add_double("tolerance", tolerance, "residual tolerance");
-}
-
-void JacobiWorkload::configure(const util::Flags& flags) {
-  grid = static_cast<int>(flags.get_int("grid"));
-  processors = static_cast<int>(flags.get_int("processors"));
-  tolerance = flags.get_double("tolerance");
+JacobiWorkload::JacobiWorkload() {
+  declare("grid", &JacobiWorkload::grid, {1},
+          "Poisson grid side (n x n unknowns)");
+  declare("processors", &JacobiWorkload::processors, {1}, "simulated nodes");
+  declare("tolerance", &JacobiWorkload::tolerance, {0.0},
+          "residual tolerance");
 }
 
 solver::ParallelJacobiConfig JacobiWorkload::build(const RunConfig& run) const {
@@ -345,16 +325,11 @@ std::string NnTrainWorkload::description() const {
   return "bounded-staleness SGD on the two-spirals MLP";
 }
 
-void NnTrainWorkload::register_params(util::Flags& flags) const {
-  flags.add_int("steps", steps, "mini-batch steps per worker")
-      .range("steps", 1)
-      .add_int("workers", workers, "worker nodes (plus a parameter server)")
-      .range("workers", 1);
-}
-
-void NnTrainWorkload::configure(const util::Flags& flags) {
-  steps = static_cast<int>(flags.get_int("steps"));
-  workers = static_cast<int>(flags.get_int("workers"));
+NnTrainWorkload::NnTrainWorkload() {
+  declare("steps", &NnTrainWorkload::steps, {1},
+          "mini-batch steps per worker");
+  declare("workers", &NnTrainWorkload::workers, {1},
+          "worker nodes (plus a parameter server)");
 }
 
 nn::TrainConfig NnTrainWorkload::build(const RunConfig& run) const {

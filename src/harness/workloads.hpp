@@ -1,8 +1,9 @@
 // The four paper workloads as harness::Workload adapters.  Each adapter
-// holds the workload's problem-size parameters as plain members (flag
-// registration reads/writes them; tests may set them directly), exposes the
-// RunConfig -> legacy-config mapping as a public build() so the parity
-// tests can inspect it, and converts the legacy result to RunStats.
+// holds the workload's problem-size parameters as plain members, declared
+// once in its constructor (the initializer is the flag default; tests may
+// set the members directly), exposes the RunConfig -> legacy-config mapping
+// as a public build() so the parity tests can inspect it, and converts the
+// legacy result to RunStats.
 #pragma once
 
 #include <string>
@@ -26,10 +27,9 @@ class GaIslandWorkload final : public Workload {
   int demes = 8;
   int generations = 150;
 
+  GaIslandWorkload();
   [[nodiscard]] std::string name() const override { return "ga.island"; }
   [[nodiscard]] std::string description() const override;
-  void register_params(util::Flags& flags) const override;
-  void configure(const util::Flags& flags) override;
   [[nodiscard]] ga::IslandConfig build(const RunConfig& run) const;
   RunStats run(const RunConfig& run,
                const rt::MachineConfig& machine) override;
@@ -53,6 +53,7 @@ class BayesSamplingWorkload final : public Workload {
   int parts = 2;
   std::uint64_t iterations = 6000;
 
+  BayesSamplingWorkload();
   /// The paper's Figure 1 network: A -> {B, C}; {B, C} -> D; C -> E.
   [[nodiscard]] static bayes::BeliefNetwork figure1();
 
@@ -68,8 +69,6 @@ class BayesSamplingWorkload final : public Workload {
 
   [[nodiscard]] std::string name() const override { return "bayes.sampling"; }
   [[nodiscard]] std::string description() const override;
-  void register_params(util::Flags& flags) const override;
-  void configure(const util::Flags& flags) override;
   [[nodiscard]] bayes::ParallelInferenceConfig build(
       const RunConfig& run) const;
   RunStats run(const RunConfig& run,
@@ -101,10 +100,9 @@ class JacobiWorkload final : public Workload {
   int processors = 4;
   double tolerance = 1e-7;
 
+  JacobiWorkload();
   [[nodiscard]] std::string name() const override { return "solver.jacobi"; }
   [[nodiscard]] std::string description() const override;
-  void register_params(util::Flags& flags) const override;
-  void configure(const util::Flags& flags) override;
   [[nodiscard]] solver::ParallelJacobiConfig build(const RunConfig& run) const;
   RunStats run(const RunConfig& run,
                const rt::MachineConfig& machine) override;
@@ -121,10 +119,9 @@ class NnTrainWorkload final : public Workload {
   int workers = 4;
   int steps = 500;
 
+  NnTrainWorkload();
   [[nodiscard]] std::string name() const override { return "nn.train"; }
   [[nodiscard]] std::string description() const override;
-  void register_params(util::Flags& flags) const override;
-  void configure(const util::Flags& flags) override;
   [[nodiscard]] nn::TrainConfig build(const RunConfig& run) const;
   RunStats run(const RunConfig& run,
                const rt::MachineConfig& machine) override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -30,6 +31,13 @@ std::string join(const std::vector<std::string>& parts, const char* sep) {
     out += p;
   }
   return out;
+}
+
+/// A double bound as written on the command line ("0", "0.5").
+std::string format_bound(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
 }
 
 }  // namespace
@@ -92,6 +100,11 @@ Flags& Flags::range(const std::string& name, std::int64_t lo,
   return *this;
 }
 
+Flags& Flags::above(const std::string& name, double lo) {
+  entries_.at(name).above = lo;
+  return *this;
+}
+
 namespace {
 
 /// Empty return = `token` is an integer in [lo, hi]; otherwise the reason.
@@ -127,15 +140,21 @@ std::string Flags::set(const std::string& name, const std::string& value) {
         }
       }
       break;
-    case Kind::kDouble:
+    case Kind::kDouble: {
+      double v = 0.0;
       try {
         std::size_t used = 0;
-        (void)std::stod(value, &used);
+        v = std::stod(value, &used);
         if (used != value.size()) throw std::invalid_argument(value);
       } catch (const std::exception&) {
         return "--" + name + " expects a number, got '" + value + "'";
       }
+      if (e.above && !(std::isfinite(v) && v > *e.above)) {
+        return "--" + name + " must be finite and > " +
+               format_bound(*e.above) + ", got " + value;
+      }
       break;
+    }
     case Kind::kBool:
       if (value != "true" && value != "false" && value != "1" && value != "0") {
         return "--" + name + " expects true/false, got '" + value + "'";
@@ -279,6 +298,7 @@ void Flags::print_usage(const std::string& program) const {
       std::cerr << "; " << (e.is_list ? "subset of " : "one of ")
                 << join(e.allowed, "|");
     }
+    if (e.above) std::cerr << "; finite, > " << format_bound(*e.above);
     std::cerr << ")  " << e.help << '\n';
   }
 }

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,9 @@ class Flags {
   /// rejected like ill-formed ones.  Applies to values set after the call.
   Flags& range(const std::string& name, std::int64_t lo,
                std::int64_t hi = INT64_MAX);
+  /// Restrict a double flag to finite values above `lo` (NaN and the
+  /// infinities are rejected too).  Applies to values set after the call.
+  Flags& above(const std::string& name, double lo);
 
   /// Parse argv; returns false (after printing usage) on --help or on an
   /// unknown flag or ill-formed value.  Callers must exit nonzero on false.
@@ -74,6 +78,7 @@ class Flags {
     bool is_list = false;              ///< Comma-separated enum subset.
     std::int64_t lo = INT64_MIN;       ///< Int range (kInt, kIntList).
     std::int64_t hi = INT64_MAX;
+    std::optional<double> above = {};  ///< Finite lower bound (kDouble).
   };
 
   Flags& add(const std::string& name, Kind kind, std::string def,

@@ -1,9 +1,9 @@
-// Shared append-style JSON emission helpers for the bench/report writers
-// (harness/sweep.cpp, harness/report.cpp).  Writers stay hand-rolled — a
-// document is built by appending to one std::string — so emitting results
-// never allocates a value tree; these helpers only centralise the escaping
-// and number-formatting rules so every writer round-trips identically
-// through util::json::parse.
+// Shared append-style JSON emission helpers for the results writers
+// (harness/sweep.cpp, the benchmark's span report).  Writers stay
+// hand-rolled — a document is built by appending to one std::string — so
+// emitting results never allocates a value tree; these helpers only
+// centralise the escaping and number-formatting rules so every writer
+// round-trips identically through util::json::parse.
 #pragma once
 
 #include <cmath>

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -327,32 +328,59 @@ int drive(const std::string& workload, std::vector<std::string> args,
   return harness::drive(static_cast<int>(argv.size()), argv.data(), options);
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream file(path);
+  std::stringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+/// A temp-dir path named after the running test: ctest runs each test in
+/// its own process, concurrently, so two processes never share one.
+std::string test_file(const std::string& tag) {
+  return testing::TempDir() +
+         testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+         tag;
+}
+
+/// One drive() whose stdout lands in `<tag>.out` and whose --json-out
+/// document in `<tag>.json`; returns the exit code.
+int drive_to_files(const std::string& workload, std::vector<std::string> args,
+                   const std::string& tag) {
+  args.push_back("--json-out=" + test_file(tag + ".json"));
+  testing::internal::CaptureStdout();
+  const int rc = drive(workload, std::move(args));
+  std::ofstream(test_file(tag + ".out"))
+      << testing::internal::GetCapturedStdout();
+  return rc;
+}
+
+/// The --json-out document of one drive(), which must exit 0.
+std::string json_of(const std::string& workload, std::vector<std::string> args,
+                    const harness::DriveOptions* options = nullptr) {
+  static int calls = 0;
+  const std::string path = test_file(std::to_string(calls++) + ".json");
+  args.push_back("--json-out=" + path);
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(drive(workload, std::move(args), options), 0);
+  (void)testing::internal::GetCapturedStdout();
+  return read_file(path);
+}
+
 /// Run the driver with --json-out and return its records (the serial
 /// reference left out), keyed by variant, age, model and params.  Also
 /// checks that the document gives every record its own bench-compare key.
 std::map<std::string, Stats> drive_records(const std::string& workload,
                                            std::vector<std::string> args) {
-  // ctest runs each test in its own process, concurrently: name the file
-  // after the test so two processes never share one.
-  static int calls = 0;
-  const std::string path =
-      testing::TempDir() +
-      testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
-      std::to_string(calls++) + ".json";
-  args.push_back("--json-out=" + path);
-  EXPECT_EQ(drive(workload, args), 0);
-  std::ifstream file(path);
-  std::stringstream text;
-  text << file.rdbuf();
+  const std::string text = json_of(workload, std::move(args));
   std::ostringstream compare_log;
-  EXPECT_EQ(harness::compare_bench_json(text.str(), text.str(), {},
-                                        compare_log),
+  EXPECT_EQ(harness::compare_bench_json(text, text, {}, compare_log),
             harness::kComparePass)
       << compare_log.str();
   std::map<std::string, Stats> records;
-  const auto doc = util::json::parse(text.str());
+  const auto doc = util::json::parse(text);
   if (!doc) {
-    ADD_FAILURE() << "unparsable driver JSON " << path;
+    ADD_FAILURE() << "unparsable driver JSON from " << workload;
     return records;
   }
   for (const auto& rec : doc->find("results")->array) {
@@ -614,6 +642,138 @@ TEST(DriverAxes, IllFormedListsExitOne) {
             1);
 }
 
+// ---- One run document, one problem instance per drive() ------------------
+
+// Every drive() starts from the declared defaults.  A registry instance
+// used to keep the flag values of the previous drive() in the process, so
+// a second run without --steps or --grid ran the first run's problem and
+// printed its serial reference.  The fresh runs happen in a re-executed
+// child process (the threadsafe death-test style), where no drive() ran
+// before; the two workloads do not share an instance.
+TEST(DriverReuseDeathTest, SecondDriveMatchesAFreshProcess) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  struct Case {
+    std::string workload;
+    std::vector<std::string> args;  ///< Both runs.
+    std::string size;               ///< The first in-process run only.
+    std::string help;               ///< --help's line for that size flag.
+  };
+  const std::vector<Case> cases = {
+      {"nn.train", {"--variants=partial"}, "--steps=60",
+       "--steps (default: 500)"},
+      {"solver.jacobi", {}, "--grid=8", "--grid (default: 16)"}};
+  for (const Case& c : cases) {
+    std::remove(test_file(c.workload + "_fresh.out").c_str());
+    std::remove(test_file(c.workload + "_fresh.json").c_str());
+  }
+  EXPECT_EXIT(
+      {
+        int failed = 0;
+        for (const Case& c : cases) {
+          failed |= drive_to_files(c.workload, c.args, c.workload + "_fresh");
+        }
+        std::exit(failed);
+      },
+      testing::ExitedWithCode(0), "");
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.workload);
+    auto sized = c.args;
+    sized.push_back(c.size);
+    EXPECT_EQ(drive_to_files(c.workload, sized, c.workload + "_sized"), 0);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(drive(c.workload, {"--help"}), 1);
+    const std::string help = testing::internal::GetCapturedStderr();
+    EXPECT_NE(help.find(c.help), std::string::npos) << help;
+    EXPECT_EQ(drive_to_files(c.workload, c.args, c.workload + "_reused"), 0);
+
+    const std::string fresh = read_file(test_file(c.workload + "_fresh.out"));
+    ASSERT_NE(fresh.find("serial reference: "), std::string::npos) << fresh;
+    EXPECT_NE(read_file(test_file(c.workload + "_sized.out")), fresh);
+    EXPECT_EQ(read_file(test_file(c.workload + "_reused.out")), fresh);
+    const std::string fresh_json =
+        read_file(test_file(c.workload + "_fresh.json"));
+    ASSERT_FALSE(fresh_json.empty());
+    EXPECT_EQ(read_file(test_file(c.workload + "_reused.json")), fresh_json);
+  }
+}
+
+// The declared parameters are part of every record's cell key.  Two grid
+// sizes used to compare as one cell, and every metric that differed read
+// as a regression.
+TEST(DriverJson, ProblemSizeIsPartOfTheCellKey) {
+  const std::string small =
+      json_of("solver.jacobi", {"--variants=sync", "--grid=8"});
+  const std::string large =
+      json_of("solver.jacobi", {"--variants=sync", "--grid=16"});
+  std::ostringstream log;
+  EXPECT_EQ(harness::compare_bench_json(small, large, {}, log),
+            harness::kCompareRegression);
+  EXPECT_NE(log.str().find("2 baseline cell(s), 0 metric(s) compared"),
+            std::string::npos)
+      << log.str();
+  const auto doc = util::json::parse(small);
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_EQ(doc->find("results")->array.size(), 2u);
+  for (const auto& rec : doc->find("results")->array) {
+    const util::json::Value* params = rec.find("params");
+    ASSERT_NE(params, nullptr);
+    EXPECT_EQ(params->number_or("grid", 0), 8);
+    EXPECT_EQ(params->number_or("processors", 0), 4);
+    EXPECT_EQ(params->number_or("tolerance", 0), 1e-7);
+  }
+}
+
+// Each driver record names its row as notes and epilogues do (scenario,
+// network, model and variant), carries the network and scenario
+// coordinates in its params and every RunStats field in its stats.  The
+// serial reference has no row label.
+TEST(DriverJson, RecordsCarryTheRowLabelNetworkModelAndStats) {
+  harness::Section section;
+  section.scenarios = [](const util::Flags& flags,
+                         const std::vector<harness::Row>&) {
+    return harness::loss_scenarios(flags, {0.0});
+  };
+  harness::DriveOptions options;
+  options.sections = {section};
+  const auto doc = util::json::parse(json_of(
+      "solver.jacobi",
+      {"--grid=8", "--variants=partial", "--network=ethernet,sp2",
+       "--consistency=nonstrict,regional"},
+      &options));
+  ASSERT_TRUE(doc.has_value());
+  RunStats jacobi_row;
+  jacobi_row.quality_name = "residual";
+  std::vector<std::string> labels;
+  for (const auto& rec : doc->find("results")->array) {
+    if (rec.string_or("variant", "") == "serial") {
+      EXPECT_EQ(rec.find("label"), nullptr);
+      continue;
+    }
+    const std::string label = rec.string_or("label", "");
+    labels.push_back(label);
+    const util::json::Value* params = rec.find("params");
+    ASSERT_NE(params, nullptr) << label;
+    const std::string network =
+        params->number_or("sp2", -1) == 1.0 ? "sp2" : "ethernet";
+    EXPECT_EQ(label, "0.0 % " + network + ' ' +
+                         rec.string_or("consistency", "nonstrict") +
+                         " Global_Read(10)");
+    EXPECT_EQ(params->number_or("loss", -1), 0.0) << label;
+    EXPECT_EQ(params->number_or("grid", 0), 8) << label;
+    const util::json::Value* stats = rec.find("stats");
+    ASSERT_NE(stats, nullptr) << label;
+    for (const auto& [name, value] : jacobi_row.to_fields()) {
+      EXPECT_NE(stats->find(name), nullptr) << label << ": " << name;
+    }
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{
+                        "0.0 % ethernet nonstrict Global_Read(10)",
+                        "0.0 % ethernet regional Global_Read(10)",
+                        "0.0 % sp2 nonstrict Global_Read(10)",
+                        "0.0 % sp2 regional Global_Read(10)"}));
+}
+
 /// A stand-in workload that records the configuration of every run.
 class RecordingWorkload final : public harness::Workload {
  public:
@@ -632,8 +792,6 @@ class RecordingWorkload final : public harness::Workload {
 
   [[nodiscard]] std::string name() const override { return "test.recording"; }
   [[nodiscard]] std::string description() const override { return name(); }
-  void register_params(util::Flags&) const override {}
-  void configure(const util::Flags&) override {}
   RunStats run(const RunConfig& run,
                const rt::MachineConfig& machine) override {
     runs.push_back(run);
@@ -729,6 +887,24 @@ TEST(DriverValidation, BayesSamplingRejectsUnrunnableSizes) {
 TEST(DriverValidation, JacobiRejectsUnrunnableSizes) {
   EXPECT_EQ(drive("solver.jacobi", {"--processors=0"}), 1);
   EXPECT_EQ(drive("solver.jacobi", {"--grid=0"}), 1);
+  // A tolerance the residual can never meet used to run 20,000 sweeps per
+  // row and exit 0.
+  for (const std::string tolerance : {"-1", "0", "nan", "inf"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(drive("solver.jacobi", {"--grid=4", "--variants=sync",
+                                      "--tolerance=" + tolerance}),
+              1)
+        << tolerance;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--tolerance must be finite and > 0, got " + tolerance),
+              std::string::npos)
+        << err;
+    // The declared range shows in the usage text.
+    EXPECT_NE(err.find("--tolerance (default: 9.9999999999999995e-08; "
+                       "finite, > 0)"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(DriverValidation, NnTrainRejectsUnrunnableSizes) {

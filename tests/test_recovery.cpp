@@ -728,10 +728,8 @@ TEST(MembershipPinned, JacobiCrashQuorum) {
                      0xda3af1cb642f7740ULL});
 }
 
-// --steps is spelled out: a workload flag keeps the value an earlier
-// in-process drive() gave it (NnPartitionQuorumHeal runs 60 steps).
 TEST(MembershipPinned, NnCrashQuorum) {
-  expect_nn_pin(with(nn_crash("degraded"), {"--quorum=0.6", "--steps=500"}),
+  expect_nn_pin(with(nn_crash("degraded"), {"--quorum=0.6"}),
                 {0, 2160138256, 4399, 85, 60, 0, 0, 0, 0, 0,
                  0x4abd65258051cce9ULL});
 }

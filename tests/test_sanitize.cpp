@@ -466,8 +466,6 @@ class ViolatingWorkload final : public nscc::harness::Workload {
   [[nodiscard]] std::string description() const override {
     return "degraded read into a degraded-intolerant location";
   }
-  void register_params(nscc::util::Flags&) const override {}
-  void configure(const nscc::util::Flags&) override {}
   [[nodiscard]] nscc::harness::RunStats reference(
       const nscc::harness::RunConfig&) const override {
     return {};
