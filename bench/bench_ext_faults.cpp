@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
     plan.link.loss_prob = kCrashLoss;
     plan.nodes[1].crashes.push_back(
         {at(crash_at_s), at(crash_at_s) + at(0.08)});
-    plan.crash_semantics = fault::CrashSemantics::kStateful;
     std::vector<harness::Scenario> scenarios;
     for (const recovery::Policy policy :
          {recovery::Policy::kNone, recovery::Policy::kDegraded,

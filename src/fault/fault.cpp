@@ -387,10 +387,6 @@ FaultPlan plan_from_flags(const util::Flags& flags) {
         std::max(0.0, flags.get_double("crash-for")) * sim::kSecond);
     plan.nodes[static_cast<int>(flags.get_int("crash-node"))].crashes.push_back(
         Window{start, start + span});
-    // A flag-scheduled crash is a real crash: the victim's fiber is torn
-    // down, not just its links.  (Plans built in code default to kLossy so
-    // pre-recovery behaviour stays byte-identical.)
-    plan.crash_semantics = CrashSemantics::kStateful;
   }
   if (const std::string& spec = flags.get_string("partition-at");
       !spec.empty()) {

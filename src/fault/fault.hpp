@@ -104,18 +104,6 @@ struct BlackholeWindow {
   Window window;
 };
 
-/// What a crash window does to the victim beyond silencing its links.
-enum class CrashSemantics {
-  /// Links drop while the window is open but the node keeps computing with
-  /// intact state (the original crash model; a NIC or cable failure).
-  kLossy,
-  /// The node's process is torn down at the window start: its fiber
-  /// unwinds, volatile state is lost, and only a recovery policy
-  /// (checkpoint restore + rejoin) can bring it back.  Links drop during
-  /// the window exactly as with kLossy.
-  kStateful,
-};
-
 /// The whole deterministic fault schedule for one run.
 struct FaultPlan {
   std::uint64_t seed = 0xFA17ULL;
@@ -136,9 +124,6 @@ struct FaultPlan {
   /// Scheduled one-way per-link loss windows.
   std::vector<BlackholeWindow> blackholes;
   std::map<int, NodeFaults> nodes;    ///< Keyed by node/task id.
-  /// How crash windows treat the victim's process state.  kLossy keeps the
-  /// pre-recovery behaviour byte-identical; kStateful destroys the fiber.
-  CrashSemantics crash_semantics = CrashSemantics::kLossy;
 
   [[nodiscard]] bool empty() const noexcept {
     return !link.any() && per_link.empty() && outages.empty() &&

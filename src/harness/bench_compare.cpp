@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "harness/run_config.hpp"
 #include "util/json.hpp"
 
 namespace nscc::harness {
@@ -20,16 +21,19 @@ bool higher_is_better(const std::string& metric) {
   return kHigher.count(metric) != 0;
 }
 
-/// Metrics where smaller is better: only an increase can regress.  Covers
-/// the RunStats field names sweep.cpp serialises (bench/schema.md).
+/// Metrics where smaller is better: only an increase can regress.  The
+/// RunStats counters say so in their declarations (stat_fields()); the
+/// list names the rest: the caller's completion time and bench_engine's
+/// host costs.
 bool lower_is_better(const std::string& metric) {
   static const std::set<std::string> kLower = {
-      "completion_s",      "block_time_s",     "messages",
-      "bytes",             "gr_blocks",        "frames_lost",
-      "retransmissions",   "escalations",      "wall_s",
-      "peak_queue_depth",  "allocations",      "alloc_bytes",
-      "mean_dispatch_ns",  "integrity_dropped", "sanitize_violations"};
-  return kLower.count(metric) != 0;
+      "completion_s", "wall_s",    "peak_queue_depth",
+      "allocations",  "alloc_bytes", "mean_dispatch_ns"};
+  if (kLower.count(metric) != 0) return true;
+  const std::vector<StatField>& fields = stat_fields();
+  return std::any_of(fields.begin(), fields.end(), [&](const StatField& f) {
+    return f.lower_is_better && metric == f.name;
+  });
 }
 
 /// One result cell, keyed by its sweep coordinates.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 
@@ -194,25 +195,22 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
   if (model_column) cols.push_back("model");
   cols.insert(cols.end(), {"variant", "completion s",
                            rows.empty() ? std::string("quality")
-                                        : rows[0].stats.quality_name,
-                           "messages", "gr blocks", "block time s",
-                           "bus util"});
-  if (any_fault) {
-    cols.insert(cols.end(), {"frames lost", "retx", "escalations"});
-  }
-  if (any_partition) {
-    cols.insert(cols.end(), {"part drops", "stale served", "heal frames",
-                             "diverged", "reconciled", "split brains"});
-  }
-  if (any_recovery) {
-    cols.insert(cols.end(),
-                {"crashes", "restores", "rejoins", "degraded reads"});
-  }
-  // Audited runs report the sanitizer's verdicts beside the DSM's decode
-  // quarantine.
+                                        : rows[0].stats.quality_name});
+  // The counter columns, group by group in ColumnGroup order.  A group
+  // shows when a row turned its mechanism on; audited runs report the
+  // sanitizer's verdicts beside the DSM's decode quarantine.
   const bool audited = setup.machine.sanitize.level != sanitize::Level::kOff;
-  if (audited) {
-    cols.insert(cols.end(), {"quarantined", "violations"});
+  const bool shown[] = {true, any_fault, any_partition, any_recovery, audited};
+  std::vector<const StatField*> counters;
+  for (int group = 0; group < static_cast<int>(std::size(shown)); ++group) {
+    if (!shown[group]) continue;
+    for (const StatField& f : stat_fields()) {
+      if (f.column.header != nullptr &&
+          static_cast<int>(f.column.group) == group) {
+        counters.push_back(&f);
+        cols.push_back(f.column.header);
+      }
+    }
   }
   table.columns(cols);
   for (const auto& row : rows) {
@@ -223,29 +221,9 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
     const RunStats& s = row.stats;
     table.cell(row.variant.label() + (s.deadlocked ? " (DEADLOCK)" : ""))
         .cell(sim::to_seconds(s.completion_time), 2)
-        .cell(format_quality(s.quality))
-        .cell(s.messages_sent)
-        .cell(s.global_read_blocks)
-        .cell(sim::to_seconds(s.global_read_block_time), 2)
-        .cell(s.bus_utilization, 2);
-    if (any_fault) {
-      table.cell(s.frames_lost).cell(s.retransmissions).cell(
-          s.read_escalations);
-    }
-    if (any_partition) {
-      table.cell(s.partition_drops)
-          .cell(s.partition_stale_served)
-          .cell(s.heal_frames)
-          .cell(s.diverged_locations)
-          .cell(s.reconciled_locations)
-          .cell(s.split_brain_declarations);
-    }
-    if (any_recovery) {
-      table.cell(s.crashes).cell(s.restores).cell(s.rejoins).cell(
-          s.degraded_reads);
-    }
-    if (audited) {
-      table.cell(s.integrity_dropped).cell(s.sanitize_violations);
+        .cell(format_quality(s.quality));
+    for (const StatField* f : counters) {
+      table.cell(f->value(s), f->column.precision);
     }
   }
   table.print(std::cout);

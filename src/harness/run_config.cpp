@@ -1,98 +1,157 @@
 #include "harness/run_config.hpp"
 
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "sanitize/sanitize.hpp"
 #include "util/flags.hpp"
 
 namespace nscc::harness {
 
-RunStats RunStats::from_registry(const obs::Registry& reg) {
-  auto total = [&reg](const std::string& name) {
-    return reg.counter_total(name);
-  };
-  auto nanos = [&total](const std::string& name) {
-    return static_cast<sim::Time>(total(name));
-  };
-  RunStats s;
-  s.messages_sent = total("rt.messages_sent");
-  s.bytes_sent = total("rt.bytes_sent");
-  s.global_read_blocks = total("dsm.global_read_blocks");
-  s.global_read_block_time = nanos("dsm.global_read_block_time_ns");
-  s.bus_utilization = reg.gauge_value("net.utilization");
-  if (const obs::Histogram* h = reg.find_histogram("dsm.staleness")) {
-    s.mean_staleness = h->mean();
-  }
-  s.mean_warp = reg.gauge_value("warp.mean");
-  s.frames_lost = total("fault.frames_lost");
-  s.retransmissions = total("rt.retransmissions");
-  s.read_escalations = total("dsm.read_escalations");
-  s.integrity_dropped = total("dsm.integrity_dropped");
+namespace {
+
+using enum StatField::Source;
+using enum ColumnGroup;
+
+/// Every sanitize.violations.<kind> counter.
+std::vector<std::string> violation_counters() {
+  std::vector<std::string> names;
   for (int k = 0; k < sanitize::kViolationKinds; ++k) {
-    s.sanitize_violations +=
-        total(std::string("sanitize.violations.") +
-              sanitize::violation_name(static_cast<sanitize::ViolationKind>(k)));
+    names.push_back(
+        std::string("sanitize.violations.") +
+        sanitize::violation_name(static_cast<sanitize::ViolationKind>(k)));
   }
-  s.crashes = total("recovery.crashes");
-  s.checkpoints_taken = total("recovery.checkpoints_taken");
-  s.restores = total("recovery.restores") + total("recovery.cold_restarts");
-  s.rejoins = total("recovery.rejoins");
-  s.degraded_reads = total("dsm.degraded_reads");
-  s.detection_latency = nanos("recovery.detection_latency_ns");
-  s.recovery_latency = nanos("recovery.recovery_latency_ns");
-  s.lost_iterations =
-      static_cast<std::int64_t>(total("recovery.lost_iterations"));
-  s.partition_drops =
-      total("fault.partition_drops") + total("fault.blackhole_drops");
-  s.partition_stale_served = total("dsm.partition.stale_served");
-  s.heal_frames = total("dsm.partition.heal_frames");
-  s.diverged_locations = total("dsm.partition.diverged_locations");
-  s.reconciled_locations = total("dsm.partition.reconciled_locations");
-  s.split_brain_declarations = total("recovery.split_brain_declarations");
-  s.quorum_parks = total("recovery.quorum_parks");
-  s.updates_parked = total("dsm.consistency.updates_parked");
-  s.updates_flushed = total("dsm.consistency.updates_flushed");
-  s.ooo_updates = total("dsm.consistency.ooo_updates");
+  return names;
+}
+
+}  // namespace
+
+const std::vector<StatField>& stat_fields() {
+  static const std::vector<StatField> fields = {
+      {.name = "messages_sent", .member = &RunStats::messages_sent,
+       .from = {"rt.messages_sent"}, .column = {"messages"},
+       .lower_is_better = true},
+      {.name = "bytes_sent", .member = &RunStats::bytes_sent,
+       .from = {"rt.bytes_sent"}, .lower_is_better = true},
+      {.name = "global_read_blocks", .member = &RunStats::global_read_blocks,
+       .from = {"dsm.global_read_blocks"}, .column = {"gr blocks"},
+       .lower_is_better = true},
+      {.name = "global_read_block_s",
+       .member = &RunStats::global_read_block_time, .seconds = true,
+       .from = {"dsm.global_read_block_time_ns"},
+       .column = {"block time s", kAlways, 2}, .lower_is_better = true},
+      {.name = "bus_utilization", .member = &RunStats::bus_utilization,
+       .source = kGauge, .from = {"net.utilization"},
+       .column = {"bus util", kAlways, 2}},
+      {.name = "mean_staleness", .member = &RunStats::mean_staleness,
+       .source = kMean, .from = {"dsm.staleness"}},
+      {.name = "mean_warp", .member = &RunStats::mean_warp, .source = kGauge,
+       .from = {"warp.mean"}},
+      {.name = "frames_lost", .member = &RunStats::frames_lost,
+       .from = {"fault.frames_lost"}, .column = {"frames lost", kFaults},
+       .lower_is_better = true},
+      {.name = "retransmissions", .member = &RunStats::retransmissions,
+       .from = {"rt.retransmissions"}, .column = {"retx", kFaults},
+       .lower_is_better = true},
+      {.name = "read_escalations", .member = &RunStats::read_escalations,
+       .from = {"dsm.read_escalations"}, .column = {"escalations", kFaults},
+       .lower_is_better = true},
+      {.name = "integrity_dropped", .member = &RunStats::integrity_dropped,
+       .from = {"dsm.integrity_dropped"}, .column = {"quarantined", kAudited},
+       .lower_is_better = true},
+      {.name = "sanitize_violations", .member = &RunStats::sanitize_violations,
+       .from = violation_counters(), .column = {"violations", kAudited},
+       .lower_is_better = true},
+      {.name = "crashes", .member = &RunStats::crashes,
+       .from = {"recovery.crashes"}, .column = {"crashes", kRecovery}},
+      {.name = "checkpoints_taken", .member = &RunStats::checkpoints_taken,
+       .from = {"recovery.checkpoints_taken"}},
+      {.name = "restores", .member = &RunStats::restores,
+       .from = {"recovery.restores", "recovery.cold_restarts"},
+       .column = {"restores", kRecovery}},
+      {.name = "rejoins", .member = &RunStats::rejoins,
+       .from = {"recovery.rejoins"}, .column = {"rejoins", kRecovery}},
+      {.name = "degraded_reads", .member = &RunStats::degraded_reads,
+       .from = {"dsm.degraded_reads"}, .column = {"degraded reads", kRecovery}},
+      {.name = "detection_latency_s", .member = &RunStats::detection_latency,
+       .seconds = true, .from = {"recovery.detection_latency_ns"}},
+      {.name = "recovery_latency_s", .member = &RunStats::recovery_latency,
+       .seconds = true, .from = {"recovery.recovery_latency_ns"}},
+      {.name = "lost_iterations", .member = &RunStats::lost_iterations,
+       .from = {"recovery.lost_iterations"}},
+      {.name = "partition_drops", .member = &RunStats::partition_drops,
+       .from = {"fault.partition_drops", "fault.blackhole_drops"},
+       .column = {"part drops", kPartition}},
+      {.name = "partition_stale_served",
+       .member = &RunStats::partition_stale_served,
+       .from = {"dsm.partition.stale_served"},
+       .column = {"stale served", kPartition}},
+      {.name = "heal_frames", .member = &RunStats::heal_frames,
+       .from = {"dsm.partition.heal_frames"},
+       .column = {"heal frames", kPartition}},
+      {.name = "diverged_locations", .member = &RunStats::diverged_locations,
+       .from = {"dsm.partition.diverged_locations"},
+       .column = {"diverged", kPartition}},
+      {.name = "reconciled_locations",
+       .member = &RunStats::reconciled_locations,
+       .from = {"dsm.partition.reconciled_locations"},
+       .column = {"reconciled", kPartition}},
+      {.name = "split_brain_declarations",
+       .member = &RunStats::split_brain_declarations,
+       .from = {"recovery.split_brain_declarations"},
+       .column = {"split brains", kPartition}},
+      {.name = "quorum_parks", .member = &RunStats::quorum_parks,
+       .from = {"recovery.quorum_parks"}},
+      {.name = "updates_parked", .member = &RunStats::updates_parked,
+       .from = {"dsm.consistency.updates_parked"}},
+      {.name = "updates_flushed", .member = &RunStats::updates_flushed,
+       .from = {"dsm.consistency.updates_flushed"}},
+      {.name = "ooo_updates", .member = &RunStats::ooo_updates,
+       .from = {"dsm.consistency.ooo_updates"}},
+  };
+  return fields;
+}
+
+double StatField::value(const RunStats& stats) const {
+  return std::visit(
+      [&](auto member) {
+        return seconds ? sim::to_seconds(static_cast<sim::Time>(stats.*member))
+                       : static_cast<double>(stats.*member);
+      },
+      member);
+}
+
+RunStats RunStats::from_registry(const obs::Registry& reg) {
+  RunStats s;
+  for (const StatField& f : stat_fields()) {
+    std::visit(
+        [&](auto member) {
+          using T = std::remove_reference_t<decltype(s.*member)>;
+          if (f.source == kGauge) {
+            s.*member = static_cast<T>(reg.gauge_value(f.from[0]));
+          } else if (f.source == kMean) {
+            const obs::Histogram* h = reg.find_histogram(f.from[0]);
+            s.*member = static_cast<T>(h != nullptr ? h->mean() : 0.0);
+          } else {
+            std::uint64_t total = 0;
+            for (const auto& name : f.from) total += reg.counter_total(name);
+            s.*member = static_cast<T>(total);
+          }
+        },
+        f.member);
+  }
   return s;
 }
 
 std::vector<std::pair<std::string, double>> RunStats::to_fields() const {
   std::vector<std::pair<std::string, double>> fields = {
       {"completion_s", sim::to_seconds(completion_time)},
-      {"deadlocked", deadlocked ? 1.0 : 0.0},
-      {"messages_sent", static_cast<double>(messages_sent)},
-      {"bytes_sent", static_cast<double>(bytes_sent)},
-      {"global_read_blocks", static_cast<double>(global_read_blocks)},
-      {"global_read_block_s", sim::to_seconds(global_read_block_time)},
-      {"bus_utilization", bus_utilization},
-      {"mean_staleness", mean_staleness},
-      {"mean_warp", mean_warp},
-      {"frames_lost", static_cast<double>(frames_lost)},
-      {"retransmissions", static_cast<double>(retransmissions)},
-      {"read_escalations", static_cast<double>(read_escalations)},
-      {"integrity_dropped", static_cast<double>(integrity_dropped)},
-      {"sanitize_violations", static_cast<double>(sanitize_violations)},
-      {"crashes", static_cast<double>(crashes)},
-      {"checkpoints_taken", static_cast<double>(checkpoints_taken)},
-      {"restores", static_cast<double>(restores)},
-      {"rejoins", static_cast<double>(rejoins)},
-      {"degraded_reads", static_cast<double>(degraded_reads)},
-      {"detection_latency_s", sim::to_seconds(detection_latency)},
-      {"recovery_latency_s", sim::to_seconds(recovery_latency)},
-      {"lost_iterations", static_cast<double>(lost_iterations)},
-      {"partition_drops", static_cast<double>(partition_drops)},
-      {"partition_stale_served", static_cast<double>(partition_stale_served)},
-      {"heal_frames", static_cast<double>(heal_frames)},
-      {"diverged_locations", static_cast<double>(diverged_locations)},
-      {"reconciled_locations", static_cast<double>(reconciled_locations)},
-      {"split_brain_declarations",
-       static_cast<double>(split_brain_declarations)},
-      {"quorum_parks", static_cast<double>(quorum_parks)},
-      {"updates_parked", static_cast<double>(updates_parked)},
-      {"updates_flushed", static_cast<double>(updates_flushed)},
-      {"ooo_updates", static_cast<double>(ooo_updates)},
-      {quality_name, quality},
-  };
+      {"deadlocked", deadlocked ? 1.0 : 0.0}};
+  for (const StatField& f : stat_fields()) {
+    fields.emplace_back(f.name, f.value(*this));
+  }
+  fields.emplace_back(quality_name, quality);
   fields.insert(fields.end(), extra.begin(), extra.end());
   return fields;
 }

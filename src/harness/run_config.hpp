@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "dsm/shared_space.hpp"
@@ -48,7 +49,8 @@ struct RunConfig {
 /// extras.  Workload result structs embed it (by inheritance, mirroring how
 /// the configs embed RunConfig); every mechanism field comes from the
 /// machine's metrics registry through from_registry(), so no layer keeps a
-/// second copy of a counter.
+/// second copy of a counter.  stat_fields() declares each mechanism field's
+/// name, registry source, driver column and bench-compare direction.
 struct RunStats {
   sim::Time completion_time = 0;
   bool deadlocked = false;
@@ -98,20 +100,53 @@ struct RunStats {
   /// Workload-specific diagnostics appended to JSON output.
   std::vector<std::pair<std::string, double>> extra = {};
 
-  /// Flat name -> value view (times in seconds) for JSON serialisation.
+  /// Flat name -> value view (times in seconds) for JSON serialisation:
+  /// completion_s, deadlocked, stat_fields(), the quality, the extras.
   [[nodiscard]] std::vector<std::pair<std::string, double>> to_fields() const;
 
   /// The named entry of `extra`; throws std::out_of_range when absent.
   [[nodiscard]] double extra_value(const std::string& name) const;
 
-  /// Every mechanism field, read from a finished machine's registry (the
-  /// rt.*, dsm.*, net.*, fault.*, recovery.* and sanitize.* counters, the
-  /// net.utilization and warp.mean gauges, the dsm.staleness histogram).
-  /// Reads only what VirtualMachine::run() publishes on every run, so the
-  /// result never depends on observers.  completion_time, deadlocked,
-  /// quality and extra are the caller's.
+  /// Every mechanism field, read from a finished machine's registry as its
+  /// stat_fields() entry says.  Reads only what VirtualMachine::run()
+  /// publishes on every run, so the result never depends on observers.
+  /// completion_time, deadlocked, quality and extra are the caller's.
   [[nodiscard]] static RunStats from_registry(const obs::Registry& reg);
 };
+
+/// The driver table's counter column groups, in print order.  A group is
+/// shown when any row turned its mechanism on.
+enum class ColumnGroup { kAlways, kFaults, kPartition, kRecovery, kAudited };
+
+/// The one declaration of a RunStats mechanism field.
+struct StatField {
+  /// Where from_registry() reads the field: the sum of counters (over every
+  /// pid label), a gauge, or a histogram's mean.
+  enum class Source { kCounters, kGauge, kMean };
+  using Member = std::variant<std::uint64_t RunStats::*,
+                              std::int64_t RunStats::*, double RunStats::*>;
+
+  /// A driver table column; a null header shows none.
+  struct Column {
+    const char* header = nullptr;
+    ColumnGroup group = ColumnGroup::kAlways;
+    int precision = 0;  ///< Decimals of the cell.
+  };
+
+  const char* name;  ///< to_fields() name.
+  Member member;
+  bool seconds = false;  ///< A sim::Time member, written in seconds.
+  Source source = Source::kCounters;
+  std::vector<std::string> from;  ///< Registry metric names.
+  Column column = {};
+  bool lower_is_better = false;  ///< bench-compare fails only a rise.
+
+  /// The field's to_fields() value in `stats`.
+  [[nodiscard]] double value(const RunStats& stats) const;
+};
+
+/// Every RunStats mechanism field, in to_fields() order.
+[[nodiscard]] const std::vector<StatField>& stat_fields();
 
 /// One (name, mode, age) point of the paper's three-way comparison.  The
 /// canonical names — "sync", "async", "partial" — are what --variants

@@ -47,20 +47,15 @@ void Coordinator::on_start() {
         rt::kHeartbeatTag, [this, i](rt::Message m) { on_heartbeat(i, m); });
   }
   // Crash accounting and (under kRejoin) respawn scheduling mirror the VM's
-  // own stateful-kill schedule.
-  const fault::FaultPlan& plan = vm_.config().fault;
-  if (vm_.fault_injector() != nullptr &&
-      plan.crash_semantics == fault::CrashSemantics::kStateful) {
-    for (const auto& entry : plan.nodes) {
-      const int node = entry.first;
-      if (node < 0 || node >= n) continue;
-      for (const fault::Window& w : entry.second.crashes) {
-        vm_.engine().schedule(w.start, [this] { ++stats_.crashes; });
-        if (cfg_.policy == Policy::kRejoin) {
-          vm_.engine().schedule(w.end, [this, node, w] {
-            schedule_respawn(node, w.start);
-          });
-        }
+  // own kill schedule.
+  for (const auto& [node, faults] : vm_.config().fault.nodes) {
+    if (node < 0 || node >= n) continue;
+    for (const fault::Window& w : faults.crashes) {
+      vm_.engine().schedule(w.start, [this] { ++stats_.crashes; });
+      if (cfg_.policy == Policy::kRejoin) {
+        vm_.engine().schedule(w.end, [this, node, w] {
+          schedule_respawn(node, w.start);
+        });
       }
     }
   }

@@ -20,6 +20,12 @@ auto find_seq(const std::vector<Ref>& pending, std::uint64_t seq) {
   return it != pending.end() && (*it)->msg.seq == seq ? it : pending.end();
 }
 
+/// Whether a message tagged `tag` satisfies a receive for `wanted`:
+/// kAnyTag matches any application tag.
+bool tag_matches(int wanted, int tag) noexcept {
+  return wanted == kAnyTag ? tag < kReservedTagBase : tag == wanted;
+}
+
 }  // namespace
 
 // ---- Task -------------------------------------------------------------------
@@ -74,76 +80,62 @@ void Task::broadcast(int tag, const Packet& payload) {
 
 std::optional<std::size_t> Task::find_match(int tag) const noexcept {
   for (std::size_t i = 0; i < mailbox_.size(); ++i) {
-    const int t = mailbox_[i].tag;
-    const bool match = (tag == kAnyTag) ? (t < kReservedTagBase) : (t == tag);
-    if (match) return i;
+    if (tag_matches(tag, mailbox_[i].tag)) return i;
   }
   return std::nullopt;
 }
 
-Message Task::pop_at(std::size_t index) { return mailbox_.take(index); }
-
-Message Task::recv(int tag) {
-  assert(vm_.engine_.current() == process_ &&
-         "recv() must run inside the task's process");
-  for (;;) {
-    if (auto idx = find_match(tag)) {
-      Message msg = pop_at(*idx);
-      ++stats_.messages_received;
-      compute(vm_.config_.recv_sw_overhead);
-      return msg;
-    }
-    waiting_ = true;
-    waiting_tag_ = tag;
-    const sim::Time blocked_from = now();
-    process_->suspend();
-    stats_.blocked_time += now() - blocked_from;
-    vm_.obs_.tracer().complete(id_, "recv.wait", blocked_from,
-                               now() - blocked_from, "tag", tag);
-  }
-}
+Message Task::recv(int tag) { return take(*wait_for(tag, std::nullopt)); }
 
 std::optional<Message> Task::recv_timeout(int tag, sim::Time timeout) {
-  assert(vm_.engine_.current() == process_ &&
-         "recv_timeout() must run inside the task's process");
   if (timeout <= 0) return try_recv(tag);
-  timed_out_ = false;
-  const auto watchdog =
-      vm_.engine_.set_watchdog(now() + timeout, [this] {
-        if (waiting_) {
-          waiting_ = false;
-          timed_out_ = true;
-          process_->resume();
-        }
-      });
-  for (;;) {
-    if (auto idx = find_match(tag)) {
-      vm_.engine_.cancel_watchdog(watchdog);
-      Message msg = pop_at(*idx);
-      ++stats_.messages_received;
-      compute(vm_.config_.recv_sw_overhead);
-      return msg;
-    }
-    if (timed_out_) return std::nullopt;
-    waiting_ = true;
-    waiting_tag_ = tag;
-    const sim::Time blocked_from = now();
-    process_->suspend();
-    stats_.blocked_time += now() - blocked_from;
-    vm_.obs_.tracer().complete(id_, "recv.wait", blocked_from,
-                               now() - blocked_from, "tag", tag);
-  }
+  const auto idx = wait_for(tag, timeout);
+  if (!idx) return std::nullopt;
+  return take(*idx);
 }
 
 std::optional<Message> Task::try_recv(int tag) {
-  assert(vm_.engine_.current() == process_);
-  if (auto idx = find_match(tag)) {
-    Message msg = pop_at(*idx);
-    ++stats_.messages_received;
-    compute(vm_.config_.recv_sw_overhead);
-    return msg;
+  const auto idx = find_match(tag);
+  if (!idx) return std::nullopt;
+  return take(*idx);
+}
+
+std::optional<std::size_t> Task::wait_for(int tag,
+                                          std::optional<sim::Time> timeout) {
+  assert(vm_.engine_.current() == process_ &&
+         "a receive must run inside the task's process");
+  sim::Engine::WatchdogId watchdog = 0;
+  if (timeout) {
+    timed_out_ = false;
+    watchdog = vm_.engine_.set_watchdog(now() + *timeout, [this] {
+      if (waiting_) {
+        waiting_ = false;
+        timed_out_ = true;
+        process_->resume();
+      }
+    });
   }
-  return std::nullopt;
+  for (;;) {
+    if (auto idx = find_match(tag)) {
+      if (timeout) vm_.engine_.cancel_watchdog(watchdog);
+      return idx;
+    }
+    if (timeout && timed_out_) return std::nullopt;
+    waiting_ = true;
+    waiting_tag_ = tag;
+    const sim::Time blocked_from = now();
+    process_->suspend();
+    stats_.blocked_time += now() - blocked_from;
+    vm_.obs_.tracer().complete(id_, "recv.wait", blocked_from,
+                               now() - blocked_from, "tag", tag);
+  }
+}
+
+Message Task::take(std::size_t index) {
+  Message msg = mailbox_.take(index);
+  ++stats_.messages_received;
+  compute(vm_.config_.recv_sw_overhead);
+  return msg;
 }
 
 bool Task::probe(int tag) const noexcept { return find_match(tag).has_value(); }
@@ -171,15 +163,9 @@ void Task::deliver(Message msg) {
     return;
   }
   mailbox_.push_back(std::move(msg));
-  if (waiting_) {
-    const Message& arrived = mailbox_.back();
-    const bool match = (waiting_tag_ == kAnyTag)
-                           ? (arrived.tag < kReservedTagBase)
-                           : (arrived.tag == waiting_tag_);
-    if (match) {
-      waiting_ = false;
-      process_->resume();
-    }
+  if (waiting_ && tag_matches(waiting_tag_, mailbox_.back().tag)) {
+    waiting_ = false;
+    process_->resume();
   }
 }
 
@@ -697,16 +683,12 @@ sim::Time VirtualMachine::run(sim::Time until) {
     task->process_ = &engine_.spawn(bodies_[id].first,
                                     [task, body](sim::Process&) { body(*task); });
   }
-  // Stateful crash windows tear the victim's fiber down at the window start;
-  // the injector keeps silencing its links for the window's span either way.
-  if (injector_ != nullptr &&
-      config_.fault.crash_semantics == fault::CrashSemantics::kStateful) {
-    for (const auto& entry : config_.fault.nodes) {
-      const int node = entry.first;
-      if (node < 0 || node >= config_.ntasks) continue;
-      for (const fault::Window& w : entry.second.crashes) {
-        engine_.schedule(w.start, [this, node] { kill_task(node); });
-      }
+  // A crash window tears the victim's fiber down at the window start; the
+  // injector silences its links for the window's span.
+  for (const auto& [node, faults] : config_.fault.nodes) {
+    if (node < 0 || node >= config_.ntasks) continue;
+    for (const fault::Window& w : faults.crashes) {
+      engine_.schedule(w.start, [this, node] { kill_task(node); });
     }
   }
   for (const auto& hook : start_hooks_) hook();

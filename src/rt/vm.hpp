@@ -229,8 +229,14 @@ class Task {
   Task(VirtualMachine& vm, int id, util::Xoshiro256 rng)
       : vm_(vm), id_(id), rng_(rng) {}
 
+  /// The one receive wait: the mailbox index of the first `tag` match,
+  /// waiting for one without a watchdog, or under one that gives up after a
+  /// positive `timeout` (nullopt then).
+  std::optional<std::size_t> wait_for(int tag,
+                                      std::optional<sim::Time> timeout);
+  /// Pop the message at `index` and charge receive overhead.
+  Message take(std::size_t index);
   [[nodiscard]] std::optional<std::size_t> find_match(int tag) const noexcept;
-  Message pop_at(std::size_t index);
   void deliver(Message msg);  // engine context
 
   VirtualMachine& vm_;
@@ -277,7 +283,7 @@ class VirtualMachine {
             Reliability reliability = Reliability::kAuto,
             std::uint64_t flow = 0);
 
-  /// Tear a task's process down mid-run (crash with kStateful semantics):
+  /// Tear a task's process down mid-run (a crash window's start):
   /// the fiber unwinds, its mailbox and wait flags are lost.  Transport/NIC
   /// state (sequence trackers, in-flight accounting) survives, as does any
   /// engine-context tag handler registered by external observers.  Engine

@@ -412,7 +412,6 @@ TEST(ParallelSampling, CrashBeforeTheFirstPeriodicCheckpointResumesAtZero) {
   nscc::rt::MachineConfig machine;
   machine.fault.nodes[1].crashes.push_back(nscc::fault::Window{
       nscc::sim::kSecond / 10, nscc::sim::kSecond * 15 / 100});
-  machine.fault.crash_semantics = nscc::fault::CrashSemantics::kStateful;
   machine.transport.enabled = true;
   const auto r = nscc::bayes::run_parallel_logic_sampling(
       net, {{0, 1}}, {{1, 1}}, cfg, machine);
@@ -554,7 +553,6 @@ TEST(ParallelSamplingPinned, StatefulCrashRejoinMatchesCapturedRun) {
   nscc::rt::MachineConfig machine;
   machine.fault.nodes[1].crashes.push_back(nscc::fault::Window{
       nscc::sim::kSecond / 10, nscc::sim::kSecond * 15 / 100});
-  machine.fault.crash_semantics = nscc::fault::CrashSemantics::kStateful;
   machine.transport.enabled = true;
   const auto r = nscc::bayes::run_parallel_logic_sampling(
       net, {{0, 1}}, {{1, 1}, {3, 1}, {4, 1}}, cfg, machine);

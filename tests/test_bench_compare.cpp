@@ -203,4 +203,39 @@ TEST(BenchCompare, DuplicateCellKeysAreAnError) {
   EXPECT_NE(out.str().find("share the cell key"), std::string::npos);
 }
 
+TEST(BenchCompare, RunStatsCountersGateOneWay) {
+  // The gate reads its RunStats directions from the names the run
+  // document writes: under a 5 % tolerance a 10 % drop in messages_sent is
+  // an improvement, a 10 % rise a regression.
+  for (const char* metric :
+       {"messages_sent", "bytes_sent", "global_read_blocks",
+        "global_read_block_s", "frames_lost", "retransmissions",
+        "read_escalations", "integrity_dropped", "sanitize_violations"}) {
+    CompareOptions tolerant;
+    tolerant.metric_tolerance[metric] = 0.05;
+    const std::string base = doc(1000, 2.5, "nscc-bench-v5", metric, 100);
+    std::ostringstream better;
+    EXPECT_EQ(compare_bench_json(
+                  base, doc(1000, 2.5, "nscc-bench-v5", metric, 90), tolerant,
+                  better),
+              kComparePass)
+        << metric << "\n"
+        << better.str();
+    std::ostringstream worse;
+    EXPECT_EQ(compare_bench_json(
+                  base, doc(1000, 2.5, "nscc-bench-v5", metric, 110), tolerant,
+                  worse),
+              kCompareRegression)
+        << metric;
+  }
+  // Counters no producer gates one way stay two-sided.
+  CompareOptions tolerant;
+  tolerant.metric_tolerance["crashes"] = 0.05;
+  std::ostringstream out;
+  EXPECT_EQ(compare_bench_json(doc(1000, 2.5, "nscc-bench-v5", "crashes", 10),
+                               doc(1000, 2.5, "nscc-bench-v5", "crashes", 9),
+                               tolerant, out),
+            kCompareRegression);
+}
+
 }  // namespace

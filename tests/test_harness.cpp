@@ -774,6 +774,70 @@ TEST(DriverJson, RecordsCarryTheRowLabelNetworkModelAndStats) {
                         "0.0 % sp2 regional Global_Read(10)"}));
 }
 
+/// The column headers of the driver table in `out`: the line that starts
+/// with "variant", split where the table pads with two or more spaces.
+std::vector<std::string> table_header(const std::string& out) {
+  std::istringstream lines(out);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("variant", 0) != 0) continue;
+    std::vector<std::string> columns;
+    std::size_t at = 0;
+    while (at < line.size()) {
+      std::size_t end = line.find("  ", at);
+      if (end == std::string::npos) end = line.size();
+      columns.push_back(line.substr(at, end - at));
+      at = line.find_first_not_of(' ', end);
+    }
+    return columns;
+  }
+  return {};
+}
+
+// The driver shows a counter column group when a row turned its mechanism
+// on: fault columns for any fault plan, partition columns for a split,
+// recovery columns for a recovery policy, the sanitizer's two for an
+// audited run.  Groups print in this order, whatever else is on.
+TEST(DriverTable, CounterColumnGroupsArePinned) {
+  const std::vector<std::string> always = {
+      "variant",   "completion s", "residual",
+      "messages",  "gr blocks",    "block time s", "bus util"};
+  const std::vector<std::string> faults = {"frames lost", "retx",
+                                           "escalations"};
+  const std::vector<std::string> partition = {
+      "part drops", "stale served", "heal frames",
+      "diverged",   "reconciled",   "split brains"};
+  const std::vector<std::string> recovery = {"crashes", "restores",
+                                             "rejoins", "degraded reads"};
+  const std::vector<std::string> audited = {"quarantined", "violations"};
+  auto join = [](std::vector<std::vector<std::string>> groups) {
+    std::vector<std::string> all;
+    for (const auto& g : groups) all.insert(all.end(), g.begin(), g.end());
+    return all;
+  };
+  const std::string split = "--partition-at=0.05:0.6:0,1|2,3";
+  const std::vector<std::pair<std::vector<std::string>,
+                              std::vector<std::string>>>
+      cases = {
+          {{}, always},
+          {{"--loss-rate=0.01"}, join({always, faults})},
+          {{split, "--quorum=0.6"}, join({always, faults, partition})},
+          {{"--recovery=degraded"}, join({always, recovery})},
+          {{"--sanitize=track"}, join({always, audited})},
+          {{"--loss-rate=0.01", split, "--quorum=0.6", "--recovery=degraded",
+            "--sanitize=track"},
+           join({always, faults, partition, recovery, audited})},
+      };
+  for (const auto& [flags, expected] : cases) {
+    std::vector<std::string> args = {"--grid=8", "--variants=partial"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    testing::internal::CaptureStdout();
+    (void)drive("solver.jacobi", args);
+    EXPECT_EQ(table_header(testing::internal::GetCapturedStdout()), expected)
+        << testing::PrintToString(flags);
+  }
+}
+
 /// A stand-in workload that records the configuration of every run.
 class RecordingWorkload final : public harness::Workload {
  public:

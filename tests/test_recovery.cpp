@@ -1,8 +1,8 @@
-// Tests for the crash-restart recovery stack: stateful crash windows that
-// destroy process state (vs the lossy NIC-failure model), periodic
-// checkpointing charged in virtual time, heartbeat failure detection with
-// degraded reads, and the rejoin protocol — exercised end-to-end through all
-// four workloads plus targeted VM- and transport-level checks.
+// Tests for the crash-restart recovery stack: crash windows that destroy
+// process state, periodic checkpointing charged in virtual time, heartbeat
+// failure detection with degraded reads, and the rejoin protocol —
+// exercised end-to-end through all four workloads plus targeted VM- and
+// transport-level checks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 
 namespace {
 
-using nscc::fault::CrashSemantics;
 using nscc::fault::FaultPlan;
 using nscc::fault::Window;
 using nscc::harness::RunConfig;
@@ -41,15 +40,13 @@ Time seconds(double s) {
   return static_cast<Time>(s * static_cast<double>(kSecond));
 }
 
-/// A stateful crash of `node` over [at, at+dur) on a 1%-lossy network —
-/// the acceptance scenario from the issue.
+/// A crash of `node` over [at, at+dur) on a 1%-lossy network.
 FaultPlan crash_plan(double at_s, double dur_s, int node,
                      double loss = 0.01) {
   FaultPlan plan;
   plan.link.loss_prob = loss;
   plan.nodes[node].crashes.push_back(
       Window{seconds(at_s), seconds(at_s + dur_s)});
-  plan.crash_semantics = CrashSemantics::kStateful;
   return plan;
 }
 
@@ -270,7 +267,6 @@ TEST(Recovery, SecondCrashAfterALongWindowIsDetected) {
   MachineConfig config;
   config.ntasks = 2;
   config.transport.enabled = true;
-  config.fault.crash_semantics = CrashSemantics::kStateful;
   config.fault.nodes[1].crashes = {Window{seconds(1.0), seconds(31.0)},
                                    Window{seconds(32.0), seconds(33.0)}};
   VirtualMachine vm(config);
@@ -302,7 +298,6 @@ TEST(Recovery, UnionViewDeclaresACrashUnderTheQuorumGate) {
   MachineConfig config;
   config.ntasks = 4;
   config.transport.enabled = true;
-  config.fault.crash_semantics = CrashSemantics::kStateful;
   config.fault.nodes[1].crashes = {Window{crash_at, seconds(5.0)}};
   VirtualMachine vm(config);
   nscc::recovery::Config cfg;
@@ -361,36 +356,6 @@ TEST(Recovery, CrashRecoveryRunsAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// kLossy crash windows (the pre-recovery model) stay untouched by the
-// recovery machinery: no kills, no checkpoints, and the run is reproducible
-// — the golden guarantee that in-code fault plans from earlier experiments
-// keep their exact behaviour.
-// ---------------------------------------------------------------------------
-
-TEST(Recovery, LossyCrashWindowsNeverEngageRecoveryMachinery) {
-  auto ga = small_ga();
-  RunConfig run = recovery_run(Policy::kNone, 10, 7, 0.0);
-  FaultPlan plan;
-  plan.link.loss_prob = 0.01;
-  plan.nodes[1].crashes.push_back(Window{seconds(0.4), seconds(0.48)});
-  ASSERT_EQ(plan.crash_semantics, CrashSemantics::kLossy)
-      << "in-code plans must default to the lossy (PR 3) semantics";
-
-  const RunStats a = ga.run(run, machine_for(plan, run));
-  EXPECT_FALSE(a.deadlocked);
-  EXPECT_EQ(a.crashes, 0u);
-  EXPECT_EQ(a.checkpoints_taken, 0u);
-  EXPECT_EQ(a.restores, 0u);
-  EXPECT_EQ(a.degraded_reads, 0u);
-
-  auto ga2 = small_ga();
-  const RunStats b = ga2.run(run, machine_for(plan, run));
-  EXPECT_EQ(a.completion_time, b.completion_time);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.quality, b.quality);
-}
-
-// ---------------------------------------------------------------------------
 // SwitchFabric: crash + whole-medium outage on the SP2 switch
 // ---------------------------------------------------------------------------
 
@@ -410,7 +375,7 @@ TEST(Recovery, SwitchFabricSurvivesCrashDuringOutage) {
 }
 
 // ---------------------------------------------------------------------------
-// VM-level mechanics: kill/respawn epochs and crash semantics
+// VM-level mechanics: kill/respawn epochs and crash windows
 // ---------------------------------------------------------------------------
 
 TEST(Recovery, KillRespawnBumpsEpochAndStampsMessages) {
@@ -442,31 +407,20 @@ TEST(Recovery, KillRespawnBumpsEpochAndStampsMessages) {
   EXPECT_EQ(vm.task(1).epoch(), 1u);
 }
 
-TEST(Recovery, LossyCrashKeepsComputingStatefulCrashTearsDown) {
-  for (const auto semantics :
-       {CrashSemantics::kLossy, CrashSemantics::kStateful}) {
-    MachineConfig config;
-    config.ntasks = 2;
-    config.fault.nodes[1].crashes.push_back(
-        Window{seconds(0.5), seconds(1.0)});
-    config.fault.crash_semantics = semantics;
-    VirtualMachine vm(config);
-    int completed = 0;
-    for (int id = 0; id < 2; ++id) {
-      vm.add_task("worker", [&](Task& task) {
-        for (int i = 0; i < 20; ++i) task.compute(100 * kMillisecond);
-        ++completed;
-      });
-    }
-    vm.run();
-    if (semantics == CrashSemantics::kLossy) {
-      EXPECT_EQ(completed, 2) << "a lossy window only drops frames";
-      EXPECT_EQ(vm.task(1).epoch(), 0u);
-    } else {
-      EXPECT_EQ(completed, 1)
-          << "a stateful window unwinds the victim's fiber";
-    }
+TEST(Recovery, CrashWindowTearsTheVictimDown) {
+  MachineConfig config;
+  config.ntasks = 2;
+  config.fault.nodes[1].crashes.push_back(Window{seconds(0.5), seconds(1.0)});
+  VirtualMachine vm(config);
+  int completed = 0;
+  for (int id = 0; id < 2; ++id) {
+    vm.add_task("worker", [&](Task& task) {
+      for (int i = 0; i < 20; ++i) task.compute(100 * kMillisecond);
+      ++completed;
+    });
   }
+  vm.run();
+  EXPECT_EQ(completed, 1) << "a crash window unwinds the victim's fiber";
 }
 
 // ---------------------------------------------------------------------------

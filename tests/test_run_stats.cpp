@@ -104,7 +104,6 @@ rt::MachineConfig machine_for(const Case& c, Fault fault) {
       break;
     case Fault::kCrash:
       machine.fault.nodes[1].crashes.push_back({seconds(0.3), seconds(0.35)});
-      machine.fault.crash_semantics = fault::CrashSemantics::kStateful;
       break;
     case Fault::kPartition: {
       fault::PartitionWindow split;
@@ -180,6 +179,58 @@ TEST(RunStatsTruth, HealedPartitionReconcilesEveryDivergence) {
     // Every split leaves a side without quorum, whose suspicions park.
     EXPECT_GT(s.quorum_parks, 0u);
   }
+}
+
+// The run document's stats names, in order: tests, bench/schema.md, the
+// CI checks and the benchmark read them by name, so a rename or a reorder
+// is a change of format.  Times are written in seconds, counts as counts.
+TEST(RunStatsFields, NamesOrderAndUnitsArePinned) {
+  RunStats s;
+  s.completion_time = seconds(2.5);
+  s.messages_sent = 7;
+  s.global_read_block_time = 1500 * sim::kMicrosecond;
+  s.bus_utilization = 0.25;
+  s.detection_latency = seconds(0.125);
+  s.lost_iterations = 3;
+  s.quality_name = "residual";
+  s.quality = 1e-7;
+  s.extra = {{"sweeps", 230.0}};
+  std::vector<std::string> names;
+  for (const auto& [name, value] : s.to_fields()) names.push_back(name);
+  EXPECT_EQ(names,
+            (std::vector<std::string>{
+                "completion_s",        "deadlocked",
+                "messages_sent",       "bytes_sent",
+                "global_read_blocks",  "global_read_block_s",
+                "bus_utilization",     "mean_staleness",
+                "mean_warp",           "frames_lost",
+                "retransmissions",     "read_escalations",
+                "integrity_dropped",   "sanitize_violations",
+                "crashes",             "checkpoints_taken",
+                "restores",            "rejoins",
+                "degraded_reads",      "detection_latency_s",
+                "recovery_latency_s",  "lost_iterations",
+                "partition_drops",     "partition_stale_served",
+                "heal_frames",         "diverged_locations",
+                "reconciled_locations", "split_brain_declarations",
+                "quorum_parks",        "updates_parked",
+                "updates_flushed",     "ooo_updates",
+                "residual",            "sweeps"}));
+  auto value = [&s](const std::string& name) {
+    for (const auto& [key, v] : s.to_fields()) {
+      if (key == name) return v;
+    }
+    ADD_FAILURE() << "no field " << name;
+    return -1.0;
+  };
+  EXPECT_EQ(value("completion_s"), 2.5);
+  EXPECT_EQ(value("messages_sent"), 7.0);
+  EXPECT_EQ(value("global_read_block_s"), 0.0015);
+  EXPECT_EQ(value("bus_utilization"), 0.25);
+  EXPECT_EQ(value("detection_latency_s"), 0.125);
+  EXPECT_EQ(value("lost_iterations"), 3.0);
+  EXPECT_EQ(value("residual"), 1e-7);
+  EXPECT_EQ(value("sweeps"), 230.0);
 }
 
 TEST(RunStatsTruth, PlainReadsRecordStalenessInAsyncRuns) {

@@ -433,7 +433,6 @@ TEST(ParallelJacobiPinned, StatefulCrashRejoinMatchesCapturedRun) {
   machine.fault.link.loss_prob = 0.01;
   machine.fault.nodes[1].crashes.push_back(
       nscc::fault::Window{nscc::sim::kSecond, nscc::sim::kSecond * 11 / 10});
-  machine.fault.crash_semantics = nscc::fault::CrashSemantics::kStateful;
   machine.transport.enabled = true;
   const auto r = nscc::solver::run_parallel_jacobi(sys, cfg, machine);
   EXPECT_EQ(r.crashes, 1U);

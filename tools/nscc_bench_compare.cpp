@@ -11,7 +11,12 @@
 // Tolerances are relative (0.10 = 10%) and direction-aware: tolerated
 // metrics only fail when they move the worse way (lower events_per_sec,
 // higher completion_s); unknown-direction metrics fail on any
-// out-of-tolerance change.  The default is exact comparison — the
+// out-of-tolerance change.  The RunStats counters take their direction
+// from their declarations (harness::stat_fields(): messages_sent,
+// bytes_sent, global_read_blocks, global_read_block_s, frames_lost,
+// retransmissions, read_escalations, integrity_dropped and
+// sanitize_violations are lower-is-better); bench/schema.md lists every
+// directional stat.  The default is exact comparison — the
 // simulator is deterministic, so simulated metrics must match bit-for-bit;
 // pass --tol=events_per_sec=0.25 (etc.) for wall-clock-derived metrics.
 #include <cstdio>
