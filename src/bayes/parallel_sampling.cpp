@@ -475,7 +475,7 @@ ParallelInferenceResult run_parallel_logic_sampling(
       auto flush_range = [&](int k, std::int64_t from, std::int64_t to) {
         const PhaseHistory& h = published[static_cast<std::size_t>(k)];
         const auto count = static_cast<std::size_t>(to - from + 1);
-        rt::Packet p;
+        rt::Packet p = task.vm().packets().acquire();
         p.reserve(sizeof(std::int64_t) + sizeof(std::uint32_t) +
                   count * h.width());
         p.pack_i64(from);

@@ -47,7 +47,7 @@ const char* mode_name(Mode m) noexcept {
 }
 
 SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
-    : task_(task), policy_(std::move(policy)) {
+    : task_(task), packets_(task.vm().packets()), policy_(std::move(policy)) {
   // Resolve the consistency model first: its shape() may rewrite the
   // transport-facing policy knobs everything below reads.
   model_ = ConsistencyRegistry::instance().make(policy_.consistency);
@@ -79,6 +79,7 @@ SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
   // sides could otherwise block on each other forever).
   task_.set_tag_handler(rt::kDsmRequestTag, [this](rt::Message m) {
     serve_request(m.payload, m.src);
+    packets_.release(std::move(m.payload));
   });
   // Anti-entropy heal: schedule one republish pass at the end of every
   // scheduled partition/blackhole window.  Engine-context events guarded by
@@ -170,7 +171,7 @@ void SharedSpace::send_update(LocationId loc, int reader, Iteration iteration,
                               const rt::Packet& value, bool charge_cpu,
                               rt::Reliability reliability,
                               std::uint64_t flow) {
-  rt::Packet payload;
+  rt::Packet payload = packets_.acquire();
   payload.reserve(sizeof(std::int32_t) + sizeof(std::int64_t) +
                   sizeof(std::uint64_t) + value.byte_size() +
                   (stamp_updates_ ? sizeof(std::uint64_t) : 0));
@@ -278,8 +279,10 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
   mine.valid = true;
   // The fan-out below sends and stashes from the local copy.  It is in
   // place before any send can block, so a demand served mid-send already
-  // sees this value.
-  mine.data = std::move(value);
+  // sees this value.  The superseded copy's buffer goes back to the pool,
+  // where the writer's next value is drawn.
+  std::swap(mine.data, value);
+  packets_.release(std::move(value));
   mine.epoch = task_.epoch();
   if (san_ != nullptr) {
     san_->record_write(task_.id(), loc, iteration, mine.data.crc32(),
@@ -324,7 +327,8 @@ void SharedSpace::apply_update(rt::Message& msg) {
       obs_->tracer().instant(task_.id(), "dsm.update.park", task_.now(),
                              "src", msg.src);
     }
-    parked_.push_back({peek_stamp(msg.payload), std::move(msg)});
+    parked_.push_back(
+        {peek_stamp(msg.payload), parked_.size(), std::move(msg)});
     return;
   }
   // Parse defensively: corruption the transport's frame CRC missed can
@@ -356,6 +360,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
     const auto it = located ? locations_.find(loc) : locations_.end();
     if (it != locations_.end()) send_demand(loc, it->second.writer, iteration);
     scratch_ = std::move(data);
+    packets_.release(std::move(msg.payload));
     return;
   }
 
@@ -407,6 +412,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
     }
   }
   scratch_ = std::move(data);
+  packets_.release(std::move(msg.payload));
 }
 
 std::uint64_t SharedSpace::peek_stamp(rt::Packet& payload) const {
@@ -415,7 +421,7 @@ std::uint64_t SharedSpace::peek_stamp(rt::Packet& payload) const {
   try {
     (void)payload.unpack_i32();
     (void)payload.unpack_i64();
-    (void)payload.unpack_packet();
+    payload.skip_packet();
     stamp = payload.unpack_u64();
   } catch (const std::out_of_range&) {
     // A garbled frame sorts first (stamp 0) and is quarantined when the
@@ -429,18 +435,24 @@ void SharedSpace::flush_parked() {
   if (parked_.empty()) return;
   // Publish the release log in (writer, release-stamp) order so each
   // writer's updates become visible in the order they were released,
-  // whatever the wire interleaved.
-  std::stable_sort(parked_.begin(), parked_.end(),
-                   [](const ParkedUpdate& a, const ParkedUpdate& b) {
-                     return a.msg.src != b.msg.src ? a.msg.src < b.msg.src
-                                                   : a.stamp < b.stamp;
-                   });
+  // whatever the wire interleaved.  The arrival index makes the order
+  // total, so std::sort (which, unlike std::stable_sort, needs no
+  // temporary buffer) keeps arrival order among equal keys.
+  std::sort(parked_.begin(), parked_.end(),
+            [](const ParkedUpdate& a, const ParkedUpdate& b) {
+              if (a.msg.src != b.msg.src) return a.msg.src < b.msg.src;
+              if (a.stamp != b.stamp) return a.stamp < b.stamp;
+              return a.arrival < b.arrival;
+            });
   // Swap out first: an apply below may re-enter (observer hooks), and a
   // fresh arrival mid-flush applies directly (acquiring_ is set).
   std::vector<ParkedUpdate> batch;
   batch.swap(parked_);
   stats_.updates_flushed += batch.size();
   for (ParkedUpdate& p : batch) apply_update(p.msg);
+  // Nothing parks mid-flush, so the log takes its capacity back.
+  batch.clear();
+  if (parked_.empty()) parked_.swap(batch);
 }
 
 void SharedSpace::mark_diverged(Location& l, Iteration need) {
@@ -530,7 +542,7 @@ void SharedSpace::send_demand(LocationId loc, int writer, Iteration need) {
   // this reader is running behind the producer).  Demands are control
   // traffic and ride the reliable channel when the machine has one.
   if (writer < 0) return;  // Our own location: nobody else can serve it.
-  rt::Packet req;
+  rt::Packet req = packets_.acquire();
   req.pack_i32(loc);
   req.pack_i64(need);
   if (obs_ != nullptr) {
@@ -545,6 +557,7 @@ void SharedSpace::send_demand(LocationId loc, int writer, Iteration need) {
 void SharedSpace::drain_requests() {
   while (auto msg = task_.try_recv(rt::kDsmRequestTag)) {
     serve_request(msg->payload, msg->src);
+    packets_.release(std::move(msg->payload));
   }
 }
 

@@ -178,7 +178,9 @@ class SharedSpace {
 
   /// Writer side: store locally with the iteration stamp and propagate to
   /// every registered reader (charging per-send software overhead, like the
-  /// paper's user-level macros doing direct sends).
+  /// paper's user-level macros doing direct sends).  The superseded local
+  /// copy's buffer returns to the machine's rt::PacketPool, so a writer
+  /// that draws each `value` from task().vm().packets() reuses it.
   void write(LocationId loc, Iteration iteration, rt::Packet value);
 
   /// Plain read: drain any pending updates, then return the freshest local
@@ -246,6 +248,8 @@ class SharedSpace {
     std::optional<Iteration> owed;
   };
 
+  /// Apply, park or quarantine one arriving update.  A frame that is not
+  /// parked returns its buffer to the packet pool.
   void apply_update(rt::Message& msg);
   /// Observe max(0, curr_iter - served) in both staleness histograms.
   void record_staleness(Iteration curr_iter, Iteration served);
@@ -288,6 +292,10 @@ class SharedSpace {
   [[nodiscard]] std::uint64_t begin_flow(LocationId loc, Iteration iteration);
 
   rt::Task& task_;
+  /// The machine's packet free list: send_update and send_demand draw
+  /// here, and applied frames, served demands and superseded values
+  /// return here.
+  rt::PacketPool& packets_;
   PropagationPolicy policy_;
   /// The machine's membership view, read once at construction; null = every
   /// writer is presumed alive and blocked reads wait like the paper's.
@@ -306,6 +314,8 @@ class SharedSpace {
   /// form, waiting for the next acquire to publish them.
   struct ParkedUpdate {
     std::uint64_t stamp = 0;
+    /// Position in the log: ties on (writer, stamp) keep arrival order.
+    std::size_t arrival = 0;
     rt::Message msg;
   };
   std::vector<ParkedUpdate> parked_;

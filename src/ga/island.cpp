@@ -92,7 +92,7 @@ IslandResult run_island_ga(const IslandConfig& config,
       };
       std::vector<Individual> migrants;  // Reused by every publish.
       auto publish = [&](dsm::Iteration gen) {
-        rt::Packet p;
+        rt::Packet p = task.vm().packets().acquire();
         deme.best_k(config.migrants, migrants);
         p.reserve(sizeof(std::uint32_t) + migrants.size() * migrant_bytes(fn));
         p.pack_u32(static_cast<std::uint32_t>(migrants.size()));

@@ -107,7 +107,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
 
     const std::size_t params_count = net.parameter_count();
     auto publish = [&](dsm::Iteration round) {
-      rt::Packet p;
+      rt::Packet p = task.vm().packets().acquire();
       p.reserve(packed_bytes(params_count));
       p.pack_double_vec(net.parameters());
       space.write(kParamsLoc, round, std::move(p));

@@ -96,12 +96,6 @@ class Packet {
     return static_cast<std::size_t>(n);
   }
 
-  Packet unpack_packet() {
-    Packet q;
-    unpack_packet(q);
-    return q;
-  }
-
   /// Unpack an embedded packet into `into` (rewound), reusing its buffer's
   /// capacity: a caller that keeps one scratch packet unpacks without
   /// allocating once the scratch has grown to the payload size.
@@ -114,14 +108,32 @@ class Packet {
     rpos_ += static_cast<std::size_t>(n);
   }
 
+  /// Step the read cursor over an embedded packet without copying it.
+  /// Throws std::out_of_range, as unpack_packet does, for a cut frame.
+  void skip_packet() {
+    const std::uint64_t n = unpack_u64();
+    check(n);
+    rpos_ += static_cast<std::size_t>(n);
+  }
+
   /// Reserve room for `bytes` of packed data, so a sender that knows its
   /// frame size packs it with one allocation.
   void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
+  /// Drop the contents and rewind, keeping the buffer's capacity.
+  void clear() noexcept {
+    buf_.clear();
+    rpos_ = 0;
+  }
 
   // ---- inspection ----------------------------------------------------------
   /// Total serialized payload size in bytes (what the wire model charges).
   [[nodiscard]] std::uint32_t byte_size() const noexcept {
     return static_cast<std::uint32_t>(buf_.size());
+  }
+  /// Bytes the buffer holds without growing.
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return buf_.capacity();
   }
   [[nodiscard]] std::size_t remaining() const noexcept {
     return buf_.size() - rpos_;
@@ -206,6 +218,50 @@ class Packet {
 
   std::vector<std::byte> buf_;
   std::size_t rpos_ = 0;
+};
+
+/// A free list of packet buffers.  A path that packs, sends and consumes
+/// packets at a steady rate draws each packet here and returns it when
+/// its life ends, so the bytes are reused instead of allocated per
+/// message (one rt::VirtualMachine owns one; see DESIGN.md §12.4).  Not
+/// thread-safe: only the thread that runs the machine's events and
+/// processes may touch it, never a sim::HostPool job.  It keeps at most
+/// kMaxBuffers buffers of at most kMaxCapacity bytes each, so a burst of
+/// frames cannot pin memory for the rest of the run.
+class PacketPool {
+ public:
+  static constexpr std::size_t kMaxBuffers = 128;
+  static constexpr std::size_t kMaxCapacity = 64 * 1024;
+
+  PacketPool() { free_.reserve(kMaxBuffers); }
+  PacketPool(const PacketPool&) = delete;
+  PacketPool& operator=(const PacketPool&) = delete;
+
+  /// An empty packet, on the most recently returned buffer when one is
+  /// kept.
+  [[nodiscard]] Packet acquire() noexcept {
+    if (free_.empty()) return Packet{};
+    Packet p = std::move(free_.back());
+    free_.pop_back();
+    return p;
+  }
+
+  /// Take `p`'s buffer back, emptied.  A buffer with no capacity, one
+  /// above kMaxCapacity, or one beyond kMaxBuffers is freed instead.
+  void release(Packet p) noexcept {
+    if (p.capacity() == 0 || p.capacity() > kMaxCapacity ||
+        free_.size() == kMaxBuffers) {
+      return;
+    }
+    p.clear();
+    free_.push_back(std::move(p));
+  }
+
+  /// Buffers currently kept.
+  [[nodiscard]] std::size_t kept() const noexcept { return free_.size(); }
+
+ private:
+  std::vector<Packet> free_;
 };
 
 }  // namespace nscc::rt

@@ -104,10 +104,10 @@ std::optional<std::size_t> Task::wait_for(int tag,
                                           std::optional<sim::Time> timeout) {
   assert(vm_.engine_.current() == process_ &&
          "a receive must run inside the task's process");
-  sim::Engine::WatchdogId watchdog = 0;
   if (timeout) {
     timed_out_ = false;
-    watchdog = vm_.engine_.set_watchdog(now() + *timeout, [this] {
+    receive_watchdog_ = vm_.engine_.set_watchdog(now() + *timeout, [this] {
+      receive_watchdog_ = 0;
       if (waiting_) {
         waiting_ = false;
         timed_out_ = true;
@@ -117,7 +117,10 @@ std::optional<std::size_t> Task::wait_for(int tag,
   }
   for (;;) {
     if (auto idx = find_match(tag)) {
-      if (timeout) vm_.engine_.cancel_watchdog(watchdog);
+      if (receive_watchdog_ != 0) {
+        vm_.engine_.cancel_watchdog(receive_watchdog_);
+        receive_watchdog_ = 0;
+      }
       return idx;
     }
     if (timeout && timed_out_) return std::nullopt;
@@ -199,6 +202,9 @@ VirtualMachine::TxRef VirtualMachine::TxPool::acquire() {
 }
 
 void VirtualMachine::TxPool::recycle(TxState* st) noexcept {
+  // A payload still here was lost, kept for retransmission, or delivered
+  // as a copy; one moved out at delivery is empty and is not kept.
+  packets_.release(std::move(st->msg.payload));
   *st = TxState{};
   free_.push_back(st);
 }
@@ -399,12 +405,13 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
   // read again only as a fault duplicate.  A reliable frame's later copies
   // (retransmits, duplicates) fail the fresh() check above unread, but a
   // retransmit is re-damaged from the stored bytes when the plan can
-  // corrupt frames.  Those cases deliver a copy.
+  // corrupt frames.  Those cases deliver a copy, on a pooled buffer.
   Message m;
   if (st->reliable ? !may_corrupt_ : !may_duplicate_) {
     m = std::move(st->msg);
   } else {
-    m = st->msg;
+    m.payload = packets_.acquire();
+    m = st->msg;  // Copy-assignment reuses the buffer's capacity.
   }
   if (damaged) m.payload = std::move(*damaged);
   m.delivered_at = at;
@@ -479,7 +486,7 @@ void VirtualMachine::arm_retx_timer(const TxRef& st) {
 
 void VirtualMachine::send_ack(int from, int to, std::uint64_t seq) {
   ++transport_stats_.acks_sent;
-  Packet p;
+  Packet p = packets_.acquire();
   p.pack_u64(seq);
   post(from, to, kAckTag, std::move(p), {}, Reliability::kBestEffort);
 }
@@ -503,6 +510,10 @@ void VirtualMachine::kill_task(int id) {
   t->waiting_ = false;
   t->waiting_tag_ = kAnyTag;
   t->timed_out_ = false;
+  if (t->receive_watchdog_ != 0) {
+    engine_.cancel_watchdog(t->receive_watchdog_);
+    t->receive_watchdog_ = 0;
+  }
   t->waiting_for_window_ = false;
   obs_.tracer().instant(id, "task.crash", engine_.now(), "epoch",
                         static_cast<std::int64_t>(t->epoch_));

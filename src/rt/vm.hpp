@@ -248,6 +248,10 @@ class Task {
   bool waiting_ = false;
   int waiting_tag_ = kAnyTag;
   bool timed_out_ = false;
+  /// The pending timed receive's watchdog (0 = none).  Kept here, not in
+  /// wait_for, so kill_task can cancel it: a dead incarnation's watchdog
+  /// must not fire into its respawned successor's receive.
+  sim::Engine::WatchdogId receive_watchdog_ = 0;
   std::uint64_t in_flight_bytes_ = 0;
   bool waiting_for_window_ = false;
   std::unordered_map<int, std::function<void(Message)>> tag_handlers_;
@@ -327,6 +331,9 @@ class VirtualMachine {
   /// Utilisation of whichever interconnect is active.
   [[nodiscard]] double network_utilization() const noexcept;
   [[nodiscard]] warp::WarpMeter& warp_meter() noexcept { return warp_; }
+  /// The machine's free list of packet buffers: DSM frames and published
+  /// values, and transport ACKs, draw here and return here.  Starts empty.
+  [[nodiscard]] PacketPool& packets() noexcept { return packets_; }
   /// Observability hub (metrics registry, tracer, sampler).  run() flushes
   /// every subsystem's counters into the registry and writes the configured
   /// trace/metrics outputs before returning.
@@ -411,15 +418,17 @@ class VirtualMachine {
   /// no transmit state.
   class TxPool {
    public:
-    TxPool() = default;
+    explicit TxPool(PacketPool& packets) : packets_(packets) {}
     TxPool(const TxPool&) = delete;  // Handles point at their pool.
     TxPool& operator=(const TxPool&) = delete;
 
     TxRef acquire();
-    /// Reset `st` to a fresh state and put it back on the free list.
+    /// Return `st`'s payload to the packet pool, reset `st` to a fresh
+    /// state and put it back on the free list.
     void recycle(TxState* st) noexcept;
 
    private:
+    PacketPool& packets_;
     std::vector<std::unique_ptr<TxState>> owned_;
     std::vector<TxState*> free_;
   };
@@ -443,9 +452,12 @@ class VirtualMachine {
 
   MachineConfig config_;
   obs::Hub obs_;
+  /// Declared before the transmit pool, whose recycled states return their
+  /// payloads here.
+  PacketPool packets_;
   /// Declared before the engine: pending events hold TxRefs, and the pool
   /// must outlive them.
-  TxPool tx_pool_;
+  TxPool tx_pool_{packets_};
   sim::Engine engine_;
   net::SharedBus bus_;
   std::unique_ptr<net::SwitchFabric> switch_;  ///< Set for kSp2Switch.

@@ -13,7 +13,9 @@
 //     private to the submitting process, plus data nobody writes during
 //     the run (say, an immutable matrix);
 //   * not touch the tracer, the DSM, an RNG stream, a mailbox, the engine,
-//     or any other process's state;
+//     the machine's packet buffer list (rt::PacketPool, which only the
+//     engine thread draws from and returns to), or any other process's
+//     state;
 //   * not decide the virtual time charged for it: the delay is fixed
 //     before the job runs, so results and virtual time stay bit-identical
 //     whatever thread runs the kernel and however long it takes.

@@ -141,7 +141,7 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
           config.sweep_overhead;
 
       auto publish = [&](dsm::Iteration sweep) {
-        rt::Packet p;
+        rt::Packet p = task.vm().packets().acquire();
         p.reserve(sizeof(std::uint64_t) + mine.size() * sizeof(double));
         p.pack_double_vec(mine);
         space.write(block_loc(me), sweep, std::move(p));

@@ -19,10 +19,12 @@ using nscc::rt::kAnyTag;
 using nscc::rt::MachineConfig;
 using nscc::rt::Message;
 using nscc::rt::Packet;
+using nscc::rt::PacketPool;
 using nscc::rt::Task;
 using nscc::rt::VirtualMachine;
 using nscc::sim::Time;
 using nscc::sim::kMillisecond;
+using nscc::sim::kSecond;
 
 MachineConfig fast_config(int ntasks) {
   MachineConfig c;
@@ -123,6 +125,58 @@ TEST(Packet, UnpackDoubleVecIntoRejectsBadPrefixWithoutWriting) {
     expect_rejected(hostile);
   }
   expect_rejected(Packet{});  // No prefix at all.
+}
+
+TEST(Packet, SkipPacketStepsOverAnEmbeddedPacket) {
+  Packet inner;
+  inner.pack_double(2.5).pack_i32(9);
+  Packet frame;
+  frame.pack_i32(1).pack_packet(inner).pack_u64(77);
+  EXPECT_EQ(frame.unpack_i32(), 1);
+  frame.skip_packet();
+  EXPECT_EQ(frame.unpack_u64(), 77u);
+  EXPECT_TRUE(frame.fully_consumed());
+
+  // A frame cut inside the embedded packet throws, as unpack_packet does.
+  Packet cut = frame.truncated(frame.byte_size() - 12);
+  (void)cut.unpack_i32();
+  EXPECT_THROW(cut.skip_packet(), std::out_of_range);
+}
+
+TEST(PacketPool, ReusesAReturnedBufferEmptied) {
+  PacketPool pool;
+  Packet p = pool.acquire();
+  EXPECT_EQ(p.capacity(), 0u) << "a new pool keeps nothing";
+  p.reserve(100);
+  p.pack_u64(5);
+  (void)p.unpack_u64();
+  const std::size_t capacity = p.capacity();
+  pool.release(std::move(p));
+  EXPECT_EQ(pool.kept(), 1u);
+
+  Packet q = pool.acquire();
+  EXPECT_EQ(pool.kept(), 0u);
+  EXPECT_EQ(q.capacity(), capacity);
+  EXPECT_EQ(q.byte_size(), 0u) << "no bytes of the last use survive";
+  EXPECT_EQ(q.remaining(), 0u);
+  q.pack_i32(3);
+  EXPECT_EQ(q.unpack_i32(), 3) << "the read cursor starts at the front";
+}
+
+TEST(PacketPool, KeepsNeitherEmptyNorOversizedBuffersNorTooMany) {
+  PacketPool pool;
+  pool.release(Packet{});
+  EXPECT_EQ(pool.kept(), 0u) << "a buffer with no capacity";
+  Packet big;
+  big.reserve(PacketPool::kMaxCapacity + 1);
+  pool.release(std::move(big));
+  EXPECT_EQ(pool.kept(), 0u) << "a buffer above the capacity cap";
+  for (std::size_t i = 0; i < PacketPool::kMaxBuffers + 5; ++i) {
+    Packet p;
+    p.reserve(8);
+    pool.release(std::move(p));
+  }
+  EXPECT_EQ(pool.kept(), PacketPool::kMaxBuffers);
 }
 
 TEST(Vm, PingPongDeliversPayload) {
@@ -391,6 +445,28 @@ TEST(Vm, DeterministicAcrossRuns) {
     return draws;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Vm, KilledReceiveWatchdogDoesNotFireIntoTheRespawn) {
+  // Task 1 enters a 1 s timed receive at 0, is killed at 0.1 s and
+  // respawned at 0.2 s, and its second incarnation enters a 5 s timed
+  // receive that nothing satisfies.  The first incarnation's watchdog
+  // (due at 1 s) died with it, so the second receive times out on its own
+  // watchdog, at 5.2 s.
+  VirtualMachine vm(fast_config(2));
+  std::vector<Time> gave_up;
+  vm.add_task("bystander", [](Task& t) { t.compute(10 * kSecond); });
+  vm.add_task("victim", [&](Task& t) {
+    const Time timeout = t.epoch() == 0 ? kSecond : 5 * kSecond;
+    if (!t.recv_timeout(1, timeout)) gave_up.push_back(t.now());
+  });
+  vm.add_start_hook([&] {
+    vm.engine().schedule(100 * kMillisecond, [&] { vm.kill_task(1); });
+    vm.engine().schedule(200 * kMillisecond, [&] { vm.respawn_task(1); });
+  });
+  vm.run();
+  ASSERT_EQ(gave_up.size(), 1u);
+  EXPECT_EQ(gave_up[0], 5200 * kMillisecond);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -244,6 +245,41 @@ TEST(RunStatsTruth, PlainReadsRecordStalenessInAsyncRuns) {
     run.mode = dsm::Mode::kAsynchronous;
     const RunStats s = c.workload->run(run, rt::MachineConfig{});
     EXPECT_GT(s.mean_staleness, 0.0);
+  }
+}
+
+TEST(RunStatsTruth, PooledBuffersLeaveCoalescingRunsUnchanged) {
+  // The two coalescing benchmark workloads at full size (ga-partial and
+  // nn-partial, seed 7), run traced with the sanitizer tracking every read
+  // and then untraced.  Pooled packet buffers cross the coalescing
+  // stash, the parked and mailboxed frames and the values reads return,
+  // so a buffer reused while still read, or reused without clearing,
+  // would show as a difference here.
+  auto ga = std::make_unique<harness::GaIslandWorkload>();
+  ga->demes = 8;
+  ga->function_id = 6;
+  ga->generations = 400;
+  auto nn = std::make_unique<harness::NnTrainWorkload>();
+  nn->workers = 4;
+  nn->steps = 2500;
+  const std::pair<std::unique_ptr<harness::Workload>, dsm::Iteration>
+      benches[] = {{std::move(ga), 10}, {std::move(nn), 2}};
+  for (const auto& [workload, age] : benches) {
+    SCOPED_TRACE(workload->name());
+    RunConfig run;
+    run.seed = 7;
+    run.mode = dsm::Mode::kPartialAsync;
+    run.age = age;
+    run.propagation.coalesce = true;
+    rt::MachineConfig traced;
+    traced.obs.enable = true;
+    traced.sanitize.level = sanitize::Level::kTrack;
+    traced.sanitize.spec = workload->tolerance_spec(run);
+    const RunStats observed = workload->run(run, traced);
+    const RunStats plain = workload->run(run, rt::MachineConfig{});
+    EXPECT_FALSE(plain.deadlocked);
+    EXPECT_EQ(observed.sanitize_violations, 0u);
+    EXPECT_EQ(observed.to_fields(), plain.to_fields());
   }
 }
 
