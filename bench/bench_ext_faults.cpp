@@ -80,9 +80,8 @@ int main(int argc, char** argv) {
   harness::Section loss;
   loss.title = "Extension E - completion time vs frame loss";
   loss.scenario_column = "loss";
-  loss.scenarios = [](const util::Flags& flags,
-                      const std::vector<harness::Row>&) {
-    return harness::loss_scenarios(flags, {0.0, 0.001, 0.01, 0.05});
+  loss.scenarios = [](const util::Flags&, const std::vector<harness::Row>&) {
+    return harness::loss_scenarios({0.0, 0.001, 0.01, 0.05});
   };
 
   // One node torn down at 40% of the fault-free completion, for 80 ms.
@@ -98,7 +97,7 @@ int main(int argc, char** argv) {
     fault::FaultPlan plan;
     plan.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed"));
     plan.link.loss_prob = kCrashLoss;
-    plan.nodes[1].crashes.push_back(
+    plan.crashes[1].push_back(
         {at(crash_at_s), at(crash_at_s) + at(0.08)});
     std::vector<harness::Scenario> scenarios;
     for (const recovery::Policy policy :

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     if (flags.get_double("loss-rate") > 0.0) {
       losses = {0.0, flags.get_double("loss-rate")};
     }
-    return harness::loss_scenarios(flags, losses);
+    return harness::loss_scenarios(losses);
   };
   options.sections = {ladder};
   options.epilogue =

@@ -137,55 +137,44 @@ class EventualModel final : public ConsistencyModel {
 
 }  // namespace
 
-ConsistencyRegistry::ConsistencyRegistry() {
-  factories_.emplace_back(
-      "nonstrict", [] { return std::make_unique<NonStrictModel>(); });
-  factories_.emplace_back(
-      "regional", [] { return std::make_unique<RegionalModel>(); });
-  factories_.emplace_back("release-acquire", [] {
-    return std::make_unique<ReleaseAcquireModel>();
-  });
-  factories_.emplace_back(
-      "eventual", [] { return std::make_unique<EventualModel>(); });
+namespace {
+
+template <typename Model>
+std::unique_ptr<ConsistencyModel> make_model() {
+  return std::make_unique<Model>();
 }
 
-ConsistencyRegistry& ConsistencyRegistry::instance() {
-  static ConsistencyRegistry registry;
-  return registry;
-}
+struct BuiltIn {
+  const char* name;
+  std::unique_ptr<ConsistencyModel> (*make)();
+};
 
-void ConsistencyRegistry::add(std::string name, Factory factory) {
-  if (contains(name)) {
-    throw std::invalid_argument("consistency model registered twice: " + name);
-  }
-  factories_.emplace_back(std::move(name), std::move(factory));
-}
+constexpr BuiltIn kBuiltIns[] = {
+    {"nonstrict", make_model<NonStrictModel>},
+    {"regional", make_model<RegionalModel>},
+    {"release-acquire", make_model<ReleaseAcquireModel>},
+    {"eventual", make_model<EventualModel>},
+};
 
-bool ConsistencyRegistry::contains(const std::string& name) const {
-  for (const auto& [n, f] : factories_) {
-    if (n == name) return true;
-  }
-  return false;
-}
+}  // namespace
 
-std::unique_ptr<ConsistencyModel> ConsistencyRegistry::make(
-    const std::string& name) const {
-  for (const auto& [n, factory] : factories_) {
-    if (n == name) return factory();
+std::unique_ptr<ConsistencyModel> make_consistency_model(
+    const std::string& name) {
+  for (const BuiltIn& model : kBuiltIns) {
+    if (name == model.name) return model.make();
   }
   std::string known;
-  for (const auto& [n, f] : factories_) {
-    known += known.empty() ? n : ", " + n;
+  for (const BuiltIn& model : kBuiltIns) {
+    known += (known.empty() ? "" : ", ") + std::string(model.name);
   }
   throw std::invalid_argument("unknown consistency model '" + name +
                               "' (registered: " + known + ")");
 }
 
-std::vector<std::string> ConsistencyRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [n, f] : factories_) out.push_back(n);
-  return out;
+std::vector<std::string> consistency_model_names() {
+  std::vector<std::string> names;
+  for (const BuiltIn& model : kBuiltIns) names.emplace_back(model.name);
+  return names;
 }
 
 }  // namespace nscc::dsm

@@ -21,10 +21,11 @@
 //     updates until the reader's next acquire point (any Global_Read or
 //     plain read), RACoherence-style.
 //
-// Models are instantiated per SharedSpace through a lazily-populated
-// registry keyed by name; PropagationPolicy::consistency selects one and
+// The set of models is closed: one constant table in consistency.cpp holds
+// the four built-ins, and make_consistency_model() instantiates one per
+// SharedSpace by name.  PropagationPolicy::consistency selects it and
 // defaults to "nonstrict", which is bit-for-bit the pre-refactor
-// behaviour.  The four built-ins:
+// behaviour.  The four built-ins, in table order:
 //
 //   nonstrict        the paper: per-read bounded staleness (default)
 //   regional         region-scoped acquire fences: a read of ANY member
@@ -38,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,30 +112,12 @@ class ConsistencyModel {
   }
 };
 
-/// Name → factory registry, populated lazily with the four built-ins on
-/// first use; extensions (sharded directories, a native backend) register
-/// additional models the same way.
-class ConsistencyRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<ConsistencyModel>()>;
+/// A new instance of the built-in model called `name`.  Throws
+/// std::invalid_argument for an unknown name.
+[[nodiscard]] std::unique_ptr<ConsistencyModel> make_consistency_model(
+    const std::string& name);
 
-  static ConsistencyRegistry& instance();
-
-  /// Throws std::invalid_argument on a duplicate name.
-  void add(std::string name, Factory factory);
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-
-  /// Throws std::invalid_argument for an unknown name.
-  [[nodiscard]] std::unique_ptr<ConsistencyModel> make(
-      const std::string& name) const;
-
-  /// Registered names, in registration order (built-ins first).
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  ConsistencyRegistry();
-  std::vector<std::pair<std::string, Factory>> factories_;
-};
+/// The built-in model names, in table order (the paper's default first).
+[[nodiscard]] std::vector<std::string> consistency_model_names();
 
 }  // namespace nscc::dsm

@@ -50,7 +50,7 @@ SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
     : task_(task), packets_(task.vm().packets()), policy_(std::move(policy)) {
   // Resolve the consistency model first: its shape() may rewrite the
   // transport-facing policy knobs everything below reads.
-  model_ = ConsistencyRegistry::instance().make(policy_.consistency);
+  model_ = make_consistency_model(policy_.consistency);
   model_->shape(policy_);
   park_updates_ = !model_->visible_on_arrival();
   stamp_updates_ = model_->stamps_updates();
@@ -75,8 +75,8 @@ SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
   }
   // Serve read demands at delivery time, in engine context, so a writer
   // blocked in a barrier or its own Global_Read still answers starved
-  // readers (the mailbox-polling drain_requests() below cannot — both
-  // sides could otherwise block on each other forever).
+  // readers (a mailbox-polling server could not: both sides could block on
+  // each other forever).  Every demand takes this one path.
   task_.set_tag_handler(rt::kDsmRequestTag, [this](rt::Message m) {
     serve_request(m.payload, m.src);
     packets_.release(std::move(m.payload));
@@ -270,10 +270,6 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
     obs_->tracer().instant(task_.id(), "dsm.write", task_.now(), "loc", loc,
                            "iter", iteration);
   }
-  // Any DSM entry point services pending read demands (user-level macros
-  // share the process with the "daemon").
-  drain_requests();
-
   Value& mine = it->second.value;
   mine.iteration = iteration;
   mine.valid = true;
@@ -554,18 +550,10 @@ void SharedSpace::send_demand(LocationId loc, int writer, Iteration need) {
   ++stats_.requests_sent;
 }
 
-void SharedSpace::drain_requests() {
-  while (auto msg = task_.try_recv(rt::kDsmRequestTag)) {
-    serve_request(msg->payload, msg->src);
-    packets_.release(std::move(msg->payload));
-  }
-}
-
 void SharedSpace::poll() {
   while (auto msg = task_.try_recv(rt::kDsmUpdateTag)) {
     apply_update(*msg);
   }
-  drain_requests();
 }
 
 void SharedSpace::record_staleness(Iteration curr_iter, Iteration served) {

@@ -98,7 +98,7 @@ struct PropagationPolicy {
   bool partition_heal = false;
   /// Which ConsistencyModel (dsm/consistency.hpp) governs this space: the
   /// read-admission rule, the update-visibility rule, and any ordering
-  /// metadata on the wire.  Resolved against the ConsistencyRegistry at
+  /// metadata on the wire.  Made by dsm::make_consistency_model() at
   /// SharedSpace construction (unknown names throw); the model's shape()
   /// may override the transport knobs above.  "nonstrict" is the paper's
   /// per-read bounded-staleness rule and changes nothing.
@@ -265,7 +265,6 @@ class SharedSpace {
     return CopyMeta{v.iteration, v.valid, v.degraded, v.epoch};
   }
   void serve_request(rt::Packet& payload, int from);
-  void drain_requests();
   void send_update(LocationId loc, int reader, Iteration iteration,
                    const rt::Packet& value, bool charge_cpu,
                    rt::Reliability reliability = rt::Reliability::kAuto,

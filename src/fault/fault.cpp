@@ -36,15 +36,6 @@ bool partition_cuts(const PartitionWindow& p, int src, int dst) {
   return gd >= 0 && gd != gs;
 }
 
-/// Latest `end` among windows containing t (0 when none does).
-sim::Time release_after(const std::vector<Window>& windows, sim::Time t) {
-  sim::Time release = 0;
-  for (const Window& w : windows) {
-    if (w.contains(t)) release = std::max(release, w.end);
-  }
-  return release;
-}
-
 }  // namespace
 
 bool FaultPlan::reachable(int a, int b, sim::Time t) const noexcept {
@@ -60,17 +51,6 @@ bool FaultPlan::reachable(int a, int b, sim::Time t) const noexcept {
   return true;
 }
 
-sim::Time FaultPlan::partition_release_after(sim::Time t) const noexcept {
-  sim::Time release = 0;
-  for (const PartitionWindow& p : partitions) {
-    if (p.window.contains(t)) release = std::max(release, p.window.end);
-  }
-  for (const BlackholeWindow& h : blackholes) {
-    if (h.window.contains(t)) release = std::max(release, h.window.end);
-  }
-  return release;
-}
-
 sim::Time FaultPlan::last_window_end() const noexcept {
   sim::Time last = 0;
   const auto latest = [&last](const std::vector<Window>& windows) {
@@ -84,21 +64,11 @@ sim::Time FaultPlan::last_window_end() const noexcept {
   for (const BlackholeWindow& h : blackholes) {
     last = std::max(last, h.window.end);
   }
-  for (const auto& [node, faults] : nodes) {
-    latest(faults.crashes);
-    latest(faults.pauses);
-    latest(faults.slow);
-  }
+  for (const auto& [node, windows] : crashes) latest(windows);
   return last;
 }
 
-const LinkFaults& FaultInjector::link_for(int src, int dst) const {
-  const auto it = plan_.per_link.find({src, dst});
-  return it != plan_.per_link.end() ? it->second : plan_.link;
-}
-
-FaultInjector::Verdict FaultInjector::judge(int src, int dst, sim::Time now,
-                                            sim::Time delivered_at) {
+FaultInjector::Verdict FaultInjector::judge(int src, int dst, sim::Time now) {
   Verdict v;
   ++stats_.frames_judged;
 
@@ -127,8 +97,8 @@ FaultInjector::Verdict FaultInjector::judge(int src, int dst, sim::Time now,
     }
   }
   for (const int node : {src, dst}) {
-    const auto it = plan_.nodes.find(node);
-    if (it != plan_.nodes.end() && in_any(it->second.crashes, now)) {
+    const auto it = plan_.crashes.find(node);
+    if (it != plan_.crashes.end() && in_any(it->second, now)) {
       v.drop = true;
       ++stats_.frames_lost;
       ++stats_.crash_drops;
@@ -136,72 +106,31 @@ FaultInjector::Verdict FaultInjector::judge(int src, int dst, sim::Time now,
     }
   }
 
-  const LinkFaults& link = link_for(src, dst);
-  if (link.any()) {
-    // Fixed draw order (loss, dup, delay, corruption) keeps the stream
-    // aligned across links with different fault subsets enabled; each draw
-    // is guarded on its probability so a disabled fault class consumes no
-    // randomness and old plans stay byte-identical.
-    const bool lost = link.loss_prob > 0.0 && rng_.bernoulli(link.loss_prob);
-    const bool dup = link.dup_prob > 0.0 && rng_.bernoulli(link.dup_prob);
-    const bool late = link.delay_prob > 0.0 && link.delay_max > 0 &&
-                      rng_.bernoulli(link.delay_prob);
-    sim::Time jitter = 0;
-    if (dup || late) {
-      jitter = 1 + static_cast<sim::Time>(rng_.below(
-                       static_cast<std::uint64_t>(std::max<sim::Time>(
-                           1, link.delay_max))));
-    }
-    const bool corrupt =
-        link.corrupt_prob > 0.0 && rng_.bernoulli(link.corrupt_prob);
-    if (lost) {
-      v.drop = true;
-      ++stats_.frames_lost;
-      return v;
-    }
-    if (late) {
-      v.extra_delay += jitter;
-      ++stats_.frames_delayed;
-    }
-    if (dup) {
-      v.duplicate = true;
-      v.duplicate_delay = jitter;
-      ++stats_.frames_duplicated;
-    }
-    if (corrupt) {
-      const std::uint64_t seed = rng_();
-      v.corrupt_seed = seed != 0 ? seed : 1;
-      ++stats_.frames_corrupted;
-    }
+  // Fixed draw order (loss, then corruption); each draw is guarded on its
+  // probability, so a disabled fault class consumes no randomness.
+  const LinkFaults& link = plan_.link;
+  const bool lost = link.loss_prob > 0.0 && rng_.bernoulli(link.loss_prob);
+  const bool corrupt =
+      link.corrupt_prob > 0.0 && rng_.bernoulli(link.corrupt_prob);
+  if (lost) {
+    v.drop = true;
+    ++stats_.frames_lost;
+    return v;
   }
-
-  // Scheduled corruption, like outages, consumes no randomness: the damage
-  // seed is a pure function of the frame's position in the schedule, so a
-  // corrupt-window run stays stream-aligned with the same schedule run as
-  // an outage.
-  if (!v.drop && v.corrupt_seed == 0 &&
-      in_any(plan_.corrupt_windows, now)) {
+  if (corrupt) {
+    const std::uint64_t seed = rng_();
+    v.corrupt_seed = seed != 0 ? seed : 1;
+    ++stats_.frames_corrupted;
+  } else if (in_any(plan_.corrupt_windows, now)) {
+    // Scheduled corruption, like outages, consumes no randomness: the
+    // damage seed is a pure function of the frame's position in the
+    // schedule, so a corrupt-window run stays stream-aligned with the same
+    // schedule run as an outage.
     const std::uint64_t seed =
         (static_cast<std::uint64_t>(now) * 0x9E3779B97F4A7C15ULL) ^
         stats_.frames_judged;
     v.corrupt_seed = seed != 0 ? seed : 1;
     ++stats_.frames_corrupted;
-  }
-
-  // Receiver-side scheduled effects act on the (jittered) arrival time.
-  const auto it = plan_.nodes.find(dst);
-  if (it != plan_.nodes.end()) {
-    const sim::Time arrival = delivered_at + v.extra_delay;
-    if (const sim::Time release = release_after(it->second.pauses, arrival);
-        release > arrival) {
-      v.extra_delay += release - arrival;
-      ++stats_.frames_delayed;
-    } else if (it->second.slowdown > 1.0 &&
-               in_any(it->second.slow, arrival)) {
-      v.extra_delay += static_cast<sim::Time>(
-          (it->second.slowdown - 1.0) * static_cast<double>(arrival - now));
-      ++stats_.frames_delayed;
-    }
   }
   return v;
 }
@@ -385,7 +314,7 @@ FaultPlan plan_from_flags(const util::Flags& flags) {
     const auto start = static_cast<sim::Time>(crash_at * sim::kSecond);
     const auto span = static_cast<sim::Time>(
         std::max(0.0, flags.get_double("crash-for")) * sim::kSecond);
-    plan.nodes[static_cast<int>(flags.get_int("crash-node"))].crashes.push_back(
+    plan.crashes[static_cast<int>(flags.get_int("crash-node"))].push_back(
         Window{start, start + span});
   }
   if (const std::string& spec = flags.get_string("partition-at");

@@ -3,12 +3,14 @@
 // The paper's testbed was a shared 10 Mbps Ethernet whose loaded runs
 // (Figure 4) motivate non-strict coherence precisely because race-tolerant
 // traffic survives delay and loss.  This subsystem makes that stress
-// explicit and reproducible: a FaultPlan describes per-link frame loss,
-// duplication, and extra-delay jitter, scheduled burst outages of the whole
-// medium, and per-node crash-restart / pause / slowdown windows; a
-// FaultInjector judges every frame against the plan with its own seeded RNG
-// stream, so a run remains a pure function of (seed, plan) and two runs with
-// the same plan produce byte-identical metrics.
+// explicit and reproducible: a FaultPlan describes per-frame loss and
+// payload corruption on every link, scheduled partitions, one-way
+// blackholes and per-node crash-restart windows (the five kinds a driver
+// schedules through plan_from_flags), plus whole-medium outage and
+// corruption windows that tests use to destroy one chosen frame.  A
+// FaultInjector judges every frame against the plan with its own seeded
+// RNG stream, so a run remains a pure function of (seed, plan) and two runs
+// with the same plan produce byte-identical metrics.
 //
 // Semantics (documented here once, relied on by net:: and tests):
 //   * loss        — the frame occupies the medium (it was transmitted) but
@@ -17,13 +19,6 @@
 //                   (seeded bit flips or truncation); whether the receiver
 //                   notices is the transport's business (rt:: CRC-checks
 //                   frames and drops damaged ones as loss);
-//   * duplication — the receiver sees the frame twice, the copy arriving
-//                   after an extra jitter delay (link-level retransmit of a
-//                   frame whose first copy actually made it);
-//   * delay       — extra latency uniform in (0, delay_max], applied per
-//                   frame; large values reorder frames;
-//   * outage      — a scheduled window in which every frame on the medium
-//                   is lost (cable pulled, switch rebooting);
 //   * partition   — a scheduled window in which the nodes are split into
 //                   groups; frames between nodes in different groups are
 //                   lost, traffic inside a group flows normally (a failed
@@ -32,10 +27,13 @@
 //                   while B→A still delivers: the half-open failure that
 //                   fools naive ping-based detectors);
 //   * crash       — frames to or from the node are lost while it is down;
-//   * pause       — frames to the node are held and delivered when the
-//                   window ends (the node stops draining its NIC);
-//   * slowdown    — delivery latency of frames to the node is multiplied
-//                   while the window is open (a CPU-starved receiver).
+//   * outage      — a scheduled window in which every frame on the medium
+//                   is lost (cable pulled, switch rebooting);
+//   * corruption window — a scheduled window in which every frame on the
+//                   medium is delivered damaged.
+// Outage and corruption windows consume no randomness, so a test can hit
+// exactly the frames sent inside them and compare the two kinds run for
+// run (a CRC-caught corruption must behave exactly as a loss).
 #pragma once
 
 #include <cstddef>
@@ -63,25 +61,13 @@ struct Window {
   }
 };
 
-/// Stochastic per-link misbehaviour (probabilities are per frame).
+/// Stochastic misbehaviour of every link (probabilities are per frame).
 struct LinkFaults {
   double loss_prob = 0.0;       ///< Frame lost on the wire.
-  double dup_prob = 0.0;        ///< Frame delivered twice.
-  double delay_prob = 0.0;      ///< Frame gets extra delay (jitter).
-  sim::Time delay_max = 0;      ///< Extra delay uniform in (0, delay_max].
   double corrupt_prob = 0.0;    ///< Frame delivered with damaged payload.
   [[nodiscard]] bool any() const noexcept {
-    return loss_prob > 0.0 || dup_prob > 0.0 ||
-           (delay_prob > 0.0 && delay_max > 0) || corrupt_prob > 0.0;
+    return loss_prob > 0.0 || corrupt_prob > 0.0;
   }
-};
-
-/// Scheduled per-node misbehaviour.
-struct NodeFaults {
-  std::vector<Window> crashes;  ///< Node down: frames to/from it are lost.
-  std::vector<Window> pauses;   ///< Frames to it held until the window ends.
-  std::vector<Window> slow;     ///< Receive-latency multiplier windows.
-  double slowdown = 1.0;        ///< Latency factor applied inside `slow`.
 };
 
 /// A scheduled split of the node set into isolated groups.  While the
@@ -107,10 +93,7 @@ struct BlackholeWindow {
 /// The whole deterministic fault schedule for one run.
 struct FaultPlan {
   std::uint64_t seed = 0xFA17ULL;
-  LinkFaults link;  ///< Default faults for every (src, dst) link.
-  /// Per-(src, dst) overrides; -1 matches the anonymous background-load
-  /// source.  An entry fully replaces `link` for that pair.
-  std::map<std::pair<int, int>, LinkFaults> per_link;
+  LinkFaults link;  ///< Faults of every (src, dst) link.
   std::vector<Window> outages;        ///< Whole-medium burst losses.
   /// Whole-medium payload-corruption windows: every frame handed to the
   /// wire while one is open is delivered damaged.  Like outages these are
@@ -123,12 +106,13 @@ struct FaultPlan {
   std::vector<PartitionWindow> partitions;
   /// Scheduled one-way per-link loss windows.
   std::vector<BlackholeWindow> blackholes;
-  std::map<int, NodeFaults> nodes;    ///< Keyed by node/task id.
+  /// Crash windows keyed by node/task id: while one is open the node is
+  /// down and frames to or from it are lost.
+  std::map<int, std::vector<Window>> crashes;
 
   [[nodiscard]] bool empty() const noexcept {
-    return !link.any() && per_link.empty() && outages.empty() &&
-           corrupt_windows.empty() && partitions.empty() &&
-           blackholes.empty() && nodes.empty();
+    return !link.any() && outages.empty() && corrupt_windows.empty() &&
+           partitions.empty() && blackholes.empty() && crashes.empty();
   }
 
   /// True while any partition or blackhole window is scheduled — the
@@ -144,10 +128,6 @@ struct FaultPlan {
   /// scheduled topology, which is what rejoin gating needs).
   [[nodiscard]] bool reachable(int a, int b, sim::Time t) const noexcept;
 
-  /// Latest end of any partition/blackhole window containing `t`
-  /// (0 when none does).
-  [[nodiscard]] sim::Time partition_release_after(sim::Time t) const noexcept;
-
   /// End of the last scheduled window of any kind (0 when none is
   /// scheduled): from then on the schedule changes nothing.
   [[nodiscard]] sim::Time last_window_end() const noexcept;
@@ -160,8 +140,6 @@ struct FaultStats {
   std::uint64_t crash_drops = 0;       ///< Subset of frames_lost.
   std::uint64_t partition_drops = 0;   ///< Subset of frames_lost.
   std::uint64_t blackhole_drops = 0;   ///< Subset of frames_lost.
-  std::uint64_t frames_duplicated = 0;
-  std::uint64_t frames_delayed = 0;    ///< Jitter, pause holds, and slowdowns.
   std::uint64_t frames_corrupted = 0;  ///< Delivered with damaged payload.
 };
 
@@ -177,28 +155,19 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// What should happen to one frame handed to the medium at `now` with a
-  /// nominal arrival of `delivered_at`.
+  /// What should happen to one frame handed to the medium at `now`.
   struct Verdict {
     bool drop = false;
-    bool duplicate = false;
-    sim::Time extra_delay = 0;      ///< Added to the nominal arrival.
-    sim::Time duplicate_delay = 0;  ///< Copy arrives this much after the
-                                    ///< (possibly delayed) original.
     /// Nonzero = deliver the frame with its payload damaged; the seed
-    /// determines the damage via corruption_effect().  Only the original
-    /// copy is damaged — a duplicate models a link-level retransmit whose
-    /// second copy arrived intact.
+    /// determines the damage via corruption_effect().
     std::uint64_t corrupt_seed = 0;
   };
-  Verdict judge(int src, int dst, sim::Time now, sim::Time delivered_at);
+  Verdict judge(int src, int dst, sim::Time now);
 
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
  private:
-  [[nodiscard]] const LinkFaults& link_for(int src, int dst) const;
-
   FaultPlan plan_;
   util::Xoshiro256 rng_;
   FaultStats stats_;
@@ -223,8 +192,9 @@ struct CorruptionEffect {
 /// environment overrides.
 void add_flags(util::Flags& flags);
 
-/// Build a plan from flags registered by add_flags(): a uniform per-frame
-/// loss probability on every link, deterministically seeded.  Throws
+/// Build a plan from flags registered by add_flags(): uniform per-frame
+/// loss and corruption probabilities on every link, at most one crash,
+/// one partition and one blackhole window, deterministically seeded.  Throws
 /// std::invalid_argument on a --loss-rate / --corrupt-rate outside [0, 1]
 /// or a malformed --partition-at / --blackhole-at spec (drivers turn that
 /// into their flag-error exit).  Node ids are checked against the machine

@@ -26,10 +26,7 @@ rt::MachineConfig sized(rt::MachineConfig machine, std::uint64_t seed,
     }
   };
   const fault::FaultPlan& plan = machine.fault;
-  for (const auto& [node, faults] : plan.nodes) {
-    check(node, faults.crashes.empty() ? "a pause/slowdown window"
-                                       : "--crash-node");
-  }
+  for (const auto& entry : plan.crashes) check(entry.first, "--crash-node");
   for (const fault::PartitionWindow& p : plan.partitions) {
     for (const auto& group : p.groups) {
       for (const int node : group) check(node, "--partition-at");

@@ -73,8 +73,8 @@ void note_unreached_crashes(const Row& row, const fault::FaultPlan& plan) {
   const auto seconds = [](sim::Time t) {
     return util::format_double(sim::to_seconds(t), 3);
   };
-  for (const auto& [node, faults] : plan.nodes) {
-    for (const fault::Window& w : faults.crashes) {
+  for (const auto& [node, windows] : plan.crashes) {
+    for (const fault::Window& w : windows) {
       if (w.start < done) continue;
       std::cerr << "note: row '" << row.label() << "': node " << node
                 << " crash window [" << seconds(w.start) << " s, "
@@ -173,8 +173,8 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
     any_partition = any_partition || plan.partitionable();
     any_recovery = any_recovery || run.recovery.enabled();
     const bool crash_planned = std::any_of(
-        plan.nodes.begin(), plan.nodes.end(),
-        [](const auto& node) { return !node.second.crashes.empty(); });
+        plan.crashes.begin(), plan.crashes.end(),
+        [](const auto& node) { return !node.second.empty(); });
     rows.push_back({job.scenario->label, job.scenario->params, *job.variant,
                     *job.model, machine.network, job.scenario->may_deadlock,
                     plan.partitionable(), crash_planned, run.recovery,
@@ -288,17 +288,13 @@ std::vector<Scenario> load_scenarios(const std::vector<double>& loads_mbps) {
   return scenarios;
 }
 
-std::vector<Scenario> loss_scenarios(const util::Flags& flags,
-                                     const std::vector<double>& losses) {
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("fault-seed"));
+std::vector<Scenario> loss_scenarios(const std::vector<double>& losses) {
   std::vector<Scenario> scenarios;
   for (const double loss : losses) {
     scenarios.push_back(
         {.label = util::format_double(loss * 100.0, 1) + " %",
          .params = {{"loss", loss}},
-         .configure = [seed, loss](RunConfig&, rt::MachineConfig& machine) {
-           machine.fault = {};
-           machine.fault.seed = seed;
+         .configure = [loss](RunConfig&, rt::MachineConfig& machine) {
            machine.fault.link.loss_prob = loss;
          }});
   }
@@ -333,7 +329,7 @@ int drive(int argc, char** argv, const DriveOptions& options) {
       .add_double("checkpoint-interval", 0.5,
                   "virtual seconds between node checkpoints (0 disables)")
       .add_enum_list("consistency", "nonstrict",
-                     dsm::ConsistencyRegistry::instance().names(),
+                     dsm::consistency_model_names(),
                      "consistency models applied by every DSM instance, one "
                      "row per model: nonstrict (paper default), regional "
                      "(region-scoped fences), release-acquire (updates "

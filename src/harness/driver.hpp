@@ -108,10 +108,11 @@ struct DriveOptions {
     const std::vector<double>& loads_mbps);
 
 /// One scenario per frame-loss rate, labelled "1.0 %" with JSON param
-/// "loss": each replaces the flag fault plan with a loss-only plan seeded
-/// by --fault-seed.
+/// "loss": each sets the link loss rate of the flag fault plan, so every
+/// other fault flag (--corrupt-rate, --crash-at, --partition-at,
+/// --blackhole-at, --fault-seed) still applies to its rows.
 [[nodiscard]] std::vector<Scenario> loss_scenarios(
-    const util::Flags& flags, const std::vector<double>& losses);
+    const std::vector<double>& losses);
 
 /// Run a registered workload under the configured variants and scenarios,
 /// print the unified table(s), and return the process exit code: 0 on

@@ -4,12 +4,10 @@
 // a perfect network; deliver_frame() then subjects it to the machine's
 // fault::FaultPlan and schedules its outcome: lost frames have already
 // occupied the wire but report delivered=false (so callers can release
-// transport windows and retransmit), duplicated frames report a second
-// delivered=true outcome, delayed frames simply arrive later (and may
-// reorder), and corrupted frames arrive with a damage seed.  Every frame
-// of every model takes this one path, so a verdict is drawn, counted (once,
-// in fault::FaultStats) and traced the same way whichever interconnect
-// carries the frame.
+// transport windows and retransmit), and corrupted frames arrive on time
+// with a damage seed.  Every frame of every model takes this one path, so
+// a verdict is drawn, counted (once, in fault::FaultStats) and traced the
+// same way whichever interconnect carries the frame.
 #pragma once
 
 #include <cstdint>
@@ -22,12 +20,10 @@
 
 namespace nscc::net {
 
-/// Runs at delivery (delivered=true; possibly twice for a duplicated
-/// frame) or at the moment a fault loses the frame (delivered=false);
-/// always engine context.  `corrupt_seed` is nonzero when the frame
-/// arrived with a damaged payload (fault::corruption_effect(seed, bytes)
-/// describes the damage); a duplicated frame's second copy always arrives
-/// intact.
+/// Runs once, at delivery (delivered=true) or at the moment a fault loses
+/// the frame (delivered=false); always engine context.  `corrupt_seed` is
+/// nonzero when the frame arrived with a damaged payload
+/// (fault::corruption_effect(seed, bytes) describes the damage).
 ///
 /// Stored inline (no heap allocation) for captures up to 40 bytes; the
 /// delivery event that carries it then still fits the engine's inline

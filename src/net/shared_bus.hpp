@@ -51,9 +51,9 @@ class SharedBus {
   SharedBus& operator=(const SharedBus&) = delete;
 
   /// Hand a message of `payload_bytes` to the medium.  `src`/`dst` identify
-  /// the endpoints for per-link fault lookup (-1 = anonymous, e.g. the
-  /// background load generator).  `outcome` runs exactly once, or twice
-  /// for a duplicated frame (see net::Outcome).
+  /// the endpoints for the fault verdict (-1 = anonymous, e.g. the
+  /// background load generator).  `outcome` runs exactly once (see
+  /// net::Outcome).
   void transmit(int src, int dst, std::uint32_t payload_bytes,
                 Outcome outcome);
 

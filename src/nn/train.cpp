@@ -200,6 +200,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
         // another (same per-gradient learning rate as the serial baseline).
         unpack_vector(msg.payload, params_count,
                       pending_sync[static_cast<std::size_t>(msg.src)]);
+        task.vm().packets().release(std::move(msg.payload));
         applied[static_cast<std::size_t>(msg.src)] = step;
         bool round_full = true;
         for (int w = 1; w <= P; ++w) {
@@ -226,6 +227,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
       } else {
         // Stale-gradient SGD: apply on arrival at the full learning rate.
         unpack_vector(msg.payload, params_count, grad);
+        task.vm().packets().release(std::move(msg.payload));
         net.apply_gradient(grad, config.learning_rate);
         ++applications;
         task.compute(static_cast<sim::Time>(
@@ -319,7 +321,7 @@ TrainResult train_parallel(const Dataset& data, const TrainConfig& config,
                                               config.cost_per_mac)) *
             my_speed * jitter));
 
-        rt::Packet g;
+        rt::Packet g = task.vm().packets().acquire();
         g.reserve(sizeof(std::int32_t) + packed_bytes(grad.size()));
         g.pack_i32(step);
         g.pack_double_vec(grad);

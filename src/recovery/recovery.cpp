@@ -48,9 +48,9 @@ void Coordinator::on_start() {
   }
   // Crash accounting and (under kRejoin) respawn scheduling mirror the VM's
   // own kill schedule.
-  for (const auto& [node, faults] : vm_.config().fault.nodes) {
+  for (const auto& [node, windows] : vm_.config().fault.crashes) {
     if (node < 0 || node >= n) continue;
-    for (const fault::Window& w : faults.crashes) {
+    for (const fault::Window& w : windows) {
       vm_.engine().schedule(w.start, [this] { ++stats_.crashes; });
       if (cfg_.policy == Policy::kRejoin) {
         vm_.engine().schedule(w.end, [this, node, w] {
@@ -294,10 +294,10 @@ int Coordinator::quorum_size() const {
 }
 
 sim::Time Coordinator::crash_start_before(int node, sim::Time now) const {
-  const auto it = vm_.config().fault.nodes.find(node);
-  if (it == vm_.config().fault.nodes.end()) return 0;
+  const auto it = vm_.config().fault.crashes.find(node);
+  if (it == vm_.config().fault.crashes.end()) return 0;
   sim::Time latest = 0;
-  for (const fault::Window& w : it->second.crashes) {
+  for (const fault::Window& w : it->second) {
     if (w.start <= now) latest = std::max(latest, w.start);
   }
   return latest;

@@ -393,8 +393,8 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
     send_ack(st->dst, st->msg.src, st->msg.seq);
     if (!receiver->rx_seq_[static_cast<std::size_t>(st->msg.src)].fresh(
             st->msg.seq)) {
-      // Replay (retransmit racing the original, or a fault duplicate):
-      // drop after re-ACKing so the sender still learns of delivery.
+      // Replay (a retransmit racing the original or its lost ACK): drop
+      // after re-ACKing so the sender still learns of delivery.
       ++transport_stats_.dup_frames_dropped;
       return;
     }
@@ -402,12 +402,12 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
 
   // By-move delivery: the message moves out of the TxState unless a later
   // delivery of this frame can read its payload.  A best-effort frame is
-  // read again only as a fault duplicate.  A reliable frame's later copies
-  // (retransmits, duplicates) fail the fresh() check above unread, but a
-  // retransmit is re-damaged from the stored bytes when the plan can
-  // corrupt frames.  Those cases deliver a copy, on a pooled buffer.
+  // delivered at most once, so it always moves.  A reliable frame's
+  // retransmits fail the fresh() check above unread, but one is re-damaged
+  // from the stored bytes when the plan can corrupt frames; that case
+  // delivers a copy, on a pooled buffer.
   Message m;
-  if (st->reliable ? !may_corrupt_ : !may_duplicate_) {
+  if (!st->reliable || !may_corrupt_) {
     m = std::move(st->msg);
   } else {
     m.payload = packets_.acquire();
@@ -558,11 +558,6 @@ VirtualMachine::VirtualMachine(MachineConfig config)
     if (switch_) switch_->set_fault_injector(injector_.get());
     may_corrupt_ = config_.fault.link.corrupt_prob > 0.0 ||
                    !config_.fault.corrupt_windows.empty();
-    may_duplicate_ = config_.fault.link.dup_prob > 0.0;
-    for (const auto& entry : config_.fault.per_link) {
-      may_corrupt_ = may_corrupt_ || entry.second.corrupt_prob > 0.0;
-      may_duplicate_ = may_duplicate_ || entry.second.dup_prob > 0.0;
-    }
   }
   if (config_.sanitize.enabled()) {
     sanitizer_ = std::make_unique<sanitize::Sanitizer>(config_.sanitize, obs_);
@@ -652,8 +647,6 @@ void VirtualMachine::flush_stats() {
     reg.counter("fault.crash_drops").inc(fs.crash_drops);
     reg.counter("fault.partition_drops").inc(fs.partition_drops);
     reg.counter("fault.blackhole_drops").inc(fs.blackhole_drops);
-    reg.counter("fault.frames_duplicated").inc(fs.frames_duplicated);
-    reg.counter("fault.frames_delayed").inc(fs.frames_delayed);
     reg.counter("fault.frames_corrupted").inc(fs.frames_corrupted);
   }
   if (sanitizer_) sanitizer_->flush(reg);
@@ -696,9 +689,9 @@ sim::Time VirtualMachine::run(sim::Time until) {
   }
   // A crash window tears the victim's fiber down at the window start; the
   // injector silences its links for the window's span.
-  for (const auto& [node, faults] : config_.fault.nodes) {
+  for (const auto& [node, windows] : config_.fault.crashes) {
     if (node < 0 || node >= config_.ntasks) continue;
-    for (const fault::Window& w : faults.crashes) {
+    for (const fault::Window& w : windows) {
       engine_.schedule(w.start, [this, node] { kill_task(node); });
     }
   }

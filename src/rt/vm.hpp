@@ -466,9 +466,6 @@ class VirtualMachine {
   /// True when the fault plan can corrupt frames: gates the per-frame CRC
   /// stamping so corruption-free runs do not pay the checksum cost.
   bool may_corrupt_ = false;
-  /// True when the fault plan can duplicate frames: a best-effort frame's
-  /// duplicate reads the payload again, so delivery must leave it in place.
-  bool may_duplicate_ = false;
   warp::WarpMeter warp_;
   TransportStats transport_stats_;
   /// Last sequence number per (src,dst) reliable stream, indexed by

@@ -410,7 +410,7 @@ TEST(ParallelSampling, CrashBeforeTheFirstPeriodicCheckpointResumesAtZero) {
   cfg.iterations = 1500;
   cfg.recovery.policy = nscc::recovery::Policy::kRejoin;
   nscc::rt::MachineConfig machine;
-  machine.fault.nodes[1].crashes.push_back(nscc::fault::Window{
+  machine.fault.crashes[1].push_back(nscc::fault::Window{
       nscc::sim::kSecond / 10, nscc::sim::kSecond * 15 / 100});
   machine.transport.enabled = true;
   const auto r = nscc::bayes::run_parallel_logic_sampling(
@@ -551,7 +551,7 @@ TEST(ParallelSamplingPinned, StatefulCrashRejoinMatchesCapturedRun) {
   cfg.recovery.policy = nscc::recovery::Policy::kRejoin;
   cfg.recovery.checkpoint_interval = nscc::sim::kSecond / 20;
   nscc::rt::MachineConfig machine;
-  machine.fault.nodes[1].crashes.push_back(nscc::fault::Window{
+  machine.fault.crashes[1].push_back(nscc::fault::Window{
       nscc::sim::kSecond / 10, nscc::sim::kSecond * 15 / 100});
   machine.transport.enabled = true;
   const auto r = nscc::bayes::run_parallel_logic_sampling(

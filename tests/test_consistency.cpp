@@ -16,8 +16,8 @@
 
 namespace {
 
-using nscc::dsm::ConsistencyModel;
-using nscc::dsm::ConsistencyRegistry;
+using nscc::dsm::consistency_model_names;
+using nscc::dsm::make_consistency_model;
 using nscc::dsm::CopyMeta;
 using nscc::dsm::Iteration;
 using nscc::dsm::PropagationPolicy;
@@ -57,34 +57,25 @@ CopyMeta copy_at(Iteration iter) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// The closed set of built-in models
 // ---------------------------------------------------------------------------
 
-TEST(ConsistencyRegistry, BuiltInsRegisteredInOrder) {
-  const auto names = ConsistencyRegistry::instance().names();
-  ASSERT_GE(names.size(), 4u);
+TEST(ConsistencyModels, BuiltInsInTableOrder) {
+  const auto names = consistency_model_names();
+  ASSERT_EQ(names.size(), 4u);
   EXPECT_EQ(names[0], "nonstrict");
   EXPECT_EQ(names[1], "regional");
   EXPECT_EQ(names[2], "release-acquire");
   EXPECT_EQ(names[3], "eventual");
   for (const auto& name : names) {
-    EXPECT_TRUE(ConsistencyRegistry::instance().contains(name));
-    auto model = ConsistencyRegistry::instance().make(name);
+    auto model = make_consistency_model(name);
     ASSERT_NE(model, nullptr);
     EXPECT_EQ(model->name(), name);
   }
 }
 
-TEST(ConsistencyRegistry, UnknownNameThrows) {
-  EXPECT_FALSE(ConsistencyRegistry::instance().contains("strict"));
-  EXPECT_THROW((void)ConsistencyRegistry::instance().make("strict"),
-               std::invalid_argument);
-}
-
-TEST(ConsistencyRegistry, DuplicateRegistrationThrows) {
-  EXPECT_THROW(ConsistencyRegistry::instance().add(
-                   "nonstrict", [] { return std::unique_ptr<ConsistencyModel>(); }),
-               std::invalid_argument);
+TEST(ConsistencyModels, UnknownNameThrows) {
+  EXPECT_THROW((void)make_consistency_model("strict"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -92,7 +83,7 @@ TEST(ConsistencyRegistry, DuplicateRegistrationThrows) {
 // ---------------------------------------------------------------------------
 
 TEST(NonStrictModel, AdmitMatchesLegacyPredicate) {
-  auto m = ConsistencyRegistry::instance().make("nonstrict");
+  auto m = make_consistency_model("nonstrict");
   // Invalid copies never admit, whatever the bound.
   EXPECT_FALSE(m->admit(1, 0, 100, CopyMeta{}));
   // valid && iteration >= curr_iter - age.
@@ -114,7 +105,7 @@ TEST(NonStrictModel, AdmitMatchesLegacyPredicate) {
 // ---------------------------------------------------------------------------
 
 TEST(RegionalModel, StaleMemberBlocksWholeRegion) {
-  auto m = ConsistencyRegistry::instance().make("regional");
+  auto m = make_consistency_model("regional");
   // Location 1 fresh, location 2 stale: reading 2 first registers it.
   EXPECT_FALSE(m->admit(2, 10, 2, copy_at(5)));  // 5 < 10-2: per-read fail.
   // Location 1 satisfies its own bound (9 >= 8) but member 2 does not, so
@@ -127,7 +118,7 @@ TEST(RegionalModel, StaleMemberBlocksWholeRegion) {
 }
 
 TEST(RegionalModel, RegionFenceRequiresEveryMemberFresh) {
-  auto m = ConsistencyRegistry::instance().make("regional");
+  auto m = make_consistency_model("regional");
   // Register both members fresh at iteration 0 (fence opens for iter 1).
   EXPECT_TRUE(m->admit(1, 1, 1, copy_at(0)));
   EXPECT_TRUE(m->admit(2, 1, 1, copy_at(0)));
@@ -142,7 +133,7 @@ TEST(RegionalModel, RegionFenceRequiresEveryMemberFresh) {
 }
 
 TEST(RegionalModel, AgeZeroDegeneratesToPerReadRule) {
-  auto m = ConsistencyRegistry::instance().make("regional");
+  auto m = make_consistency_model("regional");
   // Seed a permanently-stale second member.
   EXPECT_FALSE(m->admit(2, 10, 0, copy_at(0)));
   // A whole-region fence would now deadlock mutually-reading peers at
@@ -155,7 +146,7 @@ TEST(RegionalModel, AgeZeroDegeneratesToPerReadRule) {
 // ---------------------------------------------------------------------------
 
 TEST(ReleaseAcquireModel, StampsMonotoneAndOrderChecked) {
-  auto m = ConsistencyRegistry::instance().make("release-acquire");
+  auto m = make_consistency_model("release-acquire");
   EXPECT_FALSE(m->visible_on_arrival());
   EXPECT_TRUE(m->stamps_updates());
   EXPECT_EQ(m->next_stamp(), 1u);
@@ -237,7 +228,7 @@ TEST(ReleaseAcquireModel, BlockedGlobalReadStillCompletes) {
 // ---------------------------------------------------------------------------
 
 TEST(EventualModel, AdmitsAnyValidCopyAndShapesPolicy) {
-  auto m = ConsistencyRegistry::instance().make("eventual");
+  auto m = make_consistency_model("eventual");
   EXPECT_FALSE(m->admit(1, 100, 0, CopyMeta{}));  // Still needs first value.
   EXPECT_TRUE(m->admit(1, 100, 0, copy_at(0)));   // However stale.
   PropagationPolicy p;
@@ -278,11 +269,11 @@ TEST(EventualModel, GlobalReadDoesNotBlockOnStaleness) {
 
 // ---------------------------------------------------------------------------
 // Cross-model matrix: the same producer/consumer program completes and
-// delivers a valid value under every registered model.
+// delivers a valid value under every built-in model.
 // ---------------------------------------------------------------------------
 
 TEST(ConsistencyMatrix, EveryModelCompletesProducerConsumer) {
-  for (const auto& name : ConsistencyRegistry::instance().names()) {
+  for (const auto& name : consistency_model_names()) {
     VirtualMachine vm(fast_config(2));
     double got = 0.0;
     vm.add_task("writer", [&](Task& t) {

@@ -730,9 +730,9 @@ TEST(DriverJson, ProblemSizeIsPartOfTheCellKey) {
 // serial reference has no row label.
 TEST(DriverJson, RecordsCarryTheRowLabelNetworkModelAndStats) {
   harness::Section section;
-  section.scenarios = [](const util::Flags& flags,
+  section.scenarios = [](const util::Flags&,
                          const std::vector<harness::Row>&) {
-    return harness::loss_scenarios(flags, {0.0});
+    return harness::loss_scenarios({0.0});
   };
   harness::DriveOptions options;
   options.sections = {section};
@@ -894,6 +894,33 @@ TEST(DriverScenario, OverridesReachTheWorkloadsRunConfig) {
   EXPECT_TRUE(w.transport[1]);
 }
 
+// A loss scenario sets only the loss rate: the other fault flags still
+// reach its rows (they used to be replaced by a loss-only plan, so a
+// --crash-at run printed a table without the crash).
+TEST(DriverScenario, LossScenariosKeepTheFlagFaultPlan) {
+  harness::Section section;
+  section.scenarios = [](const util::Flags&,
+                         const std::vector<harness::Row>&) {
+    return harness::loss_scenarios({0.0, 0.01});
+  };
+  harness::DriveOptions options;
+  options.sections = {section};
+  const auto doc = util::json::parse(
+      json_of("solver.jacobi",
+              {"--grid=16", "--variants=partial", "--crash-at=0.3",
+               "--crash-for=0.2", "--recovery=degraded"},
+              &options));
+  ASSERT_TRUE(doc.has_value());
+  int rows = 0;
+  for (const auto& rec : doc->find("results")->array) {
+    if (rec.string_or("variant", "") == "serial") continue;
+    ++rows;
+    EXPECT_EQ(rec.find("stats")->number_or("crashes", -1), 1)
+        << rec.string_or("label", "");
+  }
+  EXPECT_EQ(rows, 2);
+}
+
 // ---- Problem sizes each workload cannot run exit 1 at parse time ----------
 
 // The background loader drives the shared bus, which SP2 traffic never
@@ -985,7 +1012,7 @@ TEST(Cluster, RejectsFaultPlansNamingMissingNodes) {
     harness::Cluster cluster(machine, run, 4, 0.15);
   };
   fault::FaultPlan crash;
-  crash.nodes[9].crashes.push_back({100, 200});
+  crash.crashes[9].push_back({100, 200});
   fault::FaultPlan partition;
   partition.partitions.push_back({{0, 100}, {{0, 1}, {2, 9}}});
   fault::FaultPlan blackhole;
@@ -1002,7 +1029,7 @@ TEST(Cluster, RejectsFaultPlansNamingMissingNodes) {
     }
   }
   fault::FaultPlan fits;
-  fits.nodes[3].crashes.push_back({100, 200});
+  fits.crashes[3].push_back({100, 200});
   fits.partitions.push_back({{0, 100}, {{0, 1}, {2, 3}}});
   fits.blackholes.push_back({.src = 3, .dst = 0, .window = {0, 100}});
   EXPECT_NO_THROW(build(fits));

@@ -45,7 +45,7 @@ FaultPlan crash_plan(double at_s, double dur_s, int node,
                      double loss = 0.01) {
   FaultPlan plan;
   plan.link.loss_prob = loss;
-  plan.nodes[node].crashes.push_back(
+  plan.crashes[node].push_back(
       Window{seconds(at_s), seconds(at_s + dur_s)});
   return plan;
 }
@@ -267,7 +267,7 @@ TEST(Recovery, SecondCrashAfterALongWindowIsDetected) {
   MachineConfig config;
   config.ntasks = 2;
   config.transport.enabled = true;
-  config.fault.nodes[1].crashes = {Window{seconds(1.0), seconds(31.0)},
+  config.fault.crashes[1] = {Window{seconds(1.0), seconds(31.0)},
                                    Window{seconds(32.0), seconds(33.0)}};
   VirtualMachine vm(config);
   nscc::recovery::Config cfg;
@@ -298,7 +298,7 @@ TEST(Recovery, UnionViewDeclaresACrashUnderTheQuorumGate) {
   MachineConfig config;
   config.ntasks = 4;
   config.transport.enabled = true;
-  config.fault.nodes[1].crashes = {Window{crash_at, seconds(5.0)}};
+  config.fault.crashes[1] = {Window{crash_at, seconds(5.0)}};
   VirtualMachine vm(config);
   nscc::recovery::Config cfg;
   cfg.policy = Policy::kDegraded;
@@ -410,7 +410,7 @@ TEST(Recovery, KillRespawnBumpsEpochAndStampsMessages) {
 TEST(Recovery, CrashWindowTearsTheVictimDown) {
   MachineConfig config;
   config.ntasks = 2;
-  config.fault.nodes[1].crashes.push_back(Window{seconds(0.5), seconds(1.0)});
+  config.fault.crashes[1].push_back(Window{seconds(0.5), seconds(1.0)});
   VirtualMachine vm(config);
   int completed = 0;
   for (int id = 0; id < 2; ++id) {

@@ -104,7 +104,7 @@ rt::MachineConfig machine_for(const Case& c, Fault fault) {
       machine.fault.link.loss_prob = 0.02;
       break;
     case Fault::kCrash:
-      machine.fault.nodes[1].crashes.push_back({seconds(0.3), seconds(0.35)});
+      machine.fault.crashes[1].push_back({seconds(0.3), seconds(0.35)});
       break;
     case Fault::kPartition: {
       fault::PartitionWindow split;

@@ -431,7 +431,7 @@ TEST(ParallelJacobiPinned, StatefulCrashRejoinMatchesCapturedRun) {
   cfg.recovery.checkpoint_interval = nscc::sim::kSecond / 10;
   nscc::rt::MachineConfig machine;
   machine.fault.link.loss_prob = 0.01;
-  machine.fault.nodes[1].crashes.push_back(
+  machine.fault.crashes[1].push_back(
       nscc::fault::Window{nscc::sim::kSecond, nscc::sim::kSecond * 11 / 10});
   machine.transport.enabled = true;
   const auto r = nscc::solver::run_parallel_jacobi(sys, cfg, machine);

@@ -93,73 +93,86 @@ TEST(SwitchFabric, SameDestinationSerialisesOnRxPort) {
   EXPECT_GT(deliveries[1], deliveries[0]);
 }
 
-/// Arrival times of one frame from node 0 to node 1 on either interconnect
-/// under a plan that duplicates every frame, and whether the verdict was
-/// traced as a fault.dup instant on the model's track.
-struct DupRun {
-  std::vector<Time> arrivals;
-  bool traced = false;
+/// Fate of a burst of frames from node 0 to node 1 on either interconnect
+/// under a plan that loses and corrupts frames: (delivered, corrupt seed)
+/// per frame in arrival order, and the verdicts traced on the model's
+/// track.
+struct VerdictRun {
+  std::vector<std::pair<bool, std::uint64_t>> outcomes;
+  int traced_losses = 0;
+  int traced_corruptions = 0;
 };
 
+constexpr int kBurstFrames = 16;
+
 template <typename Transmit>
-DupRun duplicated_frame(Engine& eng, nscc::obs::Tracer& tracer,
+VerdictRun judged_burst(Engine& eng, nscc::obs::Tracer& tracer,
                         Transmit transmit) {
-  DupRun run;
-  transmit([&run](Time at, bool delivered, std::uint64_t) {
-    if (delivered) run.arrivals.push_back(at);
-  });
+  VerdictRun run;
+  for (int i = 0; i < kBurstFrames; ++i) {
+    transmit([&run](Time, bool delivered, std::uint64_t corrupt_seed) {
+      run.outcomes.emplace_back(delivered, corrupt_seed);
+    });
+  }
   eng.run();
   for (const auto& e : tracer.events()) {
-    run.traced = run.traced || std::string(e.name) == "fault.dup";
+    const std::string name = e.name;
+    run.traced_losses += name == "fault.loss" ? 1 : 0;
+    run.traced_corruptions += name == "fault.corrupt" ? 1 : 0;
   }
   return run;
 }
 
-nscc::fault::FaultPlan dup_plan() {
+nscc::fault::FaultPlan lossy_plan() {
   nscc::fault::FaultPlan plan;
   plan.seed = 5;
-  plan.link.dup_prob = 1.0;
-  plan.link.delay_max = 100 * kMicrosecond;
+  plan.link.loss_prob = 0.3;
+  plan.link.corrupt_prob = 0.3;
   return plan;
 }
 
 // The switch ends every frame in the bus's fault-and-delivery step: the
-// same verdict (drawn from the same stream) delivers a duplicate the same
-// jitter after the original, and is traced on the sender's port track.
+// same verdicts (drawn from the same stream) lose and damage the same
+// frames, and each is counted once and traced on the sender's port track.
 TEST(SwitchFabric, FaultVerdictsTakeTheBusPath) {
   Engine bus_eng;
   nscc::obs::Tracer bus_trace;
   bus_trace.enable(true);
-  nscc::fault::FaultInjector bus_faults(dup_plan());
+  nscc::fault::FaultInjector bus_faults(lossy_plan());
   nscc::net::SharedBus bus(bus_eng, {});
   bus.set_tracer(&bus_trace);
   bus.set_fault_injector(&bus_faults);
-  const DupRun on_bus =
-      duplicated_frame(bus_eng, bus_trace, [&bus](nscc::net::Outcome out) {
+  const VerdictRun on_bus =
+      judged_burst(bus_eng, bus_trace, [&bus](nscc::net::Outcome out) {
         bus.transmit(0, 1, 1000, std::move(out));
       });
 
   Engine sw_eng;
   nscc::obs::Tracer sw_trace;
   sw_trace.enable(true);
-  nscc::fault::FaultInjector sw_faults(dup_plan());
+  nscc::fault::FaultInjector sw_faults(lossy_plan());
   SwitchFabric fabric(sw_eng, 2, simple_switch());
   fabric.set_tracer(&sw_trace);
   fabric.set_fault_injector(&sw_faults);
-  const DupRun on_switch = duplicated_frame(
-      sw_eng, sw_trace, [&fabric](nscc::net::Outcome out) {
+  const VerdictRun on_switch =
+      judged_burst(sw_eng, sw_trace, [&fabric](nscc::net::Outcome out) {
         fabric.transmit_observed(0, 1, 1000, std::move(out));
       });
 
-  ASSERT_EQ(on_bus.arrivals.size(), 2u);
-  ASSERT_EQ(on_switch.arrivals.size(), 2u);
-  EXPECT_EQ(on_bus.arrivals[1] - on_bus.arrivals[0],
-            on_switch.arrivals[1] - on_switch.arrivals[0]);
-  EXPECT_GT(on_switch.arrivals[1], on_switch.arrivals[0]);
-  EXPECT_TRUE(on_bus.traced);
-  EXPECT_TRUE(on_switch.traced);
-  EXPECT_EQ(bus_faults.stats().frames_duplicated, 1u);
-  EXPECT_EQ(sw_faults.stats().frames_duplicated, 1u);
+  ASSERT_EQ(on_bus.outcomes.size(), static_cast<std::size_t>(kBurstFrames));
+  EXPECT_EQ(on_bus.outcomes, on_switch.outcomes);
+  for (const auto* faults : {&bus_faults, &sw_faults}) {
+    EXPECT_EQ(faults->stats().frames_judged,
+              static_cast<std::uint64_t>(kBurstFrames));
+    EXPECT_GT(faults->stats().frames_lost, 0u);
+    EXPECT_GT(faults->stats().frames_corrupted, 0u);
+  }
+  for (const VerdictRun* run : {&on_bus, &on_switch}) {
+    EXPECT_EQ(static_cast<std::uint64_t>(run->traced_losses),
+              bus_faults.stats().frames_lost);
+    EXPECT_EQ(static_cast<std::uint64_t>(run->traced_corruptions),
+              bus_faults.stats().frames_corrupted);
+  }
 }
 
 TEST(SwitchFabric, RuntimeIntegrationPingPong) {
