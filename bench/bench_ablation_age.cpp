@@ -12,10 +12,12 @@
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("function", 6, "test function id (multimodal default)")
+      .range("function", 1, 8)
       .add_int("processors", 8, "number of demes")
+      .range("processors", 1)
       .add_int("generations", 200, "generation budget")
-      .add_int("seed", 1, "base seed")
-      .add_bool("csv", false, "also emit CSV");
+      .range("generations", 1)
+      .add_int("seed", 1, "base seed");
   if (!flags.parse(argc, argv)) return 1;
 
   nscc::ga::IslandConfig base;
@@ -59,6 +61,5 @@ int main(int argc, char** argv) {
         .cell(r.best_fitness, 4);
   }
   table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return 0;
 }

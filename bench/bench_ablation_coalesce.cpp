@@ -71,7 +71,7 @@ Outcome run(bool coalesce, double load_mbps, int writes,
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("writes", 400, "updates the writer produces")
-      .add_bool("csv", false, "also emit CSV");
+      .range("writes", 1);
   nscc::obs::add_flags(flags);
   nscc::fault::add_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
@@ -99,6 +99,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return 0;
 }

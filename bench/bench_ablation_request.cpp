@@ -72,7 +72,7 @@ Outcome run_pair(nscc::dsm::GlobalReadImpl impl, int iterations,
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("iterations", 400, "producer iterations")
-      .add_bool("csv", false, "also emit CSV");
+      .range("iterations", 1);
   nscc::obs::add_flags(flags);
   nscc::fault::add_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
@@ -105,6 +105,5 @@ int main(int argc, char** argv) {
   std::cout << "\nThe waiting implementation carries the same data in fewer\n"
                "messages (the paper's §2 design rationale); the requesting\n"
                "one buys the writer a starvation hint per blocked read.\n";
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return 0;
 }

@@ -14,8 +14,8 @@
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("iterations", 4000, "sampling iterations per run")
-      .add_int("seed", 21, "base seed")
-      .add_bool("csv", false, "also emit CSV");
+      .range("iterations", 1)
+      .add_int("seed", 21, "base seed");
   if (!flags.parse(argc, argv)) return 1;
 
   nscc::util::Table table("Ablation A3 - rollback vs Global_Read age");
@@ -51,6 +51,5 @@ int main(int argc, char** argv) {
     run_one("async", nscc::dsm::Mode::kAsynchronous, 0);
   }
   table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return 0;
 }

@@ -76,8 +76,11 @@ StormResult run_storm(int procs, std::uint64_t target_events) {
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("events", 200000, "approximate event budget per repetition")
+      .range("events", 1)
       .add_int("procs", 8, "fiber processes in the storm")
+      .range("procs", 1)
       .add_int("reps", 3, "repetitions (wall-clock noise averaging)")
+      .range("reps", 1)
       .add_int("seed", 1, "recorded in the sweep key (the storm itself is "
                           "deterministic)");
   nscc::harness::Sweep sweep("engine_microbench");

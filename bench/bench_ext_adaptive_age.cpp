@@ -11,10 +11,12 @@
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("function", 1, "GA test function")
+      .range("function", 1, 8)
       .add_int("processors", 8, "demes")
+      .range("processors", 1)
       .add_int("generations", 150, "generations per deme")
-      .add_int("seed", 9, "base seed")
-      .add_bool("csv", false, "also emit CSV");
+      .range("generations", 1)
+      .add_int("seed", 9, "base seed");
   if (!flags.parse(argc, argv)) return 1;
 
   nscc::util::Table table(
@@ -52,6 +54,5 @@ int main(int argc, char** argv) {
     run("adaptive", 0, true);
   }
   table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return 0;
 }

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.add_int("seed", 21, "random seed")
       .add_int("queries", 3, "query nodes per network")
-      .add_bool("csv", false, "also emit CSV");
+      .range("queries", 1);
   harness::Sweep sweep("ext_bayes_scaling");
   harness::Sweep::add_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
@@ -67,6 +67,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return sweep.write() ? 0 : 1;
 }

@@ -39,7 +39,12 @@
 // The crash and partition windows scale with the fault-free run of the
 // first Global_Read age (age 10 by default), so they follow --demes and
 // --generations.
+//
+// Each section adds its own fault to the flag fault plan, and refuses the
+// flag that schedules the same fault (E2 --crash-at, E3 --corrupt-rate,
+// E4 --partition-at) with exit 1.
 #include <algorithm>
+#include <stdexcept>
 
 #include "harness/driver.hpp"
 #include "util/flags.hpp"
@@ -63,6 +68,16 @@ double fault_free_partial_s(const std::vector<harness::Row>& rows) {
 
 sim::Time at(double seconds) {
   return static_cast<sim::Time>(seconds * static_cast<double>(sim::kSecond));
+}
+
+/// harness::drive turns the throw into exit 1 before the section's first
+/// row runs.
+void refuse_flag_fault(bool given, const std::string& section,
+                       const std::string& flag) {
+  if (given) {
+    throw std::invalid_argument("section " + section +
+                                " schedules this fault itself; drop " + flag);
+  }
 }
 
 }  // namespace
@@ -89,16 +104,12 @@ int main(int argc, char** argv) {
   crash.title = "Extension E2 - crash-restart recovery (1% loss, node 1 down)";
   crash.scenario_column = "policy";
   crash.variants = {"partial"};
-  crash.scenarios = [](const util::Flags& flags,
+  crash.scenarios = [](const util::Flags&,
                        const std::vector<harness::Row>& rows) {
     constexpr double kCrashLoss = 0.01;
     const double crash_at_s = 0.4 * fault_free_partial_s(rows);
     if (crash_at_s == 0.0) return std::vector<harness::Scenario>{};
-    fault::FaultPlan plan;
-    plan.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed"));
-    plan.link.loss_prob = kCrashLoss;
-    plan.crashes[1].push_back(
-        {at(crash_at_s), at(crash_at_s) + at(0.08)});
+    const fault::Window window{at(crash_at_s), at(crash_at_s) + at(0.08)};
     std::vector<harness::Scenario> scenarios;
     for (const recovery::Policy policy :
          {recovery::Policy::kNone, recovery::Policy::kDegraded,
@@ -108,10 +119,13 @@ int main(int argc, char** argv) {
            .params = {{"loss", kCrashLoss},
                       {"crash_at_s", crash_at_s},
                       {"policy", static_cast<double>(policy)}},
-           .configure = [plan, policy](harness::RunConfig& run,
-                                       rt::MachineConfig& machine) {
+           .configure = [window, policy](harness::RunConfig& run,
+                                         rt::MachineConfig& machine) {
+             refuse_flag_fault(!machine.fault.crashes.empty(),
+                               "E2 (crash-restart recovery)", "--crash-at");
              run.recovery.policy = policy;
-             machine.fault = plan;
+             machine.fault.link.loss_prob = kCrashLoss;
+             machine.fault.crashes[1].push_back(window);
            },
            .may_deadlock = policy == recovery::Policy::kNone});
     }
@@ -122,18 +136,17 @@ int main(int argc, char** argv) {
   harness::Section corrupt;
   corrupt.title = "Extension E3 - completion time vs payload corruption";
   corrupt.scenario_column = "corrupt";
-  corrupt.scenarios = [](const util::Flags& flags,
+  corrupt.scenarios = [](const util::Flags&,
                          const std::vector<harness::Row>&) {
-    const auto seed = static_cast<std::uint64_t>(flags.get_int("fault-seed"));
     std::vector<harness::Scenario> scenarios;
     for (const double rate : {0.001, 0.01, 0.05}) {
       scenarios.push_back(
           {.label = util::format_double(rate * 100.0, 1) + " %",
            .params = {{"corrupt", rate}},
-           .configure = [seed, rate](harness::RunConfig&,
-                                     rt::MachineConfig& machine) {
-             machine.fault = {};
-             machine.fault.seed = seed;
+           .configure = [rate](harness::RunConfig&,
+                               rt::MachineConfig& machine) {
+             refuse_flag_fault(machine.fault.link.corrupt_prob > 0.0,
+                               "E3 (payload corruption)", "--corrupt-rate");
              machine.fault.link.corrupt_prob = rate;
            }});
     }
@@ -153,8 +166,6 @@ int main(int argc, char** argv) {
     if (base_s == 0.0) return std::vector<harness::Scenario>{};
     const double start_s = 0.2 * base_s;
     const auto demes = static_cast<int>(flags.get_int("demes"));
-    fault::FaultPlan plan;
-    plan.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed"));
     fault::PartitionWindow window;
     window.groups.assign(2, {});
     for (int node = 0; node < demes; ++node) {
@@ -163,17 +174,18 @@ int main(int argc, char** argv) {
     std::vector<harness::Scenario> scenarios;
     for (const double dur_s : {0.1 * base_s, 0.3 * base_s}) {
       window.window = {at(start_s), at(start_s) + at(dur_s)};
-      plan.partitions = {window};
       scenarios.push_back(
           {.label = util::format_double(dur_s, 2),
            .params = {{"part_start_s", start_s},
                       {"part_dur_s", dur_s},
                       {"quorum", kQuorum}},
-           .configure = [plan](harness::RunConfig& run,
-                               rt::MachineConfig& machine) {
+           .configure = [window](harness::RunConfig& run,
+                                 rt::MachineConfig& machine) {
+             refuse_flag_fault(!machine.fault.partitions.empty(),
+                               "E4 (partition-and-heal)", "--partition-at");
              run.recovery.policy = recovery::Policy::kDegraded;
              run.recovery.quorum_fraction = kQuorum;
-             machine.fault = plan;
+             machine.fault.partitions.push_back(window);
            }});
     }
     return scenarios;

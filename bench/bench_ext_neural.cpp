@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   harness::NnTrainWorkload nn;
   util::Flags flags;
   nn.register_params(flags);
-  flags.add_int("seed", 7, "random seed")
-      .add_bool("csv", false, "also emit CSV");
+  flags.add_int("seed", 7, "random seed");
   harness::Sweep sweep("ext_neural");
   harness::Sweep::add_flags(flags);
   if (!flags.set_default("steps", "600") || !flags.parse(argc, argv)) return 1;
@@ -79,7 +78,6 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     std::cout << '\n';
-    if (flags.get_bool("csv")) std::cout << table.to_csv() << '\n';
   }
   return sweep.write() ? 0 : 1;
 }

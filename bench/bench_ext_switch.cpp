@@ -17,9 +17,10 @@
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("function", 1, "GA test function")
+      .range("function", 1, 8)
       .add_int("generations", 150, "generation budget")
-      .add_int("seed", 1, "base seed")
-      .add_bool("csv", false, "also emit CSV");
+      .range("generations", 1)
+      .add_int("seed", 1, "base seed");
   if (!flags.parse(argc, argv)) return 1;
 
   nscc::util::Table table("Extension - Ethernet vs SP2 switch (island GA f" +
@@ -55,6 +56,5 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return 0;
 }

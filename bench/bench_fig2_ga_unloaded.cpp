@@ -21,6 +21,7 @@
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("generations", 200, "sync/serial generation budget (paper: 1000)")
+      .range("generations", 1)
       .add_int("reps", 2, "repetitions (paper: 25)")
       .range("reps", 1)
       .add_int("functions", 8, "use test functions 1..N")
@@ -28,8 +29,7 @@ int main(int argc, char** argv) {
       .add_int_list("procs", "2,4,8,16", "comma-separated processor counts")
       .range("procs", 1)
       .add_int("seed", 1, "base seed")
-      .add_bool("paper-scale", false, "paper protocol: 1000 gens, 25 reps")
-      .add_bool("csv", false, "also emit CSV");
+      .add_bool("paper-scale", false, "paper protocol: 1000 gens, 25 reps");
   nscc::harness::Sweep sweep("fig2_ga_unloaded");
   nscc::harness::Sweep::add_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
                             std::to_string(P));
     table.columns(nscc::harness::figure_columns({"series"}, cfg.variants));
     add_speedups(table.row().cell("f1 (best case)"), cells.front());
-    add_speedups(table.row().cell("average (8 fns)"), avg);
+    add_speedups(
+        table.row().cell("average (" + std::to_string(nfuncs) + " fns)"), avg);
     table.print(std::cout);
 
     nscc::util::Table diag("diagnostics (f1): generations to match sync "
@@ -97,7 +98,6 @@ int main(int argc, char** argv) {
     }
     diag.print(std::cout);
     std::cout << '\n';
-    if (flags.get_bool("csv")) std::cout << table.to_csv() << '\n';
   }
   return sweep.write() ? 0 : 1;
 }

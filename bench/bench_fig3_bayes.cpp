@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
   flags.add_int("reps", 3, "repetitions (paper: 10)")
       .range("reps", 1)
       .add_int("queries", 3, "query nodes per network")
+      .range("queries", 1)
       .add_int("seed", 21, "base seed")
-      .add_bool("paper-scale", false, "paper protocol: 10 reps")
-      .add_bool("csv", false, "also emit CSV");
+      .add_bool("paper-scale", false, "paper protocol: 10 reps");
   nscc::harness::Sweep sweep("fig3_bayes");
   nscc::harness::Sweep::add_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
@@ -100,6 +100,5 @@ int main(int argc, char** argv) {
   }
   std::cout << '\n';
   diag.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return sweep.write() ? 0 : 1;
 }

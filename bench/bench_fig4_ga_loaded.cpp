@@ -15,6 +15,7 @@
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("generations", 200, "sync/serial generation budget (paper: 1000)")
+      .range("generations", 1)
       .add_int("reps", 2, "repetitions (paper: 25)")
       .range("reps", 1)
       .add_int("functions", 8, "use test functions 1..N")
@@ -22,8 +23,7 @@ int main(int argc, char** argv) {
       .add_int("processors", 4, "GA processors (paper: 4 + 2 loader nodes)")
       .range("processors", 1)
       .add_int("seed", 1, "base seed")
-      .add_bool("paper-scale", false, "paper protocol: 1000 gens, 25 reps")
-      .add_bool("csv", false, "also emit CSV");
+      .add_bool("paper-scale", false, "paper protocol: 1000 gens, 25 reps");
   if (!flags.parse(argc, argv)) return 1;
 
   nscc::harness::GaIslandWorkload ga;
@@ -55,6 +55,5 @@ int main(int argc, char** argv) {
                  nscc::harness::average_cells(cells));
   }
   table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return 0;
 }

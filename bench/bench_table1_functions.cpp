@@ -15,11 +15,13 @@
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("generations", 400, "generations per run (paper: 1000)")
+      .range("generations", 1)
       .add_int("reps", 5, "repetitions with different seeds (paper: 25)")
+      .range("reps", 1)
       .add_int("pop", 50, "population size N")
+      .range("pop", 2)
       .add_int("seed", 1, "base seed")
-      .add_bool("paper-scale", false, "use the paper's 1000 gens x 25 reps")
-      .add_bool("csv", false, "also emit CSV");
+      .add_bool("paper-scale", false, "use the paper's 1000 gens x 25 reps");
   if (!flags.parse(argc, argv)) return 1;
 
   int generations = static_cast<int>(flags.get_int("generations"));
@@ -68,6 +70,5 @@ int main(int argc, char** argv) {
         .cell(hit_rate / reps, 3);
   }
   table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return 0;
 }

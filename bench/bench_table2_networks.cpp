@@ -15,8 +15,8 @@
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("queries", 3, "query nodes per network")
-      .add_int("seed", 21, "base seed")
-      .add_bool("csv", false, "also emit CSV");
+      .range("queries", 1)
+      .add_int("seed", 21, "base seed");
   if (!flags.parse(argc, argv)) return 1;
 
   // Paper's Table 2 values, for side-by-side comparison.
@@ -67,6 +67,5 @@ int main(int argc, char** argv) {
         .cell(static_cast<std::uint64_t>(serial.extra_value("samples_drawn")));
   }
   table.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << table.to_csv();
   return 0;
 }

@@ -69,8 +69,8 @@ double probe_warp(double offered_mbps, bool ramp,
 int main(int argc, char** argv) {
   nscc::util::Flags flags;
   flags.add_int("generations", 120, "GA generations for the workload rows")
-      .add_int("seed", 1, "base seed")
-      .add_bool("csv", false, "also emit CSV");
+      .range("generations", 1)
+      .add_int("seed", 1, "base seed");
   nscc::obs::add_flags(flags);
   nscc::fault::add_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
@@ -117,6 +117,5 @@ int main(int argc, char** argv) {
   }
   std::cout << '\n';
   ga.print(std::cout);
-  if (flags.get_bool("csv")) std::cout << '\n' << probe.to_csv();
   return 0;
 }

@@ -75,16 +75,15 @@ class RegionalModel final : public ConsistencyModel {
   Iteration fence_ = -1;  ///< Region admitted wholesale through here.
 };
 
-/// RACoherence-style release/acquire (SNIPPETS.md,
-/// /root/related/snoions__RACoherence): a writer's update is a *release* —
-/// stamped with a per-writer sequence number — and becomes visible to a
-/// reader only at its next *acquire* point, which in this runtime is any
-/// read entry (Global_Read or plain read).  Between acquires, arriving
-/// updates park unapplied (SharedSpace holds the log), so a computation
-/// phase observes one coherent snapshot however many releases land
-/// mid-phase.  Admission itself keeps the paper's per-read bound: after
-/// the acquire flush the same staleness contract holds, which is what lets
-/// every workload certify under --sanitize=strict unchanged.
+/// RACoherence-style release/acquire (SNIPPETS.md): a writer's update is a
+/// *release* — stamped with a per-writer sequence number — and becomes visible
+/// to a reader only at its next *acquire* point, which in this runtime is any
+/// read entry (Global_Read or plain read).  Between acquires, arriving updates
+/// park unapplied (SharedSpace holds the log), so a computation phase observes
+/// one coherent snapshot however many releases land mid-phase.  Admission
+/// itself keeps the paper's per-read bound: after the acquire flush the same
+/// staleness contract holds, which is what lets every workload certify under
+/// --sanitize=strict unchanged.
 class ReleaseAcquireModel final : public ConsistencyModel {
  public:
   [[nodiscard]] const char* name() const noexcept override {

@@ -157,24 +157,31 @@ CorruptionEffect corruption_effect(std::uint64_t seed,
 }
 
 void add_flags(util::Flags& flags) {
+  const double horizon_s = sim::to_seconds(sim::kHorizon);
   flags
       .add_double("loss-rate", 0.0,
                   "per-frame loss probability injected on every link")
+      .within("loss-rate", 0.0, 1.0)
       .add_double("corrupt-rate", 0.0,
                   "per-frame payload-corruption probability injected on "
                   "every link (bit flips / truncation; CRC-checked frames "
                   "are dropped as loss)")
+      .within("corrupt-rate", 0.0, 1.0)
       .add_int("fault-seed", 0xFA17,
                "seed for the fault injector's RNG stream")
       .add_double("read-timeout-ms", 0.0,
                   "Global_Read starvation watchdog budget in virtual ms "
                   "(0 disables escalation)")
+      .within("read-timeout-ms", 0.0, horizon_s * 1e3)
       .add_double("crash-at", 0.0,
                   "virtual seconds at which --crash-node loses its state "
                   "(0 disables the crash window)")
+      .within("crash-at", 0.0, horizon_s)
       .add_double("crash-for", 1.0,
                   "length of the crash window in virtual seconds")
+      .within("crash-for", 0.0, horizon_s)
       .add_int("crash-node", 1, "node id torn down at --crash-at")
+      .range("crash-node", 0)
       .add_string("partition-at", "",
                   "scheduled group partition start:end:group-spec, times in "
                   "virtual seconds, groups |-separated node lists "
@@ -213,8 +220,10 @@ double parse_seconds(const std::string& tok, const std::string& what) {
   } catch (const std::exception&) {
     throw std::invalid_argument("bad number in " + what + ": '" + tok + "'");
   }
-  if (used != tok.size() || v < 0.0) {
-    throw std::invalid_argument("bad number in " + what + ": '" + tok + "'");
+  const bool in_horizon = v >= 0.0 && v <= sim::to_seconds(sim::kHorizon);
+  if (used != tok.size() || !in_horizon) {
+    throw std::invalid_argument("bad number in " + what + ": '" + tok +
+                                "' (seconds within the 24 h run horizon)");
   }
   return v;
 }
@@ -297,23 +306,15 @@ BlackholeWindow parse_blackhole_spec(const std::string& spec) {
 }
 
 FaultPlan plan_from_flags(const util::Flags& flags) {
-  auto probability = [&flags](const std::string& name) {
-    const double p = flags.get_double(name);
-    if (!(p >= 0.0 && p <= 1.0)) {
-      throw std::invalid_argument("--" + name + " must be in [0, 1], got " +
-                                  flags.get_string(name));
-    }
-    return p;
-  };
   FaultPlan plan;
   plan.seed = static_cast<std::uint64_t>(flags.get_int("fault-seed"));
-  plan.link.loss_prob = probability("loss-rate");
-  plan.link.corrupt_prob = probability("corrupt-rate");
+  plan.link.loss_prob = flags.get_double("loss-rate");
+  plan.link.corrupt_prob = flags.get_double("corrupt-rate");
   const double crash_at = flags.get_double("crash-at");
   if (crash_at > 0.0) {
     const auto start = static_cast<sim::Time>(crash_at * sim::kSecond);
-    const auto span = static_cast<sim::Time>(
-        std::max(0.0, flags.get_double("crash-for")) * sim::kSecond);
+    const auto span =
+        static_cast<sim::Time>(flags.get_double("crash-for") * sim::kSecond);
     plan.crashes[static_cast<int>(flags.get_int("crash-node"))].push_back(
         Window{start, start + span});
   }
@@ -329,10 +330,8 @@ FaultPlan plan_from_flags(const util::Flags& flags) {
 }
 
 sim::Time read_timeout_from_flags(const util::Flags& flags) {
-  const double ms = flags.get_double("read-timeout-ms");
-  return ms <= 0.0 ? 0
-                   : static_cast<sim::Time>(
-                         ms * static_cast<double>(sim::kMillisecond));
+  return static_cast<sim::Time>(flags.get_double("read-timeout-ms") *
+                                static_cast<double>(sim::kMillisecond));
 }
 
 }  // namespace nscc::fault

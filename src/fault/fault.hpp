@@ -187,27 +187,28 @@ struct CorruptionEffect {
                                                  std::size_t payload_bytes);
 
 /// Register the standard fault flags (--loss-rate, --corrupt-rate,
-/// --fault-seed, --read-timeout-ms, --partition-at, --blackhole-at) on a
-/// driver's flag set; like every util::Flags entry they honour the NSCC_*
-/// environment overrides.
+/// --fault-seed, --read-timeout-ms, --crash-at, --crash-for, --crash-node,
+/// --partition-at, --blackhole-at) on a driver's flag set.  Each numeric
+/// flag declares its range there: rates in [0, 1], times in [0,
+/// sim::kHorizon], node ids >= 0, so parse() rejects anything else.
 void add_flags(util::Flags& flags);
 
 /// Build a plan from flags registered by add_flags(): uniform per-frame
 /// loss and corruption probabilities on every link, at most one crash,
 /// one partition and one blackhole window, deterministically seeded.  Throws
-/// std::invalid_argument on a --loss-rate / --corrupt-rate outside [0, 1]
-/// or a malformed --partition-at / --blackhole-at spec (drivers turn that
-/// into their flag-error exit).  Node ids are checked against the machine
-/// size later, by harness::Cluster.
+/// std::invalid_argument on a malformed --partition-at / --blackhole-at
+/// spec (drivers turn that into their flag-error exit).  Node ids are
+/// checked against the machine size later, by harness::Cluster.
 [[nodiscard]] FaultPlan plan_from_flags(const util::Flags& flags);
 
 /// Parse one `start:end:group-spec` partition window, where group-spec is
 /// `|`-separated groups of `,`-separated node ids (e.g. `0.2:0.6:0,1|2,3`)
-/// and times are virtual seconds.  Throws std::invalid_argument on junk.
+/// and times are virtual seconds in [0, sim::kHorizon].  Throws
+/// std::invalid_argument on junk.
 [[nodiscard]] PartitionWindow parse_partition_spec(const std::string& spec);
 
 /// Parse one `start:end:src:dst` one-way blackhole window (virtual
-/// seconds).  Throws std::invalid_argument on junk.
+/// seconds in [0, sim::kHorizon]).  Throws std::invalid_argument on junk.
 [[nodiscard]] BlackholeWindow parse_blackhole_spec(const std::string& spec);
 
 /// The --read-timeout-ms flag as a virtual-time budget (0 = watchdog off).

@@ -64,13 +64,11 @@ RunStats Cluster::run() {
                                 .poisson = true,
                                 .seed = seed_ ^ 0x70adULL,
                             });
-  // Generous horizon so a logic error cannot spin the loader forever.
-  const sim::Time horizon = 24LL * 3600 * sim::kSecond;
-  const sim::Time end = vm_.run(horizon);
+  const sim::Time end = vm_.run(sim::kHorizon);
   loader.stop();
   RunStats stats = RunStats::from_registry(vm_.obs().registry());
   stats.completion_time = end;
-  stats.deadlocked = vm_.deadlocked() || end >= horizon;
+  stats.deadlocked = vm_.deadlocked() || end >= sim::kHorizon;
   return stats;
 }
 

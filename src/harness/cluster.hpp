@@ -41,7 +41,7 @@ class Cluster {
 
   /// Call once every task is added.  Starts the background loader (1024 B
   /// Poisson frames at run.loader_offered_bps, seeded run.seed ^ 0x70ad),
-  /// runs the machine to a 24 h virtual horizon, and returns the registry's
+  /// runs the machine to the 24 h sim::kHorizon, and returns the registry's
   /// RunStats with completion_time set to the end of the run and
   /// deadlocked set when the machine wedged or hit the horizon.
   RunStats run();

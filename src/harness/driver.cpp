@@ -97,7 +97,6 @@ struct Setup {
   std::vector<rt::Network> networks;
   std::vector<std::string> models;
   bool heal = true;
-  bool csv = false;
 };
 
 /// The row runner: one section's variant x network x model x scenario
@@ -227,7 +226,6 @@ std::vector<Row> run_section(const Setup& setup, const Section& section,
     }
   }
   table.print(std::cout);
-  if (setup.csv) std::cout << '\n' << table.to_csv();
   return rows;
 }
 
@@ -328,6 +326,8 @@ int drive(int argc, char** argv, const DriveOptions& options) {
                 "crash-recovery policy for stateful (--crash-at) windows")
       .add_double("checkpoint-interval", 0.5,
                   "virtual seconds between node checkpoints (0 disables)")
+      .within("checkpoint-interval", 0.0,
+              sim::to_seconds(sim::kHorizon))
       .add_enum_list("consistency", "nonstrict",
                      dsm::consistency_model_names(),
                      "consistency models applied by every DSM instance, one "
@@ -343,16 +343,10 @@ int drive(int argc, char** argv, const DriveOptions& options) {
                   "fraction of the cluster (self included) an observer must "
                   "hear before declaring a suspected peer dead; 0 disables "
                   "the split-brain gate")
+      .within("quorum", 0.0, 1.0)
       .add_bool("heal", true,
                 "anti-entropy heal: writers republish their locations over "
-                "the reliable channel when a partition/blackhole window ends")
-      .add_int("heartbeat-interval-ms", 50,
-               "failure-detector heartbeat period in virtual ms (> 0)")
-      .add_int("suspect-timeout-ms", 0,
-               "silence before suspecting a peer, in virtual ms (0 derives "
-               "the phi-threshold default; otherwise must exceed the "
-               "heartbeat interval)")
-      .add_bool("csv", false, "also emit each table as CSV");
+                "the reliable channel when a partition/blackhole window ends");
   Sweep::add_flags(flags);
   obs::add_flags(flags);
   fault::add_flags(flags);
@@ -371,31 +365,7 @@ int drive(int argc, char** argv, const DriveOptions& options) {
     std::cerr << "harness: " << e.what() << '\n';
     return 1;
   }
-  const double quorum = flags.get_double("quorum");
-  if (quorum < 0.0 || quorum > 1.0) {
-    std::cerr << "harness: --quorum must be in [0, 1], got " << quorum << '\n';
-    return 1;
-  }
-  const std::int64_t heartbeat_ms = flags.get_int("heartbeat-interval-ms");
-  if (heartbeat_ms <= 0) {
-    std::cerr << "harness: --heartbeat-interval-ms must be > 0, got "
-              << heartbeat_ms << '\n';
-    return 1;
-  }
-  const std::int64_t suspect_ms = flags.get_int("suspect-timeout-ms");
-  if (suspect_ms < 0) {
-    std::cerr << "harness: --suspect-timeout-ms must be >= 0, got "
-              << suspect_ms << '\n';
-    return 1;
-  }
-  if (suspect_ms > 0 && suspect_ms <= heartbeat_ms) {
-    std::cerr << "harness: --suspect-timeout-ms (" << suspect_ms
-              << ") must exceed --heartbeat-interval-ms (" << heartbeat_ms
-              << ") or the detector suspects peers between heartbeats\n";
-    return 1;
-  }
   setup.heal = flags.get_bool("heal");
-  setup.csv = flags.get_bool("csv");
   setup.obs = obs::options_from_flags(flags);
   for (const auto& name : flags.get_list("network")) {
     setup.networks.push_back(name == "sp2" ? rt::Network::kSp2Switch
@@ -425,11 +395,7 @@ int drive(int argc, char** argv, const DriveOptions& options) {
   base.recovery.checkpoint_interval = static_cast<sim::Time>(
       flags.get_double("checkpoint-interval") *
       static_cast<double>(sim::kSecond));
-  base.recovery.quorum_fraction = quorum;
-  base.recovery.heartbeat_interval =
-      static_cast<sim::Time>(heartbeat_ms) * sim::kMillisecond;
-  base.recovery.suspect_timeout =
-      static_cast<sim::Time>(suspect_ms) * sim::kMillisecond;
+  base.recovery.quorum_fraction = flags.get_double("quorum");
   const RunStats reference = workload->reference(base);
   print_reference(reference);
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -85,10 +86,11 @@ class Workload {
                                const RunStats& serial, const RunStats* sync);
 
  protected:
-  /// An integer parameter's runnable values, [lo, hi].
+  /// An integer parameter's runnable values, [lo, hi]; hi stops at the
+  /// largest int, so no value wraps when it is stored.
   struct IntRange {
     std::int64_t lo;
-    std::int64_t hi = INT64_MAX;
+    std::int64_t hi = std::numeric_limits<int>::max();
   };
   /// A real parameter's runnable values: finite and > lo.
   struct Above {

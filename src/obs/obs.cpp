@@ -65,6 +65,9 @@ void add_flags(util::Flags& flags) {
                   "with a .json suffix)")
       .add_double("sample-interval", 50.0,
                   "metrics sampling interval in virtual milliseconds")
+      .within("sample-interval",
+              1.0 / static_cast<double>(sim::kMillisecond),
+              sim::to_seconds(sim::kHorizon) * 1e3)
       .add_bool("flow-trace", false,
                 "record causal write->transit->read flow arrows in the "
                 "trace (use with --trace-out; implies tracing)")
@@ -82,7 +85,6 @@ Options options_from_flags(const util::Flags& flags) {
   opts.sample_interval = static_cast<sim::Time>(
       flags.get_double("sample-interval") *
       static_cast<double>(sim::kMillisecond));
-  if (opts.sample_interval < 1) opts.sample_interval = 1;
   return opts;
 }
 

@@ -59,9 +59,9 @@ void Coordinator::on_start() {
       }
     }
   }
-  if (n > 1 && cfg_.heartbeat_interval > 0) {
+  if (n > 1) {
     tick_scheduled_ = true;
-    vm_.engine().schedule(now + cfg_.heartbeat_interval, [this] { tick(); });
+    vm_.engine().schedule(now + kHeartbeatInterval, [this] { tick(); });
   }
 }
 
@@ -82,7 +82,7 @@ void Coordinator::schedule_respawn(int node, sim::Time crash_start) {
     }
     if (reachable < quorum_size()) {
       ++stats_.deferred_rejoins;
-      vm_.engine().schedule(now + cfg_.heartbeat_interval,
+      vm_.engine().schedule(now + kHeartbeatInterval,
                             [this, node, crash_start] {
                               schedule_respawn(node, crash_start);
                             });
@@ -123,7 +123,7 @@ bool Coordinator::detecting() const {
 std::optional<rt::Message> Coordinator::receive(rt::Task& task,
                                                 int tag) const {
   if (!detecting()) return task.recv(tag);
-  return task.recv_timeout(tag, cfg_.heartbeat_interval);
+  return task.recv_timeout(tag, kHeartbeatInterval);
 }
 
 void Coordinator::tick() {
@@ -167,12 +167,11 @@ void Coordinator::tick() {
   judge_peers(now);
 
   tick_scheduled_ = true;
-  vm_.engine().schedule(now + cfg_.heartbeat_interval, [this] { tick(); });
+  vm_.engine().schedule(now + kHeartbeatInterval, [this] { tick(); });
 }
 
 void Coordinator::judge_peers(sim::Time now) {
   const int n = vm_.size();
-  const sim::Time silence_limit = suspect_limit();
   for (int i = 0; i < n; ++i) {
     if (!vm_.task_alive(i)) continue;  // A dead observer judges nobody.
     const bool quorum = in_quorum(i);
@@ -181,7 +180,7 @@ void Coordinator::judge_peers(sim::Time now) {
       PeerView& v = views_[static_cast<std::size_t>(i)]
                           [static_cast<std::size_t>(j)];
       if (v.state == PeerState::kDead) continue;
-      if (now - v.last_seen <= silence_limit) continue;
+      if (now - v.last_seen <= kSuspectLimit) continue;
       // Silence alone does not prove the process ended: a partition or
       // blackhole silences live fibers too.  The evidence gate accepts
       // either a crash window on record or a scheduled cut between
@@ -277,14 +276,6 @@ void Coordinator::on_link_failure(int src, int dst) {
                                vm_.engine().now(), "peer",
                                static_cast<std::int64_t>(dst));
   }
-}
-
-sim::Time Coordinator::suspect_limit() const {
-  return cfg_.suspect_timeout > 0
-             ? cfg_.suspect_timeout
-             : static_cast<sim::Time>(
-                   kPhiThreshold *
-                   static_cast<double>(cfg_.heartbeat_interval));
 }
 
 int Coordinator::quorum_size() const {
@@ -384,12 +375,13 @@ bool Coordinator::alive(int observer, int node) const {
 bool Coordinator::in_quorum(int observer) const {
   if (cfg_.quorum_fraction <= 0.0 || views_.empty()) return true;
   const sim::Time now = vm_.engine().now();
-  const sim::Time limit = suspect_limit();
   int heard = 1;  // Self.
   const auto& view = views_[static_cast<std::size_t>(observer)];
   for (int j = 0; j < vm_.size(); ++j) {
     if (j == observer) continue;
-    if (now - view[static_cast<std::size_t>(j)].last_seen <= limit) ++heard;
+    if (now - view[static_cast<std::size_t>(j)].last_seen <= kSuspectLimit) {
+      ++heard;
+    }
   }
   return heard >= quorum_size();
 }

@@ -55,18 +55,15 @@ enum class Policy {
 [[nodiscard]] const char* policy_name(Policy p) noexcept;
 [[nodiscard]] std::optional<Policy> policy_from_name(const std::string& name);
 
+/// A run's recovery settings (--recovery, --checkpoint-interval, --quorum);
+/// the detector's timings are constants (kHeartbeatInterval, kSuspectLimit).
 struct Config {
   Policy policy = Policy::kNone;
   /// Virtual time between checkpoints of one node (0 disables snapshots;
   /// detection and degraded reads still work, rejoin restarts cold).
   sim::Time checkpoint_interval = 500 * sim::kMillisecond;
-  /// Heartbeat emission period; also the detector's expected inter-arrival.
-  sim::Time heartbeat_interval = 50 * sim::kMillisecond;
-  /// Explicit silence-before-suspect budget; 0 derives the legacy
-  /// kPhiThreshold × heartbeat_interval limit.
-  sim::Time suspect_timeout = 0;
   /// Fraction of the cluster (self included) an observer must have heard
-  /// recently before it may *declare* a suspected peer dead — the
+  /// within kSuspectLimit before it may *declare* a suspected peer dead — the
   /// split-brain gate.  0 disables the gate (a silent peer with failure
   /// evidence is declared dead at once, which is exactly the
   /// both-sides-declare-each-other-dead failure mode the acceptance
@@ -81,6 +78,13 @@ struct Config {
 /// Intervals of silence before a node is declared dead (simplified
 /// phi-accrual: fixed expected arrival, threshold in units of it).
 inline constexpr double kPhiThreshold = 4.0;
+/// Heartbeat emission period; also the detector's expected inter-arrival
+/// and the period at which detector-aware waits re-check membership.
+inline constexpr sim::Time kHeartbeatInterval = 50 * sim::kMillisecond;
+/// Silence after which an observer suspects a peer: kPhiThreshold
+/// heartbeat intervals.
+inline constexpr sim::Time kSuspectLimit = static_cast<sim::Time>(
+    kPhiThreshold * static_cast<double>(kHeartbeatInterval));
 /// Fixed virtual cost of taking or restoring one snapshot (quiesce +
 /// buffer setup).
 inline constexpr sim::Time kCheckpointFixedCost = 200 * sim::kMicrosecond;
@@ -218,7 +222,6 @@ class Coordinator final : public rt::Membership {
   [[nodiscard]] std::uint64_t epoch(int node) const;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
  private:
   /// Per-observer peer state.  kSuspect is a silent peer that the quorum
@@ -238,7 +241,6 @@ class Coordinator final : public rt::Membership {
   void declare_dead(int observer, int node, sim::Time now);
   void schedule_respawn(int node, sim::Time crash_start);
   [[nodiscard]] sim::Time crash_start_before(int node, sim::Time now) const;
-  [[nodiscard]] sim::Time suspect_limit() const;
   [[nodiscard]] int quorum_size() const;
   /// Total virtual compute across all tasks: the progress fingerprint.
   [[nodiscard]] std::uint64_t compute_fingerprint() const;

@@ -17,6 +17,10 @@ inline constexpr Time kMicrosecond = 1'000;
 inline constexpr Time kMillisecond = 1'000'000;
 inline constexpr Time kSecond = 1'000'000'000;
 
+/// The virtual-time horizon of every run: harness::Cluster stops a run
+/// there, and no time flag may name a point or a span past it.
+inline constexpr Time kHorizon = 24LL * 3600 * kSecond;
+
 /// Convert virtual time to floating-point seconds (for reporting).
 [[nodiscard]] constexpr double to_seconds(Time t) noexcept {
   return static_cast<double>(t) / static_cast<double>(kSecond);

@@ -232,7 +232,7 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
             2 * std::max(1, static_cast<int>(recovery::kPhiThreshold));
         for (int waits = 0;;) {
           auto msg =
-              task.recv_timeout(kDecisionTag, rc->config().heartbeat_interval);
+              task.recv_timeout(kDecisionTag, recovery::kHeartbeatInterval);
           if (!msg) {
             // The coordinator is gone: no decision is coming.  Keep sweeping
             // toward max_sweeps rather than blocking forever.

@@ -1,10 +1,8 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 
@@ -38,6 +36,23 @@ std::string format_bound(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
+}
+
+/// A double flag's declared bound: "> 0", "in [0, 1]", or empty when it
+/// has none (it is still finite).
+std::string double_range(double lo, double hi, bool lo_open) {
+  if (lo_open) return "> " + format_bound(lo);
+  if (std::isinf(lo)) return "";
+  return "in [" + format_bound(lo) + ", " + format_bound(hi) + "]";
+}
+
+/// An int flag's declared bound: ">= 1", "in [1, 8]", or empty when it
+/// has none.
+std::string int_range(std::int64_t lo, std::int64_t hi) {
+  if (hi == INT64_MAX) {
+    return lo == INT64_MIN ? "" : ">= " + std::to_string(lo);
+  }
+  return "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
 }
 
 }  // namespace
@@ -92,17 +107,46 @@ Flags& Flags::add_int_list(const std::string& name, const std::string& def,
   return add(name, Kind::kIntList, def, help);
 }
 
-Flags& Flags::range(const std::string& name, std::int64_t lo,
-                    std::int64_t hi) {
-  Entry& e = entries_.at(name);
-  e.lo = lo;
-  e.hi = hi;
+Flags::Entry& Flags::bounded(const std::string& name, bool real) {
+  const auto it = entries_.find(name);
+  const bool fits = it != entries_.end() &&
+                    (real ? it->second.kind == Kind::kDouble
+                          : it->second.kind == Kind::kInt ||
+                                it->second.kind == Kind::kIntList);
+  if (!fits) throw std::logic_error("no flag --" + name + " to bound");
+  return it->second;
+}
+
+Flags& Flags::checked(const std::string& name) {
+  if (const std::string err = set(name, entries_.at(name).value);
+      !err.empty()) {
+    throw std::logic_error("default outside the declared range: " + err);
+  }
   return *this;
 }
 
+Flags& Flags::range(const std::string& name, std::int64_t lo,
+                    std::int64_t hi) {
+  Entry& e = bounded(name, false);
+  e.lo = lo;
+  e.hi = hi;
+  return checked(name);
+}
+
+Flags& Flags::within(const std::string& name, double lo, double hi) {
+  Entry& e = bounded(name, true);
+  e.dlo = lo;
+  e.dhi = hi;
+  e.lo_open = false;
+  return checked(name);
+}
+
 Flags& Flags::above(const std::string& name, double lo) {
-  entries_.at(name).above = lo;
-  return *this;
+  Entry& e = bounded(name, true);
+  e.dlo = lo;
+  e.dhi = std::numeric_limits<double>::infinity();
+  e.lo_open = true;
+  return checked(name);
 }
 
 namespace {
@@ -119,9 +163,7 @@ std::string check_int(const std::string& name, const std::string& token,
     return "--" + name + " expects an integer, got '" + token + "'";
   }
   if (v >= lo && v <= hi) return {};
-  return "--" + name + " must be >= " + std::to_string(lo) +
-         (hi == INT64_MAX ? "" : " and <= " + std::to_string(hi)) +
-         ", got " + token;
+  return "--" + name + " must be " + int_range(lo, hi) + ", got " + token;
 }
 
 }  // namespace
@@ -149,9 +191,13 @@ std::string Flags::set(const std::string& name, const std::string& value) {
       } catch (const std::exception&) {
         return "--" + name + " expects a number, got '" + value + "'";
       }
-      if (e.above && !(std::isfinite(v) && v > *e.above)) {
-        return "--" + name + " must be finite and > " +
-               format_bound(*e.above) + ", got " + value;
+      const bool in_range = std::isfinite(v) &&
+                            (e.lo_open ? v > e.dlo : v >= e.dlo) &&
+                            v <= e.dhi;
+      if (!in_range) {
+        const std::string bound = double_range(e.dlo, e.dhi, e.lo_open);
+        return "--" + name + " must be finite" +
+               (bound.empty() ? "" : " and " + bound) + ", got " + value;
       }
       break;
     }
@@ -200,23 +246,7 @@ bool Flags::set_default(const std::string& name, const std::string& value) {
   return true;
 }
 
-void Flags::apply_env_overrides() {
-  for (const auto& name : order_) {
-    std::string env = "NSCC_";
-    for (char c : name) {
-      env += (c == '-') ? '_' : static_cast<char>(std::toupper(c));
-    }
-    if (const char* v = std::getenv(env.c_str())) {
-      const std::string err = set(name, v);
-      // An ill-formed env override is a configuration bug; flag it loudly
-      // instead of silently keeping the default.
-      if (!err.empty()) std::cerr << "ignoring " << env << ": " << err << '\n';
-    }
-  }
-}
-
 bool Flags::parse(int argc, char** argv) {
-  apply_env_overrides();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -298,7 +328,10 @@ void Flags::print_usage(const std::string& program) const {
       std::cerr << "; " << (e.is_list ? "subset of " : "one of ")
                 << join(e.allowed, "|");
     }
-    if (e.above) std::cerr << "; finite, > " << format_bound(*e.above);
+    const bool real = e.kind == Kind::kDouble;
+    const std::string bound = real ? double_range(e.dlo, e.dhi, e.lo_open)
+                                   : int_range(e.lo, e.hi);
+    if (!bound.empty()) std::cerr << (real ? "; finite, " : "; ") << bound;
     std::cerr << ")  " << e.help << '\n';
   }
 }

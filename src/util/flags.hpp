@@ -1,19 +1,22 @@
 // Minimal command-line flag parsing for the bench/example binaries.
 //
 // Flags may be given as --name=value or --name value; bools accept bare
-// --name.  Each flag also honours an environment override NSCC_<NAME>
-// (upper-cased, dashes become underscores) so the whole bench suite can be
-// switched to the paper-scale protocol with a single env var.
+// --name.  The command line is the only way a setting enters a run.
 //
 // Unknown flags, ill-formed values, and enum values outside the allowed set
 // are rejected: parse() prints a pointed error plus the usage text and
 // returns false, and every driver turns that into a nonzero exit.  A typo
 // never silently falls through to a default.
+//
+// A double flag is always finite, and a numeric flag's range is part of
+// its declaration (range(), within() or above() right after add_*()):
+// values are checked against it and --help shows it.  A bound that does
+// not fit its flag's kind, or excludes its default, throws logic_error.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,11 +43,13 @@ class Flags {
   Flags& add_int_list(const std::string& name, const std::string& def,
                       const std::string& help);
   /// Restrict an int or int-list flag to [lo, hi]; values outside it are
-  /// rejected like ill-formed ones.  Applies to values set after the call.
+  /// rejected like ill-formed ones.  hi defaults to the largest int, so a
+  /// value the caller stores in an int cannot wrap.
   Flags& range(const std::string& name, std::int64_t lo,
-               std::int64_t hi = INT64_MAX);
-  /// Restrict a double flag to finite values above `lo` (NaN and the
-  /// infinities are rejected too).  Applies to values set after the call.
+               std::int64_t hi = std::numeric_limits<int>::max());
+  /// Restrict a double flag to the closed [lo, hi].
+  Flags& within(const std::string& name, double lo, double hi);
+  /// Restrict a double flag to values above `lo`.
   Flags& above(const std::string& name, double lo);
 
   /// Parse argv; returns false (after printing usage) on --help or on an
@@ -78,7 +83,10 @@ class Flags {
     bool is_list = false;              ///< Comma-separated enum subset.
     std::int64_t lo = INT64_MIN;       ///< Int range (kInt, kIntList).
     std::int64_t hi = INT64_MAX;
-    std::optional<double> above = {};  ///< Finite lower bound (kDouble).
+    /// Double range (kDouble): [dlo, dhi], or above dlo when lo_open.
+    double dlo = -std::numeric_limits<double>::infinity();
+    double dhi = std::numeric_limits<double>::infinity();
+    bool lo_open = false;
   };
 
   Flags& add(const std::string& name, Kind kind, std::string def,
@@ -86,7 +94,12 @@ class Flags {
              bool is_list = false);
   /// Empty return = accepted; otherwise a human-readable reason.
   std::string set(const std::string& name, const std::string& value);
-  void apply_env_overrides();
+  /// The entry a bound is declared on; throws std::logic_error unless it
+  /// is a double flag (`real`) or an int / int-list flag (otherwise).
+  Entry& bounded(const std::string& name, bool real);
+  /// *this, or throws std::logic_error when the flag's current value (its
+  /// default) lies outside the bound just declared.
+  Flags& checked(const std::string& name);
 
   std::map<std::string, Entry> entries_;
   std::vector<std::string> order_;

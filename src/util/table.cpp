@@ -73,28 +73,4 @@ std::string Table::to_string() const {
   return os.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) os << ',';
-      const bool quote = row[c].find_first_of(",\"\n") != std::string::npos;
-      if (quote) {
-        os << '"';
-        for (char ch : row[c]) {
-          if (ch == '"') os << '"';
-          os << ch;
-        }
-        os << '"';
-      } else {
-        os << row[c];
-      }
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 }  // namespace nscc::util

@@ -1,7 +1,7 @@
-// ASCII / CSV table rendering for the benchmark harnesses.
+// ASCII table rendering for the benchmark harnesses.
 //
 // Every bench binary regenerating a paper table or figure prints its rows
-// through this class so output is uniform and machine-readable.
+// through this class so output is uniform.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@ class Table {
   /// Render with aligned columns and a rule under the header.
   void print(std::ostream& os) const;
   [[nodiscard]] std::string to_string() const;
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   std::string title_;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -784,10 +783,11 @@ TEST(BlackholeSpec, ParsesAndRejects) {
   EXPECT_EQ(h.window.start,
             static_cast<Time>(0.1 * static_cast<double>(kSecond)));
   using nscc::fault::parse_blackhole_spec;
-  EXPECT_THROW(parse_blackhole_spec("0.1:0.5:2"), std::invalid_argument);
-  EXPECT_THROW(parse_blackhole_spec("0.1:0.5:1:1"),
+  EXPECT_THROW((void)parse_blackhole_spec("0.1:0.5:2"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_blackhole_spec("0.1:0.5:1:1"),
                std::invalid_argument);  // src == dst
-  EXPECT_THROW(parse_blackhole_spec("0.5:0.1:2:0"),
+  EXPECT_THROW((void)parse_blackhole_spec("0.5:0.1:2:0"),
                std::invalid_argument);  // start >= end
 }
 
@@ -806,31 +806,34 @@ TEST(FaultFlags, PartitionAndBlackholeRoundTripThroughPlan) {
 }
 
 TEST(FaultFlags, MalformedPartitionSpecThrowsFromPlan) {
-  // Rates outside [0, 1] are rejected at the same seam.
-  for (const char* bad : {"--partition-at=0.2:0.6:junk", "--loss-rate=2",
-                          "--corrupt-rate=-0.5"}) {
+  // A spec parses as a string flag; its format, and a time that is not
+  // finite or lies past the run horizon, are rejected by the plan.
+  for (const char* bad :
+       {"--partition-at=0.2:0.6:junk", "--partition-at=0.05:inf:0,1|2,3",
+        "--partition-at=nan:0.6:0,1|2,3", "--partition-at=0.2:1e12:0,1|2,3",
+        "--blackhole-at=0.1:inf:0:1"}) {
     nscc::util::Flags flags;
     nscc::fault::add_flags(flags);
     const char* argv[] = {"prog", bad};
     ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
-    EXPECT_THROW(nscc::fault::plan_from_flags(flags), std::invalid_argument)
+    EXPECT_THROW((void)nscc::fault::plan_from_flags(flags),
+                 std::invalid_argument)
         << bad;
   }
-}
-
-TEST(FaultFlags, EnvironmentOverrides) {
-  ::setenv("NSCC_LOSS_RATE", "0.5", 1);
-  ::setenv("NSCC_READ_TIMEOUT_MS", "4", 1);
-  nscc::util::Flags flags;
-  nscc::fault::add_flags(flags);
-  const char* argv[] = {"prog"};
-  ASSERT_TRUE(flags.parse(1, const_cast<char**>(argv)));
-  ::unsetenv("NSCC_LOSS_RATE");
-  ::unsetenv("NSCC_READ_TIMEOUT_MS");
-
-  const FaultPlan plan = nscc::fault::plan_from_flags(flags);
-  EXPECT_DOUBLE_EQ(plan.link.loss_prob, 0.5);
-  EXPECT_EQ(nscc::fault::read_timeout_from_flags(flags), 4 * kMillisecond);
+  // Rates outside [0, 1] and times that are not finite or lie past the
+  // horizon never get that far: the flag declares its range.
+  for (const char* bad :
+       {"--loss-rate=2", "--corrupt-rate=-0.5", "--loss-rate=nan",
+        "--crash-at=1e12", "--crash-at=inf", "--crash-at=nan",
+        "--crash-for=-1", "--read-timeout-ms=inf", "--read-timeout-ms=-4",
+        "--crash-node=-1"}) {
+    nscc::util::Flags flags;
+    nscc::fault::add_flags(flags);
+    const char* argv[] = {"prog", bad};
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv))) << bad;
+    (void)testing::internal::GetCapturedStderr();
+  }
 }
 
 }  // namespace

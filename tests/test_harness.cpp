@@ -660,8 +660,8 @@ TEST(DriverReuseDeathTest, SecondDriveMatchesAFreshProcess) {
   };
   const std::vector<Case> cases = {
       {"nn.train", {"--variants=partial"}, "--steps=60",
-       "--steps (default: 500)"},
-      {"solver.jacobi", {}, "--grid=8", "--grid (default: 16)"}};
+       "--steps (default: 500;"},
+      {"solver.jacobi", {}, "--grid=8", "--grid (default: 16;"}};
   for (const Case& c : cases) {
     std::remove(test_file(c.workload + "_fresh.out").c_str());
     std::remove(test_file(c.workload + "_fresh.json").c_str());

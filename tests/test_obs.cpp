@@ -322,6 +322,23 @@ TEST(ObsFlags, RoundTripThroughFlagSet) {
   EXPECT_EQ(opt.sample_interval, 10 * kMillisecond);
 }
 
+TEST(ObsFlags, SampleIntervalIsAtLeastOneVirtualNanosecond) {
+  nscc::util::Flags flags;
+  nscc::obs::add_flags(flags);
+  const char* shortest[] = {"prog", "--sample-interval=1e-6"};
+  ASSERT_TRUE(flags.parse(2, const_cast<char**>(shortest)));
+  EXPECT_EQ(nscc::obs::options_from_flags(flags).sample_interval, 1);
+  for (const char* bad : {"--sample-interval=9e-7", "--sample-interval=0",
+                          "--sample-interval=nan", "--sample-interval=1e9"}) {
+    nscc::util::Flags g;
+    nscc::obs::add_flags(g);
+    const char* argv[] = {"prog", bad};
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(g.parse(2, const_cast<char**>(argv))) << bad;
+    (void)testing::internal::GetCapturedStderr();
+  }
+}
+
 TEST(ObsFlags, DefaultsLeaveObservabilityOff) {
   nscc::util::Flags flags;
   nscc::obs::add_flags(flags);

@@ -233,22 +233,32 @@ TEST(PartitionDriver, NoQuorumSplitBrainIsExitFive) {
 TEST(PartitionDriver, FlagValidationIsExitOne) {
   EXPECT_EQ(drive_ga({"--quorum=1.5"}), 1);
   EXPECT_EQ(drive_ga({"--quorum=-0.1"}), 1);
-  EXPECT_EQ(drive_ga({"--heartbeat-interval-ms=0"}), 1);
-  EXPECT_EQ(drive_ga({"--heartbeat-interval-ms=50",
-                      "--suspect-timeout-ms=30"}),
-            1);
-  EXPECT_EQ(drive_ga({"--suspect-timeout-ms=-5"}), 1);
   EXPECT_EQ(drive_ga({"--partition-at=junk"}), 1);
   EXPECT_EQ(drive_ga({"--blackhole-at=0.1:0.5:1:1"}), 1);
-}
-
-TEST(PartitionDriver, HeartbeatFlagsDriveACleanRun) {
-  // Satellite: --heartbeat-interval-ms / --suspect-timeout-ms are honoured
-  // end to end (a tighter detector still converges under quorum + heal).
-  EXPECT_EQ(drive_ga({"--partition-at=0.05:0.6:0,1|2,3", "--quorum=0.6",
-                      "--heartbeat-interval-ms=20",
-                      "--suspect-timeout-ms=100"}),
-            0);
+  // Values that used to run at exit 0: a crash time past the horizon or
+  // not finite (the cast to virtual time crashed node 1 at t~0), a
+  // partition that never ends (so never happens), and NaN/inf settings.
+  for (const std::vector<std::string>& flags :
+       std::vector<std::vector<std::string>>{
+           {"--crash-at=1e12", "--recovery=degraded"},
+           {"--crash-at=inf", "--recovery=degraded"},
+           {"--partition-at=0.05:inf:0,1|2,3", "--quorum=0.6",
+            "--recovery=degraded"},
+           {"--quorum=nan"},
+           {"--crash-at=nan"},
+           {"--checkpoint-interval=nan"},
+           {"--read-timeout-ms=inf"},
+           {"--sample-interval=nan"}}) {
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(drive_ga(flags), 1) << flags[0];
+    const std::string err = testing::internal::GetCapturedStderr();
+    // No run started (not even the serial reference), and the message
+    // names the flag.
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "") << flags[0];
+    const std::string name = flags[0].substr(0, flags[0].find('='));
+    EXPECT_NE(err.find(name), std::string::npos) << err;
+  }
 }
 
 }  // namespace

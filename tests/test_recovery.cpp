@@ -323,12 +323,11 @@ TEST(Recovery, UnionViewDeclaresACrashUnderTheQuorumGate) {
   });
   vm.run();
   EXPECT_FALSE(vm.deadlocked());
-  const Time limit =
-      static_cast<Time>(nscc::recovery::kPhiThreshold *
-                        static_cast<double>(cfg.heartbeat_interval));
+  const Time limit = nscc::recovery::kSuspectLimit;
+  const Time heartbeat = nscc::recovery::kHeartbeatInterval;
   ASSERT_GT(victim_gone_at, 0) << "the union view never let the victim go";
   EXPECT_GT(victim_gone_at, crash_at + limit);
-  EXPECT_LE(victim_gone_at, crash_at + limit + 2 * cfg.heartbeat_interval);
+  EXPECT_LE(victim_gone_at, crash_at + limit + 2 * heartbeat);
   EXPECT_TRUE(survivor_always_alive);
   EXPECT_FALSE(coord.alive(2)) << "a finished node must be judged gone";
   EXPECT_EQ(coord.stats().crashes, 1u);
@@ -337,8 +336,7 @@ TEST(Recovery, UnionViewDeclaresACrashUnderTheQuorumGate) {
   EXPECT_EQ(coord.stats().quorum_parks, 0u);
   // Latency counts once for the one dead node, not once per observer.
   EXPECT_GT(coord.stats().detection_latency, limit);
-  EXPECT_LE(coord.stats().detection_latency,
-            limit + 2 * cfg.heartbeat_interval);
+  EXPECT_LE(coord.stats().detection_latency, limit + 2 * heartbeat);
 }
 
 TEST(Recovery, CrashRecoveryRunsAreDeterministic) {
