@@ -167,20 +167,19 @@ void SharedSpace::declare_read(LocationId loc, int writer) {
   it->second.writer = writer;
 }
 
-void SharedSpace::send_update(LocationId loc, int reader, Iteration iteration,
-                              const rt::Packet& value, bool charge_cpu,
+void SharedSpace::send_update(LocationId loc, int reader,
+                              const rt::Packet& frame, bool charge_cpu,
                               rt::Reliability reliability,
                               std::uint64_t flow) {
-  rt::Packet payload = packets_.acquire();
-  payload.reserve(sizeof(std::int32_t) + sizeof(std::int64_t) +
-                  sizeof(std::uint64_t) + value.byte_size() +
-                  (stamp_updates_ ? sizeof(std::uint64_t) : 0));
-  payload.pack_i32(loc);
-  payload.pack_i64(iteration);
-  payload.pack_packet(value);
-  // Ordering metadata last: a release-stamping model sequences every send
-  // (organic writes, demand replies, heal republishes alike).
-  if (stamp_updates_) payload.pack_u64(model_->next_stamp());
+  // Every send posts a share of the version's frame.  Ordering metadata
+  // goes last: a release-stamping model sequences every send (organic
+  // writes, demand replies, heal republishes alike), and appending the
+  // stamp gives this send its own copy of the frame.
+  rt::Packet payload = frame;
+  if (stamp_updates_) {
+    payload.reserve(frame.byte_size() + sizeof(std::uint64_t));
+    payload.pack_u64(model_->next_stamp());
+  }
 
   if (obs_ != nullptr) {
     obs_->tracer().instant(task_.id(), "dsm.update.send", task_.now(), "loc",
@@ -248,8 +247,9 @@ void SharedSpace::on_update_settled(LocationId loc, int reader,
     pr.in_flight = true;
     const std::uint64_t flow = pr.pending_flow;
     pr.pending_flow = 0;
-    send_update(loc, reader, pr.pending_iteration, pr.pending_value,
-                /*charge_cpu=*/false, rt::Reliability::kAuto, flow);
+    send_update(loc, reader, pr.pending_frame, /*charge_cpu=*/false,
+                rt::Reliability::kAuto, flow);
+    packets_.release(std::move(pr.pending_frame));
   }
 }
 
@@ -270,22 +270,35 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
     obs_->tracer().instant(task_.id(), "dsm.write", task_.now(), "loc", loc,
                            "iter", iteration);
   }
-  Value& mine = it->second.value;
+  Location& l = it->second;
+  Value& mine = l.value;
   mine.iteration = iteration;
   mine.valid = true;
-  // The fan-out below sends and stashes from the local copy.  It is in
-  // place before any send can block, so a demand served mid-send already
-  // sees this value.  The superseded copy's buffer goes back to the pool,
-  // where the writer's next value is drawn.
-  std::swap(mine.data, value);
+  // Pack this version's update frame once.  Every send of the version
+  // posts a share of it (the fan-out below, a coalesced resend, a demand
+  // reply, a heal republish), and the local copy is the value inside it.
+  // Both are in place before any send can block, so a demand served
+  // mid-send already sees this version.  The superseded frame and copy
+  // drop their shares (the pool takes the buffer back from its last
+  // holder), and the packed value returns to the pool, where the writer's
+  // next value is drawn.
+  packets_.release(std::move(l.frame));
+  l.frame = packets_.acquire();
+  l.frame.reserve(kFrameHeaderBytes + value.byte_size());
+  l.frame.pack_i32(loc).pack_i64(iteration).pack_packet(value);
   packets_.release(std::move(value));
+  packets_.release(std::move(mine.data));
+  mine.data = l.frame;
+  (void)mine.data.unpack_i32();
+  (void)mine.data.unpack_i64();
+  mine.data.narrow_to_embedded();
   mine.epoch = task_.epoch();
   if (san_ != nullptr) {
     san_->record_write(task_.id(), loc, iteration, mine.data.crc32(),
                        mine.data.byte_size(), task_.now());
   }
 
-  for (Reader& pr : it->second.readers) {
+  for (Reader& pr : l.readers) {
     const int reader = pr.id;
     if (reader == task_.id()) continue;  // The local store is the update.
     // One causal flow per (write, reader): begun here on the producer's
@@ -301,13 +314,13 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
         }
       }
       pr.has_pending = true;
-      pr.pending_iteration = iteration;
-      pr.pending_value = mine.data;
+      packets_.release(std::move(pr.pending_frame));
+      pr.pending_frame = l.frame;
       pr.pending_flow = flow;
       continue;
     }
     if (policy_.coalesce) pr.in_flight = true;
-    send_update(loc, reader, iteration, mine.data, /*charge_cpu=*/true,
+    send_update(loc, reader, l.frame, /*charge_cpu=*/true,
                 rt::Reliability::kAuto, flow);
   }
 }
@@ -332,21 +345,26 @@ void SharedSpace::apply_update(rt::Message& msg) {
   // quarantined — never applied, never shown to the observer — and, when
   // its header still names a location we read, a reliable demand
   // re-fetches a clean copy from the writer.
+  //
+  // The delivered frame becomes the applied value in place: its window
+  // narrows to the value it carries, which is swapped into the Value, so
+  // no byte is copied and the copy keeps sharing the writer's frame.
   rt::Packet& payload = msg.payload;
   LocationId loc = 0;
   Iteration iteration = 0;
-  // Unpack into the reused scratch buffer; an applied copy swaps it with
-  // the Value's old buffer, which becomes the next scratch.  Taken by move
-  // so a re-entrant apply (an observer hook) cannot clobber it.
-  rt::Packet data = std::move(scratch_);
   std::uint64_t stamp = 0;
   bool located = false;
   try {
     loc = payload.unpack_i32();
     iteration = payload.unpack_i64();
     located = true;
-    payload.unpack_packet(data);
-    if (stamp_updates_) stamp = payload.unpack_u64();
+    if (stamp_updates_) {
+      // The stamp follows the value: read it through a second share.
+      rt::Packet tail = payload;
+      tail.skip_packet();
+      stamp = tail.unpack_u64();
+    }
+    payload.narrow_to_embedded();
   } catch (const std::out_of_range&) {
     ++stats_.integrity_dropped;
     if (obs_ != nullptr) {
@@ -355,7 +373,6 @@ void SharedSpace::apply_update(rt::Message& msg) {
     }
     const auto it = located ? locations_.find(loc) : locations_.end();
     if (it != locations_.end()) send_demand(loc, it->second.writer, iteration);
-    scratch_ = std::move(data);
     packets_.release(std::move(msg.payload));
     return;
   }
@@ -372,9 +389,8 @@ void SharedSpace::apply_update(rt::Message& msg) {
     ++stats_.ooo_updates;
   }
   if (observer_) {
-    data.rewind();
-    observer_(loc, iteration, data);
-    data.rewind();
+    observer_(loc, iteration, payload);
+    payload.rewind();
   }
 
   Value& v = it->second.value;
@@ -382,7 +398,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
     v.iteration = iteration;
     v.valid = true;
     v.degraded = false;
-    std::swap(v.data, data);
+    std::swap(v.data, payload);
     // The applied copy carries its update's flow; a superseded copy's
     // unconsumed flow simply ends nowhere (the value was never read).
     v.flow = msg.flow;
@@ -407,7 +423,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
                              "loc", loc, "iter", iteration);
     }
   }
-  scratch_ = std::move(data);
+  // The superseded copy, or the stale arrival.
   packets_.release(std::move(msg.payload));
 }
 
@@ -485,8 +501,8 @@ void SharedSpace::heal_republish() {
     if (!mine.valid) continue;
     for (const Reader& r : l.readers) {
       if (r.id == task_.id()) continue;
-      send_update(loc, r.id, mine.iteration, mine.data,
-                  /*charge_cpu=*/false, rt::Reliability::kReliable);
+      send_update(loc, r.id, l.frame, /*charge_cpu=*/false,
+                  rt::Reliability::kReliable);
       ++stats_.heal_frames;
     }
   }
@@ -527,7 +543,7 @@ void SharedSpace::serve_request(rt::Packet& payload, int from) {
     // at the (possibly long-past) original write.
     const std::uint64_t flow =
         flows_on() ? begin_flow(loc, mine.iteration) : 0;
-    send_update(loc, from, mine.iteration, mine.data, /*charge_cpu=*/false,
+    send_update(loc, from, it->second.frame, /*charge_cpu=*/false,
                 rt::Reliability::kReliable, flow);
     ++stats_.request_replies;
   }

@@ -178,9 +178,11 @@ class SharedSpace {
 
   /// Writer side: store locally with the iteration stamp and propagate to
   /// every registered reader (charging per-send software overhead, like the
-  /// paper's user-level macros doing direct sends).  The superseded local
-  /// copy's buffer returns to the machine's rt::PacketPool, so a writer
-  /// that draws each `value` from task().vm().packets() reuses it.
+  /// paper's user-level macros doing direct sends).  `value` is copied
+  /// once, into the version's update frame; every reader is sent a share
+  /// of that frame and the local copy is a window onto it.  `value`'s
+  /// buffer then returns to the machine's rt::PacketPool, so a writer that
+  /// draws each `value` from task().vm().packets() reuses it.
   void write(LocationId loc, Iteration iteration, rt::Packet value);
 
   /// Plain read: drain any pending updates, then return the freshest local
@@ -221,14 +223,14 @@ class SharedSpace {
 
  private:
   /// Coalescing state of one reader of a location this task writes: is an
-  /// update in flight, and the newest stashed value to forward once it
+  /// update in flight, and the newest stashed version to forward once it
   /// lands (coalescing policy only).
   struct Reader {
     int id = -1;
     bool in_flight = false;
     bool has_pending = false;
-    Iteration pending_iteration = -1;
-    rt::Packet pending_value;
+    /// A share of the stashed version's update frame.
+    rt::Packet pending_frame;
     /// Flow id of the stashed pending value (coalescing): the arrow begun
     /// at the write travels with whichever value is eventually forwarded.
     std::uint64_t pending_flow = 0;
@@ -236,7 +238,13 @@ class SharedSpace {
 
   /// Everything this task knows about one declared location.
   struct Location {
+    /// The local copy.  For a location this task writes, its data is a
+    /// window onto `frame`.
     Value value;
+    /// For a location this task writes: the current version's update
+    /// frame (loc, iteration, the value as an embedded packet), packed
+    /// once at the write.  Every send of the version posts a share of it.
+    rt::Packet frame;
     /// Writer of a location this task reads; -1 for one this task writes.
     int writer = -1;
     /// Readers of a location this task writes, in declaration order.
@@ -248,8 +256,14 @@ class SharedSpace {
     std::optional<Iteration> owed;
   };
 
-  /// Apply, park or quarantine one arriving update.  A frame that is not
-  /// parked returns its buffer to the packet pool.
+  /// Bytes of an update frame ahead of its value: the location, the
+  /// iteration and the value's length prefix.
+  static constexpr std::size_t kFrameHeaderBytes =
+      sizeof(std::int32_t) + sizeof(std::int64_t) + sizeof(std::uint64_t);
+
+  /// Apply, park or quarantine one arriving update.  An applied frame
+  /// becomes the location's copy; any other that is not parked drops its
+  /// share of the buffer through the packet pool.
   void apply_update(rt::Message& msg);
   /// Observe max(0, curr_iter - served) in both staleness histograms.
   void record_staleness(Iteration curr_iter, Iteration served);
@@ -265,8 +279,9 @@ class SharedSpace {
     return CopyMeta{v.iteration, v.valid, v.degraded, v.epoch};
   }
   void serve_request(rt::Packet& payload, int from);
-  void send_update(LocationId loc, int reader, Iteration iteration,
-                   const rt::Packet& value, bool charge_cpu,
+  /// Post a share of `frame`, a version's update frame, to `reader`.
+  void send_update(LocationId loc, int reader, const rt::Packet& frame,
+                   bool charge_cpu,
                    rt::Reliability reliability = rt::Reliability::kAuto,
                    std::uint64_t flow = 0);
   void on_update_settled(LocationId loc, int reader, bool delivered);
@@ -318,8 +333,6 @@ class SharedSpace {
     rt::Message msg;
   };
   std::vector<ParkedUpdate> parked_;
-  /// Unpack buffer reused by apply_update (see there).
-  rt::Packet scratch_;
   UpdateObserver observer_;
   /// Observability handles, resolved once at construction; null when the
   /// machine's hub is inactive so every hot-path guard is one branch.

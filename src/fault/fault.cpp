@@ -156,6 +156,23 @@ CorruptionEffect corruption_effect(std::uint64_t seed,
   return effect;
 }
 
+namespace {
+
+/// Why `spec` is not a window `parse` accepts; empty when it is one, or
+/// when it is empty (no window).
+template <typename Parse>
+std::string spec_error(const std::string& spec, Parse parse) {
+  if (spec.empty()) return {};
+  try {
+    (void)parse(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+}  // namespace
+
 void add_flags(util::Flags& flags) {
   const double horizon_s = sim::to_seconds(sim::kHorizon);
   flags
@@ -186,10 +203,17 @@ void add_flags(util::Flags& flags) {
                   "scheduled group partition start:end:group-spec, times in "
                   "virtual seconds, groups |-separated node lists "
                   "(e.g. 0.2:0.6:0,1|2,3); empty disables")
+      .validate("partition-at",
+                [](const std::string& spec) {
+                  return spec_error(spec, parse_partition_spec);
+                })
       .add_string("blackhole-at", "",
                   "scheduled one-way link loss start:end:src:dst in virtual "
                   "seconds (frames src->dst dropped, reverse untouched); "
-                  "empty disables");
+                  "empty disables")
+      .validate("blackhole-at", [](const std::string& spec) {
+        return spec_error(spec, parse_blackhole_spec);
+      });
 }
 
 namespace {

@@ -190,15 +190,16 @@ struct CorruptionEffect {
 /// --fault-seed, --read-timeout-ms, --crash-at, --crash-for, --crash-node,
 /// --partition-at, --blackhole-at) on a driver's flag set.  Each numeric
 /// flag declares its range there: rates in [0, 1], times in [0,
-/// sim::kHorizon], node ids >= 0, so parse() rejects anything else.
+/// sim::kHorizon], node ids >= 0, and each window spec its format, so
+/// parse() rejects anything else.
 void add_flags(util::Flags& flags);
 
 /// Build a plan from flags registered by add_flags(): uniform per-frame
 /// loss and corruption probabilities on every link, at most one crash,
-/// one partition and one blackhole window, deterministically seeded.  Throws
-/// std::invalid_argument on a malformed --partition-at / --blackhole-at
-/// spec (drivers turn that into their flag-error exit).  Node ids are
-/// checked against the machine size later, by harness::Cluster.
+/// one partition and one blackhole window, deterministically seeded.  The
+/// flags' own declarations have checked every value, so this never throws;
+/// node ids are checked against the machine size later, by
+/// harness::Cluster.
 [[nodiscard]] FaultPlan plan_from_flags(const util::Flags& flags);
 
 /// Parse one `start:end:group-spec` partition window, where group-spec is

@@ -359,12 +359,7 @@ int drive(int argc, char** argv, const DriveOptions& options) {
   workload->configure(flags);
   Setup setup;
   setup.workload = workload;
-  try {
-    setup.machine.fault = fault::plan_from_flags(flags);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "harness: " << e.what() << '\n';
-    return 1;
-  }
+  setup.machine.fault = fault::plan_from_flags(flags);
   setup.heal = flags.get_bool("heal");
   setup.obs = obs::options_from_flags(flags);
   for (const auto& name : flags.get_list("network")) {

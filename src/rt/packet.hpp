@@ -2,6 +2,18 @@
 //
 // Senders pack fields in order; receivers unpack in the same order.  The
 // buffer knows its byte size, which is what the network model charges for.
+//
+// A packet is a window onto a reference-counted, copy-on-write byte
+// buffer.  Copying a packet shares the buffer, as PVM hands one packed
+// buffer to many tasks (pvm_mcast): a DSM update frame is packed once and
+// every reader, every resend and every stored copy holds a share of it.
+// A write to a shared buffer (pack_*, reserve, flip_bit) first gives the
+// writer a private copy of its window; clear() on a shared buffer just
+// lets go of it.  Views (narrow_to_embedded, unpack_packet, truncated,
+// truncate_to) change only the window, never the bytes, so they copy
+// nothing.  The count is a plain integer, not an atomic: a packet and
+// every copy of it belong to the thread that runs the machine's events
+// (never a sim::HostPool job).
 #pragma once
 
 #include <algorithm>
@@ -20,6 +32,43 @@ namespace nscc::rt {
 class Packet {
  public:
   Packet() = default;
+  Packet(const Packet& other) noexcept
+      : buf_(other.buf_),
+        begin_(other.begin_),
+        end_(other.end_),
+        rpos_(other.rpos_) {
+    if (buf_ != nullptr) ++buf_->refs;
+  }
+  Packet(Packet&& other) noexcept
+      : buf_(other.buf_),
+        begin_(other.begin_),
+        end_(other.end_),
+        rpos_(other.rpos_) {
+    other.buf_ = nullptr;
+    other.begin_ = other.end_ = other.rpos_ = 0;
+  }
+  Packet& operator=(const Packet& other) noexcept {
+    if (other.buf_ != nullptr) ++other.buf_->refs;
+    unref(buf_);
+    buf_ = other.buf_;
+    begin_ = other.begin_;
+    end_ = other.end_;
+    rpos_ = other.rpos_;
+    return *this;
+  }
+  Packet& operator=(Packet&& other) noexcept {
+    if (this != &other) {
+      unref(buf_);
+      buf_ = other.buf_;
+      begin_ = other.begin_;
+      end_ = other.end_;
+      rpos_ = other.rpos_;
+      other.buf_ = nullptr;
+      other.begin_ = other.end_ = other.rpos_ = 0;
+    }
+    return *this;
+  }
+  ~Packet() { unref(buf_); }
 
   // ---- packing -----------------------------------------------------------
   Packet& pack_u8(std::uint8_t v) { return append(&v, sizeof v); }
@@ -48,11 +97,12 @@ class Packet {
     return append(v.data(), v.size() * sizeof(double));
   }
 
-  /// Embed another packet (its bytes travel nested; unpack with
-  /// unpack_packet).  Used by DSM updates that carry opaque app payloads.
+  /// Embed another packet's window (its bytes travel nested; unpack with
+  /// unpack_packet or narrow_to_embedded).  Used by DSM updates that carry
+  /// opaque app payloads.
   Packet& pack_packet(const Packet& p) {
-    pack_u64(p.buf_.size());
-    return append(p.buf_.data(), p.buf_.size());
+    pack_u64(p.byte_size());
+    return append(p.at(p.begin_), p.byte_size());
   }
 
   // ---- unpacking (in packing order) ---------------------------------------
@@ -66,7 +116,7 @@ class Packet {
   std::string unpack_string() {
     const std::uint64_t n = unpack_u64();
     check(n);
-    std::string s(reinterpret_cast<const char*>(buf_.data() + rpos_),
+    std::string s(reinterpret_cast<const char*>(at(rpos_)),
                   static_cast<std::size_t>(n));
     rpos_ += static_cast<std::size_t>(n);
     return s;
@@ -81,31 +131,57 @@ class Packet {
   /// no packet copy and no temporary vector.  Throws std::out_of_range,
   /// writing nothing, when the length prefix exceeds `out` or the buffer.
   std::size_t unpack_double_vec_into(std::span<double> out) const {
-    check(sizeof(std::uint64_t));
-    std::uint64_t n = 0;
-    std::memcpy(&n, buf_.data() + rpos_, sizeof n);
-    const std::size_t body = rpos_ + sizeof n;
-    // Divide instead of multiplying, as in take_vec.
-    if (n > out.size() || n > (buf_.size() - body) / sizeof(double)) {
+    const std::size_t n = double_vec_length();
+    if (n > out.size()) {
       throw std::out_of_range("Packet: unpack past end of buffer");
     }
-    if (n > 0) {
-      std::memcpy(out.data(), buf_.data() + body,
-                  static_cast<std::size_t>(n) * sizeof(double));
-    }
-    return static_cast<std::size_t>(n);
+    copy_doubles(0, out.first(n));
+    return n;
   }
 
-  /// Unpack an embedded packet into `into` (rewound), reusing its buffer's
-  /// capacity: a caller that keeps one scratch packet unpacks without
-  /// allocating once the scratch has grown to the payload size.
+  /// Copy elements [first, first + out.size()) of the double vector packed
+  /// at the read cursor into `out`, leaving the cursor where it was: a
+  /// reader that uses only part of a stored vector copies only that part.
+  /// Throws std::out_of_range, writing nothing, when the range passes the
+  /// vector's end or the length prefix passes the buffer's.
+  void unpack_double_range_into(std::size_t first,
+                                std::span<double> out) const {
+    const std::size_t n = double_vec_length();
+    if (first > n || out.size() > n - first) {
+      throw std::out_of_range("Packet: unpack past end of buffer");
+    }
+    copy_doubles(first, out);
+  }
+
+  /// Unpack an embedded packet into `into`, which becomes a share of this
+  /// packet's buffer whose window is the embedded bytes, rewound: no byte
+  /// is copied.  Throws std::out_of_range, as every unpack does, for a cut
+  /// frame or a length prefix past the buffer.
   void unpack_packet(Packet& into) {
     const std::uint64_t n = unpack_u64();
     check(n);
-    into.buf_.assign(buf_.begin() + static_cast<std::ptrdiff_t>(rpos_),
-                     buf_.begin() + static_cast<std::ptrdiff_t>(rpos_ + n));
-    into.rpos_ = 0;
+    into = *this;
+    into.begin_ = into.rpos_ = rpos_;
+    into.end_ = rpos_ + static_cast<std::size_t>(n);
     rpos_ += static_cast<std::size_t>(n);
+  }
+
+  /// Turn this packet, in place, into the packet embedded at its read
+  /// cursor: the window shrinks to the embedded bytes and the cursor
+  /// rewinds to their front, so the result reads, sizes and checksums as
+  /// unpack_packet's would, with no copy and no second packet.  Throws
+  /// std::out_of_range, changing nothing, for a cut frame or a hostile
+  /// length prefix.
+  void narrow_to_embedded() {
+    check(sizeof(std::uint64_t));
+    std::uint64_t n = 0;
+    std::memcpy(&n, at(rpos_), sizeof n);
+    const std::size_t body = rpos_ + sizeof n;
+    if (n > end_ - body) {
+      throw std::out_of_range("Packet: unpack past end of buffer");
+    }
+    begin_ = rpos_ = body;
+    end_ = body + static_cast<std::size_t>(n);
   }
 
   /// Step the read cursor over an embedded packet without copying it.
@@ -117,39 +193,52 @@ class Packet {
   }
 
   /// Reserve room for `bytes` of packed data, so a sender that knows its
-  /// frame size packs it with one allocation.
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+  /// frame size packs it with one allocation.  A shared buffer is copied
+  /// first, onto a private one of that size.
+  void reserve(std::size_t bytes) {
+    if (!is_shared() && bytes <= capacity()) return;
+    unref(reallocate(std::max(bytes, end_ - begin_)));
+  }
 
-  /// Drop the contents and rewind, keeping the buffer's capacity.
+  /// Drop the contents and rewind.  A buffer this packet holds alone keeps
+  /// its capacity; a shared one is left to its other holders.
   void clear() noexcept {
-    buf_.clear();
-    rpos_ = 0;
+    if (is_shared()) {
+      unref(buf_);
+      buf_ = nullptr;
+    }
+    begin_ = end_ = rpos_ = 0;
   }
 
   // ---- inspection ----------------------------------------------------------
   /// Total serialized payload size in bytes (what the wire model charges).
   [[nodiscard]] std::uint32_t byte_size() const noexcept {
-    return static_cast<std::uint32_t>(buf_.size());
+    return static_cast<std::uint32_t>(end_ - begin_);
   }
-  /// Bytes the buffer holds without growing.
+  /// Bytes the window can hold without growing.
   [[nodiscard]] std::size_t capacity() const noexcept {
-    return buf_.capacity();
+    return buf_ == nullptr ? 0 : buf_->capacity - begin_;
   }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return buf_.size() - rpos_;
-  }
+  [[nodiscard]] std::size_t remaining() const noexcept { return end_ - rpos_; }
   [[nodiscard]] bool fully_consumed() const noexcept { return remaining() == 0; }
+  /// True when another packet holds a share of this packet's buffer.
+  [[nodiscard]] bool is_shared() const noexcept {
+    return buf_ != nullptr && buf_->refs > 1;
+  }
+  /// True when this packet and `other` are windows onto one buffer.
+  [[nodiscard]] bool shares_buffer_with(const Packet& other) const noexcept {
+    return buf_ != nullptr && buf_ == other.buf_;
+  }
 
   /// Reset the read cursor (e.g. to re-read a stored message).
-  void rewind() noexcept { rpos_ = 0; }
+  void rewind() noexcept { rpos_ = begin_; }
 
-  /// Copy of this packet cut down to its first `n` bytes (cursor rewound).
-  /// Models a truncated frame for robustness tests.
+  /// This packet cut down to its first `n` bytes (cursor rewound), sharing
+  /// its buffer.  Models a truncated frame for robustness tests.
   [[nodiscard]] Packet truncated(std::size_t n) const {
-    Packet q;
-    q.buf_.assign(buf_.begin(),
-                  buf_.begin() + static_cast<std::ptrdiff_t>(
-                                     std::min(n, buf_.size())));
+    Packet q = *this;
+    q.truncate_to(n);
+    q.rewind();
     return q;
   }
 
@@ -157,47 +246,106 @@ class Packet {
   /// This is the checksum the transport stamps on frames and the one the
   /// DSM shadow log records per write.
   [[nodiscard]] std::uint32_t crc32() const noexcept {
-    return util::crc32(buf_.data(), buf_.size());
+    return util::crc32(at(begin_), end_ - begin_);
   }
 
   // ---- in-place damage (fault injection only) ------------------------------
   /// Flip one bit; `bit` indexes the payload bit-stream and wraps, so any
-  /// corruption seed maps onto a valid position.
-  void flip_bit(std::size_t bit) noexcept {
-    if (buf_.empty()) return;
-    bit %= buf_.size() * 8;
-    buf_[bit / 8] ^= static_cast<std::byte>(1U << (bit % 8));
+  /// corruption seed maps onto a valid position.  A shared buffer is
+  /// copied first, so no other holder sees the flip.
+  void flip_bit(std::size_t bit) {
+    if (end_ == begin_) return;
+    if (is_shared()) unref(reallocate(end_ - begin_));
+    bit %= (end_ - begin_) * 8;
+    buf_->bytes()[begin_ + bit / 8] ^= static_cast<std::byte>(1U << (bit % 8));
   }
 
   /// Drop every byte past the first `n` (models a frame cut short on the
-  /// wire).  The read cursor is clamped into the surviving prefix.
-  void truncate_to(std::size_t n) {
-    if (n >= buf_.size()) return;
-    buf_.resize(n);
-    rpos_ = std::min(rpos_, n);
+  /// wire).  The read cursor is clamped into the surviving prefix.  Only
+  /// the window shrinks, so other holders of the buffer are unaffected.
+  void truncate_to(std::size_t n) noexcept {
+    if (n >= end_ - begin_) return;
+    end_ = begin_ + n;
+    rpos_ = std::min(rpos_, end_);
   }
 
  private:
+  /// A buffer's header; its `capacity` bytes follow it in one allocation.
+  struct Buffer {
+    std::size_t refs = 1;
+    std::size_t capacity = 0;
+    std::byte* bytes() noexcept {
+      return reinterpret_cast<std::byte*>(this) + sizeof(Buffer);
+    }
+  };
+  static void unref(Buffer* b) noexcept {
+    if (b != nullptr && --b->refs == 0) free_buffer(b);
+  }
+  /// Out of line, with reallocate(): the heap calls stay off the inlined
+  /// hot path.
+  static void free_buffer(Buffer* b) noexcept;
+
+  /// Address of buffer offset `pos` (null for a packet with no buffer,
+  /// whose offsets are all 0).
+  [[nodiscard]] const std::byte* at(std::size_t pos) const noexcept {
+    return buf_ == nullptr ? nullptr : buf_->bytes() + pos;
+  }
+
+  /// Move the window to the front of a new buffer of `capacity` bytes
+  /// that this packet holds alone.  Returns the old buffer, still counted,
+  /// for the caller to unref once it has stopped reading from it.
+  [[nodiscard]] Buffer* reallocate(std::size_t capacity);
+
   Packet& append(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::byte*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (n == 0) return *this;
+    Buffer* old = nullptr;
+    if (is_shared() || end_ - begin_ + n > capacity()) {
+      // Grow as std::vector's range insert does: to size + max(size, n).
+      const std::size_t size = end_ - begin_;
+      old = reallocate(size + std::max(size, n));
+    }
+    std::memcpy(buf_->bytes() + end_, data, n);
+    end_ += n;
+    unref(old);  // Only now: `data` may point into the old buffer.
     return *this;
   }
 
   void check(std::uint64_t n) const {
-    // rpos_ <= buf_.size() always holds, so the subtraction is safe; the
-    // naive `rpos_ + n > size` form would wrap for hostile length prefixes
-    // near 2^64 and read out of bounds.
-    if (n > buf_.size() - rpos_) {
+    // rpos_ <= end_ always holds, so the subtraction is safe; the naive
+    // `rpos_ + n > end_` form would wrap for hostile length prefixes near
+    // 2^64 and read out of bounds.
+    if (n > end_ - rpos_) {
       throw std::out_of_range("Packet: unpack past end of buffer");
     }
+  }
+
+  /// Length of the double vector packed at the read cursor, checked
+  /// against the window; the cursor does not move.
+  [[nodiscard]] std::size_t double_vec_length() const {
+    check(sizeof(std::uint64_t));
+    std::uint64_t n = 0;
+    std::memcpy(&n, at(rpos_), sizeof n);
+    // Divide instead of multiplying, as in take_vec.
+    if (n > (end_ - rpos_ - sizeof n) / sizeof(double)) {
+      throw std::out_of_range("Packet: unpack past end of buffer");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
+  /// Copy out.size() doubles from element `first` of the (checked) vector
+  /// at the read cursor.
+  void copy_doubles(std::size_t first, std::span<double> out) const {
+    if (out.empty()) return;
+    std::memcpy(out.data(),
+                at(rpos_ + sizeof(std::uint64_t) + first * sizeof(double)),
+                out.size() * sizeof(double));
   }
 
   template <typename T>
   T take() {
     check(sizeof(T));
     T v;
-    std::memcpy(&v, buf_.data() + rpos_, sizeof(T));
+    std::memcpy(&v, at(rpos_), sizeof(T));
     rpos_ += sizeof(T);
     return v;
   }
@@ -207,16 +355,20 @@ class Packet {
     const std::uint64_t n = unpack_u64();
     // Divide instead of multiplying: `n * sizeof(T)` overflows for a
     // corrupt length prefix, which would pass check() and then OOB-read.
-    if (n > (buf_.size() - rpos_) / sizeof(T)) {
+    if (n > (end_ - rpos_) / sizeof(T)) {
       throw std::out_of_range("Packet: unpack past end of buffer");
     }
     std::vector<T> v(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), buf_.data() + rpos_, v.size() * sizeof(T));
+    if (!v.empty()) std::memcpy(v.data(), at(rpos_), v.size() * sizeof(T));
     rpos_ += v.size() * sizeof(T);
     return v;
   }
 
-  std::vector<std::byte> buf_;
+  /// The shared buffer (null until the first write), and this packet's
+  /// window [begin_, end_) and read cursor, all offsets into it.
+  Buffer* buf_ = nullptr;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
   std::size_t rpos_ = 0;
 };
 
@@ -246,14 +398,16 @@ class PacketPool {
     return p;
   }
 
-  /// Take `p`'s buffer back, emptied.  A buffer with no capacity, one
-  /// above kMaxCapacity, or one beyond kMaxBuffers is freed instead.
+  /// Let go of `p`'s share of its buffer, and take the buffer back,
+  /// emptied, when that share was the last.  A buffer with no capacity,
+  /// one above kMaxCapacity, or one beyond kMaxBuffers is freed instead.
   void release(Packet p) noexcept {
+    if (p.is_shared()) return;  // Its other holders keep it.
+    p.clear();
     if (p.capacity() == 0 || p.capacity() > kMaxCapacity ||
         free_.size() == kMaxBuffers) {
       return;
     }
-    p.clear();
     free_.push_back(std::move(p));
   }
 

@@ -203,7 +203,7 @@ VirtualMachine::TxRef VirtualMachine::TxPool::acquire() {
 
 void VirtualMachine::TxPool::recycle(TxState* st) noexcept {
   // A payload still here was lost, kept for retransmission, or delivered
-  // as a copy; one moved out at delivery is empty and is not kept.
+  // as a share; one moved out at delivery is empty and is not kept.
   packets_.release(std::move(st->msg.payload));
   *st = TxState{};
   free_.push_back(st);
@@ -339,8 +339,9 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
                                    std::uint64_t corrupt_seed) {
   Task* receiver = tasks_.at(st->dst).get();
 
-  // Fault-injected payload damage lands on a copy — TxState keeps the
-  // pristine payload so a retransmission resends intact bytes.
+  // Fault-injected payload damage lands on a share of the payload: a bit
+  // flip copies it first and a cut only narrows its window, so TxState
+  // keeps the pristine bytes and a retransmission resends them intact.
   std::optional<Packet> damaged;
   if (corrupt_seed != 0) {
     damaged = st->msg.payload;
@@ -405,13 +406,13 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
   // delivered at most once, so it always moves.  A reliable frame's
   // retransmits fail the fresh() check above unread, but one is re-damaged
   // from the stored bytes when the plan can corrupt frames; that case
-  // delivers a copy, on a pooled buffer.
+  // delivers a share of the payload (a reader that wrote to it would copy
+  // it first).
   Message m;
   if (!st->reliable || !may_corrupt_) {
     m = std::move(st->msg);
   } else {
-    m.payload = packets_.acquire();
-    m = st->msg;  // Copy-assignment reuses the buffer's capacity.
+    m = st->msg;
   }
   if (damaged) m.payload = std::move(*damaged);
   m.delivered_at = at;

@@ -14,8 +14,10 @@
 //     the run (say, an immutable matrix);
 //   * not touch the tracer, the DSM, an RNG stream, a mailbox, the engine,
 //     the machine's packet buffer list (rt::PacketPool, which only the
-//     engine thread draws from and returns to), or any other process's
-//     state;
+//     engine thread draws from and returns to), a packet (an rt::Packet's
+//     buffer may be shared with other packets, and its reference count is
+//     not atomic, so even copying or destroying one races), or any other
+//     process's state;
 //   * not decide the virtual time charged for it: the delay is fixed
 //     before the job runs, so results and virtual time stay bit-identical
 //     whatever thread runs the kernel and however long it takes.

@@ -5,8 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
-#include <set>
 #include <span>
 
 #include "harness/cluster.hpp"
@@ -81,8 +81,15 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
     return static_cast<int>(it - starts.begin()) - 1;
   };
 
-  // Import sets: which owners' blocks each task needs.
-  std::vector<std::set<int>> imports(static_cast<std::size_t>(P));
+  // Import sets: which owners' blocks each task needs, and the columns
+  // [first, last] of each block that the task's rows reference.  The
+  // kernel and the residual read no other entry of x outside the task's
+  // own block, so those are the only ones an absorb copies.
+  struct Columns {
+    int first = 0;
+    int last = 0;
+  };
+  std::vector<std::map<int, Columns>> imports(static_cast<std::size_t>(P));
   for (int r = 0; r < n; ++r) {
     const int me = owner_of(r);
     int count = 0;
@@ -90,13 +97,18 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
     (void)vals;
     for (int i = 0; i < count; ++i) {
       const int o = owner_of(cols[i]);
-      if (o != me) imports[static_cast<std::size_t>(me)].insert(o);
+      if (o == me) continue;
+      Columns& c = imports[static_cast<std::size_t>(me)]
+                       .try_emplace(o, Columns{cols[i], cols[i]})
+                       .first->second;
+      c.first = std::min(c.first, cols[i]);
+      c.last = std::max(c.last, cols[i]);
     }
   }
   // Reader sets are the transpose.
   std::vector<std::vector<int>> readers(static_cast<std::size_t>(P));
   for (int p = 0; p < P; ++p) {
-    for (int src : imports[static_cast<std::size_t>(p)]) {
+    for (const auto& [src, cols] : imports[static_cast<std::size_t>(p)]) {
       readers[static_cast<std::size_t>(src)].push_back(p);
     }
   }
@@ -123,7 +135,9 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
       dsm::SharedSpace space(task,
                              harness::make_policy(config, {.coalesce = true}));
       space.declare_written(block_loc(me), readers[static_cast<std::size_t>(me)]);
-      for (int src : imports[static_cast<std::size_t>(me)]) {
+      const std::map<int, Columns>& my_imports =
+          imports[static_cast<std::size_t>(me)];
+      for (const auto& [src, cols] : my_imports) {
         space.declare_read(block_loc(src), src);
       }
 
@@ -146,14 +160,16 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
         p.pack_double_vec(mine);
         space.write(block_loc(me), sweep, std::move(p));
       };
-      auto absorb = [&](int src,
+      auto absorb = [&](int src, const Columns& cols,
                         std::optional<dsm::Iteration> curr_iter = {}) {
         const auto& v = space.read(block_loc(src), curr_iter);
         if (!v.valid) return;
         const int slo = starts[static_cast<std::size_t>(src)];
-        const int shi = starts[static_cast<std::size_t>(src) + 1];
-        v.data.unpack_double_vec_into(std::span<double>(x).subspan(
-            static_cast<std::size_t>(slo), static_cast<std::size_t>(shi - slo)));
+        v.data.unpack_double_range_into(
+            static_cast<std::size_t>(cols.first - slo),
+            std::span<double>(x).subspan(
+                static_cast<std::size_t>(cols.first),
+                static_cast<std::size_t>(cols.last - cols.first + 1)));
       };
 
       bool done = false;
@@ -284,7 +300,7 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
       while (!done && sweep < config.max_sweeps) {
         ++sweep;
         if (config.mode == dsm::Mode::kSynchronous) task.barrier();
-        for (int src : imports[static_cast<std::size_t>(me)]) {
+        for (const auto& [src, cols] : my_imports) {
           switch (config.mode) {
             case dsm::Mode::kSynchronous:
               (void)space.global_read(block_loc(src), sweep - 1, 0);
@@ -298,9 +314,10 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
           }
           // Global_Read already recorded the staleness of what it served;
           // the asynchronous plain read records its own.
-          absorb(src, config.mode == dsm::Mode::kAsynchronous
-                          ? std::optional<dsm::Iteration>(sweep - 1)
-                          : std::nullopt);
+          absorb(src, cols,
+                 config.mode == dsm::Mode::kAsynchronous
+                     ? std::optional<dsm::Iteration>(sweep - 1)
+                     : std::nullopt);
         }
 
         // The sweep kernel runs on a host worker while its virtual cost
@@ -346,8 +363,8 @@ ParallelJacobiResult run_parallel_jacobi(const LinearSystem& sys,
               // Tentative pass on stale views: verify on flushed, fresh ones.
               task.barrier();
               space.poll();
-              for (int src : imports[static_cast<std::size_t>(me)]) {
-                absorb(src);
+              for (const auto& [src, cols] : my_imports) {
+                absorb(src, cols);
               }
               done = reduce(local_residual(), sweep);
             }

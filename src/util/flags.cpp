@@ -149,6 +149,16 @@ Flags& Flags::above(const std::string& name, double lo) {
   return checked(name);
 }
 
+Flags& Flags::validate(const std::string& name, Validator reason) {
+  const auto it = entries_.find(name);
+  if (it == entries_.end() || it->second.kind != Kind::kString ||
+      !it->second.allowed.empty()) {
+    throw std::logic_error("no plain string flag --" + name + " to validate");
+  }
+  it->second.reason = std::move(reason);
+  return checked(name);
+}
+
 namespace {
 
 /// Empty return = `token` is an integer in [lo, hi]; otherwise the reason.
@@ -230,6 +240,9 @@ std::string Flags::set(const std::string& name, const std::string& value) {
           return "--" + name + " must be one of " + join(e.allowed, "|") +
                  ", got '" + value + "'";
         }
+      }
+      if (e.reason) {
+        if (std::string err = e.reason(value); !err.empty()) return err;
       }
       break;
   }

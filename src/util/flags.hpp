@@ -10,11 +10,14 @@
 //
 // A double flag is always finite, and a numeric flag's range is part of
 // its declaration (range(), within() or above() right after add_*()):
-// values are checked against it and --help shows it.  A bound that does
-// not fit its flag's kind, or excludes its default, throws logic_error.
+// values are checked against it and --help shows it.  A string flag with
+// a format declares its check the same way (validate()).  A bound that
+// does not fit its flag's kind, or excludes its default, throws
+// logic_error.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
@@ -51,6 +54,10 @@ class Flags {
   Flags& within(const std::string& name, double lo, double hi);
   /// Restrict a double flag to values above `lo`.
   Flags& above(const std::string& name, double lo);
+  /// Check a plain string flag's value with `reason`, which returns why
+  /// the value is rejected (naming the flag), or nothing to accept it.
+  using Validator = std::function<std::string(const std::string&)>;
+  Flags& validate(const std::string& name, Validator reason);
 
   /// Parse argv; returns false (after printing usage) on --help or on an
   /// unknown flag or ill-formed value.  Callers must exit nonzero on false.
@@ -87,6 +94,7 @@ class Flags {
     double dlo = -std::numeric_limits<double>::infinity();
     double dhi = std::numeric_limits<double>::infinity();
     bool lo_open = false;
+    Validator reason = nullptr;  ///< Format check of a plain string flag.
   };
 
   Flags& add(const std::string& name, Kind kind, std::string def,

@@ -2,7 +2,7 @@
 // and of whole benchmark runs, read from the process-wide counters behind
 // obs::alloc_counts().  Every budget is taken after a warm-up that grows
 // the reused buffers (key heap, callback slab, transmit-state pool, packet
-// pool, mailboxes, unpack scratch) to their working size; from then on an
+// pool, mailboxes) to their working size; from then on an
 // event, a message or an applied update must not touch the heap beyond
 // what the budget names.  A closure that silently outgrows its inline
 // buffer, a copy where a move was meant, or a packet that bypasses the
@@ -109,8 +109,8 @@ TEST(AllocBudget, PingPongAllocatesOnlyItsPayloads) {
 
 TEST(AllocBudget, ApplyUpdateAllocatesNothing) {
   // The writer sends two bursts; the reader applies the first (warm-up:
-  // the unpack scratch and the location's buffer reach the value size),
-  // then counts allocations while it applies the second.
+  // the packet pool reaches its working size), then counts allocations
+  // while it applies the second.
   nscc::rt::MachineConfig machine;
   machine.ntasks = 2;
   nscc::rt::VirtualMachine vm(machine);
@@ -194,9 +194,8 @@ TEST(AllocBudget, ParkedReleaseBurstFlushesWithoutAllocating) {
   // Release-acquire visibility: updates that arrive between acquires are
   // parked in wire form and published, in release order, at the next
   // Global_Read.  The reader parks and flushes a first burst (warm-up: the
-  // release log, the unpack scratch and the packet pool reach their
-  // working size), then counts allocations while it parks and flushes a
-  // second.
+  // release log and the packet pool reach their working size), then counts
+  // allocations while it parks and flushes a second.
   nscc::rt::MachineConfig machine;
   machine.ntasks = 2;
   nscc::rt::VirtualMachine vm(machine);
@@ -263,7 +262,9 @@ TEST(AllocBudget, LossySwitchJacobiRunStaysUnderItsBudget) {
   // by-move delivery, a reserved publish packet and reserved rows cut
   // that to 136,553.  Drawing the published blocks, the DSM frames and
   // the transport ACKs from the machine's packet pool cut it to 29,222.
-  // The budget leaves a little room above that.
+  // Packing each block version's DSM frame once and sharing it with every
+  // reader, instead of a frame and an unpacked copy per reader, cut it to
+  // 28,309.  The budget leaves a little room above that.
   nscc::harness::JacobiWorkload jacobi;
   jacobi.grid = 160;
   jacobi.processors = 16;
@@ -281,7 +282,7 @@ TEST(AllocBudget, LossySwitchJacobiRunStaysUnderItsBudget) {
   const auto stats = jacobi.run(run, machine);
   const std::uint64_t spent = allocs() - before;
   EXPECT_FALSE(stats.deadlocked);
-  EXPECT_LE(spent, 30000U);
+  EXPECT_LE(spent, 29000U);
 }
 
 TEST(AllocBudget, BayesSyncRunStaysUnderItsBudget) {

@@ -511,4 +511,110 @@ TEST(SharedSpace, GlobalReadUnsatisfiableDeadlocksDetectably) {
   EXPECT_TRUE(vm.deadlocked());
 }
 
+// ---- One frame per version, shared by every reader -------------------------
+
+/// The value written at `iteration`: 64 doubles no other iteration packs.
+std::vector<double> block_at(Iteration iteration) {
+  std::vector<double> v(64);
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    v[k] = static_cast<double>(iteration) * 1000.0 + static_cast<double>(k);
+  }
+  return v;
+}
+
+std::vector<double> block_of(const SharedSpace::Value& v) {
+  Packet copy = v.data;
+  return copy.unpack_double_vec();
+}
+
+TEST(SharedFrame, DamagedDeliveriesNeverReachAnotherCopy) {
+  // One writer, three readers, reliable updates over a link that damages
+  // a third of its frames.  Every reader's delivery is a share of the
+  // writer's frame until the damage copies it, so a flip or a cut that
+  // landed in place would show up in another reader's stored value, in
+  // the writer's own copy, or in the bytes a retransmit resends: every
+  // value seen here must be exactly the one packed at its iteration.
+  MachineConfig config = fast_config(4);
+  config.fault.seed = 0xA11A5;
+  config.fault.link.corrupt_prob = 0.3;
+  config.transport.enabled = true;
+  config.transport.ack_timeout = 5 * kMillisecond;
+  VirtualMachine vm(config);
+  PropagationPolicy policy;
+  policy.reliable_updates = true;
+  constexpr Iteration kVersions = 30;
+  int checked = 0;
+  vm.add_task("writer", [&](Task& t) {
+    SharedSpace space(t, policy);
+    space.declare_written(1, {1, 2, 3});
+    for (Iteration i = 0; i < kVersions; ++i) {
+      Packet p;
+      p.pack_double_vec(block_at(i));
+      space.write(1, i, std::move(p));
+      t.compute(20 * kMillisecond);  // Deliveries, damage and resends.
+      EXPECT_EQ(block_of(space.read(1)), block_at(i)) << "writer, " << i;
+      ++checked;
+    }
+  });
+  for (int r = 1; r <= 3; ++r) {
+    vm.add_task("reader", [&, r](Task& t) {
+      SharedSpace space(t, policy);
+      space.declare_read(1, 0);
+      for (Iteration i = 0; i < kVersions; ++i) {
+        const SharedSpace::Value& v = space.global_read(1, i, 0);
+        EXPECT_EQ(block_of(v), block_at(v.iteration)) << "reader " << r;
+        ++checked;
+        t.compute(7 * kMillisecond);
+      }
+      EXPECT_EQ(space.stats().integrity_dropped, 0u);
+    });
+  }
+  vm.run();
+  ASSERT_FALSE(vm.deadlocked());
+  EXPECT_EQ(checked, 4 * kVersions);
+  EXPECT_GT(vm.transport_stats().crc_drops, 0u) << "frames were damaged";
+  EXPECT_GT(vm.transport_stats().retransmissions, 0u) << "and resent";
+}
+
+TEST(SharedFrame, LossFreeFanOutSharesTheWritersFrame) {
+  // On a perfect network the three readers' stored copies are windows onto
+  // the one buffer the writer packed its frame into: zero copies past the
+  // frame, checked rather than assumed.
+  VirtualMachine vm(fast_config(4));
+  Packet writers_copy;
+  std::vector<Packet> readers_copies;
+  vm.add_task("writer", [&](Task& t) {
+    SharedSpace space(t);
+    space.declare_written(1, {1, 2, 3});
+    for (Iteration i = 0; i < 3; ++i) {
+      Packet p;
+      p.pack_double_vec(block_at(i));
+      space.write(1, i, std::move(p));
+      t.compute(10 * kMillisecond);
+    }
+    writers_copy = space.read(1).data;
+  });
+  for (int r = 1; r <= 3; ++r) {
+    vm.add_task("reader", [&](Task& t) {
+      SharedSpace space(t);
+      space.declare_read(1, 0);
+      const SharedSpace::Value& v = space.global_read(1, 2, 0);
+      EXPECT_EQ(block_of(v), block_at(2));
+      readers_copies.push_back(v.data);
+      t.compute(50 * kMillisecond);  // Outlive the writer's capture.
+    });
+  }
+  vm.run();
+  ASSERT_FALSE(vm.deadlocked());
+  ASSERT_EQ(readers_copies.size(), 3u);
+  Packet standalone;
+  standalone.pack_double_vec(block_at(2));
+  EXPECT_EQ(writers_copy.crc32(), standalone.crc32());
+  for (const Packet& copy : readers_copies) {
+    EXPECT_TRUE(copy.shares_buffer_with(writers_copy));
+    EXPECT_EQ(copy.byte_size(), standalone.byte_size());
+    EXPECT_EQ(copy.crc32(), standalone.crc32());
+  }
+}
+
 }  // namespace

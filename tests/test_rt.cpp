@@ -143,6 +143,190 @@ TEST(Packet, SkipPacketStepsOverAnEmbeddedPacket) {
   EXPECT_THROW(cut.skip_packet(), std::out_of_range);
 }
 
+// ---- The shared, copy-on-write buffer -------------------------------------
+
+/// A DSM-shaped frame: location, iteration, an embedded value of three
+/// doubles, and a trailing stamp.
+Packet sample_frame() {
+  Packet value;
+  value.pack_double_vec({1.5, -2.0, 3.25});
+  Packet frame;
+  frame.pack_i32(7).pack_i64(42).pack_packet(value).pack_u64(99);
+  return frame;
+}
+
+std::vector<double> doubles_of(Packet p) {
+  p.rewind();
+  return p.unpack_double_vec();
+}
+
+TEST(PacketTest, ACopySharesTheBufferUntilOneSideWrites) {
+  Packet p = sample_frame();
+  const std::uint32_t crc = p.crc32();
+  const std::uint32_t size = p.byte_size();
+  EXPECT_FALSE(p.is_shared());
+  Packet q = p;
+  EXPECT_TRUE(q.shares_buffer_with(p));
+  EXPECT_TRUE(p.is_shared());
+  // Reading moves only the reader's own cursor.
+  EXPECT_EQ(q.unpack_i32(), 7);
+  EXPECT_EQ(p.remaining(), size);
+  EXPECT_TRUE(q.shares_buffer_with(p));
+  // The first write detaches the writer, whichever side it is.
+  q.pack_u8(5);
+  EXPECT_FALSE(q.shares_buffer_with(p));
+  EXPECT_FALSE(p.is_shared());
+  EXPECT_EQ(q.byte_size(), size + 1);
+  EXPECT_EQ(p.byte_size(), size);
+  EXPECT_EQ(p.crc32(), crc);
+  Packet r = p;
+  p.pack_u8(6);
+  EXPECT_FALSE(r.shares_buffer_with(p));
+  EXPECT_EQ(r.byte_size(), size);
+  EXPECT_EQ(r.crc32(), crc);
+  // Assignment shares too, and drops the buffer it replaces.
+  q = r;
+  EXPECT_TRUE(q.shares_buffer_with(r));
+  EXPECT_EQ(q.crc32(), crc);
+  // clear() lets go of a shared buffer instead of emptying it for both.
+  q.clear();
+  EXPECT_EQ(q.byte_size(), 0u);
+  EXPECT_EQ(q.capacity(), 0u);
+  EXPECT_EQ(r.byte_size(), size);
+  EXPECT_EQ(r.crc32(), crc);
+}
+
+TEST(PacketTest, DamageOnACopyLeavesTheOriginalIntact) {
+  const Packet original = sample_frame();
+  const std::uint32_t crc = original.crc32();
+  const std::uint32_t size = original.byte_size();
+  for (std::size_t bit = 0; bit < size * 8; bit += 13) {
+    Packet damaged = original;
+    damaged.flip_bit(bit);
+    EXPECT_NE(damaged.crc32(), crc);
+    EXPECT_FALSE(damaged.shares_buffer_with(original));
+    EXPECT_EQ(original.crc32(), crc);
+  }
+  for (std::size_t n = 0; n < size; ++n) {
+    Packet cut = original;
+    cut.truncate_to(n);
+    EXPECT_EQ(cut.byte_size(), n);
+    EXPECT_EQ(original.byte_size(), size);
+    EXPECT_EQ(original.crc32(), crc);
+    // A cut only narrows the window; flipping a bit of it still copies.
+    cut.flip_bit(3);
+    EXPECT_EQ(original.crc32(), crc);
+  }
+  const Packet cut = original.truncated(9);
+  EXPECT_TRUE(cut.shares_buffer_with(original));
+  EXPECT_EQ(cut.byte_size(), 9u);
+  EXPECT_EQ(cut.remaining(), 9u);
+  EXPECT_EQ(original.byte_size(), size);
+}
+
+TEST(PacketTest, NarrowToEmbeddedMatchesUnpackPacket) {
+  Packet frame = sample_frame();
+  Packet unpacked;
+  ASSERT_EQ(frame.unpack_i32(), 7);
+  ASSERT_EQ(frame.unpack_i64(), 42);
+  Packet narrowed = frame;
+  frame.unpack_packet(unpacked);
+  EXPECT_EQ(frame.unpack_u64(), 99u) << "the outer cursor steps past it";
+  narrowed.narrow_to_embedded();
+  EXPECT_TRUE(narrowed.shares_buffer_with(frame)) << "no byte was copied";
+  EXPECT_TRUE(unpacked.shares_buffer_with(frame));
+  EXPECT_EQ(narrowed.byte_size(), unpacked.byte_size());
+  EXPECT_EQ(narrowed.crc32(), unpacked.crc32());
+  EXPECT_EQ(narrowed.remaining(), narrowed.byte_size());
+  EXPECT_EQ(doubles_of(narrowed), (std::vector<double>{1.5, -2.0, 3.25}));
+  EXPECT_EQ(doubles_of(unpacked), doubles_of(narrowed));
+  Packet standalone;
+  standalone.pack_double_vec({1.5, -2.0, 3.25});
+  EXPECT_EQ(narrowed.byte_size(), standalone.byte_size());
+  EXPECT_EQ(narrowed.crc32(), standalone.crc32());
+  // After a rewind the narrowed packet reads from the value's front.
+  (void)narrowed.unpack_u64();
+  narrowed.rewind();
+  EXPECT_EQ(narrowed.unpack_u64(), 3u);
+  // A write to the narrowed copy detaches it and appends after the value,
+  // not over the frame's trailing stamp.
+  narrowed.pack_u8(1);
+  EXPECT_FALSE(narrowed.shares_buffer_with(frame));
+  EXPECT_EQ(narrowed.byte_size(), standalone.byte_size() + 1);
+  frame.rewind();
+  (void)frame.unpack_i32();
+  (void)frame.unpack_i64();
+  frame.skip_packet();
+  EXPECT_EQ(frame.unpack_u64(), 99u);
+}
+
+TEST(PacketTest, CutOrHostileEmbeddedPacketThrows) {
+  const Packet frame = sample_frame();
+  // Cut inside the embedded packet, and inside its length prefix.
+  for (const std::size_t n : {std::size_t{20}, std::size_t{13}}) {
+    Packet cut = frame.truncated(n);
+    (void)cut.unpack_i32();
+    (void)cut.unpack_i64();
+    const std::size_t before = cut.remaining();
+    EXPECT_THROW(cut.narrow_to_embedded(), std::out_of_range);
+    EXPECT_EQ(cut.remaining(), before) << "a failed narrow changes nothing";
+    EXPECT_EQ(cut.byte_size(), n);
+    Packet into;
+    Packet again = frame.truncated(n);
+    (void)again.unpack_i32();
+    (void)again.unpack_i64();
+    EXPECT_THROW(again.unpack_packet(into), std::out_of_range);
+  }
+  // Length prefixes past the buffer, including ones that wrap.
+  for (const std::uint64_t n : {std::uint64_t{9}, std::uint64_t{1} << 61,
+                                ~std::uint64_t{0}}) {
+    Packet hostile;
+    hostile.pack_u64(n).pack_double(1.0);
+    EXPECT_THROW(hostile.narrow_to_embedded(), std::out_of_range);
+    EXPECT_EQ(hostile.byte_size(), 16u);
+  }
+}
+
+TEST(PacketTest, UnpackDoubleRangeIntoCopiesOnlyTheSlice) {
+  Packet p;
+  p.pack_double_vec({0.0, 1.0, 2.0, 3.0, 4.0});
+  std::vector<double> out(4, -7.0);
+  p.unpack_double_range_into(1, std::span<double>(out).subspan(1, 3));
+  EXPECT_EQ(out, (std::vector<double>{-7.0, 1.0, 2.0, 3.0}));
+  EXPECT_EQ(p.remaining(), p.byte_size()) << "the cursor stays put";
+  std::vector<double> tail(2, 0.0);
+  p.unpack_double_range_into(3, tail);
+  EXPECT_EQ(tail, (std::vector<double>{3.0, 4.0}));
+  // Past the vector's end, or a prefix past the buffer: nothing written.
+  std::vector<double> guarded(3, -7.0);
+  EXPECT_THROW(p.unpack_double_range_into(3, guarded), std::out_of_range);
+  EXPECT_THROW(p.unpack_double_range_into(6, std::span<double>()),
+               std::out_of_range);
+  EXPECT_EQ(guarded, std::vector<double>(3, -7.0));
+  Packet cut = p.truncated(p.byte_size() - 1);
+  EXPECT_THROW(cut.unpack_double_range_into(0, std::span<double>(guarded)
+                                                    .first(1)),
+               std::out_of_range);
+  EXPECT_EQ(guarded, std::vector<double>(3, -7.0));
+}
+
+TEST(PacketTest, PoolRecyclesABufferOnlyOnItsLastRelease) {
+  PacketPool pool;
+  Packet p = pool.acquire();
+  p.reserve(64);
+  p.pack_u64(11);
+  Packet q = p;
+  pool.release(std::move(p));
+  EXPECT_EQ(pool.kept(), 0u) << "q still holds the buffer";
+  EXPECT_EQ(q.unpack_u64(), 11u) << "and its bytes are untouched";
+  pool.release(std::move(q));
+  EXPECT_EQ(pool.kept(), 1u);
+  Packet r = pool.acquire();
+  EXPECT_EQ(r.capacity(), 64u);
+  EXPECT_EQ(r.byte_size(), 0u);
+  EXPECT_FALSE(r.is_shared());
+}
+
 TEST(PacketPool, ReusesAReturnedBufferEmptied) {
   PacketPool pool;
   Packet p = pool.acquire();

@@ -565,6 +565,32 @@ TEST(Flags, MismatchedBoundIsAProgrammingError) {
   EXPECT_THROW(f.range("n", 2), std::logic_error);
 }
 
+TEST(Flags, ValidatedStringIsCheckedAtParseAndAtDeclaration) {
+  Flags f;
+  const Flags::Validator even_length = [](const std::string& v) {
+    return v.size() % 2 == 0 ? std::string{}
+                             : "--pair wants an even length, got '" + v + "'";
+  };
+  f.add_string("pair", "ab", "two by two").validate("pair", even_length);
+  const char* good[] = {"prog", "--pair=abcd"};
+  ASSERT_TRUE(f.parse(2, const_cast<char**>(good)));
+  EXPECT_EQ(f.get_string("pair"), "abcd");
+  const char* bad[] = {"prog", "--pair=abc"};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(f.parse(2, const_cast<char**>(bad)));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.substr(0, err.find('\n')),
+            "--pair wants an even length, got 'abc'");
+  EXPECT_EQ(f.get_string("pair"), "abcd") << "a rejected value is not kept";
+  EXPECT_FALSE(f.set_default("pair", "x"));
+  // A default the check rejects, or a flag that is not a plain string,
+  // cannot be declared.
+  f.add_string("odd", "abc", "odd").add_enum("mode", "a", {"a", "b"}, "m");
+  EXPECT_THROW(f.validate("odd", even_length), std::logic_error);
+  EXPECT_THROW(f.validate("mode", even_length), std::logic_error);
+  EXPECT_THROW(f.validate("nope", even_length), std::logic_error);
+}
+
 TEST(SplitCsv, SplitsAndPreservesEmptyTokens) {
   using nscc::util::split_csv;
   EXPECT_EQ(split_csv("a,b,c"), (std::vector<std::string>{"a", "b", "c"}));
