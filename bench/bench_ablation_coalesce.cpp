@@ -45,8 +45,6 @@ Outcome run(bool coalesce, double load_mbps, int writes,
       t.compute(nscc::sim::kMillisecond / 2);  // Burstier than the wire.
     }
     t.compute(nscc::sim::kSecond);  // Let the bus drain.
-    out.updates_sent = space.stats().updates_sent;
-    out.coalesced = space.stats().updates_coalesced;
   });
   vm.add_task("reader", [&](nscc::rt::Task& t) {
     nscc::dsm::SharedSpace space(t, {.read_timeout = read_timeout});
@@ -63,6 +61,9 @@ Outcome run(bool coalesce, double load_mbps, int writes,
                                    .seed = 5});
   out.completion_s = nscc::sim::to_seconds(vm.run());
   loader.stop();
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  out.updates_sent = reg.counter_value("dsm.updates_sent", 0);
+  out.coalesced = reg.counter_value("dsm.updates_coalesced", 0);
   return out;
 }
 

@@ -46,8 +46,6 @@ Outcome run_pair(nscc::dsm::GlobalReadImpl impl, int iterations,
       p.pack_double(i);
       space.write(1, i, std::move(p));
     }
-    out.hints = space.stats().hints_received;
-    out.replies = space.stats().request_replies;
   });
   vm.add_task("consumer", [&](nscc::rt::Task& t) {
     nscc::dsm::SharedSpace space(t, {.coalesce = false,
@@ -58,12 +56,15 @@ Outcome run_pair(nscc::dsm::GlobalReadImpl impl, int iterations,
       (void)space.global_read(1, i, 2);
       t.compute(nscc::sim::kMillisecond);
     }
-    out.requests = space.stats().requests_sent;
-    out.block_s = nscc::sim::to_seconds(space.stats().global_read_block_time);
   });
   out.completion_s = nscc::sim::to_seconds(vm.run());
-  out.messages = vm.task(0).stats().messages_sent +
-                 vm.task(1).stats().messages_sent;
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  out.messages = reg.counter_total("rt.messages_sent");
+  out.hints = reg.counter_value("dsm.hints_received", 0);
+  out.replies = reg.counter_value("dsm.request_replies", 0);
+  out.requests = reg.counter_value("dsm.requests_sent", 1);
+  out.block_s = nscc::sim::to_seconds(static_cast<nscc::sim::Time>(
+      reg.counter_value("dsm.global_read_block_time_ns", 1)));
   return out;
 }
 

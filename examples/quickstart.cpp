@@ -67,10 +67,13 @@ int main(int argc, char** argv) {
                   sim::to_seconds(task.now()));
       task.compute(2 * sim::kMillisecond);  // Fast consumer.
     }
-    const auto& stats = space.stats();
-    std::printf("consumer blocked %llu times for %.3fs total\n",
-                static_cast<unsigned long long>(stats.global_read_blocks),
-                sim::to_seconds(stats.global_read_block_time));
+    const obs::Registry& reg = task.vm().obs().registry();
+    std::printf(
+        "consumer blocked %llu times for %.3fs total\n",
+        static_cast<unsigned long long>(
+            reg.counter_value("dsm.global_read_blocks", task.id())),
+        sim::to_seconds(static_cast<sim::Time>(
+            reg.counter_value("dsm.global_read_block_time_ns", task.id()))));
   });
 
   const sim::Time end = vm.run();

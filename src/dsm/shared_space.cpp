@@ -26,6 +26,11 @@ class AcquireScope {
   bool prev_;
 };
 
+/// `task`'s counter `name` in the machine's registry.
+obs::Counter& task_counter(rt::Task& task, const char* name) {
+  return task.vm().obs().registry().counter(name, task.id());
+}
+
 /// The watchdog's next escalation budget: double the last one.
 sim::Time next_backoff(sim::Time budget) {
   return std::max<sim::Time>(
@@ -47,7 +52,24 @@ const char* mode_name(Mode m) noexcept {
 }
 
 SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
-    : task_(task), packets_(task.vm().packets()), policy_(std::move(policy)) {
+    : task_(task),
+      packets_(task.vm().packets()),
+      policy_(std::move(policy)),
+      writes_(task_counter(task, "dsm.writes")),
+      updates_sent_(task_counter(task, "dsm.updates_sent")),
+      updates_coalesced_(task_counter(task, "dsm.updates_coalesced")),
+      updates_applied_(task_counter(task, "dsm.updates_applied")),
+      updates_stale_dropped_(task_counter(task, "dsm.updates_stale_dropped")),
+      global_reads_(task_counter(task, "dsm.global_reads")),
+      global_read_blocks_(task_counter(task, "dsm.global_read_blocks")),
+      global_read_block_time_ns_(
+          task_counter(task, "dsm.global_read_block_time_ns")),
+      requests_sent_(task_counter(task, "dsm.requests_sent")),
+      hints_received_(task_counter(task, "dsm.hints_received")),
+      request_replies_(task_counter(task, "dsm.request_replies")),
+      read_escalations_(task_counter(task, "dsm.read_escalations")),
+      degraded_reads_(task_counter(task, "dsm.degraded_reads")),
+      integrity_dropped_(task_counter(task, "dsm.integrity_dropped")) {
   // Resolve the consistency model first: its shape() may rewrite the
   // transport-facing policy knobs everything below reads.
   model_ = make_consistency_model(policy_.consistency);
@@ -55,22 +77,37 @@ SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
   park_updates_ = !model_->visible_on_arrival();
   stamp_updates_ = model_->stamps_updates();
   membership_ = task.vm().membership();
+  // The partition and consistency counters exist only where their
+  // mechanism can engage, so a run without it keeps its registry as is.
+  if (membership_ != nullptr && membership_->partitioned()) {
+    stale_served_ = &task_counter(task, "dsm.partition.stale_served");
+  }
+  if (policy_.partition_heal) {
+    heal_frames_ = &task_counter(task, "dsm.partition.heal_frames");
+  }
+  if (tracks_divergence()) {
+    diverged_ = &task_counter(task, "dsm.partition.diverged_locations");
+    reconciled_ = &task_counter(task, "dsm.partition.reconciled_locations");
+  }
+  if (park_updates_) {
+    updates_parked_ = &task_counter(task, "dsm.consistency.updates_parked");
+    updates_flushed_ = &task_counter(task, "dsm.consistency.updates_flushed");
+  }
+  if (stamp_updates_) {
+    ooo_updates_ = &task_counter(task, "dsm.consistency.ooo_updates");
+  }
   obs::Hub& hub = task.vm().obs();
-  // The registry exists whether or not the hub is actively tracing; the
-  // staleness histograms are the canonical accounting (DsmStats reads the
-  // per-task one), so they are resolved unconditionally.
+  // The registry exists whether or not the hub is actively tracing, so
+  // the staleness histograms, like the counters, are always kept.
   staleness_hist_ = &hub.registry().histogram("dsm.staleness");
   staleness_mine_ = &hub.registry().histogram("dsm.staleness", task.id());
-  stats_.staleness_on_read = staleness_mine_;
   san_ = task.vm().sanitizer();
   if (hub.active()) {
     obs_ = &hub;
     blocked_readers_ = &hub.registry().gauge("dsm.blocked_readers");
     inflight_updates_ = &hub.registry().gauge("dsm.updates_inflight");
     read_queued_ = &hub.registry().counter("dsm.read.queued");
-    read_blocked_ = &hub.registry().counter("dsm.read.blocked");
     read_escalated_ = &hub.registry().counter("dsm.read.escalated");
-    read_degraded_ = &hub.registry().counter("dsm.read.degraded");
     read_block_ns_ = &hub.registry().histogram("dsm.read.block_ns");
   }
   // Serve read demands at delivery time, in engine context, so a writer
@@ -105,53 +142,6 @@ SharedSpace::SharedSpace(rt::Task& task, PropagationPolicy policy)
 
 SharedSpace::~SharedSpace() {
   task_.set_tag_handler(rt::kDsmRequestTag, {});
-  // Published whether or not observers are on: the registry is the run's
-  // result (harness::RunStats::from_registry).  A killed incarnation's
-  // space unwinds here too, so its work is counted.
-  obs::Registry& reg = task_.vm().obs().registry();
-  const int pid = task_.id();
-  reg.counter("dsm.writes", pid).inc(stats_.writes);
-  reg.counter("dsm.updates_sent", pid).inc(stats_.updates_sent);
-  reg.counter("dsm.updates_coalesced", pid).inc(stats_.updates_coalesced);
-  reg.counter("dsm.updates_applied", pid).inc(stats_.updates_applied);
-  reg.counter("dsm.updates_stale_dropped", pid)
-      .inc(stats_.updates_stale_dropped);
-  reg.counter("dsm.global_reads", pid).inc(stats_.global_reads);
-  reg.counter("dsm.global_read_blocks", pid).inc(stats_.global_read_blocks);
-  reg.counter("dsm.global_read_block_time_ns", pid)
-      .inc(static_cast<std::uint64_t>(stats_.global_read_block_time));
-  reg.counter("dsm.requests_sent", pid).inc(stats_.requests_sent);
-  reg.counter("dsm.hints_received", pid).inc(stats_.hints_received);
-  reg.counter("dsm.request_replies", pid).inc(stats_.request_replies);
-  reg.counter("dsm.read_escalations", pid).inc(stats_.read_escalations);
-  reg.counter("dsm.degraded_reads", pid).inc(stats_.degraded_reads);
-  reg.counter("dsm.integrity_dropped", pid).inc(stats_.integrity_dropped);
-  // Partition counters only when the machinery actually fired, so runs
-  // without partitions keep an unchanged metrics footprint.
-  if (stats_.partition_stale_served > 0) {
-    reg.counter("dsm.partition.stale_served", pid)
-        .inc(stats_.partition_stale_served);
-  }
-  if (stats_.heal_frames > 0) {
-    reg.counter("dsm.partition.heal_frames", pid).inc(stats_.heal_frames);
-  }
-  if (stats_.diverged_marks > 0) {
-    reg.counter("dsm.partition.diverged_locations", pid)
-        .inc(stats_.diverged_marks);
-    reg.counter("dsm.partition.reconciled_locations", pid)
-        .inc(stats_.reconciled_marks);
-  }
-  // Consistency-model counters only when the model actually engaged them,
-  // so nonstrict runs keep an unchanged metrics footprint.
-  if (stats_.updates_parked > 0) {
-    reg.counter("dsm.consistency.updates_parked", pid)
-        .inc(stats_.updates_parked);
-    reg.counter("dsm.consistency.updates_flushed", pid)
-        .inc(stats_.updates_flushed);
-  }
-  if (stats_.ooo_updates > 0) {
-    reg.counter("dsm.consistency.ooo_updates", pid).inc(stats_.ooo_updates);
-  }
 }
 
 void SharedSpace::declare_written(LocationId loc, std::vector<int> readers) {
@@ -228,7 +218,7 @@ void SharedSpace::send_update(LocationId loc, int reader,
     task_.vm().post(task_.id(), reader, rt::kDsmUpdateTag, std::move(payload),
                     std::move(on_settled), reliability, flow);
   }
-  ++stats_.updates_sent;
+  updates_sent_.inc();
 }
 
 void SharedSpace::on_update_settled(LocationId loc, int reader,
@@ -265,7 +255,7 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
   if (it == locations_.end() || it->second.writer >= 0) {
     throw std::logic_error("SharedSpace: write to a location not declared_written");
   }
-  ++stats_.writes;
+  writes_.inc();
   if (obs_ != nullptr) {
     obs_->tracer().instant(task_.id(), "dsm.write", task_.now(), "loc", loc,
                            "iter", iteration);
@@ -307,7 +297,7 @@ void SharedSpace::write(LocationId loc, Iteration iteration, rt::Packet value) {
     const std::uint64_t flow = flows_on() ? begin_flow(loc, iteration) : 0;
     if (policy_.coalesce && pr.in_flight) {
       if (pr.has_pending) {
-        ++stats_.updates_coalesced;
+        updates_coalesced_.inc();
         if (obs_ != nullptr) {
           obs_->tracer().instant(task_.id(), "dsm.update.coalesce",
                                  task_.now(), "loc", loc, "reader", reader);
@@ -331,7 +321,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
   // reader next acquires.  Inside an acquire (including a blocked
   // Global_Read, which IS the acquire), updates apply immediately.
   if (park_updates_ && !acquiring_) {
-    ++stats_.updates_parked;
+    updates_parked_->inc();
     if (obs_ != nullptr) {
       obs_->tracer().instant(task_.id(), "dsm.update.park", task_.now(),
                              "src", msg.src);
@@ -366,7 +356,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
     }
     payload.narrow_to_embedded();
   } catch (const std::out_of_range&) {
-    ++stats_.integrity_dropped;
+    integrity_dropped_.inc();
     if (obs_ != nullptr) {
       obs_->tracer().instant(task_.id(), "dsm.update.quarantine", task_.now(),
                              "loc", loc, "iter", iteration);
@@ -386,7 +376,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
   // applied; the stamp check only measures how often the wire reordered
   // releases (reliable resends overtaking best-effort ones).
   if (stamp_updates_ && !model_->note_stamp(msg.src, stamp)) {
-    ++stats_.ooo_updates;
+    ooo_updates_->inc();
   }
   if (observer_) {
     observer_(loc, iteration, payload);
@@ -403,7 +393,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
     // unconsumed flow simply ends nowhere (the value was never read).
     v.flow = msg.flow;
     v.epoch = msg.epoch;
-    ++stats_.updates_applied;
+    updates_applied_.inc();
     if (obs_ != nullptr) {
       obs_->tracer().instant(task_.id(), "dsm.update.apply", task_.now(),
                              "loc", loc, "iter", iteration);
@@ -417,7 +407,7 @@ void SharedSpace::apply_update(rt::Message& msg) {
     maybe_reconcile(loc, it->second, iteration);
     model_->note_copy(loc, meta_of(v));
   } else {
-    ++stats_.updates_stale_dropped;
+    updates_stale_dropped_.inc();
     if (obs_ != nullptr) {
       obs_->tracer().instant(task_.id(), "dsm.update.stale", task_.now(),
                              "loc", loc, "iter", iteration);
@@ -460,7 +450,7 @@ void SharedSpace::flush_parked() {
   // fresh arrival mid-flush applies directly (acquiring_ is set).
   std::vector<ParkedUpdate> batch;
   batch.swap(parked_);
-  stats_.updates_flushed += batch.size();
+  updates_flushed_->inc(batch.size());
   for (ParkedUpdate& p : batch) apply_update(p.msg);
   // Nothing parks mid-flush, so the log takes its capacity back.
   batch.clear();
@@ -472,7 +462,7 @@ void SharedSpace::mark_diverged(Location& l, Iteration need) {
     l.owed = std::max(*l.owed, need);
   } else {
     l.owed = need;
-    ++stats_.diverged_marks;
+    diverged_->inc();
   }
 }
 
@@ -480,7 +470,7 @@ void SharedSpace::maybe_reconcile(LocationId loc, Location& l,
                                   Iteration iteration) {
   if (!l.owed.has_value() || iteration < *l.owed) return;
   l.owed.reset();
-  ++stats_.reconciled_marks;
+  reconciled_->inc();
   if (obs_ != nullptr) {
     obs_->tracer().instant(task_.id(), "dsm.partition.reconcile", task_.now(),
                            "loc", loc, "iter", iteration);
@@ -503,7 +493,7 @@ void SharedSpace::heal_republish() {
       if (r.id == task_.id()) continue;
       send_update(loc, r.id, l.frame, /*charge_cpu=*/false,
                   rt::Reliability::kReliable);
-      ++stats_.heal_frames;
+      heal_frames_->inc();
     }
   }
   if (obs_ != nullptr) {
@@ -521,10 +511,10 @@ void SharedSpace::serve_request(rt::Packet& payload, int from) {
   } catch (const std::out_of_range&) {
     // A demand that cannot be decoded is dropped; the starved reader's
     // escalation watchdog re-demands on its own timer.
-    ++stats_.integrity_dropped;
+    integrity_dropped_.inc();
     return;
   }
-  ++stats_.hints_received;
+  hints_received_.inc();
   if (obs_ != nullptr) {
     obs_->tracer().instant(task_.id(), "dsm.request.serve", task_.now(),
                            "loc", loc, "from", from);
@@ -545,7 +535,7 @@ void SharedSpace::serve_request(rt::Packet& payload, int from) {
         flows_on() ? begin_flow(loc, mine.iteration) : 0;
     send_update(loc, from, it->second.frame, /*charge_cpu=*/false,
                 rt::Reliability::kReliable, flow);
-    ++stats_.request_replies;
+    request_replies_.inc();
   }
 }
 
@@ -563,7 +553,7 @@ void SharedSpace::send_demand(LocationId loc, int writer, Iteration need) {
   }
   task_.send_observed(writer, rt::kDsmRequestTag, std::move(req),
                       {}, rt::Reliability::kReliable);
-  ++stats_.requests_sent;
+  requests_sent_.inc();
 }
 
 void SharedSpace::poll() {
@@ -613,7 +603,7 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
   if (it == locations_.end()) {
     throw std::logic_error("SharedSpace: global_read of an undeclared location");
   }
-  ++stats_.global_reads;
+  global_reads_.inc();
   const Iteration need = curr_iter - age;
   Location& l = it->second;
   Value& v = l.value;
@@ -626,10 +616,8 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
   poll();
 
   if (!model_->admit(loc, curr_iter, age, meta_of(v))) {
-    ++stats_.global_read_blocks;
-    if (read_blocked_ != nullptr) read_blocked_->inc();
+    global_read_blocks_.inc();
     bool escalated = false;
-    bool degraded_here = false;
     if (policy_.read_impl == GlobalReadImpl::kRequest) {
       send_demand(loc, l.writer, need);
     }
@@ -659,8 +647,7 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
       if (membership_ != nullptr && l.writer >= 0 &&
           !membership_->alive(task_.id(), l.writer)) {
         v.degraded = true;
-        degraded_here = true;
-        ++stats_.degraded_reads;
+        degraded_reads_.inc();
         if (tracks_divergence() && v.valid) mark_diverged(l, need);
         if (obs_ != nullptr) {
           obs_->tracer().instant(task_.id(), "dsm.read.degraded", task_.now(),
@@ -679,8 +666,7 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
           no_quorum_since = task_.now();
         } else if (task_.now() - no_quorum_since >= kLivenessPoll) {
           v.degraded = true;
-          degraded_here = true;
-          ++stats_.partition_stale_served;
+          stale_served_->inc();
           mark_diverged(l, need);
           if (obs_ != nullptr) {
             obs_->tracer().instant(task_.id(), "dsm.read.stale_served",
@@ -712,7 +698,7 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
       if (budget <= 0) continue;  // Liveness poll only, no watchdog armed.
       remaining -= quantum;
       if (remaining > 0) continue;
-      ++stats_.read_escalations;
+      read_escalations_.inc();
       escalated = true;
       if (obs_ != nullptr) {
         obs_->tracer().instant(task_.id(), "dsm.read.escalate", task_.now(),
@@ -722,7 +708,8 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
       budget = next_backoff(budget);
       remaining = budget;
     }
-    stats_.global_read_block_time += task_.now() - blocked_from;
+    global_read_block_time_ns_.inc(
+        static_cast<std::uint64_t>(task_.now() - blocked_from));
     if (obs_ != nullptr) {
       blocked_readers_->add(-1.0);
       obs_->tracer().complete(task_.id(), "Global_Read", blocked_from,
@@ -731,7 +718,6 @@ const SharedSpace::Value& SharedSpace::global_read(LocationId loc,
       read_block_ns_->observe(
           static_cast<double>(task_.now() - blocked_from));
       if (escalated) read_escalated_->inc();
-      if (degraded_here) read_degraded_->inc();
     }
   } else if (!was_fresh && read_queued_ != nullptr) {
     // Served without blocking, but only because poll() drained an update

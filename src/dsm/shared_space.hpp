@@ -94,7 +94,7 @@ struct PropagationPolicy {
   /// location to all its readers over the reliable channel (engine
   /// context, no CPU charge).  Newest-version-wins is the cache's normal
   /// apply rule, so healed copies reconcile diverged readers; frames sent
-  /// are counted in DsmStats::heal_frames.
+  /// are counted in dsm.partition.heal_frames.
   bool partition_heal = false;
   /// Which ConsistencyModel (dsm/consistency.hpp) governs this space: the
   /// read-admission rule, the update-visibility rule, and any ordering
@@ -105,45 +105,26 @@ struct PropagationPolicy {
   std::string consistency = "nonstrict";
 };
 
-struct DsmStats {
-  std::uint64_t writes = 0;
-  std::uint64_t updates_sent = 0;
-  std::uint64_t updates_coalesced = 0;  ///< Writes merged into a pending one.
-  std::uint64_t updates_applied = 0;
-  std::uint64_t updates_stale_dropped = 0;  ///< Arrived older than local copy.
-  std::uint64_t global_reads = 0;
-  std::uint64_t global_read_blocks = 0;
-  sim::Time global_read_block_time = 0;
-  std::uint64_t requests_sent = 0;      ///< kRequest impl: demands issued.
-  std::uint64_t hints_received = 0;     ///< Writer side: starved readers seen.
-  std::uint64_t request_replies = 0;    ///< Writer side: demand-driven resends.
-  std::uint64_t read_escalations = 0;   ///< Watchdog-triggered demands.
-  std::uint64_t degraded_reads = 0;     ///< Reads unblocked by a dead writer.
-  std::uint64_t integrity_dropped = 0;  ///< Undecodable frames quarantined.
-  std::uint64_t partition_stale_served = 0;  ///< Quorum-less stale serves.
-  std::uint64_t heal_frames = 0;        ///< Anti-entropy republish frames.
-  std::uint64_t diverged_marks = 0;     ///< Locations that served diverged.
-  std::uint64_t reconciled_marks = 0;   ///< Diverged marks later healed.
-  std::uint64_t updates_parked = 0;   ///< Arrivals deferred to an acquire.
-  std::uint64_t updates_flushed = 0;  ///< Parked updates applied at acquires.
-  std::uint64_t ooo_updates = 0;      ///< Stamps that arrived out of order.
-  /// Staleness max(0, curr_iter - value iteration) of every global_read
-  /// and of every plain read given an iteration, as this task's
-  /// "dsm.staleness" histogram in the machine's metrics registry.
-  /// The registry is the single source of truth — the machine-wide
-  /// "dsm.staleness" histogram receives the same observations, so the two
-  /// views can never disagree.  Valid for the owning VirtualMachine's
-  /// lifetime; never null after SharedSpace construction.
-  const obs::Histogram* staleness_on_read = nullptr;
-};
-
 /// Per-task view of the shared space.  All tasks must make matching
 /// declarations (same writer/readers per location) before use.
+///
+/// Counts into the machine's metrics registry, labelled with the task id,
+/// whether or not observability is active: dsm.writes, dsm.updates_sent,
+/// dsm.updates_coalesced (writes merged into a pending one),
+/// dsm.updates_applied, dsm.updates_stale_dropped (arrived older than the
+/// local copy), dsm.global_reads, dsm.global_read_blocks,
+/// dsm.global_read_block_time_ns, dsm.requests_sent (demands issued),
+/// dsm.hints_received and dsm.request_replies (writer side: starved
+/// readers seen, demand-driven resends), dsm.read_escalations (watchdog
+/// demands), dsm.degraded_reads (reads unblocked by a dead writer),
+/// dsm.integrity_dropped (undecodable frames quarantined) and the
+/// dsm.staleness histogram.  The dsm.partition.* and dsm.consistency.*
+/// counters exist only on spaces whose mechanism can engage them.  The
+/// counters belong to the task, not to the space: a respawned task's new
+/// space counts on from where the killed one stopped.
 class SharedSpace {
  public:
   explicit SharedSpace(rt::Task& task, PropagationPolicy policy = {});
-  /// Flushes DsmStats into the machine's metrics registry (labelled with
-  /// this task's id), whether or not observability is active.
   ~SharedSpace();
 
   SharedSpace(const SharedSpace&) = delete;
@@ -214,7 +195,6 @@ class SharedSpace {
     observer_ = std::move(observer);
   }
 
-  [[nodiscard]] const DsmStats& stats() const noexcept { return stats_; }
   [[nodiscard]] rt::Task& task() noexcept { return task_; }
 
   /// Iteration stamp of the freshest local copy (-1 when none), without
@@ -311,6 +291,33 @@ class SharedSpace {
   /// return here.
   rt::PacketPool& packets_;
   PropagationPolicy policy_;
+  /// This task's dsm.* counters (see the class comment).
+  obs::Counter& writes_;
+  obs::Counter& updates_sent_;
+  obs::Counter& updates_coalesced_;
+  obs::Counter& updates_applied_;
+  obs::Counter& updates_stale_dropped_;
+  obs::Counter& global_reads_;
+  obs::Counter& global_read_blocks_;
+  obs::Counter& global_read_block_time_ns_;
+  obs::Counter& requests_sent_;
+  obs::Counter& hints_received_;
+  obs::Counter& request_replies_;
+  obs::Counter& read_escalations_;
+  obs::Counter& degraded_reads_;
+  obs::Counter& integrity_dropped_;
+  /// Null unless the mechanism can engage: quorum-less stale serves on a
+  /// quorum-gated membership, heal republish frames with partition_heal,
+  /// diverged and reconciled locations while tracking divergence.
+  obs::Counter* stale_served_ = nullptr;
+  obs::Counter* heal_frames_ = nullptr;
+  obs::Counter* diverged_ = nullptr;
+  obs::Counter* reconciled_ = nullptr;
+  /// Null unless the consistency model parks arrivals until an acquire
+  /// (parked, flushed at acquires) or stamps releases (out of order).
+  obs::Counter* updates_parked_ = nullptr;
+  obs::Counter* updates_flushed_ = nullptr;
+  obs::Counter* ooo_updates_ = nullptr;
   /// The machine's membership view, read once at construction; null = every
   /// writer is presumed alive and blocked reads wait like the paper's.
   const rt::Membership* membership_ = nullptr;
@@ -339,18 +346,17 @@ class SharedSpace {
   obs::Hub* obs_ = nullptr;
   obs::Gauge* blocked_readers_ = nullptr;
   obs::Gauge* inflight_updates_ = nullptr;
-  /// Per-read outcome breakdown (machine-wide; the trace has the per-task
-  /// detail): how each global_read was served — from updates already queued
-  /// in the mailbox, after blocking, after a watchdog escalation, or
-  /// degraded by a dead writer — plus the blocked-wait duration histogram.
+  /// Per-read outcome breakdown of an observed run (machine-wide; the trace
+  /// has the per-task detail): global_reads served from updates already
+  /// queued in the mailbox, blocked reads that needed a watchdog
+  /// escalation, and the blocked-wait duration histogram.  Blocked and
+  /// degraded reads are already in the counters above.
   obs::Counter* read_queued_ = nullptr;
-  obs::Counter* read_blocked_ = nullptr;
   obs::Counter* read_escalated_ = nullptr;
-  obs::Counter* read_degraded_ = nullptr;
   obs::Histogram* read_block_ns_ = nullptr;
-  /// Staleness histograms live in the registry unconditionally (the hub's
-  /// registry always exists; only tracing is gated on activity) — they ARE
-  /// the DsmStats accounting, not a parallel copy of it.
+  /// Staleness max(0, curr_iter - value iteration) of every global_read
+  /// and of every plain read given an iteration, observed in both
+  /// histograms whether or not observability is active.
   obs::Histogram* staleness_hist_ = nullptr;  ///< Machine-wide staleness.
   obs::Histogram* staleness_mine_ = nullptr;  ///< This task's staleness.
   /// Staleness sanitizer owned by the VirtualMachine; null when
@@ -363,7 +369,6 @@ class SharedSpace {
       std::make_shared<SharedSpace*>(this);
   /// Every declared location, ordered by id (heal republishes in order).
   std::map<LocationId, Location> locations_;
-  DsmStats stats_;
 };
 
 }  // namespace nscc::dsm

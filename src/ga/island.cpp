@@ -157,7 +157,15 @@ IslandResult run_island_ga(const IslandConfig& config,
       const bool adaptive =
           config.adaptive_age && config.mode == dsm::Mode::kPartialAsync;
       sim::Time last_gen_start = task.now();
-      sim::Time last_block_time = 0;
+      // The task's Global_Read block time runs on across respawns, so each
+      // incarnation takes its deltas from the value it starts with.
+      const obs::Counter* block_ns = nullptr;
+      std::uint64_t last_block_ns = 0;
+      if (adaptive) {
+        block_ns = &task.vm().obs().registry().counter(
+            "dsm.global_read_block_time_ns", task.id());
+        last_block_ns = block_ns->value();
+      }
 
       // Reused across generations: the copy of a source's migrant buffer
       // (unpacking consumes it) and the decoded pool, whose first `pooled`
@@ -217,10 +225,10 @@ IslandResult run_island_ga(const IslandConfig& config,
         if (adaptive) {
           const sim::Time now = task.now();
           const sim::Time blocked =
-              space.stats().global_read_block_time - last_block_time;
+              static_cast<sim::Time>(block_ns->value() - last_block_ns);
           controller.observe(now - last_gen_start, blocked, gen_max_staleness);
           last_gen_start = now;
-          last_block_time = space.stats().global_read_block_time;
+          last_block_ns = block_ns->value();
         }
       }
 

@@ -135,10 +135,4 @@ std::string Registry::to_json() const {
   return os.str();
 }
 
-void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 }  // namespace nscc::obs

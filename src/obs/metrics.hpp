@@ -1,13 +1,18 @@
 // Unified metrics registry: named counters, gauges, and log-scale
 // histograms with an optional per-process label.
 //
-// Every subsystem's ad-hoc stats struct (DsmStats, TaskStats, BusStats,
-// WarpMeter, rollback counters) publishes through this one interface, so a
-// driver can dump a single coherent table/CSV/JSON instead of each
-// experiment hand-rolling its own reporting.  Lookups are string-keyed and
-// therefore NOT for the hot path: instrumented code obtains a handle once
-// (references into the registry are stable) and increments through it, or
-// flushes an existing stats struct wholesale at end of run.
+// The registry is where a machine's counters live.  The runtime (rt.*),
+// the DSM (dsm.*), the staleness sanitizer (sanitize.*) and the recovery
+// coordinator (recovery.*) resolve a handle per counter once, when they are
+// built (references into the registry are stable for its lifetime), and
+// increment through it; no copy of those counts exists anywhere else, so a
+// run read before its machine is torn down (a deadlocked run's blocked
+// tasks included) sees every count.  Only the components that are also
+// built on their own (net::SharedBus, net::SwitchFabric,
+// fault::FaultInjector), the warp meter, the network utilisation, the
+// engine's event total and the profiler are copied in at the end of
+// rt::VirtualMachine::run().
+// Lookups are string-keyed and therefore NOT for the hot path.
 #pragma once
 
 #include <cstddef>
@@ -117,7 +122,6 @@ class Registry {
   [[nodiscard]] std::size_t size() const noexcept {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
-  void clear();
 
  private:
   using Key = std::pair<std::string, int>;

@@ -7,6 +7,15 @@
 
 namespace nscc::recovery {
 
+namespace {
+
+/// `vm`'s machine-wide counter `name`.
+obs::Counter& counter(rt::VirtualMachine& vm, const char* name) {
+  return vm.obs().registry().counter(name);
+}
+
+}  // namespace
+
 const char* policy_name(Policy p) noexcept {
   switch (p) {
     case Policy::kNone:
@@ -27,9 +36,28 @@ std::optional<Policy> policy_from_name(const std::string& name) {
 }
 
 Coordinator::Coordinator(rt::VirtualMachine& vm, Config cfg)
-    : vm_(vm), cfg_(cfg) {
+    : vm_(vm),
+      cfg_(cfg),
+      crashes_(counter(vm, "recovery.crashes")),
+      checkpoints_taken_(counter(vm, "recovery.checkpoints_taken")),
+      checkpoint_bytes_(counter(vm, "recovery.checkpoint_bytes")),
+      restores_(counter(vm, "recovery.restores")),
+      cold_restarts_(counter(vm, "recovery.cold_restarts")),
+      rejoins_(counter(vm, "recovery.rejoins")),
+      suspected_(counter(vm, "recovery.suspected")),
+      split_brain_declarations_(
+          counter(vm, "recovery.split_brain_declarations")),
+      detection_latency_ns_(counter(vm, "recovery.detection_latency_ns")),
+      recovery_latency_ns_(counter(vm, "recovery.recovery_latency_ns")),
+      checkpoint_cost_ns_(counter(vm, "recovery.checkpoint_cost_ns")),
+      lost_iterations_(counter(vm, "recovery.lost_iterations")) {
+  if (cfg_.quorum_fraction > 0.0) {
+    quorum_parks_ = &counter(vm, "recovery.quorum_parks");
+    if (cfg_.policy == Policy::kRejoin) {
+      deferred_rejoins_ = &counter(vm, "recovery.deferred_rejoins");
+    }
+  }
   vm_.add_start_hook([this] { on_start(); });
-  vm_.add_flush_hook([this] { flush_obs(); });
   vm_.set_membership(this);
 }
 
@@ -37,6 +65,10 @@ void Coordinator::on_start() {
   const int n = vm_.size();
   const sim::Time now = vm_.engine().now();
   epochs_.assign(static_cast<std::size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    compute_time_.push_back(
+        &vm_.obs().registry().counter("rt.compute_time_ns", i));
+  }
   counted_crash_.assign(static_cast<std::size_t>(n), 0);
   views_.assign(static_cast<std::size_t>(n),
                 std::vector<PeerView>(static_cast<std::size_t>(n),
@@ -51,7 +83,7 @@ void Coordinator::on_start() {
   for (const auto& [node, windows] : vm_.config().fault.crashes) {
     if (node < 0 || node >= n) continue;
     for (const fault::Window& w : windows) {
-      vm_.engine().schedule(w.start, [this] { ++stats_.crashes; });
+      vm_.engine().schedule(w.start, [this] { crashes_.inc(); });
       if (cfg_.policy == Policy::kRejoin) {
         vm_.engine().schedule(w.end, [this, node, w] {
           schedule_respawn(node, w.start);
@@ -81,7 +113,7 @@ void Coordinator::schedule_respawn(int node, sim::Time crash_start) {
       }
     }
     if (reachable < quorum_size()) {
-      ++stats_.deferred_rejoins;
+      deferred_rejoins_->inc();
       vm_.engine().schedule(now + kHeartbeatInterval,
                             [this, node, crash_start] {
                               schedule_respawn(node, crash_start);
@@ -90,8 +122,8 @@ void Coordinator::schedule_respawn(int node, sim::Time crash_start) {
     }
   }
   vm_.respawn_task(node);
-  ++stats_.rejoins;
-  stats_.recovery_latency += now - crash_start;
+  rejoins_.inc();
+  recovery_latency_ns_.inc(static_cast<std::uint64_t>(now - crash_start));
   // Grace period: the detector must not re-suspect the node before its
   // first post-rejoin heartbeat lands.
   for (int i = 0; i < n; ++i) {
@@ -105,9 +137,7 @@ void Coordinator::schedule_respawn(int node, sim::Time crash_start) {
 
 std::uint64_t Coordinator::compute_fingerprint() const {
   std::uint64_t fp = 0;
-  for (int i = 0; i < vm_.size(); ++i) {
-    fp += static_cast<std::uint64_t>(vm_.task(i).stats().compute_time);
-  }
+  for (const obs::Counter* c : compute_time_) fp += c->value();
   return fp;
 }
 
@@ -207,7 +237,7 @@ void Coordinator::judge_peers(sim::Time now) {
         declare_dead(i, j, now);
       } else if (!v.parked) {
         v.parked = true;
-        ++stats_.quorum_parks;
+        quorum_parks_->inc();
         vm_.obs().tracer().instant(i, "recovery.quorum_park", now, "peer",
                                    static_cast<std::int64_t>(j));
       }
@@ -220,7 +250,7 @@ void Coordinator::declare_dead(int observer, int node, sim::Time now) {
                       [static_cast<std::size_t>(node)];
   v.state = PeerState::kDead;
   v.parked = false;
-  ++stats_.suspected;
+  suspected_.inc();
   // Mutual dead declaration: the peer being declared had already declared
   // the observer dead — the membership has split-brained.  A majority
   // quorum (fraction > 0.5) makes this impossible: at most one side of a
@@ -228,7 +258,7 @@ void Coordinator::declare_dead(int observer, int node, sim::Time now) {
   if (views_[static_cast<std::size_t>(node)]
             [static_cast<std::size_t>(observer)]
                 .state == PeerState::kDead) {
-    ++stats_.split_brain_declarations;
+    split_brain_declarations_.inc();
     vm_.obs().tracer().instant(observer, "recovery.split_brain", now, "peer",
                                static_cast<std::int64_t>(node));
   }
@@ -238,7 +268,7 @@ void Coordinator::declare_dead(int observer, int node, sim::Time now) {
   sim::Time& counted = counted_crash_[static_cast<std::size_t>(node)];
   if (crashed > 0 && counted != crashed) {
     counted = crashed;
-    stats_.detection_latency += now - crashed;
+    detection_latency_ns_.inc(static_cast<std::uint64_t>(now - crashed));
   }
   vm_.obs().tracer().instant(observer, "recovery.declare_dead", now, "peer",
                              static_cast<std::int64_t>(node));
@@ -298,7 +328,7 @@ std::int64_t Coordinator::restore(rt::Task& task, const FnCheckpoint& app) {
   if (task.epoch() == 0) return -1;  // Original incarnation: nothing to do.
   const auto it = checkpoints_.find(task.id());
   if (it == checkpoints_.end()) {
-    ++stats_.cold_restarts;
+    cold_restarts_.inc();
     vm_.obs().tracer().instant(task.id(), "recovery.cold_restart", task.now());
     return -1;
   }
@@ -311,10 +341,10 @@ std::int64_t Coordinator::restore(rt::Task& task, const FnCheckpoint& app) {
   rt::Packet state = ck.state;  // The stored snapshot stays pristine.
   state.rewind();
   app.restore_state(state);
-  ++stats_.restores;
+  restores_.inc();
   if (const auto lp = last_progress_.find(task.id());
       lp != last_progress_.end() && lp->second > ck.iteration) {
-    stats_.lost_iterations += lp->second - ck.iteration;
+    lost_iterations_.inc(static_cast<std::uint64_t>(lp->second - ck.iteration));
   }
   vm_.obs().tracer().instant(task.id(), "recovery.restore", task.now(),
                              "iteration", ck.iteration);
@@ -340,9 +370,9 @@ void Coordinator::maybe_checkpoint(rt::Task& task, std::int64_t iteration,
   const auto cost = static_cast<sim::Time>(
       static_cast<double>(kCheckpointFixedCost) +
       kCheckpointCostPerByte * static_cast<double>(bytes));
-  ++stats_.checkpoints_taken;
-  stats_.checkpoint_bytes += bytes;
-  stats_.checkpoint_cost += cost;
+  checkpoints_taken_.inc();
+  checkpoint_bytes_.inc(bytes);
+  checkpoint_cost_ns_.inc(static_cast<std::uint64_t>(cost));
   checkpoints_[task.id()] = std::move(ck);
   vm_.obs().tracer().instant(task.id(), "recovery.checkpoint", task.now(),
                              "iteration", iteration, "bytes",
@@ -388,36 +418,6 @@ bool Coordinator::in_quorum(int observer) const {
 
 std::uint64_t Coordinator::epoch(int node) const {
   return epochs_.empty() ? 0 : epochs_[static_cast<std::size_t>(node)];
-}
-
-void Coordinator::flush_obs() {
-  obs::Registry& reg = vm_.obs().registry();
-  reg.counter("recovery.crashes").inc(stats_.crashes);
-  reg.counter("recovery.checkpoints_taken").inc(stats_.checkpoints_taken);
-  reg.counter("recovery.checkpoint_bytes").inc(stats_.checkpoint_bytes);
-  reg.counter("recovery.restores").inc(stats_.restores);
-  reg.counter("recovery.cold_restarts").inc(stats_.cold_restarts);
-  reg.counter("recovery.rejoins").inc(stats_.rejoins);
-  reg.counter("recovery.suspected").inc(stats_.suspected);
-  if (stats_.quorum_parks > 0) {
-    reg.counter("recovery.quorum_parks").inc(stats_.quorum_parks);
-  }
-  if (stats_.deferred_rejoins > 0) {
-    reg.counter("recovery.deferred_rejoins").inc(stats_.deferred_rejoins);
-  }
-  if (stats_.split_brain_declarations > 0) {
-    reg.counter("recovery.split_brain_declarations")
-        .inc(stats_.split_brain_declarations);
-  }
-  reg.counter("recovery.detection_latency_ns")
-      .inc(static_cast<std::uint64_t>(stats_.detection_latency));
-  reg.counter("recovery.recovery_latency_ns")
-      .inc(static_cast<std::uint64_t>(stats_.recovery_latency));
-  reg.counter("recovery.checkpoint_cost_ns")
-      .inc(static_cast<std::uint64_t>(stats_.checkpoint_cost));
-  // Only ever grows (a restore adds the progress it rolled back).
-  reg.counter("recovery.lost_iterations")
-      .inc(static_cast<std::uint64_t>(stats_.lost_iterations));
 }
 
 }  // namespace nscc::recovery

@@ -125,35 +125,27 @@ struct Checkpoint {
   rt::Packet state;
 };
 
-struct Stats {
-  std::uint64_t crashes = 0;           ///< Stateful crash windows that fired.
-  std::uint64_t checkpoints_taken = 0;
-  std::uint64_t checkpoint_bytes = 0;
-  std::uint64_t restores = 0;          ///< Restarts that found a checkpoint.
-  std::uint64_t cold_restarts = 0;     ///< Restarts that did not.
-  std::uint64_t rejoins = 0;           ///< Respawns scheduled at window end.
-  std::uint64_t suspected = 0;         ///< Dead declarations (one per
-                                       ///< observer and peer).
-  std::uint64_t quorum_parks = 0;      ///< Dead declarations deferred for
-                                       ///< lack of quorum (minority side).
-  std::uint64_t split_brain_declarations = 0;  ///< Mutual dead declarations:
-                                       ///< observer declared a peer dead
-                                       ///< that had already declared the
-                                       ///< observer dead.  Nonzero means
-                                       ///< the membership split-brained.
-  std::uint64_t deferred_rejoins = 0;  ///< Respawns postponed until the
-                                       ///< victim could reach a quorum.
-  sim::Time detection_latency = 0;     ///< Crash->declared, once per dead
-                                       ///< node, at its first declaration.
-  sim::Time recovery_latency = 0;      ///< Sum over rejoins, crash->respawn.
-  sim::Time checkpoint_cost = 0;       ///< Virtual time charged for snapshots.
-  std::int64_t lost_iterations = 0;    ///< Progress rolled back by restores.
-};
-
 /// Machine-level recovery coordinator: failure detector, checkpoint store,
 /// and rejoin scheduler.  Construct after the VM (before run()); it hooks
 /// the VM start to install the heartbeat handler and its detector tick,
 /// and is the VM's rt::Membership until it is destroyed.
+///
+/// Counts into the VM's metrics registry: recovery.crashes (stateful crash
+/// windows that fired), recovery.checkpoints_taken,
+/// recovery.checkpoint_bytes, recovery.restores and
+/// recovery.cold_restarts (restarts that found a checkpoint, and those
+/// that did not), recovery.rejoins (respawns at a window end),
+/// recovery.suspected (dead declarations, one per observer and peer),
+/// recovery.split_brain_declarations (an observer declared dead a peer
+/// that had already declared it dead: the membership split-brained),
+/// recovery.detection_latency_ns (crash to first declaration, once per
+/// crash window), recovery.recovery_latency_ns (crash to respawn, summed
+/// over rejoins), recovery.checkpoint_cost_ns (virtual time charged for
+/// snapshots) and recovery.lost_iterations (progress rolled back by
+/// restores).  Only under a quorum gate: recovery.quorum_parks
+/// (declarations deferred for lack of quorum) and, with rejoin,
+/// recovery.deferred_rejoins (respawns postponed until the victim could
+/// reach a quorum).
 class Coordinator final : public rt::Membership {
  public:
   Coordinator(rt::VirtualMachine& vm, Config cfg);
@@ -221,8 +213,6 @@ class Coordinator final : public rt::Membership {
   /// Latest epoch heard from the node (0 before any restart).
   [[nodiscard]] std::uint64_t epoch(int node) const;
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   /// Per-observer peer state.  kSuspect is a silent peer that the quorum
   /// gate has not let the observer declare yet (or a peer behind an
@@ -244,11 +234,25 @@ class Coordinator final : public rt::Membership {
   [[nodiscard]] int quorum_size() const;
   /// Total virtual compute across all tasks: the progress fingerprint.
   [[nodiscard]] std::uint64_t compute_fingerprint() const;
-  void flush_obs();
 
   rt::VirtualMachine& vm_;
   Config cfg_;
-  Stats stats_;
+  obs::Counter& crashes_;
+  obs::Counter& checkpoints_taken_;
+  obs::Counter& checkpoint_bytes_;
+  obs::Counter& restores_;
+  obs::Counter& cold_restarts_;
+  obs::Counter& rejoins_;
+  obs::Counter& suspected_;
+  obs::Counter& split_brain_declarations_;
+  obs::Counter& detection_latency_ns_;
+  obs::Counter& recovery_latency_ns_;
+  obs::Counter& checkpoint_cost_ns_;
+  obs::Counter& lost_iterations_;
+  obs::Counter* quorum_parks_ = nullptr;      ///< Set under a quorum gate.
+  obs::Counter* deferred_rejoins_ = nullptr;  ///< Set under a gate + rejoin.
+  /// Each task's rt.compute_time_ns, resolved at the run's start.
+  std::vector<const obs::Counter*> compute_time_;
   std::vector<std::vector<PeerView>> views_;  ///< views_[observer][peer].
   std::vector<std::uint64_t> epochs_;
   /// Per node: start of the crash window whose detection latency has been

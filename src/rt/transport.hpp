@@ -101,14 +101,4 @@ class SeqTracker {
   std::set<std::uint64_t> ahead_;
 };
 
-/// Machine-wide transport counters (flushed to the obs registry as rt.*).
-struct TransportStats {
-  std::uint64_t retransmissions = 0;
-  std::uint64_t retx_abandoned = 0;  ///< Frames given up after kMaxTxAttempts.
-  std::uint64_t acks_sent = 0;
-  std::uint64_t dup_frames_dropped = 0;  ///< Receiver-side dedup hits.
-  std::uint64_t crc_drops = 0;  ///< Damaged frames dropped at the NIC.
-  std::uint64_t malformed_frames = 0;  ///< Undetected damage caught parsing.
-};
-
 }  // namespace nscc::rt

@@ -30,6 +30,21 @@ bool tag_matches(int wanted, int tag) noexcept {
 
 // ---- Task -------------------------------------------------------------------
 
+Task::Task(VirtualMachine& vm, int id, util::Xoshiro256 rng)
+    : vm_(vm),
+      id_(id),
+      rng_(rng),
+      messages_sent_(vm.obs_.registry().counter("rt.messages_sent", id)),
+      bytes_sent_(vm.obs_.registry().counter("rt.bytes_sent", id)),
+      messages_received_(
+          vm.obs_.registry().counter("rt.messages_received", id)),
+      backpressure_events_(
+          vm.obs_.registry().counter("rt.backpressure_events", id)),
+      compute_time_ns_(vm.obs_.registry().counter("rt.compute_time_ns", id)),
+      blocked_time_ns_(vm.obs_.registry().counter("rt.blocked_time_ns", id)),
+      backpressure_time_ns_(
+          vm.obs_.registry().counter("rt.backpressure_time_ns", id)) {}
+
 int Task::vm_size() const noexcept { return vm_.size(); }
 
 const std::string& Task::name() const noexcept { return process_->name(); }
@@ -39,7 +54,7 @@ sim::Time Task::now() const noexcept { return vm_.engine_.now(); }
 void Task::compute(sim::Time dt) {
   assert(vm_.engine_.current() == process_ &&
          "compute() must run inside the task's process");
-  stats_.compute_time += dt;
+  compute_time_ns_.inc(static_cast<std::uint64_t>(dt));
   process_->delay(dt);
 }
 
@@ -57,13 +72,13 @@ void Task::send_observed(int dst, int tag, Packet payload,
   const std::uint64_t bytes = payload.byte_size();
   if (window != 0 && in_flight_bytes_ > 0 &&
       in_flight_bytes_ + bytes > window) {
-    ++stats_.send_backpressure_events;
+    backpressure_events_.inc();
     const sim::Time blocked_from = now();
     while (in_flight_bytes_ > 0 && in_flight_bytes_ + bytes > window) {
       waiting_for_window_ = true;
       process_->suspend();
     }
-    stats_.send_backpressure_time += now() - blocked_from;
+    backpressure_time_ns_.inc(static_cast<std::uint64_t>(now() - blocked_from));
     vm_.obs_.tracer().complete(id_, "send.window_wait", blocked_from,
                                now() - blocked_from, "bytes",
                                static_cast<std::int64_t>(bytes));
@@ -128,7 +143,7 @@ std::optional<std::size_t> Task::wait_for(int tag,
     waiting_tag_ = tag;
     const sim::Time blocked_from = now();
     process_->suspend();
-    stats_.blocked_time += now() - blocked_from;
+    blocked_time_ns_.inc(static_cast<std::uint64_t>(now() - blocked_from));
     vm_.obs_.tracer().complete(id_, "recv.wait", blocked_from,
                                now() - blocked_from, "tag", tag);
   }
@@ -136,7 +151,7 @@ std::optional<std::size_t> Task::wait_for(int tag,
 
 Message Task::take(std::size_t index) {
   Message msg = mailbox_.take(index);
-  ++stats_.messages_received;
+  messages_received_.inc();
   compute(vm_.config_.recv_sw_overhead);
   return msg;
 }
@@ -161,7 +176,7 @@ void Task::deliver(Message msg) {
     // Engine-context consumer (DSM request daemon): the message never
     // touches the mailbox, so it is served even while the task body is
     // blocked in a barrier or Global_Read.
-    ++stats_.messages_received;
+    messages_received_.inc();
     h->second(std::move(msg));
     return;
   }
@@ -258,8 +273,8 @@ void VirtualMachine::post(int src, int dst, int tag, Packet payload,
   if (is_ack) {
     st->window_released = true;
   } else {
-    ++sender->stats_.messages_sent;
-    sender->stats_.bytes_sent += st->payload_bytes;
+    sender->messages_sent_.inc();
+    sender->bytes_sent_.inc(st->payload_bytes);
     sender->in_flight_bytes_ += st->payload_bytes;
     obs_.tracer().instant(src, "msg.send", engine_.now(), "dst", dst, "bytes",
                           st->payload_bytes);
@@ -355,7 +370,7 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
       // The receiver's NIC catches the damage: discard the frame exactly
       // as if the wire had lost it.  A best-effort frame settles as
       // undelivered; a reliable one is recovered by the retransmit timer.
-      ++transport_stats_.crc_drops;
+      crc_drops_.inc();
       obs_.tracer().instant(st->dst, "rt.crc_drop", at, "src", st->msg.src,
                             "tag", st->msg.tag);
       if (!st->reliable) settle(st, false);
@@ -373,7 +388,7 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
     if (p.remaining() < sizeof(std::uint64_t)) {
       // A corrupted ACK cut below its sequence number carries nothing
       // usable; the data frame's retransmit timer re-elicits one.
-      ++transport_stats_.malformed_frames;
+      malformed_frames_.inc();
       settle(st, true);
       return;
     }
@@ -396,7 +411,7 @@ void VirtualMachine::deliver_frame(const TxRef& st, sim::Time at,
             st->msg.seq)) {
       // Replay (a retransmit racing the original or its lost ACK): drop
       // after re-ACKing so the sender still learns of delivery.
-      ++transport_stats_.dup_frames_dropped;
+      dup_frames_dropped_.inc();
       return;
     }
   }
@@ -456,7 +471,7 @@ void VirtualMachine::arm_retx_timer(const TxRef& st) {
         st->retx_timer = 0;
         if (st->settled) return;
         if (st->attempts >= kMaxTxAttempts) {
-          ++transport_stats_.retx_abandoned;
+          retx_abandoned_.inc();
           obs_.tracer().instant(st->msg.src, "rt.retx_abandon", engine_.now(),
                                 "dst", st->dst, "seq",
                                 static_cast<std::int64_t>(st->msg.seq));
@@ -467,7 +482,7 @@ void VirtualMachine::arm_retx_timer(const TxRef& st) {
           return;
         }
         ++st->attempts;
-        ++transport_stats_.retransmissions;
+        retransmissions_.inc();
         obs_.tracer().instant(st->msg.src, "rt.retx", engine_.now(), "dst",
                               st->dst, "seq",
                               static_cast<std::int64_t>(st->msg.seq));
@@ -486,7 +501,7 @@ void VirtualMachine::arm_retx_timer(const TxRef& st) {
 }
 
 void VirtualMachine::send_ack(int from, int to, std::uint64_t seq) {
-  ++transport_stats_.acks_sent;
+  acks_sent_.inc();
   Packet p = packets_.acquire();
   p.pack_u64(seq);
   post(from, to, kAckTag, std::move(p), {}, Reliability::kBestEffort);
@@ -541,7 +556,13 @@ VirtualMachine::VirtualMachine(MachineConfig config)
     : config_(config),
       obs_(config.obs),
       bus_(engine_, config.bus),
-      warp_(config.ntasks) {
+      warp_(config.ntasks),
+      retransmissions_(obs_.registry().counter("rt.retransmissions")),
+      retx_abandoned_(obs_.registry().counter("rt.retx_abandoned")),
+      acks_sent_(obs_.registry().counter("rt.acks_sent")),
+      dup_frames_dropped_(obs_.registry().counter("rt.dup_frames_dropped")),
+      crc_drops_(obs_.registry().counter("rt.crc_drops")),
+      malformed_frames_(obs_.registry().counter("rt.malformed_frames")) {
   if (config_.ntasks < 1) {
     throw std::invalid_argument("VirtualMachine needs at least one task");
   }
@@ -606,21 +627,11 @@ VirtualMachine::~VirtualMachine() {
 }
 
 void VirtualMachine::flush_stats() {
+  // What the runtime, the DSM, the sanitizer and the recovery coordinator
+  // count is already in the registry.  This adds what components that are
+  // also built on their own keep in their stats structs (bus, switch,
+  // fault injector), the end-of-run gauges and the engine's totals.
   obs::Registry& reg = obs_.registry();
-  for (const auto& t : tasks_) {
-    const TaskStats& s = t->stats_;
-    const int pid = t->id();
-    reg.counter("rt.messages_sent", pid).inc(s.messages_sent);
-    reg.counter("rt.bytes_sent", pid).inc(s.bytes_sent);
-    reg.counter("rt.messages_received", pid).inc(s.messages_received);
-    reg.counter("rt.backpressure_events", pid).inc(s.send_backpressure_events);
-    reg.counter("rt.compute_time_ns", pid)
-        .inc(static_cast<std::uint64_t>(s.compute_time));
-    reg.counter("rt.blocked_time_ns", pid)
-        .inc(static_cast<std::uint64_t>(s.blocked_time));
-    reg.counter("rt.backpressure_time_ns", pid)
-        .inc(static_cast<std::uint64_t>(s.send_backpressure_time));
-  }
   const net::BusStats& bs = bus_.stats();
   reg.counter("net.frames_sent").inc(bs.frames_sent);
   reg.counter("net.payload_bytes").inc(bs.payload_bytes);
@@ -633,13 +644,6 @@ void VirtualMachine::flush_stats() {
     reg.counter("net.switch.tx_busy_time_ns")
         .inc(static_cast<std::uint64_t>(ss.tx_busy_time));
   }
-  reg.counter("rt.retransmissions").inc(transport_stats_.retransmissions);
-  reg.counter("rt.retx_abandoned").inc(transport_stats_.retx_abandoned);
-  reg.counter("rt.acks_sent").inc(transport_stats_.acks_sent);
-  reg.counter("rt.dup_frames_dropped")
-      .inc(transport_stats_.dup_frames_dropped);
-  reg.counter("rt.crc_drops").inc(transport_stats_.crc_drops);
-  reg.counter("rt.malformed_frames").inc(transport_stats_.malformed_frames);
   if (injector_) {
     const fault::FaultStats& fs = injector_->stats();
     reg.counter("fault.frames_judged").inc(fs.frames_judged);
@@ -650,14 +654,12 @@ void VirtualMachine::flush_stats() {
     reg.counter("fault.blackhole_drops").inc(fs.blackhole_drops);
     reg.counter("fault.frames_corrupted").inc(fs.frames_corrupted);
   }
-  if (sanitizer_) sanitizer_->flush(reg);
   reg.gauge("net.utilization").set(network_utilization());
   reg.gauge("warp.mean").set(warp_.samples() > 0 ? warp_.overall().mean()
                                                  : 0.0);
   reg.counter("warp.samples").inc(warp_.samples());
   reg.counter("sim.events_executed").inc(engine_.events_executed());
   if (engine_.profiler() != nullptr) engine_.profiler()->flush(reg);
-  for (const auto& hook : flush_hooks_) hook();
 }
 
 void VirtualMachine::add_task(std::string name,
@@ -711,9 +713,10 @@ sim::Time VirtualMachine::run(sim::Time until) {
   if (obs::Profiler* prof = engine_.profiler(); prof != nullptr) {
     prof->finish_run(engine_.events_executed());
   }
-  // Counters are published on every run: the registry is where run
-  // results are read from (harness::RunStats::from_registry), observed or
-  // not.  Only the sampler row and the file outputs are observer work.
+  // The end-of-run totals are published on every run: the registry is
+  // where run results are read from (harness::RunStats::from_registry),
+  // observed or not.  Only the sampler row and the file outputs are
+  // observer work.
   flush_stats();
   if (obs_.active()) {
     obs_.sampler().sample_now(end);  // Final row at the completion time.

@@ -113,16 +113,6 @@ struct MachineConfig {
   sanitize::Options sanitize;
 };
 
-struct TaskStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t messages_received = 0;
-  std::uint64_t send_backpressure_events = 0;
-  sim::Time compute_time = 0;
-  sim::Time blocked_time = 0;
-  sim::Time send_backpressure_time = 0;
-};
-
 class VirtualMachine;
 
 /// The machine's membership view: the one seam through which the DSM and
@@ -158,7 +148,6 @@ class Task {
   [[nodiscard]] sim::Time now() const noexcept;
   [[nodiscard]] util::Xoshiro256& rng() noexcept { return rng_; }
   [[nodiscard]] VirtualMachine& vm() noexcept { return vm_; }
-  [[nodiscard]] const TaskStats& stats() const noexcept { return stats_; }
   /// Incarnation number: 0 until the task's first crash-restart.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
@@ -226,8 +215,7 @@ class Task {
 
  private:
   friend class VirtualMachine;
-  Task(VirtualMachine& vm, int id, util::Xoshiro256 rng)
-      : vm_(vm), id_(id), rng_(rng) {}
+  Task(VirtualMachine& vm, int id, util::Xoshiro256 rng);
 
   /// The one receive wait: the mailbox index of the first `tag` match,
   /// waiting for one without a watchdog, or under one that gives up after a
@@ -256,7 +244,15 @@ class Task {
   bool waiting_for_window_ = false;
   std::unordered_map<int, std::function<void(Message)>> tag_handlers_;
   std::vector<SeqTracker> rx_seq_;  ///< Per-source duplicate filters.
-  TaskStats stats_;
+  /// This task's rt.* counters in the machine's registry (labelled with
+  /// the task id).  A respawned incarnation keeps counting into them.
+  obs::Counter& messages_sent_;
+  obs::Counter& bytes_sent_;
+  obs::Counter& messages_received_;
+  obs::Counter& backpressure_events_;
+  obs::Counter& compute_time_ns_;
+  obs::Counter& blocked_time_ns_;
+  obs::Counter& backpressure_time_ns_;
 };
 
 class VirtualMachine {
@@ -310,11 +306,6 @@ class VirtualMachine {
     start_hooks_.push_back(std::move(hook));
   }
 
-  /// Hook run when run() flushes subsystem counters into the obs registry.
-  void add_flush_hook(std::function<void()> hook) {
-    flush_hooks_.push_back(std::move(hook));
-  }
-
   /// The machine's membership view; null (the default) presumes every task
   /// alive.  The recovery coordinator installs itself here, so an abandoned
   /// retransmission is a membership signal, not a silent counter bump.
@@ -334,9 +325,11 @@ class VirtualMachine {
   /// The machine's free list of packet buffers: DSM frames and published
   /// values, and transport ACKs, draw here and return here.  Starts empty.
   [[nodiscard]] PacketPool& packets() noexcept { return packets_; }
-  /// Observability hub (metrics registry, tracer, sampler).  run() flushes
-  /// every subsystem's counters into the registry and writes the configured
-  /// trace/metrics outputs before returning.
+  /// Observability hub (metrics registry, tracer, sampler).  The runtime,
+  /// the DSM, the sanitizer and the recovery coordinator count straight
+  /// into the registry; run() adds the interconnect, fault-injector and
+  /// engine totals and writes the configured trace/metrics outputs before
+  /// returning.
   [[nodiscard]] obs::Hub& obs() noexcept { return obs_; }
   [[nodiscard]] const obs::Hub& obs() const noexcept { return obs_; }
   [[nodiscard]] const MachineConfig& config() const noexcept { return config_; }
@@ -349,9 +342,6 @@ class VirtualMachine {
   /// configured FaultPlan is empty.
   [[nodiscard]] fault::FaultInjector* fault_injector() noexcept {
     return injector_.get();
-  }
-  [[nodiscard]] const TransportStats& transport_stats() const noexcept {
-    return transport_stats_;
   }
   /// The machine's staleness sanitizer, or nullptr when --sanitize=off.
   [[nodiscard]] sanitize::Sanitizer* sanitizer() noexcept {
@@ -467,7 +457,13 @@ class VirtualMachine {
   /// stamping so corruption-free runs do not pay the checksum cost.
   bool may_corrupt_ = false;
   warp::WarpMeter warp_;
-  TransportStats transport_stats_;
+  /// Machine-wide transport counters (rt.*) in the registry.
+  obs::Counter& retransmissions_;
+  obs::Counter& retx_abandoned_;  ///< Frames given up after kMaxTxAttempts.
+  obs::Counter& acks_sent_;
+  obs::Counter& dup_frames_dropped_;  ///< Receiver-side dedup hits.
+  obs::Counter& crc_drops_;  ///< Damaged frames dropped at the NIC.
+  obs::Counter& malformed_frames_;  ///< Undetected damage caught parsing.
   /// Last sequence number per (src,dst) reliable stream, indexed by
   /// link(src, dst); the first frame gets 1.
   std::vector<std::uint64_t> tx_seq_;
@@ -476,7 +472,6 @@ class VirtualMachine {
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<std::pair<std::string, std::function<void(Task&)>>> bodies_;
   std::vector<std::function<void()>> start_hooks_;
-  std::vector<std::function<void()>> flush_hooks_;
   Membership* membership_ = nullptr;
 };
 

@@ -64,19 +64,36 @@ ToleranceRule ToleranceSpec::rule_for(LocationId loc) const noexcept {
 }
 
 Sanitizer::Sanitizer(Options options, obs::Hub& hub)
-    : opt_(std::move(options)), hub_(hub) {
+    : opt_(std::move(options)),
+      hub_(hub),
+      writes_recorded_(hub.registry().counter("sanitize.writes_recorded")),
+      reads_audited_(hub.registry().counter("sanitize.reads_audited")),
+      shadow_evictions_(hub.registry().counter("sanitize.shadow_evictions")),
+      checksum_unverified_(
+          hub.registry().counter("sanitize.checksum_unverified")) {
   if (opt_.shadow_depth == 0) opt_.shadow_depth = 1;
+  for (int k = 0; k < kViolationKinds; ++k) {
+    violations_[k] = &hub.registry().counter(
+        std::string("sanitize.violations.") +
+        violation_name(static_cast<ViolationKind>(k)));
+  }
+}
+
+std::uint64_t Sanitizer::violations() const noexcept {
+  std::uint64_t n = 0;
+  for (const obs::Counter* c : violations_) n += c->value();
+  return n;
 }
 
 void Sanitizer::record_write(int writer, LocationId loc, Iteration iter,
                              std::uint32_t checksum, std::uint32_t bytes,
                              sim::Time at) {
-  ++stats_.writes_recorded;
+  writes_recorded_.inc();
   auto& log = shadow_[loc];
   log.push_back(ShadowWrite{iter, checksum, bytes, writer, at});
   while (log.size() > opt_.shadow_depth) {
     log.pop_front();
-    ++stats_.shadow_evictions;
+    shadow_evictions_.inc();
   }
 }
 
@@ -84,7 +101,7 @@ void Sanitizer::audit_read(int reader, LocationId loc, Iteration curr_iter,
                            Iteration declared_age, bool valid, bool degraded,
                            Iteration value_iter, std::uint32_t checksum,
                            sim::Time at) {
-  ++stats_.reads_audited;
+  reads_audited_.inc();
   const ToleranceRule rule = opt_.spec.rule_for(loc);
 
   if (!valid) {
@@ -147,7 +164,7 @@ void Sanitizer::audit_read(int reader, LocationId loc, Iteration curr_iter,
     }
   }
   if (!found) {
-    ++stats_.checksum_unverified;
+    checksum_unverified_.inc();
   } else if (!matched) {
     flag(ViolationKind::kChecksum, reader, loc, curr_iter, value_iter, -1, at);
   }
@@ -156,7 +173,7 @@ void Sanitizer::audit_read(int reader, LocationId loc, Iteration curr_iter,
 void Sanitizer::flag(ViolationKind kind, int reader, LocationId loc,
                      Iteration curr_iter, Iteration value_iter,
                      Iteration limit, sim::Time at) {
-  ++stats_.violations[static_cast<int>(kind)];
+  violations_[static_cast<int>(kind)]->inc();
   if (recorded_.size() < opt_.max_recorded) {
     recorded_.push_back(
         Violation{kind, reader, loc, curr_iter, value_iter, limit, at});
@@ -165,36 +182,22 @@ void Sanitizer::flag(ViolationKind kind, int reader, LocationId loc,
                         static_cast<int>(kind));
 }
 
-void Sanitizer::flush(obs::Registry& registry) const {
-  registry.counter("sanitize.writes_recorded").inc(stats_.writes_recorded);
-  registry.counter("sanitize.reads_audited").inc(stats_.reads_audited);
-  registry.counter("sanitize.shadow_evictions").inc(stats_.shadow_evictions);
-  registry.counter("sanitize.checksum_unverified")
-      .inc(stats_.checksum_unverified);
-  for (int k = 0; k < kViolationKinds; ++k) {
-    registry
-        .counter(std::string("sanitize.violations.") +
-                 violation_name(static_cast<ViolationKind>(k)))
-        .inc(stats_.violations[k]);
-  }
-}
-
 void Sanitizer::report(std::ostream& out) const {
-  const std::uint64_t total = stats_.total_violations();
+  const std::uint64_t total = violations();
   if (total == 0) {
     out << "[sanitize:" << level_name(opt_.level) << "] clean: "
-        << stats_.reads_audited << " reads audited, "
-        << stats_.writes_recorded << " writes shadowed, 0 violations\n";
+        << reads_audited_.value() << " reads audited, "
+        << writes_recorded_.value() << " writes shadowed, 0 violations\n";
     return;
   }
   out << "[sanitize:" << level_name(opt_.level) << "] " << total
-      << " violation(s) in " << stats_.reads_audited << " audited reads (";
+      << " violation(s) in " << reads_audited_.value() << " audited reads (";
   bool first = true;
   for (int k = 0; k < kViolationKinds; ++k) {
-    if (stats_.violations[k] == 0) continue;
+    const std::uint64_t n = violations_[k]->value();
+    if (n == 0) continue;
     if (!first) out << ", ";
-    out << violation_name(static_cast<ViolationKind>(k)) << "="
-        << stats_.violations[k];
+    out << violation_name(static_cast<ViolationKind>(k)) << "=" << n;
     first = false;
   }
   out << ")\n";

@@ -12,9 +12,10 @@
 //    (writer, iteration, virtual time, payload checksum) and audits every
 //    DSM read against both the read's own declared age bound and the
 //    contract.
-//  * Violations increment obs counters, emit trace events, and are printed
-//    in an end-of-run report; under --sanitize=strict the harness driver
-//    turns any violation into a nonzero exit.
+//  * Violations increment the sanitize.* counters in the machine's metrics
+//    registry, emit trace events, and are printed in an end-of-run report;
+//    under --sanitize=strict the harness driver turns any violation into a
+//    nonzero exit.
 //
 // Layering: sanitize sits below rt (rt::VirtualMachine owns the machine's
 // Sanitizer and dsm::SharedSpace feeds it), so this header may depend only
@@ -112,23 +113,6 @@ struct Violation {
   sim::Time at = 0;
 };
 
-struct SanitizeStats {
-  std::uint64_t writes_recorded = 0;
-  std::uint64_t reads_audited = 0;
-  /// Shadow-log entries evicted by the depth bound.
-  std::uint64_t shadow_evictions = 0;
-  /// Reads whose iteration had already fallen off the bounded shadow log,
-  /// so the checksum could not be cross-checked (not a violation).
-  std::uint64_t checksum_unverified = 0;
-  std::uint64_t violations[kViolationKinds] = {};
-
-  [[nodiscard]] std::uint64_t total_violations() const noexcept {
-    std::uint64_t n = 0;
-    for (auto v : violations) n += v;
-    return n;
-  }
-};
-
 struct Options {
   Level level = Level::kOff;
   /// Shadow-log depth per location; bounds sanitizer memory to
@@ -141,6 +125,12 @@ struct Options {
   [[nodiscard]] bool enabled() const noexcept { return level != Level::kOff; }
 };
 
+/// Counts into `hub`'s registry: sanitize.writes_recorded,
+/// sanitize.reads_audited, sanitize.shadow_evictions (shadow-log entries
+/// evicted by the depth bound), sanitize.checksum_unverified (reads whose
+/// iteration had already fallen off the bounded shadow log, so the checksum
+/// could not be cross-checked; not a violation) and one
+/// sanitize.violations.<kind> per ViolationKind.
 class Sanitizer {
  public:
   Sanitizer(Options options, obs::Hub& hub);
@@ -157,16 +147,11 @@ class Sanitizer {
                   Iteration value_iter, std::uint32_t checksum, sim::Time at);
 
   [[nodiscard]] const Options& options() const noexcept { return opt_; }
-  [[nodiscard]] const SanitizeStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::uint64_t violations() const noexcept {
-    return stats_.total_violations();
-  }
+  /// Violations of every kind so far.
+  [[nodiscard]] std::uint64_t violations() const noexcept;
   [[nodiscard]] const std::vector<Violation>& recorded() const noexcept {
     return recorded_;
   }
-
-  /// Flush counters into the obs registry (sanitize.* counters).
-  void flush(obs::Registry& registry) const;
 
   /// End-of-run violation report (one line when clean).
   void report(std::ostream& out) const;
@@ -187,7 +172,11 @@ class Sanitizer {
   Options opt_;
   obs::Hub& hub_;
   std::map<LocationId, std::deque<ShadowWrite>> shadow_;
-  SanitizeStats stats_;
+  obs::Counter& writes_recorded_;
+  obs::Counter& reads_audited_;
+  obs::Counter& shadow_evictions_;
+  obs::Counter& checksum_unverified_;
+  obs::Counter* violations_[kViolationKinds] = {};
   std::vector<Violation> recorded_;
 };
 

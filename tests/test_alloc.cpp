@@ -115,7 +115,6 @@ TEST(AllocBudget, ApplyUpdateAllocatesNothing) {
   machine.ntasks = 2;
   nscc::rt::VirtualMachine vm(machine);
   constexpr int kBurst = 200;
-  std::uint64_t applied = 0;
   std::uint64_t spent = 0;
   vm.add_task("writer", [&](nscc::rt::Task& t) {
     nscc::dsm::SharedSpace space(t);
@@ -134,11 +133,11 @@ TEST(AllocBudget, ApplyUpdateAllocatesNothing) {
     const std::uint64_t before = allocs();
     space.poll();
     spent = allocs() - before;
-    applied = space.stats().updates_applied;
   });
   vm.run();
   ASSERT_FALSE(vm.deadlocked());
-  ASSERT_EQ(applied, 2u * kBurst);
+  ASSERT_EQ(vm.obs().registry().counter_value("dsm.updates_applied", 1),
+            2u * kBurst);
   EXPECT_EQ(spent, 0u) << spent << " allocations for " << kBurst
                        << " applied updates";
 }
@@ -160,7 +159,6 @@ TEST(AllocBudget, CoalescedFanOutAllocatesNothing) {
   constexpr std::uint32_t kBytes = 2712;
   std::uint64_t before = 0;
   std::uint64_t spent = 0;
-  std::uint64_t coalesced = 0;
   int readers_done = 0;
   vm.add_task("writer", [&](nscc::rt::Task& t) {
     nscc::dsm::SharedSpace space(t, policy);
@@ -170,7 +168,6 @@ TEST(AllocBudget, CoalescedFanOutAllocatesNothing) {
       space.write(1, i, payload_of(kBytes, t.vm().packets().acquire()));
       t.compute(kMillisecond);
     }
-    coalesced = space.stats().updates_coalesced;
     t.compute(10000 * kMillisecond);  // Outlive the measured window.
   });
   for (int r = 1; r <= 4; ++r) {
@@ -185,7 +182,8 @@ TEST(AllocBudget, CoalescedFanOutAllocatesNothing) {
   vm.run();
   ASSERT_FALSE(vm.deadlocked());
   ASSERT_EQ(readers_done, 4);
-  EXPECT_GT(coalesced, 0u) << "the stash-and-resend path ran";
+  EXPECT_GT(vm.obs().registry().counter_value("dsm.updates_coalesced", 0), 0u)
+      << "the stash-and-resend path ran";
   EXPECT_EQ(spent, 0u) << spent << " allocations for " << kLast - kWarm
                        << " writes to four readers";
 }
@@ -203,8 +201,6 @@ TEST(AllocBudget, ParkedReleaseBurstFlushesWithoutAllocating) {
   policy.consistency = "release-acquire";
   constexpr int kBurst = 200;
   std::uint64_t spent = 0;
-  std::uint64_t parked = 0;
-  std::uint64_t flushed = 0;
   vm.add_task("writer", [&](nscc::rt::Task& t) {
     nscc::dsm::SharedSpace space(t, policy);
     space.declare_written(1, {1});
@@ -224,13 +220,14 @@ TEST(AllocBudget, ParkedReleaseBurstFlushesWithoutAllocating) {
     space.poll();
     (void)space.global_read(1, 2 * kBurst - 1, 0);
     spent = allocs() - before;
-    parked = space.stats().updates_parked;
-    flushed = space.stats().updates_flushed;
   });
   vm.run();
   ASSERT_FALSE(vm.deadlocked());
-  ASSERT_EQ(parked, 2u * kBurst);
-  ASSERT_EQ(flushed, 2u * kBurst);
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  ASSERT_EQ(reg.counter_value("dsm.consistency.updates_parked", 1),
+            2u * kBurst);
+  ASSERT_EQ(reg.counter_value("dsm.consistency.updates_flushed", 1),
+            2u * kBurst);
   EXPECT_EQ(spent, 0u) << spent << " allocations to park and flush "
                        << kBurst << " updates";
 }

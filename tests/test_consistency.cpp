@@ -4,6 +4,8 @@
 // eventual non-blocking) on a live SharedSpace.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,6 +44,11 @@ Packet value_of(double x) {
   Packet p;
   p.pack_double(x);
   return p;
+}
+
+/// Task `t`'s counter `name` in the machine's registry, so far.
+std::uint64_t count(Task& t, const char* name) {
+  return t.vm().obs().registry().counter_value(name, t.id());
 }
 
 double as_double(const SharedSpace::Value& v) {
@@ -181,11 +188,11 @@ TEST(ReleaseAcquireModel, UpdatesInvisibleUntilAcquire) {
     // Let both updates arrive while we are between acquire points.
     t.compute(4 * kMillisecond);
     dsm.poll();  // Drains the mailbox into the parked log — NOT an acquire.
-    before = dsm.stats().updates_applied > 0 ? 1.0 : 0.0;
-    parked = dsm.stats().updates_parked;
+    before = count(t, "dsm.updates_applied") > 0 ? 1.0 : 0.0;
+    parked = count(t, "dsm.consistency.updates_parked");
     const auto& v = dsm.read(7);  // Acquire point: parked updates publish.
     after = as_double(v);
-    flushed = dsm.stats().updates_flushed;
+    flushed = count(t, "dsm.consistency.updates_flushed");
   });
   vm.run();
   EXPECT_FALSE(vm.deadlocked());
@@ -259,7 +266,7 @@ TEST(EventualModel, GlobalReadDoesNotBlockOnStaleness) {
     // Demands iteration 50 under nonstrict; eventual serves iteration 0.
     const auto& v = dsm.global_read(5, 50, 0);
     valid = v.valid;
-    blocks = dsm.stats().global_read_blocks;
+    blocks = count(t, "dsm.global_read_blocks");
   });
   vm.run();
   EXPECT_FALSE(vm.deadlocked());
@@ -303,8 +310,8 @@ TEST(ConsistencyMatrix, EveryModelCompletesProducerConsumer) {
 // The default model is byte-identical to a policy that never mentions
 // consistency: same stats, same values, same timings.
 TEST(ConsistencyMatrix, NonstrictIsByteIdenticalToDefault) {
-  auto run = [](const char* model, nscc::dsm::DsmStats& out,
-                nscc::sim::Time& end) {
+  using Counts = std::map<std::string, std::uint64_t>;
+  auto run = [](const char* model, Counts& out, nscc::sim::Time& end) {
     VirtualMachine vm(fast_config(2));
     vm.add_task("writer", [&](Task& t) {
       PropagationPolicy p;
@@ -325,25 +332,31 @@ TEST(ConsistencyMatrix, NonstrictIsByteIdenticalToDefault) {
         (void)dsm.global_read(4, i, 1);
         t.compute(kMillisecond / 2);
       }
-      out = dsm.stats();
       end = t.now();
     });
     vm.run();
     EXPECT_FALSE(vm.deadlocked());
+    for (const char* name :
+         {"dsm.global_reads", "dsm.global_read_blocks",
+          "dsm.global_read_block_time_ns", "dsm.updates_applied",
+          "dsm.consistency.updates_parked"}) {
+      out[name] = vm.obs().registry().counter_value(name, 1);
+    }
   };
-  nscc::dsm::DsmStats a;
-  nscc::dsm::DsmStats b;
+  Counts a;
+  Counts b;
   nscc::sim::Time end_a = 0;
   nscc::sim::Time end_b = 0;
   run(nullptr, a, end_a);
   run("nonstrict", b, end_b);
   EXPECT_EQ(end_a, end_b);
-  EXPECT_EQ(a.global_reads, b.global_reads);
-  EXPECT_EQ(a.global_read_blocks, b.global_read_blocks);
-  EXPECT_EQ(a.global_read_block_time, b.global_read_block_time);
-  EXPECT_EQ(a.updates_applied, b.updates_applied);
-  EXPECT_EQ(a.updates_parked, 0u);
-  EXPECT_EQ(b.updates_parked, 0u);
+  EXPECT_EQ(a["dsm.global_reads"], b["dsm.global_reads"]);
+  EXPECT_EQ(a["dsm.global_read_blocks"], b["dsm.global_read_blocks"]);
+  EXPECT_EQ(a["dsm.global_read_block_time_ns"],
+            b["dsm.global_read_block_time_ns"]);
+  EXPECT_EQ(a["dsm.updates_applied"], b["dsm.updates_applied"]);
+  EXPECT_EQ(a["dsm.consistency.updates_parked"], 0u);
+  EXPECT_EQ(b["dsm.consistency.updates_parked"], 0u);
 }
 
 }  // namespace

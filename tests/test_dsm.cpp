@@ -4,6 +4,7 @@
 // and the DSM statistics the experiments report.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,11 @@ Packet value_of(double x) {
   Packet p;
   p.pack_double(x);
   return p;
+}
+
+/// Task `pid`'s counter `name` in `vm`'s registry.
+std::uint64_t count(const VirtualMachine& vm, const char* name, int pid) {
+  return vm.obs().registry().counter_value(name, pid);
 }
 
 double as_double(const SharedSpace::Value& v) {
@@ -207,7 +213,6 @@ TEST(SharedSpace, StaleUpdatesAreDropped) {
   // Out-of-order application: a newer value must never be overwritten by an
   // older in-flight one (here forced via a local write racing the network).
   VirtualMachine vm(fast_config(2));
-  std::uint64_t stale_drops = 0;
   Iteration final_iter = -1;
   vm.add_task("writer", [](Task& t) {
     SharedSpace dsm(t);
@@ -225,12 +230,11 @@ TEST(SharedSpace, StaleUpdatesAreDropped) {
     // arrived first, in order) did not regress the copy.
     dsm.poll();
     EXPECT_EQ(dsm.local_iteration(1), 5);
-    stale_drops = dsm.stats().updates_stale_dropped;
   });
   vm.run();
   EXPECT_EQ(final_iter, 5);
   // FIFO bus: iteration 0 arrives first and is applied, then 5. No drops.
-  EXPECT_EQ(stale_drops, 0u);
+  EXPECT_EQ(count(vm, "dsm.updates_stale_dropped", 1), 0u);
 }
 
 TEST(SharedSpace, UndeclaredAccessThrows) {
@@ -285,9 +289,6 @@ TEST(SharedSpace, CoalescingMergesBurstsOfWrites) {
   cfg.bus.bandwidth_bps = 100e3;
   PropagationPolicy coalesce{.coalesce = true};
   VirtualMachine vm(cfg);
-  std::uint64_t sent = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t writes = 0;
   Iteration reader_final = -1;
   vm.add_task("writer", [&](Task& t) {
     SharedSpace dsm(t, coalesce);
@@ -297,9 +298,6 @@ TEST(SharedSpace, CoalescingMergesBurstsOfWrites) {
       t.compute(100 * nscc::sim::kMicrosecond);
     }
     t.compute(200 * kMillisecond);  // Let deliveries drain.
-    sent = dsm.stats().updates_sent;
-    coalesced = dsm.stats().updates_coalesced;
-    writes = dsm.stats().writes;
   });
   vm.add_task("reader", [&](Task& t) {
     SharedSpace dsm(t);
@@ -310,9 +308,10 @@ TEST(SharedSpace, CoalescingMergesBurstsOfWrites) {
   });
   vm.run();
   EXPECT_FALSE(vm.deadlocked());
-  EXPECT_EQ(writes, 50u);
-  EXPECT_LT(sent, 50u);          // Bursts merged.
-  EXPECT_GT(coalesced, 0u);      // Some intermediate values skipped.
+  EXPECT_EQ(count(vm, "dsm.writes", 0), 50u);
+  EXPECT_LT(count(vm, "dsm.updates_sent", 0), 50u);  // Bursts merged.
+  // Some intermediate values skipped.
+  EXPECT_GT(count(vm, "dsm.updates_coalesced", 0), 0u);
   EXPECT_EQ(reader_final, 49);   // Latest value still arrives.
 }
 
@@ -320,14 +319,12 @@ TEST(SharedSpace, WithoutCoalescingEveryWriteIsSent) {
   auto cfg = fast_config(2);
   cfg.bus.bandwidth_bps = 100e3;
   VirtualMachine vm(cfg);
-  std::uint64_t sent = 0;
   vm.add_task("writer", [&](Task& t) {
     SharedSpace dsm(t);
     dsm.declare_written(1, {1});
     for (Iteration i = 0; i < 20; ++i) {
       dsm.write(1, i, value_of(0.0));
     }
-    sent = dsm.stats().updates_sent;
   });
   vm.add_task("reader", [](Task& t) {
     SharedSpace dsm(t);
@@ -335,7 +332,7 @@ TEST(SharedSpace, WithoutCoalescingEveryWriteIsSent) {
     (void)dsm.global_read(1, 19, 0);
   });
   vm.run();
-  EXPECT_EQ(sent, 20u);
+  EXPECT_EQ(count(vm, "dsm.updates_sent", 0), 20u);
 }
 
 TEST(SharedSpace, MultipleReadersAllReceive) {
@@ -391,7 +388,6 @@ TEST(SharedSpace, MultipleLocationsAreIndependent) {
 
 TEST(SharedSpace, StatsTrackBlocksAndStaleness) {
   VirtualMachine vm(fast_config(2));
-  nscc::dsm::DsmStats snap;
   vm.add_task("writer", [](Task& t) {
     SharedSpace dsm(t);
     dsm.declare_written(1, {1});
@@ -404,22 +400,24 @@ TEST(SharedSpace, StatsTrackBlocksAndStaleness) {
     dsm.declare_read(1, 0);
     (void)dsm.global_read(1, 0, 0);  // Blocks ~10ms.
     (void)dsm.global_read(1, 2, 5);  // Satisfied, staleness 2.
-    snap = dsm.stats();
   });
   vm.run();
-  EXPECT_EQ(snap.global_reads, 2u);
-  EXPECT_EQ(snap.global_read_blocks, 1u);
-  EXPECT_GE(snap.global_read_block_time, 10 * kMillisecond);
-  ASSERT_NE(snap.staleness_on_read, nullptr);
-  EXPECT_EQ(snap.staleness_on_read->count(), 2u);
-  EXPECT_DOUBLE_EQ(snap.staleness_on_read->max(), 2.0);
-  // DsmStats reads from the obs registry, so the machine-wide histogram is
-  // the same accounting and can never disagree with the per-task view.
+  EXPECT_EQ(count(vm, "dsm.global_reads", 1), 2u);
+  EXPECT_EQ(count(vm, "dsm.global_read_blocks", 1), 1u);
+  EXPECT_GE(count(vm, "dsm.global_read_block_time_ns", 1),
+            static_cast<std::uint64_t>(10 * kMillisecond));
+  const nscc::obs::Histogram* mine =
+      vm.obs().registry().find_histogram("dsm.staleness", 1);
+  ASSERT_NE(mine, nullptr);
+  EXPECT_EQ(mine->count(), 2u);
+  EXPECT_DOUBLE_EQ(mine->max(), 2.0);
+  // The machine-wide histogram receives the same observations, so it can
+  // never disagree with the per-task view.
   const nscc::obs::Histogram& machine =
       vm.obs().registry().histogram("dsm.staleness");
-  EXPECT_EQ(machine.count(), snap.staleness_on_read->count());
-  EXPECT_DOUBLE_EQ(machine.max(), snap.staleness_on_read->max());
-  EXPECT_DOUBLE_EQ(machine.mean(), snap.staleness_on_read->mean());
+  EXPECT_EQ(machine.count(), mine->count());
+  EXPECT_DOUBLE_EQ(machine.max(), mine->max());
+  EXPECT_DOUBLE_EQ(machine.mean(), mine->mean());
 }
 
 TEST(SharedSpace, RequestImplCountsDemandTraffic) {
@@ -436,15 +434,12 @@ TEST(SharedSpace, RequestImplCountsDemandTraffic) {
   MachineConfig cfg;
   cfg.ntasks = 2;
   VirtualMachine vm(cfg);
-  nscc::dsm::DsmStats writer_stats;
-  nscc::dsm::DsmStats reader_stats;
   vm.add_task("writer", [&](Task& t) {
     SharedSpace dsm(t);
     dsm.declare_written(7, {1});
     dsm.write(7, 0, value_of(1.0));
     t.compute(100 * kMillisecond);  // Request arrives while we sleep...
     dsm.poll();                     // ...and is served here.
-    writer_stats = dsm.stats();
   });
   vm.add_task("reader", [&](Task& t) {
     SharedSpace dsm(t, PropagationPolicy{
@@ -454,44 +449,39 @@ TEST(SharedSpace, RequestImplCountsDemandTraffic) {
     (void)dsm.global_read(7, 0, 0);
     t.compute(200 * kMillisecond);  // Outlive the writer's reply.
     dsm.poll();                     // Absorb the (stale) demand resend.
-    reader_stats = dsm.stats();
   });
   vm.run();
   ASSERT_FALSE(vm.deadlocked());
-  EXPECT_EQ(reader_stats.requests_sent, 1u);
-  EXPECT_EQ(reader_stats.global_read_blocks, 1u);
-  EXPECT_EQ(writer_stats.hints_received, 1u);
-  EXPECT_EQ(writer_stats.request_replies, 1u);
+  EXPECT_EQ(count(vm, "dsm.requests_sent", 1), 1u);
+  EXPECT_EQ(count(vm, "dsm.global_read_blocks", 1), 1u);
+  EXPECT_EQ(count(vm, "dsm.hints_received", 0), 1u);
+  EXPECT_EQ(count(vm, "dsm.request_replies", 0), 1u);
   // The resend carries iteration 0 again; the reader already has it.
-  EXPECT_EQ(reader_stats.updates_stale_dropped, 1u);
+  EXPECT_EQ(count(vm, "dsm.updates_stale_dropped", 1), 1u);
 }
 
 TEST(SharedSpace, WaitImplSendsNoRequests) {
   MachineConfig cfg;
   cfg.ntasks = 2;
   VirtualMachine vm(cfg);
-  nscc::dsm::DsmStats writer_stats;
-  nscc::dsm::DsmStats reader_stats;
   vm.add_task("writer", [&](Task& t) {
     SharedSpace dsm(t);
     dsm.declare_written(7, {1});
     dsm.write(7, 0, value_of(1.0));
     t.compute(100 * kMillisecond);
     dsm.poll();
-    writer_stats = dsm.stats();
   });
   vm.add_task("reader", [&](Task& t) {
     SharedSpace dsm(t);  // Default policy: GlobalReadImpl::kWait.
     dsm.declare_read(7, 0);
     (void)dsm.global_read(7, 0, 0);
-    reader_stats = dsm.stats();
   });
   vm.run();
   ASSERT_FALSE(vm.deadlocked());
-  EXPECT_EQ(reader_stats.global_read_blocks, 1u);
-  EXPECT_EQ(reader_stats.requests_sent, 0u);
-  EXPECT_EQ(writer_stats.hints_received, 0u);
-  EXPECT_EQ(writer_stats.request_replies, 0u);
+  EXPECT_EQ(count(vm, "dsm.global_read_blocks", 1), 1u);
+  EXPECT_EQ(count(vm, "dsm.requests_sent", 1), 0u);
+  EXPECT_EQ(count(vm, "dsm.hints_received", 0), 0u);
+  EXPECT_EQ(count(vm, "dsm.request_replies", 0), 0u);
 }
 
 TEST(SharedSpace, GlobalReadUnsatisfiableDeadlocksDetectably) {
@@ -566,14 +556,14 @@ TEST(SharedFrame, DamagedDeliveriesNeverReachAnotherCopy) {
         ++checked;
         t.compute(7 * kMillisecond);
       }
-      EXPECT_EQ(space.stats().integrity_dropped, 0u);
+      EXPECT_EQ(count(t.vm(), "dsm.integrity_dropped", r), 0u);
     });
   }
   vm.run();
   ASSERT_FALSE(vm.deadlocked());
   EXPECT_EQ(checked, 4 * kVersions);
-  EXPECT_GT(vm.transport_stats().crc_drops, 0u) << "frames were damaged";
-  EXPECT_GT(vm.transport_stats().retransmissions, 0u) << "and resent";
+  EXPECT_GT(count(vm, "rt.crc_drops", -1), 0u) << "frames were damaged";
+  EXPECT_GT(count(vm, "rt.retransmissions", -1), 0u) << "and resent";
 }
 
 TEST(SharedFrame, LossFreeFanOutSharesTheWritersFrame) {

@@ -29,10 +29,13 @@ MachineConfig fast_config(int ntasks) {
   return c;
 }
 
+/// Task `pid`'s counter `name` in `vm`'s registry.
+std::uint64_t count(const VirtualMachine& vm, const char* name, int pid) {
+  return vm.obs().registry().counter_value(name, pid);
+}
+
 TEST(RequestingGlobalRead, SendsOneRequestPerBlockedRead) {
   VirtualMachine vm(fast_config(2));
-  std::uint64_t requests = 0;
-  std::uint64_t hints = 0;
   vm.add_task("writer", [&](Task& t) {
     SharedSpace space(t);
     space.declare_written(1, {1});
@@ -42,7 +45,6 @@ TEST(RequestingGlobalRead, SendsOneRequestPerBlockedRead) {
       p.pack_double(i);
       space.write(1, i, std::move(p));
     }
-    hints = space.stats().hints_received;
   });
   vm.add_task("reader", [&](Task& t) {
     SharedSpace space(t, {.coalesce = false,
@@ -51,13 +53,12 @@ TEST(RequestingGlobalRead, SendsOneRequestPerBlockedRead) {
     for (int i = 0; i < 5; ++i) {
       (void)space.global_read(1, i, 0);  // Always starved: blocks each time.
     }
-    requests = space.stats().requests_sent;
   });
   vm.run();
   EXPECT_FALSE(vm.deadlocked());
-  EXPECT_EQ(requests, 5u);
+  EXPECT_EQ(count(vm, "dsm.requests_sent", 1), 5u);
   // The writer saw the starvation hints (its DSM entry points drain them).
-  EXPECT_GT(hints, 0u);
+  EXPECT_GT(count(vm, "dsm.hints_received", 0), 0u);
 }
 
 TEST(RequestingGlobalRead, DemandRepliesServeSatisfiableRequests) {
@@ -66,7 +67,6 @@ TEST(RequestingGlobalRead, DemandRepliesServeSatisfiableRequests) {
   // the writer produce before the reader declares interest in an old
   // iteration — the demand is immediately satisfiable from the local copy.
   VirtualMachine vm(fast_config(2));
-  std::uint64_t replies = 0;
   nscc::sim::Time reader_done = 0;
   vm.add_task("writer", [&](Task& t) {
     SharedSpace space(t);
@@ -79,7 +79,6 @@ TEST(RequestingGlobalRead, DemandRepliesServeSatisfiableRequests) {
       t.compute(5 * kMillisecond);
       space.poll();
     }
-    replies = space.stats().request_replies;
   });
   vm.add_task("reader", [&](Task& t) {
     SharedSpace space(t, {.coalesce = false,
@@ -95,12 +94,12 @@ TEST(RequestingGlobalRead, DemandRepliesServeSatisfiableRequests) {
   vm.run();
   EXPECT_FALSE(vm.deadlocked());
   EXPECT_GT(reader_done, 0);
-  (void)replies;  // Zero here: the original update already satisfied it.
+  // None: the original update already satisfied the read.
+  EXPECT_EQ(count(vm, "dsm.request_replies", 0), 0u);
 }
 
 TEST(RequestingGlobalRead, WaitImplSendsNoRequests) {
   VirtualMachine vm(fast_config(2));
-  std::uint64_t requests = 1;
   vm.add_task("writer", [](Task& t) {
     SharedSpace space(t);
     space.declare_written(1, {1});
@@ -114,10 +113,9 @@ TEST(RequestingGlobalRead, WaitImplSendsNoRequests) {
     SharedSpace space(t);  // Default: kWait.
     space.declare_read(1, 0);
     (void)space.global_read(1, 0, 0);
-    requests = space.stats().requests_sent;
   });
   vm.run();
-  EXPECT_EQ(requests, 0u);
+  EXPECT_EQ(count(vm, "dsm.requests_sent", 1), 0u);
 }
 
 TEST(AdaptiveAge, RaisesUnderSustainedBlocking) {

@@ -44,6 +44,16 @@ using nscc::sim::Time;
 
 /// Zero software/bus overheads so virtual timings in tests are easy to
 /// reason about (same idiom as test_dsm).
+/// Task `t`'s counter `name` in the machine's registry, so far.
+std::uint64_t count(Task& t, const char* name) {
+  return t.vm().obs().registry().counter_value(name, t.id());
+}
+
+/// `vm`'s machine-wide counter `name`.
+std::uint64_t count(const VirtualMachine& vm, const char* name) {
+  return vm.obs().registry().counter_value(name);
+}
+
 MachineConfig fast_config(int ntasks) {
   MachineConfig c;
   c.ntasks = ntasks;
@@ -165,11 +175,11 @@ TEST(Transport, HeavyLossDeliversEveryMessageExactlyOnce) {
   for (int i = 0; i < kMessages; ++i) {
     EXPECT_EQ(got.count(i), 1u) << "message " << i;
   }
-  EXPECT_GT(vm.transport_stats().retransmissions, 0u);
-  EXPECT_EQ(vm.transport_stats().retx_abandoned, 0u);
-  EXPECT_GT(vm.transport_stats().acks_sent, 0u);
+  EXPECT_GT(count(vm, "rt.retransmissions"), 0u);
+  EXPECT_EQ(count(vm, "rt.retx_abandoned"), 0u);
+  EXPECT_GT(count(vm, "rt.acks_sent"), 0u);
   // Retransmits racing lost ACKs reach the receiver's replay filter.
-  EXPECT_GT(vm.transport_stats().dup_frames_dropped, 0u);
+  EXPECT_GT(count(vm, "rt.dup_frames_dropped"), 0u);
 }
 
 TEST(Transport, BarriersSurviveLoss) {
@@ -237,8 +247,8 @@ TEST(Dsm, WatchdogRecoversSingleDroppedUpdate) {
       return copy.unpack_double();
     }();
     got_iter = v.iteration;
-    escalations = space.stats().read_escalations;
-    requests = space.stats().requests_sent;
+    escalations = count(t, "dsm.read_escalations");
+    requests = count(t, "dsm.requests_sent");
   });
   vm.run();
 
@@ -276,8 +286,8 @@ TEST(Dsm, WatchdogBackoffDoublesTheBudget) {
     space.declare_read(1, 0);
     (void)space.global_read(1, 0, 0);
     finished = t.now();
-    escalations = space.stats().read_escalations;
-    requests = space.stats().requests_sent;
+    escalations = count(t, "dsm.read_escalations");
+    requests = count(t, "dsm.requests_sent");
   });
   vm.run();
 

@@ -316,13 +316,15 @@ TEST(FlowEndToEnd, ReadOutcomeCountersAccountEveryRead) {
   const auto& reg = run.vm->obs().registry();
   const std::uint64_t reads = reg.counter_value("dsm.global_reads", 1);
   ASSERT_EQ(reads, 16u);
-  const std::uint64_t blocked = reg.counter_value("dsm.read.blocked");
+  const std::uint64_t blocked = reg.counter_total("dsm.global_read_blocks");
   const std::uint64_t queued = reg.counter_value("dsm.read.queued");
   // The fast consumer outruns the slow producer, so some reads block; a
   // blocked read is never also counted as served-from-queue.
   EXPECT_GT(blocked, 0u);
   EXPECT_LE(blocked + queued, reads);
-  EXPECT_EQ(reg.counter_value("dsm.read.degraded"), 0u);
+  EXPECT_EQ(reg.counter_total("dsm.degraded_reads") +
+                reg.counter_total("dsm.partition.stale_served"),
+            0u);
   EXPECT_EQ(reg.counter_value("dsm.read.escalated"), 0u);
   const auto* block_ns = reg.find_histogram("dsm.read.block_ns");
   ASSERT_NE(block_ns, nullptr);

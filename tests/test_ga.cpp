@@ -9,15 +9,19 @@
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "ga/chromosome.hpp"
 #include "ga/deme.hpp"
 #include "ga/fitness_cache.hpp"
 #include "ga/functions.hpp"
 #include "ga/island.hpp"
 #include "ga/sequential.hpp"
+#include "recovery/recovery.hpp"
 
 namespace {
 
@@ -662,6 +666,66 @@ TEST(IslandGa, MultiWordGenomeRunsArePinned) {
     EXPECT_EQ(r.cache_hits, pin.cache_hits);
     EXPECT_EQ(r.best_fitness, pin.best_fitness);
   }
+}
+
+// Adaptive age across a respawn.  A task's Global_Read block time is one
+// counter that runs on across its incarnations, so the restarted deme's
+// controller must take its deltas from the value the incarnation starts
+// with.  The raise threshold is high enough that the first observation
+// after the restart decides whether the age goes up.  Every RunStats field
+// was captured while each incarnation's shared space still kept its own
+// block time.
+TEST(IslandGa, AdaptiveAgeAcrossARespawnIsPinned) {
+  auto cfg = small_island(Mode::kPartialAsync);
+  cfg.age = 2;
+  cfg.propagation.coalesce = true;
+  cfg.adaptive_age = true;
+  cfg.adaptive.initial_age = 2;
+  cfg.adaptive.block_fraction_hi = 0.9;
+  cfg.recovery.policy = nscc::recovery::Policy::kRejoin;
+  cfg.recovery.checkpoint_interval = 100 * nscc::sim::kMillisecond;
+  nscc::rt::MachineConfig machine;
+  machine.transport.enabled = true;
+  machine.fault.crashes[1] = {nscc::fault::Window{
+      700 * nscc::sim::kMillisecond, 780 * nscc::sim::kMillisecond}};
+  const auto r = run_island_ga(cfg, machine);
+  const std::vector<std::pair<std::string, double>> want = {
+      {"completion_s", 1.5312868049999999},
+      {"deadlocked", 0},
+      {"messages_sent", 861},
+      {"bytes_sent", 168084},
+      {"global_read_blocks", 41},
+      {"global_read_block_s", 1.3739004699999999},
+      {"bus_utilization", 0.14287053629836},
+      {"mean_staleness", 0.56767676767676767},
+      {"mean_warp", 1.1260736150604314},
+      {"frames_lost", 12},
+      {"retransmissions", 6},
+      {"read_escalations", 9},
+      {"integrity_dropped", 0},
+      {"sanitize_violations", 0},
+      {"crashes", 1},
+      {"checkpoints_taken", 40},
+      {"restores", 1},
+      {"rejoins", 1},
+      {"degraded_reads", 0},
+      {"detection_latency_s", 0},
+      {"recovery_latency_s", 0.080000000000000002},
+      {"lost_iterations", 4},
+      {"partition_drops", 0},
+      {"partition_stale_served", 0},
+      {"heal_frames", 0},
+      {"diverged_locations", 0},
+      {"reconciled_locations", 0},
+      {"split_brain_declarations", 0},
+      {"quorum_parks", 0},
+      {"updates_parked", 0},
+      {"updates_flushed", 0},
+      {"ooo_updates", 0},
+      {"quality", 0}};
+  EXPECT_EQ(r.to_fields(), want);
+  EXPECT_EQ(r.mean_final_age, 2.0);
+  EXPECT_EQ(r.age_adjustments, 15u);
 }
 
 }  // namespace

@@ -52,8 +52,9 @@ TEST(Runtime, SenderWindowThrottlesAFlood) {
   });
   vm.run();
   EXPECT_FALSE(vm.deadlocked());
-  EXPECT_GT(vm.task(1).stats().send_backpressure_events, 0u);
-  EXPECT_GT(vm.task(1).stats().send_backpressure_time, 0);
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  EXPECT_GT(reg.counter_value("rt.backpressure_events", 1), 0u);
+  EXPECT_GT(reg.counter_value("rt.backpressure_time_ns", 1), 0u);
 }
 
 TEST(Runtime, UnlimitedWindowNeverBlocks) {
@@ -73,7 +74,8 @@ TEST(Runtime, UnlimitedWindowNeverBlocks) {
     }
   });
   vm.run();
-  EXPECT_EQ(vm.task(1).stats().send_backpressure_events, 0u);
+  EXPECT_EQ(vm.obs().registry().counter_value("rt.backpressure_events", 1),
+            0u);
 }
 
 TEST(Integration, GaCellOnTheSwitchRunsEndToEnd) {

@@ -249,14 +249,16 @@ TEST(Recovery, CheckpointCostIsChargedInVirtualTime) {
     });
   }
   vm.run();
-  EXPECT_GT(coord.stats().checkpoints_taken, 0u);
-  EXPECT_GT(coord.stats().checkpoint_cost, 0);
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  EXPECT_GT(reg.counter_value("recovery.checkpoints_taken"), 0u);
+  const std::uint64_t cost = reg.counter_value("recovery.checkpoint_cost_ns");
+  EXPECT_GT(cost, 0u);
   // The snapshot cost lands on the checkpointing task's own virtual clock:
   // total compute equals the loop work plus exactly the charged cost.
   const Time loop_work = 2 * 10 * 50 * kMillisecond;
-  const Time total = vm.task(0).stats().compute_time +
-                     vm.task(1).stats().compute_time;
-  EXPECT_EQ(total, loop_work + coord.stats().checkpoint_cost);
+  const std::uint64_t total = reg.counter_value("rt.compute_time_ns", 0) +
+                              reg.counter_value("rt.compute_time_ns", 1);
+  EXPECT_EQ(total, static_cast<std::uint64_t>(loop_work) + cost);
 }
 
 // A crash window far longer than the stall limit (200 heartbeat ticks,
@@ -282,9 +284,10 @@ TEST(Recovery, SecondCrashAfterALongWindowIsDetected) {
   const Time end = vm.run();
   EXPECT_FALSE(vm.deadlocked());
   EXPECT_GE(end, seconds(35.0));
-  EXPECT_EQ(coord.stats().crashes, 2u);
-  EXPECT_EQ(coord.stats().rejoins, 2u);
-  EXPECT_EQ(coord.stats().suspected, 2u)
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  EXPECT_EQ(reg.counter_value("recovery.crashes"), 2u);
+  EXPECT_EQ(reg.counter_value("recovery.rejoins"), 2u);
+  EXPECT_EQ(reg.counter_value("recovery.suspected"), 2u)
       << "the crash after the rejoin went undetected";
 }
 
@@ -330,13 +333,16 @@ TEST(Recovery, UnionViewDeclaresACrashUnderTheQuorumGate) {
   EXPECT_LE(victim_gone_at, crash_at + limit + 2 * heartbeat);
   EXPECT_TRUE(survivor_always_alive);
   EXPECT_FALSE(coord.alive(2)) << "a finished node must be judged gone";
-  EXPECT_EQ(coord.stats().crashes, 1u);
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  EXPECT_EQ(reg.counter_value("recovery.crashes"), 1u);
   // Both survivors declared the victim; the early finisher is not counted.
-  EXPECT_EQ(coord.stats().suspected, 2u);
-  EXPECT_EQ(coord.stats().quorum_parks, 0u);
+  EXPECT_EQ(reg.counter_value("recovery.suspected"), 2u);
+  EXPECT_EQ(reg.counter_value("recovery.quorum_parks"), 0u);
   // Latency counts once for the one dead node, not once per observer.
-  EXPECT_GT(coord.stats().detection_latency, limit);
-  EXPECT_LE(coord.stats().detection_latency, limit + 2 * heartbeat);
+  const auto latency =
+      static_cast<Time>(reg.counter_value("recovery.detection_latency_ns"));
+  EXPECT_GT(latency, limit);
+  EXPECT_LE(latency, limit + 2 * heartbeat);
 }
 
 TEST(Recovery, CrashRecoveryRunsAreDeterministic) {

@@ -401,7 +401,8 @@ TEST(Vm, RecvBlocksUntilMessageArrives) {
   vm.run();
   // Blocked for the sender's compute plus the (zero-overhead) wire time.
   EXPECT_GE(recv_time, 10 * kMillisecond);
-  EXPECT_EQ(vm.task(0).stats().blocked_time, recv_time);
+  EXPECT_EQ(vm.obs().registry().counter_value("rt.blocked_time_ns", 0),
+            static_cast<std::uint64_t>(recv_time));
 }
 
 TEST(Vm, OffloadedComputeChargesItsDelayAndJoinsItsKernel) {
@@ -431,7 +432,8 @@ TEST(Vm, OffloadedComputeChargesItsDelayAndJoinsItsKernel) {
   EXPECT_EQ(resumed[0], 5 * kMillisecond);
   EXPECT_EQ(resumed[1], 5 * kMillisecond);
   EXPECT_TRUE(rethrown) << "a kernel's exception reaches its task";
-  EXPECT_EQ(vm.task(0).stats().compute_time, 6 * kMillisecond);
+  EXPECT_EQ(vm.obs().registry().counter_value("rt.compute_time_ns", 0),
+            static_cast<std::uint64_t>(6 * kMillisecond));
 }
 
 TEST(Vm, TagMatchingIsSelective) {
@@ -599,9 +601,10 @@ TEST(Vm, StatsCountTraffic) {
     t.send(0, 1, std::move(p));
   });
   vm.run();
-  EXPECT_EQ(vm.task(1).stats().messages_sent, 1u);
-  EXPECT_EQ(vm.task(1).stats().bytes_sent, 88u);
-  EXPECT_EQ(vm.task(0).stats().messages_received, 1u);
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  EXPECT_EQ(reg.counter_value("rt.messages_sent", 1), 1u);
+  EXPECT_EQ(reg.counter_value("rt.bytes_sent", 1), 88u);
+  EXPECT_EQ(reg.counter_value("rt.messages_received", 0), 1u);
 }
 
 TEST(Vm, DeadlockDetectedWhenRecvNeverSatisfied) {

@@ -15,7 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "dsm/shared_space.hpp"
 #include "fault/fault.hpp"
+#include "harness/cluster.hpp"
 #include "harness/run_config.hpp"
 #include "harness/workloads.hpp"
 #include "recovery/recovery.hpp"
@@ -180,6 +182,33 @@ TEST(RunStatsTruth, HealedPartitionReconcilesEveryDivergence) {
     // Every split leaves a side without quorum, whose suspicions park.
     EXPECT_GT(s.quorum_parks, 0u);
   }
+}
+
+// A row that deadlocks is read while its blocked tasks are still alive:
+// Cluster::run() returns the registry's RunStats before the machine tears
+// them down.  Task 0 writes three times, then waits forever for an
+// iteration task 1 never writes, so its Global_Read block and its writes
+// must already be counted when the row is read.
+TEST(RunStatsTruth, DeadlockedRowCountsItsBlockedTasks) {
+  harness::Cluster cluster(rt::MachineConfig{}, RunConfig{}, 2, 0.0);
+  rt::VirtualMachine& vm = cluster.vm();
+  vm.add_task("reader", [](rt::Task& t) {
+    dsm::SharedSpace space(t);
+    space.declare_written(1, {1});
+    space.declare_read(2, 1);
+    for (dsm::Iteration i = 0; i < 3; ++i) space.write(1, i, rt::Packet{});
+    (void)space.global_read(2, 5, 0);  // Task 1 stops at iteration 0.
+  });
+  vm.add_task("writer", [](rt::Task& t) {
+    dsm::SharedSpace space(t);
+    space.declare_written(2, {0});
+    space.declare_read(1, 0);
+    space.write(2, 0, rt::Packet{});
+  });
+  const RunStats s = cluster.run();
+  EXPECT_TRUE(s.deadlocked);
+  EXPECT_GE(s.global_read_blocks, 1u);
+  EXPECT_EQ(vm.obs().registry().counter_value("dsm.writes", 0), 3u);
 }
 
 // The run document's stats names, in order: tests, bench/schema.md, the

@@ -75,8 +75,11 @@ class TaskAliveMembership final : public nscc::rt::Membership {
   const VirtualMachine& vm_;
 };
 
-std::uint64_t kind_count(const Sanitizer& san, ViolationKind kind) {
-  return san.stats().violations[static_cast<int>(kind)];
+/// Violations of `kind` counted in `hub`'s registry.
+std::uint64_t kind_count(const nscc::obs::Hub& hub, ViolationKind kind) {
+  return hub.registry().counter_value(
+      std::string("sanitize.violations.") +
+      nscc::sanitize::violation_name(kind));
 }
 
 // ---------------------------------------------------------------------------
@@ -186,7 +189,7 @@ TEST(Sanitizer, ChecksumMatchesAnyEntryForTheIteration) {
 
   // A payload matching *neither* committed write is corruption.
   san.audit_read(1, 7, 6, 1, true, false, 5, 0xBADC0DEu, 50);
-  EXPECT_EQ(kind_count(san, ViolationKind::kChecksum), 1u);
+  EXPECT_EQ(kind_count(hub, ViolationKind::kChecksum), 1u);
   ASSERT_EQ(san.recorded().size(), 1u);
   EXPECT_EQ(san.recorded()[0].kind, ViolationKind::kChecksum);
   EXPECT_EQ(san.recorded()[0].loc, 7);
@@ -202,16 +205,17 @@ TEST(Sanitizer, ShadowLogIsBoundedAndOldReadsCountAsUnverified) {
     san.record_write(0, 3, i, 0x1000u + static_cast<std::uint32_t>(i), 8,
                      i * 10);
   }
-  EXPECT_EQ(san.stats().writes_recorded, 10u);
-  EXPECT_EQ(san.stats().shadow_evictions, 6u);
+  const nscc::obs::Registry& reg = hub.registry();
+  EXPECT_EQ(reg.counter_value("sanitize.writes_recorded"), 10u);
+  EXPECT_EQ(reg.counter_value("sanitize.shadow_evictions"), 6u);
 
   // Iteration 2 fell off the bounded log: cannot cross-check, no violation.
   san.audit_read(1, 3, 12, -1, true, false, 2, 0x1002u, 200);
-  EXPECT_EQ(san.stats().checksum_unverified, 1u);
+  EXPECT_EQ(reg.counter_value("sanitize.checksum_unverified"), 1u);
   EXPECT_EQ(san.violations(), 0u);
   // Iteration 9 is still shadowed and must match.
   san.audit_read(1, 3, 12, -1, true, false, 9, 0xFFFFu, 210);
-  EXPECT_EQ(kind_count(san, ViolationKind::kChecksum), 1u);
+  EXPECT_EQ(kind_count(hub, ViolationKind::kChecksum), 1u);
 }
 
 TEST(Sanitizer, StalenessAuditedAgainstTightestBound) {
@@ -227,7 +231,7 @@ TEST(Sanitizer, StalenessAuditedAgainstTightestBound) {
   // Within the read's declared age (4) but beyond the contract's bound (2):
   // the contract is the tighter limit and the read violates it.
   san.audit_read(1, 5, 13, 4, true, false, 10, 0x1u, 20);
-  EXPECT_EQ(kind_count(san, ViolationKind::kStaleness), 1u);
+  EXPECT_EQ(kind_count(hub, ViolationKind::kStaleness), 1u);
   ASSERT_EQ(san.recorded().size(), 1u);
   EXPECT_EQ(san.recorded()[0].limit, 2);
 }
@@ -245,7 +249,7 @@ TEST(Sanitizer, RequireAgedFlagsPlainReads) {
   // a staleness violation; the same read of a lenient location is not.
   san.audit_read(1, 9, -1, -1, true, false, 0, 0x9u, 10);
   san.audit_read(1, 10, -1, -1, true, false, 0, 0xAu, 10);
-  EXPECT_EQ(kind_count(san, ViolationKind::kStaleness), 1u);
+  EXPECT_EQ(kind_count(hub, ViolationKind::kStaleness), 1u);
   EXPECT_EQ(san.violations(), 1u);
 }
 
@@ -286,7 +290,7 @@ TEST(Sanitize, DegradedReadIntoIntolerantLocationIsFlagged) {
 
     ASSERT_FALSE(vm.deadlocked());
     ASSERT_NE(vm.sanitizer(), nullptr);
-    EXPECT_EQ(kind_count(*vm.sanitizer(), ViolationKind::kDegraded), 1u)
+    EXPECT_EQ(kind_count(vm.obs(), ViolationKind::kDegraded), 1u)
         << "rep " << rep;
     EXPECT_EQ(vm.sanitizer()->violations(), 1u) << "rep " << rep;
     ASSERT_EQ(vm.sanitizer()->recorded().size(), 1u);
@@ -324,8 +328,8 @@ TEST(Sanitize, DegradedAndInvalidReadIsFlaggedAsInvalid) {
   ASSERT_FALSE(vm.deadlocked());
   EXPECT_TRUE(saw_degraded_invalid);
   ASSERT_NE(vm.sanitizer(), nullptr);
-  EXPECT_EQ(kind_count(*vm.sanitizer(), ViolationKind::kInvalid), 1u);
-  EXPECT_EQ(kind_count(*vm.sanitizer(), ViolationKind::kDegraded), 0u);
+  EXPECT_EQ(kind_count(vm.obs(), ViolationKind::kInvalid), 1u);
+  EXPECT_EQ(kind_count(vm.obs(), ViolationKind::kDegraded), 0u);
 }
 
 TEST(Sanitize, CleanBoundedRunAuditsEverythingAndReportsNothing) {
@@ -356,10 +360,12 @@ TEST(Sanitize, CleanBoundedRunAuditsEverythingAndReportsNothing) {
 
   ASSERT_FALSE(vm.deadlocked());
   ASSERT_NE(vm.sanitizer(), nullptr);
-  const auto& stats = vm.sanitizer()->stats();
-  EXPECT_EQ(stats.writes_recorded, static_cast<std::uint64_t>(kIters));
-  EXPECT_EQ(stats.reads_audited, static_cast<std::uint64_t>(kIters - 1));
-  EXPECT_EQ(stats.total_violations(), 0u);
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  EXPECT_EQ(reg.counter_value("sanitize.writes_recorded"),
+            static_cast<std::uint64_t>(kIters));
+  EXPECT_EQ(reg.counter_value("sanitize.reads_audited"),
+            static_cast<std::uint64_t>(kIters - 1));
+  EXPECT_EQ(vm.sanitizer()->violations(), 0u);
 }
 
 TEST(Sanitize, OffMeansNoSanitizerAndNoOverhead) {
@@ -416,15 +422,16 @@ RecoveryOutcome run_single_drop_recovery(bool corrupt) {
     out.got = copy.unpack_double();
     out.got_iter = v.iteration;
     out.finished_at = t.now();
-    out.escalations = space.stats().read_escalations;
-    out.requests = space.stats().requests_sent;
-    out.updates_applied = space.stats().updates_applied;
   });
   vm.run();
 
+  const nscc::obs::Registry& reg = vm.obs().registry();
+  out.escalations = reg.counter_value("dsm.read_escalations", 1);
+  out.requests = reg.counter_value("dsm.requests_sent", 1);
+  out.updates_applied = reg.counter_value("dsm.updates_applied", 1);
   out.deadlocked = vm.deadlocked();
   out.wire_losses = vm.fault_injector()->stats().frames_lost;
-  out.crc_drops = vm.transport_stats().crc_drops;
+  out.crc_drops = reg.counter_value("rt.crc_drops");
   return out;
 }
 
@@ -500,7 +507,7 @@ class ViolatingWorkload final : public nscc::harness::Workload {
     stats.completion_time = vm.engine().now();
     stats.deadlocked = vm.deadlocked();
     if (vm.sanitizer() != nullptr) {
-      stats.sanitize_violations = vm.sanitizer()->stats().total_violations();
+      stats.sanitize_violations = vm.sanitizer()->violations();
     }
     return stats;
   }
