@@ -64,7 +64,7 @@ const std::vector<StatField>& stat_fields() {
        .from = violation_counters(), .column = {"violations", kAudited},
        .lower_is_better = true},
       {.name = "crashes", .member = &RunStats::crashes,
-       .from = {"recovery.crashes"}, .column = {"crashes", kRecovery}},
+       .from = {"rt.crashes"}, .column = {"crashes", kRecovery}},
       {.name = "checkpoints_taken", .member = &RunStats::checkpoints_taken,
        .from = {"recovery.checkpoints_taken"}},
       {.name = "restores", .member = &RunStats::restores,

@@ -38,7 +38,6 @@ std::optional<Policy> policy_from_name(const std::string& name) {
 Coordinator::Coordinator(rt::VirtualMachine& vm, Config cfg)
     : vm_(vm),
       cfg_(cfg),
-      crashes_(counter(vm, "recovery.crashes")),
       checkpoints_taken_(counter(vm, "recovery.checkpoints_taken")),
       checkpoint_bytes_(counter(vm, "recovery.checkpoint_bytes")),
       restores_(counter(vm, "recovery.restores")),
@@ -78,13 +77,11 @@ void Coordinator::on_start() {
     vm_.task(i).set_tag_handler(
         rt::kHeartbeatTag, [this, i](rt::Message m) { on_heartbeat(i, m); });
   }
-  // Crash accounting and (under kRejoin) respawn scheduling mirror the VM's
-  // own kill schedule.
-  for (const auto& [node, windows] : vm_.config().fault.crashes) {
-    if (node < 0 || node >= n) continue;
-    for (const fault::Window& w : windows) {
-      vm_.engine().schedule(w.start, [this] { crashes_.inc(); });
-      if (cfg_.policy == Policy::kRejoin) {
+  // Under kRejoin, respawns mirror the VM's own kill schedule.
+  if (cfg_.policy == Policy::kRejoin) {
+    for (const auto& [node, windows] : vm_.config().fault.crashes) {
+      if (node < 0 || node >= n) continue;
+      for (const fault::Window& w : windows) {
         vm_.engine().schedule(w.end, [this, node, w] {
           schedule_respawn(node, w.start);
         });

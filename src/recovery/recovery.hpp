@@ -130,8 +130,8 @@ struct Checkpoint {
 /// the VM start to install the heartbeat handler and its detector tick,
 /// and is the VM's rt::Membership until it is destroyed.
 ///
-/// Counts into the VM's metrics registry: recovery.crashes (stateful crash
-/// windows that fired), recovery.checkpoints_taken,
+/// Counts into the VM's metrics registry (the VM itself counts the crash
+/// windows that fired, in rt.crashes): recovery.checkpoints_taken,
 /// recovery.checkpoint_bytes, recovery.restores and
 /// recovery.cold_restarts (restarts that found a checkpoint, and those
 /// that did not), recovery.rejoins (respawns at a window end),
@@ -237,7 +237,6 @@ class Coordinator final : public rt::Membership {
 
   rt::VirtualMachine& vm_;
   Config cfg_;
-  obs::Counter& crashes_;
   obs::Counter& checkpoints_taken_;
   obs::Counter& checkpoint_bytes_;
   obs::Counter& restores_;

@@ -690,12 +690,17 @@ sim::Time VirtualMachine::run(sim::Time until) {
     task->process_ = &engine_.spawn(bodies_[id].first,
                                     [task, body](sim::Process&) { body(*task); });
   }
-  // A crash window tears the victim's fiber down at the window start; the
-  // injector silences its links for the window's span.
+  // A crash window tears the victim's fiber down at the window start and
+  // counts in rt.crashes, whatever recovery policy runs; the injector
+  // silences its links for the window's span.
   for (const auto& [node, windows] : config_.fault.crashes) {
     if (node < 0 || node >= config_.ntasks) continue;
+    obs::Counter& crashes = obs_.registry().counter("rt.crashes");
     for (const fault::Window& w : windows) {
-      engine_.schedule(w.start, [this, node] { kill_task(node); });
+      engine_.schedule(w.start, [this, node, &crashes] {
+        crashes.inc();
+        kill_task(node);
+      });
     }
   }
   for (const auto& hook : start_hooks_) hook();

@@ -285,7 +285,7 @@ TEST(Recovery, SecondCrashAfterALongWindowIsDetected) {
   EXPECT_FALSE(vm.deadlocked());
   EXPECT_GE(end, seconds(35.0));
   const nscc::obs::Registry& reg = vm.obs().registry();
-  EXPECT_EQ(reg.counter_value("recovery.crashes"), 2u);
+  EXPECT_EQ(reg.counter_value("rt.crashes"), 2u);
   EXPECT_EQ(reg.counter_value("recovery.rejoins"), 2u);
   EXPECT_EQ(reg.counter_value("recovery.suspected"), 2u)
       << "the crash after the rejoin went undetected";
@@ -334,7 +334,7 @@ TEST(Recovery, UnionViewDeclaresACrashUnderTheQuorumGate) {
   EXPECT_TRUE(survivor_always_alive);
   EXPECT_FALSE(coord.alive(2)) << "a finished node must be judged gone";
   const nscc::obs::Registry& reg = vm.obs().registry();
-  EXPECT_EQ(reg.counter_value("recovery.crashes"), 1u);
+  EXPECT_EQ(reg.counter_value("rt.crashes"), 1u);
   // Both survivors declared the victim; the early finisher is not counted.
   EXPECT_EQ(reg.counter_value("recovery.suspected"), 2u);
   EXPECT_EQ(reg.counter_value("recovery.quorum_parks"), 0u);

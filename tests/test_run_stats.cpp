@@ -211,6 +211,22 @@ TEST(RunStatsTruth, DeadlockedRowCountsItsBlockedTasks) {
   EXPECT_EQ(vm.obs().registry().counter_value("dsm.writes", 0), 3u);
 }
 
+// A crash window is counted by the machine that tears the node down, not by
+// a recovery policy: with none, the victim goes down all the same and the
+// row must say so.
+TEST(RunStatsTruth, CrashWithoutRecoveryIsCounted) {
+  rt::MachineConfig machine;
+  machine.fault.crashes[1].push_back({seconds(0.1), seconds(0.2)});
+  harness::Cluster cluster(machine, RunConfig{}, 2, 0.0);
+  ASSERT_EQ(cluster.recovery(), nullptr);
+  rt::VirtualMachine& vm = cluster.vm();
+  vm.add_task("survivor", [](rt::Task& t) { t.compute(seconds(0.5)); });
+  vm.add_task("victim", [](rt::Task& t) { t.compute(seconds(0.5)); });
+  const RunStats s = cluster.run();
+  EXPECT_FALSE(s.deadlocked);
+  EXPECT_EQ(s.crashes, 1u);
+}
+
 // The run document's stats names, in order: tests, bench/schema.md, the
 // CI checks and the benchmark read them by name, so a rename or a reorder
 // is a change of format.  Times are written in seconds, counts as counts.
